@@ -35,7 +35,9 @@ reallocating the backing store (growing it with amortized doubling only
 when capacity is exhausted), so a steady-state simulation loop performs no
 per-step full-population allocations.  The copy-based API
 (:meth:`select` / :meth:`append` / :meth:`pack`) is retained; the in-place
-methods are element-for-element equivalent to it (see
+methods are element-for-element equivalent to it, except the tail-fill
+``compact(drop=...)`` the particle exchange uses, which keeps the same
+particles in a different (deterministic) order (see
 tests/core/test_particles_pooled.py).
 """
 
@@ -254,18 +256,41 @@ class ParticleArray:
             store[i] = moved
             d[name] = moved[:n]
 
-    def compact(self, keep) -> None:
-        """Keep only the particles selected by boolean mask ``keep``, in place.
+    def compact(self, keep=None, *, drop=None) -> None:
+        """Shrink in place: keep the rows of boolean mask ``keep``, or remove
+        the rows of the strictly increasing index array ``drop``.
 
-        A stable partition: survivors retain their relative order, matching
-        ``select(keep)``.  The backing store is not reallocated; when every
-        particle survives this is a no-op (no copies, no allocations).
+        ``compact(keep)`` is a stable partition: survivors retain their
+        relative order, matching ``select(keep)``, at O(n) per field.
+        ``compact(drop=idx)`` is tail-fill: each hole below the new length
+        is filled from the surviving tail rows (in ascending order), at
+        O(len(idx)) per field.  Survivors are the same multiset as
+        ``select(~mask)``; their order is deterministic but not stable.
+        Unsorted, duplicate or out-of-range indices raise ``ValueError``.
+        Neither form reallocates the backing store, and dropping nothing
+        is a no-op (no copies, no allocations).
         """
         n = len(self)
+        store = self._backing()
+        if drop is not None:
+            drop = np.asarray(drop)
+            n_drop = len(drop)
+            if n_drop == 0:
+                return
+            if drop[0] < 0 or drop[-1] >= n or not (drop[1:] > drop[:-1]).all():
+                raise ValueError("drop must be strictly increasing indices in [0, n)")
+            k = n - n_drop
+            n_holes = int(drop.searchsorted(k))
+            alive = np.ones(n_drop, dtype=bool)  # tail rows [k, n) not dropped
+            alive[drop[n_holes:] - k] = False
+            holes, fill = drop[:n_holes], np.flatnonzero(alive) + k
+            for arr in store:
+                arr[holes] = arr[fill]
+            self._set_length(k)
+            return
         k = int(np.count_nonzero(keep))
         if k == n:
             return
-        store = self._backing()
         d = self.__dict__
         for i, name in enumerate(_FIELDS):
             # RHS fancy indexing materializes the survivors first, so the

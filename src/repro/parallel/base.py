@@ -20,8 +20,12 @@ Hot-path note (docs/performance.md): the exchange mutates the rank's
 :class:`ParticleArray` in place (``compact`` / ``extend_packed``) and packs
 departures into per-rank reused wire buffers (:class:`ExchangeScratch`), so
 a settled step — the common case — performs zero full-population array
-allocations.  None of this changes simulated time, message counts or
-payloads: the golden-trace and differential suites pin that byte-for-byte.
+allocations.  A step with migration makes one range-test pass per axis and
+then works on the leavers and arrivals only: index-based packing, tail-fill
+compaction, an arrival-only settlement count.  The order of particles within
+a rank is therefore implementation-defined (but deterministic).  None of
+this changes simulated time, message counts or payload sizes: the
+golden-trace and differential suites pin that exactly.
 """
 
 from __future__ import annotations
@@ -714,17 +718,18 @@ class ExchangeScratch:
       joining the settlement allreduce, and the sender's next write to the
       same buffer happens only after that allreduce — so reuse across hops
       and steps never aliases an in-flight message;
-    * integer / float / bool scratch for the settled fast path: cell
-      indices and ownership range tests are computed with ``out=`` into
-      these, so a step in which no particle migrates allocates nothing.
+    * integer / float / bool scratch for the one full-population pass a hop
+      makes: cell indices and the ownership range test are computed with
+      ``out=`` into these, so a step in which no particle migrates
+      allocates nothing, and a step in which some do allocates only
+      leaver-sized index arrays.
     """
 
     def __init__(self) -> None:
         self._wire: dict[tuple[int, int], np.ndarray] = {}
         self._idx = np.empty(0, dtype=np.int64)
         self._flt = np.empty(0, dtype=np.float64)
-        self._outx = np.empty(0, dtype=bool)
-        self._outy = np.empty(0, dtype=bool)
+        self._out = np.empty(0, dtype=bool)
         self._tmpb = np.empty(0, dtype=bool)
 
     def wire(self, axis: int, direction: int, n: int) -> np.ndarray:
@@ -741,8 +746,7 @@ class ExchangeScratch:
             cap = max(n, 2 * len(self._idx), 16)
             self._idx = np.empty(cap, dtype=np.int64)
             self._flt = np.empty(cap, dtype=np.float64)
-            self._outx = np.empty(cap, dtype=bool)
-            self._outy = np.empty(cap, dtype=bool)
+            self._out = np.empty(cap, dtype=bool)
             self._tmpb = np.empty(cap, dtype=bool)
 
     def cells_into(self, coord: np.ndarray, mesh: Mesh) -> np.ndarray:
@@ -761,10 +765,10 @@ class ExchangeScratch:
             np.mod(idx, mesh.cells, out=idx)
         return idx
 
-    def out_of_range(self, axis: int, idx, lo: int, hi: int) -> np.ndarray:
+    def out_of_range(self, idx, lo: int, hi: int) -> np.ndarray:
         """Flags (into reused scratch) of cell indices outside ``[lo, hi)``."""
         n = len(idx)
-        out = (self._outx if axis == 0 else self._outy)[:n]
+        out = self._out[:n]
         tmp = self._tmpb[:n]
         np.less(idx, lo, out=out)
         np.greater_equal(idx, hi, out=tmp)
@@ -787,92 +791,59 @@ def exchange_particles(
     hop of y routing, then checks global settlement with an allreduce.
     Routing direction per particle is the shorter periodic way around.
 
-    ``particles`` is mutated in place (compact + extend into its pooled
-    backing storage) and also returned, preserving the original
-    return-the-new-set contract.  On the common settled path — nothing
-    leaves or arrives — the ownership check is a range test against the
-    rank's own block bounds written into ``scratch``, and the hop allocates
-    no full-population arrays at all; per-particle owner indices are only
-    computed on the migration path.
+    ``particles`` is mutated in place (tail-fill compact + extend into its
+    pooled backing storage) and also returned, preserving the original
+    return-the-new-set contract.  A hop makes one range-test pass over the
+    population per axis; everything after it — owner lookup, packing,
+    compaction, the settlement count — touches only the particles that
+    leave or arrive.
     """
     my_px, my_py = cart.coords
     px, py = cart.px, cart.py
     if scratch is None:
         scratch = ExchangeScratch()
-    x_lo, x_hi = partition.x_range(my_px)
-    y_lo, y_hi = partition.y_range(my_py)
+    x_range = partition.x_range(my_px)
+    y_range = partition.y_range(my_py)
     while True:
-        # A "clean" hop moved nothing in or out, so that axis's range-test
-        # flags in ``scratch`` are known all-False for the current set and
-        # the settlement count below can skip recomputing them.
-        x_clean = y_clean = False
+        # Residents a hop keeps are proven on-block along its axis, so only
+        # arrivals can be misplaced: the x hop's on x, the y hop's on both.
+        stray_x = misplaced = 0
         if px > 1:
-            particles, x_clean = yield from _route_axis(
+            stray_x = yield from _route_axis(
                 comm, cart, particles, mesh, cost, scratch,
-                splits=partition.xsplits, lo=x_lo, hi=x_hi,
-                my_index=my_px, n_index=px, axis=0,
-                tag_fwd=TAG_X_RIGHT, tag_bwd=TAG_X_LEFT,
+                splits=partition.xsplits, my_index=my_px, n_index=px, axis=0,
+                tag_fwd=TAG_X_RIGHT, tag_bwd=TAG_X_LEFT, ranges=(x_range,),
             )
         if py > 1:
-            particles, y_clean = yield from _route_axis(
+            misplaced = yield from _route_axis(
                 comm, cart, particles, mesh, cost, scratch,
-                splits=partition.ysplits, lo=y_lo, hi=y_hi,
-                my_index=my_py, n_index=py, axis=1,
-                tag_fwd=TAG_Y_UP, tag_bwd=TAG_Y_DOWN,
+                splits=partition.ysplits, my_index=my_py, n_index=py, axis=1,
+                tag_fwd=TAG_Y_UP, tag_bwd=TAG_Y_DOWN, ranges=(x_range, y_range),
             )
-            if not y_clean:
-                x_clean = False  # the y hop changed the particle set
-        misplaced = _count_misplaced(
-            cart, partition, mesh, particles,
-            scratch=scratch, x_clean=x_clean, y_clean=y_clean,
-        )
+        if stray_x:
+            # Multi-hop case: an x arrival is still off-block and may or may
+            # not have left again along y — recount the whole population.
+            misplaced = _count_misplaced(
+                scratch, mesh, particles.x, particles.y, x_range, y_range
+            )
         total = yield comm.allreduce(misplaced, op=SUM)
         if total == 0:
             return particles
 
 
-def _count_misplaced(
-    cart, partition, mesh, particles, *,
-    scratch: ExchangeScratch | None = None,
-    x_clean: bool = False,
-    y_clean: bool = False,
-) -> int:
-    """Number of local particles whose owning rank is not ``cart.rank``.
+def _count_misplaced(scratch, mesh, x, y, x_range, y_range=None) -> int:
+    """How many of the positions ``(x, y)`` lie outside the rank's block.
 
-    A particle is misplaced iff its cell column is outside the rank's
-    x-range or its cell row is outside the y-range — exactly
+    A particle is misplaced iff its cell column is outside ``x_range`` or
+    its cell row is outside ``y_range`` (not tested when ``None``) — exactly
     ``owner_rank != cart.rank`` for a Cartesian-product partition, without
-    materializing per-particle owner indices.  With ``scratch`` the tests
-    run allocation-free; an axis already proven clean is skipped.
+    materializing per-particle owner indices.
     """
-    n = len(particles)
-    if n == 0:
-        return 0
-    if scratch is None:
-        owner = partition.owner_rank(
-            particles.cell_columns(mesh), particles.cell_rows(mesh)
-        )
-        return int(np.count_nonzero(owner != cart.rank))
-    my_px, my_py = cart.coords
-    bad_x = bad_y = None
-    if cart.px > 1 and not x_clean:
-        lo, hi = partition.x_range(my_px)
-        bad_x = scratch.out_of_range(
-            0, scratch.cells_into(particles.x, mesh), lo, hi
-        )
-    if cart.py > 1 and not y_clean:
-        lo, hi = partition.y_range(my_py)
-        bad_y = scratch.out_of_range(
-            1, scratch.cells_into(particles.y, mesh), lo, hi
-        )
-    if bad_x is not None and bad_y is not None:
-        np.logical_or(bad_x, bad_y, out=bad_x)
-        return int(np.count_nonzero(bad_x))
-    if bad_x is not None:
-        return int(np.count_nonzero(bad_x))
-    if bad_y is not None:
-        return int(np.count_nonzero(bad_y))
-    return 0
+    bad = scratch.out_of_range(scratch.cells_into(x, mesh), *x_range)
+    if y_range is not None:
+        bad = bad.copy()  # both tests write the one flag buffer
+        bad |= scratch.out_of_range(scratch.cells_into(y, mesh), *y_range)
+    return int(np.count_nonzero(bad))
 
 
 #: Shared zero-particle wire buffer (read-only by convention).
@@ -881,43 +852,33 @@ _EMPTY_BUF = np.empty((0, PARTICLE_RECORD_FIELDS), dtype=np.float64)
 
 def _route_axis(
     comm, cart, particles, mesh, cost, scratch,
-    *, splits, lo, hi, my_index, n_index, axis, tag_fwd, tag_bwd,
+    *, splits, my_index, n_index, axis, tag_fwd, tag_bwd, ranges,
 ):
-    """One forwarding hop along one axis (generator).
+    """One forwarding hop along one axis (generator), in place.
 
-    Returns ``(particles, clean)``: ``clean`` means nothing moved in or
-    out, so the axis range-test flags left in ``scratch`` are still valid
-    (and all ``False``) for the returned set.  The sequence of simulated
-    events — pack compute, the two sendrecvs, unpack compute — and their
-    costs/payloads are identical to the historical copy-based hop.
+    ``ranges`` is the rank's ``(x_range,)`` for the x hop and ``(x_range,
+    y_range)`` for the y hop.  Returns how many *arrivals* lie outside any
+    of them — kept residents cannot.  The sequence of simulated events —
+    pack compute, the two sendrecvs, unpack compute — and their costs and
+    payload sizes are identical to the historical copy-based hop; the order
+    of particles within the rank is not (tail-fill compaction).
     """
-    n = len(particles)
-    n_fwd = n_bwd = 0
-    go_fwd = go_bwd = None
-    coord = particles.x if axis == 0 else particles.y
-    if n:
-        idx = scratch.cells_into(coord, mesh)
-        if int(np.count_nonzero(scratch.out_of_range(axis, idx, lo, hi))):
-            # Migration path: someone is off-block, so compute per-particle
-            # owner indices and the shorter periodic direction.
-            owner = np.searchsorted(splits, idx, side="right") - 1
-            dist = (owner - my_index) % n_index
-            go_fwd = (dist > 0) & (dist <= n_index // 2)
-            go_bwd = dist > n_index // 2
-            n_fwd = int(np.count_nonzero(go_fwd))
-            n_bwd = int(np.count_nonzero(go_bwd))
-
-    fwd_buf = (
-        particles.pack_into(go_fwd, scratch.wire(axis, 1, n_fwd))
-        if n_fwd else _EMPTY_BUF
-    )
-    bwd_buf = (
-        particles.pack_into(go_bwd, scratch.wire(axis, -1, n_bwd))
-        if n_bwd else _EMPTY_BUF
-    )
-    n_out = n_fwd + n_bwd
-    if n_out:
-        yield comm.compute(cost.pack_time(n_out))
+    fwd_buf = bwd_buf = _EMPTY_BUF
+    leavers = ()
+    if len(particles):
+        idx = scratch.cells_into(particles.x if axis == 0 else particles.y, mesh)
+        leavers = np.flatnonzero(scratch.out_of_range(idx, *ranges[axis]))
+    if len(leavers):
+        # Migration path: owner index and the shorter periodic direction,
+        # for the leavers only (an off-block particle never has dist == 0).
+        owner = np.searchsorted(splits, idx[leavers], side="right") - 1
+        go_fwd = (owner - my_index) % n_index <= n_index // 2
+        fwd, bwd = leavers[go_fwd], leavers[~go_fwd]
+        if len(fwd):
+            fwd_buf = particles.pack_into(fwd, scratch.wire(axis, 1, len(fwd)))
+        if len(bwd):
+            bwd_buf = particles.pack_into(bwd, scratch.wire(axis, -1, len(bwd)))
+        yield comm.compute(cost.pack_time(len(leavers)))
 
     src_bwd, dst_fwd = cart.shift(axis, 1)
     src_fwd, dst_bwd = cart.shift(axis, -1)
@@ -931,16 +892,15 @@ def _route_axis(
     )
 
     n_in = len(from_bwd) + len(from_fwd)
-    if n_in == 0 and n_out == 0:
-        return particles, True
     if n_in:
         yield comm.compute(cost.pack_time(n_in))
-    if n_out:
-        # Explicit kept set: historically this mask was only bound when a
-        # count happened to be non-zero and the no-op path returned early.
-        keep = ~(go_fwd | go_bwd)
-        particles.compact(keep)
-    # Arrival order matches the old [kept, from_bwd, from_fwd] concatenation.
+    if len(leavers):
+        particles.compact(drop=leavers)
+    if not n_in:
+        return 0
+    n_kept = len(particles)
     particles.extend_packed(from_bwd)
     particles.extend_packed(from_fwd)
-    return particles, False
+    return _count_misplaced(
+        scratch, mesh, particles.x[n_kept:], particles.y[n_kept:], *ranges
+    )

@@ -12,6 +12,7 @@ int64 fields' value round-trip through the float64 wire format.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.particles import PARTICLE_RECORD_FIELDS, ParticleArray
@@ -159,3 +160,85 @@ def test_pack_into_rejects_undersized_buffer():
         pass
     else:
         raise AssertionError("expected ValueError for undersized wire buffer")
+
+
+# ----------------------------------------------------------------------
+# Tail-fill compaction: compact(drop=sorted_idx)
+# ----------------------------------------------------------------------
+def by_row(p: ParticleArray) -> ParticleArray:
+    """``p`` with its rows in lexicographic order (multiset comparison)."""
+    return p.select(np.lexsort([getattr(p, name) for name in reversed(_FIELDS)]))
+
+
+def drop_mask(n: int, mask_seed: int, density: float, tail: int) -> np.ndarray:
+    """Random drop mask; the last ``tail`` rows are always dropped, so holes
+    reach into the region the fill rows come from."""
+    mask = np.random.default_rng(mask_seed).random(n) < density
+    mask[n - min(tail, n):] = True
+    return mask
+
+
+densities = st.sampled_from([0.0, 0.07, 0.5, 0.93, 1.0])
+tails = st.integers(0, 8)
+
+
+@given(n=pop, seed=seeds, mask_seed=seeds, density=densities, tail=tails)
+@settings(max_examples=120, deadline=None)
+def test_compact_drop_keeps_the_multiset_of_select(n, seed, mask_seed, density, tail):
+    p = random_particles(n, seed)
+    p.reserve(n + 7)  # a real backing store with headroom
+    mask = drop_mask(n, mask_seed, density, tail)
+    expected = random_particles(n, seed).select(~mask)
+    store, gen, cap = list(p._backing()), p.generation, p.capacity
+    p.compact(drop=np.flatnonzero(mask))
+    assert_same(by_row(p), by_row(expected))  # all 11 fields, dtypes included
+    assert p.generation == gen and p.capacity == cap
+    assert all(a is b for a, b in zip(store, p._backing()))  # not reallocated
+    # Rows below the new length that were not dropped never move.
+    stay = np.flatnonzero(~mask[: len(p)])
+    assert_same(p.select(stay), random_particles(n, seed).select(stay))
+
+
+@given(n=pop, seed=seeds, mask_seed=seeds, density=densities, tail=tails, m=pop)
+@settings(max_examples=80, deadline=None)
+def test_compact_drop_then_extend_packed(n, seed, mask_seed, density, tail, m):
+    """The exchange's per-hop sequence: drop the leavers, append the arrivals."""
+    mask = drop_mask(n, mask_seed, density, tail)
+    wire = random_particles(m, seed + 2).pack()
+    expected = random_particles(n, seed).select(~mask).append(
+        ParticleArray.from_packed(wire)
+    )
+    p, twin = random_particles(n, seed), random_particles(n, seed)
+    for q in (p, twin):
+        q.compact(drop=np.flatnonzero(mask))
+        q.extend_packed(wire)
+    assert_same(by_row(p), by_row(expected))
+    assert_same(p, twin)  # unstable, but the same order every time
+    # Arrivals land after the survivors, in wire order.
+    assert_same(p.select(np.arange(len(p) - m, len(p))), ParticleArray.from_packed(wire))
+
+
+def test_compact_drop_edge_cases():
+    p = random_particles(20, 11)
+    views = [getattr(p, name) for name in _FIELDS]
+    p.compact(drop=np.empty(0, dtype=np.intp))  # nothing dropped: a no-op
+    assert all(getattr(p, name) is v for name, v in zip(_FIELDS, views))
+    p.compact(drop=np.arange(15, 20))  # only tail rows: a pure truncation
+    assert_same(p, random_particles(20, 11).select(np.arange(15)))
+    p.compact(drop=[0, 14])  # a plain list; row 13 fills hole 0
+    assert_same(p, random_particles(20, 11).select([13, *range(1, 13)]))
+    p.compact(drop=np.arange(13))  # everything
+    assert len(p) == 0 and p.capacity == 20
+    p.extend_packed(random_particles(3, 12).pack())
+    assert_same(p, random_particles(3, 12))
+
+
+@pytest.mark.parametrize(
+    "drop", [[3, 1], [1, 1], [2, 2, 5], [-1, 4], [4, 10], [10]],
+    ids=["unsorted", "duplicate", "duplicate-hole", "negative", "past-end", "at-end"],
+)
+def test_compact_drop_rejects_bad_indices(drop):
+    p = random_particles(10, 13)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        p.compact(drop=np.array(drop))
+    assert_same(p, random_particles(10, 13))  # rejected before any write
