@@ -141,17 +141,27 @@ def _entry_env() -> dict:
 # ----------------------------------------------------------------------
 @contextmanager
 def use_legacy_kernel():
-    """Route ``kernel.advance`` to the pre-fusion reference implementation."""
+    """Route ``kernel.advance`` — and the ``advance_arrays`` the in-process
+    executor fuses small tasks through — to the pre-fusion reference."""
+    import repro.runtime.executor as executor_mod
+
     orig = kernel.advance
+    orig_arrays = executor_mod.advance_arrays
 
     def _legacy(mesh, particles, dt, workspace=None):
         return kernel.advance_reference(mesh, particles, dt)
 
+    def _legacy_arrays(mesh, x, y, vx, vy, q, dt, workspace=None):
+        # A five-field container: all the reference push reads or writes.
+        return _legacy(mesh, ParticleArray._raw([x, y, vx, vy, q]), dt)
+
     kernel.advance = _legacy
+    executor_mod.advance_arrays = _legacy_arrays
     try:
         yield
     finally:
         kernel.advance = orig
+        executor_mod.advance_arrays = orig_arrays
 
 
 @contextmanager
@@ -298,10 +308,10 @@ def _run_sim(
     must not silently skew the self-normalised ratios.
     """
     from repro.parallel.mpi2d import Mpi2dPIC
-    from repro.runtime.executor import SerialExecutor
+    from repro.runtime.executor import make_executor
 
     if executor is None:
-        executor = SerialExecutor()
+        executor = make_executor("serial")
     impl = Mpi2dPIC(
         spec, cores, machine=MachineModel(), cost=cost, executor=executor
     )

@@ -106,23 +106,19 @@ def _spec_from(args: argparse.Namespace) -> PICSpec:
     )
 
 
-def _add_parallel_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--impl", choices=["mpi-2d", "mpi-2d-LB", "ampi"], default="mpi-2d")
-    p.add_argument("--cores", type=int, default=24)
-    p.add_argument("--push-ns", type=float, default=3500.0,
-                   help="modelled particle push time in nanoseconds")
-    p.add_argument("--lb-interval", type=int, default=2)
-    p.add_argument("--border-width", type=int, default=3)
-    p.add_argument("--threshold", type=float, default=0.02)
-    p.add_argument("--axes", choices=["x", "y", "xy"], default="x")
-    p.add_argument("--overdecomposition", "-d", type=int, default=8)
-    p.add_argument("--ampi-interval", type=int, default=25)
+def _add_executor_args(p: argparse.ArgumentParser) -> None:
+    """The executor / workers / kernel-backend flags, shared by every
+    subcommand that builds an executor (run, trace, resume, multirun)."""
     p.add_argument(
         "--executor",
         choices=["serial", "batched", "process"],
         default=None,
-        help="compute-execution backend for the particle push "
-        "(precedence: this flag > REPRO_EXECUTOR > --spec file > serial)",
+        help="compute-execution backend for the particle push: serial and "
+        "batched name the same size-aware in-process executor (tasks of at "
+        "least half a kernel block run in place, smaller ones are fused "
+        "into block-sized kernel calls), process is a shared-memory worker "
+        "pool (precedence: this flag > REPRO_EXECUTOR > --spec file, where "
+        "the command reads one > serial)",
     )
     p.add_argument(
         "--workers", type=int, default=None,
@@ -136,9 +132,24 @@ def _add_parallel_args(p: argparse.ArgumentParser) -> None:
         help="particle-push kernel: python (numpy), compiled (numba, "
         "requires the repro[compiled] extra), compiled-parallel (numba "
         "prange over fixed chunks, same extra) or auto (compiled when "
-        "available; results are bitwise identical in every case; "
-        "precedence: this flag > REPRO_KERNEL_BACKEND > --spec file > auto)",
+        "available); results are bitwise identical in every case, so a "
+        "checkpoint written under one backend resumes under any other "
+        "(precedence: this flag > REPRO_KERNEL_BACKEND > --spec file > auto)",
     )
+
+
+def _add_parallel_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--impl", choices=["mpi-2d", "mpi-2d-LB", "ampi"], default="mpi-2d")
+    p.add_argument("--cores", type=int, default=24)
+    p.add_argument("--push-ns", type=float, default=3500.0,
+                   help="modelled particle push time in nanoseconds")
+    p.add_argument("--lb-interval", type=int, default=2)
+    p.add_argument("--border-width", type=int, default=3)
+    p.add_argument("--threshold", type=float, default=0.02)
+    p.add_argument("--axes", choices=["x", "y", "xy"], default="x")
+    p.add_argument("--overdecomposition", "-d", type=int, default=8)
+    p.add_argument("--ampi-interval", type=int, default=25)
+    _add_executor_args(p)
     p.add_argument(
         "--dispatch",
         choices=["ring", "pipe"],
@@ -885,22 +896,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--checkpoint-dir", default="checkpoints", metavar="DIR",
         help="directory for the checkpoints the resumed run keeps taking",
     )
-    p.add_argument(
-        "--executor", choices=["serial", "batched", "process"], default=None,
-        help="compute backend (precedence: this flag > REPRO_EXECUTOR > serial)",
-    )
-    p.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes (precedence: this flag > REPRO_WORKERS > 0)",
-    )
-    p.add_argument(
-        "--kernel-backend",
-        choices=["python", "compiled", "compiled-parallel", "auto"],
-        default=None,
-        help="particle-push kernel (bitwise identical in every case, so a "
-        "checkpoint written under one backend resumes under any other; "
-        "precedence: this flag > REPRO_KERNEL_BACKEND > auto)",
-    )
+    _add_executor_args(p)
     p.add_argument(
         "--spec", metavar="FILE.json", default=None,
         help="require the checkpoint to match this RunSpec; a hash "
@@ -949,21 +945,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="shuffle the fair policy's per-round engine order (results "
         "are interleaving-invariant; this only exercises that claim)",
     )
-    p.add_argument(
-        "--executor", choices=["serial", "batched", "process"], default=None,
-        help="shared compute backend (flag > REPRO_EXECUTOR > serial)",
-    )
-    p.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes for the shared pool "
-        "(flag > REPRO_WORKERS > 0)",
-    )
-    p.add_argument(
-        "--kernel-backend",
-        choices=["python", "compiled", "compiled-parallel", "auto"],
-        default=None,
-        help="particle-push kernel for the shared pool",
-    )
+    _add_executor_args(p)
     p.add_argument(
         "--out", metavar="DIR", default=None,
         help="record per-engine span traces and write one namespaced "

@@ -30,6 +30,7 @@ ENV_KERNEL_BACKEND = "REPRO_KERNEL_BACKEND"
 ENV_DISPATCH = "REPRO_DISPATCH"
 ENV_RING_SLOTS = "REPRO_RING_SLOTS"
 
+#: ``serial`` and ``batched`` are two names for the one in-process executor.
 EXECUTOR_KINDS = ("serial", "batched", "process")
 KERNEL_BACKEND_NAMES = ("python", "compiled", "compiled-parallel", "auto")
 DISPATCH_KINDS = ("ring", "pipe")

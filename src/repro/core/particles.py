@@ -202,12 +202,6 @@ class ParticleArray:
         """
         return self.__dict__.get("_gen", 0)
 
-    def _set_length(self, n: int) -> None:
-        """Point every field view at ``backing[:n]``."""
-        d = self.__dict__
-        for name, arr in zip(_FIELDS, self._backing()):
-            d[name] = arr[:n]
-
     def reserve(self, n_needed: int) -> None:
         """Grow the backing store to hold at least ``n_needed`` particles.
 
@@ -277,16 +271,22 @@ class ParticleArray:
             n_drop = len(drop)
             if n_drop == 0:
                 return
-            if drop[0] < 0 or drop[-1] >= n or not (drop[1:] > drop[:-1]).all():
+            if (drop[0] < 0 or drop[-1] >= n
+                    or np.count_nonzero(drop[1:] > drop[:-1]) != n_drop - 1):
                 raise ValueError("drop must be strictly increasing indices in [0, n)")
             k = n - n_drop
             n_holes = int(drop.searchsorted(k))
-            alive = np.ones(n_drop, dtype=bool)  # tail rows [k, n) not dropped
-            alive[drop[n_holes:] - k] = False
-            holes, fill = drop[:n_holes], np.flatnonzero(alive) + k
-            for arr in store:
+            if n_holes == n_drop:  # no tail row dropped: all of them fill
+                fill = np.arange(k, n)
+            else:
+                alive = np.ones(n_drop, dtype=bool)  # tail rows [k, n) not dropped
+                alive[drop[n_holes:] - k] = False
+                fill = alive.nonzero()[0] + k
+            holes = drop[:n_holes]
+            d = self.__dict__
+            for name, arr in zip(_FIELDS, store):
                 arr[holes] = arr[fill]
-            self._set_length(k)
+                d[name] = arr[:k]
             return
         k = int(np.count_nonzero(keep))
         if k == n:
@@ -328,13 +328,14 @@ class ParticleArray:
                 f"got shape {buf.shape}"
             )
         n = len(self)
-        self.reserve(n + m)
-        store = self._backing()
+        end = n + m
+        self.reserve(end)
+        tail = slice(n, end)
         d = self.__dict__
-        for i, name in enumerate(_FIELDS):
+        for name, arr, col in zip(_FIELDS, self._backing(), buf.T):
             # Assignment casts float64 -> int64 the same way .astype does.
-            store[i][n : n + m] = buf[:, i]
-            d[name] = store[i][: n + m]
+            arr[tail] = col
+            d[name] = arr[:end]
 
     def pack_into(self, mask_or_index, out: np.ndarray) -> np.ndarray:
         """Pack the selected particles into a caller-owned wire buffer.

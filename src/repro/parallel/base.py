@@ -718,16 +718,14 @@ class ExchangeScratch:
       joining the settlement allreduce, and the sender's next write to the
       same buffer happens only after that allreduce — so reuse across hops
       and steps never aliases an in-flight message;
-    * integer / float / bool scratch for the one full-population pass a hop
-      makes: cell indices and the ownership range test are computed with
-      ``out=`` into these, so a step in which no particle migrates
-      allocates nothing, and a step in which some do allocates only
-      leaver-sized index arrays.
+    * float / bool scratch for the one full-population pass a hop makes:
+      the ownership range test is computed with ``out=`` into these, so a
+      step in which no particle migrates allocates nothing, and a step in
+      which some do allocates only leaver-sized index arrays.
     """
 
     def __init__(self) -> None:
         self._wire: dict[tuple[int, int], np.ndarray] = {}
-        self._idx = np.empty(0, dtype=np.int64)
         self._flt = np.empty(0, dtype=np.float64)
         self._out = np.empty(0, dtype=bool)
         self._tmpb = np.empty(0, dtype=bool)
@@ -741,39 +739,37 @@ class ExchangeScratch:
             self._wire[(axis, direction)] = buf
         return buf
 
-    def _ensure(self, n: int) -> None:
-        if len(self._idx) < n:
-            cap = max(n, 2 * len(self._idx), 16)
-            self._idx = np.empty(cap, dtype=np.int64)
+    def outside(self, coord: np.ndarray, mesh: Mesh, lo: int, hi: int):
+        """Rows of ``coord`` whose cell lies outside ``[lo, hi)``.
+
+        Returns ``(rows, cells)``: ascending row indices and those rows'
+        ``mesh.cell_of`` values.  Rows are flagged straight from positions,
+        ``(v < lo) | (v >= hi)`` with ``v = coord / h`` — for ``v`` in
+        ``[0, cells)`` exactly ``floor(v)`` outside ``[lo, hi)`` — so the
+        floor, cast and periodic wrap run on the flagged rows only.  An
+        out-of-domain value (the ``x == L`` rounding edge) is always
+        flagged but may wrap to a cell inside the range, hence the re-test
+        of the flagged rows' cells.
+        """
+        n = len(coord)
+        if len(self._out) < n:
+            cap = max(n, 2 * len(self._out), 16)
             self._flt = np.empty(cap, dtype=np.float64)
             self._out = np.empty(cap, dtype=bool)
             self._tmpb = np.empty(cap, dtype=bool)
-
-    def cells_into(self, coord: np.ndarray, mesh: Mesh) -> np.ndarray:
-        """``mesh.cell_of(coord)`` computed into reused scratch (same values)."""
-        n = len(coord)
-        self._ensure(n)
-        f = self._flt[:n]
-        idx = self._idx[:n]
-        np.divide(coord, mesh.h, out=f)
-        np.floor(f, out=f)
-        np.copyto(idx, f, casting="unsafe")
-        # np.mod is an identity for indices already in [0, cells); positions
-        # are wrapped, so the floor can only escape that range through the
-        # ``x/h == cells`` rounding edge — pay the integer mod only then.
-        if n and (int(idx.max()) >= mesh.cells or int(idx.min()) < 0):
-            np.mod(idx, mesh.cells, out=idx)
-        return idx
-
-    def out_of_range(self, idx, lo: int, hi: int) -> np.ndarray:
-        """Flags (into reused scratch) of cell indices outside ``[lo, hi)``."""
-        n = len(idx)
-        out = self._out[:n]
-        tmp = self._tmpb[:n]
-        np.less(idx, lo, out=out)
-        np.greater_equal(idx, hi, out=tmp)
-        np.logical_or(out, tmp, out=out)
-        return out
+        # Division by 1.0 is a bitwise no-op.
+        v = coord if mesh.h == 1.0 else np.divide(coord, mesh.h, out=self._flt[:n])
+        out = np.less(v, lo, out=self._out[:n])
+        tmp = np.greater_equal(v, hi, out=self._tmpb[:n])
+        rows = np.logical_or(out, tmp, out=out).nonzero()[0]
+        if not len(rows):
+            return rows, rows
+        cells = np.floor(v[rows]).astype(np.int64)
+        np.mod(cells, mesh.cells, out=cells)
+        off = (cells < lo) | (cells >= hi)
+        if np.count_nonzero(off) != len(rows):
+            rows, cells = rows[off], cells[off]
+        return rows, cells
 
 
 def exchange_particles(
@@ -839,11 +835,12 @@ def _count_misplaced(scratch, mesh, x, y, x_range, y_range=None) -> int:
     ``owner_rank != cart.rank`` for a Cartesian-product partition, without
     materializing per-particle owner indices.
     """
-    bad = scratch.out_of_range(scratch.cells_into(x, mesh), *x_range)
+    bad, _ = scratch.outside(x, mesh, *x_range)
     if y_range is not None:
-        bad = bad.copy()  # both tests write the one flag buffer
-        bad |= scratch.out_of_range(scratch.cells_into(y, mesh), *y_range)
-    return int(np.count_nonzero(bad))
+        bad_y, _ = scratch.outside(y, mesh, *y_range)
+        if len(bad_y):
+            bad = np.union1d(bad, bad_y)
+    return len(bad)
 
 
 #: Shared zero-particle wire buffer (read-only by convention).
@@ -866,12 +863,13 @@ def _route_axis(
     fwd_buf = bwd_buf = _EMPTY_BUF
     leavers = ()
     if len(particles):
-        idx = scratch.cells_into(particles.x if axis == 0 else particles.y, mesh)
-        leavers = np.flatnonzero(scratch.out_of_range(idx, *ranges[axis]))
+        leavers, cells = scratch.outside(
+            particles.x if axis == 0 else particles.y, mesh, *ranges[axis]
+        )
     if len(leavers):
         # Migration path: owner index and the shorter periodic direction,
         # for the leavers only (an off-block particle never has dist == 0).
-        owner = np.searchsorted(splits, idx[leavers], side="right") - 1
+        owner = splits.searchsorted(cells, "right") - 1
         go_fwd = (owner - my_index) % n_index <= n_index // 2
         fwd, bwd = leavers[go_fwd], leavers[~go_fwd]
         if len(fwd):

@@ -9,21 +9,22 @@ their compute op instead of running the kernel inline, the scheduler
 collects every simultaneously runnable task into a batch (see
 ``Scheduler._flush_compute``), and an :class:`Executor` runs the batch.
 
-Three backends, all bitwise-identical in results, simulated times and
-golden traces (``tests/parallel/test_executor_determinism.py``):
+Two backends, bitwise-identical in results, simulated times and golden
+traces (``tests/parallel/test_executor_determinism.py``):
 
-``serial``
-    The reference: runs each task in park order, exactly the work the rank
-    would have done inline.
-
-``batched``
-    Stacks all runnable ranks' particle slices into one staging buffer and
-    drives a single fused :func:`repro.core.kernel.advance_arrays` call over
-    the concatenation.  The kernel is elementwise, so concatenation changes
-    chunk boundaries but not a single result bit; what it does change is the
-    number of numpy ufunc dispatches — ~50 per *batch* instead of ~50 per
-    *rank* — which is where many-small-rank configs (the AMPI VP sweeps)
-    spend their wall clock.
+``serial`` / ``batched``
+    Two names (kept because checked-in specs and checkpoints carry them)
+    for the one in-process backend, :class:`InProcessExecutor`, which picks
+    per task from the task's size.  A task of at least ``KERNEL_BLOCK // 2``
+    particles is advanced in place — exactly the work the rank would have
+    done inline, no copies.  Smaller tasks are staged in park order into
+    chunks of at most :data:`~repro.core.kernel.KERNEL_BLOCK` particles and
+    advanced with one :func:`repro.core.kernel.advance_arrays` call per
+    chunk.  The kernel is elementwise, so concatenation changes chunk
+    boundaries but not a single result bit; what it does change is the
+    number of numpy ufunc dispatches — ~50 per *chunk* instead of ~50 per
+    *rank* — which is where many-small-rank configs (the strong-scaling
+    and AMPI VP sweeps) spend their wall clock.
 
 ``process``
     A persistent ``multiprocessing`` worker pool operating on
@@ -67,7 +68,7 @@ from typing import Any
 import numpy as np
 
 from repro.core import kernel, kernel_compiled
-from repro.core.kernel import KernelWorkspace, advance_arrays
+from repro.core.kernel import KERNEL_BLOCK, KernelWorkspace, advance_arrays
 from repro.core.kernel_compiled import (
     advance_arrays_compiled,
     advance_arrays_parallel,
@@ -79,8 +80,7 @@ __all__ = [
     "Executor",
     "ExecutorHandle",
     "BatchHandle",
-    "SerialExecutor",
-    "BatchedExecutor",
+    "InProcessExecutor",
     "ProcessExecutor",
     "ShmArena",
     "make_executor",
@@ -224,7 +224,7 @@ class Executor:
 
         The default implementation runs the batch synchronously and hands
         back an already-completed handle: every executor without real
-        asynchrony (serial, batched, pipe-dispatch process pools via
+        asynchrony (in-process, pipe-dispatch process pools via
         ``run_batch``) therefore presents the *same* completion order to
         the scheduler, which is what keeps the overlapped-exchange resume
         policy backend-agnostic.
@@ -289,83 +289,36 @@ class ExecutorHandle(Executor):
         """No-op: the shared pool is closed by its owner, not per engine."""
 
 
-def _run_task(task, backend: str, workspace=None) -> None:
-    """Run one task's push under the chosen kernel backend.
+def _advance_fields(backend: str, mesh, x, y, vx, vy, q, dt, workspace=None) -> None:
+    """Push bare field segments under the chosen kernel backend.
 
-    The python path goes through ``task.run()`` (a dynamic
-    ``kernel.advance`` call) so perf-harness monkeypatches keep applying;
-    the compiled paths call the numba kernels on the particle fields.
+    ``advance_arrays`` is looked up as a module global on every call so
+    harness patches of it keep applying.
     """
     if backend == "python":
-        task.run(workspace)
-        return
-    p = task.particles
-    if backend == "compiled":
-        advance_arrays_compiled(
-            task.mesh, p.x, p.y, p.vx, p.vy, p.q, task.dt
-        )
+        advance_arrays(mesh, x, y, vx, vy, q, dt, workspace=workspace)
+    elif backend == "compiled":
+        advance_arrays_compiled(mesh, x, y, vx, vy, q, dt)
     else:
-        advance_arrays_parallel(
-            task.mesh, p.x, p.y, p.vx, p.vy, p.q, task.dt
-        )
+        advance_arrays_parallel(mesh, x, y, vx, vy, q, dt)
 
 
-class SerialExecutor(Executor):
-    """Reference backend: each task inline, in park order."""
+class InProcessExecutor(Executor):
+    """Size-aware in-process backend: big tasks in place, small ones fused.
 
-    name = "serial"
-
-    def __init__(
-        self,
-        kernel_backend: str | None = None,
-        backend_map=None,
-        work_meter=None,
-        exec_tracer=None,
-    ) -> None:
-        self._init_kernel_backend(
-            kernel_backend, backend_map, work_meter, exec_tracer
-        )
-        self.batches = 0
-        self._epoch: float | None = None
-
-    def run_batch(self, batch: list[tuple[int, Any]]) -> None:
-        self.batches += 1
-        measure = self.work_meter is not None or self.exec_tracer is not None
-        if not measure:
-            for rank, task in batch:
-                _run_task(task, self._backend_for(rank))
-            return
-        if self._epoch is None:
-            self._epoch = time.perf_counter()
-        for rank, task in batch:
-            n = len(task.particles)
-            t0 = time.perf_counter()
-            _run_task(task, self._backend_for(rank))
-            dt = time.perf_counter() - t0
-            if self.work_meter is not None:
-                self.work_meter.record(rank, n, dt)
-            if self.exec_tracer is not None:
-                self.exec_tracer.record(
-                    "task", rank, self.batches,
-                    t0 - self._epoch, t0 - self._epoch + dt, n=n, rank=rank,
-                )
-
-
-class BatchedExecutor(Executor):
-    """Fused backend: one kernel call over the concatenated batch.
-
-    Tasks are grouped by ``(mesh, dt)`` (in practice one group); each
-    group's field arrays are staged contiguously into a persistent buffer,
-    advanced with a single :func:`advance_arrays` call, and copied back per
-    rank segment.  Elementwise kernels are chunk-boundary-agnostic, so the
-    fusion is bitwise exact; the staging copies are two extra passes traded
-    against per-rank ufunc dispatch overhead.
+    A task with at least ``KERNEL_BLOCK // 2`` particles already amortises
+    the ~50 ufunc dispatches of a push and runs in place, in park order.
+    Smaller tasks are grouped by ``(mesh, dt, backend)`` (in practice one
+    group) and packed, in park order, into chunks of at most
+    :data:`KERNEL_BLOCK` particles; each chunk's field arrays are staged
+    contiguously, advanced with a single kernel call and copied back per
+    task.  Elementwise kernels are chunk-boundary-agnostic, so the fusion
+    is bitwise exact, and a chunk is one kernel cache block, so the two
+    staging passes stay cache-resident.  Both ``executor.kind`` values
+    ``serial`` and ``batched`` build this class.
     """
 
-    name = "batched"
-
-    #: x, y, vx, vy are copied back; q is read-only in the kernel.
-    _N_STAGE_ROWS = 5
+    name = "in-process"
 
     def __init__(
         self,
@@ -377,81 +330,94 @@ class BatchedExecutor(Executor):
         self._init_kernel_backend(
             kernel_backend, backend_map, work_meter, exec_tracer
         )
-        self._stage = np.empty((self._N_STAGE_ROWS, 0), dtype=np.float64)
+        #: Staging rows x, y, vx, vy, q; allocated by the first fused chunk
+        #: so an executor that only sees large tasks never holds one.
+        self._stage = np.empty((5, 0), dtype=np.float64)
+        self._epoch: float | None = None
         self.batches = 0
         self.fused_tasks = 0
 
     def run_batch(self, batch: list[tuple[int, Any]]) -> None:
-        # Grouping by backend keeps fusion sound per kernel: a mixed
-        # backend_map yields one fused call per (mesh, dt, backend).
-        groups: dict[tuple, list] = {}
-        order: list[tuple] = []
-        for rank, task in batch:
-            if len(task.particles) == 0:
-                continue
-            key = (task.mesh, task.dt, self._backend_for(rank))
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append((rank, task))
         self.batches += 1
-        measure = self.work_meter is not None or self.exec_tracer is not None
-        for key in order:
-            mesh, dt, backend = key
-            pairs = groups[key]
-            t0 = time.perf_counter() if measure else 0.0
-            if len(pairs) == 1:
-                _run_task(pairs[0][1], backend)
+        default = self.kernel_backend
+        bmap = self.backend_map
+        # Grouping by backend keeps fusion sound per kernel: a mixed
+        # backend_map yields its own chunks per (mesh, dt, backend).
+        groups: dict[tuple, list] = {}
+        for rank, task in batch:
+            n = len(task.particles)
+            if n == 0:
+                continue
+            backend = bmap.get(rank, default) if bmap else default
+            if n >= KERNEL_BLOCK // 2:
+                self._run_chunk(backend, [(rank, task, n)], n)
             else:
-                self.fused_tasks += len(pairs)
-                self._run_fused(mesh, dt, backend, [t for _, t in pairs])
-            if measure:
-                elapsed = time.perf_counter() - t0
-                total = sum(len(t.particles) for _, t in pairs)
-                if self.exec_tracer is not None:
-                    self.exec_tracer.record(
-                        "execute", -1, self.batches, 0.0, elapsed,
-                        tasks=len(pairs), n=total,
-                    )
-                if self.work_meter is not None and total:
-                    # A fused group yields one timing; attribute it to the
-                    # member ranks proportionally to their particle share.
-                    for rank, t in pairs:
-                        n = len(t.particles)
-                        self.work_meter.record(rank, n, elapsed * n / total)
+                groups.setdefault((task.mesh, task.dt, backend), []).append(
+                    (rank, task, n)
+                )
+        for (_, _, backend), members in groups.items():
+            chunk: list = []
+            total = 0
+            for member in members:
+                if total + member[2] > KERNEL_BLOCK:
+                    self._run_chunk(backend, chunk, total)
+                    chunk, total = [], 0
+                chunk.append(member)
+                total += member[2]
+            self._run_chunk(backend, chunk, total)
 
-    def _run_fused(self, mesh: Mesh, dt: float, backend: str, tasks: list) -> None:
-        total = sum(len(t.particles) for t in tasks)
-        if self._stage.shape[1] < total:
-            self._stage = np.empty(
-                (self._N_STAGE_ROWS, max(total, 2 * self._stage.shape[1])),
-                dtype=np.float64,
-            )
-        x, y, vx, vy, q = (self._stage[i, :total] for i in range(5))
-        bounds = []
-        o = 0
-        for t in tasks:
-            p = t.particles
-            n = len(p)
-            x[o : o + n] = p.x
-            y[o : o + n] = p.y
-            vx[o : o + n] = p.vx
-            vy[o : o + n] = p.vy
-            q[o : o + n] = p.q
-            bounds.append((o, o + n))
-            o += n
-        if backend == "python":
-            advance_arrays(mesh, x, y, vx, vy, q, dt)
-        elif backend == "compiled":
-            advance_arrays_compiled(mesh, x, y, vx, vy, q, dt)
+    def _run_chunk(self, backend: str, chunk, total) -> None:
+        """Advance ``chunk`` — ``(rank, task, n)`` triples of one ``(mesh,
+        dt)``, ``total`` particles — with one kernel call, and feed meter
+        and tracer."""
+        task = chunk[0][1]
+        mesh, dt = task.mesh, task.dt
+        measure = self.work_meter is not None or self.exec_tracer is not None
+        if measure:
+            if self._epoch is None:
+                self._epoch = time.perf_counter()
+            t0 = time.perf_counter()
+        if len(chunk) == 1:
+            if backend == "python":
+                # Through ``task.run()`` (a dynamic ``kernel.advance`` call)
+                # so perf-harness monkeypatches keep applying.
+                task.run()
+            else:
+                p = task.particles
+                _advance_fields(backend, mesh, p.x, p.y, p.vx, p.vy, p.q, dt)
         else:
-            advance_arrays_parallel(mesh, x, y, vx, vy, q, dt)
-        for t, (a, b) in zip(tasks, bounds):
-            p = t.particles
-            p.x[:] = x[a:b]
-            p.y[:] = y[a:b]
-            p.vx[:] = vx[a:b]
-            p.vy[:] = vy[a:b]
+            self.fused_tasks += len(chunk)
+            parts = [t.particles for _, t, _ in chunk]
+            if self._stage.shape[1] < total:
+                self._stage = np.empty((5, KERNEL_BLOCK), dtype=np.float64)
+            x, y, vx, vy, q = self._stage[:, :total]
+            np.concatenate([p.x for p in parts], out=x)
+            np.concatenate([p.y for p in parts], out=y)
+            np.concatenate([p.vx for p in parts], out=vx)
+            np.concatenate([p.vy for p in parts], out=vy)
+            np.concatenate([p.q for p in parts], out=q)
+            _advance_fields(backend, mesh, x, y, vx, vy, q, dt)
+            a = 0
+            for p in parts:  # q is read-only in the kernel: not copied back
+                b = a + len(p.x)
+                p.x[:] = x[a:b]
+                p.y[:] = y[a:b]
+                p.vx[:] = vx[a:b]
+                p.vy[:] = vy[a:b]
+                a = b
+        if measure:
+            elapsed = time.perf_counter() - t0
+            if self.exec_tracer is not None:
+                start = t0 - self._epoch
+                self.exec_tracer.record(
+                    "execute", -1, self.batches, start, start + elapsed,
+                    tasks=len(chunk), n=total,
+                )
+            if self.work_meter is not None:
+                # A fused chunk yields one timing; attribute it to the
+                # member ranks proportionally to their particle share.
+                for rank, _, n in chunk:
+                    self.work_meter.record(rank, n, elapsed * n / total)
 
     def stats(self) -> dict:
         return dict(batches=self.batches, fused_tasks=self.fused_tasks)
@@ -623,12 +589,7 @@ def _worker_main(conn, warm_backends: tuple = ()) -> None:
             if mesh is None:
                 mesh = Mesh(*mesh_args)
                 mesh_cache[mesh_args] = mesh
-            if backend == "python":
-                advance_arrays(mesh, *views, dt, workspace=workspace)
-            elif backend == "compiled":
-                advance_arrays_compiled(mesh, *views, dt)
-            else:
-                advance_arrays_parallel(mesh, *views, dt)
+            _advance_fields(backend, mesh, *views, dt, workspace=workspace)
             pushed += n
             per_task.append((time.perf_counter() - t1, n))
         del views[:]
@@ -863,12 +824,7 @@ def _worker_ring_main(conn, bell, ring_name: str, slots: int,
                 mesh_cache[mesh_args] = mesh
             dt = float(rf[_RF_DT])
             backend = _BACKEND_NAMES[int(ri[_RI_BACKEND])]
-            if backend == "python":
-                advance_arrays(mesh, *views, dt, workspace=workspace)
-            elif backend == "compiled":
-                advance_arrays_compiled(mesh, *views, dt)
-            else:
-                advance_arrays_parallel(mesh, *views, dt)
+            _advance_fields(backend, mesh, *views, dt, workspace=workspace)
             res[slot, 0] = time.perf_counter() - t1
             res[slot, 1] = n
             del views
@@ -1605,10 +1561,8 @@ def make_executor(
         work_meter=work_meter,
         exec_tracer=exec_tracer,
     )
-    if name == "serial":
-        return SerialExecutor(**kw)
-    if name == "batched":
-        return BatchedExecutor(**kw)
+    if name in ("serial", "batched"):
+        return InProcessExecutor(**kw)
     if name == "process":
         return ProcessExecutor(
             workers=workers, dispatch=dispatch, ring_slots=ring_slots, **kw

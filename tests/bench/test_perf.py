@@ -98,10 +98,15 @@ class TestDrivers:
         assert entry["sim_time_match"] is True
 
     def test_legacy_kernel_patch_restores(self):
+        import repro.runtime.executor as executor_mod
+
         orig = kernel.advance
+        orig_arrays = executor_mod.advance_arrays  # the fused-chunk entry
         with perf.use_legacy_kernel():
             assert kernel.advance is not orig
+            assert executor_mod.advance_arrays is not orig_arrays
         assert kernel.advance is orig
+        assert executor_mod.advance_arrays is orig_arrays
 
     def test_legacy_exchange_patch_restores(self):
         import repro.parallel.base as base_mod

@@ -161,7 +161,7 @@ class TestDefaultExecutorUsesChain:
         monkeypatch.setattr(executor_mod, "_DEFAULT", None)
         monkeypatch.setenv("REPRO_EXECUTOR", "batched")
         ex = executor_mod.default_executor()
-        assert type(ex).__name__ == "BatchedExecutor"
+        assert type(ex).__name__ == "InProcessExecutor"
         ex.close()
 
     def test_default_executor_rejects_bad_env(self, monkeypatch):

@@ -79,9 +79,10 @@ def run_exchange(cells, dims, placed, exchange=exchange_particles, rounds=1):
     return dict(enumerate(run_exchange_spmd(cells, dims, placed, exchange, rounds).returns))
 
 
-def run_exchange_spmd(cells, dims, placed, exchange=exchange_particles, rounds=1):
+def run_exchange_spmd(cells, dims, placed, exchange=exchange_particles, rounds=1,
+                      h=1.0):
     """Like :func:`run_exchange`, returning the whole ``SpmdResult``."""
-    mesh = Mesh(cells)
+    mesh = Mesh(cells, h)
     part = BlockPartition.uniform(cells, *dims)
     cost = CostModel()
     n = dims[0] * dims[1]
@@ -267,20 +268,26 @@ def assert_same_simulation(a, b):
     dims=st.sampled_from([(4, 1), (1, 5), (4, 2), (3, 3), (5, 2), (2, 6)]),
     seed=st.integers(0, 2**31),
     rounds=st.integers(1, 2),
+    h=st.sampled_from([1.0, 0.5, 0.3]),
 )
-def test_random_multi_hop_patterns_match_legacy(dims, seed, rounds):
+def test_random_multi_hop_patterns_match_legacy(dims, seed, rounds, h):
     """Every rank starts with particles from anywhere on the mesh, so moves
-    span up to half the processor grid on both axes."""
+    span up to half the processor grid on both axes.  Each population's
+    first particle sits on the ``x == L`` rounding edge of the periodic
+    wrap (cell 0, though ``x / h`` is not below ``cells``)."""
     cells = 30
-    mesh = Mesh(cells)
+    mesh = Mesh(cells, h)
     rng = np.random.default_rng(seed)
     placed = {
         r: make_population(int(rng.integers(0, 80)), mesh, seed=seed + r)
         for r in range(dims[0] * dims[1])
     }
+    for p in placed.values():
+        p.x[:1] = np.mod(-1e-20, mesh.L)
     pooled, legacy = (
         run_exchange_spmd(
-            cells, dims, {r: p.copy() for r, p in placed.items()}, exchange, rounds
+            cells, dims, {r: p.copy() for r, p in placed.items()}, exchange,
+            rounds, h=h,
         )
         for exchange in (exchange_particles, exchange_particles_legacy)
     )

@@ -1,17 +1,26 @@
-"""Coverage for :class:`repro.parallel.base.ExchangeScratch` wire buffers.
+"""Coverage for :class:`repro.parallel.base.ExchangeScratch`.
 
-Pins the growth policy (``cap = max(n, 2 * prev, 16)``), the per
-``(axis, direction)`` keying, and reuse without reallocation when the
+Wire buffers: pins the growth policy (``cap = max(n, 2 * prev, 16)``), the
+per ``(axis, direction)`` keying, and reuse without reallocation when the
 existing capacity suffices — the invariants the zero-churn exchange in
 ``ParallelPICBase._exchange`` relies on.
+
+Range test: ``outside`` flags leavers straight from positions and computes
+(and re-tests) cells for the flagged rows only; a generated property holds
+it to the ``mesh.cell_of`` + ``searchsorted`` owner oracle on the positions
+where the shortcut could differ (cell boundaries, signed zero, both ends of
+the domain, the ``x == L`` rounding edge, ``h != 1``).
 """
 
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from repro.constants import PARTICLE_RECORD_FIELDS
-from repro.parallel.base import ExchangeScratch
+from repro.core.mesh import Mesh
+from repro.decomp.partition import BlockPartition
+from repro.parallel.base import ExchangeScratch, _count_misplaced
 
 
 class TestWire:
@@ -56,3 +65,50 @@ class TestWire:
         buf = s.wire(1, +1, 16)
         buf[:4] = 7.5
         assert np.all(s.wire(1, +1, 4)[:4] == 7.5)
+
+
+def _edge_positions(mesh: Mesh, n: int, rng) -> np.ndarray:
+    """Uniform draws salted with every position class the range test could
+    get wrong: exact cell boundaries, ``0.0``, ``-0.0``, the last in-domain
+    double and ``L`` itself (what ``np.mod(-1e-20, L)`` returns)."""
+    coord = rng.uniform(0.0, mesh.L, n)
+    kind = rng.integers(0, 8, n)
+    on_boundary = kind == 0
+    coord[on_boundary] = rng.integers(0, mesh.cells, n)[on_boundary] * mesh.h
+    coord[kind == 1] = 0.0
+    coord[kind == 2] = -0.0
+    coord[kind == 3] = np.nextafter(mesh.L, 0.0)
+    coord[kind == 4] = np.mod(-1e-20, mesh.L)
+    return coord
+
+
+@given(
+    h=st.sampled_from([1.0, 0.5, 0.3]),
+    dims=st.sampled_from([(1, 1), (2, 1), (3, 2), (4, 5)]),
+    n=st.integers(0, 200),
+    seed=st.integers(0, 2**31),
+)
+@settings(max_examples=60, deadline=None)
+def test_outside_matches_cell_of_owner_oracle(h, dims, n, seed):
+    """On every block — including those with ``lo == 0`` and ``hi == cells``
+    — the returned rows are exactly the rows the owner oracle sends away,
+    and their cells are ``mesh.cell_of`` bit for bit."""
+    mesh = Mesh(20, h)
+    part = BlockPartition.uniform(mesh.cells, *dims)
+    rng = np.random.default_rng(seed)
+    x, y = _edge_positions(mesh, n, rng), _edge_positions(mesh, n, rng)
+    col, row = mesh.cell_of(x), mesh.cell_of(y)
+    scratch = ExchangeScratch()
+    for i in range(part.px):
+        lo, hi = part.x_range(i)
+        rows, cells = scratch.outside(x, mesh, lo, hi)
+        assert cells.dtype == np.int64
+        np.testing.assert_array_equal(cells, col[rows])
+        np.testing.assert_array_equal(
+            rows, np.flatnonzero(part.x_owner(col) != i)
+        )
+        for j in range(part.py):
+            owner = part.owner_rank(col, row)
+            assert _count_misplaced(
+                scratch, mesh, x, y, (lo, hi), part.y_range(j)
+            ) == np.count_nonzero(owner != i * part.py + j)

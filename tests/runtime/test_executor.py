@@ -6,16 +6,23 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.kernel import KernelWorkspace, advance, advance_arrays
+from repro.core.kernel import (
+    KERNEL_BLOCK,
+    KernelWorkspace,
+    advance,
+    advance_arrays,
+    advance_reference,
+)
 from repro.core.mesh import Mesh
 from repro.core.particles import ParticleArray
 from repro.runtime import ops
 from repro.runtime.executor import (
-    BatchedExecutor,
+    InProcessExecutor,
     ProcessExecutor,
     PushTask,
-    SerialExecutor,
     ShmArena,
     _partition,
     make_executor,
@@ -24,6 +31,7 @@ from repro.core.kernel_compiled import HAVE_NUMBA, CompiledKernelUnavailable
 from repro.instrument import ExecutorTrace
 from repro.runtime.costmodel import WorkRateMeter
 from repro.runtime.scheduler import run_spmd
+from tests.core.backend_conformance import BACKENDS
 
 
 def _particles(n: int, mesh: Mesh, seed: int = 3) -> ParticleArray:
@@ -236,7 +244,7 @@ class TestBackends:
 
     def test_batched_stats_count_fusions(self):
         mesh = Mesh(cells=8)
-        ex = BatchedExecutor()
+        ex = make_executor("batched")
         ex.run_batch(_push_batch(mesh, 0.01, (30, 30, 30)))
         assert ex.stats() == {"batches": 1, "fused_tasks": 3}
 
@@ -406,7 +414,7 @@ class TestSchedulerBatching:
         mesh = Mesh(cells=8)
         seen: list[list[int]] = []
 
-        class Spy(SerialExecutor):
+        class Spy(InProcessExecutor):
             def run_batch(self, batch):
                 seen.append([r for r, _ in batch])
                 super().run_batch(batch)
@@ -427,7 +435,7 @@ class TestSchedulerBatching:
             yield comm.compute(1.0)
             return comm.rank
 
-        result = run_spmd(2, program, executor=SerialExecutor())
+        result = run_spmd(2, program, executor=make_executor("serial"))
         assert result.total_time == 1.0
 
     def test_task_runs_before_rank_resumes(self):
@@ -440,7 +448,7 @@ class TestSchedulerBatching:
             yield comm.compute(1e-6, task=PushTask(mesh, p, 0.01))
             return bool(np.any(p.x != before))
 
-        result = run_spmd(2, program, executor=BatchedExecutor())
+        result = run_spmd(2, program, executor=make_executor("batched"))
         assert result.returns == [True, True]
 
     def test_compute_op_carries_task(self):
@@ -453,12 +461,12 @@ class TestKernelBackendPlumbing:
     """Backend selection, work-rate metering and warm-up accounting."""
 
     def test_default_backend_is_python(self):
-        for ex in (SerialExecutor(), BatchedExecutor(), ProcessExecutor(workers=1)):
+        for ex in (InProcessExecutor(), ProcessExecutor(workers=1)):
             assert ex.kernel_backend == "python"
             ex.close()
 
     def test_auto_resolves_eagerly_to_a_concrete_backend(self):
-        ex = SerialExecutor(kernel_backend="auto")
+        ex = InProcessExecutor(kernel_backend="auto")
         assert ex.kernel_backend == ("compiled" if HAVE_NUMBA else "python")
 
     @pytest.mark.skipif(HAVE_NUMBA, reason="needs a numba-less environment")
@@ -467,14 +475,14 @@ class TestKernelBackendPlumbing:
             with pytest.raises(CompiledKernelUnavailable):
                 make_executor(name, workers=1, kernel_backend="compiled")
         with pytest.raises(CompiledKernelUnavailable):
-            SerialExecutor(backend_map={2: "compiled"})
+            InProcessExecutor(backend_map={2: "compiled"})
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
-            SerialExecutor(kernel_backend="fortran")
+            InProcessExecutor(kernel_backend="fortran")
 
     def test_backend_map_overrides_fleet_default(self):
-        ex = SerialExecutor(kernel_backend="python", backend_map={1: "auto"})
+        ex = InProcessExecutor(kernel_backend="python", backend_map={1: "auto"})
         assert ex._backend_for(0) == "python"
         assert ex._backend_for(1) == ("compiled" if HAVE_NUMBA else "python")
 
@@ -493,7 +501,7 @@ class TestKernelBackendPlumbing:
 
     def test_metered_run_stays_bitwise_exact(self):
         mesh = Mesh(cells=8)
-        ex = SerialExecutor(work_meter=WorkRateMeter())
+        ex = InProcessExecutor(work_meter=WorkRateMeter())
         batch = _push_batch(mesh, 0.05, [3000, 700])
         ex.run_batch(batch)
         for (_, task), oracle in zip(batch, _serial_oracle(mesh, 0.05, [3000, 700])):
@@ -509,11 +517,53 @@ class TestKernelBackendPlumbing:
         assert stats["kernel_backend"] == "python"
         assert stats["jit_warmup_s"] == 0.0  # python backend: no JIT to warm
 
-    def test_serial_task_spans_carry_ranks(self):
+    def test_execute_spans_per_chunk_or_task(self):
+        """One ``execute`` span per fused chunk or in-place task."""
         mesh = Mesh(cells=8)
         tr = ExecutorTrace()
-        ex = SerialExecutor(exec_tracer=tr)
-        ex.run_batch(_push_batch(mesh, 0.05, [500, 600, 700]))
-        task_spans = [s for s in tr.spans if s.phase == "task"]
-        assert {s.args_dict()["rank"] for s in task_spans} == {0, 1, 2}
-        assert all(s.duration >= 0.0 for s in task_spans)
+        ex = InProcessExecutor(exec_tracer=tr)
+        sizes = [500, KERNEL_BLOCK // 2, 600, 700]
+        ex.run_batch(_push_batch(mesh, 0.05, sizes))
+        assert {s.phase for s in tr.spans} == {"execute"}
+        shapes = [(s.args_dict()["tasks"], s.args_dict()["n"]) for s in tr.spans]
+        assert shapes == [(1, KERNEL_BLOCK // 2), (3, 1800)]
+        assert all(s.duration >= 0.0 and s.batch == 1 for s in tr.spans)
+
+
+# ----------------------------------------------------------------------
+# Size-aware fusion: generated task-size lists straddling both boundaries
+# ----------------------------------------------------------------------
+_HALF = KERNEL_BLOCK // 2
+_task_sizes = st.lists(
+    st.one_of(
+        st.sampled_from([0, 1, _HALF - 1, _HALF, KERNEL_BLOCK, KERNEL_BLOCK + 3]),
+        st.integers(0, 40),
+        st.integers(_HALF - 300, _HALF - 1),
+    ),
+    min_size=1, max_size=12,
+)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@given(sizes=_task_sizes, map_seed=st.integers(0, 2**16), many_tiny=st.booleans())
+@settings(max_examples=12, deadline=None)
+def test_fusion_matches_per_task_reference(backend, sizes, map_seed, many_tiny):
+    """Every task bitwise equal to ``advance_reference`` run on it alone,
+    whatever mix of in-place tasks, fused chunks and backends it rode in."""
+    if many_tiny:
+        sizes = sizes + [7] * 40
+    mesh = Mesh(cells=8)
+    rng = np.random.default_rng(map_seed)
+    backend_map = {
+        r: backend for r in range(len(sizes)) if rng.integers(0, 2)
+    }
+    batch = _push_batch(mesh, 0.01, sizes)
+    oracles = [task.particles.copy() for _, task in batch]
+    assert type(make_executor("serial")) is type(make_executor("batched"))
+    ex = make_executor("serial", backend_map=backend_map)
+    ex.run_batch(batch)
+    assert ex._stage.shape[1] <= KERNEL_BLOCK
+    for (_, task), oracle in zip(batch, oracles):
+        advance_reference(mesh, oracle, 0.01)
+        for f in ("x", "y", "vx", "vy"):
+            assert getattr(task.particles, f).tobytes() == getattr(oracle, f).tobytes()
