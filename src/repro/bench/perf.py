@@ -63,20 +63,13 @@ Three drivers:
     (honest ``gate_skipped`` otherwise; the per-entry ``env`` stamp makes
     the skip auditable).
 
-``dispatch``
-    Steady-state parent-side dispatch cost per (step x rank) of the
-    shared-memory task rings vs the legacy pickled-descriptor pipe path,
-    from the ExecSpan breakdown
-    (:func:`repro.bench.reporting.dispatch_breakdown`).  Gated at >=5x
-    unconditionally — dispatch cost is parent-side, so one core suffices.
-
 ``campaign``
     The work-stealing campaign fabric (:mod:`repro.campaign.fabric`)
-    against the PR-7 pool runner on the same uncached 16-point sweep of
-    process-executor points at ``--jobs 4``, gated at >=3x on hosts with
-    >= 4 cores (honest ``gate_skipped`` below that; CI's asserted-4-vCPU
-    leg runs it live with ``--require-live campaign``).  The entry also
-    audits byte-identical artifacts across runners (``bitwise_match``),
+    at ``--jobs 4`` against the serial ``jobs=1`` loop on the same
+    uncached 16-point sweep of process-executor points, gated at >=3x on
+    hosts with >= 4 cores (honest ``gate_skipped`` below that; CI's
+    asserted-4-vCPU leg runs it live with ``--require-live campaign``).
+    The entry also audits byte-identical artifacts (``bitwise_match``),
     100% cache coherence on a second fabric run (``cache_coherent``) and
     warmup accounting once per worker (``startup_once_per_worker``).
 
@@ -479,78 +472,6 @@ def bench_worker_sweep(
     return entry
 
 
-def bench_dispatch(
-    n: int,
-    steps: int,
-    *,
-    cores: int = 4,
-    workers: int = 2,
-    gate: float = 5.0,
-) -> dict:
-    """Steady-state dispatch cost per (step x rank): ring vs pipe.
-
-    Runs the same simulation through the process pool twice — once with
-    the shared-memory task rings and the cached dispatch plan, once with
-    the legacy pickled-descriptor pipe path — each under an
-    :class:`~repro.instrument.ExecutorTrace`, and compares the *parent-
-    side dispatch CPU seconds per task* from the span breakdown
-    (:func:`repro.bench.reporting.dispatch_breakdown`).  The first batch
-    is excluded on both sides: that is where the ring path pays its one
-    plan resolution, and the claim under test is the steady state.
-
-    CPU seconds, not wall: dispatch cost is parent-side bookkeeping, and
-    on an oversubscribed host the doorbell wakes workers that preempt
-    the parent mid-window, double-counting their kernel time into the
-    wall span (see ``dispatch_breakdown``).  Metering the parent's own
-    CPU makes the gate meaningful even on a single-core host — unlike
-    the worker-scaling gate, it carries no cpu-count condition.
-    ``sim_time_match`` doubles as the proof that the two dispatch paths
-    computed the same run, and ``plan_hits``/``plan_misses`` audit that
-    the ring path really was on its cached-plan fast path.
-    """
-    from repro.bench.reporting import dispatch_breakdown
-    from repro.instrument import ExecutorTrace
-    from repro.runtime.executor import ProcessExecutor
-
-    spec = _fig6_spec(n, steps)
-    cost = scaled_cost(MachineModel(), 1.0)
-    per_task = {}
-    sims = {}
-    breakdowns = {}
-    plan = {}
-    for path in ("ring", "pipe"):
-        tracer = ExecutorTrace()
-        ex = ProcessExecutor(workers=workers, dispatch=path, exec_tracer=tracer)
-        try:
-            _wall, sims[path] = _run_sim(spec, cores, cost, executor=ex)
-            plan[path] = dict(hits=ex.plan_hits, misses=ex.plan_misses)
-        finally:
-            ex.close()
-        bd = dispatch_breakdown(tracer.spans)
-        breakdowns[path] = bd["totals"]
-        per_task[path] = bd["totals"]["steady_dispatch_cpu_s_per_task"]
-    return dict(
-        name=f"dispatch_n{n}_c{cores}_w{workers}",
-        kind="dispatch",
-        env=_entry_env(),
-        params=dict(
-            n_particles=n, steps=steps, cells=spec.cells, cores=cores,
-            workers=workers,
-        ),
-        baseline_s=per_task["pipe"],
-        optimized_s=per_task["ring"],
-        speedup=per_task["pipe"] / per_task["ring"],
-        pushes_per_sec=n * steps / max(per_task["ring"], 1e-12),
-        sim_time_s=sims["ring"],
-        sim_time_match=bool(sims["ring"] == sims["pipe"]),
-        plan_hits=plan["ring"]["hits"],
-        plan_misses=plan["ring"]["misses"],
-        ring_totals=breakdowns["ring"],
-        pipe_totals=breakdowns["pipe"],
-        gate_min_speedup=gate,
-    )
-
-
 def bench_kernel_backend_parallel(
     n: int, steps: int, *, cells: int = FIG6_CELLS, gate: float = 2.5
 ) -> dict:
@@ -639,14 +560,13 @@ def campaign_throughput_declaration(
     """The uncached smoke sweep the campaign-throughput bench runs.
 
     ``points`` small mpi-2d runs whose specs ask for the *process*
-    executor — so under the PR-7 pool runner every point re-pays
+    executor — so in the serial ``jobs=1`` loop every point re-pays
     ``pool_startup_s`` (+ ``jit_warmup_s`` where numba is present) inside
     its own ``execute_runspec`` call, which is exactly the per-point tax
     the fabric's warm workers amortize.  The particle counts are
-    heterogeneous with the two largest points *last* in expansion order:
-    the pool baseline submits in expansion order and serializes its tail
-    behind them, while the fabric's longest-expected-first ordering
-    starts them first.
+    heterogeneous with the two largest points *last* in expansion order,
+    where an expansion-order submission would serialize its tail behind
+    them; the fabric's longest-expected-first ordering starts them first.
     """
     small = [200 + 20 * i for i in range(points - 2)]
     heavy = [3000, 4000]
@@ -675,15 +595,15 @@ def bench_campaign_throughput(
     inner_workers: int = 2,
     gate: float = 3.0,
 ) -> dict:
-    """Work-stealing campaign fabric vs the PR-7 pool runner, same sweep.
+    """Work-stealing campaign fabric vs the serial loop, same sweep.
 
-    Both sides run the identical uncached ``points``-point declaration at
-    ``--jobs`` ``jobs`` against fresh caches: the baseline is the kept-
-    verbatim ``ProcessPoolExecutor`` path (``runner="pool"``), the
-    optimized side the warm-worker fabric (``runner="fabric"``).  Beyond
-    the wall-clock ratio the entry is a correctness audit:
+    Both sides run the identical uncached ``points``-point declaration
+    against fresh caches: the baseline is the serial ``jobs=1`` loop (the
+    fabric's bitwise oracle), the optimized side the warm-worker fabric at
+    ``--jobs`` ``jobs``.  Beyond the wall-clock ratio the entry is a
+    correctness audit:
 
-    * ``bitwise_match`` — both runners' artifact directories must be
+    * ``bitwise_match`` — both sides' artifact directories must be
       byte-identical (the fabric cannot change a result bit);
     * ``cache_coherent`` — a second fabric run against the same cache
       must complete 100% from cache (no re-execution);
@@ -721,24 +641,20 @@ def bench_campaign_throughput(
         return out
 
     with tempfile.TemporaryDirectory(prefix="bench-campaign-") as td:
-        pool_cache = os.path.join(td, "pool")
+        serial_cache = os.path.join(td, "serial")
         fabric_cache = os.path.join(td, "fabric")
 
         t0 = time.perf_counter()
-        run_campaign(camp, cache_dir=pool_cache, jobs=jobs, runner="pool")
-        pool_s = time.perf_counter() - t0
+        run_campaign(camp, cache_dir=serial_cache, jobs=1)
+        serial_s = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        fab = run_campaign(
-            camp, cache_dir=fabric_cache, jobs=jobs, runner="fabric"
-        )
+        fab = run_campaign(camp, cache_dir=fabric_cache, jobs=jobs)
         fabric_s = time.perf_counter() - t0
 
-        bitwise = _digests(pool_cache) == _digests(fabric_cache)
+        bitwise = _digests(serial_cache) == _digests(fabric_cache)
 
-        second = run_campaign(
-            camp, cache_dir=fabric_cache, jobs=jobs, runner="fabric"
-        )
+        second = run_campaign(camp, cache_dir=fabric_cache, jobs=jobs)
         coherent = second.executed == 0 and second.cached == len(expanded)
 
         workers = (fab.fabric or {}).get("workers", [])
@@ -767,9 +683,9 @@ def bench_campaign_throughput(
             points=points, jobs=jobs, inner_workers=inner_workers,
             total_pushes=total_pushes,
         ),
-        baseline_s=pool_s,
+        baseline_s=serial_s,
         optimized_s=fabric_s,
-        speedup=pool_s / fabric_s,
+        speedup=serial_s / fabric_s,
         pushes_per_sec=total_pushes / fabric_s,
         bitwise_match=bool(bitwise),
         cache_coherent=bool(coherent),
@@ -916,10 +832,7 @@ def run_suite(
             # (>=2.5x where numba is present and the host has >=4 cores).
             ("kernel_backend_parallel",
              lambda: bench_kernel_backend_parallel(4_194_304, steps=4), None),
-            # Ring vs pipe steady-state dispatch cost; unconditional >=5x
-            # gate (parent-side cost, meaningful on any host).
-            ("dispatch", lambda: bench_dispatch(24_000, steps=50, cores=32), None),
-            # Campaign fabric vs the pool runner; conditional >=3x gate
+            # Campaign fabric vs the serial loop; conditional >=3x gate
             # (sweep overlap needs >= jobs cores).
             ("campaign", lambda: bench_campaign_throughput(), None),
             # Engine multiplexing overhead: 32 interleaved vs 32
@@ -946,9 +859,6 @@ def run_suite(
             ("workers", lambda: bench_worker_sweep(4_194_304, steps=4), None),
             ("kernel_backend_parallel",
              lambda: bench_kernel_backend_parallel(4_194_304, steps=4), None),
-            # Dispatch cost is size-independent; the smoke config is the
-            # acceptance config.
-            ("dispatch", lambda: bench_dispatch(24_000, steps=50, cores=32), None),
             # The campaign-fabric config is the acceptance config (16
             # points, --jobs 4) in smoke too: the per-point startup tax it
             # amortizes does not shrink with sweep size.

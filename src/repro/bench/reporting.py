@@ -110,15 +110,13 @@ def dispatch_breakdown(spans) -> dict:
     ``ExecutorTrace.spans``).  Per batch:
 
     * ``dispatch_s`` — parent-side wall time to publish the batch (plan
-      lookup, ring records, doorbells — or descriptor pickling on the
-      pipe path);
+      lookup, ring records, doorbells);
     * ``dispatch_cpu_s`` — the same window in parent CPU seconds (the
       span's ``cpu_s`` arg, falling back to wall).  On an oversubscribed
-      host the doorbell/descriptor send can wake a worker that preempts
+      host the doorbell send can wake a worker that preempts
       the parent, and the worker's kernel time then lands in the *wall*
       dispatch window even though the execute spans already report it —
-      CPU seconds are immune to that double-count, so they are what the
-      ring-vs-pipe gate compares;
+      CPU seconds are immune to that double-count;
     * ``kernel_s`` — summed worker ``execute`` seconds (worker-seconds,
       not wall: workers run concurrently);
     * ``merge_s`` — the parent's completion barrier;
@@ -130,7 +128,7 @@ def dispatch_breakdown(spans) -> dict:
     The totals carry per-task dispatch cost (wall and CPU) both over all
     batches and over the steady state (batch 2 onward, once the dispatch
     plan is cached) — ``steady_dispatch_cpu_s_per_task`` is the figure
-    the >=5x ring-vs-pipe gate is checked on.
+    the layered benchmark reports as ``executor.dispatch_cpu_us_per_task``.
     """
     by_batch: dict[int, dict] = {}
     for s in spans:

@@ -1,12 +1,11 @@
 """Work-stealing campaign fabric: persistent warm workers over a sweep.
 
-The PR-7 runner (`repro.campaign.runner._run_pool`, kept as the ``pool``
-baseline) fans every uncached point out through a vanilla
-``ProcessPoolExecutor``: each point pays process-pool startup and JIT
-warmup *again* inside its own ``execute_runspec`` call, the artifact
-cache is probed one ``open()`` at a time, and a point landing at the tail
-of the submission order serializes the whole sweep behind it.  This
-module replaces that with a small fabric:
+Fanning every uncached point out through a vanilla
+``ProcessPoolExecutor`` makes each point pay process-pool startup and JIT
+warmup *again* inside its own ``execute_runspec`` call, probes the
+artifact cache one ``open()`` at a time, and lets a point landing at the
+tail of the submission order serialize the whole sweep behind it.  This
+module is a small fabric that avoids all three:
 
 * **Persistent warm workers.**  ``jobs`` long-lived worker processes each
   pay kernel JIT warmup once at boot (reported per worker as
@@ -313,7 +312,6 @@ def schedule_order(tasks: list[tuple[int, RunSpec]]) -> list[int]:
 def _executor_key(rs: RunSpec) -> tuple:
     """The resolved executor identity a warm executor is cached under."""
     from repro.config.env import (
-        resolve_dispatch,
         resolve_executor,
         resolve_kernel_backend,
         resolve_ring_slots,
@@ -324,7 +322,6 @@ def _executor_key(rs: RunSpec) -> tuple:
         resolve_executor(None, rs.executor.kind),
         resolve_workers(None, rs.executor.workers),
         resolve_kernel_backend(None, rs.executor.kernel_backend),
-        resolve_dispatch(None, rs.executor.dispatch),
         resolve_ring_slots(None, rs.executor.ring_slots),
     )
 

@@ -27,14 +27,10 @@ dispatch: the first occurrence (expansion order) executes, later ones
 share its artifact and are recorded with ``duplicate_of`` pointing at the
 representative.
 
-Two parallel runners:
-
-* ``runner="fabric"`` (default) — the work-stealing fabric of
-  :mod:`repro.campaign.fabric`: persistent warm workers, cache index,
-  longest-expected-first ordering, batched IO, heartbeat + requeue.
-* ``runner="pool"`` — the PR-7 baseline: a vanilla
-  ``ProcessPoolExecutor`` submitting every point upfront.  Kept verbatim
-  as the measured baseline of ``bench_campaign_throughput``.
+With ``jobs > 1`` uncached points run over the work-stealing fabric of
+:mod:`repro.campaign.fabric` (``runner="fabric"``): persistent warm
+workers, cache index, longest-expected-first ordering, batched IO,
+heartbeat + requeue.  The serial ``jobs=1`` loop is its bitwise oracle.
 """
 
 from __future__ import annotations
@@ -42,7 +38,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
@@ -149,7 +144,7 @@ def _read_artifact(cache_dir: str, spec_hash: str) -> dict | None:
 
 
 # ----------------------------------------------------------------------
-# Point execution (module-level so ProcessPoolExecutor can pickle it)
+# Point execution
 # ----------------------------------------------------------------------
 def _execute_point(spec_doc: dict) -> dict:
     from repro.config.build import execute_runspec
@@ -178,9 +173,9 @@ def run_campaign(
     come out byte-identical — that *is* the determinism check).
     ``select`` filters points by their labels (e.g. to drop the 3072-core
     fig7 point unless ``REPRO_FULL`` is set).  ``progress`` receives one
-    human-readable line per point.  With ``jobs > 1`` the ``runner``
-    chooses between the work-stealing ``"fabric"`` (default) and the
-    legacy ``"pool"`` baseline; ``fabric`` overrides the fabric's knobs.
+    human-readable line per point.  With ``jobs > 1`` uncached points run
+    over the work-stealing ``"fabric"`` (the default ``runner``);
+    ``fabric`` overrides the fabric's knobs.
     ``runner="engines"`` instead interleaves every uncached point through
     one in-process :class:`~repro.runtime.multiplex.EngineGroup` sharing
     a single executor pool (no worker processes; ``jobs`` is ignored);
@@ -190,7 +185,7 @@ def run_campaign(
     from repro.campaign.fabric import CacheIndex, FabricConfig
     from repro.config.build import canonical_runspec
 
-    if runner not in ("fabric", "pool", "engines"):
+    if runner not in ("fabric", "engines"):
         raise ValueError(f"unknown campaign runner {runner!r}")
 
     points = campaign.expand()
@@ -242,18 +237,13 @@ def run_campaign(
                 campaign, to_run, canon, hashes, outcomes, cache_dir,
                 progress, index, order_seed,
             )
-        elif jobs > 1 and runner == "fabric":
+        elif jobs > 1:
             cfg = fabric or FabricConfig(jobs=jobs)
             if cfg.jobs != jobs:
                 cfg = replace(cfg, jobs=jobs)
             fabric_doc = _run_fabric(
                 campaign, points, to_run, canon, hashes, outcomes,
                 cache_dir, cfg, progress, index,
-            )
-        elif jobs > 1:
-            _run_pool(
-                campaign, to_run, canon, hashes, outcomes, cache_dir, jobs,
-                progress,
             )
         else:
             for p in to_run:
@@ -362,32 +352,6 @@ def _run_engines(
         order_seed=order_seed,
         on_done=on_done,
     )
-
-
-def _run_pool(campaign, to_run, canon, hashes, outcomes, cache_dir, jobs, progress):
-    """PR-7 baseline: fan uncached points out over a vanilla process pool.
-
-    Kept verbatim as the measured baseline of
-    :func:`repro.bench.perf.bench_campaign_throughput` — every point pays
-    its own executor startup inside ``_execute_point``, submission order
-    is expansion order, and the cache was probed per point upstream.
-    """
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        t0 = time.perf_counter()
-        futures = {
-            p.index: pool.submit(_execute_point, p.spec.to_dict()) for p in to_run
-        }
-        for p in to_run:
-            result = futures[p.index].result()
-            _write_artifact(cache_dir, hashes[p.index], canon[p.index], result)
-            outcomes[p.index] = PointOutcome(
-                index=p.index, labels=p.labels, spec_hash=hashes[p.index],
-                result=result, cached=False,
-                # Concurrent points overlap; charge elapsed-so-far once each.
-                wall_s=time.perf_counter() - t0,
-            )
-            if progress:
-                progress(_line(campaign.name, p, result, cached=False))
 
 
 def _line(name: str, point: CampaignPoint, result: dict, *, cached: bool) -> str:

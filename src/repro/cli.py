@@ -150,15 +150,6 @@ def _add_parallel_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--overdecomposition", "-d", type=int, default=8)
     p.add_argument("--ampi-interval", type=int, default=25)
     _add_executor_args(p)
-    p.add_argument(
-        "--dispatch",
-        choices=["ring", "pipe"],
-        default=None,
-        help="process-pool task dispatch path: ring (zero-copy shared-"
-        "memory task rings, the default) or pipe (legacy pickled "
-        "descriptors, kept for A/B measurement; precedence: this flag > "
-        "REPRO_DISPATCH > --spec file > ring)",
-    )
 
 
 def _add_spec_file_args(p: argparse.ArgumentParser) -> None:
@@ -336,7 +327,6 @@ def _print_resolved(args: argparse.Namespace, rs: RunSpec) -> int:
     """--dry-run: the fully-resolved spec (driver defaults filled in)."""
     from repro.config.build import canonical_runspec
     from repro.config.env import (
-        resolve_dispatch,
         resolve_executor,
         resolve_kernel_backend,
         resolve_ring_slots,
@@ -359,9 +349,6 @@ def _print_resolved(args: argparse.Namespace, rs: RunSpec) -> int:
             kind=resolve_executor(_cli_value(args, "executor"), rs.executor.kind),
             workers=resolve_workers(_cli_value(args, "workers"), rs.executor.workers),
             kernel_backend=effective_backend,
-            dispatch=resolve_dispatch(
-                _cli_value(args, "dispatch"), rs.executor.dispatch
-            ),
             ring_slots=resolve_ring_slots(None, rs.executor.ring_slots),
         )
     )
@@ -416,7 +403,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         rs, cli_kind=_cli_value(args, "executor"),
         cli_workers=_cli_value(args, "workers"),
         cli_kernel_backend=_cli_value(args, "kernel_backend"),
-        cli_dispatch=_cli_value(args, "dispatch"),
     )
     impl = build_impl(rs, executor=executor)
     resilience = impl.resilience
@@ -465,7 +451,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
         rs, cli_kind=_cli_value(args, "executor"),
         cli_workers=_cli_value(args, "workers"),
         cli_kernel_backend=_cli_value(args, "kernel_backend"),
-        cli_dispatch=_cli_value(args, "dispatch"),
         exec_tracer=exec_spans,
     )
     impl = build_impl(
@@ -601,7 +586,6 @@ def _impl_from_runspec(snapshot, args: argparse.Namespace):
         rs, cli_kind=_cli_value(args, "executor"),
         cli_workers=_cli_value(args, "workers"),
         cli_kernel_backend=_cli_value(args, "kernel_backend"),
-        cli_dispatch=_cli_value(args, "dispatch"),
     )
     impl = build_impl(rs, executor=executor, resume=snapshot)
     return impl, executor, impl.resilience
@@ -981,11 +965,10 @@ def build_parser() -> argparse.ArgumentParser:
         "(the work-stealing fabric; see docs/campaigns.md)",
     )
     p.add_argument(
-        "--runner", choices=["fabric", "pool", "engines"], default="fabric",
+        "--runner", choices=["fabric", "engines"], default="fabric",
         help="parallel runner for --jobs > 1: the work-stealing fabric "
-        "(default) or the legacy upfront-submission process pool; "
-        "'engines' instead interleaves all uncached points through one "
-        "in-process EngineGroup sharing a single executor pool",
+        "(default); 'engines' instead interleaves all uncached points "
+        "through one in-process EngineGroup sharing a single executor pool",
     )
     p.add_argument(
         "--order-seed", type=int, default=None, metavar="N",

@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Any
 
 from repro.config.env import (
-    resolve_dispatch,
     resolve_executor,
     resolve_kernel_backend,
     resolve_ring_slots,
@@ -97,7 +96,7 @@ def build_resilience(rs: RunSpec, n_ranks: int, *, resume=None):
 
 
 def build_executor(rs: RunSpec, *, cli_kind=None, cli_workers=None,
-                   cli_kernel_backend=None, cli_dispatch=None,
+                   cli_kernel_backend=None,
                    exec_tracer=None, environ=None):
     """The compute backend, resolved CLI > env > spec > default.
 
@@ -114,12 +113,10 @@ def build_executor(rs: RunSpec, *, cli_kind=None, cli_workers=None,
     kernel_backend = resolve_kernel_backend(
         cli_kernel_backend, rs.executor.kernel_backend, environ=environ
     )
-    dispatch = resolve_dispatch(cli_dispatch, rs.executor.dispatch, environ=environ)
     ring_slots = resolve_ring_slots(None, rs.executor.ring_slots, environ=environ)
     return make_executor(
         kind, workers=workers, exec_tracer=exec_tracer,
-        kernel_backend=kernel_backend,
-        dispatch=dispatch, ring_slots=ring_slots,
+        kernel_backend=kernel_backend, ring_slots=ring_slots,
     )
 
 

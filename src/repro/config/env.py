@@ -1,6 +1,5 @@
 """The single home of ``REPRO_EXECUTOR`` / ``REPRO_WORKERS`` /
-``REPRO_KERNEL_BACKEND`` / ``REPRO_DISPATCH`` / ``REPRO_RING_SLOTS``
-parsing.
+``REPRO_KERNEL_BACKEND`` / ``REPRO_RING_SLOTS`` parsing.
 
 Every consumer of the executor environment knobs — the CLI, the
 process-wide :func:`repro.runtime.executor.default_executor`, and the
@@ -27,18 +26,15 @@ from typing import Mapping
 ENV_EXECUTOR = "REPRO_EXECUTOR"
 ENV_WORKERS = "REPRO_WORKERS"
 ENV_KERNEL_BACKEND = "REPRO_KERNEL_BACKEND"
-ENV_DISPATCH = "REPRO_DISPATCH"
 ENV_RING_SLOTS = "REPRO_RING_SLOTS"
 
 #: ``serial`` and ``batched`` are two names for the one in-process executor.
 EXECUTOR_KINDS = ("serial", "batched", "process")
 KERNEL_BACKEND_NAMES = ("python", "compiled", "compiled-parallel", "auto")
-DISPATCH_KINDS = ("ring", "pipe")
 
 DEFAULT_EXECUTOR = "serial"
 DEFAULT_WORKERS = 0
 DEFAULT_KERNEL_BACKEND = "auto"
-DEFAULT_DISPATCH = "ring"
 DEFAULT_RING_SLOTS = 64
 
 
@@ -87,20 +83,6 @@ def env_kernel_backend(environ: Mapping[str, str] | None = None) -> str | None:
         raise EnvConfigError(
             f"{ENV_KERNEL_BACKEND}={raw!r} is not a valid kernel backend; "
             f"choose from {', '.join(KERNEL_BACKEND_NAMES)}"
-        )
-    return raw
-
-
-def env_dispatch(environ: Mapping[str, str] | None = None) -> str | None:
-    """``REPRO_DISPATCH`` as a validated dispatch path, or None if unset."""
-    environ = os.environ if environ is None else environ
-    raw = (environ.get(ENV_DISPATCH) or "").strip()
-    if not raw:
-        return None
-    if raw not in DISPATCH_KINDS:
-        raise EnvConfigError(
-            f"{ENV_DISPATCH}={raw!r} is not a valid dispatch path; "
-            f"choose from {', '.join(DISPATCH_KINDS)}"
         )
     return raw
 
@@ -174,24 +156,6 @@ def resolve_workers(
     if cli is not None:
         return cli
     from_env = env_workers(environ)
-    if from_env is not None:
-        return from_env
-    if spec is not None:
-        return spec
-    return default
-
-
-def resolve_dispatch(
-    cli: str | None = None,
-    spec: str | None = None,
-    *,
-    default: str = DEFAULT_DISPATCH,
-    environ: Mapping[str, str] | None = None,
-) -> str:
-    """Resolve the process-pool dispatch path (ring/pipe), same precedence."""
-    if cli is not None:
-        return cli
-    from_env = env_dispatch(environ)
     if from_env is not None:
         return from_env
     if spec is not None:

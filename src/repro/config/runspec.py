@@ -382,7 +382,6 @@ class ExecutorConfig:
     workers: int | None = None
     # python | compiled | compiled-parallel | auto | None = inherit
     kernel_backend: str | None = None
-    dispatch: str | None = None  # ring | pipe | None = inherit
     ring_slots: int | None = None  # per-worker task-ring capacity
 
     def __post_init__(self) -> None:
@@ -407,10 +406,6 @@ class ExecutorConfig:
                 "python/compiled/compiled-parallel/auto, "
                 f"got {self.kernel_backend!r}"
             )
-        if self.dispatch is not None and self.dispatch not in ("ring", "pipe"):
-            raise ConfigError(
-                f"executor.dispatch must be ring/pipe, got {self.dispatch!r}"
-            )
         if self.ring_slots is not None and self.ring_slots < 1:
             raise ConfigError("executor.ring_slots must be >= 1")
 
@@ -419,7 +414,6 @@ class ExecutorConfig:
             "kind": self.kind,
             "workers": self.workers,
             "kernel_backend": self.kernel_backend,
-            "dispatch": self.dispatch,
             "ring_slots": self.ring_slots,
         }
 
@@ -430,13 +424,18 @@ class ExecutorConfig:
             ("kind", "workers", "kernel_backend", "dispatch", "ring_slots"),
             where,
         )
+        # Read for compatibility, then dropped: checkpoints and specs
+        # written while the pool had two transports carry the key.
+        if doc.get("dispatch") not in (None, "ring", "pipe"):
+            raise ConfigError(
+                f"{where}.dispatch must be ring/pipe, got {doc['dispatch']!r}"
+            )
         workers = doc.get("workers")
         ring_slots = doc.get("ring_slots")
         return cls(
             kind=doc.get("kind"),
             workers=None if workers is None else int(workers),
             kernel_backend=doc.get("kernel_backend"),
-            dispatch=doc.get("dispatch"),
             ring_slots=None if ring_slots is None else int(ring_slots),
         )
 

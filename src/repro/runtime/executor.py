@@ -33,11 +33,10 @@ traces (``tests/parallel/test_executor_determinism.py``):
     rebases each rank's backing store into a shared-memory arena once
     (:meth:`ParticleArray.rebase_backing`); after that a steady-state step
     publishes only packed integer/float task records into per-worker
-    shared-memory *task rings* (``dispatch="ring"``, the default — see the
-    ring section below; ``dispatch="pipe"`` keeps the original pickled
-    descriptor path as the measured baseline).  Zero particle bytes cross
-    the pipe in either direction.  Workers mutate the shared pages in
-    place; the completion barrier is deterministic, so the merge is too.
+    shared-memory *task rings* (see the ring section below).  Zero
+    particle bytes cross a pipe in either direction.  Workers mutate the
+    shared pages in place; the completion barrier is deterministic, so the
+    merge is too.
     Results are bitwise identical to serial because each worker runs the
     very same kernel on the very same bytes, and tasks never overlap.
 
@@ -224,9 +223,8 @@ class Executor:
 
         The default implementation runs the batch synchronously and hands
         back an already-completed handle: every executor without real
-        asynchrony (in-process, pipe-dispatch process pools via
-        ``run_batch``) therefore presents the *same* completion order to
-        the scheduler, which is what keeps the overlapped-exchange resume
+        asynchrony therefore presents the *same* completion order to the
+        scheduler, which is what keeps the overlapped-exchange resume
         policy backend-agnostic.
         """
         self._note_tag(tag, batch)
@@ -542,72 +540,11 @@ def _attach_segment(name: str):
         return shared_memory.SharedMemory(name=name)
 
 
-def _worker_main(conn, warm_backends: tuple = ()) -> None:
-    """Pipe-dispatch worker loop: recv task descriptors, push in place.
-
-    A descriptor is ``(field_locs, n, mesh_args, dt, backend)`` where
-    ``field_locs`` is five ``(segment_name, byte_offset)`` pairs for x, y,
-    vx, vy, q and ``backend`` names the kernel to run it under.  All work
-    happens through shared-memory views; the reply is
-    ``(execute_seconds, particles_pushed, per_task)`` with ``per_task`` a
-    list of ``(seconds, n)`` in descriptor order.
-
-    ``warm_backends`` lists every JIT backend any rank may run (the parent
-    collects it from the fleet-wide choice plus the backend_map); the
-    worker compiles them all *before* the ready handshake, so one-time
-    warm-up lands in ``pool_startup_s`` / ``jit_warmup_s`` and never
-    inside a timed step.
-    """
-    segments: dict[str, Any] = {}
-    workspace = KernelWorkspace()
-    mesh_cache: dict[tuple, Mesh] = {}
-    warm_s = sum(kernel_compiled.warmup(b) for b in warm_backends)
-    conn.send(("ready", os.getpid(), warm_s))
-    views = []
-    while True:
-        try:
-            msg = conn.recv()
-        except EOFError:  # pragma: no cover - parent died
-            break
-        if msg is None:
-            break
-        t0 = time.perf_counter()
-        pushed = 0
-        per_task = []
-        for field_locs, n, mesh_args, dt, backend in msg:
-            t1 = time.perf_counter()
-            del views[:]
-            for seg_name, off in field_locs:
-                shm = segments.get(seg_name)
-                if shm is None:
-                    shm = _attach_segment(seg_name)
-                    segments[seg_name] = shm
-                views.append(
-                    np.frombuffer(shm.buf, dtype=np.float64, count=n, offset=off)
-                )
-            mesh = mesh_cache.get(mesh_args)
-            if mesh is None:
-                mesh = Mesh(*mesh_args)
-                mesh_cache[mesh_args] = mesh
-            _advance_fields(backend, mesh, *views, dt, workspace=workspace)
-            pushed += n
-            per_task.append((time.perf_counter() - t1, n))
-        del views[:]
-        conn.send((time.perf_counter() - t0, pushed, per_task))
-    for shm in segments.values():
-        try:
-            shm.close()
-        except BufferError:  # pragma: no cover - view still referenced
-            pass
-    conn.close()
-
-
 # ----------------------------------------------------------------------
 # Zero-copy dispatch rings
 # ----------------------------------------------------------------------
-# A per-worker shared-memory *task ring* replaces pickled descriptor lists
-# on the steady-state path.  Layout (all 8-byte lanes, see
-# docs/performance.md):
+# Tasks reach a worker through its shared-memory *task ring*, never as
+# pickled descriptors.  Layout (all 8-byte lanes, see docs/performance.md):
 #
 #     [ ctrl  int64[16]            ]   reserved / padding
 #     [ rec_i int64[slots, 16]     ]   packed integer task records
@@ -630,7 +567,7 @@ def _worker_main(conn, warm_backends: tuple = ()) -> None:
 # overwritten while its result is pending, so no locks and no spinning.
 #
 # Because doorbells and control traffic (segment registrations,
-# shutdown) now travel different pipes, the worker multiplexes both fds
+# shutdown) travel different pipes, the worker multiplexes both fds
 # and always drains the control pipe first: the parent sends every
 # registration a chunk depends on before ringing its doorbell, and both
 # fds are already readable when ``select`` returns.
@@ -743,7 +680,7 @@ class _TaskRing:
 
 def _worker_ring_main(conn, bell, ring_name: str, slots: int,
                       warm_backends: tuple = ()) -> None:
-    """Ring-dispatch worker loop: tasks from shared memory, not the pipe.
+    """Worker loop: tasks from shared memory, not the pipe.
 
     Two channels from the parent: the control pipe ``conn`` carries
     segment registrations ``("seg", id, name)`` and the ``None``
@@ -856,7 +793,7 @@ def _partition(sizes: list[int], k: int) -> list[list[int]]:
 
 
 class _RingHandle(BatchHandle):
-    """In-flight ring-dispatch batch on a :class:`ProcessExecutor`.
+    """In-flight batch on a :class:`ProcessExecutor`.
 
     A batch whose per-worker bin exceeds the ring size is published in
     chunks of up to ``ring_slots`` tasks; follow-on chunks go out from
@@ -942,88 +879,6 @@ class _RingHandle(BatchHandle):
             )
 
 
-class _PipeHandle(BatchHandle):
-    """In-flight pipe-dispatch batch: one recv per used worker."""
-
-    __slots__ = (
-        "_ex", "_work", "_work_of", "_bins", "_owner", "_used",
-        "_t_d0", "_t_sent", "_cpu_s", "_durations", "_per_task", "_pushed",
-        "_finished",
-    )
-
-    def __init__(self, ex, work, work_of, bins, t_d0, t_sent, cpu_s) -> None:
-        self._ex = ex
-        self._work = work
-        self._work_of = work_of
-        self._bins = bins
-        self._owner = {i: w for w, b in enumerate(bins) for i in b}
-        self._used = [w for w, b in enumerate(bins) if b]
-        self._t_d0 = t_d0
-        self._t_sent = t_sent
-        self._cpu_s = cpu_s
-        self._durations: dict[int, float] = {}
-        self._per_task: dict[int, list] = {}
-        self._pushed = 0
-        self._finished = False
-
-    def _collect(self, w: int) -> None:
-        if w in self._durations:
-            return
-        dur, pushed, per_task = self._ex._conns[w].recv()
-        self._durations[w] = dur
-        self._per_task[w] = per_task
-        self._pushed += pushed
-
-    def wait(self, i: int) -> None:
-        wi = self._work_of[i]
-        if wi is None:
-            return
-        # Worker granularity: one reply covers the whole bin.
-        self._collect(self._owner[wi])
-
-    def finish(self) -> None:
-        if self._finished:
-            return
-        self._finished = True
-        ex = self._ex
-        for w in self._used:
-            self._collect(w)
-        t_merged = ex._now()
-        ex.particles_pushed += self._pushed
-        ex.batches += 1
-        ex.tasks_executed += len(self._work)
-        if ex.work_meter is not None:
-            for w in self._used:
-                for i, (task_s, n) in zip(self._bins[w], self._per_task[w]):
-                    ex.work_meter.record(self._work[i][0], n, task_s)
-        tr = ex.exec_tracer
-        if tr is not None:
-            t_sent = self._t_sent
-            tr.record(
-                "dispatch", -1, ex.batches, self._t_d0, t_sent,
-                tasks=len(self._work), cpu_s=self._cpu_s,
-            )
-            for w in self._used:
-                tr.record(
-                    "execute", w, ex.batches, t_sent,
-                    t_sent + self._durations[w], tasks=len(self._bins[w]),
-                )
-                # Per-task wall spans on the worker's sequential timeline,
-                # tagged with the owning world rank: the measured-rate
-                # evidence behind WorkRateMeter, kept out of golden traces.
-                t_task = t_sent
-                for i, (task_s, n) in zip(self._bins[w], self._per_task[w]):
-                    tr.record(
-                        "task", w, ex.batches, t_task, t_task + task_s,
-                        rank=self._work[i][0], n=n,
-                    )
-                    t_task += task_s
-            tr.record(
-                "merge", -1, ex.batches, t_sent, t_merged,
-                tasks=len(self._used),
-            )
-
-
 class ProcessExecutor(Executor):
     """Real-multicore backend: persistent worker pool over shared memory.
 
@@ -1032,22 +887,14 @@ class ProcessExecutor(Executor):
     repetitions and whole test suites reuse one warmed pool
     (``pool_startup_s`` reports the one-time fork/spawn cost separately).
 
-    Two dispatch paths (``dispatch=``, default from ``REPRO_DISPATCH``):
-
-    ``ring``
-        Zero-copy steady state.  Task records go through per-worker
-        shared-memory rings (see the ring section above) and a *dispatch
-        plan* — arena locations, segment-id registrations and the LPT
-        partition — is cached across batches, keyed on the work list's
-        identity (ranks, field arrays, mesh objects, dt).  A steady-state
-        step refreshes one particle-count lane per worker ring and sends
-        one doorbell each: no pickling, no descriptor rebuild, no
-        per-task stores.
-
-    ``pipe``
-        The original pickled-descriptor path, kept as the measured
-        baseline for :func:`repro.bench.perf.bench_dispatch` and as a
-        fallback.
+    Dispatch is zero-copy in the steady state.  Task records go through
+    per-worker shared-memory rings (see the ring section above) and a
+    *dispatch plan* — arena locations, segment-id registrations and the
+    LPT partition — is cached across batches, keyed on the work list's
+    identity (ranks, field arrays, mesh objects, dt).  A steady-state
+    step refreshes one particle-count lane per worker ring and sends one
+    doorbell each: no pickling, no descriptor rebuild, no per-task
+    stores.
 
     Workers boot concurrently: :meth:`start` spawns without blocking and
     :meth:`ensure_ready` collects the ready handshakes, so ``workers=N``
@@ -1071,7 +918,6 @@ class ProcessExecutor(Executor):
         kernel_backend: str | None = None,
         backend_map=None,
         work_meter=None,
-        dispatch: str | None = None,
         ring_slots: int | None = None,
     ) -> None:
         self.workers = int(workers) if workers else (os.cpu_count() or 1)
@@ -1080,21 +926,13 @@ class ProcessExecutor(Executor):
         self._init_kernel_backend(
             kernel_backend, backend_map, work_meter, exec_tracer
         )
-        if dispatch is None or ring_slots is None:
+        if ring_slots is None:
             # None means "not chosen anywhere upstream": fall back to the
             # documented env/default chain so default_executor() and the
-            # resume path honor REPRO_DISPATCH / REPRO_RING_SLOTS.
-            from repro.config.env import resolve_dispatch, resolve_ring_slots
+            # resume path honor REPRO_RING_SLOTS.
+            from repro.config.env import resolve_ring_slots
 
-            if dispatch is None:
-                dispatch = resolve_dispatch()
-            if ring_slots is None:
-                ring_slots = resolve_ring_slots()
-        if dispatch not in ("ring", "pipe"):
-            raise ValueError(
-                f"unknown dispatch path {dispatch!r} (ring, pipe)"
-            )
-        self.dispatch = dispatch
+            ring_slots = resolve_ring_slots()
         self.ring_slots = int(ring_slots)
         if self.ring_slots < 1:
             raise ValueError("ring_slots must be >= 1")
@@ -1102,7 +940,7 @@ class ProcessExecutor(Executor):
         self.arena = ShmArena()
         self._procs: list = []
         self._conns: list = []
-        self._bells: list = []  # parent-side doorbell write ends (ring path)
+        self._bells: list = []  # parent-side doorbell write ends
         self._rings: list[_TaskRing] = []
         self._ready = False
         self._spawn_t0: float | None = None
@@ -1112,7 +950,7 @@ class ProcessExecutor(Executor):
         self.batches = 0
         self.tasks_executed = 0
         self.particles_pushed = 0
-        # Dispatch-plan cache (ring path).
+        # Dispatch-plan cache.
         self._plan_items: list[tuple] | None = None
         self._plan_bins: list[list[int]] | None = None
         self._plan_locs: list[tuple] | None = None
@@ -1145,30 +983,25 @@ class ProcessExecutor(Executor):
         ))
         for i in range(self.workers):
             parent_conn, child_conn = ctx.Pipe()
-            bell_r = None
-            if self.dispatch == "ring":
-                ring = _TaskRing(self.ring_slots)
-                self._rings.append(ring)
-                # The doorbell pipe is a Connection pair only so the read
-                # end survives the spawn context (raw fd numbers do not);
-                # both ends are used as raw fds via os.write/os.read.
-                bell_r, bell_w = ctx.Pipe(duplex=False)
-                self._bells.append(bell_w)
-                target = _worker_ring_main
-                args = (
+            ring = _TaskRing(self.ring_slots)
+            self._rings.append(ring)
+            # The doorbell pipe is a Connection pair only so the read
+            # end survives the spawn context (raw fd numbers do not);
+            # both ends are used as raw fds via os.write/os.read.
+            bell_r, bell_w = ctx.Pipe(duplex=False)
+            self._bells.append(bell_w)
+            proc = ctx.Process(
+                target=_worker_ring_main,
+                args=(
                     child_conn, bell_r, ring.shm.name, self.ring_slots,
                     warm_backends,
-                )
-            else:
-                target = _worker_main
-                args = (child_conn, warm_backends)
-            proc = ctx.Process(
-                target=target, args=args, name=f"repro-exec-{i}", daemon=True
+                ),
+                name=f"repro-exec-{i}",
+                daemon=True,
             )
             proc.start()
             child_conn.close()
-            if bell_r is not None:
-                bell_r.close()
+            bell_r.close()
             self._procs.append(proc)
             self._conns.append(parent_conn)
 
@@ -1204,7 +1037,7 @@ class ProcessExecutor(Executor):
         return locs
 
     # ------------------------------------------------------------------
-    # Dispatch-plan cache (ring path)
+    # Dispatch-plan cache
     # ------------------------------------------------------------------
     def _plan_for(self, work) -> tuple[list[list[int]], list[tuple]]:
         """``(bins, locs)`` for this work list, cached across batches.
@@ -1412,11 +1245,6 @@ class ProcessExecutor(Executor):
         # First batch: the dispatch clock can only start once the pool's
         # epoch exists; plan resolution still overlaps worker boot.
         t_d0 = self._now() if self._ready else None
-        if self.dispatch == "pipe":
-            return self._start_batch_pipe(work, work_of, t_d0, cpu0)
-        return self._start_batch_ring(work, work_of, t_d0, cpu0)
-
-    def _start_batch_ring(self, work, work_of, t_d0, cpu0) -> BatchHandle:
         bins, locs = self._plan_for(work)
         self.ensure_ready()
         if t_d0 is None:
@@ -1445,31 +1273,6 @@ class ProcessExecutor(Executor):
             self, work, work_of, bins, locs, pub, t_d0, t_pub, cpu_s
         )
 
-    def _start_batch_pipe(self, work, work_of, t_d0, cpu0) -> BatchHandle:
-        descs = []
-        for rank, task in work:
-            m = task.mesh
-            descs.append(
-                (
-                    self._field_locs(task.particles),
-                    len(task.particles),
-                    (m.cells, m.h, m.q),
-                    task.dt,
-                    self._backend_for(rank),
-                )
-            )
-        self.ensure_ready()
-        if t_d0 is None:
-            t_d0 = self._now()
-        sizes = [d[1] for d in descs]
-        bins = _partition(sizes, self.workers)
-        for w, idxs in enumerate(bins):
-            if idxs:
-                self._conns[w].send([descs[i] for i in idxs])
-        cpu_s = time.process_time() - cpu0
-        t_sent = self._now()
-        return _PipeHandle(self, work, work_of, bins, t_d0, t_sent, cpu_s)
-
     def run_batch(self, batch: list[tuple[int, Any]]) -> None:
         # Synchronous wrapper over start_batch/wait/finish: the completion
         # barrier ("merge") is deterministic because workers wrote disjoint
@@ -1485,7 +1288,6 @@ class ProcessExecutor(Executor):
             pool_startup_s=self.pool_startup_s,
             jit_warmup_s=self.jit_warmup_s,
             kernel_backend=self.kernel_backend,
-            dispatch=self.dispatch,
             ring_slots=self.ring_slots,
             plan_epoch=self.plan_epoch,
             plan_hits=self.plan_hits,
@@ -1526,6 +1328,9 @@ class ProcessExecutor(Executor):
         self._seg_ids.clear()
         self._batch_task = {}
         self.arena.close()
+        # A closed arena refuses allocation; the pool restarts lazily on the
+        # next batch, so it needs a live (empty, segment-less) one.
+        self.arena = ShmArena()
 
     def __del__(self):  # pragma: no cover - GC safety net
         try:
@@ -1544,7 +1349,6 @@ def make_executor(
     kernel_backend: str | None = None,
     backend_map=None,
     work_meter=None,
-    dispatch: str | None = None,
     ring_slots: int | None = None,
 ) -> Executor:
     """Build a backend by name (the CLI's ``--executor`` values).
@@ -1552,8 +1356,8 @@ def make_executor(
     ``kernel_backend`` is a request name (python/compiled/
     compiled-parallel/auto, None = python); it is resolved eagerly, so
     asking for a compiled backend without numba raises here, not mid-run.
-    ``dispatch``/``ring_slots`` apply to the process pool only (None =
-    resolve from ``REPRO_DISPATCH`` / ``REPRO_RING_SLOTS``).
+    ``ring_slots`` applies to the process pool only (None = resolve from
+    ``REPRO_RING_SLOTS``).
     """
     kw = dict(
         kernel_backend=kernel_backend,
@@ -1565,7 +1369,7 @@ def make_executor(
         return InProcessExecutor(**kw)
     if name == "process":
         return ProcessExecutor(
-            workers=workers, dispatch=dispatch, ring_slots=ring_slots, **kw
+            workers=workers, ring_slots=ring_slots, **kw
         )
     raise ValueError(f"unknown executor {name!r} (serial, batched, process)")
 

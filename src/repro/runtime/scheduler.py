@@ -267,8 +267,9 @@ class Scheduler:
         Only an executor this scheduler obtained itself (via the
         ``default_executor()`` fallback) is closed; an instance passed to
         the constructor belongs to its caller.  Closing the process-wide
-        default is safe: ``ProcessExecutor.close`` is idempotent and the
-        pool restarts lazily on next use.
+        default is safe: ``ProcessExecutor.close`` is idempotent and
+        leaves a fresh arena behind, so the pool restarts lazily on next
+        use.
         """
         if self._executor_defaulted and self._executor is not None:
             self._executor.close()

@@ -145,21 +145,6 @@ class TestDrivers:
         assert env["python"] == platform.python_version()
         assert env["kernel_backend"] == resolve_backend("auto")
 
-    def test_bench_dispatch_gates_on_steady_cpu_per_task(self):
-        entry = perf.bench_dispatch(800, steps=4, cores=4, workers=2)
-        assert entry["kind"] == "dispatch"
-        assert entry["sim_time_match"] is True
-        assert entry["gate_min_speedup"] == 5.0
-        # The gated ratio is the steady-state parent-CPU cost per task.
-        ring = entry["ring_totals"]["steady_dispatch_cpu_s_per_task"]
-        pipe = entry["pipe_totals"]["steady_dispatch_cpu_s_per_task"]
-        assert entry["optimized_s"] == ring
-        assert entry["baseline_s"] == pipe
-        assert entry["speedup"] == pytest.approx(pipe / ring)
-        # The ring side really ran on its cached plan.
-        assert entry["plan_hits"] >= 1
-        assert entry["plan_misses"] >= 1  # the cold batch
-
     def test_bench_worker_sweep_gate_skipped_without_enough_cpus(self, monkeypatch):
         """On a host with fewer cpus than the top worker count the speedup
         gate is recorded as skipped, not failed."""

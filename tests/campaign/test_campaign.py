@@ -258,5 +258,6 @@ class TestEnginesRunner:
 
     def test_unknown_runner_rejected(self, tmp_path):
         camp = CampaignSpec.from_dict(smoke_doc())
-        with pytest.raises(ValueError, match="unknown campaign runner"):
-            run_campaign(camp, cache_dir=str(tmp_path / "c"), runner="threads")
+        for runner in ("threads", "pool"):
+            with pytest.raises(ValueError, match="unknown campaign runner"):
+                run_campaign(camp, cache_dir=str(tmp_path / "c"), runner=runner)

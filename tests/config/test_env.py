@@ -1,16 +1,14 @@
 """Tests for REPRO_EXECUTOR / REPRO_WORKERS / REPRO_KERNEL_BACKEND /
-REPRO_DISPATCH / REPRO_RING_SLOTS parsing."""
+REPRO_RING_SLOTS parsing."""
 
 import pytest
 
 from repro.config.env import (
     EnvConfigError,
-    env_dispatch,
     env_executor,
     env_kernel_backend,
     env_ring_slots,
     env_workers,
-    resolve_dispatch,
     resolve_executor,
     resolve_kernel_backend,
     resolve_ring_slots,
@@ -113,15 +111,7 @@ class TestKernelBackendChain:
 
 
 class TestDispatchChain:
-    """REPRO_DISPATCH / REPRO_RING_SLOTS: validators + the same chain."""
-
-    def test_env_dispatch_parsing(self):
-        assert env_dispatch({}) is None
-        assert env_dispatch({"REPRO_DISPATCH": "  "}) is None
-        for kind in ("ring", "pipe"):
-            assert env_dispatch({"REPRO_DISPATCH": kind}) == kind
-        with pytest.raises(EnvConfigError, match="carrier-pigeon"):
-            env_dispatch({"REPRO_DISPATCH": "carrier-pigeon"})
+    """REPRO_RING_SLOTS: validator + the same chain."""
 
     def test_env_ring_slots_parsing(self):
         assert env_ring_slots({}) is None
@@ -133,11 +123,7 @@ class TestDispatchChain:
             env_ring_slots({"REPRO_RING_SLOTS": "0"})
 
     def test_precedence_chain(self):
-        env = {"REPRO_DISPATCH": "pipe", "REPRO_RING_SLOTS": "32"}
-        assert resolve_dispatch("ring", "pipe", environ=env) == "ring"
-        assert resolve_dispatch(None, "ring", environ=env) == "pipe"
-        assert resolve_dispatch(None, "pipe", environ={}) == "pipe"
-        assert resolve_dispatch(environ={}) == "ring"  # default is the rings
+        env = {"REPRO_RING_SLOTS": "32"}
         assert resolve_ring_slots(16, 8, environ=env) == 16
         assert resolve_ring_slots(None, 8, environ=env) == 32
         assert resolve_ring_slots(None, 8, environ={}) == 8
@@ -146,10 +132,10 @@ class TestDispatchChain:
     def test_executor_construction_honours_env(self, monkeypatch):
         from repro.runtime.executor import ProcessExecutor
 
-        monkeypatch.setenv("REPRO_DISPATCH", "pipe")
+        # A leftover REPRO_DISPATCH (a removed knob) is simply unread.
+        monkeypatch.setenv("REPRO_DISPATCH", "carrier-pigeon")
         monkeypatch.setenv("REPRO_RING_SLOTS", "7")
         ex = ProcessExecutor(workers=1)
-        assert ex.dispatch == "pipe"
         assert ex.ring_slots == 7
         ex.close()
 

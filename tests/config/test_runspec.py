@@ -106,6 +106,23 @@ class TestRoundTrip:
         )
         assert rs == small_spec()
 
+    @pytest.mark.parametrize("value", [None, "ring", "pipe"])
+    def test_removed_executor_dispatch_key_still_loads(self, value):
+        """Specs and checkpoints written while the pool had two transports
+        carry ``executor.dispatch``; it is read, validated and dropped."""
+        doc = small_spec().to_dict()
+        assert "dispatch" not in doc["executor"]
+        doc["executor"]["dispatch"] = value
+        rs = RunSpec.from_dict(doc)
+        assert rs == small_spec()
+        assert "dispatch" not in rs.to_dict()["executor"]
+
+    def test_removed_executor_dispatch_key_still_validated(self):
+        doc = small_spec().to_dict()
+        doc["executor"]["dispatch"] = "carrier-pigeon"
+        with pytest.raises(ConfigError, match="carrier-pigeon"):
+            RunSpec.from_dict(doc)
+
 
 class TestIdentityHash:
     def test_executor_and_tracing_are_not_identity(self):

@@ -97,6 +97,32 @@ class TestSnapshotLoad:
             snap.check_compatible("mpi-2d", 8, 8)
 
 
+def test_resume_engine_accepts_parent_commit_executor_section(tmp_path, monkeypatch):
+    """A checkpoint whose embedded runspec carries an executor section in
+    its pre-removal shape (``"dispatch": null``) still resumes."""
+    from repro.resilience import resume_engine
+
+    plain_meta = Mpi2dPIC._snapshot_meta
+
+    def meta_with_executor(self, dims):
+        meta = plain_meta(self, dims)
+        meta["runspec"]["executor"] = {
+            "kind": "serial", "workers": None, "kernel_backend": None,
+            "dispatch": None, "ring_slots": None,
+        }
+        return meta
+
+    monkeypatch.setattr(Mpi2dPIC, "_snapshot_meta", meta_with_executor)
+    directory = str(tmp_path / "ckpts")
+    cfg = ResilienceConfig(checkpointer=Checkpointer(directory, every=2))
+    whole = Mpi2dPIC(_spec(), 4, resilience=cfg).run()
+    cut = os.path.join(directory, "ckpt_step000002.ckpt")
+    assert "dispatch" in Snapshot.load(cut).meta["runspec"]["executor"]
+    resumed = resume_engine(cut, checkpoint_dir=str(tmp_path / "again")).run()
+    assert resumed.verification.ok
+    assert resumed.total_time == whole.total_time
+
+
 class TestCheckpointer:
     def test_interval_schedule(self, tmp_path):
         ck = Checkpointer(str(tmp_path), every=3)

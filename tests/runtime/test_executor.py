@@ -242,6 +242,27 @@ class TestBackends:
         ex.close()
         ex.close()
 
+    def test_reusable_after_close(self):
+        """``close()`` leaves a live arena behind, so the same executor
+        runs again — ``Scheduler.close()`` closes the cached default
+        executor between runs — and a second close leaks no segment."""
+        mesh = Mesh(cells=8)
+        sizes = (40, 0, 333, 17)
+        ex = ProcessExecutor(workers=2)
+        names = set()
+        for _ in range(2):
+            batch = _push_batch(mesh, 0.01, sizes)
+            try:
+                ex.run_batch(batch)
+                names |= {seg.shm.name for seg in ex.arena._segments}
+                names |= {ring.shm.name for ring in ex._rings}
+            finally:
+                ex.close()
+            for (_, task), oracle in zip(batch, _serial_oracle(mesh, 0.01, sizes)):
+                _assert_fields_equal(task.particles, oracle)
+        assert len(names) >= 4  # an arena segment + two rings, per life
+        assert not [n for n in names if os.path.exists(f"/dev/shm/{n}")]
+
     def test_batched_stats_count_fusions(self):
         mesh = Mesh(cells=8)
         ex = make_executor("batched")
@@ -256,12 +277,12 @@ class TestBackends:
 class TestRingDispatch:
     """Zero-copy ring path: bitwise parity, plan cache, chunking, knobs."""
 
-    @pytest.mark.parametrize("dispatch", ["ring", "pipe"])
+    @pytest.mark.parametrize("dispatch", ["ring"])  # the one transport
     def test_both_paths_match_serial_oracle(self, dispatch):
         mesh = Mesh(cells=8)
         sizes = (40, 0, 333, 17)
         batch = _push_batch(mesh, 0.01, sizes)
-        ex = ProcessExecutor(workers=2, dispatch=dispatch)
+        ex = ProcessExecutor(workers=2)
         try:
             ex.run_batch(batch)
         finally:
@@ -272,7 +293,7 @@ class TestRingDispatch:
     def test_plan_cache_hits_and_generation_invalidation(self):
         mesh = Mesh(cells=8)
         batch = _push_batch(mesh, 0.01, (50, 60, 70))
-        ex = ProcessExecutor(workers=2, dispatch="ring")
+        ex = ProcessExecutor(workers=2)
         try:
             for _ in range(3):
                 ex.run_batch(batch)
@@ -307,7 +328,7 @@ class TestRingDispatch:
         a miss) instead of dispatching against a stale partition."""
         mesh = Mesh(cells=8)
         batch = _push_batch(mesh, 0.01, (100, 100, 100, 100))
-        ex = ProcessExecutor(workers=2, dispatch="ring")
+        ex = ProcessExecutor(workers=2)
         try:
             ex.run_batch(batch)
             ex.run_batch(batch)
@@ -331,7 +352,7 @@ class TestRingDispatch:
         mesh = Mesh(cells=8)
         sizes = (30, 31, 32, 33, 34, 35, 36)
         batch = _push_batch(mesh, 0.01, sizes)
-        ex = ProcessExecutor(workers=1, dispatch="ring", ring_slots=2)
+        ex = ProcessExecutor(workers=1, ring_slots=2)
         try:
             for _ in range(2):  # second pass exercises chunked re-publish
                 ex.run_batch(batch)
@@ -344,23 +365,23 @@ class TestRingDispatch:
             _assert_fields_equal(task.particles, oracle)
 
     def test_stats_report_dispatch_knobs(self):
-        ex = ProcessExecutor(workers=1, dispatch="ring", ring_slots=16)
+        ex = ProcessExecutor(workers=1, ring_slots=16)
         try:
             stats = ex.stats()
         finally:
             ex.close()
-        assert stats["dispatch"] == "ring"
+        assert "dispatch" not in stats
         assert stats["ring_slots"] == 16
         assert {"plan_epoch", "plan_hits", "plan_misses"} <= set(stats)
 
     def test_invalid_dispatch_and_ring_slots_rejected(self):
-        with pytest.raises(ValueError, match="dispatch"):
-            ProcessExecutor(workers=1, dispatch="carrier-pigeon")
+        with pytest.raises(TypeError, match="dispatch"):
+            ProcessExecutor(workers=1, dispatch="ring")
         with pytest.raises(ValueError, match="ring_slots"):
-            ProcessExecutor(workers=1, dispatch="ring", ring_slots=0)
+            ProcessExecutor(workers=1, ring_slots=0)
 
     def test_ensure_ready_is_idempotent(self):
-        ex = ProcessExecutor(workers=1, dispatch="ring")
+        ex = ProcessExecutor(workers=1)
         try:
             ex.ensure_ready()
             startup = ex.pool_startup_s
@@ -371,21 +392,20 @@ class TestRingDispatch:
             ex.close()
 
     def test_dispatch_spans_carry_cpu_seconds(self):
-        """Both paths attach parent CPU seconds to their dispatch spans —
-        the figure the ring-vs-pipe gate compares (wall time would
+        """Dispatch spans carry parent CPU seconds — the figure
+        ``dispatch_breakdown`` reports per task (wall time would
         double-count worker kernel time on oversubscribed hosts)."""
         mesh = Mesh(cells=8)
-        for dispatch in ("ring", "pipe"):
-            tr = ExecutorTrace()
-            ex = ProcessExecutor(workers=1, dispatch=dispatch, exec_tracer=tr)
-            try:
-                ex.run_batch(_push_batch(mesh, 0.01, (40, 50)))
-            finally:
-                ex.close()
-            spans = [s for s in tr.spans if s.phase == "dispatch"]
-            assert spans, dispatch
-            for s in spans:
-                assert s.args_dict()["cpu_s"] >= 0.0
+        tr = ExecutorTrace()
+        ex = ProcessExecutor(workers=1, exec_tracer=tr)
+        try:
+            ex.run_batch(_push_batch(mesh, 0.01, (40, 50)))
+        finally:
+            ex.close()
+        spans = [s for s in tr.spans if s.phase == "dispatch"]
+        assert spans
+        for s in spans:
+            assert s.args_dict()["cpu_s"] >= 0.0
 
 
 @pytest.mark.skipif(
@@ -396,7 +416,7 @@ def test_concurrent_prewarm_startup_is_flat():
     pool's startup (generous 2.5x bound for scheduler noise)."""
     t_one = t_four = None
     for workers in (1, 4):
-        ex = ProcessExecutor(workers=workers, dispatch="ring")
+        ex = ProcessExecutor(workers=workers)
         try:
             ex.ensure_ready()
             if workers == 1:

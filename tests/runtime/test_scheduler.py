@@ -442,3 +442,30 @@ class TestSchedulerConfig:
 
         with pytest.raises(TypeError, match="not a runtime operation"):
             run_spmd(1, prog)
+
+
+class TestDefaultedExecutor:
+    def test_clean_run_follows_rank_failure(self, monkeypatch):
+        """The error path's ``Scheduler.close()`` closes the process-wide
+        default executor; its pool must restart for the next run."""
+        import repro.runtime.executor as executor_module
+        from repro.core.spec import PICSpec
+        from repro.parallel import Mpi2dPIC
+        from repro.resilience import CrashFault, FaultPlan, ResilienceConfig
+        from repro.runtime.errors import RankFailedError
+
+        spec = PICSpec(cells=16, n_particles=400, steps=6)
+        pool = executor_module.make_executor("process", workers=2)
+        monkeypatch.setattr(executor_module, "_DEFAULT", pool)
+        crash = ResilienceConfig(
+            plan=FaultPlan(faults=(CrashFault(rank=1, step=3, retries=1),))
+        )
+        try:
+            with pytest.raises(RankFailedError):
+                Mpi2dPIC(spec, 4, resilience=crash).run()
+            assert pool._procs == []
+            before = pool.stats()["batches"]
+            assert Mpi2dPIC(spec, 4).run().verification.ok
+            assert pool.stats()["batches"] > before  # ran on the same pool
+        finally:
+            pool.close()

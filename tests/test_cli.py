@@ -340,26 +340,46 @@ class TestRunSpecCLI:
         assert doc["executor"]["kernel_backend"] == resolve_backend("auto")
         assert doc["executor"]["kernel_backend"] != "auto"
 
-    def test_dry_run_explicit_backend_and_dispatch_pass_through(self, capsys):
+    def test_dry_run_explicit_backend_passes_through(self, capsys):
         rc = main([
-            "run", *self.ARGS, "--kernel-backend", "python",
-            "--dispatch", "pipe", "--dry-run",
+            "run", *self.ARGS, "--kernel-backend", "python", "--dry-run",
         ])
         out = capsys.readouterr().out
         assert rc == 0
         doc = json.loads(out[: out.rindex("spec hash:")])
         assert doc["executor"]["kernel_backend"] == "python"
-        assert doc["executor"]["dispatch"] == "pipe"
+        assert "dispatch" not in doc["executor"]  # removed knob, never emitted
         assert doc["executor"]["ring_slots"] >= 1  # default filled in
 
-    def test_dry_run_hash_excludes_backend_and_dispatch(self, capsys):
-        """Backend/dispatch can never change what a run computes, so the
-        printed identity hash must not move with them."""
+    @pytest.mark.parametrize("argv", [
+        ["run", *ARGS, "--dispatch", "pipe"],
+        ["run", *ARGS, "--dispatch", "ring"],
+        ["campaign", "decl.json", "--jobs", "2", "--runner", "pool"],
+    ])
+    def test_removed_flags_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        capsys.readouterr()
+
+    def test_dry_run_hash_excludes_backend_and_dispatch(self, tmp_path, capsys):
+        """Backend can never change what a run computes, and a spec file
+        still carrying the removed ``executor.dispatch`` key loads, so the
+        printed identity hash must not move with either."""
+        spec = self._write_spec(tmp_path, capsys)
+        doc = json.loads(open(spec).read())
+        doc["executor"]["dispatch"] = "pipe"
+        with open(spec, "w") as fh:
+            json.dump(doc, fh)
         hashes = set()
-        for extra in ((), ("--kernel-backend", "python", "--dispatch", "pipe")):
-            rc = main(["run", *self.ARGS, *extra, "--dry-run"])
+        for argv in (
+            ["run", *self.ARGS, "--dry-run"],
+            ["run", "--spec", spec, "--kernel-backend", "python", "--dry-run"],
+        ):
+            rc = main(argv)
             out = capsys.readouterr().out
             assert rc == 0
+            assert '"dispatch"' not in out
             hashes.add(out[out.rindex("spec hash:"):].split()[-1])
         assert len(hashes) == 1
 
