@@ -1,24 +1,25 @@
 #!/usr/bin/env python
-"""Wall-clock speedup harness: optimised hot path vs the code it replaced.
+"""Host-dependent wall-clock gates: the one front door to repro.bench.perf.
 
 Unlike the figure benches (scientific output = *simulated* time) and the
-pytest-benchmark micros, this script measures the harness's own wall-clock
-throughput and writes a machine-normalised ``BENCH_wallclock.json``: every
-entry reports the speedup of the current hot path over the verbatim legacy
-implementation run back-to-back in the same process, so results are
-comparable across machines on ratios even though absolute ``pushes_per_sec``
-are not.
+layered benchmark (``BENCHMARK.json``: every other wall-clock number,
+compared between commits), this script runs the four gates that need a
+particular host to witness — ``workers``, ``kernel_backend``,
+``kernel_backend_parallel``, ``campaign`` — and writes a
+``BENCH_wallclock.json`` whose entries are self-normalised ratios of two
+current code paths run back-to-back on this machine.  A gate this host
+cannot witness (too few cores, no numba) is recorded as a skipped entry
+with no numbers in it.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_wallclock.py                  # full, gated
-    PYTHONPATH=src python benchmarks/bench_wallclock.py --preset smoke \
-        --baseline benchmarks/BENCH_wallclock_baseline.json              # CI mode
+    PYTHONPATH=src python benchmarks/bench_wallclock.py --out BENCH_wallclock.json
+    PYTHONPATH=src python benchmarks/bench_wallclock.py --only campaign
+    PYTHONPATH=src python benchmarks/bench_wallclock.py \
+        --require-live workers --require-live campaign          # CI mode
 
-Exit status is non-zero if an absolute gate fails (``full`` preset) or the
-speedup ratios regressed more than ``--tolerance`` against ``--baseline``.
-
-(Equivalently: ``python -m repro.cli perf ...``.)
+Exit status is non-zero if a live entry misses its gate, an audit is
+false, or a ``--require-live`` kind was skipped.
 """
 
 from __future__ import annotations
@@ -34,28 +35,22 @@ from repro.bench import perf  # noqa: E402
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--preset", choices=["full", "smoke"], default="full")
-    ap.add_argument("--out", default="benchmarks/BENCH_wallclock.json")
-    ap.add_argument(
-        "--baseline", default=None,
-        help="prior BENCH_wallclock.json to gate speedup ratios against",
-    )
-    ap.add_argument("--tolerance", type=float, default=perf.DEFAULT_TOLERANCE)
+    ap.add_argument("--out", default="BENCH_wallclock.json")
     ap.add_argument(
         "--require-live", metavar="KIND", action="append", default=[],
-        help="fail if any entry of this kind recorded gate_skipped instead "
-        "of running its gate (e.g. --require-live workers on a CI runner "
+        choices=list(perf.DRIVERS),
+        help="fail if the entry of this kind was skipped instead of "
+        "running its gate (e.g. --require-live workers on a CI runner "
         "that is known to have >= 4 cores); repeatable",
     )
     ap.add_argument(
-        "--only", metavar="KIND", default=None,
-        help="run only entries of this kind (e.g. --only campaign for the "
-        "CI campaign-throughput leg)",
+        "--only", metavar="KIND", default=None, choices=list(perf.DRIVERS),
+        help="run only the driver of this kind (e.g. --only campaign)",
     )
     args = ap.parse_args(argv)
 
-    print(f"wall-clock perf suite (preset={args.preset}):")
-    doc = perf.run_suite(args.preset, only=args.only)
+    print("wall-clock host gates:")
+    doc = perf.run_suite(only=args.only)
     perf.save_bench(doc, args.out)
     print(f"wrote {args.out}")
 
@@ -67,10 +62,6 @@ def main(argv=None) -> int:
                     f"{e['name']}: gate skipped ({e['gate_skipped']}) but "
                     f"--require-live {kind} demands it runs on this host"
                 )
-    if args.baseline:
-        failures += perf.check_regression(
-            doc, perf.load_bench(args.baseline), args.tolerance
-        )
     for f in failures:
         print(f"FAIL: {f}", file=sys.stderr)
     if not failures:

@@ -314,7 +314,6 @@ def _executor_key(rs: RunSpec) -> tuple:
     from repro.config.env import (
         resolve_executor,
         resolve_kernel_backend,
-        resolve_ring_slots,
         resolve_workers,
     )
 
@@ -322,7 +321,6 @@ def _executor_key(rs: RunSpec) -> tuple:
         resolve_executor(None, rs.executor.kind),
         resolve_workers(None, rs.executor.workers),
         resolve_kernel_backend(None, rs.executor.kernel_backend),
-        resolve_ring_slots(None, rs.executor.ring_slots),
     )
 
 
@@ -635,103 +633,3 @@ class CampaignPointError(RuntimeError):
             f"campaign point {point_index} failed in its fabric worker:\n"
             f"{worker_traceback}"
         )
-
-
-# ----------------------------------------------------------------------
-# In-process engines runner (no workers at all)
-# ----------------------------------------------------------------------
-def run_engines(
-    tasks: list[tuple[int, RunSpec]],
-    *,
-    order_seed: int | None = None,
-    policy: str = "fair",
-    slice_ticks: int = 64,
-    on_done: Callable[[int, dict, float], None] | None = None,
-) -> dict[int, tuple[dict, float]]:
-    """Run ``(index, spec)`` points in-process through one EngineGroup.
-
-    The daemon-shaped counterpart of :func:`run_fabric`: instead of
-    spawning worker processes, every parallel point becomes a
-    :class:`~repro.runtime.engine.SimEngine` and a single cooperative
-    :class:`~repro.runtime.multiplex.EngineGroup` time-slices them in
-    this process, sharing **one** executor pool (resolved from the
-    environment, like ``default_executor``; per-point executor sections
-    are identity-neutral, so sharing cannot change an artifact byte).
-    Batches are tagged per engine, so the pool's ``tag_stats`` shows the
-    per-point attribution.  Serial points have no engine to build and run
-    inline first.
-
-    ``order_seed`` shuffles the fair policy's per-round visit order —
-    interleaving order is provably outcome-neutral (virtual time is
-    charged at dispatch), which the CI ``multirun-smoke`` job pins by
-    diffing artifact bytes across two seeds and a serial baseline.
-
-    No work meter is ever attached to the shared pool: measured-rate
-    scaling would mix wall-clock observations across engines and perturb
-    simulated time.  Returns ``{point_index: (result_doc, wall_s)}``;
-    ``wall_s`` is the group's total drive time (points overlap, so
-    per-point wall time is not individually attributable).
-    """
-    from repro.config.build import (
-        build_impl,
-        execute_runspec,
-        parallel_result_doc,
-    )
-    from repro.config.env import (
-        resolve_executor,
-        resolve_kernel_backend,
-        resolve_workers,
-    )
-    from repro.runtime.executor import make_executor
-    from repro.runtime.multiplex import EngineGroup
-
-    results: dict[int, tuple[dict, float]] = {}
-    serial = [(i, rs) for i, rs in tasks if rs.impl.name == "serial"]
-    parallel = [(i, rs) for i, rs in tasks if rs.impl.name != "serial"]
-
-    for i, rs in serial:
-        t0 = time.perf_counter()
-        doc = execute_runspec(rs)
-        wall = time.perf_counter() - t0
-        results[i] = (doc, wall)
-        if on_done is not None:
-            on_done(i, doc, wall)
-
-    if not parallel:
-        return results
-
-    shared = make_executor(
-        resolve_executor(),
-        workers=resolve_workers(),
-        kernel_backend=resolve_kernel_backend(),
-    )
-    group = EngineGroup(
-        policy=policy,
-        slice_ticks=slice_ticks,
-        order_seed=order_seed,
-        executor=shared,
-    )
-    of_tag: dict[str, tuple[int, RunSpec]] = {}
-    t0 = time.perf_counter()
-    try:
-        for i, rs in parallel:
-            tag = f"p{i}"
-            impl = build_impl(rs, executor=group.handle(tag))
-            group.add(tag, impl.build_engine(engine_id=tag))
-            of_tag[tag] = (i, rs)
-        finished = group.run_all()
-        wall = time.perf_counter() - t0
-        for tag, result in finished.items():
-            i, rs = of_tag[tag]
-            if not result.verification.ok:
-                raise RuntimeError(
-                    f"verification failed for {rs.describe()}: "
-                    f"{result.verification}"
-                )
-            doc = parallel_result_doc(result)
-            results[i] = (doc, wall)
-            if on_done is not None:
-                on_done(i, doc, wall)
-    finally:
-        group.close()
-    return results

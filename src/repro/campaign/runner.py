@@ -165,7 +165,6 @@ def run_campaign(
     progress: Callable[[str], None] | None = None,
     runner: str = "fabric",
     fabric: "FabricConfig | None" = None,
-    order_seed: int | None = None,
 ) -> CampaignResult:
     """Run every (selected) point of ``campaign``, cache-aware.
 
@@ -174,18 +173,14 @@ def run_campaign(
     ``select`` filters points by their labels (e.g. to drop the 3072-core
     fig7 point unless ``REPRO_FULL`` is set).  ``progress`` receives one
     human-readable line per point.  With ``jobs > 1`` uncached points run
-    over the work-stealing ``"fabric"`` (the default ``runner``);
-    ``fabric`` overrides the fabric's knobs.
-    ``runner="engines"`` instead interleaves every uncached point through
-    one in-process :class:`~repro.runtime.multiplex.EngineGroup` sharing
-    a single executor pool (no worker processes; ``jobs`` is ignored);
-    ``order_seed`` shuffles its per-round slice order — artifact bytes
-    are interleaving-invariant.
+    over the work-stealing fabric; ``fabric`` overrides the fabric's
+    knobs.  ``runner`` has one value left, ``"fabric"``; the keyword stays
+    because the layered benchmark's ``sweep_cold`` workload passes it.
     """
     from repro.campaign.fabric import CacheIndex, FabricConfig
     from repro.config.build import canonical_runspec
 
-    if runner not in ("fabric", "engines"):
+    if runner != "fabric":
         raise ValueError(f"unknown campaign runner {runner!r}")
 
     points = campaign.expand()
@@ -232,12 +227,7 @@ def run_campaign(
 
     fabric_doc = None
     if to_run:
-        if runner == "engines":
-            _run_engines(
-                campaign, to_run, canon, hashes, outcomes, cache_dir,
-                progress, index, order_seed,
-            )
-        elif jobs > 1:
+        if jobs > 1:
             cfg = fabric or FabricConfig(jobs=jobs)
             if cfg.jobs != jobs:
                 cfg = replace(cfg, jobs=jobs)
@@ -318,40 +308,6 @@ def _run_fabric(
         manifest_flush=manifest_flush,
     )
     return stats.to_doc()
-
-
-def _run_engines(
-    campaign, to_run, canon, hashes, outcomes, cache_dir, progress, index,
-    order_seed,
-):
-    """Interleave uncached representatives through one in-process group.
-
-    Artifacts are written as each engine finishes (expansion order —
-    ``EngineGroup.run_all`` reports in add order), with the same durable
-    per-file write the serial loop uses, so the bytes on disk are
-    indistinguishable from a serial ``run()`` sweep.
-    """
-    from repro.campaign.fabric import run_engines
-
-    by_index = {p.index: p for p in to_run}
-
-    def on_done(seq: int, result: dict, wall_s: float) -> None:
-        p = by_index[seq]
-        _write_artifact(cache_dir, hashes[seq], canon[seq], result)
-        if index is not None:
-            index.add(hashes[seq])
-        outcomes[seq] = PointOutcome(
-            index=seq, labels=p.labels, spec_hash=hashes[seq],
-            result=result, cached=False, wall_s=wall_s,
-        )
-        if progress:
-            progress(_line(campaign.name, p, result, cached=False))
-
-    run_engines(
-        [(p.index, p.spec) for p in to_run],
-        order_seed=order_seed,
-        on_done=on_done,
-    )
 
 
 def _line(name: str, point: CampaignPoint, result: dict, *, cached: bool) -> str:

@@ -10,7 +10,7 @@ Subcommands::
     pic-prk trace   --impl ampi --cores 16 --out traces/          # + trace.json etc.
     pic-prk figures fig5 fig6l fig6r fig7                         # regenerate figures
     pic-prk campaign benchmarks/campaigns/fig6l.json              # cached sweep
-    pic-prk perf    --preset smoke                                # wall-clock speedups
+    pic-prk multirun a.json b.json --policy fair                  # N engines, one process
     pic-prk run     --impl ampi --faults plan.json --checkpoint-every 25
     pic-prk resume  --from checkpoints/ckpt_step000050.ckpt       # continue a run
     pic-prk resilience --preset smoke                             # straggler bench
@@ -22,9 +22,9 @@ prints the fully-resolved spec plus its content hash without running.
 Executor backend and worker count resolve CLI > ``REPRO_EXECUTOR`` /
 ``REPRO_WORKERS`` > spec file > serial (see :mod:`repro.config.env`).
 
-``run`` and ``perf`` accept ``--profile``: the command runs under cProfile
-and the top 20 functions by cumulative time are printed afterwards — the
-quickest way to see where the harness's wall-clock time goes.
+``run`` accepts ``--profile``: the command runs under cProfile and the top
+20 functions by cumulative time are printed afterwards — the quickest way
+to see where the harness's wall-clock time goes.
 
 ``trace --out DIR`` additionally records fine-grained spans and metrics and
 writes ``trace.json`` (Chrome/Perfetto format — open at ui.perfetto.dev),
@@ -329,7 +329,6 @@ def _print_resolved(args: argparse.Namespace, rs: RunSpec) -> int:
     from repro.config.env import (
         resolve_executor,
         resolve_kernel_backend,
-        resolve_ring_slots,
         resolve_workers,
     )
     from repro.core.kernel_compiled import resolve_backend
@@ -349,7 +348,6 @@ def _print_resolved(args: argparse.Namespace, rs: RunSpec) -> int:
             kind=resolve_executor(_cli_value(args, "executor"), rs.executor.kind),
             workers=resolve_workers(_cli_value(args, "workers"), rs.executor.workers),
             kernel_backend=effective_backend,
-            ring_slots=resolve_ring_slots(None, rs.executor.ring_slots),
         )
     )
     print(resolved.to_json())
@@ -481,26 +479,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
             print(f"wrote {exec_path} (wall-clock worker spans)")
     print(result.verification)
     return 0 if result.verification.ok else 1
-
-
-def cmd_perf(args: argparse.Namespace) -> int:
-    from repro.bench import perf
-
-    print(f"wall-clock perf suite (preset={args.preset}):")
-    doc = _maybe_profile(args, lambda: perf.run_suite(args.preset))
-    if args.out:
-        perf.save_bench(doc, args.out)
-        print(f"wrote {args.out}")
-    failures = perf.check_gates(doc)
-    if args.baseline:
-        failures += perf.check_regression(
-            doc, perf.load_bench(args.baseline), args.tolerance
-        )
-    for f in failures:
-        print(f"FAIL: {f}", file=sys.stderr)
-    if not failures:
-        print("all gates passed")
-    return 1 if failures else 0
 
 
 def _impl_from_snapshot(snapshot, args: argparse.Namespace):
@@ -683,9 +661,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         force=args.force,
         progress=print,
-        runner=args.runner,
         fabric=fabric,
-        order_seed=args.order_seed,
     )
     summary = f"{len(res.outcomes)} points: {res.executed} executed, " \
         f"{res.cached} cached"
@@ -844,30 +820,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_trace)
 
     p = sub.add_parser(
-        "perf",
-        help="measure wall-clock speedups of the hot path vs its legacy "
-        "implementation and write BENCH_wallclock.json",
-    )
-    p.add_argument("--preset", choices=["full", "smoke"], default="full")
-    p.add_argument(
-        "--out", default="benchmarks/BENCH_wallclock.json", metavar="FILE",
-        help="output JSON (empty string to skip writing)",
-    )
-    p.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="prior BENCH_wallclock.json to gate speedup ratios against",
-    )
-    p.add_argument(
-        "--tolerance", type=float, default=0.25,
-        help="allowed relative speedup-ratio drop vs --baseline",
-    )
-    p.add_argument(
-        "--profile", action="store_true",
-        help="run under cProfile and print the top 20 by cumulative time",
-    )
-    p.set_defaults(fn=cmd_perf)
-
-    p = sub.add_parser(
         "resume",
         help="continue a checkpointed run bitwise-identically to the "
         "uninterrupted one",
@@ -965,21 +917,9 @@ def build_parser() -> argparse.ArgumentParser:
         "(the work-stealing fabric; see docs/campaigns.md)",
     )
     p.add_argument(
-        "--runner", choices=["fabric", "engines"], default="fabric",
-        help="parallel runner for --jobs > 1: the work-stealing fabric "
-        "(default); 'engines' instead interleaves all uncached points "
-        "through one in-process EngineGroup sharing a single executor pool",
-    )
-    p.add_argument(
-        "--order-seed", type=int, default=None, metavar="N",
-        help="shuffle the engines runner's per-round slice order "
-        "(artifact bytes are interleaving-invariant — CI runs two seeds "
-        "and diffs the cache)",
-    )
-    p.add_argument(
         "--io-batch", type=int, default=8, metavar="N",
         help="completed points buffered before artifacts + the streamed "
-        "manifest are flushed with one grouped fsync (fabric only)",
+        "manifest are flushed with one grouped fsync (--jobs > 1 only)",
     )
     p.add_argument(
         "--heartbeat-timeout", type=float, default=120.0, metavar="SECONDS",

@@ -19,7 +19,6 @@ from typing import Any
 from repro.config.env import (
     resolve_executor,
     resolve_kernel_backend,
-    resolve_ring_slots,
     resolve_workers,
 )
 from repro.config.runspec import ConfigError, RunSpec
@@ -113,10 +112,9 @@ def build_executor(rs: RunSpec, *, cli_kind=None, cli_workers=None,
     kernel_backend = resolve_kernel_backend(
         cli_kernel_backend, rs.executor.kernel_backend, environ=environ
     )
-    ring_slots = resolve_ring_slots(None, rs.executor.ring_slots, environ=environ)
     return make_executor(
         kind, workers=workers, exec_tracer=exec_tracer,
-        kernel_backend=kernel_backend, ring_slots=ring_slots,
+        kernel_backend=kernel_backend,
     )
 
 
@@ -239,9 +237,9 @@ def execute_runspec(rs: RunSpec, *, executor=None) -> dict:
 def parallel_result_doc(result) -> dict:
     """The deterministic result document of a finished parallel run.
 
-    Shared by :func:`execute_runspec` and the campaign engines runner
-    (:func:`repro.campaign.fabric.run_engines`) so every execution path
-    produces byte-identical artifacts for the same spec.
+    Shared by :func:`execute_runspec` and the layered benchmark's
+    ``EngineGroup`` workload so every execution path produces the same
+    document for the same spec.
     """
     return {
         "implementation": result.implementation,

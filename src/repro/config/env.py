@@ -1,5 +1,5 @@
 """The single home of ``REPRO_EXECUTOR`` / ``REPRO_WORKERS`` /
-``REPRO_KERNEL_BACKEND`` / ``REPRO_RING_SLOTS`` parsing.
+``REPRO_KERNEL_BACKEND`` parsing.
 
 Every consumer of the executor environment knobs — the CLI, the
 process-wide :func:`repro.runtime.executor.default_executor`, and the
@@ -26,7 +26,6 @@ from typing import Mapping
 ENV_EXECUTOR = "REPRO_EXECUTOR"
 ENV_WORKERS = "REPRO_WORKERS"
 ENV_KERNEL_BACKEND = "REPRO_KERNEL_BACKEND"
-ENV_RING_SLOTS = "REPRO_RING_SLOTS"
 
 #: ``serial`` and ``batched`` are two names for the one in-process executor.
 EXECUTOR_KINDS = ("serial", "batched", "process")
@@ -35,7 +34,6 @@ KERNEL_BACKEND_NAMES = ("python", "compiled", "compiled-parallel", "auto")
 DEFAULT_EXECUTOR = "serial"
 DEFAULT_WORKERS = 0
 DEFAULT_KERNEL_BACKEND = "auto"
-DEFAULT_RING_SLOTS = 64
 
 
 class EnvConfigError(ValueError):
@@ -85,23 +83,6 @@ def env_kernel_backend(environ: Mapping[str, str] | None = None) -> str | None:
             f"choose from {', '.join(KERNEL_BACKEND_NAMES)}"
         )
     return raw
-
-
-def env_ring_slots(environ: Mapping[str, str] | None = None) -> int | None:
-    """``REPRO_RING_SLOTS`` as a positive int, or None if unset."""
-    environ = os.environ if environ is None else environ
-    raw = (environ.get(ENV_RING_SLOTS) or "").strip()
-    if not raw:
-        return None
-    try:
-        slots = int(raw)
-    except ValueError:
-        raise EnvConfigError(
-            f"{ENV_RING_SLOTS}={raw!r} is not an integer slot count"
-        ) from None
-    if slots < 1:
-        raise EnvConfigError(f"{ENV_RING_SLOTS} must be >= 1, got {slots}")
-    return slots
 
 
 def resolve_executor(
@@ -162,20 +143,3 @@ def resolve_workers(
         return spec
     return default
 
-
-def resolve_ring_slots(
-    cli: int | None = None,
-    spec: int | None = None,
-    *,
-    default: int = DEFAULT_RING_SLOTS,
-    environ: Mapping[str, str] | None = None,
-) -> int:
-    """Resolve the per-worker task-ring capacity, same precedence."""
-    if cli is not None:
-        return cli
-    from_env = env_ring_slots(environ)
-    if from_env is not None:
-        return from_env
-    if spec is not None:
-        return spec
-    return default

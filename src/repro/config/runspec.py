@@ -382,7 +382,6 @@ class ExecutorConfig:
     workers: int | None = None
     # python | compiled | compiled-parallel | auto | None = inherit
     kernel_backend: str | None = None
-    ring_slots: int | None = None  # per-worker task-ring capacity
 
     def __post_init__(self) -> None:
         if self.kind is not None and self.kind not in (
@@ -406,15 +405,12 @@ class ExecutorConfig:
                 "python/compiled/compiled-parallel/auto, "
                 f"got {self.kernel_backend!r}"
             )
-        if self.ring_slots is not None and self.ring_slots < 1:
-            raise ConfigError("executor.ring_slots must be >= 1")
 
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,
             "workers": self.workers,
             "kernel_backend": self.kernel_backend,
-            "ring_slots": self.ring_slots,
         }
 
     @classmethod
@@ -424,19 +420,25 @@ class ExecutorConfig:
             ("kind", "workers", "kernel_backend", "dispatch", "ring_slots"),
             where,
         )
-        # Read for compatibility, then dropped: checkpoints and specs
-        # written while the pool had two transports carry the key.
+        # Both read for compatibility, then dropped: checkpoints and specs
+        # written while the pool had two transports and a sizable ring
+        # carry the keys.
         if doc.get("dispatch") not in (None, "ring", "pipe"):
             raise ConfigError(
                 f"{where}.dispatch must be ring/pipe, got {doc['dispatch']!r}"
             )
-        workers = doc.get("workers")
         ring_slots = doc.get("ring_slots")
+        if ring_slots is not None and not (
+            isinstance(ring_slots, int) and ring_slots >= 1
+        ):
+            raise ConfigError(
+                f"{where}.ring_slots must be an int >= 1, got {ring_slots!r}"
+            )
+        workers = doc.get("workers")
         return cls(
             kind=doc.get("kind"),
             workers=None if workers is None else int(workers),
             kernel_backend=doc.get("kernel_backend"),
-            ring_slots=None if ring_slots is None else int(ring_slots),
         )
 
 

@@ -111,8 +111,8 @@ class PushTask:
         self.dt = dt
 
     def run(self, workspace: KernelWorkspace | None = None) -> None:
-        # Dynamic module-attribute call so perf-harness patches of
-        # ``kernel.advance`` (use_legacy_kernel) apply to dispatched tasks.
+        # Dynamic module-attribute call so the layered benchmark's tracer
+        # patch of ``kernel.advance`` applies to dispatched tasks.
         kernel.advance(self.mesh, self.particles, self.dt, workspace)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -640,6 +640,10 @@ def _map_ring(buf, slots: int):
     )
 
 
+#: Slots per worker task ring; a larger per-worker bin publishes in chunks.
+RING_SLOTS = 64
+
+
 class _TaskRing:
     """Parent-side handle on one worker's task ring."""
 
@@ -796,7 +800,7 @@ class _RingHandle(BatchHandle):
     """In-flight batch on a :class:`ProcessExecutor`.
 
     A batch whose per-worker bin exceeds the ring size is published in
-    chunks of up to ``ring_slots`` tasks; follow-on chunks go out from
+    chunks of up to ``RING_SLOTS`` tasks; follow-on chunks go out from
     :meth:`wait` as soon as the chunk in flight has fully drained (slots
     are only reused once their results were consumed).
     """
@@ -918,7 +922,6 @@ class ProcessExecutor(Executor):
         kernel_backend: str | None = None,
         backend_map=None,
         work_meter=None,
-        ring_slots: int | None = None,
     ) -> None:
         self.workers = int(workers) if workers else (os.cpu_count() or 1)
         if self.workers < 1:
@@ -926,16 +929,6 @@ class ProcessExecutor(Executor):
         self._init_kernel_backend(
             kernel_backend, backend_map, work_meter, exec_tracer
         )
-        if ring_slots is None:
-            # None means "not chosen anywhere upstream": fall back to the
-            # documented env/default chain so default_executor() and the
-            # resume path honor REPRO_RING_SLOTS.
-            from repro.config.env import resolve_ring_slots
-
-            ring_slots = resolve_ring_slots()
-        self.ring_slots = int(ring_slots)
-        if self.ring_slots < 1:
-            raise ValueError("ring_slots must be >= 1")
         self._ctx_name = mp_context or os.environ.get("REPRO_MP_CONTEXT", "spawn")
         self.arena = ShmArena()
         self._procs: list = []
@@ -983,7 +976,7 @@ class ProcessExecutor(Executor):
         ))
         for i in range(self.workers):
             parent_conn, child_conn = ctx.Pipe()
-            ring = _TaskRing(self.ring_slots)
+            ring = _TaskRing(RING_SLOTS)
             self._rings.append(ring)
             # The doorbell pipe is a Connection pair only so the read
             # end survives the spawn context (raw fd numbers do not);
@@ -993,7 +986,7 @@ class ProcessExecutor(Executor):
             proc = ctx.Process(
                 target=_worker_ring_main,
                 args=(
-                    child_conn, bell_r, ring.shm.name, self.ring_slots,
+                    child_conn, bell_r, ring.shm.name, RING_SLOTS,
                     warm_backends,
                 ),
                 name=f"repro-exec-{i}",
@@ -1154,7 +1147,7 @@ class ProcessExecutor(Executor):
 
     def _publish_chunk(self, w, work, bin_idxs, locs, start, *,
                        doorbell: bool = True) -> int:
-        """Publish up to ``ring_slots`` of worker ``w``'s bin from ``start``.
+        """Publish up to ``RING_SLOTS`` of worker ``w``'s bin from ``start``.
 
         Steady-state fast path: when the ring already holds this plan's
         full bin (``written_epoch`` matches and the bin fits in one
@@ -1288,7 +1281,7 @@ class ProcessExecutor(Executor):
             pool_startup_s=self.pool_startup_s,
             jit_warmup_s=self.jit_warmup_s,
             kernel_backend=self.kernel_backend,
-            ring_slots=self.ring_slots,
+            ring_slots=RING_SLOTS,
             plan_epoch=self.plan_epoch,
             plan_hits=self.plan_hits,
             plan_misses=self.plan_misses,
@@ -1349,15 +1342,12 @@ def make_executor(
     kernel_backend: str | None = None,
     backend_map=None,
     work_meter=None,
-    ring_slots: int | None = None,
 ) -> Executor:
     """Build a backend by name (the CLI's ``--executor`` values).
 
     ``kernel_backend`` is a request name (python/compiled/
     compiled-parallel/auto, None = python); it is resolved eagerly, so
     asking for a compiled backend without numba raises here, not mid-run.
-    ``ring_slots`` applies to the process pool only (None = resolve from
-    ``REPRO_RING_SLOTS``).
     """
     kw = dict(
         kernel_backend=kernel_backend,
@@ -1368,9 +1358,7 @@ def make_executor(
     if name in ("serial", "batched"):
         return InProcessExecutor(**kw)
     if name == "process":
-        return ProcessExecutor(
-            workers=workers, ring_slots=ring_slots, **kw
-        )
+        return ProcessExecutor(workers=workers, **kw)
     raise ValueError(f"unknown executor {name!r} (serial, batched, process)")
 
 

@@ -7,7 +7,10 @@ engine's virtual time is fully decoupled from wall-clock drive order
 (compute is charged at dispatch; see :mod:`repro.runtime.engine`), *any*
 interleaving order produces byte-identical per-engine results — the
 scheduling policy only shapes latency/fairness across engines, never a
-single simulated timestamp.
+single simulated timestamp.  That is also what the group is *for*: it is
+not a throughput device (N interleaved engines run at 0.85-0.99 of the
+rate of N sequential runs, ``multiplex.seq_ratio`` on the layered
+``multiplex_32`` workload); sweeps belong on the campaign fabric.
 
 Two policies:
 

@@ -205,59 +205,10 @@ class TestArtifacts:
 
 
 class TestEnginesRunner:
-    """The in-process EngineGroup campaign runner (``runner="engines"``)."""
-
-    def _read_artifacts(self, cache_dir):
-        return {
-            name: open(os.path.join(cache_dir, name), "rb").read()
-            for name in sorted(os.listdir(cache_dir))
-            if not name.endswith("manifest.json")
-        }
-
-    def test_interleaved_artifacts_match_serial_bytes(self, tmp_path):
-        """Serial run(), engines seed 1 and engines seed 2 must write
-        byte-identical artifacts — the multirun-smoke CI gate in test form."""
-        camp = CampaignSpec.from_dict(smoke_doc())
-        baseline = run_campaign(camp, cache_dir=str(tmp_path / "serial"))
-        blobs = self._read_artifacts(str(tmp_path / "serial"))
-        for seed in (1, 2):
-            res = run_campaign(
-                camp, cache_dir=str(tmp_path / f"eng{seed}"),
-                runner="engines", order_seed=seed,
-            )
-            assert res.executed == baseline.executed
-            assert self._read_artifacts(str(tmp_path / f"eng{seed}")) == blobs
-            assert [o.result for o in res.outcomes] == [
-                o.result for o in baseline.outcomes
-            ]
-
-    def test_second_engines_run_is_all_cache_hits(self, tmp_path):
-        camp = CampaignSpec.from_dict(smoke_doc())
-        cache = str(tmp_path / "cache")
-        first = run_campaign(camp, cache_dir=cache, runner="engines")
-        assert first.executed == 4 and first.cached == 0
-        second = run_campaign(camp, cache_dir=cache, runner="engines")
-        assert second.executed == 0 and second.cached == 4
-
-    def test_serial_points_run_inline(self, tmp_path):
-        """A campaign mixing serial and parallel points still completes:
-        serial points have no engine and run inline."""
-        doc = smoke_doc()
-        del doc["axes"]
-        doc["points"] = [
-            {"labels": {"impl": "serial"}, "set": {"impl.name": "serial"}},
-            {"labels": {"impl": "mpi-2d"}, "set": {"impl.name": "mpi-2d"}},
-        ]
-        camp = CampaignSpec.from_dict(doc)
-        a = run_campaign(camp, cache_dir=str(tmp_path / "a"))
-        b = run_campaign(camp, cache_dir=str(tmp_path / "b"), runner="engines")
-        assert [o.result for o in a.outcomes] == [o.result for o in b.outcomes]
-        assert self._read_artifacts(str(tmp_path / "a")) == self._read_artifacts(
-            str(tmp_path / "b")
-        )
+    """``runner="engines"`` is gone: ``"fabric"`` is the one value left."""
 
     def test_unknown_runner_rejected(self, tmp_path):
         camp = CampaignSpec.from_dict(smoke_doc())
-        for runner in ("threads", "pool"):
+        for runner in ("threads", "pool", "engines"):
             with pytest.raises(ValueError, match="unknown campaign runner"):
                 run_campaign(camp, cache_dir=str(tmp_path / "c"), runner=runner)

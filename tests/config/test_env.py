@@ -1,5 +1,4 @@
-"""Tests for REPRO_EXECUTOR / REPRO_WORKERS / REPRO_KERNEL_BACKEND /
-REPRO_RING_SLOTS parsing."""
+"""Tests for REPRO_EXECUTOR / REPRO_WORKERS / REPRO_KERNEL_BACKEND parsing."""
 
 import pytest
 
@@ -7,11 +6,9 @@ from repro.config.env import (
     EnvConfigError,
     env_executor,
     env_kernel_backend,
-    env_ring_slots,
     env_workers,
     resolve_executor,
     resolve_kernel_backend,
-    resolve_ring_slots,
     resolve_workers,
 )
 
@@ -111,32 +108,15 @@ class TestKernelBackendChain:
 
 
 class TestDispatchChain:
-    """REPRO_RING_SLOTS: validator + the same chain."""
-
-    def test_env_ring_slots_parsing(self):
-        assert env_ring_slots({}) is None
-        assert env_ring_slots({"REPRO_RING_SLOTS": ""}) is None
-        assert env_ring_slots({"REPRO_RING_SLOTS": "128"}) == 128
-        with pytest.raises(EnvConfigError, match="integer"):
-            env_ring_slots({"REPRO_RING_SLOTS": "lots"})
-        with pytest.raises(EnvConfigError, match=">= 1"):
-            env_ring_slots({"REPRO_RING_SLOTS": "0"})
-
-    def test_precedence_chain(self):
-        env = {"REPRO_RING_SLOTS": "32"}
-        assert resolve_ring_slots(16, 8, environ=env) == 16
-        assert resolve_ring_slots(None, 8, environ=env) == 32
-        assert resolve_ring_slots(None, 8, environ={}) == 8
-        assert resolve_ring_slots(environ={}) == 64
+    """The removed dispatch knobs: leftovers in the environment are unread."""
 
     def test_executor_construction_honours_env(self, monkeypatch):
-        from repro.runtime.executor import ProcessExecutor
+        from repro.runtime.executor import RING_SLOTS, ProcessExecutor
 
-        # A leftover REPRO_DISPATCH (a removed knob) is simply unread.
         monkeypatch.setenv("REPRO_DISPATCH", "carrier-pigeon")
-        monkeypatch.setenv("REPRO_RING_SLOTS", "7")
+        monkeypatch.setenv("REPRO_RING_SLOTS", "carrier-pigeon")
         ex = ProcessExecutor(workers=1)
-        assert ex.ring_slots == 7
+        assert ex.stats()["ring_slots"] == RING_SLOTS
         ex.close()
 
 

@@ -123,6 +123,24 @@ class TestRoundTrip:
         with pytest.raises(ConfigError, match="carrier-pigeon"):
             RunSpec.from_dict(doc)
 
+    @pytest.mark.parametrize("value", [None, 32])
+    def test_removed_executor_ring_slots_key_still_loads(self, value):
+        """Same for ``executor.ring_slots``, written while the ring was
+        sizable: read, validated, dropped."""
+        doc = small_spec().to_dict()
+        assert set(doc["executor"]) == {"kind", "workers", "kernel_backend"}
+        doc["executor"]["ring_slots"] = value
+        rs = RunSpec.from_dict(doc)
+        assert rs == small_spec()
+        assert rs.to_dict() == small_spec().to_dict()
+
+    @pytest.mark.parametrize("value", [0, -4, "lots", 2.5])
+    def test_removed_executor_ring_slots_key_still_validated(self, value):
+        doc = small_spec().to_dict()
+        doc["executor"]["ring_slots"] = value
+        with pytest.raises(ConfigError, match="executor.ring_slots"):
+            RunSpec.from_dict(doc)
+
 
 class TestIdentityHash:
     def test_executor_and_tracing_are_not_identity(self):

@@ -1,17 +1,15 @@
-"""Faithful copies of the pre-pooling hot-path code, kept as perf baselines.
+"""The seed's particle exchange, kept verbatim as a differential oracle.
 
-The wall-clock harness (:mod:`repro.bench.perf`) measures the optimised hot
-path *against the code it replaced*, in the same process and on the same
-machine, so the reported speedups are self-normalising.  The kernel side of
-the comparison lives next to the optimised code
-(:func:`repro.core.kernel.advance_reference`); this module preserves the
-particle-exchange side: the seed's ``exchange_particles`` pipeline, which
-allocated fresh select/pack/concatenate arrays for the full population on
-every routing hop.
+Test support for ``test_exchange_pooling.py``: the pooled, O(leavers)
+:func:`repro.parallel.base.exchange_particles` must deliver the same
+particles, simulated clocks, traffic and settlement rounds as this
+pipeline, which allocates fresh select/pack/concatenate arrays for the
+full population on every routing hop.
 
 These functions are verbatim ports of the seed implementation (commit
-"PR 1") modulo renames, and must stay behaviourally identical to it — they
-are the "before" in every BENCH_wallclock.json entry.  Do not optimise them.
+"PR 1") modulo renames, moved here unchanged from the former
+``repro.bench.legacy``, and must stay behaviourally identical to the
+seed.  Do not optimise them.
 """
 
 from __future__ import annotations
@@ -47,8 +45,8 @@ def exchange_particles_legacy(
 ):
     """The seed's particle router: fresh allocations on every hop.
 
-    Accepts (and ignores) ``scratch`` so it can be monkeypatched in place of
-    the optimised :func:`repro.parallel.base.exchange_particles`.
+    Accepts (and ignores) ``scratch`` so it can stand in for the optimised
+    :func:`repro.parallel.base.exchange_particles`.
     """
     my_px, my_py = cart.coords
     px, py = cart.px, cart.py

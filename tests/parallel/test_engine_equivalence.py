@@ -11,7 +11,7 @@ and checkpoint files:
 * checkpoint-pause/resume — ``SimEngine.pause()`` to the first scheduled
   cut, then a fresh process state resumed from that file;
 * EngineGroup-interleaved — all three implementations time-sliced in one
-  group over a *shared* executor pool, with a shuffled slice order.
+  group over a *shared* executor pool, under two shuffled slice orders.
 
 This is the non-negotiable invariant of the virtual-time engine core: the
 incremental drive API changes where control returns, never what is
@@ -41,6 +41,8 @@ PAUSE_FILE = "ckpt_step000004.ckpt"
 LATER_FILES = ("ckpt_step000008.ckpt", "ckpt_step000012.ckpt")
 CUT = EVERY
 TICK_BUDGET = 7  # deliberately awkward: never aligned with a step boundary
+#: EngineGroup drive modes -> the seed shuffling their per-round slice order.
+GROUP_ORDER_SEEDS = {"group": 3, "group-reseeded": 11}
 
 
 def _capturing(cls):
@@ -166,25 +168,28 @@ def matrix(request, tmp_path_factory):
             pause_bytes=pause_bytes,
         )
 
-    # --- all three implementations interleaved in one EngineGroup -------
-    shared = make_executor(kind, workers=workers)
-    group = EngineGroup(
-        policy="fair", slice_ticks=48, order_seed=3, executor=shared
-    )
-    staged = {}
-    try:
-        for key, cls, params in _IMPL_TRIPLES:
-            tracer = Tracer()
-            ckpt = str(root / f"group-{key}")
-            impl = _build(cls, params, ckpt, group.handle(key), tracer)
-            group.add(key, impl.build_engine(engine_id=key))
-            staged[key] = (impl, tracer, ckpt)
-        results = group.run_all()
-        for key, (impl, tracer, ckpt) in staged.items():
-            out[("group", key)] = _collect(impl, results[key], tracer, ckpt)
-        out["tag_stats"] = {k: dict(v) for k, v in shared.tag_stats.items()}
-    finally:
-        group.close()
+    # --- all three implementations interleaved in one EngineGroup, under
+    # --- two different shuffled slice orders ----------------------------
+    for mode, order_seed in GROUP_ORDER_SEEDS.items():
+        shared = make_executor(kind, workers=workers)
+        group = EngineGroup(
+            policy="fair", slice_ticks=48, order_seed=order_seed,
+            executor=shared,
+        )
+        staged = {}
+        try:
+            for key, cls, params in _IMPL_TRIPLES:
+                tracer = Tracer()
+                ckpt = str(root / f"{mode}-{key}")
+                impl = _build(cls, params, ckpt, group.handle(key), tracer)
+                group.add(key, impl.build_engine(engine_id=key))
+                staged[key] = (impl, tracer, ckpt)
+            results = group.run_all()
+            for key, (impl, tracer, ckpt) in staged.items():
+                out[(mode, key)] = _collect(impl, results[key], tracer, ckpt)
+            out["tag_stats"] = {k: dict(v) for k, v in shared.tag_stats.items()}
+        finally:
+            group.close()
     return out
 
 
@@ -206,7 +211,7 @@ def _assert_same_clocks_and_counters(ref, got):
     assert got.verification.n_particles == ref.verification.n_particles
 
 
-@pytest.mark.parametrize("mode", ["tick", "group"])
+@pytest.mark.parametrize("mode", ["tick", *GROUP_ORDER_SEEDS])
 @pytest.mark.parametrize("key,cls,params", IMPLS)
 class TestFullDriveModes:
     """tick()-stepped and group-interleaved agree with run() *in full*:

@@ -14,7 +14,7 @@ Five concerns:
   population (tracemalloc sees numpy buffers).
 
 * **Differential equivalence** — the pooled exchange and the verbatim seed
-  implementation (:mod:`repro.bench.legacy`) must deliver identical
+  implementation (``tests/parallel/legacy_exchange.py``) must deliver identical
   particles, including the int64 fields, for arbitrary migration patterns.
   In-rank order is implementation-defined (tail-fill compaction), so
   populations are compared sorted by pid.
@@ -40,7 +40,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bench.legacy import exchange_particles_legacy
 from repro.core.mesh import Mesh
 from repro.core.particles import ParticleArray
 from repro.decomp.partition import BlockPartition
@@ -50,6 +49,7 @@ from repro.parallel import AmpiPIC, Mpi2dLbPIC, Mpi2dPIC
 from repro.parallel.base import ExchangeScratch, _count_misplaced, exchange_particles
 from repro.runtime import run_spmd
 from repro.runtime.costmodel import CostModel
+from tests.parallel.legacy_exchange import exchange_particles_legacy
 
 _FIELDS = ("x", "y", "vx", "vy", "q", "pid", "x0", "y0", "kdisp", "mdisp", "birth")
 

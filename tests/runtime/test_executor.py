@@ -20,6 +20,7 @@ from repro.core.mesh import Mesh
 from repro.core.particles import ParticleArray
 from repro.runtime import ops
 from repro.runtime.executor import (
+    RING_SLOTS,
     InProcessExecutor,
     ProcessExecutor,
     PushTask,
@@ -350,14 +351,23 @@ class TestRingDispatch:
     def test_tiny_ring_publishes_in_chunks(self):
         """A bin larger than the ring drains through follow-on chunks."""
         mesh = Mesh(cells=8)
-        sizes = (30, 31, 32, 33, 34, 35, 36)
+        sizes = tuple(3 + i % 5 for i in range(2 * RING_SLOTS + 3))
         batch = _push_batch(mesh, 0.01, sizes)
-        ex = ProcessExecutor(workers=1, ring_slots=2)
+        ex = ProcessExecutor(workers=1)
+        chunks = []
+        publish = ex._publish_chunk
+
+        def counting(w, work, bin_idxs, locs, start, **kw):
+            chunks.append(start)
+            return publish(w, work, bin_idxs, locs, start, **kw)
+
+        ex._publish_chunk = counting
         try:
             for _ in range(2):  # second pass exercises chunked re-publish
                 ex.run_batch(batch)
         finally:
             ex.close()
+        assert chunks == [0, RING_SLOTS, 2 * RING_SLOTS] * 2
         oracles = _serial_oracle(mesh, 0.01, sizes)
         for p in oracles:
             advance(mesh, p, 0.01)
@@ -365,20 +375,21 @@ class TestRingDispatch:
             _assert_fields_equal(task.particles, oracle)
 
     def test_stats_report_dispatch_knobs(self):
-        ex = ProcessExecutor(workers=1, ring_slots=16)
+        ex = ProcessExecutor(workers=1)
         try:
             stats = ex.stats()
         finally:
             ex.close()
         assert "dispatch" not in stats
-        assert stats["ring_slots"] == 16
+        assert stats["ring_slots"] == RING_SLOTS == 64  # a view, not a knob
         assert {"plan_epoch", "plan_hits", "plan_misses"} <= set(stats)
 
     def test_invalid_dispatch_and_ring_slots_rejected(self):
-        with pytest.raises(TypeError, match="dispatch"):
-            ProcessExecutor(workers=1, dispatch="ring")
-        with pytest.raises(ValueError, match="ring_slots"):
-            ProcessExecutor(workers=1, ring_slots=0)
+        for removed in ("dispatch", "ring_slots"):
+            with pytest.raises(TypeError, match=removed):
+                ProcessExecutor(workers=1, **{removed: 2})
+            with pytest.raises(TypeError, match=removed):
+                make_executor("process", workers=1, **{removed: 2})
 
     def test_ensure_ready_is_idempotent(self):
         ex = ProcessExecutor(workers=1)

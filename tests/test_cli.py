@@ -348,13 +348,16 @@ class TestRunSpecCLI:
         assert rc == 0
         doc = json.loads(out[: out.rindex("spec hash:")])
         assert doc["executor"]["kernel_backend"] == "python"
-        assert "dispatch" not in doc["executor"]  # removed knob, never emitted
-        assert doc["executor"]["ring_slots"] >= 1  # default filled in
+        # removed knobs (dispatch, ring_slots) are never emitted
+        assert set(doc["executor"]) == {"kind", "workers", "kernel_backend"}
 
     @pytest.mark.parametrize("argv", [
         ["run", *ARGS, "--dispatch", "pipe"],
         ["run", *ARGS, "--dispatch", "ring"],
         ["campaign", "decl.json", "--jobs", "2", "--runner", "pool"],
+        ["campaign", "decl.json", "--runner", "engines"],
+        ["campaign", "decl.json", "--order-seed", "1"],
+        ["perf"],
     ])
     def test_removed_flags_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
