@@ -3,15 +3,27 @@
 These measure *real* wall time (unlike the figure benches, whose scientific
 output is simulated time): particle-push throughput, exchange packing, and
 scheduler op dispatch — the quantities that bound the harness's capacity.
+
+Run as a script (``PYTHONPATH=src python benchmarks/bench_kernel_micro.py``,
+no pytest-benchmark needed) it prints the python kernel's per-pass table:
+what each ufunc of one ``KERNEL_BLOCK`` costs and its share of the block,
+then the whole push against ``advance_reference``.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 import numpy as np
 import pytest
 
+from repro.bench.kernel_passes import (
+    best_seconds,
+    record_block_passes,
+    time_block_passes,
+)
 from repro.core.initialization import initialize
-from repro.core.kernel import advance
+from repro.core.kernel import KERNEL_BLOCK, advance, advance_reference
 from repro.core.mesh import Mesh
 from repro.core.spec import Distribution, PICSpec
 from repro.runtime import SUM, run_spmd
@@ -75,3 +87,41 @@ def test_allreduce_rate(benchmark):
 
     result = benchmark(run)
     assert result.returns[0] == 8
+
+
+def main() -> None:
+    """Per-pass table of one block, then the whole push, at h = dt = q = 1."""
+    spec = PICSpec(
+        cells=256, n_particles=16 * KERNEL_BLOCK, steps=1,
+        distribution=Distribution.UNIFORM,
+    )
+    mesh = Mesh(spec.cells)
+    particles = initialize(spec, mesh)
+    block = [
+        getattr(particles, f)[:KERNEL_BLOCK].copy() for f in ("x", "y", "vx", "vy", "q")
+    ]
+    passes = record_block_passes(mesh, *block, spec.dt)
+    by_ufunc = defaultdict(lambda: [0, 0.0])
+    for p, seconds in zip(passes, time_block_passes(passes)):
+        name = p.ufunc.__name__ + ("" if p.method == "__call__" else "." + p.method)
+        by_ufunc[name][0] += 1
+        by_ufunc[name][1] += seconds / KERNEL_BLOCK * 1e9
+    total = sum(ns for _, ns in by_ufunc.values())
+
+    print(f"python kernel, one block of {KERNEL_BLOCK} particles, h = dt = q = 1")
+    print(f"{'ufunc':<18}{'calls':>6}{'ns/particle':>13}{'per call':>10}{'share':>8}")
+    for name, (calls, ns) in sorted(by_ufunc.items(), key=lambda kv: -kv[1][1]):
+        print(f"{name:<18}{calls:>6}{ns:>13.2f}{ns / calls:>10.2f}{ns / total:>8.1%}")
+    print(f"{'all passes':<18}{len(passes):>6}{total:>13.2f}")
+
+    n = len(particles)
+    fused = best_seconds(lambda: advance(mesh, particles, spec.dt)) / n * 1e9
+    ref = best_seconds(lambda: advance_reference(mesh, particles, spec.dt)) / n * 1e9
+    print(f"whole push, {n} particles (passes replayed alone run cache-hot;")
+    print("the push adds dispatch and shares the cache between scratch rows):")
+    print(f"  advance           {fused:7.1f} ns/particle {1e3 / fused:6.1f} M pushes/s")
+    print(f"  advance_reference {ref:7.1f} ns/particle {ref / fused:6.2f}x advance")
+
+
+if __name__ == "__main__":
+    main()

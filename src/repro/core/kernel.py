@@ -25,14 +25,16 @@ Fused hot path
 :func:`advance` fuses the acceleration and the integrator around a reused
 scratch workspace (:class:`KernelWorkspace`): every intermediate lives in a
 preallocated buffer written with ``out=``, so a steady-state step performs
-zero temporary allocations.  The *sequence of elementwise floating-point
-operations is identical* to the readable reference implementation
-(:func:`advance_reference`): IEEE-754 arithmetic is deterministic per
-operation, so supplying ``out=`` buffers cannot change a single bit of the
-result, and in particular the pairwise accumulation that §III-D's
-axis-of-symmetry exactness argument relies on is preserved.  The test
-``tests/core/test_kernel_fused.py`` pins the two paths bitwise against each
-other.
+zero temporary allocations.  Every value is produced by the *same
+IEEE-754 operation on the same operands* as in the readable reference
+implementation (:func:`advance_reference`): arithmetic is deterministic per
+operation, so supplying ``out=`` buffers, computing a square once for the
+two corners that share it, skipping a multiplication by exactly 1.0 or
+taking the parity of an integer-valued double without ``fmod`` cannot
+change a single bit of the result, and in particular the pairwise
+accumulation that §III-D's axis-of-symmetry exactness argument relies on is
+preserved.  The test ``tests/core/test_kernel_fused.py`` pins the two paths
+bitwise against each other.
 """
 
 from __future__ import annotations
@@ -96,8 +98,10 @@ def compute_acceleration(
 
 #: Particles per cache block of the fused push.  The 14 scratch rows of one
 #: block occupy ``14 * 16384 * 8 B ≈ 1.8 MB`` — sized to stay resident in a
-#: per-core L2 cache, so the ~50 elementwise passes of a push read and write
-#: hot lines instead of streaming full-population temporaries through DRAM.
+#: per-core L2 cache, so the 64 ufunc calls of a push (62 elementwise passes
+#: and two ``any`` reductions at h = dt = q = 1; 9 more passes when none of
+#: them is 1) read and write hot lines instead of streaming full-population
+#: temporaries through DRAM.
 #: Chunking an elementwise computation does not change a single result bit.
 KERNEL_BLOCK = 16384
 
@@ -139,16 +143,32 @@ class KernelWorkspace:
 _WORKSPACE = KernelWorkspace()
 
 
-def _corner_force_into(dx, dy, qprod, r2, f, fx_out, fy_out) -> None:
+def _parity_into(cell, out) -> None:
+    """``out = np.mod(cell, 2.0)`` for integer-valued ``cell``, bit for bit.
+
+    ``np.mod`` on doubles is a scalar ``fmod`` loop, ~30x the cost of any
+    other pass of the push.  ``cell - 2*floor(cell/2)`` is exact instead:
+    halving and doubling only move the exponent, ``floor`` is exact, and
+    the difference of two integers at most 1 apart is representable — so it
+    is ``+0.0`` or ``1.0``, as ``np.mod`` is, for negative columns too.
+    """
+    np.multiply(cell, 0.5, out=out)
+    np.floor(out, out=out)
+    np.multiply(out, 2.0, out=out)
+    np.subtract(cell, out, out=out)
+
+
+def _corner_force_into(dx, dy, dx2, dy2, qprod, r2, f, fx_out, fy_out) -> None:
     """:func:`_corner_force` with every intermediate written into scratch.
 
     Performs the identical op sequence — ``r2 = dx*dx + dy*dy``,
     ``f = qprod / (r2 * sqrt(r2))``, ``fx = f*dx``, ``fy = f*dy`` — so the
-    results match the reference bitwise.
+    results match the reference bitwise.  The squares ``dx2, dy2`` come in
+    precomputed: each is shared by two corners, and a product of the same
+    operands is the same bits whoever computes it.  ``fx_out``/``fy_out``
+    may alias ``r2``/``f``, both dead by then.
     """
-    np.multiply(dx, dx, out=r2)
-    np.multiply(dy, dy, out=f)
-    np.add(r2, f, out=r2)
+    np.add(dx2, dy2, out=r2)
     np.sqrt(r2, out=f)
     np.multiply(r2, f, out=f)
     np.divide(qprod, f, out=f)
@@ -215,11 +235,17 @@ def advance_arrays(
 
 def _advance_block(mesh, x, y, vx, vy, q, dt, ws) -> None:
     """Fused push of one cache-sized block (mutates x/y/vx/vy in place)."""
-    cell, sgn, rx, ry, rxm, rym, ql, qr, axl, ayl, ax, ay, t0, t1 = ws.rows(
+    cell, sgn, rx, ry, rxm, rym, ql, qr, sy, sym, axl, ayl, t0, t1 = ws.rows(
         len(x)
     )
+    # Rows are reused once dead: cell/sgn hold two of the squares after the
+    # cell-relative positions and charges are formed, and the right column
+    # accumulates into rx/ql, which only the left column's corners read.
+    sxm, sx, ax, ay = cell, sgn, rx, ql
     h = mesh.h
-    exact_h = h == 1.0  # division/multiplication by 1.0 are bitwise no-ops
+    # Multiplying or dividing by 1.0 is a bitwise no-op, so the passes that
+    # scale by h, dt or the mesh charge are skipped at the PRK's canonical 1.0.
+    exact_h, unit_dt, unit_q = h == 1.0, dt == 1.0, mesh.q == 1.0
 
     # cx = floor(x / h); column parity decides the left-corner charge sign.
     if exact_h:
@@ -229,10 +255,11 @@ def _advance_block(mesh, x, y, vx, vy, q, dt, ws) -> None:
         np.floor(cell, out=cell)
     # q_left = where(cx odd, -q, +q) == (1 - 2*(cx mod 2)) * q: the parity
     # term is exactly 0.0 or 1.0, so the product is a bitwise sign flip.
-    np.mod(cell, 2.0, out=sgn)
+    _parity_into(cell, sgn)
     np.multiply(sgn, -2.0, out=sgn)
     np.add(sgn, 1.0, out=sgn)
-    np.multiply(sgn, mesh.q, out=sgn)
+    if not unit_q:
+        np.multiply(sgn, mesh.q, out=sgn)
     np.multiply(q, sgn, out=ql)
     np.negative(ql, out=qr)
     # rx = x - cx*h, ry = y - cy*h (cell-relative position).
@@ -248,40 +275,43 @@ def _advance_block(mesh, x, y, vx, vy, q, dt, ws) -> None:
     np.subtract(y, cell, out=ry)
     np.subtract(rx, h, out=rxm)
     np.subtract(ry, h, out=rym)
+    np.multiply(rx, rx, out=sx)
+    np.multiply(ry, ry, out=sy)
+    np.multiply(rxm, rxm, out=sxm)
+    np.multiply(rym, rym, out=sym)
 
     # Pairwise per-column accumulation (see the exactness note above):
     # (0,0)+(0,h) into (axl, ayl), then (h,0)+(h,h) into (ax, ay).
-    _corner_force_into(rx, ry, ql, t0, t1, axl, ayl)
-    _corner_force_into(rx, rym, ql, t0, t1, cell, sgn)
-    np.add(axl, cell, out=axl)
-    np.add(ayl, sgn, out=ayl)
-    _corner_force_into(rxm, ry, qr, t0, t1, ax, ay)
-    _corner_force_into(rxm, rym, qr, t0, t1, cell, sgn)
-    np.add(ax, cell, out=ax)
-    np.add(ay, sgn, out=ay)
+    _corner_force_into(rx, ry, sx, sy, ql, t0, t1, axl, ayl)
+    _corner_force_into(rx, rym, sx, sym, ql, t0, t1, t0, t1)
+    np.add(axl, t0, out=axl)
+    np.add(ayl, t1, out=ayl)
+    _corner_force_into(rxm, ry, sxm, sy, qr, t0, t1, ax, ay)
+    _corner_force_into(rxm, rym, sxm, sym, qr, t0, t1, t0, t1)
+    np.add(ax, t0, out=ax)
+    np.add(ay, t1, out=ay)
     np.add(axl, ax, out=ax)
     np.add(ayl, ay, out=ay)
 
-    # Integrator (Eqs. 1-2), same op order as the reference.
+    # Integrator (Eqs. 1-2), same per-element op order as the reference,
+    # then the periodic wrap.  ``np.mod(v, L)`` returns ``v`` bit-for-bit
+    # whenever ``0 <= v < L`` (fmod of a smaller magnitude is exact), so the
+    # costly mod pass is applied only to the few particles that left the
+    # domain.
     half_dt2 = 0.5 * dt * dt
-    np.multiply(vx, dt, out=t0)
-    np.multiply(ax, half_dt2, out=t1)
-    np.add(t0, t1, out=t0)
-    np.add(x, t0, out=x)
-    np.multiply(vy, dt, out=t0)
-    np.multiply(ay, half_dt2, out=t1)
-    np.add(t0, t1, out=t0)
-    np.add(y, t0, out=y)
-    np.multiply(ax, dt, out=t0)
-    np.add(vx, t0, out=vx)
-    np.multiply(ay, dt, out=t0)
-    np.add(vy, t0, out=vy)
-    # Periodic wrap.  ``np.mod(v, L)`` returns ``v`` bit-for-bit whenever
-    # ``0 <= v < L`` (fmod of a smaller magnitude is exact), so the costly
-    # mod pass is applied only to the few particles that left the domain.
     L = mesh.L
     esc, tmp = ws.bool_rows(len(x))
-    for pos in (x, y):
+    for pos, v, a in ((x, vx, ax), (y, vy, ay)):
+        np.multiply(a, half_dt2, out=t1)
+        if unit_dt:
+            np.add(v, t1, out=t0)
+            np.add(v, a, out=v)
+        else:
+            np.multiply(v, dt, out=t0)
+            np.add(t0, t1, out=t0)
+            np.multiply(a, dt, out=t1)
+            np.add(v, t1, out=v)
+        np.add(pos, t0, out=pos)
         np.less(pos, 0.0, out=esc)
         np.greater_equal(pos, L, out=tmp)
         np.logical_or(esc, tmp, out=esc)
@@ -292,9 +322,8 @@ def _advance_block(mesh, x, y, vx, vy, q, dt, ws) -> None:
 def advance_reference(mesh: Mesh, particles: ParticleArray, dt: float) -> None:
     """Readable reference push: the specification :func:`advance` must match.
 
-    Allocates ~15 temporaries per call; kept for the differential tests and
-    as the "before" side of the wall-clock perf harness
-    (:mod:`repro.bench.perf`).
+    Allocates ~15 temporaries per call; kept as the bitwise oracle of the
+    differential and backend-conformance tests, nothing else.
     """
     if len(particles) == 0:
         return

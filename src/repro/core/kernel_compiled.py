@@ -1,8 +1,8 @@
 """Compiled (numba) backend for the fused particle-push hot loop.
 
 :func:`repro.core.kernel.advance_arrays` is the repo's hottest code: a
-blocked numpy implementation that tops out around 15-16M pushes/sec per
-core because every step still pays ~50 ufunc dispatches per block.  This
+blocked numpy implementation that tops out around 25M pushes/sec per
+core because every step still pays 64 ufunc dispatches per block.  This
 module provides a drop-in compiled implementation of the same loop — one
 ``numba.njit`` function, ``cache=True`` so the JIT cost is paid once per
 machine, ``fastmath`` **off** so no algebraic rewrites are licensed — that

@@ -66,8 +66,15 @@ def expected_final_positions(
     s = (total_steps - particles.birth).astype(np.float64)
     if np.any(s < 0):
         raise ValueError("particle birth step exceeds total_steps")
-    xs = np.mod(particles.x0 + particles.kdisp * s * mesh.h, mesh.L)
-    ys = np.mod(particles.y0 + particles.mdisp * s * mesh.h, mesh.L)
+    xs = particles.x0 + particles.kdisp * s * mesh.h
+    ys = particles.y0 + particles.mdisp * s * mesh.h
+    # ``np.mod(v, L)`` is a scalar fmod loop and returns ``v`` bit for bit
+    # whenever ``0 <= v < L``, so only the rows outside the domain pay for it
+    # (``signbit`` rather than ``v < 0``: ``np.mod(-0.0, L)`` is ``+0.0``).
+    for v in (xs, ys):
+        outside = np.signbit(v) | (v >= mesh.L)
+        if outside.any():
+            v[outside] = np.mod(v[outside], mesh.L)
     return xs, ys
 
 

@@ -22,7 +22,7 @@ traces (``tests/parallel/test_executor_determinism.py``):
     advanced with one :func:`repro.core.kernel.advance_arrays` call per
     chunk.  The kernel is elementwise, so concatenation changes chunk
     boundaries but not a single result bit; what it does change is the
-    number of numpy ufunc dispatches — ~50 per *chunk* instead of ~50 per
+    number of numpy ufunc dispatches — 64 per *chunk* instead of 64 per
     *rank* — which is where many-small-rank configs (the strong-scaling
     and AMPI VP sweeps) spend their wall clock.
 
@@ -305,7 +305,7 @@ class InProcessExecutor(Executor):
     """Size-aware in-process backend: big tasks in place, small ones fused.
 
     A task with at least ``KERNEL_BLOCK // 2`` particles already amortises
-    the ~50 ufunc dispatches of a push and runs in place, in park order.
+    the 64 ufunc dispatches of a push and runs in place, in park order.
     Smaller tasks are grouped by ``(mesh, dt, backend)`` (in practice one
     group) and packed, in park order, into chunks of at most
     :data:`KERNEL_BLOCK` particles; each chunk's field arrays are staged

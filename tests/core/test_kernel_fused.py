@@ -2,14 +2,18 @@
 
 ``kernel.advance`` is the fused, workspace-backed, cache-blocked hot path;
 ``kernel.advance_reference`` is the seed's textbook implementation, kept as
-the perf baseline.  The optimisation's whole claim is that they are
+the bitwise oracle.  The optimisation's whole claim is that they are
 *bit-for-bit* interchangeable — the §III-D axis-of-symmetry verification
 depends on exact IEEE-754 reproducibility, not approximate agreement — so
 every comparison here is on ``tobytes()``, never ``allclose``.
 
 Covered regimes:
 
-* ``h == 1.0`` (the divide-free fast path) and ``h != 1.0``;
+* ``h == 1.0`` (the divide-free fast path) and ``h != 1.0``, crossed with
+  ``dt == 1.0`` and mesh charge ``q == 1.0`` (the skipped identity
+  multiplies) and their general-value counterparts;
+* columns the fmod-free parity must get right: negative, ``-0.0`` and the
+  ``x == L`` rounding edge where ``cell == cells``;
 * populations below, at, straddling and spanning several ``KERNEL_BLOCK``
   chunks (the blocked loop must not perturb results at chunk seams);
 * velocities large enough that particles cross the periodic boundary every
@@ -21,6 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import kernel
 from repro.core.mesh import Mesh
@@ -58,6 +64,48 @@ def test_fused_matches_reference_bitwise(h, v_scale, n):
         kernel.advance(mesh, fused, 0.05)
         kernel.advance_reference(mesh, ref, 0.05)
         assert_bitwise_equal(fused, ref, f"(h={h}, n={n}, step={step})")
+
+
+@pytest.mark.parametrize("h", [1.0, 0.73])
+@pytest.mark.parametrize("mesh_q", [1.0, 2.5])
+@pytest.mark.parametrize("dt", [1.0, 0.05])
+def test_identity_fast_paths_and_edge_columns_match_reference(dt, mesh_q, h):
+    """Every combination of the skipped-identity branches, over a population
+    that straddles a block seam and re-enters the edge columns each step."""
+    mesh = Mesh(cells=32, h=h, q=mesh_q)
+    fused = make_particles(B + 1, mesh, v_scale=1.0)
+    ref = make_particles(B + 1, mesh, v_scale=1.0)
+    # x == L is what the wrap's rounding can hand the next step (cell ==
+    # cells); negative and -0.0 columns never reach the kernel from a driver
+    # but the parity must agree with the reference's ``& 1`` there too.
+    edge_x = np.array(
+        [mesh.L, -0.0, 0.0, -0.5 * h, -1.5 * h, -2.0 * h, -3.25 * h, -33.0 * h]
+    )
+    k = len(edge_x)
+    for step in range(4):
+        for p in (fused, ref):
+            p.x[:k] = edge_x
+            p.y[:k] = 2.5 * h  # mid-cell: never on a mesh node (r2 > 0)
+        kernel.advance(mesh, fused, dt)
+        kernel.advance_reference(mesh, ref, dt)
+        assert_bitwise_equal(
+            fused, ref, f"(dt={dt}, q={mesh_q}, h={h}, step={step})"
+        )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.integers(-(2**52), 2**52).map(float), st.just(-0.0)),
+        min_size=1,
+        max_size=64,
+    )
+)
+def test_parity_matches_np_mod_bytewise(columns):
+    cell = np.array(columns, dtype=np.float64)
+    got = np.empty_like(cell)
+    kernel._parity_into(cell, got)
+    assert got.tobytes() == np.mod(cell, 2.0).tobytes()
 
 
 def test_workspace_reuse_across_sizes():

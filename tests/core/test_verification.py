@@ -33,6 +33,22 @@ class TestExpectedPositions:
         xs, _ = vf.expected_final_positions(mesh, p, 9)
         assert xs[0] == pytest.approx((0.5 + 9) % 4.0)
 
+    def test_selective_wrap_equals_full_mod_bitwise(self):
+        """Only rows outside [0, L) go through fmod; the closed form must
+        still be ``np.mod`` of every row, bit for bit — both directions of
+        travel, several laps, the exact ``L`` edge and ``-0.0``."""
+        mesh = Mesh(8, h=0.5)
+        cols = np.arange(8)
+        p = place_particles(mesh, cols, cols[::-1].copy(),
+                            dt=1.0, k=1, m_vertical=2, start_id=1)
+        p.kdisp[::2] *= -1
+        p.x0[0], p.birth[0] = -0.0, 8  # -0.0 + (-3 * 0.0) stays -0.0 unwrapped
+        p.x0[1], p.kdisp[1] = 0.0, 1  # lands exactly on L after 8 steps
+        xs, ys = vf.expected_final_positions(mesh, p, 8)
+        s = 8.0 - p.birth
+        assert xs.tobytes() == np.mod(p.x0 + p.kdisp * s * mesh.h, mesh.L).tobytes()
+        assert ys.tobytes() == np.mod(p.y0 + p.mdisp * s * mesh.h, mesh.L).tobytes()
+
     def test_birth_reduces_participation(self):
         mesh = Mesh(8)
         p = place_particles(mesh, np.array([0]), np.array([0]),
