@@ -18,12 +18,13 @@ module is a small fabric that avoids all three:
 
 * **Pull-based scheduling, longest-expected-first.**  The parent holds
   one pending deque sorted by the cost model's predicted seconds per
-  point (:func:`repro.runtime.costmodel.predicted_point_seconds` over
-  predicted pushes, scaled by the nominal rate of each point's kernel
-  backend) and feeds a worker its next point the moment the previous one
-  completes — dynamic pull scheduling in the sense of Smilei's task
-  over-decomposition (arXiv:2204.12837), with the LPT ordering Rowan et
-  al. (arXiv:2104.11385) motivate from measured/modelled work rates.  The
+  point (:func:`repro.runtime.costmodel.predicted_point_seconds`: pushes
+  at the point's nominal backend rate plus a cost per rank-step, which
+  separates the equal-push points of a strong-scaling sweep) and feeds a
+  worker its next point the moment the previous one completes — dynamic
+  pull scheduling in the sense of Smilei's task over-decomposition
+  (arXiv:2204.12837), with the LPT ordering Rowan et al.
+  (arXiv:2104.11385) motivate from measured/modelled work rates.  The
   slowest points start first, so the tail is filled by cheap points
   instead of being serialized behind an expensive one.
 
@@ -285,9 +286,10 @@ def _fsync_dir(path: str) -> None:
 def schedule_order(tasks: list[tuple[int, RunSpec]]) -> list[int]:
     """Longest-expected-first order of ``(index, spec)`` tasks.
 
-    Returns the indices sorted by descending predicted seconds (nominal
-    backend rate over predicted pushes), ties broken by expansion index
-    so the order is deterministic.
+    Returns the indices sorted by descending predicted seconds (pushes at
+    the nominal backend rate plus the rank-step term), ties broken by
+    expansion index.  Ranks are ``cores * overdecomposition``: pass
+    canonical specs, or a sparse ampi spec counts as d = 1.
     """
     from repro.core.kernel_compiled import resolve_backend
 
@@ -300,7 +302,10 @@ def schedule_order(tasks: list[tuple[int, RunSpec]]) -> list[int]:
             backend = resolve_backend(rs.executor.kernel_backend)
         except Exception:
             backend = "python"  # let execution raise the real error
-        return predicted_point_seconds(pushes, backend)
+        return predicted_point_seconds(
+            pushes, backend, steps=rs.workload.steps,
+            n_ranks=rs.impl.cores * (rs.impl.overdecomposition or 1),
+        )
 
     ranked = sorted(tasks, key=lambda item: (-predicted(item), item[0]))
     return [index for index, _ in ranked]
@@ -473,7 +478,7 @@ def run_fabric(
     jobs = min(config.jobs, len(tasks)) or 1
     hb = ctx.Array("d", jobs)
 
-    order = schedule_order([(i, rs) for i, rs, _ in tasks])
+    order = schedule_order([(i, canon[i]) for i, _, _ in tasks])
     by_index = {i: (rs, doc) for i, rs, doc in tasks}
     pending: deque[int] = deque(order)
     attempts: dict[int, int] = {}

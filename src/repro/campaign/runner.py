@@ -36,6 +36,7 @@ heartbeat + requeue.  The serial ``jobs=1`` loop is its bitwise oracle.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -45,6 +46,7 @@ from repro.campaign.spec import CampaignPoint, CampaignSpec
 from repro.config.runspec import RunSpec, canonical_json
 
 ARTIFACT_SCHEMA = 1
+_quote = json.encoder.encode_basestring_ascii  # the C string encoder
 
 
 @dataclass
@@ -89,8 +91,12 @@ class CampaignResult:
 # ----------------------------------------------------------------------
 # Cache artifacts
 # ----------------------------------------------------------------------
+def artifact_name(spec_hash: str) -> str:
+    return f"{spec_hash}.json"
+
+
 def artifact_path(cache_dir: str, spec_hash: str) -> str:
-    return os.path.join(cache_dir, f"{spec_hash}.json")
+    return os.path.join(cache_dir, artifact_name(spec_hash))
 
 
 def _write_artifact(
@@ -133,9 +139,9 @@ def _read_artifact(cache_dir: str, spec_hash: str) -> dict | None:
     """The cached result for ``spec_hash``, or None (corrupt = miss)."""
     path = artifact_path(cache_dir, spec_hash)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError):
+        with open(path, "rb") as fh:
+            doc = json.loads(fh.read())
+    except (OSError, ValueError):  # unreadable, not UTF-8, not JSON
         return None
     if doc.get("schema") != ARTIFACT_SCHEMA or doc.get("spec_hash") != spec_hash:
         return None
@@ -343,7 +349,7 @@ def _write_manifest(
                 "spec_hash": o.spec_hash,
                 "cached": o.cached,
                 "wall_s": round(o.wall_s, 6),
-                "artifact": os.path.basename(artifact_path(cache_dir, o.spec_hash)),
+                "artifact": artifact_name(o.spec_hash),
                 **(
                     {"duplicate_of": o.duplicate_of}
                     if o.duplicate_of is not None
@@ -362,7 +368,27 @@ def _write_manifest(
     path = os.path.join(cache_dir, f"{campaign.name}.manifest.json")
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_pretty(doc) + "\n")
     os.replace(tmp, path)
     return path
+
+
+def _pretty(value: Any, pad: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` as nested at ``pad``: one
+    join per container over C-encoded leaves instead of the generator chain
+    an ``indent`` forces on the library; odd shapes still go to the library."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int or kind is float and math.isfinite(value):
+        return kind.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    sub = pad + "  "
+    if kind is dict and value and all(type(k) is str for k in value):
+        rows = (f"{sub}{_quote(k)}: {_pretty(value[k], sub)}" for k in sorted(value))
+        return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
+    if kind is list and value:
+        rows = ",\n".join(sub + _pretty(v, sub) for v in value)
+        return f"[\n{rows}\n{pad}]"
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)

@@ -28,8 +28,10 @@ cores-dependent particle counts).  ``axes`` and ``points`` are mutually
 exclusive.
 
 Expansion applies each point's overrides to ``base`` and validates the
-result through :meth:`RunSpec.from_dict`, so a typo'd path fails the
-whole campaign at expansion time — before anything runs.
+result as :meth:`RunSpec.from_dict` would, so a typo'd path fails the whole
+campaign at expansion time — before anything runs.  ``base`` is validated
+once; a point re-validates the sections its overrides touch, or the whole
+document if ``base`` is not valid by itself (``impl.name`` set by an axis).
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from repro.config.runspec import ConfigError, RunSpec, apply_overrides
+from repro.config.runspec import SECTION_PARSERS, ConfigError, RunSpec, apply_overrides
 
 
 @dataclass(frozen=True)
@@ -181,14 +183,35 @@ class CampaignSpec:
                     overrides.update(over)
                 combos.append((labels, overrides))
 
+        try:
+            base_spec = RunSpec.from_dict(self.base)
+            parsed = {name: getattr(base_spec, name) for name in SECTION_PARSERS}
+        except ConfigError:
+            parsed = None
         out: list[CampaignPoint] = []
         for index, (labels, overrides) in enumerate(combos):
-            doc = apply_overrides(self.base, overrides)
             try:
-                spec = RunSpec.from_dict(doc)
+                spec = _point_spec(self.base, parsed, overrides)
             except ConfigError as exc:
                 raise ConfigError(
                     f"campaign {self.name!r} point {index} ({labels}): {exc}"
                 ) from None
             out.append(CampaignPoint(index=index, labels=labels, spec=spec))
         return out
+
+
+def _point_spec(base: dict, parsed: dict | None, overrides: Mapping) -> RunSpec:
+    """``RunSpec.from_dict(apply_overrides(base, overrides))``; given ``parsed``,
+    the sections of a valid ``base``, only the touched ones are parsed again."""
+    by_section: dict[str, dict] = {}
+    for path, value in overrides.items():
+        section, _, rest = path.partition(".")
+        if parsed is None or section not in parsed or not rest:
+            return RunSpec.from_dict(apply_overrides(base, overrides))
+        by_section.setdefault(section, {})[rest] = value
+    return RunSpec(**{
+        section: parse(apply_overrides(base.get(section, {}), by_section[section]))
+        if section in by_section
+        else parsed[section]
+        for section, parse in SECTION_PARSERS.items()
+    })

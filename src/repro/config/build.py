@@ -21,36 +21,20 @@ from repro.config.env import (
     resolve_kernel_backend,
     resolve_workers,
 )
-from repro.config.runspec import ConfigError, RunSpec
-
-#: LB strategy registry for ``impl.strategy`` (ampi).  All strategies are
-#: parameter-free frozen dataclasses, so the name is the whole identity.
-_STRATEGIES = (
-    "NullLB",
-    "GreedyLB",
-    "GreedyTransferLB",
-    "RefineLB",
-    "HintedTransferLB",
-)
+from repro.config.runspec import LB_STRATEGY_NAMES, ConfigError, ResilienceSpec, RunSpec
+from repro.runtime.costmodel import check_cost_rates
 
 
 def build_strategy(name: str):
-    """Instantiate an ampi LB strategy by its registered name."""
+    """Instantiate an ampi LB strategy (parameter-free) by its registered name."""
     from repro.ampi import loadbalancer
 
-    if name not in _STRATEGIES:
+    if name not in LB_STRATEGY_NAMES:
         raise ConfigError(
-            f"unknown LB strategy {name!r}; choose from {', '.join(_STRATEGIES)}"
+            f"unknown LB strategy {name!r}; "
+            f"choose from {', '.join(LB_STRATEGY_NAMES)}"
         )
     return getattr(loadbalancer, name)()
-
-
-def strategy_name(strategy) -> str:
-    """The registry name of a live strategy (unwrapping MeteredLB)."""
-    inner = getattr(strategy, "inner", None)
-    if inner is not None and type(strategy).__name__ == "MeteredLB":
-        strategy = inner
-    return type(strategy).__name__
 
 
 def build_resilience(rs: RunSpec, n_ranks: int, *, resume=None):
@@ -118,6 +102,13 @@ def build_executor(rs: RunSpec, *, cli_kind=None, cli_workers=None,
     )
 
 
+def _driver_class(name: str):
+    """The parallel driver class ``impl.name`` names, or None."""
+    from repro.parallel import AmpiPIC, Mpi2dLbPIC, Mpi2dPIC
+
+    return {"mpi-2d": Mpi2dPIC, "mpi-2d-LB": Mpi2dLbPIC, "ampi": AmpiPIC}.get(name)
+
+
 def build_impl(
     rs: RunSpec,
     *,
@@ -132,14 +123,11 @@ def build_impl(
     ``rs.impl.name`` must be one of the three parallel implementations;
     ``"serial"`` runs have no driver object — use :func:`execute_runspec`.
     """
-    from repro.parallel import AmpiPIC, Mpi2dLbPIC, Mpi2dPIC
-
-    classes = {"mpi-2d": Mpi2dPIC, "mpi-2d-LB": Mpi2dLbPIC, "ampi": AmpiPIC}
-    cls = classes.get(rs.impl.name)
+    cls = _driver_class(rs.impl.name)
     if cls is None:
         raise ConfigError(
             f"cannot build impl {rs.impl.name!r}; "
-            f"choose from {', '.join(sorted(classes))} (or 'serial')"
+            "choose from ampi, mpi-2d, mpi-2d-LB (or 'serial')"
         )
     machine = rs.machine.build()
     cost = rs.cost.build(machine)
@@ -171,17 +159,26 @@ def canonical_runspec(rs: RunSpec) -> RunSpec:
     A hand-written sparse spec (e.g. ampi with ``strategy`` omitted) and
     the spec a live driver derives for the same run must hash equal —
     resume validation and the campaign cache both compare hashes across
-    that boundary.  Parallel impls round-trip through the constructed
-    driver; ``serial`` (and unknown test impls) have no tunables to
-    resolve and pass through unchanged.
+    that boundary.  Nothing is built to get there: the tunables come from
+    the driver class's pure :meth:`resolve_params` (the one its constructor
+    uses), the machine section normalises itself, an active resilience
+    section is read back from the value objects :func:`build_resilience`
+    hands a run — and what those constructors reject is rejected here.
+    ``serial`` (and unknown test impls) pass through unchanged.
     """
-    if rs.impl.name not in ("mpi-2d", "mpi-2d-LB", "ampi"):
+    cls = _driver_class(rs.impl.name)
+    if cls is None:
         return rs
-    derived = build_impl(rs).runspec()
-    # Identity-neutral sections carry over from the input spec.
-    return derived.with_overrides(
-        executor=rs.executor,
-        tracing=rs.tracing,
+    machine = rs.machine.canonical()
+    check_cost_rates(rs.cost)
+    params = cls.resolve_params(**rs.impl.params())
+    impl = rs.impl.with_params(**params) if params else rs.impl
+    # The watch is sized by the driver's rank count: cores * d for ampi.
+    n_ranks = impl.cores * (impl.overdecomposition or 1)
+    return RunSpec(
+        workload=rs.workload, impl=impl, machine=machine, cost=rs.cost,
+        executor=rs.executor, tracing=rs.tracing,
+        resilience=ResilienceSpec.from_config(build_resilience(rs, n_ranks)),
     )
 
 

@@ -72,25 +72,10 @@ def _check_keys(doc: Mapping, allowed, where: str) -> None:
         )
 
 
-def _expect(doc: Mapping, key: str, types, where: str, *, optional=True):
-    value = doc.get(key)
-    if value is None:
-        return None
-    if not isinstance(value, types) or isinstance(value, bool) and bool not in (
-        types if isinstance(types, tuple) else (types,)
-    ):
-        names = (
-            "/".join(t.__name__ for t in types)
-            if isinstance(types, tuple)
-            else types.__name__
-        )
-        raise ConfigError(f"{where}.{key} must be {names}, got {value!r}")
-    return value
-
-
-def canonical_json(doc: Any) -> str:
-    """Deterministic JSON: sorted keys, no whitespace, no NaN/Inf."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
+#: ``canonical_json(doc)``: deterministic JSON — sorted keys, no whitespace or NaN.
+canonical_json = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), allow_nan=False
+).encode
 
 
 def diff_docs(a: Any, b: Any, prefix: str = "") -> list[str]:
@@ -147,6 +132,13 @@ class MachineConfig:
             name=machine.name,
             tiers=tiers,
         )
+
+    def canonical(self) -> "MachineConfig":
+        """Tiers in :class:`Tier` order, None when equal to the defaults.  Custom
+        tiers (and a geometry to reject) go through the model, their validator."""
+        if self.tiers is None and min(self.cores_per_socket, self.sockets_per_node) > 0:
+            return self
+        return MachineConfig.from_model(self.build())
 
     def build(self) -> MachineModel:
         kwargs: dict[str, Any] = dict(
@@ -476,6 +468,20 @@ class ResilienceSpec:
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad resilience.faults plan: {exc}") from None
 
+    @classmethod
+    def from_config(cls, res) -> "ResilienceSpec":
+        """A live ``ResilienceConfig`` (or None) written out, defaults filled in."""
+        if res is None:
+            return cls()
+        ckpt = res.checkpointer
+        return cls(
+            faults=None if res.plan is None else res.plan.to_dict(),
+            watch=None if res.watch is None else res.watch.params_dict(),
+            recovery=None if res.recovery is None else dataclasses.asdict(res.recovery),
+            checkpoint_every=0 if ckpt is None else ckpt.every,
+            checkpoint_dir="checkpoints" if ckpt is None else ckpt.directory,
+        )
+
     def active(self) -> bool:
         return (
             self.faults is not None
@@ -531,16 +537,24 @@ class TracingConfig:
 # ----------------------------------------------------------------------
 # The top-level RunSpec
 # ----------------------------------------------------------------------
-_RUNSPEC_SECTIONS = (
-    "schema",
-    "workload",
-    "impl",
-    "machine",
-    "cost",
-    "executor",
-    "resilience",
-    "tracing",
-)
+def _workload_from_dict(doc: Mapping) -> PICSpec:
+    try:
+        return spec_from_dict(doc)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad workload section: {exc}") from None
+
+
+#: Section -> parser of its document, in validation order; campaign expansion
+#: shares it to re-parse only the sections a point's overrides touch.
+SECTION_PARSERS = {
+    "workload": _workload_from_dict,
+    "impl": ImplConfig.from_dict,
+    "machine": MachineConfig.from_dict,
+    "cost": CostConfig.from_dict,
+    "executor": ExecutorConfig.from_dict,
+    "resilience": ResilienceSpec.from_dict,
+    "tracing": TracingConfig.from_dict,
+}
 
 
 @dataclass(frozen=True)
@@ -571,7 +585,7 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "RunSpec":
-        _check_keys(doc, _RUNSPEC_SECTIONS, "runspec")
+        _check_keys(doc, ("schema", *SECTION_PARSERS), "runspec")
         schema = doc.get("schema", SCHEMA_VERSION)
         if schema != SCHEMA_VERSION:
             raise ConfigError(
@@ -581,19 +595,9 @@ class RunSpec:
             raise ConfigError("runspec.workload is required")
         if "impl" not in doc:
             raise ConfigError("runspec.impl is required")
-        try:
-            workload = spec_from_dict(doc["workload"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad workload section: {exc}") from None
-        return cls(
-            workload=workload,
-            impl=ImplConfig.from_dict(doc["impl"]),
-            machine=MachineConfig.from_dict(doc.get("machine", {})),
-            cost=CostConfig.from_dict(doc.get("cost", {})),
-            executor=ExecutorConfig.from_dict(doc.get("executor", {})),
-            resilience=ResilienceSpec.from_dict(doc.get("resilience", {})),
-            tracing=TracingConfig.from_dict(doc.get("tracing", {})),
-        )
+        return cls(**{
+            name: parse(doc.get(name, {})) for name, parse in SECTION_PARSERS.items()
+        })
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -660,19 +664,18 @@ class RunSpec:
 def apply_overrides(doc: dict, overrides: Mapping[str, Any]) -> dict:
     """Apply ``{"dotted.path": value}`` overrides to a nested document.
 
-    Returns a new document (the input is not mutated).  Intermediate
+    Returns a new document; the input is not mutated (the objects along
+    each path are copied, untouched subtrees are shared).  Intermediate
     objects are created as needed; the result still goes through
     :meth:`RunSpec.from_dict`, so a typo'd path is caught as an unknown
     field rather than silently ignored.
     """
-    out = json.loads(json.dumps(doc))  # cheap deep copy, JSON-safe by construction
+    out = dict(doc)
     for path, value in overrides.items():
-        parts = path.split(".")
+        *parents, leaf = path.split(".")
         node = out
-        for part in parts[:-1]:
+        for part in parents:
             nxt = node.get(part)
-            if not isinstance(nxt, dict):
-                nxt = node[part] = {}
-            node = nxt
-        node[parts[-1]] = value
+            node[part] = node = dict(nxt) if isinstance(nxt, dict) else {}
+        node[leaf] = value
     return out

@@ -221,11 +221,6 @@ class PICSpec:
         """Horizontal cells crossed per time step, ``2k + 1``."""
         return 2 * self.k + 1
 
-    @property
-    def vertical_cells_per_step(self) -> int:
-        """Vertical cells crossed per time step, ``m``."""
-        return self.m_vertical
-
     def with_events(self, events: Sequence[InjectionEvent | RemovalEvent]) -> "PICSpec":
         """Return a copy of this spec with the given event list."""
         return replace(self, events=tuple(events))
@@ -262,20 +257,31 @@ class PICSpec:
 # (repro.resilience.checkpoint) and the RunSpec config layer
 # (repro.config.runspec).
 # ----------------------------------------------------------------------
+_SPEC_FIELDS = tuple(f.name for f in dataclasses.fields(PICSpec))
+
+
+def _region_to_dict(r: Region) -> dict:
+    return {"x_lo": r.x_lo, "x_hi": r.x_hi, "y_lo": r.y_lo, "y_hi": r.y_hi}
+
+
 def spec_to_dict(spec: PICSpec) -> dict:
-    """JSON-safe dict with every field present (the canonical form)."""
-    doc = dataclasses.asdict(spec)
+    """JSON-safe dict with every field present (the canonical form).  Not
+    ``asdict``: leaves are immutable and this sits under every ``spec_hash()``."""
+    doc = {name: getattr(spec, name) for name in _SPEC_FIELDS}
     doc["distribution"] = spec.distribution.value
     if spec.patch is not None:
-        doc["patch"] = dataclasses.asdict(spec.patch)
+        doc["patch"] = _region_to_dict(spec.patch)
     events = []
     for ev in spec.events:
-        d = dataclasses.asdict(ev)
-        d["kind"] = "inject" if isinstance(ev, InjectionEvent) else "remove"
+        d = {"step": ev.step, "region": _region_to_dict(ev.region)}
+        if isinstance(ev, InjectionEvent):
+            d.update(count=ev.count, kind="inject")
+        else:
+            d.update(fraction=ev.fraction, kind="remove")
         events.append(d)
     doc["events"] = events
     for key in ("k_choices", "m_choices"):
-        if doc.get(key) is not None:
+        if doc[key] is not None:
             doc[key] = list(doc[key])
     return doc
 
@@ -283,11 +289,10 @@ def spec_to_dict(spec: PICSpec) -> dict:
 def spec_from_dict(doc: dict) -> PICSpec:
     """Inverse of :func:`spec_to_dict`; unknown fields raise ``ValueError``."""
     doc = dict(doc)
-    allowed = {f.name for f in dataclasses.fields(PICSpec)}
-    unknown = sorted(set(doc) - allowed)
+    unknown = sorted(set(doc).difference(_SPEC_FIELDS))
     if unknown:
         raise ValueError(
-            f"unknown workload field(s) {unknown}; allowed: {sorted(allowed)}"
+            f"unknown workload field(s) {unknown}; allowed: {sorted(_SPEC_FIELDS)}"
         )
     doc["distribution"] = Distribution(doc.get("distribution", "geometric"))
     if doc.get("patch") is not None:

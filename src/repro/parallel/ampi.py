@@ -29,41 +29,46 @@ class AmpiPIC(ParallelPICBase):
 
     name = "ampi"
 
+    PARAM_DEFAULTS = {
+        "overdecomposition": 4,
+        "lb_interval": 100,
+        "strategy": GreedyTransferLB.__name__,
+        "stats_s_per_vp": DEFAULT_STATS_S_PER_VP,
+    }
+
+    @classmethod
+    def resolve_params(cls, **given) -> dict:
+        params = super().resolve_params(**given)
+        if params["overdecomposition"] < 1:
+            raise RuntimeConfigError("overdecomposition degree must be >= 1")
+        if params["lb_interval"] < 1:
+            raise RuntimeConfigError("lb_interval must be >= 1")
+        return params
+
     def __init__(
         self,
         spec,
         n_cores,
         *,
-        overdecomposition: int = 4,
-        lb_interval: int = 100,
+        overdecomposition: int | None = None,
+        lb_interval: int | None = None,
         strategy: LoadBalancer | None = None,
-        stats_s_per_vp: float = DEFAULT_STATS_S_PER_VP,
-        machine=None,
-        cost=None,
-        dims=None,
-        tracer=None,
-        span_tracer=None,
-        metrics=None,
-        executor=None,
-        resilience=None,
-        work_rates=None,
+        stats_s_per_vp: float | None = None,
+        **hooks,
     ):
-        super().__init__(
-            spec, n_cores, machine=machine, cost=cost, dims=dims, tracer=tracer,
-            span_tracer=span_tracer, metrics=metrics, executor=executor,
-            resilience=resilience, work_rates=work_rates,
+        """None = :attr:`PARAM_DEFAULTS`; ``hooks`` go to the base constructor."""
+        super().__init__(spec, n_cores, **hooks)
+        params = self.resolve_params(
+            overdecomposition=overdecomposition, lb_interval=lb_interval,
+            stats_s_per_vp=stats_s_per_vp,
         )
-        if overdecomposition < 1:
-            raise RuntimeConfigError("overdecomposition degree must be >= 1")
-        if lb_interval < 1:
-            raise RuntimeConfigError("lb_interval must be >= 1")
-        self.overdecomposition = overdecomposition
-        self.lb_interval = lb_interval
+        self.overdecomposition = params["overdecomposition"]
+        self.lb_interval = params["lb_interval"]
         self.strategy = strategy if strategy is not None else GreedyTransferLB()
         if self.metrics is not None:
             # Observe strategy invocations, per-round moves and locality.
             self.strategy = MeteredLB(self.strategy, self.metrics)
-        self.stats_s_per_vp = stats_s_per_vp
+        self.stats_s_per_vp = params["stats_s_per_vp"]
 
     # ------------------------------------------------------------------
     @property

@@ -30,7 +30,7 @@ golden-trace and differential suites pin that exactly.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -122,6 +122,18 @@ class ParallelPICBase:
     """Common driver: subclasses choose topology, mapping and balancing."""
 
     name = "base"
+    #: Constructor defaults of the tunables, by RunSpec ``impl`` field name.
+    PARAM_DEFAULTS: dict = {}
+
+    @classmethod
+    def resolve_params(cls, **given) -> dict:
+        """This driver's tunables, defaults filled in and range-checked
+        (subclasses extend).  Pure: the constructors resolve their keyword
+        defaults here and :func:`repro.config.build.canonical_runspec` a
+        sparse spec's, so the two cannot drift and a hash builds no driver."""
+        params = dict(cls.PARAM_DEFAULTS)
+        params.update((k, v) for k, v in given.items() if v is not None)
+        return params
 
     def __init__(
         self,
@@ -545,43 +557,14 @@ class ParallelPICBase:
         left at "inherit" (it is not part of the spec's identity: backends
         are bitwise-equivalent).
         """
-        res = self.resilience
-        resilience = ResilienceSpec(
-            faults=None if res is None or res.plan is None else res.plan.to_dict(),
-            watch=None if res is None or res.watch is None
-            else res.watch.params_dict(),
-            recovery=None if res is None or res.recovery is None
-            else asdict(res.recovery),
-            checkpoint_every=0 if res is None or res.checkpointer is None
-            else res.checkpointer.every,
-            checkpoint_dir="checkpoints" if res is None or res.checkpointer is None
-            else res.checkpointer.directory,
-        )
         return RunSpec(
             workload=self.spec,
             impl=self._impl_config(),
             machine=MachineConfig.from_model(self.machine),
             cost=CostConfig.from_model(self.cost),
             executor=ExecutorConfig(),
-            resilience=resilience,
+            resilience=ResilienceSpec.from_config(self.resilience),
         )
-
-    @classmethod
-    def from_runspec(cls, rs: RunSpec, **hooks):
-        """Build the driver a RunSpec describes (see ``repro.config.build``).
-
-        ``hooks`` forwards ``tracer``/``span_tracer``/``metrics``/
-        ``executor``/``resume``.  Dispatches on ``rs.impl.name`` — calling
-        this on a subclass whose name differs from the spec's is an error.
-        """
-        from repro.config.build import build_impl
-
-        impl = build_impl(rs, **hooks)
-        if cls is not ParallelPICBase and not isinstance(impl, cls):
-            raise RuntimeConfigError(
-                f"runspec names impl {rs.impl.name!r}, not a {cls.__name__}"
-            )
-        return impl
 
     def _snapshot_meta(self, dims) -> dict:
         """Checkpoint ``meta`` block: everything resume needs to rebuild us.
@@ -591,7 +574,6 @@ class ParallelPICBase:
         ``resume`` subcommand validates a requested spec against
         ``runspec_hash`` instead of trusting the loose metadata.
         """
-        res = self.resilience
         rs = self.runspec()
         return {
             "impl": self.name,
@@ -603,18 +585,10 @@ class ParallelPICBase:
             "runspec": rs.identity_dict(),
             "runspec_hash": rs.spec_hash(),
             "resilience": {
-                "plan": None
-                if res is None or res.plan is None
-                else res.plan.to_dict(),
-                "watch": None
-                if res is None or res.watch is None
-                else res.watch.params_dict(),
-                "recovery": None
-                if res is None or res.recovery is None
-                else asdict(res.recovery),
-                "checkpoint_every": 0
-                if res is None or res.checkpointer is None
-                else res.checkpointer.every,
+                "plan": rs.resilience.faults,
+                "watch": rs.resilience.watch,
+                "recovery": rs.resilience.recovery,
+                "checkpoint_every": rs.resilience.checkpoint_every,
             },
         }
 

@@ -42,44 +42,46 @@ class Mpi2dLbPIC(ParallelPICBase):
 
     name = "mpi-2d-LB"
 
+    PARAM_DEFAULTS = {
+        "lb_interval": 50,
+        "threshold_fraction": 0.1,
+        "border_width": 1,
+        "axes": "x",
+        "min_width": 1,
+    }
+
+    @classmethod
+    def resolve_params(cls, **given) -> dict:
+        params = super().resolve_params(**given)
+        if params["lb_interval"] < 1:
+            raise RuntimeConfigError("lb_interval must be >= 1")
+        if params["axes"] not in ("x", "y", "xy"):
+            raise RuntimeConfigError("axes must be 'x', 'y' or 'xy'")
+        if params["border_width"] < 1:
+            raise RuntimeConfigError("border_width must be >= 1")
+        if not 0 < params["threshold_fraction"]:
+            raise RuntimeConfigError("threshold_fraction must be positive")
+        return params
+
     def __init__(
         self,
         spec,
         n_cores,
         *,
-        lb_interval: int = 50,
-        threshold_fraction: float = 0.1,
-        border_width: int = 1,
-        axes: str = "x",
-        min_width: int = 1,
-        machine=None,
-        cost=None,
-        dims=None,
-        tracer=None,
-        span_tracer=None,
-        metrics=None,
-        executor=None,
-        resilience=None,
-        work_rates=None,
+        lb_interval: int | None = None,
+        threshold_fraction: float | None = None,
+        border_width: int | None = None,
+        axes: str | None = None,
+        min_width: int | None = None,
+        **hooks,
     ):
-        super().__init__(
-            spec, n_cores, machine=machine, cost=cost, dims=dims, tracer=tracer,
-            span_tracer=span_tracer, metrics=metrics, executor=executor,
-            resilience=resilience, work_rates=work_rates,
-        )
-        if lb_interval < 1:
-            raise RuntimeConfigError("lb_interval must be >= 1")
-        if axes not in ("x", "y", "xy"):
-            raise RuntimeConfigError("axes must be 'x', 'y' or 'xy'")
-        if border_width < 1:
-            raise RuntimeConfigError("border_width must be >= 1")
-        if not 0 < threshold_fraction:
-            raise RuntimeConfigError("threshold_fraction must be positive")
-        self.lb_interval = lb_interval
-        self.threshold_fraction = threshold_fraction
-        self.border_width = border_width
-        self.axes = axes
-        self.min_width = min_width
+        """None = :attr:`PARAM_DEFAULTS`; ``hooks`` go to the base constructor."""
+        super().__init__(spec, n_cores, **hooks)
+        # Sets lb_interval, threshold_fraction, border_width, axes, min_width.
+        vars(self).update(self.resolve_params(
+            lb_interval=lb_interval, threshold_fraction=threshold_fraction,
+            border_width=border_width, axes=axes, min_width=min_width,
+        ))
 
     # ------------------------------------------------------------------
     def _engine_tag(self) -> str:

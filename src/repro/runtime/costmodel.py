@@ -25,6 +25,16 @@ from dataclasses import dataclass, field
 from repro.runtime.machine import MachineModel, Tier
 
 
+def check_cost_rates(rates) -> None:
+    """Range-check the rates of a :class:`CostModel` (or ``config.CostConfig``)."""
+    for name in ("particle_push_s", "particle_pack_s", "cell_handling_s",
+                 "message_overhead_s", "vp_scheduling_s"):
+        if getattr(rates, name) < 0:
+            raise ValueError(f"{name} must be non-negative")
+    if rates.particle_byte_scale <= 0 or rates.cell_byte_scale <= 0:
+        raise ValueError("byte scales must be positive")
+
+
 @dataclass(frozen=True)
 class CostModel:
     """Simulated-time cost model bound to a machine model."""
@@ -58,17 +68,7 @@ class CostModel:
     pup_bandwidth: float = 2.0e8
 
     def __post_init__(self) -> None:
-        for name in (
-            "particle_push_s",
-            "particle_pack_s",
-            "cell_handling_s",
-            "message_overhead_s",
-            "vp_scheduling_s",
-        ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        if self.particle_byte_scale <= 0 or self.cell_byte_scale <= 0:
-            raise ValueError("byte scales must be positive")
+        check_cost_rates(self)
 
     # ------------------------------------------------------------------
     # Scaled byte volumes
@@ -163,6 +163,14 @@ NOMINAL_BACKEND_RATES = {
 }
 
 
+#: Nominal wall seconds a rank costs per step *besides* its pushes (generator
+#: resumes, message matching, exchange bookkeeping).  From the layered
+#: benchmark's ``sweep_cold`` (2-vCPU sandbox, python kernel, 20 000
+#: particles x 48 steps): a 4-rank mpi-2d point ran 0.07 s, a 64-rank ampi
+#: point 0.45 s — ~130 us per rank-step on top of ~33 ns per push.
+NOMINAL_RANK_STEP_S = 1.3e-4
+
+
 def nominal_backend_rate(backend: str) -> float:
     """The nominal pushes/sec prior for a concrete kernel backend name."""
     try:
@@ -188,15 +196,23 @@ def predicted_point_pushes(n_particles: int, steps: int) -> int:
     return int(n_particles) * int(steps)
 
 
-def predicted_point_seconds(pushes: int, backend: str = "python") -> float:
-    """Predicted wall seconds for ``pushes`` on ``backend``'s nominal rate.
+def predicted_point_seconds(
+    pushes: int, backend: str = "python", *, n_ranks: int = 0, steps: int = 0
+) -> float:
+    """Predicted wall seconds of a point: its pushes at ``backend``'s nominal
+    rate plus :data:`NOMINAL_RANK_STEP_S` for each of ``n_ranks * steps``.
 
     An *ordering prior*, not a forecast: absolute values are wrong on any
     given host, but the ratios between points (the only thing a
-    longest-first scheduler consumes) track particle counts, step counts
-    and the relative backend speeds of :data:`NOMINAL_BACKEND_RATES`.
+    longest-first scheduler consumes) track particle, step and rank counts
+    and the relative backend speeds of :data:`NOMINAL_BACKEND_RATES`.  The
+    rank-step term tells the points of a strong-scaling sweep apart: they
+    all push the same particles, and the 384-core one takes the longest.
     """
-    return pushes / nominal_backend_rate(backend)
+    if n_ranks < 0 or steps < 0:
+        raise ValueError("n_ranks and steps must be non-negative")
+    seconds = pushes / nominal_backend_rate(backend)
+    return seconds + n_ranks * steps * NOMINAL_RANK_STEP_S
 
 
 class WorkRateMeter:

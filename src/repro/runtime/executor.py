@@ -929,7 +929,7 @@ class ProcessExecutor(Executor):
         self._init_kernel_backend(
             kernel_backend, backend_map, work_meter, exec_tracer
         )
-        self._ctx_name = mp_context or os.environ.get("REPRO_MP_CONTEXT", "spawn")
+        self._ctx_name = mp_context or "spawn"
         self.arena = ShmArena()
         self._procs: list = []
         self._conns: list = []

@@ -63,6 +63,112 @@ class TestExpansion:
         with pytest.raises(ConfigError, match=r"point 0.*coress"):
             CampaignSpec.from_dict(doc).expand()
 
+    # Expansion validates the base once and a point's touched sections
+    # only; the messages are those of validating every point whole.
+    WORKLOAD_FIELDS = (
+        "['alpha', 'beta', 'cells', 'distribution', 'dt', 'events', 'h', 'k', "
+        "'k_choices', 'm_choices', 'm_vertical', 'n_particles', 'patch', 'q', "
+        "'r', 'rotate90', 'seed', 'steps']"
+    )
+    IMPL_FIELDS = (
+        "['axes', 'border_width', 'cores', 'dims', 'lb_interval', 'min_width', "
+        "'name', 'overdecomposition', 'stats_s_per_vp', 'strategy', "
+        "'threshold_fraction']"
+    )
+
+    def _expand_error(self, doc) -> str:
+        with pytest.raises(ConfigError) as exc:
+            CampaignSpec.from_dict(doc).expand()
+        return str(exc.value)
+
+    def test_typo_in_base_message(self):
+        doc = smoke_doc()
+        doc["base"]["workload"]["n_particlez"] = 5
+        assert self._expand_error(doc) == (
+            "campaign 'unit' point 0 ({'cores': 2, 'impl': 'mpi-2d'}): "
+            "bad workload section: unknown workload field(s) ['n_particlez']; "
+            f"allowed: {self.WORKLOAD_FIELDS}"
+        )
+
+    def test_typo_in_axis_set_message(self):
+        doc = smoke_doc()
+        doc["axes"][1]["values"][1]["set"]["impl.lb_intervall"] = 3
+        assert self._expand_error(doc) == (
+            "campaign 'unit' point 1 ({'cores': 2, 'impl': 'mpi-2d-LB'}): "
+            f"unknown field(s) ['lb_intervall'] in impl; allowed: {self.IMPL_FIELDS}"
+        )
+
+    def test_typo_in_explicit_point_message(self):
+        doc = smoke_doc()
+        del doc["axes"]
+        doc["points"] = [
+            {"labels": {"n": 1}, "set": {"workload.n_particles": 100}},
+            {"labels": {"n": 2}, "set": {"cost.particle_push": 1.0}},
+        ]
+        assert self._expand_error(doc) == (
+            "campaign 'unit' point 1 ({'n': 2}): unknown field(s) "
+            "['particle_push'] in cost; allowed: ['cell_byte_scale', "
+            "'cell_handling_s', 'message_overhead_s', 'particle_byte_scale', "
+            "'particle_pack_s', 'particle_push_s', 'pup_bandwidth', "
+            "'vp_scheduling_s']"
+        )
+
+    def test_typo_in_section_name_message(self):
+        doc = smoke_doc()
+        doc["axes"][0]["path"] = "impll.cores"
+        assert self._expand_error(doc) == (
+            "campaign 'unit' point 0 ({'cores': 2, 'impl': 'mpi-2d'}): "
+            "unknown field(s) ['impll'] in runspec; allowed: ['cost', "
+            "'executor', 'impl', 'machine', 'resilience', 'schema', 'tracing', "
+            "'workload']"
+        )
+
+    def test_first_bad_section_reported_in_schema_order(self):
+        doc = smoke_doc()
+        doc["axes"][0] = {"axis": "x", "values": [
+            {"label": "both", "set": {"tracing.bogus": 1, "machine.bogus": 2}}]}
+        assert " in machine;" in self._expand_error(doc)
+
+    def test_cross_field_rule_sees_the_merged_section(self):
+        doc = smoke_doc()
+        doc["axes"][0] = {"axis": "d", "path": "impl.overdecomposition",
+                          "values": [2]}
+        assert self._expand_error(doc).endswith(
+            "impl.overdecomposition does not apply to impl.name='mpi-2d'"
+        )
+
+    def test_base_incomplete_without_an_axis_still_expands(self):
+        # impl.name comes from the axis: the base alone is not a RunSpec,
+        # so every point is validated whole, as before.
+        doc = smoke_doc()
+        del doc["base"]["impl"]["name"]
+        points = CampaignSpec.from_dict(doc).expand()
+        assert [p.spec.impl.name for p in points] == [
+            "mpi-2d", "mpi-2d-LB", "mpi-2d", "mpi-2d-LB",
+        ]
+        doc["axes"][0]["path"] = "impl.coress"
+        assert "['coress'] in impl" in self._expand_error(doc)
+
+    def test_points_equal_whole_document_validation(self):
+        from repro.config import RunSpec, apply_overrides
+
+        doc = smoke_doc()
+        doc["base"]["resilience"] = {"faults": {"seed": 1, "faults": []}}
+        doc["axes"].append({"axis": "r", "values": [
+            {"label": "deep", "set": {"resilience.faults.seed": 9,
+                                      "resilience.watch": {"alpha": 0.25},
+                                      "machine.name": "m"}}]})
+        camp = CampaignSpec.from_dict(doc)
+        before = json.dumps(camp.base, sort_keys=True)
+        for p in camp.expand():
+            sets = {"impl.cores": p.labels["cores"], "machine.name": "m",
+                    "resilience.faults.seed": 9,
+                    "resilience.watch": {"alpha": 0.25},
+                    **doc["axes"][1]["values"][p.index % 2]["set"]}
+            assert p.spec == RunSpec.from_dict(apply_overrides(camp.base, sets))
+            assert p.spec.resilience.faults["seed"] == 9
+        assert json.dumps(camp.base, sort_keys=True) == before  # not mutated
+
     def test_unknown_campaign_field_rejected(self):
         doc = smoke_doc()
         doc["extras"] = []
@@ -184,7 +290,90 @@ class TestCaching:
             assert os.path.exists(os.path.join(cache, point["artifact"]))
 
 
+class TestCachedPointBuildsNothing:
+    def test_fully_cached_run_never_builds_a_driver(self, tmp_path, monkeypatch):
+        from repro.config import build
+        from repro.parallel.base import ParallelPICBase
+
+        camp = CampaignSpec.from_dict(smoke_doc())
+        cache = str(tmp_path / "cache")
+        first = run_campaign(camp, cache_dir=cache)
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a cached point must not build a driver")
+
+        monkeypatch.setattr(build, "build_impl", boom)
+        monkeypatch.setattr(ParallelPICBase, "__init__", boom)
+        again = run_campaign(camp, cache_dir=cache)
+        assert (again.executed, again.cached) == (0, 4)
+        assert [o.spec_hash for o in again.outcomes] == [
+            o.spec_hash for o in first.outcomes
+        ]
+
+
+class TestManifestBytes:
+    """The manifest is assembled by hand; ``json.dump`` is its oracle."""
+
+    def _oracle(self, name, outcomes, *, complete, fabric=None) -> str:
+        doc = {
+            "schema": 1, "campaign": name, "complete": complete,
+            "points": [
+                {"index": o.index, "labels": o.labels, "spec_hash": o.spec_hash,
+                 "cached": o.cached, "wall_s": round(o.wall_s, 6),
+                 "artifact": f"{o.spec_hash}.json",
+                 **({"duplicate_of": o.duplicate_of}
+                    if o.duplicate_of is not None else {})}
+                for o in outcomes
+            ],
+            "executed": sum(not o.cached for o in outcomes),
+            "cached": sum(o.cached for o in outcomes),
+            "deduped": sum(o.duplicate_of is not None for o in outcomes),
+        }
+        if fabric is not None:
+            doc["fabric"] = fabric
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("complete", [True, False])
+    def test_bytes_equal_json_dump(self, tmp_path, complete):
+        from repro.campaign.runner import (
+            CampaignResult, PointOutcome, _write_manifest,
+        )
+
+        camp = CampaignSpec.from_dict({**smoke_doc(), "campaign": 'na"më'})
+        labels = [
+            {"cores": 2, "impl": "mpi-2d"},
+            {"z": None, "a": True, "f": 0.1, "big": 1e300, "neg": -3,
+             "text": 'quo"te \\ \u00e9 \n'},
+            {},
+            {"nested": {"b": [1, 2, {"c": None}], "a": {}}, "list": []},
+            {"inf": float("inf"), "nan": float("nan")},
+        ]
+        outcomes = [
+            PointOutcome(index=i, labels=lab, spec_hash=f"{i:064x}", result={},
+                         cached=bool(i % 2), wall_s=i * 0.1234567891,
+                         duplicate_of=0 if i == 3 else None)
+            for i, lab in enumerate(labels)
+        ]
+        fabric = {"workers": [{"worker": 0, "busy_s": 0.5, "points": [1, 2]}],
+                  "requeues": 0, "events": []}
+        for rows, fab in ((outcomes, fabric), (outcomes, None), ([], None)):
+            res = CampaignResult(name=camp.name, outcomes=rows, fabric=fab)
+            path = _write_manifest(camp, res, str(tmp_path), complete=complete)
+            with open(path, encoding="utf-8") as fh:
+                assert fh.read() == self._oracle(
+                    camp.name, rows, complete=complete, fabric=fab)
+
+
 class TestArtifacts:
+    def test_non_utf8_artifact_is_a_miss_not_an_error(self, tmp_path):
+        camp = CampaignSpec.from_dict(smoke_doc())
+        cache = str(tmp_path / "cache")
+        first = run_campaign(camp, cache_dir=cache)
+        with open(artifact_path(cache, first.outcomes[0].spec_hash), "wb") as fh:
+            fh.write(b"\xff\xfe{}")
+        second = run_campaign(camp, cache_dir=cache)
+        assert second.executed == 1 and second.cached == 3
+
     def test_artifact_contains_no_wall_clock(self, tmp_path):
         camp = CampaignSpec.from_dict(smoke_doc())
         cache = str(tmp_path / "cache")

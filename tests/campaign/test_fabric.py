@@ -75,6 +75,58 @@ class TestScheduleOrder:
     def test_empty(self):
         assert schedule_order([]) == []
 
+    def test_strong_scaling_orders_by_ranks_at_equal_pushes(self):
+        # Same particles and steps everywhere: pushes tie, and the
+        # rank-step term decides (ampi counts cores * d virtual ranks).
+        doc = sweep_doc([300])
+        doc["axes"] = [
+            {"axis": "cores", "path": "impl.cores", "values": [2, 8, 4]},
+            {"axis": "impl", "values": [
+                {"label": "mpi-2d", "set": {"impl.name": "mpi-2d"}},
+                {"label": "ampi", "set": {"impl.name": "ampi",
+                                          "impl.overdecomposition": 4}},
+            ]},
+        ]
+        points = CampaignSpec.from_dict(doc).expand()
+        order = schedule_order([(p.index, p.spec) for p in points])
+        ranks = [points[i].spec.impl.cores
+                 * (points[i].spec.impl.overdecomposition or 1) for i in order]
+        assert ranks == [32, 16, 8, 8, 4, 2]
+        assert order == [3, 5, 1, 2, 4, 0]  # the 8-rank tie: expansion index
+
+    def test_fig6r_starts_with_its_last_declared_point(self):
+        from repro.config.build import canonical_runspec
+
+        here = os.path.dirname(__file__)
+        points = CampaignSpec.load(os.path.join(
+            here, "..", "..", "benchmarks", "campaigns", "fig6r.json")).expand()
+        order = schedule_order(
+            [(p.index, canonical_runspec(p.spec)) for p in points])
+        first = points[order[0]]
+        assert first.labels == {"cores": 384, "impl": "ampi"}
+        assert first.index == len(points) - 1
+
+    def test_fabric_orders_sparse_ampi_by_its_resolved_ranks(
+        self, tmp_path, monkeypatch
+    ):
+        # overdecomposition left to the driver default (4): the fabric
+        # schedules canonical specs, so the ampi point still goes first.
+        from repro.campaign import fabric
+
+        doc = sweep_doc([300])
+        doc["axes"] = [{"axis": "impl", "values": [
+            {"label": "mpi-2d", "set": {"impl.name": "mpi-2d"}},
+            {"label": "ampi", "set": {"impl.name": "ampi"}},
+        ]}]
+        orders = []
+        monkeypatch.setattr(
+            fabric, "schedule_order",
+            lambda tasks: orders.append(schedule_order(tasks)) or orders[-1],
+        )
+        run_campaign(CampaignSpec.from_dict(doc),
+                     cache_dir=str(tmp_path / "c"), jobs=2)
+        assert orders == [[1, 0]]
+
 
 # ----------------------------------------------------------------------
 # Cache index

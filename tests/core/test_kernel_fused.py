@@ -120,6 +120,16 @@ def test_workspace_reuse_across_sizes():
         assert_bitwise_equal(fused, ref, f"(n={n})")
 
 
+def test_workspace_rows_start_on_cache_lines():
+    """malloc promises 16 bytes; the push was 10-20 % slower whenever the
+    heap gave the block no more than that (docs/performance.md)."""
+    ws = kernel.KernelWorkspace()
+    for n in (1, 5, 100, 1001, kernel.KERNEL_BLOCK, 37):
+        rows = ws.rows(n)
+        assert len(rows) == ws.N_ROWS and all(len(r) == n for r in rows)
+        assert {r.ctypes.data % 64 for r in rows} == {0}
+
+
 def test_positions_stay_in_domain_through_wrap_path():
     mesh = Mesh(cells=8)
     p = make_particles(3000, mesh, v_scale=10.0)  # most escape every step

@@ -180,3 +180,20 @@ class TestPointPrediction:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="no nominal rate"):
             predicted_point_seconds(100, "fortran")
+
+    def test_rank_step_term_separates_equal_pushes(self):
+        from repro.runtime.costmodel import NOMINAL_RANK_STEP_S
+
+        pushes = predicted_point_pushes(20_000, 48)
+        few = predicted_point_seconds(pushes, n_ranks=4, steps=48)
+        many = predicted_point_seconds(pushes, n_ranks=64, steps=48)
+        assert many - few == pytest.approx(60 * 48 * NOMINAL_RANK_STEP_S)
+        assert predicted_point_seconds(pushes) == pytest.approx(
+            few - 4 * 48 * NOMINAL_RANK_STEP_S
+        )
+
+    def test_negative_ranks_or_steps_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            predicted_point_seconds(100, n_ranks=-1, steps=4)
+        with pytest.raises(ValueError, match="non-negative"):
+            predicted_point_seconds(100, n_ranks=4, steps=-1)

@@ -225,6 +225,18 @@ class TestBackends:
         assert stats["particles_pushed"] == sum(sizes)
         assert stats["pool_startup_s"] > 0.0
 
+    def test_start_method_comes_from_the_argument_only(self, monkeypatch):
+        # An ambient REPRO_MP_CONTEXT used to pick the start method behind
+        # repro.config.env's back (forkserver left children the layered
+        # benchmark's supervisor reported as survivors).
+        monkeypatch.setenv("REPRO_MP_CONTEXT", "forkserver")
+        for given, want in ((None, "spawn"), ("fork", "fork")):
+            ex = ProcessExecutor(workers=1, mp_context=given)
+            try:
+                assert ex._ctx_name == want
+            finally:
+                ex.close()
+
     def test_process_pool_reused_across_batches(self):
         mesh = Mesh(cells=8)
         ex = ProcessExecutor(workers=2)
