@@ -1,8 +1,8 @@
-"""Persistence and comparison of benchmark records.
+"""Persistence of benchmark records.
 
 The figure drivers print tables and ASCII plots; this module additionally
-round-trips the raw :class:`repro.bench.runner.RunRecord` lists through
-JSON so successive runs can be diffed — the simulated times are fully
+writes the raw :class:`repro.bench.runner.RunRecord` lists as JSON so
+successive runs can be diffed — the simulated times are fully
 deterministic, so any change between two runs of the same commit is a bug,
 and changes across commits quantify the effect of a code change.
 """
@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.bench.runner import RunRecord
 
@@ -46,52 +46,3 @@ def save_records(records: Sequence[RunRecord], path: str | Path) -> Path:
     }
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return path
-
-
-def load_records(path: str | Path) -> list[RunRecord]:
-    """Inverse of :func:`save_records`."""
-    doc = json.loads(Path(path).read_text())
-    if doc.get("schema") != SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported schema {doc.get('schema')!r}; expected {SCHEMA_VERSION}"
-        )
-    return [RunRecord(**entry) for entry in doc["records"]]
-
-
-def record_key(record: RunRecord) -> tuple:
-    """Identity of a data point: where it belongs in a figure."""
-    extra = tuple(
-        sorted((k, _jsonable(v)) for k, v in record.params.items())
-    )
-    return (record.figure, record.implementation, record.cores, extra)
-
-
-def compare_records(
-    old: Iterable[RunRecord],
-    new: Iterable[RunRecord],
-    rel_tolerance: float = 0.0,
-) -> list[str]:
-    """Report differences in simulated time between two runs.
-
-    Returns human-readable difference lines; empty means identical (within
-    ``rel_tolerance``).  Points present on only one side are reported too.
-    """
-    old_map = {record_key(r): r for r in old}
-    new_map = {record_key(r): r for r in new}
-    lines: list[str] = []
-    for key in sorted(old_map.keys() | new_map.keys(), key=str):
-        a = old_map.get(key)
-        b = new_map.get(key)
-        if a is None:
-            lines.append(f"only in new: {key}")
-        elif b is None:
-            lines.append(f"only in old: {key}")
-        else:
-            ref = max(abs(a.sim_time), 1e-300)
-            rel = abs(a.sim_time - b.sim_time) / ref
-            if rel > rel_tolerance:
-                lines.append(
-                    f"{key}: sim_time {a.sim_time:.6g} -> {b.sim_time:.6g} "
-                    f"({(b.sim_time / a.sim_time - 1) * 100:+.2f}%)"
-                )
-    return lines

@@ -90,19 +90,6 @@ def ascii_loglog(
     return "\n".join(lines)
 
 
-def format_metrics(metrics, title: str = "run metrics") -> str:
-    """Metrics-registry summary block for benchmark reports.
-
-    ``metrics`` is a :class:`repro.instrument.MetricsRegistry` populated by
-    a traced/metered run; the block lists every counter, gauge and
-    histogram in deterministic name order.
-    """
-    from repro.instrument import render_metrics_summary
-
-    body = render_metrics_summary(metrics)
-    return f"== {title} ==\n{body}"
-
-
 def dispatch_breakdown(spans) -> dict:
     """Per-batch dispatch/kernel/exchange seconds from executor spans.
 
@@ -182,36 +169,6 @@ def dispatch_breakdown(spans) -> dict:
             sum(r[col] for r in steady) / st_tasks if st_tasks else 0.0
         )
     return dict(rows=rows, totals=totals)
-
-
-def format_dispatch_breakdown(breakdown: dict, max_rows: int = 12) -> str:
-    """Fixed-width per-batch table of a :func:`dispatch_breakdown` result."""
-    rows = breakdown["rows"]
-    t = breakdown["totals"]
-    lines = [
-        "batch  tasks  dispatch_ms   cpu_ms  kernel_ms  merge_ms  exchange_ms"
-    ]
-    shown = rows if len(rows) <= max_rows else rows[:max_rows]
-    for r in shown:
-        lines.append(
-            f"{r['batch']:>5}  {r['tasks']:>5}  "
-            f"{r['dispatch_s'] * 1e3:>11.3f}  {r['dispatch_cpu_s'] * 1e3:>7.3f}  "
-            f"{r['kernel_s'] * 1e3:>9.3f}  "
-            f"{r['merge_s'] * 1e3:>8.3f}  {r['exchange_s'] * 1e3:>11.3f}"
-        )
-    if len(rows) > max_rows:
-        lines.append(f"  ... {len(rows) - max_rows} more batches")
-    lines.append(
-        f"total  {t['tasks']:>5}  "
-        f"{t['dispatch_s'] * 1e3:>11.3f}  {t['dispatch_cpu_s'] * 1e3:>7.3f}  "
-        f"{t['kernel_s'] * 1e3:>9.3f}  "
-        f"{t['merge_s'] * 1e3:>8.3f}  {t['exchange_s'] * 1e3:>11.3f}"
-    )
-    lines.append(
-        f"dispatch cpu per task: {t['dispatch_cpu_s_per_task'] * 1e6:.2f} us "
-        f"(steady state: {t['steady_dispatch_cpu_s_per_task'] * 1e6:.2f} us)"
-    )
-    return "\n".join(lines)
 
 
 def speedup_table(

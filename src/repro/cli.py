@@ -47,7 +47,14 @@ import sys
 from dataclasses import replace
 from typing import Sequence
 
-from repro.config import ConfigError, ExecutorConfig, RunSpec, diff_docs
+from repro.config import (
+    EXECUTOR_KINDS,
+    KERNEL_BACKENDS,
+    ConfigError,
+    ExecutorConfig,
+    RunSpec,
+    diff_docs,
+)
 from repro.core.simulation import run_serial
 from repro.core.spec import Distribution, PICSpec, Region, spec_to_dict
 from repro.instrument import (
@@ -111,7 +118,7 @@ def _add_executor_args(p: argparse.ArgumentParser) -> None:
     subcommand that builds an executor (run, trace, resume, multirun)."""
     p.add_argument(
         "--executor",
-        choices=["serial", "batched", "process"],
+        choices=EXECUTOR_KINDS,
         default=None,
         help="compute-execution backend for the particle push: serial and "
         "batched name the same size-aware in-process executor (tasks of at "
@@ -127,11 +134,10 @@ def _add_executor_args(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--kernel-backend",
-        choices=["python", "compiled", "compiled-parallel", "auto"],
+        choices=KERNEL_BACKENDS,
         default=None,
         help="particle-push kernel: python (numpy), compiled (numba, "
-        "requires the repro[compiled] extra), compiled-parallel (numba "
-        "prange over fixed chunks, same extra) or auto (compiled when "
+        "requires the repro[compiled] extra) or auto (compiled when "
         "available); results are bitwise identical in every case, so a "
         "checkpoint written under one backend resumes under any other "
         "(precedence: this flag > REPRO_KERNEL_BACKEND > --spec file > auto)",

@@ -18,7 +18,7 @@ from repro.config.env import (
     ENV_KERNEL_BACKEND,
     ENV_WORKERS,
     EXECUTOR_KINDS,
-    KERNEL_BACKEND_NAMES,
+    KERNEL_BACKENDS,
     EnvConfigError,
     env_executor,
     env_kernel_backend,
@@ -52,7 +52,7 @@ __all__ = [
     "ENV_KERNEL_BACKEND",
     "ENV_WORKERS",
     "EXECUTOR_KINDS",
-    "KERNEL_BACKEND_NAMES",
+    "KERNEL_BACKENDS",
     "EnvConfigError",
     "ExecutorConfig",
     "ImplConfig",

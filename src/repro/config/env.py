@@ -23,17 +23,19 @@ from __future__ import annotations
 import os
 from typing import Mapping
 
+from repro.core.kernel_compiled import DEFAULT_KERNEL_BACKEND, KERNEL_BACKENDS
+
 ENV_EXECUTOR = "REPRO_EXECUTOR"
 ENV_WORKERS = "REPRO_WORKERS"
 ENV_KERNEL_BACKEND = "REPRO_KERNEL_BACKEND"
 
 #: ``serial`` and ``batched`` are two names for the one in-process executor.
+#: The one tuple of executor kinds; RunSpec validation and the CLI's
+#: ``choices`` read it (backend names: ``kernel_compiled.KERNEL_BACKENDS``).
 EXECUTOR_KINDS = ("serial", "batched", "process")
-KERNEL_BACKEND_NAMES = ("python", "compiled", "compiled-parallel", "auto")
 
 DEFAULT_EXECUTOR = "serial"
 DEFAULT_WORKERS = 0
-DEFAULT_KERNEL_BACKEND = "auto"
 
 
 class EnvConfigError(ValueError):
@@ -77,10 +79,10 @@ def env_kernel_backend(environ: Mapping[str, str] | None = None) -> str | None:
     raw = (environ.get(ENV_KERNEL_BACKEND) or "").strip()
     if not raw:
         return None
-    if raw not in KERNEL_BACKEND_NAMES:
+    if raw not in KERNEL_BACKENDS:
         raise EnvConfigError(
             f"{ENV_KERNEL_BACKEND}={raw!r} is not a valid kernel backend; "
-            f"choose from {', '.join(KERNEL_BACKEND_NAMES)}"
+            f"choose from {', '.join(KERNEL_BACKENDS)}"
         )
     return raw
 

@@ -35,6 +35,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
+from repro.config.env import EXECUTOR_KINDS, KERNEL_BACKENDS
 from repro.core.spec import PICSpec, spec_from_dict, spec_to_dict
 from repro.runtime.costmodel import CostModel
 from repro.runtime.machine import MachineModel, Tier, TierCosts
@@ -372,29 +373,23 @@ class ExecutorConfig:
 
     kind: str | None = None  # serial | batched | process | None = inherit
     workers: int | None = None
-    # python | compiled | compiled-parallel | auto | None = inherit
+    # python | compiled | auto | None = inherit
     kernel_backend: str | None = None
 
     def __post_init__(self) -> None:
-        if self.kind is not None and self.kind not in (
-            "serial",
-            "batched",
-            "process",
-        ):
+        if self.kind is not None and self.kind not in EXECUTOR_KINDS:
             raise ConfigError(
-                f"executor.kind must be serial/batched/process, got {self.kind!r}"
+                f"executor.kind must be {'/'.join(EXECUTOR_KINDS)}, "
+                f"got {self.kind!r}"
             )
         if self.workers is not None and self.workers < 0:
             raise ConfigError("executor.workers must be >= 0")
-        if self.kernel_backend is not None and self.kernel_backend not in (
-            "python",
-            "compiled",
-            "compiled-parallel",
-            "auto",
+        if (
+            self.kernel_backend is not None
+            and self.kernel_backend not in KERNEL_BACKENDS
         ):
             raise ConfigError(
-                "executor.kernel_backend must be "
-                "python/compiled/compiled-parallel/auto, "
+                f"executor.kernel_backend must be {'/'.join(KERNEL_BACKENDS)}, "
                 f"got {self.kernel_backend!r}"
             )
 
@@ -414,7 +409,8 @@ class ExecutorConfig:
         )
         # Both read for compatibility, then dropped: checkpoints and specs
         # written while the pool had two transports and a sizable ring
-        # carry the keys.
+        # carry the keys.  Likewise "compiled-parallel", the thread-parallel
+        # twin of the compiled kernel, is read as "compiled".
         if doc.get("dispatch") not in (None, "ring", "pipe"):
             raise ConfigError(
                 f"{where}.dispatch must be ring/pipe, got {doc['dispatch']!r}"
@@ -427,10 +423,11 @@ class ExecutorConfig:
                 f"{where}.ring_slots must be an int >= 1, got {ring_slots!r}"
             )
         workers = doc.get("workers")
+        backend = doc.get("kernel_backend")
         return cls(
             kind=doc.get("kind"),
             workers=None if workers is None else int(workers),
-            kernel_backend=doc.get("kernel_backend"),
+            kernel_backend="compiled" if backend == "compiled-parallel" else backend,
         )
 
 

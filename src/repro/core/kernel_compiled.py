@@ -49,29 +49,18 @@ __all__ = [
     "DEFAULT_KERNEL_BACKEND",
     "COMPILED_EXTRA",
     "HAVE_NUMBA",
-    "PARALLEL_CHUNK",
     "CompiledKernelUnavailable",
     "resolve_backend",
     "advance_arrays_compiled",
     "advance_compiled",
-    "advance_arrays_parallel",
-    "advance_parallel",
     "warmup",
 ]
 
 #: The values ``RunSpec.executor.kernel_backend`` / ``--kernel-backend`` /
 #: ``REPRO_KERNEL_BACKEND`` may take.  ``auto`` resolves to ``compiled``
-#: when numba is importable and ``python`` otherwise — never to
-#: ``compiled-parallel``, which must be an explicit opt-in (its threads
-#: would silently oversubscribe hosts already running process workers).
-KERNEL_BACKENDS = ("python", "compiled", "compiled-parallel", "auto")
-
-#: Fixed chunk width of the ``compiled-parallel`` prange loop.  Chunk
-#: boundaries depend only on this constant and the array length — never on
-#: the thread count — and the kernel is elementwise (no cross-particle
-#: reduction), so the parallel backend is bitwise identical to the scalar
-#: one on any host.
-PARALLEL_CHUNK = 16384
+#: when numba is importable and ``python`` otherwise.  This is the one
+#: tuple of backend names; config, CLI and executor derive theirs from it.
+KERNEL_BACKENDS = ("python", "compiled", "auto")
 
 DEFAULT_KERNEL_BACKEND = "auto"
 
@@ -97,9 +86,9 @@ class CompiledKernelUnavailable(RuntimeError):
     CLI catches it alongside ConfigError for a clean exit-2 diagnostic.
     """
 
-    def __init__(self, detail: str = "", backend: str = "compiled") -> None:
+    def __init__(self, detail: str = "") -> None:
         msg = (
-            f"kernel_backend='{backend}' requires numba, which is not "
+            "kernel_backend='compiled' requires numba, which is not "
             f"installed; pip install '{COMPILED_EXTRA}' to get it, or use "
             "kernel_backend='auto' to fall back to the python kernel"
         )
@@ -114,11 +103,10 @@ _FALLBACK_LOGGED = False
 def resolve_backend(name: str | None) -> str:
     """Resolve a backend request to a concrete backend.
 
-    Concrete backends are ``python``, ``compiled`` and
-    ``compiled-parallel``.  ``auto`` (and None) picks ``compiled`` when
-    numba is importable and otherwise falls back to ``python``, logging
-    the fallback once per process.  An explicit ``compiled`` or
-    ``compiled-parallel`` without numba raises
+    Concrete backends are ``python`` and ``compiled``.  ``auto`` (and
+    None) picks ``compiled`` when numba is importable and otherwise falls
+    back to ``python``, logging the fallback once per process.  An
+    explicit ``compiled`` without numba raises
     :class:`CompiledKernelUnavailable` — asking for something that cannot
     run must be loud, only *auto* may degrade silently.
     """
@@ -132,9 +120,9 @@ def resolve_backend(name: str | None) -> str:
         )
     if name == "python":
         return "python"
-    if name in ("compiled", "compiled-parallel"):
+    if name == "compiled":
         if not HAVE_NUMBA:
-            raise CompiledKernelUnavailable(backend=name)
+            raise CompiledKernelUnavailable()
         return name
     # auto
     if HAVE_NUMBA:
@@ -203,65 +191,6 @@ if HAVE_NUMBA:  # pragma: no cover - requires the [compiled] extra
             x[i] = xi
             y[i] = yi
 
-    @numba.njit(parallel=True, cache=True, fastmath=False, nogil=True)
-    def _advance_numba_parallel(x, y, vx, vy, q, dt, h, mesh_q, L):
-        # Same scalar body as _advance_numba, prange'd over fixed-width
-        # index chunks.  The body is a verbatim copy rather than a shared
-        # helper: the push is elementwise, so the only thing that could
-        # break bitwise identity is the loop structure itself, and keeping
-        # the scalar text literally identical makes that auditable by
-        # diffing the two functions.  Chunk boundaries are a pure function
-        # of (n, PARALLEL_CHUNK) — thread count never enters.
-        half_dt2 = 0.5 * dt * dt
-        n = x.shape[0]
-        n_chunks = (n + PARALLEL_CHUNK - 1) // PARALLEL_CHUNK
-        for c in numba.prange(n_chunks):
-            lo = c * PARALLEL_CHUNK
-            hi = min(lo + PARALLEL_CHUNK, n)
-            for i in range(lo, hi):
-                xi = x[i]
-                yi = y[i]
-                cx = np.floor(xi / h)
-                cy = np.floor(yi / h)
-                rx = xi - cx * h
-                ry = yi - cy * h
-                # Charge parity: even columns attract left, odd repel.
-                if (int(cx) & 1) == 0:
-                    ql = q[i] * mesh_q
-                else:
-                    ql = q[i] * (-mesh_q)
-                qr = -ql
-                rxm = rx - h
-                rym = ry - h
-                r2 = rx * rx + ry * ry
-                f = ql / (r2 * np.sqrt(r2))
-                f00x = f * rx
-                f00y = f * ry
-                r2 = rx * rx + rym * rym
-                f = ql / (r2 * np.sqrt(r2))
-                f01x = f * rx
-                f01y = f * rym
-                r2 = rxm * rxm + ry * ry
-                f = qr / (r2 * np.sqrt(r2))
-                f10x = f * rxm
-                f10y = f * ry
-                r2 = rxm * rxm + rym * rym
-                f = qr / (r2 * np.sqrt(r2))
-                f11x = f * rxm
-                f11y = f * rym
-                ax = (f00x + f01x) + (f10x + f11x)
-                ay = (f00y + f01y) + (f10y + f11y)
-                xi = xi + (vx[i] * dt + ax * half_dt2)
-                yi = yi + (vy[i] * dt + ay * half_dt2)
-                vx[i] = vx[i] + ax * dt
-                vy[i] = vy[i] + ay * dt
-                if xi < 0.0 or xi >= L:
-                    xi = xi % L
-                if yi < 0.0 or yi >= L:
-                    yi = yi % L
-                x[i] = xi
-                y[i] = yi
-
 
 def advance_arrays_compiled(mesh, x, y, vx, vy, q, dt, workspace=None):
     """Compiled drop-in for :func:`repro.core.kernel.advance_arrays`.
@@ -288,34 +217,6 @@ def advance_compiled(mesh, particles, dt, workspace=None):
     )
 
 
-def advance_arrays_parallel(mesh, x, y, vx, vy, q, dt, workspace=None):
-    """Thread-parallel drop-in for :func:`repro.core.kernel.advance_arrays`.
-
-    Same contract as :func:`advance_arrays_compiled`; the prange loop
-    splits the particle index range into fixed :data:`PARALLEL_CHUNK`-wide
-    chunks, so results are bitwise identical to the scalar backends
-    regardless of the host's thread count.
-    """
-    if not HAVE_NUMBA:
-        raise CompiledKernelUnavailable(
-            "advance_arrays_parallel called", backend="compiled-parallel"
-        )
-    if x.shape[0] == 0:
-        return
-    _advance_numba_parallel(
-        x, y, vx, vy, q,
-        float(dt), float(mesh.h), float(mesh.q), float(mesh.L),
-    )
-
-
-def advance_parallel(mesh, particles, dt, workspace=None):
-    """Thread-parallel drop-in for :func:`repro.core.kernel.advance`."""
-    advance_arrays_parallel(
-        mesh, particles.x, particles.y, particles.vx, particles.vy,
-        particles.q, dt, workspace,
-    )
-
-
 def warmup(backend: str, n: int = 256) -> float:
     """Force JIT compilation of the hot loop; returns the wall seconds spent.
 
@@ -324,7 +225,7 @@ def warmup(backend: str, n: int = 256) -> float:
     in ``jit_warmup_s`` / ``pool_startup_s`` — never inside a timed step.
     For the python backend this is a no-op returning 0.0.
     """
-    if backend not in ("compiled", "compiled-parallel"):
+    if backend != "compiled":
         return 0.0
     t0 = time.perf_counter()
     mesh = Mesh(cells=4)
@@ -334,8 +235,5 @@ def warmup(backend: str, n: int = 256) -> float:
     vx = np.zeros(n)
     vy = np.zeros(n)
     q = np.ones(n)
-    if backend == "compiled":
-        advance_arrays_compiled(mesh, x, y, vx, vy, q, 1e-3)
-    else:
-        advance_arrays_parallel(mesh, x, y, vx, vy, q, 1e-3)
+    advance_arrays_compiled(mesh, x, y, vx, vy, q, 1e-3)
     return time.perf_counter() - t0

@@ -68,10 +68,7 @@ import numpy as np
 
 from repro.core import kernel, kernel_compiled
 from repro.core.kernel import KERNEL_BLOCK, KernelWorkspace, advance_arrays
-from repro.core.kernel_compiled import (
-    advance_arrays_compiled,
-    advance_arrays_parallel,
-)
+from repro.core.kernel_compiled import KERNEL_BACKENDS, advance_arrays_compiled
 from repro.core.mesh import Mesh
 
 __all__ = [
@@ -171,8 +168,7 @@ class Executor:
     """
 
     name = "?"
-    #: Concrete kernel backend after resolution: "python", "compiled" or
-    #: "compiled-parallel".
+    #: Concrete kernel backend after resolution: "python" or "compiled".
     kernel_backend = "python"
 
     def _init_kernel_backend(
@@ -295,10 +291,8 @@ def _advance_fields(backend: str, mesh, x, y, vx, vy, q, dt, workspace=None) -> 
     """
     if backend == "python":
         advance_arrays(mesh, x, y, vx, vy, q, dt, workspace=workspace)
-    elif backend == "compiled":
-        advance_arrays_compiled(mesh, x, y, vx, vy, q, dt)
     else:
-        advance_arrays_parallel(mesh, x, y, vx, vy, q, dt)
+        advance_arrays_compiled(mesh, x, y, vx, vy, q, dt)
 
 
 class InProcessExecutor(Executor):
@@ -601,7 +595,9 @@ _RF_H = 0
 _RF_MESHQ = 1
 _RF_DT = 2
 
-_BACKEND_IDS = {"python": 0, "compiled": 1, "compiled-parallel": 2}
+_BACKEND_IDS = {
+    name: i for i, name in enumerate(b for b in KERNEL_BACKENDS if b != "auto")
+}
 _BACKEND_NAMES = {v: k for k, v in _BACKEND_IDS.items()}
 
 # Doorbell wire format: (count, epoch) as two little-endian int64.  16
@@ -1345,9 +1341,9 @@ def make_executor(
 ) -> Executor:
     """Build a backend by name (the CLI's ``--executor`` values).
 
-    ``kernel_backend`` is a request name (python/compiled/
-    compiled-parallel/auto, None = python); it is resolved eagerly, so
-    asking for a compiled backend without numba raises here, not mid-run.
+    ``kernel_backend`` is a request name (python/compiled/auto, None =
+    python); it is resolved eagerly, so asking for the compiled backend
+    without numba raises here, not mid-run.
     """
     kw = dict(
         kernel_backend=kernel_backend,

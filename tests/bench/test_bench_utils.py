@@ -6,7 +6,6 @@ import pytest
 from repro.bench.reporting import (
     ascii_loglog,
     dispatch_breakdown,
-    format_dispatch_breakdown,
     format_series,
     format_table,
     speedup_table,
@@ -18,7 +17,6 @@ from repro.bench.runner import (
     run_implementation,
     serial_model_time,
 )
-from repro.bench.sweep import SweepPoint, grid_points, run_sweep
 from repro.bench.workloads import (
     fig5_workload,
     fig6_workload,
@@ -129,34 +127,8 @@ class TestReporting:
         assert "2.0x" in out  # 4.0 / 2.0 at 4 cores
 
 
-class TestSweep:
-    def test_grid_points(self):
-        pts = grid_points("ampi", 8, dict(lb_interval=5), "overdecomposition", [1, 2])
-        assert len(pts) == 2
-        assert pts[1].impl_kwargs == dict(lb_interval=5, overdecomposition=2)
-        assert pts[1].label == {"overdecomposition": 2}
-
-    def test_run_sweep_executes_and_labels(self):
-        w = fig6_workload()
-
-        class Tiny:
-            machine = w.machine
-            cost = w.cost
-
-            @staticmethod
-            def spec_for(cores):
-                return PICSpec(cells=32, n_particles=100, steps=3)
-
-        msgs = []
-        pts = [SweepPoint("mpi-2d", 4, {}, {"case": "a"})]
-        records = run_sweep("t", Tiny, pts, progress=msgs.append)
-        assert len(records) == 1
-        assert records[0].params["case"] == "a"
-        assert msgs and "cores=4" in msgs[0]
-
-
 class TestDispatchBreakdown:
-    """dispatch_breakdown / format_dispatch_breakdown over ExecSpans."""
+    """dispatch_breakdown over ExecSpans."""
 
     def _trace(self):
         tr = ExecutorTrace()
@@ -196,19 +168,3 @@ class TestDispatchBreakdown:
         tr.record("dispatch", -1, 1, 0.0, 0.01, tasks=2)
         t = dispatch_breakdown(tr.spans)["totals"]
         assert t["dispatch_cpu_s"] == pytest.approx(0.01)
-
-    def test_format_renders_cpu_column_and_footer(self):
-        out = format_dispatch_breakdown(dispatch_breakdown(self._trace().spans))
-        lines = out.splitlines()
-        assert "cpu_ms" in lines[0]
-        assert "dispatch cpu per task:" in lines[-1]
-        assert "steady state:" in lines[-1]
-        # 1ms cpu over 4 steady tasks = 250 us/task in the footer.
-        assert "250.00 us" in lines[-1]
-
-    def test_format_truncates_long_runs(self):
-        tr = ExecutorTrace()
-        for b in range(1, 20):
-            tr.record("dispatch", -1, b, b * 1.0, b * 1.0 + 0.001, tasks=1)
-        out = format_dispatch_breakdown(dispatch_breakdown(tr.spans), max_rows=5)
-        assert "... 14 more batches" in out

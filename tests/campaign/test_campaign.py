@@ -169,6 +169,23 @@ class TestExpansion:
             assert p.spec.resilience.faults["seed"] == 9
         assert json.dumps(camp.base, sort_keys=True) == before  # not mutated
 
+    def test_removed_compiled_parallel_backend_keeps_every_point_hash(self):
+        """An old declaration whose base names the removed backend still
+        expands, and each point hashes as its compiled and python twins
+        do — so a cache written under that declaration still hits."""
+        from repro.config.build import canonical_hash
+
+        hashes = {}
+        for backend in ("compiled-parallel", "compiled", "python"):
+            doc = smoke_doc()
+            doc["base"]["executor"] = {"kernel_backend": backend}
+            points = CampaignSpec.from_dict(doc).expand()
+            assert len(points) == 4
+            read_as = "compiled" if backend == "compiled-parallel" else backend
+            assert all(p.spec.executor.kernel_backend == read_as for p in points)
+            hashes[backend] = [canonical_hash(p.spec) for p in points]
+        assert hashes["compiled-parallel"] == hashes["compiled"] == hashes["python"]
+
     def test_unknown_campaign_field_rejected(self):
         doc = smoke_doc()
         doc["extras"] = []
@@ -223,6 +240,9 @@ class TestCaching:
         b = run_campaign(camp, cache_dir=jobs_cache, jobs=2)
         assert [o.result for o in a.outcomes] == [o.result for o in b.outcomes]
         assert self._read_artifacts(serial_cache) == self._read_artifacts(jobs_cache)
+        # The fabric's cache is coherent: a second pass executes nothing.
+        again = run_campaign(camp, cache_dir=jobs_cache, jobs=2)
+        assert again.executed == 0 and again.cached == 4
 
     def test_corrupt_artifact_is_a_miss_not_an_error(self, tmp_path):
         camp = CampaignSpec.from_dict(smoke_doc())

@@ -77,10 +77,13 @@ class TestKernelBackendChain:
     def test_env_parsing(self):
         assert env_kernel_backend({}) is None
         assert env_kernel_backend({"REPRO_KERNEL_BACKEND": "  "}) is None
-        for name in ("python", "compiled", "compiled-parallel", "auto"):
+        for name in ("python", "compiled", "auto"):
             assert env_kernel_backend({"REPRO_KERNEL_BACKEND": name}) == name
         with pytest.raises(EnvConfigError, match="fortran"):
             env_kernel_backend({"REPRO_KERNEL_BACKEND": "fortran"})
+        # Removed backend: loud, and the message lists what is left.
+        with pytest.raises(EnvConfigError, match="python, compiled, auto$"):
+            env_kernel_backend({"REPRO_KERNEL_BACKEND": "compiled-parallel"})
 
     def test_cli_wins(self):
         assert (

@@ -141,6 +141,19 @@ class TestRoundTrip:
         with pytest.raises(ConfigError, match="executor.ring_slots"):
             RunSpec.from_dict(doc)
 
+    def test_removed_compiled_parallel_backend_reads_as_compiled(self):
+        """A spec file written while the thread-parallel backend existed
+        loads as ``compiled``; the name is never emitted again and is not
+        a value code may construct."""
+        doc = small_spec().to_dict()
+        doc["executor"]["kernel_backend"] = "compiled-parallel"
+        rs = RunSpec.from_dict(doc)
+        assert rs.executor.kernel_backend == "compiled"
+        assert "compiled-parallel" not in rs.to_json()
+        assert rs.spec_hash() == small_spec().spec_hash()
+        with pytest.raises(ConfigError, match="python/compiled/auto"):
+            ExecutorConfig(kernel_backend="compiled-parallel")
+
 
 class TestIdentityHash:
     def test_executor_and_tracing_are_not_identity(self):

@@ -5,10 +5,9 @@ Not collected directly (pytest only collects ``test_*.py``); imported by
 to run a kernel-touching scenario under both kernel backends.
 
 Everything here funnels into one claim: the python fused kernel, the
-numba-compiled kernel, its thread-parallel ``compiled-parallel``
-variant and the textbook ``advance_reference`` are *bit-for-bit*
-interchangeable — positions, checksums, simulated clocks, golden traces
-and checkpoint files, never ``allclose``.  When numba is absent the
+numba-compiled kernel and the textbook ``advance_reference`` are
+*bit-for-bit* interchangeable — positions, checksums, simulated clocks,
+golden traces and checkpoint files, never ``allclose``.  When numba is absent the
 compiled legs must skip cleanly (``requires_numba``) and ``auto`` must
 fall back to python, so the suite passes both with and without the
 ``repro[compiled]`` extra installed.
@@ -37,16 +36,11 @@ requires_numba = pytest.mark.skipif(
     reason=f"compiled kernel backend needs numba (pip install '{COMPILED_EXTRA}')",
 )
 
-#: All kernel backends, the compiled ones skip-marked where numba is
-#: absent.  ``compiled-parallel`` must agree bitwise with the others even
-#: though it splits the loop across threads: chunk boundaries are fixed
-#: (``PARALLEL_CHUNK``) and each particle's arithmetic is untouched.
+#: All kernel backends, the compiled one skip-marked where numba is
+#: absent.
 BACKENDS = [
     pytest.param("python", id="python"),
     pytest.param("compiled", id="compiled", marks=requires_numba),
-    pytest.param(
-        "compiled-parallel", id="compiled-parallel", marks=requires_numba
-    ),
 ]
 
 #: The three parallel implementations, smallest meaningful configs.
@@ -77,10 +71,6 @@ def advance_arrays_backend(backend, mesh, x, y, vx, vy, q, dt, workspace=None):
         kernel.advance_arrays(mesh, x, y, vx, vy, q, dt, workspace=workspace)
     elif backend == "compiled":
         kernel_compiled.advance_arrays_compiled(
-            mesh, x, y, vx, vy, q, dt, workspace=workspace
-        )
-    elif backend == "compiled-parallel":
-        kernel_compiled.advance_arrays_parallel(
             mesh, x, y, vx, vy, q, dt, workspace=workspace
         )
     else:  # pragma: no cover - harness misuse

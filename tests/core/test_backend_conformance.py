@@ -2,14 +2,13 @@
 
 Built on :mod:`tests.core.backend_conformance`.  Four layers of claims:
 
-1. **Kernel level** — the compiled ``advance_arrays`` and its
-   thread-parallel ``compiled-parallel`` variant are bit-for-bit equal
-   to the python fused path *and* the textbook ``advance_reference``,
+1. **Kernel level** — the compiled ``advance_arrays`` is bit-for-bit
+   equal to the python fused path *and* the textbook ``advance_reference``,
    across mesh spacings, velocity regimes, block seams and pooled
    (capacity-managed view) buffers.
 2. **Full-run matrix** — every implementation (mpi-2d, mpi-2d-LB, ampi)
    under every executor (serial, batched, process) under every backend
-   (python, compiled, compiled-parallel) produces identical positions,
+   (python, compiled) produces identical positions,
    checksums, simulated clocks, golden traces and checkpoint files.
 3. **Graceful degradation** — without numba, ``compiled`` fails loudly
    naming the ``repro[compiled]`` extra, ``auto`` falls back to python
@@ -134,9 +133,7 @@ def test_vertical_force_cancellation_compiled():
 # ----------------------------------------------------------------------
 # 2. Full-run matrix
 # ----------------------------------------------------------------------
-_AVAILABLE = ["python"] + (
-    ["compiled", "compiled-parallel"] if HAVE_NUMBA else []
-)
+_AVAILABLE = ["python"] + (["compiled"] if HAVE_NUMBA else [])
 
 _MATRIX = [
     pytest.param(
@@ -146,7 +143,7 @@ _MATRIX = [
     )
     for impl_name, _cls, _params in IMPLS
     for ex, workers in EXECUTORS
-    for backend in ("python", "compiled", "compiled-parallel")
+    for backend in ("python", "compiled")
 ]
 #: Cells compared against their impl's serial/python reference cell.
 _OTHER = [
@@ -210,11 +207,10 @@ class TestWithoutNumba:
         monkeypatch.setattr(kernel_compiled, "_FALLBACK_LOGGED", False)
 
     def test_explicit_compiled_raises_naming_the_extra(self):
-        for backend in ("compiled", "compiled-parallel"):
-            with pytest.raises(CompiledKernelUnavailable) as exc:
-                resolve_backend(backend)
-            assert COMPILED_EXTRA in str(exc.value)
-            assert "auto" in str(exc.value)  # points at the escape hatch
+        with pytest.raises(CompiledKernelUnavailable) as exc:
+            resolve_backend("compiled")
+        assert COMPILED_EXTRA in str(exc.value)
+        assert "auto" in str(exc.value)  # points at the escape hatch
 
     def test_executor_construction_fails_eagerly(self):
         """A compiled request dies at make_executor time, not mid-run."""
@@ -248,21 +244,18 @@ class TestWithNumba:
         monkeypatch.setattr(kernel_compiled, "HAVE_NUMBA", True)
 
     def test_auto_resolves_to_compiled(self):
-        """``auto`` never picks the parallel backend: its threads would
-        fight the process pool's workers for cores, so it stays an
-        explicit opt-in."""
         assert resolve_backend("auto") == "compiled"
         assert resolve_backend(None) == "compiled"
 
     def test_explicit_requests_resolve_verbatim(self):
         assert resolve_backend("compiled") == "compiled"
-        assert resolve_backend("compiled-parallel") == "compiled-parallel"
         assert resolve_backend("python") == "python"
 
 
 def test_unknown_backend_rejected():
-    with pytest.raises(ValueError, match="unknown kernel backend"):
-        resolve_backend("fortran")
+    for name in ("fortran", "compiled-parallel"):
+        with pytest.raises(ValueError, match="unknown kernel backend"):
+            resolve_backend(name)
 
 
 def test_warmup_python_is_free():
@@ -291,7 +284,7 @@ def test_kernel_backend_excluded_from_spec_hash():
     checkpoints stay valid across backends."""
     hashes = {
         _runspec(kernel_backend=kb).spec_hash()
-        for kb in (None, "python", "compiled", "compiled-parallel", "auto")
+        for kb in (None, "python", "compiled", "auto")
     }
     assert len(hashes) == 1
     # ... while identity-relevant knobs do move the hash.

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.bench.reporting import format_metrics
 from repro.core.spec import PICSpec
 from repro.instrument import (
     MetricsRegistry,
@@ -111,6 +110,7 @@ class TestTextExports:
         text = render_metrics_summary(metrics)
         assert "transport.messages_sent" in text
         assert "core.busy_fraction" in text
+        assert "run.total_time_s" in text
         assert render_metrics_summary(MetricsRegistry()) == "(no metrics recorded)"
 
     def test_metrics_json_round_trip(self, tmp_path):
@@ -120,9 +120,3 @@ class TestTextExports:
         path = tmp_path / "metrics.json"
         write_metrics(metrics, path)
         assert json.loads(path.read_text()) == doc
-
-    def test_bench_reporting_consumes_metrics(self):
-        _, metrics = traced_run()
-        block = format_metrics(metrics, title="smoke")
-        assert block.startswith("== smoke ==")
-        assert "run.total_time_s" in block

@@ -1,8 +1,7 @@
 """Bitwise determinism of the executor x kernel-backend matrix.
 
 A fig6-shape config is run under every cell of {serial, batched,
-process --workers 4} x {python, compiled, compiled-parallel}; every
-cell must produce
+process --workers 4} x {python, compiled}; every cell must produce
 identical final particle positions, id checksums, simulated times, golden
 traces and *checkpoint files* — not merely equal within one backend.
 Compiled cells skip cleanly when numba (the ``repro[compiled]`` extra) is
@@ -44,9 +43,7 @@ requires_numba = pytest.mark.skipif(
 )
 
 _EXECUTORS = [("serial", 0), ("batched", 0), ("process", 4)]
-_BACKENDS = ["python"] + (
-    ["compiled", "compiled-parallel"] if HAVE_NUMBA else []
-)
+_BACKENDS = ["python"] + (["compiled"] if HAVE_NUMBA else [])
 
 _CELLS = [
     pytest.param(
@@ -55,7 +52,7 @@ _CELLS = [
         marks=() if backend == "python" else (requires_numba,),
     )
     for ex, w in _EXECUTORS
-    for backend in ["python", "compiled", "compiled-parallel"]
+    for backend in ["python", "compiled"]
 ]
 #: Cells compared against the serial/python reference (which is excluded).
 _OTHER_CELLS = [

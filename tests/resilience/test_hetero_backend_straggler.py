@@ -18,11 +18,6 @@ Claims pinned here:
   match the homogeneous run bit-for-bit;
 * the imbalance is *correctable*: mpi-2d-LB with the same meter beats
   static mpi-2d on total simulated time;
-* a *three-tier* fleet (python / compiled / compiled-parallel, seeded
-  from :data:`~repro.runtime.costmodel.NOMINAL_BACKEND_RATES`) is
-  handled the same way: the python rank is the straggler, the
-  compiled-parallel rank is the reference, and the rate table —
-  including the parallel tier — survives the checkpoint round-trip;
 * the watch's rate table survives a checkpoint round-trip, and old
   checkpoints without one still load.
 """
@@ -153,59 +148,20 @@ def test_note_backend_rates_rejects_nonpositive():
         watch.note_backend_rates({0: 0.0})
 
 
-# ----------------------------------------------------------------------
-# Three-tier fleet: python / compiled / compiled-parallel
-# ----------------------------------------------------------------------
-def _three_tier_meter() -> WorkRateMeter:
-    """Rank 3 on python, rank 0 on compiled-parallel, the rest compiled —
-    seeded from the nominal backend priors, as a real mixed fleet would
-    be before its first measured batch."""
+def test_seed_backends_uses_the_nominal_priors():
+    """A mixed fleet seeded by backend *name* (before its first measured
+    batch) carries exactly the nominal rate table."""
     m = WorkRateMeter()
-    m.seed_backends(
-        {
-            0: "compiled-parallel",
-            1: "compiled",
-            2: "compiled",
-            SLOW_RANK: "python",
-        }
-    )
-    return m
-
-
-def test_three_tier_fleet_flags_only_the_python_rank():
-    watch = StragglerWatch(CORES)
-    _run(Mpi2dPIC, work_rates=_three_tier_meter(), watch=watch)
-    assert watch.stragglers() == [SLOW_RANK]
-    # The spread the watch names is parallel-vs-python, the widest gap.
-    assert watch.backend_imbalance() == pytest.approx(
-        NOMINAL_BACKEND_RATES["compiled-parallel"]
-        / NOMINAL_BACKEND_RATES["python"]
-    )
-
-
-def test_three_tier_physics_untouched():
-    hetero = _run(Mpi2dPIC, work_rates=_three_tier_meter())
-    homo = _run(Mpi2dPIC)
-    v, w = hetero.verification, homo.verification
-    assert (v.id_checksum, v.n_particles, v.max_abs_error) == (
-        w.id_checksum, w.n_particles, w.max_abs_error
-    )
-
-
-def test_three_tier_rates_round_trip_checkpoint_state():
-    """The compiled-parallel tier is just another rate in the table: a
-    checkpoint taken mid-run restores all three tiers exactly."""
-    watch = StragglerWatch(CORES)
-    meter = _three_tier_meter()
-    _run(Mpi2dPIC, work_rates=meter, watch=watch)
-    state = watch.state_dict()
-    fresh = StragglerWatch(CORES)
-    fresh.load_state(state)
-    assert fresh.backend_rates == meter.rates()
-    assert fresh.backend_rates[0] == nominal_backend_rate("compiled-parallel")
-    assert fresh.backend_imbalance() == watch.backend_imbalance()
+    m.seed_backends({0: "compiled", SLOW_RANK: "python"})
+    assert m.rates() == {
+        0: NOMINAL_BACKEND_RATES["compiled"],
+        SLOW_RANK: NOMINAL_BACKEND_RATES["python"],
+    }
 
 
 def test_nominal_rate_unknown_backend_rejected():
-    with pytest.raises(ValueError, match="fortran"):
-        nominal_backend_rate("fortran")
+    for name in ("fortran", "compiled-parallel"):
+        with pytest.raises(ValueError, match=name):
+            nominal_backend_rate(name)
+        with pytest.raises(ValueError, match=name):
+            WorkRateMeter().seed_backends({0: name})

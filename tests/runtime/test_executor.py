@@ -523,6 +523,8 @@ class TestKernelBackendPlumbing:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
             InProcessExecutor(kernel_backend="fortran")
+        with pytest.raises(ValueError, match="unknown kernel backend"):
+            InProcessExecutor(backend_map={0: "compiled-parallel"})
 
     def test_backend_map_overrides_fleet_default(self):
         ex = InProcessExecutor(kernel_backend="python", backend_map={1: "auto"})

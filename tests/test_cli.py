@@ -179,6 +179,23 @@ class TestExecutorFlags:
         assert {"dispatch", "execute", "merge"} <= names
 
 
+def test_cli_profile_flag(capsys):
+    """`run --profile` completes and prints the cProfile table."""
+    from repro.cli import main
+
+    rc = main([
+        "run", "--impl", "mpi-2d", "--cores", "2", "--cells", "16",
+        "--particles", "40", "--steps", "2", "--profile",
+        # Pin the executor: profiling rejects the process backend, and the
+        # CI matrix leg sets REPRO_EXECUTOR=process as the default.
+        "--executor", "serial",
+    ])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "cProfile: top 20" in out
+    assert "cumulative" in out
+
+
 class TestResilienceCLI:
     def _plan_file(self, tmp_path):
         from repro.resilience import FaultPlan, SlowdownFault
@@ -358,6 +375,7 @@ class TestRunSpecCLI:
         ["campaign", "decl.json", "--runner", "engines"],
         ["campaign", "decl.json", "--order-seed", "1"],
         ["perf"],
+        ["run", *ARGS, "--kernel-backend", "compiled-parallel"],
     ])
     def test_removed_flags_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -367,11 +385,13 @@ class TestRunSpecCLI:
 
     def test_dry_run_hash_excludes_backend_and_dispatch(self, tmp_path, capsys):
         """Backend can never change what a run computes, and a spec file
-        still carrying the removed ``executor.dispatch`` key loads, so the
-        printed identity hash must not move with either."""
+        still carrying the removed ``executor.dispatch`` key or naming the
+        removed ``compiled-parallel`` backend loads, so the printed
+        identity hash must not move with any of them."""
         spec = self._write_spec(tmp_path, capsys)
         doc = json.loads(open(spec).read())
         doc["executor"]["dispatch"] = "pipe"
+        doc["executor"]["kernel_backend"] = "compiled-parallel"
         with open(spec, "w") as fh:
             json.dump(doc, fh)
         hashes = set()
@@ -383,8 +403,12 @@ class TestRunSpecCLI:
             out = capsys.readouterr().out
             assert rc == 0
             assert '"dispatch"' not in out
+            assert "compiled-parallel" not in out
             hashes.add(out[out.rindex("spec hash:"):].split()[-1])
-        assert len(hashes) == 1
+        # What the commit before the backend was removed printed for ARGS.
+        assert hashes == {
+            "3d78e16f5db9170fe57546befe131959f9f97da518e9fa0ca0ba7e092972ce7b"
+        }
 
     def test_dry_run_hash_is_canonical(self, capsys):
         from repro.config import RunSpec
