@@ -7,7 +7,7 @@ scheduler op dispatch — the quantities that bound the harness's capacity.
 Run as a script (``PYTHONPATH=src python benchmarks/bench_kernel_micro.py``,
 no pytest-benchmark needed) it prints the python kernel's per-pass table:
 what each ufunc of one ``KERNEL_BLOCK`` costs and its share of the block,
-then the whole push against ``advance_reference``.
+then the whole push against ``advance_reference`` and the compiled kernel.
 """
 
 from __future__ import annotations
@@ -24,6 +24,10 @@ from repro.bench.kernel_passes import (
 )
 from repro.core.initialization import initialize
 from repro.core.kernel import KERNEL_BLOCK, advance, advance_reference
+from repro.core.kernel_compiled import (
+    CompiledKernelUnavailable,
+    advance_arrays_compiled,
+)
 from repro.core.mesh import Mesh
 from repro.core.spec import Distribution, PICSpec
 from repro.runtime import SUM, run_spmd
@@ -119,8 +123,18 @@ def main() -> None:
     ref = best_seconds(lambda: advance_reference(mesh, particles, spec.dt)) / n * 1e9
     print(f"whole push, {n} particles (passes replayed alone run cache-hot;")
     print("the push adds dispatch and shares the cache between scratch rows):")
-    print(f"  advance           {fused:7.1f} ns/particle {1e3 / fused:6.1f} M pushes/s")
-    print(f"  advance_reference {ref:7.1f} ns/particle {ref / fused:6.2f}x advance")
+    row = "  {:<24}{:7.1f} ns/particle {:6.1f} M pushes/s {:6.2f}x advance".format
+    print(row("advance", fused, 1e3 / fused, 1.0))
+    print(row("advance_reference", ref, 1e3 / ref, ref / fused))
+    fields = [getattr(particles, f) for f in ("x", "y", "vx", "vy", "q")]
+    try:
+        c = best_seconds(
+            lambda: advance_arrays_compiled(mesh, *fields, spec.dt)
+        ) / n * 1e9
+    except CompiledKernelUnavailable as exc:
+        print(f"  advance_arrays_compiled unavailable: {exc}")
+    else:
+        print(row("advance_arrays_compiled", c, 1e3 / c, c / fused))
 
 
 if __name__ == "__main__":

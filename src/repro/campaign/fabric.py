@@ -365,7 +365,7 @@ def _fabric_worker(wid: int, conn, hb, slot: int) -> None:
     )
     beat.start()
 
-    jit_s = kernel_compiled.warmup(kernel_compiled.resolve_backend("auto"))
+    jit_s = kernel_compiled.warmup("auto")  # resolve + load, all on the clock
     conn.send(("ready", os.getpid(), jit_s))
 
     executors: dict[tuple, Any] = {}

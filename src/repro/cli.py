@@ -136,9 +136,9 @@ def _add_executor_args(p: argparse.ArgumentParser) -> None:
         "--kernel-backend",
         choices=KERNEL_BACKENDS,
         default=None,
-        help="particle-push kernel: python (numpy), compiled (numba, "
-        "requires the repro[compiled] extra) or auto (compiled when "
-        "available); results are bitwise identical in every case, so a "
+        help="particle-push kernel: python (numpy), compiled (a C loop "
+        "built with the host's cc on first use) or auto (compiled when "
+        "it builds); results are bitwise identical in every case, so a "
         "checkpoint written under one backend resumes under any other "
         "(precedence: this flag > REPRO_KERNEL_BACKEND > --spec file > auto)",
     )
@@ -342,8 +342,8 @@ def _print_resolved(args: argparse.Namespace, rs: RunSpec) -> int:
     # The precedence chain yields the *request* (possibly "auto"); what a
     # run would actually execute is the concrete backend, so map through
     # resolve_backend — the same call build_executor makes — before
-    # printing.  An unsatisfiable request (compiled without numba) fails
-    # here exactly as the real run would.
+    # printing.  An unsatisfiable request (compiled without a C compiler)
+    # fails here exactly as the real run would.
     effective_backend = resolve_backend(
         resolve_kernel_backend(
             _cli_value(args, "kernel_backend"), rs.executor.kernel_backend

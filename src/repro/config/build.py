@@ -84,7 +84,7 @@ def build_executor(rs: RunSpec, *, cli_kind=None, cli_workers=None,
     """The compute backend, resolved CLI > env > spec > default.
 
     The caller owns the returned instance and must ``close()`` it.
-    Requesting ``kernel_backend=compiled`` without numba raises
+    Requesting ``kernel_backend=compiled`` without a C compiler raises
     :class:`repro.core.kernel_compiled.CompiledKernelUnavailable` here,
     at build time, rather than mid-run.
     """

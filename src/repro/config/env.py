@@ -116,7 +116,7 @@ def resolve_kernel_backend(
 
     Returns one of ``python``/``compiled``/``auto``; mapping ``auto`` onto
     a concrete backend (and erroring when ``compiled`` is requested without
-    numba) is :func:`repro.core.kernel_compiled.resolve_backend`'s job.
+    a C compiler) is :func:`repro.core.kernel_compiled.resolve_backend`'s job.
     """
     if cli is not None:
         return cli

@@ -42,11 +42,6 @@ from repro.runtime.machine import MachineModel, Tier, TierCosts
 
 SCHEMA_VERSION = 1
 
-#: Implementation names with a known parameter surface (build-able by
-#: :mod:`repro.config.build`).  Other names are tolerated by the schema —
-#: test subclasses derive RunSpecs too — but cannot be rebuilt.
-IMPL_NAMES = ("serial", "mpi-2d", "mpi-2d-LB", "ampi")
-
 LB_STRATEGY_NAMES = (
     "NullLB",
     "GreedyLB",

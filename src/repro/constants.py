@@ -8,10 +8,6 @@ step and unit mesh charge magnitude so that the analytic verification of
 
 from __future__ import annotations
 
-#: Coulomb constant divided by particle mass (paper §III-B: "we will assume
-#: that ke/m equals unity").
-KE_OVER_M: float = 1.0
-
 #: Default mesh spacing ``h``.  The paper recommends ``h = 1`` so that the
 #: relative particle abscissa ``x_pi = h/2`` is exactly representable and the
 #: per-step displacement is exact (§III-C).

@@ -338,15 +338,3 @@ def advance_reference(mesh: Mesh, particles: ParticleArray, dt: float) -> None:
     particles.vy += ay * dt
     np.mod(particles.x, mesh.L, out=particles.x)
     np.mod(particles.y, mesh.L, out=particles.y)
-
-
-def flops_per_particle_step() -> int:
-    """Approximate floating-point operations per particle per step.
-
-    Used by the compute cost model: 4 corner interactions at roughly 12 flops
-    each (sub, mul, add, sqrt, div, two fused accumulates per component) plus
-    the integration update.  The exact figure does not matter — only that
-    compute time scales linearly in local particle count, which is the
-    property the paper's load-imbalance analysis (Eq. 7-8) is built on.
-    """
-    return 4 * 12 + 12

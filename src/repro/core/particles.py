@@ -53,8 +53,6 @@ from repro.core.mesh import Mesh
 _FIELDS = ("x", "y", "vx", "vy", "q", "pid", "x0", "y0", "kdisp", "mdisp", "birth")
 assert len(_FIELDS) == PARTICLE_RECORD_FIELDS
 
-#: Fields stored as int64 (round-tripped through float64 on the wire).
-INT_FIELDS = frozenset({"pid", "kdisp", "mdisp", "birth"})
 #: Minimum backing capacity allocated when an empty container first grows.
 _MIN_GROW = 16
 

@@ -123,18 +123,6 @@ class BlockPartition:
     def with_ysplits(self, ysplits) -> "BlockPartition":
         return BlockPartition(self.cells, self.xsplits, np.asarray(ysplits))
 
-    def moved_cells_x(self, new_xsplits) -> int:
-        """Mesh cells changing owner when xsplits become ``new_xsplits``.
-
-        Each interior boundary that moves by ``delta`` columns transfers
-        ``|delta| * cells`` mesh cells between the adjacent processor
-        columns (summed over all Py rows).  Feeds the migration cost model.
-        """
-        new = np.asarray(new_xsplits, dtype=np.int64)
-        if len(new) != len(self.xsplits):
-            raise ValueError("split vector length mismatch")
-        return int(np.abs(new[1:-1] - self.xsplits[1:-1]).sum()) * self.cells
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BlockPartition)

@@ -99,9 +99,6 @@ class Tracer:
         """Stamp subsequent spans of ``rank`` with ``step``."""
         self._step[rank] = step
 
-    def current_step(self, rank: int) -> int:
-        return self._step.get(rank, -1)
-
     def record(
         self,
         name: str,

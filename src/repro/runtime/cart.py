@@ -81,24 +81,6 @@ class CartComm(Comm):
         self._shift_cache[key] = (src, dst)
         return src, dst
 
-    def neighbors8(self) -> dict[tuple[int, int], int]:
-        """All eight surrounding ranks keyed by offset ``(dx, dy)``.
-
-        On a periodic grid with fewer than 3 ranks along a dimension, several
-        offsets can map to the same rank; callers that enumerate distinct
-        communication partners should de-duplicate the values.
-        """
-        cx, cy = self.coords
-        out: dict[tuple[int, int], int] = {}
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                if dx == 0 and dy == 0:
-                    continue
-                r = self.rank_at(cx + dx, cy + dy)
-                if r is not None:
-                    out[(dx, dy)] = r
-        return out
-
     # ------------------------------------------------------------------
     # Sub-communicators (MPI_Cart_sub analogue)
     # ------------------------------------------------------------------

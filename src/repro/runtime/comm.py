@@ -84,9 +84,6 @@ class Comm:
         """Physical core this rank currently executes on."""
         return self._scheduler.rank_to_core[self.world_rank]
 
-    def translate_to_world(self, local_rank: int) -> int:
-        return self.world_ranks[local_rank]
-
     def _check_peer(self, peer: int) -> None:
         if not (0 <= peer < self.size):
             raise ValueError(

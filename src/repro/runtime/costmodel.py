@@ -149,16 +149,13 @@ class CostModel:
 
 #: Nominal push rates (particles/sec) per kernel backend.  Order-of-
 #: magnitude priors, not measurements: python is the numpy fused kernel on
-#: one core, compiled the scalar numba kernel (>= 3x the python one, with
-#: headroom).  They exist so a heterogeneous fleet can seed a
-#: :class:`WorkRateMeter` *before* the first measured batch —
-#: giving the straggler watch and the load balancers a sane relative-speed
-#: prior — and are overwritten by real measurements as soon as the
-#: executor records them (EWMA, alpha=0.5).
-NOMINAL_BACKEND_RATES = {
-    "python": 2.0e7,
-    "compiled": 1.0e8,
-}
+#: one core, compiled the C kernel (>= 3x the python one, with headroom;
+#: re-fitted when the compiled twin workloads exist).  They exist so a
+#: heterogeneous fleet can seed a :class:`WorkRateMeter` *before* the first
+#: measured batch — giving the straggler watch and the load balancers a sane
+#: relative-speed prior — and are overwritten by real measurements as soon
+#: as the executor records them (EWMA, alpha=0.5).
+NOMINAL_BACKEND_RATES = {"python": 2.0e7, "compiled": 1.0e8}
 
 
 #: Nominal wall seconds a rank costs per step *besides* its pushes (generator

@@ -157,7 +157,7 @@ class Executor:
     be bitwise identical to running ``task.run()`` serially in that order.
 
     Every backend additionally honors a *kernel backend* selection —
-    ``python`` (the numpy fused kernel) or ``compiled`` (the numba one,
+    ``python`` (the numpy fused kernel) or ``compiled`` (the C one,
     see :mod:`repro.core.kernel_compiled`) — either fleet-wide via
     ``kernel_backend`` or per world rank via ``backend_map`` (rank ->
     backend name; ranks not in the map use the fleet-wide choice).  The
@@ -175,7 +175,7 @@ class Executor:
         self, kernel_backend, backend_map, work_meter, exec_tracer=None
     ) -> None:
         """Shared constructor tail: resolve backend names eagerly so a
-        ``compiled`` request without numba fails at build time."""
+        ``compiled`` request without a C compiler fails at build time."""
         resolve = kernel_compiled.resolve_backend
         self.kernel_backend = (
             "python" if kernel_backend is None else resolve(kernel_backend)
@@ -1343,7 +1343,7 @@ def make_executor(
 
     ``kernel_backend`` is a request name (python/compiled/auto, None =
     python); it is resolved eagerly, so asking for the compiled backend
-    without numba raises here, not mid-run.
+    without a C compiler raises here, not mid-run.
     """
     kw = dict(
         kernel_backend=kernel_backend,

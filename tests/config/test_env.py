@@ -106,7 +106,7 @@ class TestKernelBackendChain:
     def test_resolution_yields_a_request_not_a_backend(self):
         """The chain picks the *request* (possibly ``auto``); mapping auto
         to a concrete backend is kernel_compiled.resolve_backend's job, so
-        the numba probe happens exactly once, at executor construction."""
+        the compiler probe happens exactly once, at executor construction."""
         assert resolve_kernel_backend(None, None, environ={}) == "auto"
 
 

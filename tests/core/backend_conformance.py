@@ -5,12 +5,11 @@ Not collected directly (pytest only collects ``test_*.py``); imported by
 to run a kernel-touching scenario under both kernel backends.
 
 Everything here funnels into one claim: the python fused kernel, the
-numba-compiled kernel and the textbook ``advance_reference`` are
+compiled C kernel and the textbook ``advance_reference`` are
 *bit-for-bit* interchangeable — positions, checksums, simulated clocks,
-golden traces and checkpoint files, never ``allclose``.  When numba is absent the
-compiled legs must skip cleanly (``requires_numba``) and ``auto`` must
-fall back to python, so the suite passes both with and without the
-``repro[compiled]`` extra installed.
+golden traces and checkpoint files, never ``allclose``.  On a host without
+a usable C compiler the compiled legs skip (``requires_compiled``, the one
+skip mark for them) and ``auto`` falls back to python.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import numpy as np
 import pytest
 
 from repro.core import kernel, kernel_compiled
-from repro.core.kernel_compiled import COMPILED_EXTRA, HAVE_NUMBA
 from repro.core.mesh import Mesh
 from repro.core.particles import ParticleArray
 from repro.core.spec import Distribution, PICSpec
@@ -31,16 +29,20 @@ from repro.parallel import AmpiPIC, Mpi2dLbPIC, Mpi2dPIC
 from repro.resilience import Checkpointer, ResilienceConfig
 from repro.runtime.executor import make_executor
 
-requires_numba = pytest.mark.skipif(
-    not HAVE_NUMBA,
-    reason=f"compiled kernel backend needs numba (pip install '{COMPILED_EXTRA}')",
+requires_compiled = pytest.mark.skipif(
+    not kernel_compiled.compiled_available(),
+    reason="the compiled kernel backend needs a working C compiler ('cc')",
 )
 
-#: All kernel backends, the compiled one skip-marked where numba is
-#: absent.
+#: The backends that can run here, for fixtures that precompute every cell.
+AVAILABLE_BACKENDS = ["python"] + (
+    ["compiled"] if kernel_compiled.compiled_available() else []
+)
+
+#: All kernel backends, the compiled one skip-marked where it cannot load.
 BACKENDS = [
     pytest.param("python", id="python"),
-    pytest.param("compiled", id="compiled", marks=requires_numba),
+    pytest.param("compiled", id="compiled", marks=requires_compiled),
 ]
 
 #: The three parallel implementations, smallest meaningful configs.

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.kernel import advance, compute_acceleration, flops_per_particle_step
+from repro.core.kernel import advance, compute_acceleration
 from repro.core.mesh import Mesh
 from repro.core.initialization import place_particles
 from repro.core.particles import ParticleArray
@@ -143,6 +143,3 @@ class TestAdvance:
         p = single_particle(mesh, col=0, row=0, dt=0.25)
         advance(mesh, p, dt=0.25)
         assert p.x[0] == pytest.approx(1.5, abs=1e-10)
-
-    def test_flops_estimate_positive(self):
-        assert flops_per_particle_step() > 0

@@ -1,9 +1,9 @@
 """Property-based conformance of kernel backends against the reference.
 
 Hypothesis drives randomized populations through the python fused kernel
-and (when numba is installed) the compiled kernel, asserting *bitwise*
-agreement with ``advance_reference`` — positions, velocities and id
-checksums, never ``allclose``.
+and the compiled C kernel (wherever a C compiler is present), asserting
+*bitwise* agreement with ``advance_reference`` — positions, velocities and
+id checksums, never ``allclose``.
 
 The generator deliberately lands particles on the numerically nasty
 loci the uniform draws almost never hit:

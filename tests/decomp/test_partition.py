@@ -88,16 +88,6 @@ class TestBoundaryMoves:
         assert p.xsplits.tolist() == [0, 4, 8, 12, 16]
         assert q.xsplits.tolist() == [0, 2, 8, 12, 16]
 
-    def test_moved_cells_x(self):
-        p = BlockPartition.uniform(16, 4, 1)
-        new = [0, 2, 8, 13, 16]  # boundary 1 moved by 2, boundary 3 by 1
-        assert p.moved_cells_x(new) == 3 * 16
-
-    def test_moved_cells_length_mismatch(self):
-        p = BlockPartition.uniform(16, 4, 1)
-        with pytest.raises(ValueError):
-            p.moved_cells_x([0, 8, 16])
-
     def test_equality(self):
         a = BlockPartition.uniform(16, 4, 2)
         b = BlockPartition.uniform(16, 4, 2)

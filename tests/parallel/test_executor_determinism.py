@@ -4,8 +4,7 @@ A fig6-shape config is run under every cell of {serial, batched,
 process --workers 4} x {python, compiled}; every cell must produce
 identical final particle positions, id checksums, simulated times, golden
 traces and *checkpoint files* — not merely equal within one backend.
-Compiled cells skip cleanly when numba (the ``repro[compiled]`` extra) is
-not installed.
+Compiled cells skip only on a host without a working C compiler.
 
 Worker (wall-clock) spans are structurally excluded from the comparison:
 they live in a separate :class:`repro.instrument.ExecutorTrace`, never in
@@ -21,12 +20,12 @@ import numpy as np
 import pytest
 
 from repro.bench.workloads import FIG6_CELLS, rescale_r
-from repro.core.kernel_compiled import COMPILED_EXTRA, HAVE_NUMBA
 from repro.core.spec import PICSpec
 from repro.instrument import ExecutorTrace, Tracer, dumps_chrome_trace
 from repro.parallel.mpi2d import Mpi2dPIC
 from repro.resilience import Checkpointer, ResilienceConfig
 from repro.runtime.executor import make_executor
+from tests.core.backend_conformance import AVAILABLE_BACKENDS, requires_compiled
 
 _SPEC = PICSpec(
     cells=FIG6_CELLS,
@@ -37,19 +36,13 @@ _SPEC = PICSpec(
 _CORES = 4
 _CKPT_EVERY = 2
 
-requires_numba = pytest.mark.skipif(
-    not HAVE_NUMBA,
-    reason=f"compiled kernel backend needs numba (pip install '{COMPILED_EXTRA}')",
-)
-
 _EXECUTORS = [("serial", 0), ("batched", 0), ("process", 4)]
-_BACKENDS = ["python"] + (["compiled"] if HAVE_NUMBA else [])
 
 _CELLS = [
     pytest.param(
         (ex, w, backend),
         id=f"{ex}-{backend}",
-        marks=() if backend == "python" else (requires_numba,),
+        marks=() if backend == "python" else (requires_compiled,),
     )
     for ex, w in _EXECUTORS
     for backend in ["python", "compiled"]
@@ -103,7 +96,7 @@ def _run(executor_name, workers, backend, ckpt_dir, exec_tracer=None):
 def runs(tmp_path_factory):
     out = {}
     for ex, workers in _EXECUTORS:
-        for backend in _BACKENDS:
+        for backend in AVAILABLE_BACKENDS:
             exec_tracer = (
                 ExecutorTrace()
                 if (ex, backend) == ("process", "python")

@@ -1,6 +1,6 @@
 """A mixed compiled/python fleet is an ordinary, LB-correctable straggler.
 
-Runs entirely without numba: the heterogeneity enters through a seeded
+Runs without a compiled kernel: the heterogeneity enters through a seeded
 :class:`~repro.runtime.costmodel.WorkRateMeter` — exactly the object a
 real mixed fleet's executors would have filled with measured pushes/sec —
 so the scenario is the *model* of "rank 3 runs the python kernel while

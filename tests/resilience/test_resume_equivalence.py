@@ -31,7 +31,7 @@ from repro.resilience import (
     StragglerWatch,
 )
 from repro.runtime.executor import make_executor
-from tests.core.backend_conformance import requires_numba
+from tests.core.backend_conformance import requires_compiled
 
 SPEC = PICSpec(
     cells=32, n_particles=900, steps=12,
@@ -157,11 +157,11 @@ CROSS_BACKENDS = [
     pytest.param(("python", "auto"), id="python-to-auto"),
     pytest.param(
         ("compiled", "python"), id="compiled-to-python",
-        marks=requires_numba,
+        marks=requires_compiled,
     ),
     pytest.param(
         ("python", "compiled"), id="python-to-compiled",
-        marks=requires_numba,
+        marks=requires_compiled,
     ),
 ]
 

@@ -28,7 +28,7 @@ from repro.runtime.executor import (
     _partition,
     make_executor,
 )
-from repro.core.kernel_compiled import HAVE_NUMBA, CompiledKernelUnavailable
+from repro.core.kernel_compiled import CompiledKernelUnavailable, resolve_backend
 from repro.instrument import ExecutorTrace
 from repro.runtime.costmodel import WorkRateMeter
 from repro.runtime.scheduler import run_spmd
@@ -510,10 +510,9 @@ class TestKernelBackendPlumbing:
 
     def test_auto_resolves_eagerly_to_a_concrete_backend(self):
         ex = InProcessExecutor(kernel_backend="auto")
-        assert ex.kernel_backend == ("compiled" if HAVE_NUMBA else "python")
+        assert ex.kernel_backend == resolve_backend("auto") != "auto"
 
-    @pytest.mark.skipif(HAVE_NUMBA, reason="needs a numba-less environment")
-    def test_compiled_without_numba_fails_at_construction(self):
+    def test_no_compiler_fails_at_construction(self, no_compiler):
         for name in ("serial", "batched", "process"):
             with pytest.raises(CompiledKernelUnavailable):
                 make_executor(name, workers=1, kernel_backend="compiled")
@@ -529,7 +528,7 @@ class TestKernelBackendPlumbing:
     def test_backend_map_overrides_fleet_default(self):
         ex = InProcessExecutor(kernel_backend="python", backend_map={1: "auto"})
         assert ex._backend_for(0) == "python"
-        assert ex._backend_for(1) == ("compiled" if HAVE_NUMBA else "python")
+        assert ex._backend_for(1) == resolve_backend("auto") != "auto"
 
     @pytest.mark.parametrize("name,workers", [("serial", 0), ("batched", 0), ("process", 2)])
     def test_work_meter_records_per_rank_rates(self, name, workers):

@@ -308,14 +308,6 @@ class TestSplitAndCart:
         with pytest.raises(ValueError, match="dims"):
             run_spmd(3, prog)
 
-    def test_cart_neighbors8_unique_on_3x3(self):
-        def prog(comm):
-            cart = yield comm.create_cart((3, 3))
-            return sorted(set(cart.neighbors8().values()))
-
-        res = run_spmd(9, prog)
-        assert res.returns[4] == [0, 1, 2, 3, 5, 6, 7, 8]
-
     def test_cart_sub_communicators(self):
         def prog(comm):
             cart = yield comm.create_cart((2, 3))
