@@ -38,16 +38,9 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.spec import Distribution, PICSpec
-from repro.parallel import AmpiPIC, Mpi2dLbPIC, Mpi2dPIC
-from repro.resilience import (
-    Checkpointer,
-    FaultPlan,
-    RecoveryPolicy,
-    ResilienceConfig,
-    SlowdownFault,
-    StragglerWatch,
-)
+from repro.config import RunSpec
+from repro.config.build import build_impl
+from repro.resilience import FaultPlan, SlowdownFault
 
 SCHEMA_VERSION = 1
 
@@ -55,15 +48,6 @@ SLOWDOWN_FACTOR = 4.0
 SLOW_CORE = 0
 FAULT_START = 10
 CHECKPOINT_EVERY = 25
-
-
-def _spec(cells: int, particles: int, steps: int) -> PICSpec:
-    return PICSpec(
-        cells=cells,
-        n_particles=particles,
-        steps=steps,
-        distribution=Distribution.UNIFORM,
-    )
 
 
 def _plan() -> FaultPlan:
@@ -77,33 +61,31 @@ def _plan() -> FaultPlan:
     )
 
 
-def _impls(spec: PICSpec, cores: int):
+def _impls(cores: int) -> dict:
     """The three contenders, with LB knobs tuned to react within the run."""
     return {
-        "mpi-2d": lambda res: Mpi2dPIC(
-            spec, cores, dims=(cores, 1), resilience=res
-        ),
-        "mpi-2d-LB": lambda res: Mpi2dLbPIC(
-            spec, cores, dims=(cores, 1), lb_interval=2, border_width=2,
-            threshold_fraction=0.02, axes="x", resilience=res,
-        ),
-        "ampi": lambda res: AmpiPIC(
-            spec, cores, overdecomposition=8, lb_interval=5, resilience=res,
-        ),
+        "mpi-2d": {"name": "mpi-2d", "cores": cores, "dims": [cores, 1]},
+        "mpi-2d-LB": {
+            "name": "mpi-2d-LB", "cores": cores, "dims": [cores, 1],
+            "lb_interval": 2, "border_width": 2, "threshold_fraction": 0.02,
+            "axes": "x",
+        },
+        "ampi": {"name": "ampi", "cores": cores, "overdecomposition": 8,
+                 "lb_interval": 5},
     }
 
 
-def _run_pair(name: str, make, n_ranks: int, ckpt_dir: str) -> dict:
-    clean = make(None).run()
-    res = ResilienceConfig(
-        plan=_plan(),
-        watch=StragglerWatch(n_ranks),
-        checkpointer=Checkpointer(
-            os.path.join(ckpt_dir, name), every=CHECKPOINT_EVERY
-        ),
-        recovery=RecoveryPolicy(),
-    )
-    faulted = make(res).run()
+def _run_pair(name: str, workload: dict, impl: dict, ckpt_dir: str) -> dict:
+    def run(resilience: dict):
+        doc = {"workload": workload, "impl": impl, "resilience": resilience}
+        return build_impl(RunSpec.from_dict(doc)).run()
+
+    clean = run({})
+    # A fault plan arms the straggler watch and the default recovery policy.
+    faulted = run({
+        "faults": _plan().to_dict(), "checkpoint_every": CHECKPOINT_EVERY,
+        "checkpoint_dir": os.path.join(ckpt_dir, name),
+    })
     return {
         "impl": name,
         "clean_time_s": clean.total_time,
@@ -125,7 +107,8 @@ def run_scenario(
     gate_min_recovery: float | None,
     progress: Callable[[str], None] = print,
 ) -> tuple[dict, list[dict]]:
-    spec = _spec(cells, particles, steps)
+    workload = {"cells": cells, "n_particles": particles, "steps": steps,
+                "distribution": "uniform"}
     scenario = {
         "cells": cells,
         "particles": particles,
@@ -138,10 +121,8 @@ def run_scenario(
     }
     entries = []
     with tempfile.TemporaryDirectory(prefix="resilience-bench-") as ckpt_dir:
-        impls = _impls(spec, cores)
-        for name, make in impls.items():
-            n_ranks = make(None).n_ranks
-            entries.append(_run_pair(name, make, n_ranks, ckpt_dir))
+        for name, impl in _impls(cores).items():
+            entries.append(_run_pair(name, workload, impl, ckpt_dir))
 
     baseline = next(e for e in entries if e["impl"] == "mpi-2d")
     base_slow = baseline["slowdown_s"]

@@ -69,7 +69,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.config.runspec import RunSpec
+from repro.config.runspec import ConfigError, RunSpec
 from repro.runtime.costmodel import (
     predicted_point_pushes,
     predicted_point_seconds,
@@ -128,13 +128,13 @@ class FabricConfig:
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
-            raise ValueError("fabric jobs must be >= 1")
+            raise ConfigError("fabric jobs must be >= 1")
         if self.io_batch < 1:
-            raise ValueError("io_batch must be >= 1")
+            raise ConfigError("io_batch must be >= 1")
         if self.heartbeat_timeout_s <= 0:
-            raise ValueError("heartbeat_timeout_s must be positive")
+            raise ConfigError("heartbeat_timeout_s must be positive")
         if self.max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
+            raise ConfigError("max_retries must be non-negative")
 
 
 @dataclass
@@ -314,21 +314,6 @@ def schedule_order(tasks: list[tuple[int, RunSpec]]) -> list[int]:
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-def _executor_key(rs: RunSpec) -> tuple:
-    """The resolved executor identity a warm executor is cached under."""
-    from repro.config.env import (
-        resolve_executor,
-        resolve_kernel_backend,
-        resolve_workers,
-    )
-
-    return (
-        resolve_executor(None, rs.executor.kind),
-        resolve_workers(None, rs.executor.workers),
-        resolve_kernel_backend(None, rs.executor.kernel_backend),
-    )
-
-
 def _fabric_worker(wid: int, conn, hb, slot: int) -> None:
     """Worker main: warm up once, then pull points until told to stop.
 
@@ -347,6 +332,7 @@ def _fabric_worker(wid: int, conn, hb, slot: int) -> None:
     import threading
 
     from repro.config.build import build_executor, execute_runspec
+    from repro.config.env import resolve_executor_config
     from repro.core import kernel_compiled
 
     crash_at = None
@@ -368,7 +354,8 @@ def _fabric_worker(wid: int, conn, hb, slot: int) -> None:
     jit_s = kernel_compiled.warmup("auto")  # resolve + load, all on the clock
     conn.send(("ready", os.getpid(), jit_s))
 
-    executors: dict[tuple, Any] = {}
+    # One warm executor per resolved executor config (a frozen dataclass).
+    executors: dict[Any, Any] = {}
     received = 0
     try:
         while True:
@@ -385,11 +372,11 @@ def _fabric_worker(wid: int, conn, hb, slot: int) -> None:
             t_run = time.perf_counter()
             try:
                 rs = RunSpec.from_dict(spec_doc)
-                key = _executor_key(rs)
+                key = resolve_executor_config(None, rs.executor)
                 ex = executors.get(key)
                 if ex is None:
                     t_warm = time.perf_counter()
-                    ex = build_executor(rs)
+                    ex = build_executor(rs, cli=key)
                     start = getattr(ex, "start", None)
                     if callable(start):
                         start()
@@ -399,7 +386,8 @@ def _fabric_worker(wid: int, conn, hb, slot: int) -> None:
                         ex, "pool_startup_s",
                         time.perf_counter() - t_warm,
                     )
-                    conn.send(("warm", "/".join(map(str, key)), startup))
+                    label = f"{key.kind}/{key.workers}/{key.kernel_backend}"
+                    conn.send(("warm", label, startup))
                 result = execute_runspec(rs, executor=ex)
             except BaseException:
                 conn.send(("error", seq, traceback.format_exc()))

@@ -39,7 +39,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.campaign.spec import CampaignPoint, CampaignSpec
@@ -180,14 +180,17 @@ def run_campaign(
     fig7 point unless ``REPRO_FULL`` is set).  ``progress`` receives one
     human-readable line per point.  With ``jobs > 1`` uncached points run
     over the work-stealing fabric; ``fabric`` overrides the fabric's
-    knobs.  ``runner`` has one value left, ``"fabric"``; the keyword stays
-    because the layered benchmark's ``sweep_cold`` workload passes it.
+    knobs, its ``jobs`` included.  ``runner`` has one value left,
+    ``"fabric"``; the keyword stays because the layered benchmark's
+    ``sweep_cold`` workload passes it.
     """
     from repro.campaign.fabric import CacheIndex, FabricConfig
     from repro.config.build import canonical_runspec
 
     if runner != "fabric":
         raise ValueError(f"unknown campaign runner {runner!r}")
+    if fabric is not None:
+        jobs = fabric.jobs
 
     points = campaign.expand()
     if select is not None:
@@ -234,12 +237,9 @@ def run_campaign(
     fabric_doc = None
     if to_run:
         if jobs > 1:
-            cfg = fabric or FabricConfig(jobs=jobs)
-            if cfg.jobs != jobs:
-                cfg = replace(cfg, jobs=jobs)
             fabric_doc = _run_fabric(
                 campaign, points, to_run, canon, hashes, outcomes,
-                cache_dir, cfg, progress, index,
+                cache_dir, fabric or FabricConfig(jobs=jobs), progress, index,
             )
         else:
             for p in to_run:

@@ -19,8 +19,9 @@ Every run is configured through one declarative
 :class:`repro.config.RunSpec`: the flags below build one, ``--spec FILE``
 loads one (explicit flags override the file's values), and ``--dry-run``
 prints the fully-resolved spec plus its content hash without running.
-Executor backend and worker count resolve CLI > ``REPRO_EXECUTOR`` /
-``REPRO_WORKERS`` > spec file > serial (see :mod:`repro.config.env`).
+Executor backend, worker count and kernel backend resolve CLI >
+``REPRO_EXECUTOR`` / ``REPRO_WORKERS`` / ``REPRO_KERNEL_BACKEND`` > spec
+file > serial / 0 / auto (see :mod:`repro.config.env`).
 
 ``run`` accepts ``--profile``: the command runs under cProfile and the top
 20 functions by cumulative time are printed afterwards — the quickest way
@@ -45,18 +46,20 @@ import argparse
 import os
 import sys
 from dataclasses import replace
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from repro.config import (
     EXECUTOR_KINDS,
     KERNEL_BACKENDS,
     ConfigError,
+    EnvConfigError,
     ExecutorConfig,
     RunSpec,
-    diff_docs,
+    apply_overrides,
+    resolve_executor_config,
 )
 from repro.core.simulation import run_serial
-from repro.core.spec import Distribution, PICSpec, Region, spec_to_dict
+from repro.core.spec import Distribution
 from repro.instrument import (
     ExecutorTrace,
     MetricsRegistry,
@@ -69,48 +72,102 @@ from repro.instrument import (
     write_executor_trace,
     write_metrics,
 )
-from repro.parallel import AmpiPIC, Mpi2dLbPIC, Mpi2dPIC
-from repro.runtime.costmodel import CostModel
-from repro.runtime.machine import MachineModel
 
 
-def _add_spec_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--cells", type=int, default=128, help="mesh cells per side (even)")
-    p.add_argument("--particles", type=int, default=20_000)
-    p.add_argument("--steps", type=int, default=100)
-    p.add_argument(
-        "--dist",
-        choices=[d.value for d in Distribution],
-        default=Distribution.GEOMETRIC.value,
-    )
-    p.add_argument("--r", type=float, default=0.97, help="geometric ratio")
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=3.0)
-    p.add_argument(
-        "--patch", type=int, nargs=4, metavar=("XLO", "XHI", "YLO", "YHI"),
-        help="patch region in cells (for --dist patch)",
-    )
-    p.add_argument("--k", type=int, default=0, help="drift multiplier: 2k+1 cells/step")
-    p.add_argument("--m", type=int, default=0, help="vertical cells per step")
-    p.add_argument("--rotate90", action="store_true")
-    p.add_argument("--seed", type=int, default=42)
+def _region(patch):
+    """``--patch XLO XHI YLO YHI`` as a workload region document."""
+    return None if patch is None else dict(zip(("x_lo", "x_hi", "y_lo", "y_hi"), patch))
 
 
-def _spec_from(args: argparse.Namespace) -> PICSpec:
-    return PICSpec(
-        cells=args.cells,
-        n_particles=args.particles,
-        steps=args.steps,
-        distribution=Distribution(args.dist),
-        r=args.r,
-        alpha=args.alpha,
-        beta=args.beta,
-        patch=Region(*args.patch) if args.patch else None,
-        k=args.k,
-        m_vertical=args.m,
-        rotate90=args.rotate90,
-        seed=args.seed,
-    )
+def _fault_plan(path):
+    """``--faults PLAN.json`` inlined into the spec."""
+    from repro.resilience import FaultPlan
+
+    return FaultPlan.load(path).to_dict() if path else None
+
+
+class _Flag(NamedTuple):
+    """One CLI flag that sets one RunSpec field."""
+
+    flags: str  # option strings, space-separated
+    path: str  # dotted RunSpec path
+    kwargs: dict  # argparse kwargs, the CLI default included
+    impl: str | None = None  # the one impl it applies to (None = all)
+    convert: Callable | None = None  # parsed value -> spec value
+
+    @property
+    def dest(self) -> str:
+        return self.flags.split()[0].lstrip("-").replace("-", "_")
+
+
+#: Every flag that maps onto a RunSpec path, in ``--help`` order.  The CLI
+#: defaults are not the schema's (``--cores 24``, ``--push-ns 3500`` vs the
+#: cost model's 140 ns), so they live here, beside the path.
+_FLAGS = (
+    _Flag("--cells", "workload.cells",
+          dict(type=int, default=128, help="mesh cells per side (even)")),
+    _Flag("--particles", "workload.n_particles", dict(type=int, default=20_000)),
+    _Flag("--steps", "workload.steps", dict(type=int, default=100)),
+    _Flag("--dist", "workload.distribution",
+          dict(choices=[d.value for d in Distribution],
+               default=Distribution.GEOMETRIC.value)),
+    _Flag("--r", "workload.r", dict(type=float, default=0.97, help="geometric ratio")),
+    _Flag("--alpha", "workload.alpha", dict(type=float, default=1.0)),
+    _Flag("--beta", "workload.beta", dict(type=float, default=3.0)),
+    _Flag("--patch", "workload.patch",
+          dict(type=int, nargs=4, metavar=("XLO", "XHI", "YLO", "YHI"),
+               help="patch region in cells (for --dist patch)"), convert=_region),
+    _Flag("--k", "workload.k",
+          dict(type=int, default=0, help="drift multiplier: 2k+1 cells/step")),
+    _Flag("--m", "workload.m_vertical",
+          dict(type=int, default=0, help="vertical cells per step")),
+    _Flag("--rotate90", "workload.rotate90", dict(nargs=0, const=True, default=False)),
+    _Flag("--seed", "workload.seed", dict(type=int, default=42)),
+    _Flag("--impl", "impl.name",
+          dict(choices=["mpi-2d", "mpi-2d-LB", "ampi"], default="mpi-2d")),
+    _Flag("--cores", "impl.cores", dict(type=int, default=24)),
+    _Flag("--push-ns", "cost.particle_push_s",
+          dict(type=float, default=3500.0,
+               help="modelled particle push time in nanoseconds"),
+          convert=lambda ns: ns * 1e-9),
+    _Flag("--lb-interval", "impl.lb_interval", dict(type=int, default=2), "mpi-2d-LB"),
+    _Flag("--border-width", "impl.border_width",
+          dict(type=int, default=3), "mpi-2d-LB"),
+    _Flag("--threshold", "impl.threshold_fraction",
+          dict(type=float, default=0.02), "mpi-2d-LB"),
+    _Flag("--axes", "impl.axes",
+          dict(choices=["x", "y", "xy"], default="x"), "mpi-2d-LB"),
+    _Flag("--overdecomposition -d", "impl.overdecomposition",
+          dict(type=int, default=8), "ampi"),
+    _Flag("--ampi-interval", "impl.lb_interval", dict(type=int, default=25), "ampi"),
+    _Flag("--faults", "resilience.faults",
+          dict(metavar="PLAN.json", default=None,
+               help="activate a deterministic fault plan (see docs/resilience.md); "
+               "also arms the straggler watch and a default recovery policy"),
+          convert=_fault_plan),
+    _Flag("--checkpoint-every", "resilience.checkpoint_every",
+          dict(type=int, default=0, metavar="N",
+               help="checkpoint the full simulation state every N steps (0 = off)")),
+    _Flag("--checkpoint-dir", "resilience.checkpoint_dir",
+          dict(default="checkpoints", metavar="DIR",
+               help="directory for checkpoint files (default: checkpoints)")),
+)
+
+
+class _Typed(argparse.Action):
+    """Store a table flag's value and record that it was typed: over a
+    ``--spec`` file only typed flags apply, never argparse defaults."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, self.const if self.nargs == 0 else values)
+        namespace.typed = {*getattr(namespace, "typed", ()), self.dest}
+
+
+def _add_flags(p: argparse.ArgumentParser, *sections: str) -> None:
+    """The table's flags whose RunSpec path lies in one of ``sections``."""
+    for row in _FLAGS:
+        if row.path.partition(".")[0] in sections:
+            p.add_argument(*row.flags.split(), action=_Typed, **row.kwargs)
 
 
 def _add_executor_args(p: argparse.ArgumentParser) -> None:
@@ -144,18 +201,12 @@ def _add_executor_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_parallel_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--impl", choices=["mpi-2d", "mpi-2d-LB", "ampi"], default="mpi-2d")
-    p.add_argument("--cores", type=int, default=24)
-    p.add_argument("--push-ns", type=float, default=3500.0,
-                   help="modelled particle push time in nanoseconds")
-    p.add_argument("--lb-interval", type=int, default=2)
-    p.add_argument("--border-width", type=int, default=3)
-    p.add_argument("--threshold", type=float, default=0.02)
-    p.add_argument("--axes", choices=["x", "y", "xy"], default="x")
-    p.add_argument("--overdecomposition", "-d", type=int, default=8)
-    p.add_argument("--ampi-interval", type=int, default=25)
+def _add_run_args(p: argparse.ArgumentParser) -> None:
+    """Everything ``run`` and ``trace`` share."""
+    _add_flags(p, "workload", "impl", "cost")
     _add_executor_args(p)
+    _add_flags(p, "resilience")
+    _add_spec_file_args(p)
 
 
 def _add_spec_file_args(p: argparse.ArgumentParser) -> None:
@@ -170,173 +221,53 @@ def _add_spec_file_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_resilience_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--faults", metavar="PLAN.json", default=None,
-        help="activate a deterministic fault plan (see docs/resilience.md); "
-        "also arms the straggler watch and a default recovery policy",
-    )
-    p.add_argument(
-        "--checkpoint-every", type=int, default=0, metavar="N",
-        help="checkpoint the full simulation state every N steps (0 = off)",
-    )
-    p.add_argument(
-        "--checkpoint-dir", default="checkpoints", metavar="DIR",
-        help="directory for checkpoint files (default: checkpoints)",
-    )
-
-
 # ----------------------------------------------------------------------
 # CLI -> RunSpec
-#
-# Every run subcommand goes through one declarative RunSpec
-# (repro.config).  Without --spec the flag values (defaults included) are
-# authoritative, reproducing the historical CLI behavior exactly; with
-# --spec the file is the base and only *explicitly typed* flags override
-# it — argparse defaults must not clobber the file, which is why main()
-# records the explicitly-set destinations in ``args._explicit`` (via a
-# second parse with all defaults suppressed).
 # ----------------------------------------------------------------------
-def _explicit_set(args: argparse.Namespace) -> set:
-    """Destinations the user typed (everything, if main() didn't run)."""
-    return getattr(args, "_explicit", set(vars(args)))
-
-
-def _cli_value(args: argparse.Namespace, dest: str):
-    """The flag's value if explicitly typed, else None (= fall through)."""
-    return getattr(args, dest, None) if dest in _explicit_set(args) else None
-
-
-#: argparse destination -> RunSpec dotted path, for --spec overrides.
-_WORKLOAD_PATHS = (
-    ("cells", "workload.cells"),
-    ("particles", "workload.n_particles"),
-    ("steps", "workload.steps"),
-    ("dist", "workload.distribution"),
-    ("r", "workload.r"),
-    ("alpha", "workload.alpha"),
-    ("beta", "workload.beta"),
-    ("k", "workload.k"),
-    ("m", "workload.m_vertical"),
-    ("rotate90", "workload.rotate90"),
-    ("seed", "workload.seed"),
-)
-
-_LB_PATHS = (
-    ("lb_interval", "impl.lb_interval"),
-    ("border_width", "impl.border_width"),
-    ("threshold", "impl.threshold_fraction"),
-    ("axes", "impl.axes"),
-)
-
-_AMPI_PATHS = (
-    ("overdecomposition", "impl.overdecomposition"),
-    ("ampi_interval", "impl.lb_interval"),
-)
-
-
-def _impl_doc_from(args: argparse.Namespace) -> dict:
-    """The impl section the parallel flags describe (no --spec case)."""
-    doc: dict = {"name": args.impl, "cores": args.cores}
-    if args.impl == "mpi-2d-LB":
-        doc.update(
-            lb_interval=args.lb_interval,
-            border_width=args.border_width,
-            threshold_fraction=args.threshold,
-            axes=args.axes,
-        )
-    elif args.impl == "ampi":
-        doc.update(
-            overdecomposition=args.overdecomposition,
-            lb_interval=args.ampi_interval,
-        )
-    return doc
-
-
-def _resilience_overrides(args: argparse.Namespace, explicit_only: bool) -> dict:
-    over: dict = {}
-    explicit = _explicit_set(args)
-    faults = getattr(args, "faults", None)
-    if faults and (not explicit_only or "faults" in explicit):
-        from repro.resilience import FaultPlan
-
-        over["resilience.faults"] = FaultPlan.load(faults).to_dict()
-    if getattr(args, "checkpoint_every", 0) and (
-        not explicit_only or "checkpoint_every" in explicit
-    ):
-        over["resilience.checkpoint_every"] = args.checkpoint_every
-    if hasattr(args, "checkpoint_dir") and (
-        not explicit_only or "checkpoint_dir" in explicit
-    ):
-        over["resilience.checkpoint_dir"] = args.checkpoint_dir
-    return over
-
-
 def _runspec_from(args: argparse.Namespace, *, serial: bool = False) -> RunSpec:
-    """The RunSpec this invocation describes (CLI flags over --spec file)."""
-    from repro.config.runspec import apply_overrides
+    """The RunSpec this invocation describes.
 
-    spec_path = getattr(args, "spec", None)
-    if not spec_path:
-        doc: dict = {
-            "workload": spec_to_dict(_spec_from(args)),
-            "impl": {"name": "serial"} if serial else _impl_doc_from(args),
-        }
-        if not serial:
-            doc["cost"] = {"particle_push_s": args.push_ns * 1e-9}
-            doc = apply_overrides(doc, _resilience_overrides(args, False))
-        return RunSpec.from_dict(doc)
-
-    base = RunSpec.load(spec_path).to_dict()
-    explicit = _explicit_set(args)
-    over: dict = {}
-    for dest, path in _WORKLOAD_PATHS:
-        if dest in explicit:
-            over[path] = getattr(args, dest)
-    if "patch" in explicit and args.patch:
-        region = Region(*args.patch)
-        over["workload.patch"] = {
-            "x_lo": region.x_lo, "x_hi": region.x_hi,
-            "y_lo": region.y_lo, "y_hi": region.y_hi,
-        }
-    if serial:
-        # `pic-prk serial` runs the reference kernel no matter which
-        # implementation the spec file names.
-        base["impl"] = {"name": "serial"}
+    Without ``--spec`` every table flag applies, defaults included, over an
+    empty document; with it the file is the base and only typed flags
+    apply.  Either way a flag applies only to the impl it belongs to.
+    """
+    if args.spec:
+        doc = RunSpec.load(args.spec).to_dict()
+        apply = set(getattr(args, "typed", ()))
     else:
-        name = args.impl if "impl" in explicit else base["impl"].get("name")
-        if "impl" in explicit and name != base["impl"].get("name"):
-            # Stale tunables of the replaced impl would otherwise be
-            # rejected as not-applicable; the flags redefine the section
-            # (keeping the file's core count unless --cores was typed).
-            file_cores = base["impl"].get("cores", 1)
-            base["impl"] = _impl_doc_from(args)
-            if "cores" not in explicit:
-                base["impl"]["cores"] = file_cores
-        else:
-            over["impl.name"] = name
-            if "cores" in explicit:
-                over["impl.cores"] = args.cores
-            paths = _LB_PATHS if name == "mpi-2d-LB" else (
-                _AMPI_PATHS if name == "ampi" else ()
-            )
-            for dest, path in paths:
-                if dest in explicit:
-                    over[path] = getattr(args, dest)
-        if "push_ns" in explicit:
-            over["cost.particle_push_s"] = args.push_ns * 1e-9
-        over.update(_resilience_overrides(args, True))
-    return RunSpec.from_dict(apply_overrides(base, over))
+        doc = {"workload": {}, "impl": {}}
+        apply = set(vars(args))
+    if serial:
+        # `pic-prk serial` runs the reference kernel whatever impl a file names.
+        doc["impl"] = {"name": "serial"}
+    elif "impl" in apply and args.impl != doc["impl"].get("name"):
+        # The old impl's tunables would be rejected as not applicable: the
+        # new impl's flags, defaults included, redefine the section (a
+        # file's core count stays unless --cores was typed).
+        doc["impl"] = {k: v for k, v in doc["impl"].items() if k == "cores"}
+        apply |= {row.dest for row in _FLAGS if row.impl == args.impl}
+    name = doc["impl"]["name"] if "impl" not in apply else args.impl
+    over = {}
+    for row in _FLAGS:
+        if row.dest in apply and row.impl in (None, name):
+            value = getattr(args, row.dest)
+            over[row.path] = value if row.convert is None else row.convert(value)
+    return RunSpec.from_dict(apply_overrides(doc, over))
+
+
+def _executor_config(args: argparse.Namespace, rs: RunSpec | None = None):
+    """The executor a command runs with: typed flags > env > ``rs`` > default."""
+    typed = ExecutorConfig(
+        kind=getattr(args, "executor", None),
+        workers=getattr(args, "workers", None),
+        kernel_backend=getattr(args, "kernel_backend", None),
+    )
+    return resolve_executor_config(typed, None if rs is None else rs.executor)
 
 
 def _print_resolved(args: argparse.Namespace, rs: RunSpec) -> int:
     """--dry-run: the fully-resolved spec (driver defaults filled in)."""
     from repro.config.build import canonical_runspec
-    from repro.config.env import (
-        resolve_executor,
-        resolve_kernel_backend,
-        resolve_workers,
-    )
     from repro.core.kernel_compiled import resolve_backend
 
     # The precedence chain yields the *request* (possibly "auto"); what a
@@ -344,18 +275,9 @@ def _print_resolved(args: argparse.Namespace, rs: RunSpec) -> int:
     # resolve_backend — the same call build_executor makes — before
     # printing.  An unsatisfiable request (compiled without a C compiler)
     # fails here exactly as the real run would.
-    effective_backend = resolve_backend(
-        resolve_kernel_backend(
-            _cli_value(args, "kernel_backend"), rs.executor.kernel_backend
-        )
-    )
-    resolved = canonical_runspec(rs).with_overrides(
-        executor=ExecutorConfig(
-            kind=resolve_executor(_cli_value(args, "executor"), rs.executor.kind),
-            workers=resolve_workers(_cli_value(args, "workers"), rs.executor.workers),
-            kernel_backend=effective_backend,
-        )
-    )
+    cfg = _executor_config(args, rs)
+    cfg = replace(cfg, kernel_backend=resolve_backend(cfg.kernel_backend))
+    resolved = canonical_runspec(rs).with_overrides(executor=cfg)
     print(resolved.to_json())
     print(f"spec hash: {resolved.spec_hash()}")
     return 0
@@ -391,10 +313,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.dry_run:
         return _print_resolved(args, rs)
     from repro.config.build import build_executor, build_impl
-    from repro.config.env import resolve_executor
 
-    kind = resolve_executor(_cli_value(args, "executor"), rs.executor.kind)
-    if getattr(args, "profile", False) and kind == "process":
+    cfg = _executor_config(args, rs)
+    if args.profile and cfg.kind == "process":
         print(
             "error: --profile cannot observe worker processes; cProfile only "
             "sees the parent, so the profile would be misleading. Use "
@@ -403,11 +324,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    executor = build_executor(
-        rs, cli_kind=_cli_value(args, "executor"),
-        cli_workers=_cli_value(args, "workers"),
-        cli_kernel_backend=_cli_value(args, "kernel_backend"),
-    )
+    executor = build_executor(rs, cli=cfg)
     impl = build_impl(rs, executor=executor)
     resilience = impl.resilience
     try:
@@ -444,19 +361,13 @@ def cmd_trace(args: argparse.Namespace) -> int:
     if args.dry_run:
         return _print_resolved(args, rs)
     from repro.config.build import build_executor, build_impl
-    from repro.config.env import resolve_executor
 
-    kind = resolve_executor(_cli_value(args, "executor"), rs.executor.kind)
+    cfg = _executor_config(args, rs)
     tracer = TraceCollector()
     spans = Tracer() if args.out else None
     metrics = MetricsRegistry() if args.out else None
-    exec_spans = ExecutorTrace() if args.out and kind == "process" else None
-    executor = build_executor(
-        rs, cli_kind=_cli_value(args, "executor"),
-        cli_workers=_cli_value(args, "workers"),
-        cli_kernel_backend=_cli_value(args, "kernel_backend"),
-        exec_tracer=exec_spans,
-    )
+    exec_spans = ExecutorTrace() if args.out and cfg.kind == "process" else None
+    executor = build_executor(rs, cli=cfg, exec_tracer=exec_spans)
     impl = build_impl(
         rs, tracer=tracer, span_tracer=spans, metrics=metrics, executor=executor
     )
@@ -487,95 +398,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0 if result.verification.ok else 1
 
 
-def _impl_from_snapshot(snapshot, args: argparse.Namespace):
-    """Rebuild an implementation from *legacy* checkpoint metadata.
-
-    Pre-RunSpec checkpoints carry loose ``impl``/``spec``/``params`` keys
-    instead of an embedded ``runspec`` document; this path keeps them
-    resumable.  New checkpoints go through :func:`_impl_from_runspec`.
-    """
-    from repro.resilience import (
-        Checkpointer,
-        FaultPlan,
-        RecoveryPolicy,
-        ResilienceConfig,
-        StragglerWatch,
-        spec_from_dict,
-    )
-
-    meta = snapshot.meta
-    spec = spec_from_dict(meta["spec"])
-    machine = MachineModel()
-    cost = CostModel(
-        machine=machine, particle_push_s=meta["cost"]["particle_push_s"]
-    )
-    rmeta = meta.get("resilience", {})
-    plan = watch = recovery = checkpointer = None
-    if rmeta.get("plan") is not None:
-        plan = FaultPlan.from_dict(rmeta["plan"])
-    if rmeta.get("watch") is not None:
-        watch = StragglerWatch(snapshot.n_ranks, **rmeta["watch"])
-    if rmeta.get("recovery") is not None:
-        recovery = RecoveryPolicy(**rmeta["recovery"])
-    every = int(rmeta.get("checkpoint_every", 0))
-    if every > 0:
-        checkpointer = Checkpointer(args.checkpoint_dir, every=every)
-    resilience = ResilienceConfig(
-        plan=plan, watch=watch, checkpointer=checkpointer,
-        recovery=recovery, resume=snapshot,
-    )
-
-    from repro.config.env import (
-        resolve_executor,
-        resolve_kernel_backend,
-        resolve_workers,
-    )
-    from repro.runtime.executor import make_executor
-
-    executor = make_executor(
-        resolve_executor(_cli_value(args, "executor")),
-        workers=resolve_workers(_cli_value(args, "workers")),
-        kernel_backend=resolve_kernel_backend(
-            _cli_value(args, "kernel_backend")
-        ),
-    )
-    params = meta.get("params", {})
-    common = dict(
-        machine=machine, cost=cost, dims=tuple(meta["dims"]),
-        executor=executor, resilience=resilience,
-    )
-    impl_name = meta.get("impl")
-    if impl_name == "mpi-2d":
-        impl = Mpi2dPIC(spec, meta["n_cores"], **common)
-    elif impl_name == "mpi-2d-LB":
-        impl = Mpi2dLbPIC(spec, meta["n_cores"], **params, **common)
-    elif impl_name == "ampi":
-        impl = AmpiPIC(spec, meta["n_cores"], **params, **common)
-    else:
-        raise SystemExit(f"checkpoint names unknown implementation {impl_name!r}")
-    return impl, executor, resilience
-
-
-def _impl_from_runspec(snapshot, args: argparse.Namespace):
-    """Rebuild the run from the checkpoint's embedded RunSpec document."""
-    from repro.config.build import build_executor, build_impl
-
-    rs = RunSpec.from_dict(snapshot.meta["runspec"])
-    # The checkpoint directory is an IO location, not identity: the
-    # resumed run keeps checkpointing into --checkpoint-dir.
-    rs = rs.with_overrides(
-        resilience=replace(rs.resilience, checkpoint_dir=args.checkpoint_dir)
-    )
-    executor = build_executor(
-        rs, cli_kind=_cli_value(args, "executor"),
-        cli_workers=_cli_value(args, "workers"),
-        cli_kernel_backend=_cli_value(args, "kernel_backend"),
-    )
-    impl = build_impl(rs, executor=executor, resume=snapshot)
-    return impl, executor, impl.resilience
-
-
-def _check_resume_spec(args: argparse.Namespace, snapshot) -> int:
+def _check_resume_spec(spec_path: str, snapshot, rs: RunSpec) -> int:
     """Validate --spec against the checkpoint's embedded RunSpec hash.
 
     Returns 0 when compatible; prints the differing identity fields and
@@ -583,18 +406,10 @@ def _check_resume_spec(args: argparse.Namespace, snapshot) -> int:
     """
     from repro.config.build import canonical_runspec
 
-    requested = canonical_runspec(RunSpec.load(args.spec))
-    have_hash = snapshot.meta.get("runspec_hash")
-    if have_hash is None:
-        print(
-            "error: checkpoint predates embedded RunSpecs and cannot be "
-            "validated against --spec; resume it without --spec",
-            file=sys.stderr,
-        )
-        return 2
+    requested = canonical_runspec(RunSpec.load(spec_path))
+    have_hash = snapshot.meta["runspec_hash"]
     if requested.spec_hash() == have_hash:
         return 0
-    embedded = RunSpec.from_dict(snapshot.meta["runspec"])
     print(
         "error: checkpoint was written by a different run configuration\n"
         f"  requested spec hash {requested.spec_hash()[:16]}… != "
@@ -602,23 +417,24 @@ def _check_resume_spec(args: argparse.Namespace, snapshot) -> int:
         "  differing fields:",
         file=sys.stderr,
     )
-    for line in diff_docs(requested.identity_dict(), embedded.identity_dict()):
+    for line in requested.diff_identity(rs):
         print(f"    {line}", file=sys.stderr)
     return 2
 
 
 def cmd_resume(args: argparse.Namespace) -> int:
-    from repro.resilience import Snapshot
+    from repro.config.build import build_executor, build_impl
+    from repro.resilience.checkpoint import load_for_resume
 
-    snapshot = Snapshot.load(getattr(args, "from"))
-    if getattr(args, "spec", None):
-        rc = _check_resume_spec(args, snapshot)
+    # The checkpoint directory is an IO location, not identity: the
+    # resumed run keeps checkpointing into --checkpoint-dir.
+    snapshot, rs = load_for_resume(getattr(args, "from"), args.checkpoint_dir)
+    if args.spec:
+        rc = _check_resume_spec(args.spec, snapshot, rs)
         if rc != 0:
             return rc
-    if snapshot.meta.get("runspec") is not None:
-        impl, executor, resilience = _impl_from_runspec(snapshot, args)
-    else:
-        impl, executor, resilience = _impl_from_snapshot(snapshot, args)
+    executor = build_executor(rs, cli=_executor_config(args, rs))
+    impl = build_impl(rs, executor=executor, resume=snapshot)
     print(
         f"resuming {impl.name} at step {snapshot.next_step}/{impl.spec.steps} "
         f"({snapshot.n_ranks} ranks on {impl.n_cores} cores)"
@@ -631,7 +447,7 @@ def cmd_resume(args: argparse.Namespace) -> int:
         f"{result.implementation} on {result.n_cores} simulated cores: "
         f"{result.total_time:.4f}s simulated"
     )
-    _report_resilience(resilience)
+    _report_resilience(impl.resilience)
     print(result.verification)
     return 0 if result.verification.ok else 1
 
@@ -664,7 +480,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     res = run_campaign(
         campaign,
         cache_dir=args.cache,
-        jobs=args.jobs,
         force=args.force,
         progress=print,
         fabric=fabric,
@@ -698,14 +513,8 @@ def cmd_multirun(args: argparse.Namespace) -> int:
     Results are byte-identical to running each spec alone (the
     equivalence suite enforces it); only the wall-clock profile changes.
     """
-    from repro.config.build import build_impl
-    from repro.config.env import (
-        resolve_executor,
-        resolve_kernel_backend,
-        resolve_workers,
-    )
+    from repro.config.build import build_executor, build_impl
     from repro.instrument import write_engine_traces
-    from repro.runtime.executor import make_executor
     from repro.runtime.multiplex import EngineGroup
 
     specs: list[tuple[str, RunSpec]] = []
@@ -725,11 +534,9 @@ def cmd_multirun(args: argparse.Namespace) -> int:
         # Same file listed twice: disambiguate by position.
         specs = [(f"{name}@{i}", rs) for i, (name, rs) in enumerate(specs)]
 
-    shared = make_executor(
-        resolve_executor(_cli_value(args, "executor")),
-        workers=resolve_workers(_cli_value(args, "workers")),
-        kernel_backend=resolve_kernel_backend(_cli_value(args, "kernel_backend")),
-    )
+    # One executor for every engine: the spec files' executor sections are
+    # not consulted (typed flags > env > default).
+    shared = build_executor(specs[0][1], cli=_executor_config(args))
     tracers: dict[str, Tracer] = {}
     group = EngineGroup(
         policy=args.policy,
@@ -794,15 +601,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("serial", help="run and verify the serial kernel")
-    _add_spec_args(p)
+    _add_flags(p, "workload")
     _add_spec_file_args(p)
     p.set_defaults(fn=cmd_serial)
 
     p = sub.add_parser("run", help="run one parallel implementation")
-    _add_spec_args(p)
-    _add_parallel_args(p)
-    _add_resilience_args(p)
-    _add_spec_file_args(p)
+    _add_run_args(p)
     p.add_argument(
         "--profile", action="store_true",
         help="run under cProfile and print the top 20 by cumulative time",
@@ -814,10 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run with tracing: imbalance timeline, plus span trace + "
         "metrics dumps with --out",
     )
-    _add_spec_args(p)
-    _add_parallel_args(p)
-    _add_resilience_args(p)
-    _add_spec_file_args(p)
+    _add_run_args(p)
     p.add_argument(
         "--out", metavar="DIR", default=None,
         help="also record spans + metrics and write trace.json "
@@ -945,33 +746,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _suppress_defaults(parser: argparse.ArgumentParser) -> None:
-    """Make a parser record only explicitly-typed arguments.
-
-    Used by main() on a second parser instance: parsing the same argv
-    with every default suppressed yields a namespace whose keys are
-    exactly the destinations the user typed — how --spec merging tells
-    'flag left at its default' apart from 'flag typed'.
-    """
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in set(action.choices.values()):
-                _suppress_defaults(sub)
-        elif action.default is not argparse.SUPPRESS:
-            action.default = argparse.SUPPRESS
-    parser._defaults.clear()
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    aux = build_parser()
-    _suppress_defaults(aux)
-    args._explicit = set(vars(aux.parse_args(argv)))
     from repro.core.kernel_compiled import CompiledKernelUnavailable
 
     try:
         return args.fn(args)
-    except (ConfigError, CompiledKernelUnavailable) as exc:
+    except (ConfigError, EnvConfigError, CompiledKernelUnavailable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

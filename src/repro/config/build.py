@@ -16,11 +16,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.config.env import (
-    resolve_executor,
-    resolve_kernel_backend,
-    resolve_workers,
-)
+from repro.config.env import resolve_executor_config
 from repro.config.runspec import LB_STRATEGY_NAMES, ConfigError, ResilienceSpec, RunSpec
 from repro.runtime.costmodel import check_cost_rates
 
@@ -78,10 +74,9 @@ def build_resilience(rs: RunSpec, n_ranks: int, *, resume=None):
     )
 
 
-def build_executor(rs: RunSpec, *, cli_kind=None, cli_workers=None,
-                   cli_kernel_backend=None,
-                   exec_tracer=None, environ=None):
-    """The compute backend, resolved CLI > env > spec > default.
+def build_executor(rs: RunSpec, *, cli=None, exec_tracer=None):
+    """The compute backend :func:`resolve_executor_config` picks for ``rs``
+    (``cli``, an ExecutorConfig of typed flags, outranks env and spec).
 
     The caller owns the returned instance and must ``close()`` it.
     Requesting ``kernel_backend=compiled`` without a C compiler raises
@@ -90,14 +85,10 @@ def build_executor(rs: RunSpec, *, cli_kind=None, cli_workers=None,
     """
     from repro.runtime.executor import make_executor
 
-    kind = resolve_executor(cli_kind, rs.executor.kind, environ=environ)
-    workers = resolve_workers(cli_workers, rs.executor.workers, environ=environ)
-    kernel_backend = resolve_kernel_backend(
-        cli_kernel_backend, rs.executor.kernel_backend, environ=environ
-    )
+    cfg = resolve_executor_config(cli, rs.executor)
     return make_executor(
-        kind, workers=workers, exec_tracer=exec_tracer,
-        kernel_backend=kernel_backend,
+        cfg.kind, workers=cfg.workers, exec_tracer=exec_tracer,
+        kernel_backend=cfg.kernel_backend,
     )
 
 

@@ -21,9 +21,10 @@ for imbalance timelines and figure generation.
 
 Usage::
 
+    from repro.config.build import build_impl
     from repro.instrument import MetricsRegistry, Tracer, write_chrome_trace
     tracer, metrics = Tracer(), MetricsRegistry()
-    result = Mpi2dPIC(spec, 24, span_tracer=tracer, metrics=metrics).run()
+    result = build_impl(runspec, span_tracer=tracer, metrics=metrics).run()
     write_chrome_trace(tracer, "trace.json")   # open in ui.perfetto.dev
 
 See ``docs/observability.md`` for the span model and metric names.

@@ -98,13 +98,6 @@ class AmpiPIC(ParallelPICBase):
             f"-d{self.overdecomposition}-F{self.lb_interval}"
         )
 
-    def _checkpoint_params(self):
-        return {
-            "overdecomposition": self.overdecomposition,
-            "lb_interval": self.lb_interval,
-            "stats_s_per_vp": self.stats_s_per_vp,
-        }
-
     def _impl_config(self):
         strategy = self.strategy
         if isinstance(strategy, MeteredLB):

@@ -60,7 +60,6 @@ from repro.config.runspec import (
     ResilienceSpec,
     RunSpec,
 )
-from repro.resilience.checkpoint import spec_to_dict
 
 # Message tags of the particle-exchange protocol.
 TAG_X_RIGHT = 101
@@ -285,7 +284,7 @@ class ParallelPICBase:
         else:
             locals0 = self._initial_locals(partition0)
         if checkpointer is not None:
-            checkpointer.meta = self._snapshot_meta(dims)
+            checkpointer.meta = self._snapshot_meta()
         injections = self._materialize_injections()
 
         scheduler = Scheduler(
@@ -531,10 +530,6 @@ class ParallelPICBase:
         if vp.rng_state is not None:
             state.rng = pup.rng_from_state(vp.rng_state)
 
-    def _checkpoint_params(self) -> dict:
-        """Implementation tunables stored in checkpoint metadata."""
-        return {}
-
     # ------------------------------------------------------------------
     # RunSpec derivation / construction
     # ------------------------------------------------------------------
@@ -566,31 +561,13 @@ class ParallelPICBase:
             resilience=ResilienceSpec.from_config(self.resilience),
         )
 
-    def _snapshot_meta(self, dims) -> dict:
-        """Checkpoint ``meta`` block: everything resume needs to rebuild us.
-
-        Carries both the legacy loose keys (impl/spec/params/...) and the
-        embedded RunSpec identity document plus its content hash — the
-        ``resume`` subcommand validates a requested spec against
-        ``runspec_hash`` instead of trusting the loose metadata.
+    def _snapshot_meta(self) -> dict:
+        """Checkpoint ``meta`` block: the embedded RunSpec identity document
+        plus its content hash — everything resume needs to rebuild us, and
+        what ``pic-prk resume --spec`` validates a requested spec against.
         """
         rs = self.runspec()
-        return {
-            "impl": self.name,
-            "n_cores": self.n_cores,
-            "dims": list(dims),
-            "spec": spec_to_dict(self.spec),
-            "cost": {"particle_push_s": self.cost.particle_push_s},
-            "params": self._checkpoint_params(),
-            "runspec": rs.identity_dict(),
-            "runspec_hash": rs.spec_hash(),
-            "resilience": {
-                "plan": rs.resilience.faults,
-                "watch": rs.resilience.watch,
-                "recovery": rs.resilience.recovery,
-                "checkpoint_every": rs.resilience.checkpoint_every,
-            },
-        }
+        return {"runspec": rs.identity_dict(), "runspec_hash": rs.spec_hash()}
 
     def _apply_events(self, comm, cart: CartComm, state: "_RankState", t, injections):
         """Fire the step's events; injected particles filter by ownership."""

@@ -99,15 +99,6 @@ class Mpi2dLbPIC(ParallelPICBase):
         state.extra["col_comm"] = yield cart.sub_y()
         state.extra["row_comm"] = yield cart.sub_x()
 
-    def _checkpoint_params(self):
-        return {
-            "lb_interval": self.lb_interval,
-            "threshold_fraction": self.threshold_fraction,
-            "border_width": self.border_width,
-            "axes": self.axes,
-            "min_width": self.min_width,
-        }
-
     def _impl_config(self):
         base = super()._impl_config()
         return base.with_params(

@@ -25,8 +25,6 @@ from repro.resilience.checkpoint import (
     Snapshot,
     pause_engine,
     resume_engine,
-    spec_from_dict,
-    spec_to_dict,
 )
 from repro.resilience.faults import (
     CrashFault,
@@ -53,8 +51,6 @@ __all__ = [
     "StragglerWatch",
     "pause_engine",
     "resume_engine",
-    "spec_from_dict",
-    "spec_to_dict",
     "unit_hash",
 ]
 

@@ -16,10 +16,11 @@ On-disk format (versioned, CRC-validated)::
     payload = u32 header_len | header JSON | rank-0 blob | rank-1 blob ...
 
 The header carries the global scheduler state, per-rank blob sizes, and a
-``meta`` block (spec, implementation, tunables) sufficient for the CLI
-``resume`` subcommand to rebuild the run from the file alone.  Restoring
-(:meth:`Snapshot.load` + the drivers' resume path) continues any of the
-three implementations bitwise-identically to the uninterrupted run:
+``meta`` block — the run's RunSpec identity document (``runspec``) and its
+content hash (``runspec_hash``) — from which :func:`load_for_resume`
+rebuilds the run from the file alone, for ``pic-prk resume`` and
+:func:`resume_engine` alike.  Restoring continues any of the three
+implementations bitwise-identically to the uninterrupted run:
 positions, checksums, sim clocks and the golden trace from the resumed
 step onward are equal (pinned by tests/resilience/test_resume_equivalence).
 """
@@ -30,11 +31,8 @@ import json
 import os
 import struct
 import zlib
-from typing import Any
+from dataclasses import replace
 
-# Canonical spec (de)serialization lives with the spec itself; re-exported
-# here because checkpoint metadata has always carried it.
-from repro.core.spec import spec_from_dict, spec_to_dict  # noqa: F401
 from repro.runtime.errors import CheckpointCorruptError
 
 CKPT_MAGIC = b"RPRKCKPT"
@@ -125,16 +123,16 @@ class Snapshot:
         return cls(header, blobs)
 
     def check_compatible(self, impl: str, n_ranks: int, n_cores: int) -> None:
-        meta = self.meta
-        if meta.get("impl") != impl:
+        taken = self.meta.get("runspec", {}).get("impl", {})
+        if taken.get("name") != impl:
             raise CheckpointCorruptError(
-                f"checkpoint was taken by impl {meta.get('impl')!r}, "
+                f"checkpoint was taken by impl {taken.get('name')!r}, "
                 f"cannot resume {impl!r}"
             )
-        if self.n_ranks != n_ranks or meta.get("n_cores") != n_cores:
+        if self.n_ranks != n_ranks or taken.get("cores") != n_cores:
             raise CheckpointCorruptError(
                 f"checkpoint geometry ({self.n_ranks} ranks on "
-                f"{meta.get('n_cores')} cores) does not match the run "
+                f"{taken.get('cores')} cores) does not match the run "
                 f"({n_ranks} ranks on {n_cores} cores)"
             )
 
@@ -322,39 +320,41 @@ def pause_engine(engine, checkpointer: Checkpointer, *, force: bool = False):
             return checkpointer.last_path
 
 
-def resume_engine(path: str, *, checkpoint_dir: str | None = None, **build_kwargs):
-    """Rebuild a paused run's engine from a checkpoint file.
+def load_for_resume(path: str, checkpoint_dir: str | None = None):
+    """``(snapshot, runspec)`` of a checkpoint file: the one rebuild path.
 
-    Loads the CRC-validated snapshot, reconstructs the driver from the
-    ``runspec`` recorded in the checkpoint metadata and returns a fresh
-    bound :class:`~repro.runtime.engine.SimEngine` that continues from
-    the cut.  ``build_kwargs`` pass through to
-    :func:`repro.config.build.build_impl` (tracer, executor, ...).
-
-    ``checkpoint_dir`` names where the continuation keeps checkpointing
-    (an IO location, not run identity); it defaults to the directory the
-    paused run was writing into, so later scheduled checkpoints land
-    byte-identically next to the pause file.
+    Loads the CRC-validated snapshot and the RunSpec embedded in its
+    metadata; a checkpoint without one (written before checkpoints embedded
+    their RunSpec) is refused.  ``checkpoint_dir`` names where the
+    continuation keeps checkpointing (an IO location, not run identity); it
+    defaults to the directory the paused run was writing into, so later
+    scheduled checkpoints land byte-identically next to the pause file.
     """
-    import os as _os
-
-    from dataclasses import replace as _replace
-
-    from repro.config.build import build_impl
     from repro.config.runspec import RunSpec
 
     snapshot = Snapshot.load(path)
-    meta = snapshot.meta
-    if "runspec" not in meta:
+    if "runspec" not in snapshot.meta:
         raise CheckpointCorruptError(
-            f"checkpoint {path} carries no runspec metadata; "
-            "resume it through the driver that wrote it"
+            f"checkpoint {path} carries no runspec metadata; checkpoints "
+            "written before runs embedded their RunSpec cannot be resumed"
         )
-    rs = RunSpec.from_dict(meta["runspec"])
+    rs = RunSpec.from_dict(snapshot.meta["runspec"])
     if checkpoint_dir is None:
-        checkpoint_dir = _os.path.dirname(_os.path.abspath(path))
-    rs = rs.with_overrides(
-        resilience=_replace(rs.resilience, checkpoint_dir=checkpoint_dir)
+        checkpoint_dir = os.path.dirname(os.path.abspath(path))
+    return snapshot, rs.with_overrides(
+        resilience=replace(rs.resilience, checkpoint_dir=checkpoint_dir)
     )
-    impl = build_impl(rs, resume=snapshot, **build_kwargs)
-    return impl.build_engine()
+
+
+def resume_engine(path: str, *, checkpoint_dir: str | None = None, **build_kwargs):
+    """Rebuild a paused run's engine from a checkpoint file.
+
+    Returns a fresh bound :class:`~repro.runtime.engine.SimEngine` that
+    continues from the cut (see :func:`load_for_resume`).
+    ``build_kwargs`` pass through to :func:`repro.config.build.build_impl`
+    (tracer, executor, ...).
+    """
+    from repro.config.build import build_impl
+
+    snapshot, rs = load_for_resume(path, checkpoint_dir)
+    return build_impl(rs, resume=snapshot, **build_kwargs).build_engine()

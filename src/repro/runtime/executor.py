@@ -1362,7 +1362,8 @@ _DEFAULT: Executor | None = None
 
 
 def default_executor() -> Executor:
-    """Process-wide executor from ``REPRO_EXECUTOR`` / ``REPRO_WORKERS``.
+    """Process-wide executor from ``REPRO_EXECUTOR`` / ``REPRO_WORKERS`` /
+    ``REPRO_KERNEL_BACKEND``.
 
     Cached so that every scheduler in the process (e.g. a whole test-suite
     run under ``REPRO_EXECUTOR=process``) shares one warmed worker pool.
@@ -1371,16 +1372,11 @@ def default_executor() -> Executor:
     """
     global _DEFAULT
     if _DEFAULT is None:
-        from repro.config.env import (
-            resolve_executor,
-            resolve_kernel_backend,
-            resolve_workers,
-        )
+        from repro.config.env import resolve_executor_config
 
+        cfg = resolve_executor_config()
         _DEFAULT = make_executor(
-            resolve_executor(),
-            workers=resolve_workers(),
-            kernel_backend=resolve_kernel_backend(),
+            cfg.kind, workers=cfg.workers, kernel_backend=cfg.kernel_backend
         )
         if isinstance(_DEFAULT, ProcessExecutor):
             atexit.register(_DEFAULT.close)

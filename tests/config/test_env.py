@@ -1,47 +1,49 @@
-"""Tests for REPRO_EXECUTOR / REPRO_WORKERS / REPRO_KERNEL_BACKEND parsing."""
+"""Tests for REPRO_EXECUTOR / REPRO_WORKERS / REPRO_KERNEL_BACKEND and the
+one precedence chain they sit in (``resolve_executor_config``)."""
 
 import pytest
 
-from repro.config.env import (
-    EnvConfigError,
-    env_executor,
-    env_kernel_backend,
-    env_workers,
-    resolve_executor,
-    resolve_kernel_backend,
-    resolve_workers,
-)
+from repro.config import ExecutorConfig
+from repro.config.env import EnvConfigError, resolve_executor_config
+
+
+def _env(**variables):
+    """The executor config the environment alone yields (nothing typed)."""
+    return resolve_executor_config(environ=variables)
 
 
 class TestEnvParsing:
     def test_unset_is_none(self):
-        assert env_executor({}) is None
-        assert env_workers({}) is None
+        # Unset variables fall through to the spec, then the defaults.
+        spec = ExecutorConfig(kind="process", workers=3)
+        assert resolve_executor_config(None, spec, environ={}) == ExecutorConfig(
+            kind="process", workers=3, kernel_backend="auto"
+        )
 
     def test_empty_and_whitespace_are_none(self):
-        assert env_executor({"REPRO_EXECUTOR": ""}) is None
-        assert env_executor({"REPRO_EXECUTOR": "  "}) is None
-        assert env_workers({"REPRO_WORKERS": ""}) is None
+        assert _env(REPRO_EXECUTOR="").kind == "serial"
+        assert _env(REPRO_EXECUTOR="  ").kind == "serial"
+        assert _env(REPRO_WORKERS="").workers == 0
 
     def test_valid_values(self):
         for kind in ("serial", "batched", "process"):
-            assert env_executor({"REPRO_EXECUTOR": kind}) == kind
-        assert env_workers({"REPRO_WORKERS": "4"}) == 4
-        assert env_workers({"REPRO_WORKERS": "0"}) == 0
+            assert _env(REPRO_EXECUTOR=kind).kind == kind
+        assert _env(REPRO_WORKERS="4").workers == 4
+        assert _env(REPRO_WORKERS="0").workers == 0
 
     def test_invalid_executor_raises(self):
         with pytest.raises(EnvConfigError, match="gpu"):
-            env_executor({"REPRO_EXECUTOR": "gpu"})
+            _env(REPRO_EXECUTOR="gpu")
 
     def test_invalid_workers_raise(self):
         with pytest.raises(EnvConfigError, match="integer"):
-            env_workers({"REPRO_WORKERS": "many"})
+            _env(REPRO_WORKERS="many")
         with pytest.raises(EnvConfigError, match=">= 0"):
-            env_workers({"REPRO_WORKERS": "-1"})
+            _env(REPRO_WORKERS="-1")
 
     def test_default_executor_reads_process_environ(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXECUTOR", "batched")
-        assert env_executor() == "batched"
+        assert resolve_executor_config().kind == "batched"
 
 
 class TestPrecedence:
@@ -50,23 +52,40 @@ class TestPrecedence:
     ENV = {"REPRO_EXECUTOR": "batched", "REPRO_WORKERS": "3"}
 
     def test_cli_wins_over_everything(self):
-        assert resolve_executor("process", "serial", environ=self.ENV) == "process"
-        assert resolve_workers(7, 1, environ=self.ENV) == 7
+        cfg = resolve_executor_config(
+            ExecutorConfig(kind="process", workers=7),
+            ExecutorConfig(kind="serial", workers=1), environ=self.ENV,
+        )
+        assert (cfg.kind, cfg.workers) == ("process", 7)
 
     def test_env_wins_over_spec(self):
-        assert resolve_executor(None, "serial", environ=self.ENV) == "batched"
-        assert resolve_workers(None, 1, environ=self.ENV) == 3
+        cfg = resolve_executor_config(
+            None, ExecutorConfig(kind="serial", workers=1), environ=self.ENV
+        )
+        assert (cfg.kind, cfg.workers) == ("batched", 3)
 
     def test_spec_wins_over_default(self):
-        assert resolve_executor(None, "process", environ={}) == "process"
-        assert resolve_workers(None, 5, environ={}) == 5
+        cfg = resolve_executor_config(
+            None, ExecutorConfig(kind="process", workers=5), environ={}
+        )
+        assert (cfg.kind, cfg.workers) == ("process", 5)
 
     def test_default_when_nothing_set(self):
-        assert resolve_executor(environ={}) == "serial"
-        assert resolve_workers(environ={}) == 0
+        assert resolve_executor_config(environ={}) == ExecutorConfig(
+            kind="serial", workers=0, kernel_backend="auto"
+        )
 
     def test_cli_zero_workers_is_explicit_not_fallthrough(self):
-        assert resolve_workers(0, 5, environ=self.ENV) == 0
+        cfg = resolve_executor_config(
+            ExecutorConfig(workers=0), ExecutorConfig(workers=5), environ=self.ENV
+        )
+        assert cfg.workers == 0
+
+    def test_typed_flag_shields_a_bad_environment_variable(self):
+        cfg = resolve_executor_config(
+            ExecutorConfig(kind="serial"), environ={"REPRO_EXECUTOR": "gpu"}
+        )
+        assert cfg.kind == "serial"
 
 
 class TestKernelBackendChain:
@@ -75,39 +94,44 @@ class TestKernelBackendChain:
     ENV = {"REPRO_KERNEL_BACKEND": "compiled"}
 
     def test_env_parsing(self):
-        assert env_kernel_backend({}) is None
-        assert env_kernel_backend({"REPRO_KERNEL_BACKEND": "  "}) is None
+        assert _env().kernel_backend == "auto"
+        assert _env(REPRO_KERNEL_BACKEND="  ").kernel_backend == "auto"
         for name in ("python", "compiled", "auto"):
-            assert env_kernel_backend({"REPRO_KERNEL_BACKEND": name}) == name
+            assert _env(REPRO_KERNEL_BACKEND=name).kernel_backend == name
         with pytest.raises(EnvConfigError, match="fortran"):
-            env_kernel_backend({"REPRO_KERNEL_BACKEND": "fortran"})
+            _env(REPRO_KERNEL_BACKEND="fortran")
         # Removed backend: loud, and the message lists what is left.
         with pytest.raises(EnvConfigError, match="python, compiled, auto$"):
-            env_kernel_backend({"REPRO_KERNEL_BACKEND": "compiled-parallel"})
+            _env(REPRO_KERNEL_BACKEND="compiled-parallel")
 
     def test_cli_wins(self):
-        assert (
-            resolve_kernel_backend("python", "auto", environ=self.ENV)
-            == "python"
+        cfg = resolve_executor_config(
+            ExecutorConfig(kernel_backend="python"),
+            ExecutorConfig(kernel_backend="auto"), environ=self.ENV,
         )
+        assert cfg.kernel_backend == "python"
 
     def test_env_wins_over_spec(self):
-        assert (
-            resolve_kernel_backend(None, "python", environ=self.ENV)
-            == "compiled"
+        cfg = resolve_executor_config(
+            None, ExecutorConfig(kernel_backend="python"), environ=self.ENV
         )
+        assert cfg.kernel_backend == "compiled"
 
     def test_spec_wins_over_default(self):
-        assert resolve_kernel_backend(None, "python", environ={}) == "python"
+        cfg = resolve_executor_config(
+            None, ExecutorConfig(kernel_backend="python"), environ={}
+        )
+        assert cfg.kernel_backend == "python"
 
     def test_default_is_auto(self):
-        assert resolve_kernel_backend(environ={}) == "auto"
+        assert resolve_executor_config(environ={}).kernel_backend == "auto"
 
     def test_resolution_yields_a_request_not_a_backend(self):
         """The chain picks the *request* (possibly ``auto``); mapping auto
         to a concrete backend is kernel_compiled.resolve_backend's job, so
         the compiler probe happens exactly once, at executor construction."""
-        assert resolve_kernel_backend(None, None, environ={}) == "auto"
+        cfg = resolve_executor_config(None, ExecutorConfig(), environ={})
+        assert cfg.kernel_backend == "auto"
 
 
 class TestDispatchChain:

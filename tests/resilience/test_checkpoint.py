@@ -13,14 +13,14 @@ from repro.core.spec import (
     PICSpec,
     Region,
     RemovalEvent,
+    spec_from_dict,
+    spec_to_dict,
 )
 from repro.parallel import Mpi2dPIC
 from repro.resilience import (
     Checkpointer,
     ResilienceConfig,
     Snapshot,
-    spec_from_dict,
-    spec_to_dict,
 )
 from repro.resilience.checkpoint import CKPT_MAGIC
 from repro.runtime.errors import CheckpointCorruptError
@@ -52,8 +52,10 @@ class TestSnapshotLoad:
         snap = Snapshot.load(ckpt)
         assert snap.next_step == 2
         assert snap.n_ranks == 4
-        assert snap.meta["impl"] == "mpi-2d"
-        assert spec_from_dict(snap.meta["spec"]) == _spec()
+        # The run is described once: its RunSpec identity and hash.
+        assert set(snap.meta) == {"runspec", "runspec_hash"}
+        assert snap.meta["runspec"]["impl"]["name"] == "mpi-2d"
+        assert spec_from_dict(snap.meta["runspec"]["workload"]) == _spec()
         assert len(snap.header["global"]["clocks"]) == 4
 
     def test_missing_file(self, tmp_path):
@@ -104,8 +106,8 @@ def test_resume_engine_accepts_parent_commit_executor_section(tmp_path, monkeypa
 
     plain_meta = Mpi2dPIC._snapshot_meta
 
-    def meta_with_executor(self, dims):
-        meta = plain_meta(self, dims)
+    def meta_with_executor(self):
+        meta = plain_meta(self)
         meta["runspec"]["executor"] = {
             "kind": "serial", "workers": None, "kernel_backend": None,
             "dispatch": None, "ring_slots": None,

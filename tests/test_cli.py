@@ -241,6 +241,51 @@ class TestResilienceCLI:
         assert "resuming mpi-2d-LB at step 4/8" in out
         assert "PASS" in out
 
+    @pytest.mark.parametrize("impl", ["mpi-2d", "mpi-2d-LB", "ampi"])
+    def test_resume_rewrites_the_final_checkpoint_byte_identically(
+        self, impl, tmp_path, capsys
+    ):
+        whole, again = tmp_path / "whole", tmp_path / "again"
+        assert main([
+            "run", "--impl", impl, "--cores", "4", "-d", "2",
+            "--lb-interval", "3", "--ampi-interval", "3",
+            "--cells", "32", "--particles", "400", "--steps", "8",
+            "--checkpoint-every", "4", "--checkpoint-dir", str(whole),
+        ]) == 0
+        assert main([
+            "resume", "--from", str(whole / "ckpt_step000004.ckpt"),
+            "--checkpoint-dir", str(again),
+        ]) == 0
+        capsys.readouterr()
+        final = "ckpt_step000008.ckpt"
+        assert (again / final).read_bytes() == (whole / final).read_bytes()
+
+    def test_checkpoint_without_runspec_is_refused_by_both_entry_points(
+        self, tmp_path, capsys
+    ):
+        import struct
+        import zlib
+
+        from repro.resilience import resume_engine
+        from repro.resilience.checkpoint import CKPT_MAGIC, CKPT_VERSION, Snapshot
+        from repro.runtime.errors import CheckpointCorruptError
+
+        ckpt_dir, _ = self._run_with_checkpoints(tmp_path, capsys)
+        path = os.path.join(ckpt_dir, "ckpt_step000004.ckpt")
+        # The pre-RunSpec layout: loose keys only, with a valid CRC.
+        snap = Snapshot.load(path)
+        header = dict(snap.header, meta={"impl": "mpi-2d-LB", "n_cores": 4})
+        hjson = json.dumps(header).encode("utf-8")
+        payload = struct.pack("<I", len(hjson)) + hjson + b"".join(snap.blobs)
+        with open(path, "wb") as fh:
+            fh.write(CKPT_MAGIC + struct.pack("<IQ", CKPT_VERSION, len(payload)))
+            fh.write(payload + struct.pack("<I", zlib.crc32(payload)))
+        with pytest.raises(CheckpointCorruptError, match="no runspec") as cli:
+            main(["resume", "--from", path])
+        with pytest.raises(CheckpointCorruptError) as api:
+            resume_engine(path)
+        assert str(cli.value) == str(api.value)
+
     def test_resume_rejects_corrupt_checkpoint(self, tmp_path, capsys):
         import os
 
@@ -580,6 +625,24 @@ class TestExecutorPrecedence:
         hash_a = out_a[out_a.rindex("spec hash:"):]
         hash_b = out_b[out_b.rindex("spec hash:"):]
         assert hash_a == hash_b
+
+
+@pytest.mark.parametrize("env, argv", [
+    ({"REPRO_EXECUTOR": "gpu"}, ["run", "--dry-run"]),
+    ({}, ["campaign", "{decl}", "--jobs", "2", "--io-batch", "0"]),
+    ({}, ["campaign", "{decl}", "--heartbeat-timeout", "0"]),
+    ({}, ["run", "--executor", "process", "--workers", "-1", "--steps", "1"]),
+], ids=["env-executor", "io-batch", "heartbeat-timeout", "workers"])
+def test_bad_outside_input_is_a_clean_error(env, argv, tmp_path, capsys, monkeypatch):
+    """Bad values from the environment or the command line print one
+    ``error:`` line and exit 2, never a traceback."""
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    decl = TestCampaignCLI()._declaration(tmp_path)
+    rc = main([arg.format(decl=decl) for arg in argv])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestMultirun:
