@@ -112,6 +112,9 @@ def build_impl(
 
     ``rs.impl.name`` must be one of the three parallel implementations;
     ``"serial"`` runs have no driver object — use :func:`execute_runspec`.
+    Without ``executor`` the driver runs on :func:`build_executor`'s pick
+    for ``rs`` and owns it: its engine's ``close()`` (or the end of
+    ``run()``) closes it.
     """
     cls = _driver_class(rs.impl.name)
     if cls is None:
@@ -140,6 +143,9 @@ def build_impl(
     # Two-phase: the watch is sized by the driver's rank count (cores * d
     # for ampi), which only the constructed driver knows authoritatively.
     impl.resilience = build_resilience(rs, impl.n_ranks, resume=resume)
+    if executor is None:  # last, so a rejected spec starts no workers
+        impl.executor = build_executor(rs)
+        impl.owns_executor = True
     return impl
 
 
@@ -205,15 +211,7 @@ def execute_runspec(rs: RunSpec, *, executor=None) -> dict:
             "final_particles": len(res.particles),
         }
 
-    own_executor = executor is None
-    if own_executor:
-        executor = build_executor(rs)
-    impl = build_impl(rs, executor=executor)
-    try:
-        result = impl.run()
-    finally:
-        if own_executor:
-            executor.close()
+    result = build_impl(rs, executor=executor).run()
     if not result.verification.ok:
         raise RuntimeError(
             f"verification failed for {rs.describe()}: {result.verification}"

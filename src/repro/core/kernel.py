@@ -105,6 +105,15 @@ def compute_acceleration(
 #: Chunking an elementwise computation does not change a single result bit.
 KERNEL_BLOCK = 16384
 
+#: Fewest members a fused chunk needs before the executor runs the first
+#: x hop's front half for all of them at once (``x_hop_wave`` in
+#: :mod:`repro.runtime.executor`) instead of once per rank.  Measured per
+#: chunk against the per-rank front half: 431 vs 1782 us at 64 x 250
+#: particles, 90 vs 124 us at 4 x 1000, 149 vs 106 us at 2 x 7500.  At 2
+#: and 4 members no end-to-end gain was resolved and peak RSS rose 2-3 MB,
+#: so those shapes stay per rank; ``pump_heavy`` (64) runs 17 % faster.
+WAVE_MIN_MEMBERS = 8
+
 
 class KernelWorkspace:
     """Reused scratch buffers for the fused particle push.

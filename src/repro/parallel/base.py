@@ -48,7 +48,7 @@ from repro.runtime.cart import CartComm
 from repro.runtime.comm import Comm
 from repro.runtime.costmodel import CostModel
 from repro.runtime.errors import RuntimeConfigError
-from repro.runtime.executor import PushTask
+from repro.runtime.executor import EMPTY_WIRE, NO_LEAVERS, PushTask
 from repro.runtime.machine import MachineModel
 from repro.runtime.reduce_ops import MAX, SUM
 from repro.runtime.scheduler import Scheduler
@@ -172,6 +172,10 @@ class ParallelPICBase:
         #: (:mod:`repro.runtime.executor`); ``None`` lets the scheduler fall
         #: back to the env-configured process default.
         self.executor = executor
+        #: Whether the executor is this driver's to close (set by
+        #: :func:`repro.config.build.build_impl` when it built one from
+        #: the spec); otherwise it belongs to whoever passed it in.
+        self.owns_executor = False
         #: Optional :class:`repro.resilience.ResilienceConfig` — fault
         #: plan, straggler watch, checkpointer, recovery policy, resume
         #: snapshot.  Unlike the instrument hooks, an attached fault plan
@@ -223,19 +227,23 @@ class ParallelPICBase:
         """Build the engine and drive it to completion (the classic API)."""
         engine = self.build_engine()
         try:
-            return engine.run()
+            result = engine.run()
         except BaseException:
             # Error paths (deadlock, rank failure) must not leak a
             # lazily-acquired default executor's worker pool.
             engine.close()
             raise
+        if self.owns_executor:
+            engine.close()
+        return result
 
     def close(self) -> None:
         """Release run resources (idempotent).
 
         Closes the scheduler side of any engine this driver built (which
-        reaps a lazily-acquired default executor's workers); an executor
-        passed to the constructor belongs to its caller and is untouched.
+        reaps an owned or lazily-acquired default executor's workers); an
+        executor passed to the constructor belongs to its caller and is
+        untouched.
         """
         engine = getattr(self, "_engine", None)
         if engine is not None:
@@ -297,6 +305,7 @@ class ParallelPICBase:
             executor=self.executor,
             resilience=res.runtime_hook() if res is not None else None,
             work_rates=self.work_rates,
+            owns_executor=self.owns_executor,
         )
         # Measured backend rates are diagnostic context for the straggler
         # watch: flagging still happens on observed busy seconds, but the
@@ -439,14 +448,18 @@ class ParallelPICBase:
                 # same step and hands them to the executor backend, which
                 # may fuse the kernel calls or fan them out across worker
                 # processes (bitwise-identical either way — see
-                # repro.runtime.executor).
-                yield comm.compute(
-                    step_cost, task=PushTask(mesh, state.particles, spec.dt)
+                # repro.runtime.executor).  The task also carries the first
+                # x hop's route, so a fusing executor may run that hop's
+                # front half for the whole chunk (task.xhop).
+                task = PushTask(
+                    mesh, state.particles, spec.dt,
+                    xroute=_x_route(state.partition, cart),
                 )
+                yield comm.compute(step_cost, task=task)
                 state.pushes += n_local
                 state.particles = yield from exchange_particles(
                     comm, cart, state.partition, mesh, state.particles, cost,
-                    scratch=state.scratch,
+                    scratch=state.scratch, xhop=task.xhop,
                 )
                 yield from self.lb_hook(comm, cart, state, t)
                 if len(state.particles) > state.max_particles:
@@ -723,6 +736,15 @@ class ExchangeScratch:
         return rows, cells
 
 
+def _x_route(partition: BlockPartition, cart: CartComm):
+    """A rank's first x hop as a :attr:`PushTask.xroute`, or None."""
+    px = cart.px
+    if px == 1:
+        return None
+    i = cart.coords[0]
+    return (*partition.x_range(i), partition.xsplits, i, px)
+
+
 def exchange_particles(
     comm: Comm,
     cart: CartComm,
@@ -731,6 +753,7 @@ def exchange_particles(
     particles: ParticleArray,
     cost: CostModel,
     scratch: ExchangeScratch | None = None,
+    xhop=None,
 ):
     """Route particles to their owning rank (generator; returns the new set).
 
@@ -744,6 +767,10 @@ def exchange_particles(
     population per axis; everything after it — owner lookup, packing,
     compaction, the settlement count — touches only the particles that
     leave or arrive.
+
+    ``xhop`` is the first x hop's front half when an executor already ran
+    it for the rank (:attr:`PushTask.xhop`); the hop then skips to its
+    pack compute.
     """
     my_px, my_py = cart.coords
     px, py = cart.px, cart.py
@@ -760,7 +787,9 @@ def exchange_particles(
                 comm, cart, particles, mesh, cost, scratch,
                 splits=partition.xsplits, my_index=my_px, n_index=px, axis=0,
                 tag_fwd=TAG_X_RIGHT, tag_bwd=TAG_X_LEFT, ranges=(x_range,),
+                front=xhop,
             )
+            xhop = None
         if py > 1:
             misplaced = yield from _route_axis(
                 comm, cart, particles, mesh, cost, scratch,
@@ -794,39 +823,57 @@ def _count_misplaced(scratch, mesh, x, y, x_range, y_range=None) -> int:
     return len(bad)
 
 
-#: Shared zero-particle wire buffer (read-only by convention).
-_EMPTY_BUF = np.empty((0, PARTICLE_RECORD_FIELDS), dtype=np.float64)
+def hop_front_half(particles, mesh, scratch, *, splits, my_index, n_index, axis, rng):
+    """Find and pack one rank's leavers along one axis.
+
+    Returns ``(leavers, fwd_buf, bwd_buf)``: the ascending rows whose cell
+    lies outside ``rng``, and those owned forward and backward (the
+    shorter periodic way) packed, in row order, into ``scratch``'s wire
+    buffers.  The per-rank oracle of
+    :func:`repro.runtime.executor.x_hop_wave`.
+    """
+    if not len(particles):
+        return NO_LEAVERS
+    leavers, cells = scratch.outside(
+        particles.x if axis == 0 else particles.y, mesh, *rng
+    )
+    if not len(leavers):
+        return NO_LEAVERS
+    # Owner index and the shorter periodic direction, for the leavers only
+    # (an off-block particle never has dist == 0).
+    owner = splits.searchsorted(cells, "right") - 1
+    go_fwd = (owner - my_index) % n_index <= n_index // 2
+    fwd, bwd = leavers[go_fwd], leavers[~go_fwd]
+    fwd_buf = bwd_buf = EMPTY_WIRE
+    if len(fwd):
+        fwd_buf = particles.pack_into(fwd, scratch.wire(axis, 1, len(fwd)))
+    if len(bwd):
+        bwd_buf = particles.pack_into(bwd, scratch.wire(axis, -1, len(bwd)))
+    return leavers, fwd_buf, bwd_buf
 
 
 def _route_axis(
     comm, cart, particles, mesh, cost, scratch,
-    *, splits, my_index, n_index, axis, tag_fwd, tag_bwd, ranges,
+    *, splits, my_index, n_index, axis, tag_fwd, tag_bwd, ranges, front=None,
 ):
     """One forwarding hop along one axis (generator), in place.
 
     ``ranges`` is the rank's ``(x_range,)`` for the x hop and ``(x_range,
-    y_range)`` for the y hop.  Returns how many *arrivals* lie outside any
-    of them — kept residents cannot.  The sequence of simulated events —
-    pack compute, the two sendrecvs, unpack compute — and their costs and
-    payload sizes are identical to the historical copy-based hop; the order
-    of particles within the rank is not (tail-fill compaction).
+    y_range)`` for the y hop.  ``front`` is the hop's front half when the
+    executor already computed it (:func:`hop_front_half` runs otherwise).
+    Returns how many *arrivals* lie outside any of the ranges — kept
+    residents cannot.  The sequence of simulated events — pack compute,
+    the two sendrecvs, unpack compute — and their costs and payload sizes
+    are identical to the historical copy-based hop; the order of particles
+    within the rank is not (tail-fill compaction).
     """
-    fwd_buf = bwd_buf = _EMPTY_BUF
-    leavers = ()
-    if len(particles):
-        leavers, cells = scratch.outside(
-            particles.x if axis == 0 else particles.y, mesh, *ranges[axis]
+    if front is None:
+        front = hop_front_half(
+            particles, mesh, scratch, splits=splits, my_index=my_index,
+            n_index=n_index, axis=axis, rng=ranges[axis],
         )
+    leavers, fwd_buf, bwd_buf = front
     if len(leavers):
-        # Migration path: owner index and the shorter periodic direction,
-        # for the leavers only (an off-block particle never has dist == 0).
-        owner = splits.searchsorted(cells, "right") - 1
-        go_fwd = (owner - my_index) % n_index <= n_index // 2
-        fwd, bwd = leavers[go_fwd], leavers[~go_fwd]
-        if len(fwd):
-            fwd_buf = particles.pack_into(fwd, scratch.wire(axis, 1, len(fwd)))
-        if len(bwd):
-            bwd_buf = particles.pack_into(bwd, scratch.wire(axis, -1, len(bwd)))
         yield comm.compute(cost.pack_time(len(leavers)))
 
     src_bwd, dst_fwd = cart.shift(axis, 1)

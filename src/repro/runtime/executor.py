@@ -66,10 +66,17 @@ from typing import Any
 
 import numpy as np
 
+from repro.constants import PARTICLE_RECORD_FIELDS
 from repro.core import kernel, kernel_compiled
-from repro.core.kernel import KERNEL_BLOCK, KernelWorkspace, advance_arrays
+from repro.core.kernel import (
+    KERNEL_BLOCK,
+    WAVE_MIN_MEMBERS,
+    KernelWorkspace,
+    advance_arrays,
+)
 from repro.core.kernel_compiled import KERNEL_BACKENDS, advance_arrays_compiled
 from repro.core.mesh import Mesh
+from repro.core.particles import _FIELDS as _PARTICLE_FIELDS
 
 __all__ = [
     "PushTask",
@@ -100,12 +107,19 @@ class PushTask:
     serial reference semantics.
     """
 
-    __slots__ = ("mesh", "particles", "dt")
+    __slots__ = ("mesh", "particles", "dt", "xroute", "xhop")
 
-    def __init__(self, mesh: Mesh, particles, dt: float):
+    def __init__(self, mesh: Mesh, particles, dt: float, xroute=None):
         self.mesh = mesh
         self.particles = particles
         self.dt = dt
+        #: The rank's first x hop, ``(lo, hi, xsplits, index, px)``, or None
+        #: when it has no x hop (``px == 1``).  Lets an executor run that
+        #: hop's front half for a whole fused chunk (:func:`x_hop_wave`).
+        self.xroute = xroute
+        #: The front half's result, ``(leavers, fwd_buf, bwd_buf)``, when an
+        #: executor ran it; None means the hop computes its own.
+        self.xhop = None
 
     def run(self, workspace: KernelWorkspace | None = None) -> None:
         # Dynamic module-attribute call so the layered benchmark's tracer
@@ -295,6 +309,80 @@ def _advance_fields(backend: str, mesh, x, y, vx, vy, q, dt, workspace=None) -> 
         advance_arrays_compiled(mesh, x, y, vx, vy, q, dt)
 
 
+#: A zero-particle wire buffer (read-only by convention).
+EMPTY_WIRE = np.empty((0, PARTICLE_RECORD_FIELDS), dtype=np.float64)
+#: The front half of a hop nobody leaves: no rows, nothing to send.
+NO_LEAVERS = (np.empty(0, dtype=np.int64), EMPTY_WIRE, EMPTY_WIRE)
+_COLD_FIELDS = _PARTICLE_FIELDS[5:]
+
+
+def x_hop_wave(stage: np.ndarray, members, mesh: Mesh) -> list[tuple]:
+    """The first x hop's front half for every member of a fused chunk.
+
+    ``stage`` holds the chunk's pushed x, y, vx, vy, q rows and
+    ``members`` its ``(particles, route)`` pairs in stage order, each
+    route a :attr:`PushTask.xroute`.  Returns one ``(leavers, fwd_buf,
+    bwd_buf)`` per member, element for element what
+    :func:`repro.parallel.base.hop_front_half` computes for it alone:
+    ascending leaver rows, then the leavers owned forward and backward
+    (the shorter periodic way) packed in row order.  Each wire buffer is
+    a slice of one block allocated here, so a buffer stays valid however
+    long its message is in flight.
+    """
+    m = len(members)
+    counts = np.array([len(p) for p, _ in members])
+    starts = np.cumsum(counts) - counts
+    lo, hi, index, n_index = np.array([r[:2] + r[3:] for _, r in members]).T
+    v = stage[0, : starts[-1] + counts[-1]]
+    if mesh.h != 1.0:  # division by 1.0 is a bitwise no-op
+        v = v / mesh.h
+    # Flags straight from positions, then floor, wrap and re-test on the
+    # flagged rows only, as ExchangeScratch.outside does per rank.  The
+    # bounds are small integers, so as float64 they compare identically.
+    flags = v < np.repeat(lo.astype(np.float64), counts)
+    flags |= v >= np.repeat(hi.astype(np.float64), counts)
+    rows = flags.nonzero()[0]
+    if not len(rows):
+        return [NO_LEAVERS] * m
+    cells = np.floor(v[rows]).astype(np.int64)
+    np.mod(cells, mesh.cells, out=cells)
+    mem = starts.searchsorted(rows, "right") - 1
+    off = (cells < lo[mem]) | (cells >= hi[mem])
+    if np.count_nonzero(off) != len(rows):
+        rows, cells, mem = rows[off], cells[off], mem[off]
+    # Owners by one searchsorted over every member's splits, each member's
+    # shifted into its own key range so a search cannot leave it.
+    stride = mesh.cells + 1
+    splits = [r[2] for _, r in members]
+    sizes = [len(s) for s in splits]
+    keys = np.concatenate(splits) + np.repeat(np.arange(0, m * stride, stride), sizes)
+    first = np.cumsum(sizes) - sizes
+    owner = keys.searchsorted(mem * stride + cells, "right") - first[mem] - 1
+    bwd = (owner - index[mem]) % n_index[mem] > n_index[mem] // 2
+    seg = 2 * mem + bwd
+    order = seg.argsort(kind="stable")
+    local = rows - starts[mem]
+    src = local[order]
+    block = np.empty((len(rows), PARTICLE_RECORD_FIELDS), dtype=np.float64)
+    block[:, :5] = stage[:, rows[order]].T
+    ends = np.bincount(seg, minlength=2 * m).cumsum().tolist()
+    out = []
+    movers = []
+    a = 0
+    for i, (p, _) in enumerate(members):
+        f, b = ends[2 * i], ends[2 * i + 1]
+        if a == b:
+            out.append(NO_LEAVERS)
+            continue
+        movers.append((p.__dict__, src[a:b]))
+        out.append((local[a:b], block[a:f], block[f:b]))
+        a = b
+    # Movers are in block order, so each cold column is one concatenate.
+    for j, name in enumerate(_COLD_FIELDS, 5):
+        block[:, j] = np.concatenate([d[name][idx] for d, idx in movers])
+    return out
+
+
 class InProcessExecutor(Executor):
     """Size-aware in-process backend: big tasks in place, small ones fused.
 
@@ -410,6 +498,13 @@ class InProcessExecutor(Executor):
                 # member ranks proportionally to their particle share.
                 for rank, _, n in chunk:
                     self.work_meter.record(rank, n, elapsed * n / total)
+        if len(chunk) >= WAVE_MIN_MEMBERS:
+            tasks = [t for _, t, _ in chunk]
+            if all(t.xroute is not None for t in tasks):
+                # The staged x is still hot: route every member's leavers now.
+                members = [(t.particles, t.xroute) for t in tasks]
+                for t, front in zip(tasks, x_hop_wave(self._stage, members, mesh)):
+                    t.xhop = front
 
     def stats(self) -> dict:
         return dict(batches=self.batches, fused_tasks=self.fused_tasks)

@@ -135,10 +135,14 @@ class Scheduler:
         executor=None,
         resilience=None,
         work_rates=None,
+        owns_executor: bool = False,
     ):
         if n_ranks <= 0:
             raise RuntimeConfigError("need at least one rank")
         self.n_ranks = n_ranks
+        #: World rank list, one tuple shared by every rank's world Comm (a
+        #: tuple per rank would hold P^2 ints).
+        self._world = tuple(range(n_ranks))
         self.machine = machine or MachineModel()
         self.cost = cost or CostModel(machine=self.machine)
         if self.cost.machine is not self.machine:
@@ -204,10 +208,11 @@ class Scheduler:
         #: ``None`` defers to the process-wide default (REPRO_EXECUTOR env)
         #: at first use, so plain constructions stay env-configurable.
         self._executor = executor
-        #: Whether :meth:`close` owns the executor: only an instance this
-        #: scheduler acquired itself (the lazy default fallback) is closed;
-        #: one passed in belongs to its caller.
-        self._executor_defaulted = executor is None
+        #: Whether :meth:`close` closes the executor: an instance this
+        #: scheduler acquired itself (the lazy default fallback) or one
+        #: handed over with ``owns_executor``; any other belongs to its
+        #: caller.
+        self._owns_executor = owns_executor or executor is None
         #: ``(rank, task)`` pairs parked since the last executor flush, in
         #: deterministic park order.
         self._pending_exec: list = []
@@ -225,7 +230,7 @@ class Scheduler:
     # ------------------------------------------------------------------
     def make_world(self, rank: int) -> Comm:
         """World communicator handle for ``rank`` (comm_id 0)."""
-        return Comm(self, 0, tuple(range(self.n_ranks)), rank)
+        return Comm(self, 0, self._world, rank)
 
     def next_comm_id(self) -> int:
         self._comm_counter += 1
@@ -262,16 +267,17 @@ class Scheduler:
     _rank_state = _RankState
 
     def close(self) -> None:
-        """Release the lazily-acquired executor's workers (idempotent).
+        """Release an owned executor's workers (idempotent).
 
         Only an executor this scheduler obtained itself (via the
-        ``default_executor()`` fallback) is closed; an instance passed to
-        the constructor belongs to its caller.  Closing the process-wide
+        ``default_executor()`` fallback) or was handed with
+        ``owns_executor=True`` is closed; any other instance passed to the
+        constructor belongs to its caller.  Closing the process-wide
         default is safe: ``ProcessExecutor.close`` is idempotent and
         leaves a fresh arena behind, so the pool restarts lazily on next
         use.
         """
-        if self._executor_defaulted and self._executor is not None:
+        if self._owns_executor and self._executor is not None:
             self._executor.close()
 
     def _advance_one(self, ready: deque) -> None:

@@ -234,3 +234,53 @@ class TestDiffDocs:
     def test_equal_docs_empty(self):
         doc = small_spec().to_dict()
         assert diff_docs(doc, json.loads(json.dumps(doc))) == []
+
+
+class TestBuildImplExecutor:
+    """``build_impl(rs)`` without ``executor=`` runs on the spec's own."""
+
+    @pytest.fixture(autouse=True)
+    def _no_env(self, monkeypatch):
+        for name in ("REPRO_EXECUTOR", "REPRO_WORKERS", "REPRO_KERNEL_BACKEND"):
+            monkeypatch.delenv(name, raising=False)
+
+    def test_python_kernel_backend_runs_the_python_push(self, monkeypatch):
+        from repro.config.build import build_impl
+        from repro.core import kernel
+
+        blocks = []
+        real = kernel._advance_block
+        monkeypatch.setattr(
+            kernel, "_advance_block",
+            lambda *a: blocks.append(len(a[1])) or real(*a),
+        )
+        rs = small_spec().with_overrides(
+            executor=ExecutorConfig(kind="serial", kernel_backend="python")
+        )
+        impl = build_impl(rs)
+        assert impl.executor.kernel_backend == "python"
+        assert impl.owns_executor
+        assert impl.run().verification.ok
+        assert sum(blocks) == 8 * 400
+
+    def test_kind_and_workers_come_from_the_spec_and_are_reaped(self):
+        from repro.config.build import build_impl
+        from repro.runtime.executor import ProcessExecutor
+
+        rs = small_spec().with_overrides(
+            executor=ExecutorConfig(kind="process", workers=1,
+                                    kernel_backend="python")
+        )
+        impl = build_impl(rs)
+        assert isinstance(impl.executor, ProcessExecutor)
+        assert impl.executor.workers == 1
+        assert impl.run().verification.ok
+        assert impl.executor._procs == []
+
+    def test_a_passed_executor_stays_the_callers(self):
+        from repro.config.build import build_impl
+        from repro.runtime.executor import InProcessExecutor
+
+        ex = InProcessExecutor()
+        impl = build_impl(small_spec(), executor=ex)
+        assert impl.executor is ex and not impl.owns_executor

@@ -39,9 +39,9 @@ class TestInjectedFaultsAreDetected:
         state = {"dropped": False}
 
         def dropping_exchange(comm, cart, partition, mesh, particles, cost,
-                              scratch=None):
+                              scratch=None, **kw):
             result = yield from real_exchange(
-                comm, cart, partition, mesh, particles, cost, scratch
+                comm, cart, partition, mesh, particles, cost, scratch, **kw
             )
             if not state["dropped"] and cart.rank == 0 and len(result) > 0:
                 state["dropped"] = True
@@ -57,9 +57,9 @@ class TestInjectedFaultsAreDetected:
         state = {"done": False}
 
         def duplicating_exchange(comm, cart, partition, mesh, particles, cost,
-                                 scratch=None):
+                                 scratch=None, **kw):
             result = yield from real_exchange(
-                comm, cart, partition, mesh, particles, cost, scratch
+                comm, cart, partition, mesh, particles, cost, scratch, **kw
             )
             if not state["done"] and cart.rank == 1 and len(result) > 0:
                 state["done"] = True
@@ -75,9 +75,9 @@ class TestInjectedFaultsAreDetected:
         state = {"done": False}
 
         def corrupting_exchange(comm, cart, partition, mesh, particles, cost,
-                                scratch=None):
+                                scratch=None, **kw):
             result = yield from real_exchange(
-                comm, cart, partition, mesh, particles, cost, scratch
+                comm, cart, partition, mesh, particles, cost, scratch, **kw
             )
             if not state["done"] and cart.rank == 2 and len(result) > 0:
                 state["done"] = True
@@ -94,9 +94,9 @@ class TestInjectedFaultsAreDetected:
         state = {"done": False}
 
         def corrupting_exchange(comm, cart, partition, mesh, particles, cost,
-                                scratch=None):
+                                scratch=None, **kw):
             result = yield from real_exchange(
-                comm, cart, partition, mesh, particles, cost, scratch
+                comm, cart, partition, mesh, particles, cost, scratch, **kw
             )
             if not state["done"] and cart.rank == 0 and len(result) > 0:
                 state["done"] = True
