@@ -24,24 +24,13 @@ class CartComm(Comm):
             raise ValueError(
                 f"dims {self.dims} do not match communicator size {self.size}"
             )
+        #: Processor-grid extents in x (columns) and y (rows of processors).
+        self.px, self.py = self.dims
+        #: This rank's Cartesian coordinates ``(cx, cy)``.
+        self.coords = self.coords_of(rank)
         self._shift_cache: dict[tuple[int, int], tuple[int | None, int | None]] = {}
 
     # ------------------------------------------------------------------
-    @property
-    def px(self) -> int:
-        """Processor-grid extent in x (columns of processors)."""
-        return self.dims[0]
-
-    @property
-    def py(self) -> int:
-        """Processor-grid extent in y (rows of processors)."""
-        return self.dims[1]
-
-    @property
-    def coords(self) -> tuple[int, int]:
-        """This rank's Cartesian coordinates ``(cx, cy)``."""
-        return self.coords_of(self.rank)
-
     def coords_of(self, rank: int) -> tuple[int, int]:
         self._check_peer(rank)
         return rank // self.py, rank % self.py

@@ -44,15 +44,13 @@ class Comm:
         self.comm_id = comm_id
         self.world_ranks = world_ranks
         self.rank = rank
+        #: Number of ranks in the communicator (fixed at creation).
+        self.size = len(world_ranks)
         self._coll_seq = 0
 
     # ------------------------------------------------------------------
     # Introspection (non-yielding)
     # ------------------------------------------------------------------
-    @property
-    def size(self) -> int:
-        return len(self.world_ranks)
-
     @property
     def world_rank(self) -> int:
         """This process's rank in the world communicator."""
@@ -75,10 +73,9 @@ class Comm:
         self._scheduler.notify_step(self.world_rank, step)
 
     def _count_op(self, name: str) -> None:
-        """Bump the per-operation metrics counter (observational only)."""
-        metrics = self._scheduler.metrics
-        if metrics is not None:
-            metrics.counter(f"comm.{name}").inc()
+        """Bump the per-operation metrics counter (observational only; the
+        caller checks that metrics are attached)."""
+        self._scheduler.metrics.counter(f"comm.{name}").inc()
 
     def core(self) -> int:
         """Physical core this rank currently executes on."""
@@ -103,7 +100,8 @@ class Comm:
         self._check_peer(dst)
         if nbytes is None:
             nbytes = payload_nbytes(payload)
-        self._count_op("send")
+        if self._scheduler.metrics is not None:
+            self._count_op("send")
         return ops.SendOp(self, dst, tag, payload, nbytes)
 
     def recv(self, src: int = ANY_SOURCE, tag: int = ANY_TAG, status: bool = False) -> ops.RecvOp:
@@ -126,12 +124,14 @@ class Comm:
         nbytes: int | None = None,
     ) -> ops.SendrecvOp:
         """Combined exchange: send to ``dst``, receive from ``src``."""
-        self._check_peer(dst)
-        if src != ANY_SOURCE:
+        size = self.size
+        if not (0 <= dst < size and (src == ANY_SOURCE or 0 <= src < size)):
+            self._check_peer(dst)
             self._check_peer(src)
         if nbytes is None:
             nbytes = payload_nbytes(payload)
-        self._count_op("sendrecv")
+        if self._scheduler.metrics is not None:
+            self._count_op("sendrecv")
         return ops.SendrecvOp(self, payload, dst, sendtag, src, recvtag, nbytes)
 
     # ------------------------------------------------------------------

@@ -104,7 +104,7 @@ class CostModel:
     # Point-to-point
     # ------------------------------------------------------------------
     def message_time(self, src_core: int, dst_core: int, nbytes: float) -> float:
-        """Wire time of one message between two cores."""
+        """Wire time of one message between two cores (``machine.link``)."""
         return self.machine.transfer_time(src_core, dst_core, nbytes)
 
     def send_overhead(self) -> float:

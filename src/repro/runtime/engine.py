@@ -41,6 +41,7 @@ from typing import Any, Callable, Sequence
 
 from repro.runtime.comm import Comm
 from repro.runtime.errors import RuntimeConfigError
+from repro.runtime.scheduler import _RUNNABLE, SpmdResult
 
 #: :meth:`SimEngine.tick` statuses.
 ENGINE_RUNNING = "running"
@@ -102,12 +103,15 @@ class SimEngine:
         self._status = ENGINE_RUNNING
         self._spmd = None
         self._final = None
-        scheduler._states = []
-        for r, prog in enumerate(programs):
-            gen = prog(scheduler.make_world(r))
-            scheduler._states.append(scheduler._rank_state(gen))
-        scheduler._finished = 0
-        self._ready: deque = deque(range(scheduler.n_ranks))
+        states = scheduler._states = [
+            scheduler._rank_state(prog(scheduler.make_world(r)))
+            for r, prog in enumerate(programs)
+        ]
+        # A program without a yield finished when it was called.
+        self._ready: deque = deque(
+            r for r, st in enumerate(states) if st.status == _RUNNABLE
+        )
+        scheduler._finished = scheduler.n_ranks - len(self._ready)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -203,8 +207,6 @@ class SimEngine:
             self.flush()
 
     def _seal(self) -> None:
-        from repro.runtime.scheduler import SpmdResult
-
         sched = self.scheduler
         times = list(sched.clock)
         self._spmd = SpmdResult(

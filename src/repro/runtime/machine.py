@@ -105,9 +105,15 @@ class MachineModel:
     def costs(self, tier: Tier) -> TierCosts:
         return self.tier_costs[tier]
 
+    def link(self, core_a: int, core_b: int) -> TierCosts:
+        """Costs of the link joining two cores: the one definition of a
+        point-to-point message's price (the scheduler caches it per core
+        pair; :meth:`transfer_time` reads it afresh)."""
+        return self.tier_costs[self.tier_between(core_a, core_b)]
+
     def transfer_time(self, core_a: int, core_b: int, nbytes: float) -> float:
         """Point-to-point message time between two cores."""
-        return self.costs(self.tier_between(core_a, core_b)).transfer_time(nbytes)
+        return self.link(core_a, core_b).transfer_time(nbytes)
 
     def worst_tier(self, cores) -> Tier:
         """The widest tier spanned by a group of cores (collective pricing)."""

@@ -33,7 +33,7 @@ from repro.runtime.errors import (
     DeadlockError,
     RuntimeConfigError,
 )
-from repro.runtime.machine import MachineModel
+from repro.runtime.machine import MachineModel, TierCosts
 from repro.runtime.message import Message
 from repro.runtime.reduce_ops import ReduceOp
 from repro.runtime.transport import ANY_SOURCE, ANY_TAG, Transport
@@ -55,6 +55,10 @@ class _RankState:
         self.blocked_op = None
         self.resume_value = None
         self.retval = None
+        if not hasattr(gen, "send"):
+            # Program body had no yield: the call already returned a value.
+            self.retval = gen
+            self.status = _DONE
 
 
 @dataclass
@@ -167,6 +171,10 @@ class Scheduler:
         # two method calls for every send/recv pair.
         self._send_overhead_s = self.cost.send_overhead()
         self._recv_overhead_s = self.cost.recv_overhead()
+        #: ``MachineModel.link`` per ``(src core, dst core)``, filled on
+        #: first use.  Keyed by cores, not ranks: an AMPI migration changes
+        #: a rank's core, never the tier joining two cores.
+        self._links: dict[tuple[int, int], TierCosts] = {}
         #: Optional :class:`repro.instrument.Tracer` — receives spans at
         #: every state transition.  Purely observational: emissions are
         #: guarded with ``is not None`` and never touch simulated state.
@@ -286,16 +294,9 @@ class Scheduler:
         state = self._states[r]
         if state.status != _RUNNABLE:  # pragma: no cover - defensive
             return
-        gen = state.gen
-        if gen is None or not hasattr(gen, "send"):
-            # Program body had no yield: the call already returned a value.
-            state.retval = gen
-            state.status = _DONE
-            self._finished += 1
-            return
         try:
             value, state.resume_value = state.resume_value, None
-            op = gen.send(value)
+            op = state.gen.send(value)
         except StopIteration as stop:
             state.retval = stop.value
             state.status = _DONE
@@ -318,7 +319,10 @@ class Scheduler:
         if seconds == 0.0:
             return self.clock[rank]
         core = self.rank_to_core[rank]
-        start = max(self.clock[rank], self.core_clock.get(core, 0.0))
+        start = self.clock[rank]
+        core_free = self.core_clock.get(core, 0.0)
+        if core_free > start:
+            start = core_free
         end = start + seconds
         self.clock[rank] = end
         self.core_clock[core] = end
@@ -371,7 +375,9 @@ class Scheduler:
     # Op dispatch
     # ------------------------------------------------------------------
     def _dispatch(self, r: int, op, ready: deque) -> None:
-        if type(op) is ops.ComputeOp:
+        # Op types are tested most common first.
+        kind = type(op)
+        if kind is ops.ComputeOp:
             # The simulated charge happens *now*, at dispatch, whether or
             # not the real work is deferred — so batching tasks to an
             # executor cannot move a single simulated timestamp.  An active
@@ -397,16 +403,25 @@ class Scheduler:
             else:
                 self._states[r].status = _BLOCKED_EXEC
                 self._pending_exec.append((r, op.task))
-        elif type(op) is ops.SendOp:
+        elif kind is ops.SendrecvOp:
+            comm = op.comm
+            self._do_send(r, comm, op.dst, op.sendtag, op.payload, op.nbytes, ready)
+            msg = self.transport.match(r, comm.comm_id, op.src, op.recvtag)
+            if msg is None:
+                state = self._states[r]
+                state.status = _BLOCKED_RECV
+                state.blocked_op = ops.RecvOp(comm, op.src, op.recvtag)
+            else:
+                self._complete_recv(r, msg)
+                ready.append(r)
+        elif kind is ops.CollectiveOp:
+            self._join_collective(r, op, ready)
+        elif kind is ops.SendOp:
             self._do_send(r, op.comm, op.dst, op.tag, op.payload, op.nbytes, ready)
             ready.append(r)
-        elif type(op) is ops.RecvOp:
+        elif kind is ops.RecvOp:
             self._try_recv(r, op, ready)
-        elif type(op) is ops.SendrecvOp:
-            self._do_send(r, op.comm, op.dst, op.sendtag, op.payload, op.nbytes, ready)
-            recv = ops.RecvOp(op.comm, op.src, op.recvtag)
-            self._try_recv(r, recv, ready)
-        elif type(op) is ops.WaitOp:
+        elif kind is ops.WaitOp:
             req = op.request
             if req.done:
                 self._states[r].resume_value = req.result
@@ -416,8 +431,6 @@ class Scheduler:
                 recv = ops.RecvOp(req.comm, req.src, req.tag)
                 req.done = True
                 self._try_recv(r, recv, ready)
-        elif type(op) is ops.CollectiveOp:
-            self._join_collective(r, op, ready)
         else:
             raise TypeError(
                 f"rank {r} yielded {op!r}, which is not a runtime operation"
@@ -435,23 +448,18 @@ class Scheduler:
                 "send", "comm", r, self.rank_to_core[r], end - overhead, end,
                 dst=dst_world, tag=tag, nbytes=nbytes,
             )
-        wire = self.cost.message_time(
-            self.rank_to_core[r], self.rank_to_core[dst_world], nbytes
-        )
+        cores = (self.rank_to_core[r], self.rank_to_core[dst_world])
+        link = self._links.get(cores)
+        if link is None:
+            link = self._links[cores] = self.machine.link(*cores)
+        wire = link.transfer_time(nbytes)
         if self.resilience is not None:
             # Transient delay/drop-with-retry faults lengthen the wire time
             # of matching messages; payloads are never lost.
             wire += self.resilience.message_penalty(self, r, dst_world, nbytes)
-        msg = Message(
-            comm_id=comm.comm_id,
-            src=comm.rank,
-            tag=tag,
-            payload=payload,
-            nbytes=nbytes,
-            t_avail=end + wire,
-            seq=self.transport.next_seq(),
+        self.transport.post(
+            dst_world, comm.comm_id, comm.rank, tag, payload, nbytes, end + wire
         )
-        self.transport.deliver(dst_world, msg)
         # A rank parked on a matching receive can now continue.
         dst_state = self._states[dst_world]
         if dst_state.status == _BLOCKED_RECV:
@@ -460,7 +468,7 @@ class Scheduler:
                 dst_world, pending.comm.comm_id, pending.src, pending.tag
             )
             if matched is not None:
-                self._complete_recv(dst_world, pending, matched)
+                self._complete_recv(dst_world, matched, pending.with_status)
                 dst_state.status = _RUNNABLE
                 dst_state.blocked_op = None
                 ready.append(dst_world)
@@ -472,20 +480,21 @@ class Scheduler:
             state.status = _BLOCKED_RECV
             state.blocked_op = op
             return
-        self._complete_recv(r, op, msg)
+        self._complete_recv(r, msg, op.with_status)
         ready.append(r)
 
-    def _complete_recv(self, r: int, op: ops.RecvOp, msg: Message) -> None:
-        wait_until = max(self.clock[r], msg.t_avail)
-        if self.tracer is not None and wait_until > self.clock[r]:
-            # Blocked-on-message interval: from when the rank posted the
-            # receive (its clock froze there) until the message arrived.
-            self.tracer.record(
-                "recv_wait", "wait", r, self.rank_to_core[r],
-                self.clock[r], wait_until,
-                src=msg.src, tag=msg.tag,
-            )
-        self.clock[r] = wait_until
+    def _complete_recv(self, r: int, msg: Message, with_status: bool = False) -> None:
+        t_avail = msg.t_avail
+        if t_avail > self.clock[r]:
+            if self.tracer is not None:
+                # Blocked-on-message interval: from when the rank posted the
+                # receive (its clock froze there) until the message arrived.
+                self.tracer.record(
+                    "recv_wait", "wait", r, self.rank_to_core[r],
+                    self.clock[r], t_avail,
+                    src=msg.src, tag=msg.tag,
+                )
+            self.clock[r] = t_avail
         overhead = self._recv_overhead_s
         end = self._occupy(r, overhead)
         if self.tracer is not None and overhead > 0.0:
@@ -494,7 +503,7 @@ class Scheduler:
                 src=msg.src, tag=msg.tag, nbytes=msg.nbytes,
             )
         state = self._states[r]
-        if op.with_status:
+        if with_status:
             state.resume_value = (msg.payload, msg.src, msg.tag)
         else:
             state.resume_value = msg.payload

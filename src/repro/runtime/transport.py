@@ -33,21 +33,18 @@ class Transport:
         #: only — never influences matching or delivery.
         self.metrics = metrics
 
-    def next_seq(self) -> int:
+    def post(self, dst_world: int, comm_id: int, src: int, tag: int,
+             payload, nbytes: int, t_avail: float) -> None:
+        """Queue a message at its destination under the next sequence number."""
         self._seq += 1
-        return self._seq
-
-    def deliver(self, dst_world: int, message: Message) -> None:
-        """Queue a message at its destination."""
-        self._pending[dst_world].append(message)
+        queue = self._pending[dst_world]
+        queue.append(Message(comm_id, src, tag, payload, nbytes, t_avail, self._seq))
         self.messages_sent += 1
-        self.bytes_sent += message.nbytes
+        self.bytes_sent += nbytes
         if self.metrics is not None:
             self.metrics.counter("transport.messages_sent").inc()
-            self.metrics.counter("transport.bytes_sent").inc(message.nbytes)
-            self.metrics.gauge("transport.pending_peak").set_max(
-                len(self._pending[dst_world])
-            )
+            self.metrics.counter("transport.bytes_sent").inc(nbytes)
+            self.metrics.gauge("transport.pending_peak").set_max(len(queue))
 
     def match(self, dst_world: int, comm_id: int, src: int, tag: int) -> Message | None:
         """Pop and return the first matching pending message, if any."""

@@ -58,6 +58,23 @@ class TestSnapshotLoad:
         assert spec_from_dict(snap.meta["runspec"]["workload"]) == _spec()
         assert len(snap.header["global"]["clocks"]) == 4
 
+    def test_transport_counters_round_trip(self, ckpt):
+        """``seq``, ``messages_sent`` and ``bytes_sent`` come back exactly,
+        and the next posted message continues the numbering."""
+        from repro.resilience.checkpoint import _capture_global
+        from repro.runtime import Scheduler
+
+        snap = Snapshot.load(ckpt)
+        g = snap.header["global"]
+        assert g["seq"] == g["messages_sent"] > 0 and g["bytes_sent"] > 0
+        sched = Scheduler(4)
+        snap.apply_global(sched)
+        again = _capture_global(sched, snap.next_step)
+        for key in ("seq", "messages_sent", "bytes_sent"):
+            assert again[key] == g[key]
+        sched.transport.post(0, 0, 1, 0, None, 0, 0.0)
+        assert sched.transport.match(0, 0, 1, 0).seq == g["seq"] + 1
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointCorruptError, match="cannot read"):
             Snapshot.load(str(tmp_path / "nope.ckpt"))

@@ -2,15 +2,11 @@
 
 import pytest
 
-from repro.runtime.message import Message
 from repro.runtime.transport import ANY_SOURCE, ANY_TAG, Transport
 
 
-def msg(transport, comm_id=0, src=0, tag=0, payload="x", nbytes=8):
-    return Message(
-        comm_id=comm_id, src=src, tag=tag, payload=payload,
-        nbytes=nbytes, t_avail=0.0, seq=transport.next_seq(),
-    )
+def post(transport, dst, comm_id=0, src=0, tag=0, payload="x", nbytes=8):
+    transport.post(dst, comm_id, src, tag, payload, nbytes, 0.0)
 
 
 class TestTransport:
@@ -18,16 +14,23 @@ class TestTransport:
         with pytest.raises(ValueError):
             Transport(0)
 
-    def test_deliver_and_match(self):
+    def test_post_and_match(self):
         t = Transport(2)
-        t.deliver(1, msg(t, src=0, tag=5, payload="hello"))
+        post(t, 1, src=0, tag=5, payload="hello", nbytes=16)
         got = t.match(1, comm_id=0, src=0, tag=5)
-        assert got.payload == "hello"
+        assert (got.comm_id, got.src, got.tag, got.payload, got.nbytes) == (
+            0, 0, 5, "hello", 16
+        )
         assert t.pending_count(1) == 0
+
+    def test_post_keeps_arrival_time(self):
+        t = Transport(2)
+        t.post(1, 0, 0, 5, "x", 8, 1.25e-6)
+        assert t.match(1, 0, 0, 5).t_avail == 1.25e-6
 
     def test_no_match_returns_none(self):
         t = Transport(2)
-        t.deliver(1, msg(t, src=0, tag=5))
+        post(t, 1, src=0, tag=5)
         assert t.match(1, comm_id=0, src=0, tag=6) is None
         assert t.match(1, comm_id=0, src=1, tag=5) is None
         assert t.match(1, comm_id=7, src=0, tag=5) is None
@@ -35,41 +38,41 @@ class TestTransport:
 
     def test_wildcard_source(self):
         t = Transport(3)
-        t.deliver(2, msg(t, src=1, tag=9))
+        post(t, 2, src=1, tag=9)
         got = t.match(2, comm_id=0, src=ANY_SOURCE, tag=9)
         assert got.src == 1
 
     def test_wildcard_tag(self):
         t = Transport(2)
-        t.deliver(1, msg(t, src=0, tag=42))
+        post(t, 1, src=0, tag=42)
         got = t.match(1, comm_id=0, src=0, tag=ANY_TAG)
         assert got.tag == 42
 
     def test_fifo_within_stream(self):
         t = Transport(2)
-        t.deliver(1, msg(t, src=0, tag=1, payload="first"))
-        t.deliver(1, msg(t, src=0, tag=1, payload="second"))
+        post(t, 1, src=0, tag=1, payload="first")
+        post(t, 1, src=0, tag=1, payload="second")
         assert t.match(1, 0, 0, 1).payload == "first"
         assert t.match(1, 0, 0, 1).payload == "second"
 
     def test_tag_selection_skips_earlier_nonmatching(self):
         t = Transport(2)
-        t.deliver(1, msg(t, src=0, tag=1, payload="a"))
-        t.deliver(1, msg(t, src=0, tag=2, payload="b"))
+        post(t, 1, src=0, tag=1, payload="a")
+        post(t, 1, src=0, tag=2, payload="b")
         assert t.match(1, 0, 0, 2).payload == "b"
         assert t.match(1, 0, 0, 1).payload == "a"
 
     def test_comm_scoping(self):
         t = Transport(2)
-        t.deliver(1, msg(t, comm_id=3, src=0, tag=0, payload="subcomm"))
-        t.deliver(1, msg(t, comm_id=0, src=0, tag=0, payload="world"))
+        post(t, 1, comm_id=3, src=0, tag=0, payload="subcomm")
+        post(t, 1, comm_id=0, src=0, tag=0, payload="world")
         assert t.match(1, comm_id=0, src=0, tag=0).payload == "world"
         assert t.match(1, comm_id=3, src=0, tag=0).payload == "subcomm"
 
     def test_statistics(self):
         t = Transport(2)
-        t.deliver(1, msg(t, nbytes=100))
-        t.deliver(0, msg(t, nbytes=50))
+        post(t, 1, nbytes=100)
+        post(t, 0, nbytes=50)
         assert t.messages_sent == 2
         assert t.bytes_sent == 150
         assert t.total_pending() == 2
@@ -77,9 +80,19 @@ class TestTransport:
     def test_describe_pending(self):
         t = Transport(2)
         assert "no pending" in t.describe_pending()
-        t.deliver(1, msg(t, src=0, tag=7))
+        post(t, 1, src=0, tag=7)
         assert "dst=1" in t.describe_pending()
 
     def test_seq_monotone(self):
+        t = Transport(2)
+        for dst in (1, 0, 1):
+            post(t, dst)
+        seqs = [t.match(dst, 0, 0, 0).seq for dst in (1, 0, 1)]
+        assert seqs == [1, 2, 3]
+
+    def test_seq_continues_from_restored_counter(self):
+        """A checkpoint restores ``_seq``; the next post numbers after it."""
         t = Transport(1)
-        assert t.next_seq() < t.next_seq() < t.next_seq()
+        t._seq = 41
+        post(t, 0)
+        assert t.match(0, 0, 0, 0).seq == 42
