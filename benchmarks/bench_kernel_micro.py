@@ -5,9 +5,11 @@ output is simulated time): particle-push throughput, exchange packing, and
 scheduler op dispatch — the quantities that bound the harness's capacity.
 
 Run as a script (``PYTHONPATH=src python benchmarks/bench_kernel_micro.py``,
-no pytest-benchmark needed) it prints the python kernel's per-pass table:
-what each ufunc of one ``KERNEL_BLOCK`` costs and its share of the block,
-then the whole push against ``advance_reference`` and the compiled kernel.
+no pytest-benchmark needed) it prints the python kernel's per-pass table
+for each branch of the push — an on-axis block (the PRK's own population)
+and an off-axis one (uniform y): what each ufunc of one ``KERNEL_BLOCK``
+costs and its share of the block, then the whole push against
+``advance_reference`` and the compiled kernel.
 """
 
 from __future__ import annotations
@@ -93,18 +95,10 @@ def test_allreduce_rate(benchmark):
     assert result.returns[0] == 8
 
 
-def main() -> None:
-    """Per-pass table of one block, then the whole push, at h = dt = q = 1."""
-    spec = PICSpec(
-        cells=256, n_particles=16 * KERNEL_BLOCK, steps=1,
-        distribution=Distribution.UNIFORM,
-    )
-    mesh = Mesh(spec.cells)
-    particles = initialize(spec, mesh)
-    block = [
-        getattr(particles, f)[:KERNEL_BLOCK].copy() for f in ("x", "y", "vx", "vy", "q")
-    ]
-    passes = record_block_passes(mesh, *block, spec.dt)
+def _report(title: str, mesh: Mesh, particles, dt: float) -> None:
+    """Per-pass table of one block of ``particles``, then their whole push."""
+    fields = [getattr(particles, f) for f in ("x", "y", "vx", "vy", "q")]
+    passes = record_block_passes(mesh, *[a[:KERNEL_BLOCK].copy() for a in fields], dt)
     by_ufunc = defaultdict(lambda: [0, 0.0])
     for p, seconds in zip(passes, time_block_passes(passes)):
         name = p.ufunc.__name__ + ("" if p.method == "__call__" else "." + p.method)
@@ -112,29 +106,44 @@ def main() -> None:
         by_ufunc[name][1] += seconds / KERNEL_BLOCK * 1e9
     total = sum(ns for _, ns in by_ufunc.values())
 
-    print(f"python kernel, one block of {KERNEL_BLOCK} particles, h = dt = q = 1")
+    print(f"python kernel, one {title} block of {KERNEL_BLOCK} particles, "
+          "h = dt = q = 1")
     print(f"{'ufunc':<18}{'calls':>6}{'ns/particle':>13}{'per call':>10}{'share':>8}")
     for name, (calls, ns) in sorted(by_ufunc.items(), key=lambda kv: -kv[1][1]):
         print(f"{name:<18}{calls:>6}{ns:>13.2f}{ns / calls:>10.2f}{ns / total:>8.1%}")
     print(f"{'all passes':<18}{len(passes):>6}{total:>13.2f}")
 
     n = len(particles)
-    fused = best_seconds(lambda: advance(mesh, particles, spec.dt)) / n * 1e9
-    ref = best_seconds(lambda: advance_reference(mesh, particles, spec.dt)) / n * 1e9
-    print(f"whole push, {n} particles (passes replayed alone run cache-hot;")
+    fused = best_seconds(lambda: advance(mesh, particles, dt)) / n * 1e9
+    ref = best_seconds(lambda: advance_reference(mesh, particles, dt)) / n * 1e9
+    print(f"whole push, {n} {title} particles (passes replayed alone run cache-hot;")
     print("the push adds dispatch and shares the cache between scratch rows):")
     row = "  {:<24}{:7.1f} ns/particle {:6.1f} M pushes/s {:6.2f}x advance".format
     print(row("advance", fused, 1e3 / fused, 1.0))
     print(row("advance_reference", ref, 1e3 / ref, ref / fused))
-    fields = [getattr(particles, f) for f in ("x", "y", "vx", "vy", "q")]
     try:
-        c = best_seconds(
-            lambda: advance_arrays_compiled(mesh, *fields, spec.dt)
-        ) / n * 1e9
+        c = best_seconds(lambda: advance_arrays_compiled(mesh, *fields, dt)) / n * 1e9
     except CompiledKernelUnavailable as exc:
         print(f"  advance_arrays_compiled unavailable: {exc}")
     else:
         print(row("advance_arrays_compiled", c, 1e3 / c, c / fused))
+
+
+def main() -> None:
+    """Both branches of the python push at h = dt = q = 1: a PRK population
+    (every particle on its row's axis, one corner per column) and the same
+    particles with uniform y (four corners)."""
+    spec = PICSpec(
+        cells=256, n_particles=16 * KERNEL_BLOCK, steps=1,
+        distribution=Distribution.UNIFORM,
+    )
+    mesh = Mesh(spec.cells)
+    particles = initialize(spec, mesh)
+    off_axis = particles.copy()
+    off_axis.y[:] = np.random.default_rng(1).uniform(0.0, mesh.L, len(off_axis))
+    _report("on-axis", mesh, particles, spec.dt)
+    print()
+    _report("off-axis", mesh, off_axis, spec.dt)
 
 
 if __name__ == "__main__":

@@ -20,6 +20,21 @@ up rounding noise, and the particle ordinate remains exact for any number of
 steps.  (The horizontal component only needs to be accurate to round-off; the
 verification tolerance is 1e-5.)
 
+The fused push turns that cancellation into less work.  When ``ry == h/2``
+bitwise, ``ry - h == -ry`` exactly (Sterbenz), so the squares of the two
+y-offsets are the same double: corners (0,0) and (0,h) have the same ``r2``
+and the same ``f``, as do (h,0) and (h,h).  Their x-forces are then the same
+double, so ``f00x + f01x`` is ``fx + fx``; their y-forces are ``a`` and
+``-a``, which sum to ``+0.0`` under round-to-nearest, so ``ay`` is ``+0.0``.
+With ``ay == +0.0`` the y integrator is ``y + (vy*dt + 0.0)`` and
+``vy + 0.0`` (the ``+ 0.0`` is kept: it turns a ``-0.0`` velocity into
+``+0.0``, as the reference does).  A block whose every particle passes that
+bitwise test therefore computes one corner per column, doubles its x-force
+and skips the y-force work; a block with even one particle off the axis
+runs all four corners.  This holds for finite corner forces and a finite
+``0.5*dt*dt`` — every input the model defines.  The test is ``==`` on
+purpose: relaxed to a tolerance, the branch would no longer be exact.
+
 Fused hot path
 --------------
 :func:`advance` fuses the acceleration and the integrator around a reused
@@ -31,7 +46,9 @@ implementation (:func:`advance_reference`): arithmetic is deterministic per
 operation, so supplying ``out=`` buffers, computing a square once for the
 two corners that share it, skipping a multiplication by exactly 1.0 or
 taking the parity of an integer-valued double without ``fmod`` cannot
-change a single bit of the result, and in particular the pairwise
+change a single bit of the result, nor can adding one corner's x-force to
+itself where it would add its bitwise twin or forming ``ry*ry`` once, as a
+scalar, when every ``ry`` is ``h/2``; and in particular the pairwise
 accumulation that §III-D's axis-of-symmetry exactness argument relies on is
 preserved.  The test ``tests/core/test_kernel_fused.py`` pins the two paths
 bitwise against each other.
@@ -98,9 +115,10 @@ def compute_acceleration(
 
 #: Particles per cache block of the fused push.  The 14 scratch rows of one
 #: block occupy ``14 * 16384 * 8 B ≈ 1.8 MB`` — sized to stay resident in a
-#: per-core L2 cache, so the 64 ufunc calls of a push (62 elementwise passes
-#: and two ``any`` reductions at h = dt = q = 1; 9 more passes when none of
-#: them is 1) read and write hot lines instead of streaming full-population
+#: per-core L2 cache, so the ufunc calls of a push (at h = dt = q = 1: 41
+#: elementwise passes when every particle is on its row's axis, 63 when one
+#: is not, plus three ``any`` reductions; 9 more passes when none of h, dt,
+#: q is 1) read and write hot lines instead of streaming full-population
 #: temporaries through DRAM.
 #: Chunking an elementwise computation does not change a single result bit.
 KERNEL_BLOCK = 16384
@@ -180,12 +198,17 @@ def _corner_force_into(dx, dy, dx2, dy2, qprod, r2, f, fx_out, fy_out) -> None:
     operands is the same bits whoever computes it.  ``fx_out``/``fy_out``
     may alias ``r2``/``f``, both dead by then.
     """
+    _corner_fx_into(dx, dx2, dy2, qprod, r2, f, fx_out)
+    np.multiply(f, dy, out=fy_out)
+
+
+def _corner_fx_into(dx, dx2, dy2, qprod, r2, f, fx_out) -> None:
+    """The x half of :func:`_corner_force_into`; ``f`` keeps ``qprod/r^3``."""
     np.add(dx2, dy2, out=r2)
     np.sqrt(r2, out=f)
     np.multiply(r2, f, out=f)
     np.divide(qprod, f, out=f)
     np.multiply(f, dx, out=fx_out)
-    np.multiply(f, dy, out=fy_out)
 
 
 def advance(
@@ -285,25 +308,43 @@ def _advance_block(mesh, x, y, vx, vy, q, dt, ws) -> None:
         np.floor(cell, out=cell)
         np.multiply(cell, h, out=cell)
     np.subtract(y, cell, out=ry)
+    # The PRK keeps every particle on its row's axis (ry == h/2); a block
+    # where that holds bitwise takes the one-corner branch below.
+    esc, tmp = ws.bool_rows(len(x))
+    half_h = 0.5 * h
+    np.not_equal(ry, half_h, out=esc)
+    on_axis = not esc.any()
     np.subtract(rx, h, out=rxm)
-    np.subtract(ry, h, out=rym)
     np.multiply(rx, rx, out=sx)
-    np.multiply(ry, ry, out=sy)
     np.multiply(rxm, rxm, out=sxm)
-    np.multiply(rym, rym, out=sym)
 
-    # Pairwise per-column accumulation (see the exactness note above):
-    # (0,0)+(0,h) into (axl, ayl), then (h,0)+(h,h) into (ax, ay).
-    _corner_force_into(rx, ry, sx, sy, ql, t0, t1, axl, ayl)
-    _corner_force_into(rx, rym, sx, sym, ql, t0, t1, t0, t1)
-    np.add(axl, t0, out=axl)
-    np.add(ayl, t1, out=ayl)
-    _corner_force_into(rxm, ry, sxm, sy, qr, t0, t1, ax, ay)
-    _corner_force_into(rxm, rym, sxm, sym, qr, t0, t1, t0, t1)
-    np.add(ax, t0, out=ax)
-    np.add(ay, t1, out=ay)
+    if on_axis:
+        # Each column's two corners are bitwise twins (see the exactness
+        # note above): one corner's x-force, doubled, and no y-force work —
+        # ``ay`` is +0.0 for every particle.  Every ``ry*ry`` is the one
+        # product ``half_h * half_h``, so it is formed once, as a scalar.
+        sy_axis = half_h * half_h
+        _corner_fx_into(rx, sx, sy_axis, ql, t0, t1, axl)
+        _corner_fx_into(rxm, sxm, sy_axis, qr, t0, t1, ax)
+        np.add(axl, axl, out=axl)
+        np.add(ax, ax, out=ax)
+        ay = None
+    else:
+        # Pairwise per-column accumulation (see the exactness note above):
+        # (0,0)+(0,h) into (axl, ayl), then (h,0)+(h,h) into (ax, ay).
+        np.subtract(ry, h, out=rym)
+        np.multiply(ry, ry, out=sy)
+        np.multiply(rym, rym, out=sym)
+        _corner_force_into(rx, ry, sx, sy, ql, t0, t1, axl, ayl)
+        _corner_force_into(rx, rym, sx, sym, ql, t0, t1, t0, t1)
+        np.add(axl, t0, out=axl)
+        np.add(ayl, t1, out=ayl)
+        _corner_force_into(rxm, ry, sxm, sy, qr, t0, t1, ax, ay)
+        _corner_force_into(rxm, rym, sxm, sym, qr, t0, t1, t0, t1)
+        np.add(ax, t0, out=ax)
+        np.add(ay, t1, out=ay)
+        np.add(ayl, ay, out=ay)
     np.add(axl, ax, out=ax)
-    np.add(ayl, ay, out=ay)
 
     # Integrator (Eqs. 1-2), same per-element op order as the reference,
     # then the periodic wrap.  ``np.mod(v, L)`` returns ``v`` bit-for-bit
@@ -312,18 +353,26 @@ def _advance_block(mesh, x, y, vx, vy, q, dt, ws) -> None:
     # domain.
     half_dt2 = 0.5 * dt * dt
     L = mesh.L
-    esc, tmp = ws.bool_rows(len(x))
     for pos, v, a in ((x, vx, ax), (y, vy, ay)):
-        np.multiply(a, half_dt2, out=t1)
-        if unit_dt:
+        step = t0  # v*dt + a*half_dt2
+        if a is None:  # on the axis: a*half_dt2 and a*dt are +0.0
+            if unit_dt:
+                step = v  # v + 0.0, which is also the new velocity
+            else:
+                np.multiply(v, dt, out=t0)
+                np.add(t0, 0.0, out=t0)
+            np.add(v, 0.0, out=v)  # turns a -0.0 velocity into +0.0
+        elif unit_dt:
+            np.multiply(a, half_dt2, out=t1)
             np.add(v, t1, out=t0)
             np.add(v, a, out=v)
         else:
+            np.multiply(a, half_dt2, out=t1)
             np.multiply(v, dt, out=t0)
             np.add(t0, t1, out=t0)
             np.multiply(a, dt, out=t1)
             np.add(v, t1, out=v)
-        np.add(pos, t0, out=pos)
+        np.add(pos, step, out=pos)
         np.less(pos, 0.0, out=esc)
         np.greater_equal(pos, L, out=tmp)
         np.logical_or(esc, tmp, out=esc)

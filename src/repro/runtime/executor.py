@@ -387,7 +387,7 @@ class InProcessExecutor(Executor):
     """Size-aware in-process backend: big tasks in place, small ones fused.
 
     A task with at least ``KERNEL_BLOCK // 2`` particles already amortises
-    the 64 ufunc dispatches of a push and runs in place, in park order.
+    the 44-66 ufunc dispatches of a push and runs in place, in park order.
     Smaller tasks are grouped by ``(mesh, dt, backend)`` (in practice one
     group) and packed, in park order, into chunks of at most
     :data:`KERNEL_BLOCK` particles; each chunk's field arrays are staged

@@ -13,8 +13,8 @@ import pytest
 from repro.core.initialization import initialize
 from repro.core.kernel import advance, compute_acceleration
 from repro.core.mesh import Mesh
-from repro.core.simulation import run_serial
-from repro.core.spec import Distribution, PICSpec
+from repro.core.simulation import SerialSimulation, run_serial
+from repro.core.spec import Distribution, InjectionEvent, PICSpec, Region
 from repro.core.verification import position_errors
 
 
@@ -33,6 +33,27 @@ class TestVerticalExactness:
             y_expected = np.mod(y_expected + m, mesh.L)
             # Bitwise: no tolerance at all.
             assert np.array_equal(p.y, y_expected), f"step {step}"
+
+    @pytest.mark.parametrize("k", [0, 2])
+    @pytest.mark.parametrize("m", [0, 2, -1])
+    def test_every_particle_stays_on_its_row_axis(self, k, m):
+        """The fused push computes one corner per column only for blocks
+        whose every particle has ``y - floor(y/h)*h == h/2`` bitwise.  If
+        the PRK ever stopped keeping that true, the push would quietly fall
+        back to four corners, so it is pinned here for every particle after
+        every step — injected particles and the y wrap included."""
+        spec = PICSpec(
+            cells=32, n_particles=600, steps=20, k=k, m_vertical=m,
+            events=(InjectionEvent(step=6, region=Region(4, 12, 26, 32), count=200),),
+        )
+        sim = SerialSimulation(spec)
+        h = sim.mesh.h
+        for t in range(spec.steps):
+            sim.step(t)
+            y = sim.particles.y
+            off = np.flatnonzero(y - np.floor(y / h) * h != 0.5 * h)
+            assert off.size == 0, f"step {t}: {off.size} particles off the axis"
+        assert len(sim.particles) == 800
 
     def test_vertical_velocity_never_drifts(self):
         spec = PICSpec(cells=32, n_particles=20, steps=1, m_vertical=3,
