@@ -63,6 +63,7 @@ matter how the sweep interleaves (pinned by
 from __future__ import annotations
 
 import os
+import signal
 import time
 import traceback
 from collections import deque
@@ -91,19 +92,37 @@ class WorkerLostError(RuntimeError):
 
     The campaign analogue of the runtime's
     :class:`~repro.runtime.errors.RankFailedError`: carries the worker
-    (the fabric's "rank") and the point index so harnesses and tests can
-    name exactly which perturbation killed the sweep.
+    (the fabric's "rank"), the point index and the last death's ``cause``
+    (e.g. ``worker process exited (SIGKILL)``, what an OOM kill looks like)
+    so harnesses and tests can name exactly which perturbation killed the
+    sweep.
     """
 
-    def __init__(self, worker: int, point_index: int, attempts: int):
+    def __init__(self, worker: int, point_index: int, attempts: int, cause: str):
         self.worker = worker
         self.point_index = point_index
         self.attempts = attempts
+        self.cause = cause
         super().__init__(
             f"campaign point {point_index} died with its worker "
-            f"{attempts} time(s) (last on worker {worker}); "
+            f"{attempts} time(s) (last on worker {worker}: {cause}); "
             "giving up rather than requeueing a poison point"
         )
+
+
+def _exit_cause(proc) -> str:
+    """A dead worker's exit status as text: ``code 17``, or ``SIGKILL`` for -9.
+
+    A fired sentinel or a closed pipe can precede the reap, so join first.
+    """
+    proc.join(timeout=5.0)
+    code = proc.exitcode
+    if code is not None and code < 0:
+        try:
+            return signal.Signals(-code).name
+        except ValueError:
+            pass
+    return f"code {code}"
 
 
 @dataclass(frozen=True)
@@ -513,7 +532,7 @@ def run_fabric(
             n = attempts.get(index_, 0) + 1
             attempts[index_] = n
             if n > config.max_retries:
-                raise WorkerLostError(w.wid, index_, n)
+                raise WorkerLostError(w.wid, index_, n, reason)
             stats.requeues += 1
             # Requeue at the front: the point already proved expensive
             # to lose, restart it before anything else.
@@ -559,7 +578,7 @@ def run_fabric(
                     if w.conn.poll():
                         continue  # drain its messages first, next loop
                     requeue(
-                        w, f"worker process exited (code {w.proc.exitcode})"
+                        w, f"worker process exited ({_exit_cause(w.proc)})"
                     )
                     replacement = spawn(w.slot)
                     workers[workers.index(w)] = replacement
@@ -568,7 +587,7 @@ def run_fabric(
                     msg = w.conn.recv()
                 except EOFError:
                     requeue(
-                        w, f"worker pipe closed (code {w.proc.exitcode})"
+                        w, f"worker pipe closed ({_exit_cause(w.proc)})"
                     )
                     workers[workers.index(w)] = spawn(w.slot)
                     continue

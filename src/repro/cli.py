@@ -10,7 +10,6 @@ Subcommands::
     pic-prk trace   --impl ampi --cores 16 --out traces/          # + trace.json etc.
     pic-prk figures fig5 fig6l fig6r fig7                         # regenerate figures
     pic-prk campaign benchmarks/campaigns/fig6l.json              # cached sweep
-    pic-prk multirun a.json b.json --policy fair                  # N engines, one process
     pic-prk run     --impl ampi --faults plan.json --checkpoint-every 25
     pic-prk resume  --from checkpoints/ckpt_step000050.ckpt       # continue a run
     pic-prk resilience --preset smoke                             # straggler bench
@@ -172,7 +171,7 @@ def _add_flags(p: argparse.ArgumentParser, *sections: str) -> None:
 
 def _add_executor_args(p: argparse.ArgumentParser) -> None:
     """The executor / workers / kernel-backend flags, shared by every
-    subcommand that builds an executor (run, trace, resume, multirun)."""
+    subcommand that builds an executor (run, trace, resume)."""
     p.add_argument(
         "--executor",
         choices=EXECUTOR_KINDS,
@@ -255,14 +254,14 @@ def _runspec_from(args: argparse.Namespace, *, serial: bool = False) -> RunSpec:
     return RunSpec.from_dict(apply_overrides(doc, over))
 
 
-def _executor_config(args: argparse.Namespace, rs: RunSpec | None = None):
+def _executor_config(args: argparse.Namespace, rs: RunSpec):
     """The executor a command runs with: typed flags > env > ``rs`` > default."""
     typed = ExecutorConfig(
         kind=getattr(args, "executor", None),
         workers=getattr(args, "workers", None),
         kernel_backend=getattr(args, "kernel_backend", None),
     )
-    return resolve_executor_config(typed, None if rs is None else rs.executor)
+    return resolve_executor_config(typed, rs.executor)
 
 
 def _print_resolved(args: argparse.Namespace, rs: RunSpec) -> int:
@@ -505,86 +504,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_multirun(args: argparse.Namespace) -> int:
-    """Interleave several RunSpecs through one EngineGroup, one process.
-
-    The demo entry point for the multiplexed engine core: N simulations
-    time-slice over virtual time while sharing a single executor pool.
-    Results are byte-identical to running each spec alone (the
-    equivalence suite enforces it); only the wall-clock profile changes.
-    """
-    from repro.config.build import build_executor, build_impl
-    from repro.instrument import write_engine_traces
-    from repro.runtime.multiplex import EngineGroup
-
-    specs: list[tuple[str, RunSpec]] = []
-    for path in args.specs:
-        rs = RunSpec.load(path)
-        stem = os.path.splitext(os.path.basename(path))[0]
-        for copy in range(max(args.copies, 1)):
-            if args.copies > 1:
-                rs_i = rs.with_overrides(
-                    workload=replace(rs.workload, seed=rs.workload.seed + copy)
-                )
-                specs.append((f"{stem}#{copy}", rs_i))
-            else:
-                specs.append((stem, rs))
-    names = [name for name, _ in specs]
-    if len(set(names)) != len(names):
-        # Same file listed twice: disambiguate by position.
-        specs = [(f"{name}@{i}", rs) for i, (name, rs) in enumerate(specs)]
-
-    # One executor for every engine: the spec files' executor sections are
-    # not consulted (typed flags > env > default).
-    shared = build_executor(specs[0][1], cli=_executor_config(args))
-    tracers: dict[str, Tracer] = {}
-    group = EngineGroup(
-        policy=args.policy,
-        slice_ticks=args.slice_ticks,
-        order_seed=args.order_seed,
-        executor=shared,
-    )
-    print(
-        f"multiplexing {len(specs)} engines (policy={args.policy}, "
-        f"slice={args.slice_ticks} ticks, executor={shared.name})"
-    )
-    ok = True
-    try:
-        for name, rs in specs:
-            tracer = Tracer() if args.out else None
-            if tracer is not None:
-                tracers[name] = tracer
-            impl = build_impl(
-                rs, span_tracer=tracer, executor=group.handle(name)
-            )
-            group.add(name, impl.build_engine(engine_id=name))
-        results = group.run_all()
-        width = max(len(n) for n in results)
-        for name in results:
-            r = results[name]
-            ok = ok and r.verification.ok
-            mark = "ok" if r.verification.ok else "FAIL"
-            print(
-                f"  {name:<{width}}  {r.implementation} x{r.n_cores}: "
-                f"{r.total_time:.4f}s simulated  [{mark}]"
-            )
-        stats = shared.tag_stats
-        line = f"{group.slices} slices over {len(results)} engines"
-        if stats:
-            batches = sum(s["batches"] for s in stats.values())
-            per_tag = ", ".join(
-                f"{n}={stats[n]['tasks']}" for n in sorted(stats)
-            )
-            line += f"; shared pool ran {batches} batches (tasks: {per_tag})"
-        print(line)
-    finally:
-        group.close()
-    if args.out:
-        for path in write_engine_traces(tracers, args.out):
-            print(f"wrote {path}")
-    return 0 if ok else 1
-
-
 def cmd_figures(args: argparse.Namespace) -> int:
     from repro.bench.figures import main as figures_main
 
@@ -658,43 +577,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output JSON (empty string to skip writing)",
     )
     p.set_defaults(fn=cmd_resilience)
-
-    p = sub.add_parser(
-        "multirun",
-        help="interleave several RunSpecs through one in-process "
-        "EngineGroup sharing a single executor pool",
-    )
-    p.add_argument(
-        "specs", nargs="+", metavar="SPEC.json",
-        help="RunSpec files; each becomes one engine in the group",
-    )
-    p.add_argument(
-        "--copies", type=int, default=1, metavar="N",
-        help="run N seed-varied copies of every spec (workload seed += "
-        "copy index)",
-    )
-    p.add_argument(
-        "--policy", choices=["fair", "deadline"], default="fair",
-        help="slice scheduling: round-robin over unfinished engines "
-        "(fair) or always the engine furthest behind in virtual time "
-        "(deadline)",
-    )
-    p.add_argument(
-        "--slice-ticks", type=int, default=64, metavar="N",
-        help="scheduler ticks granted per slice before rotating engines",
-    )
-    p.add_argument(
-        "--order-seed", type=int, default=None, metavar="N",
-        help="shuffle the fair policy's per-round engine order (results "
-        "are interleaving-invariant; this only exercises that claim)",
-    )
-    _add_executor_args(p)
-    p.add_argument(
-        "--out", metavar="DIR", default=None,
-        help="record per-engine span traces and write one namespaced "
-        "trace-<engine>.json per engine into DIR",
-    )
-    p.set_defaults(fn=cmd_multirun)
 
     p = sub.add_parser("figures", help="regenerate the paper's figures")
     p.add_argument("names", nargs="+", choices=["fig5", "fig6l", "fig6r", "fig7"])

@@ -222,8 +222,8 @@ def execute_runspec(rs: RunSpec, *, executor=None) -> dict:
 def parallel_result_doc(result) -> dict:
     """The deterministic result document of a finished parallel run.
 
-    Shared by :func:`execute_runspec` and the layered benchmark's
-    ``EngineGroup`` workload so every execution path produces the same
+    Shared by :func:`execute_runspec` and every layered benchmark workload
+    that drives engines itself, so every execution path produces the same
     document for the same spec.
     """
     return {

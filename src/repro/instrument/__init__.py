@@ -38,7 +38,6 @@ from repro.instrument.export import (
     to_chrome_trace,
     to_executor_chrome_trace,
     write_chrome_trace,
-    write_engine_traces,
     write_executor_trace,
     write_metrics,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "to_executor_chrome_trace",
     "validate_spans",
     "write_chrome_trace",
-    "write_engine_traces",
     "write_executor_trace",
     "write_metrics",
 ]

@@ -29,21 +29,13 @@ def _us(seconds: float) -> float:
     return round(seconds * 1e6, 3)
 
 
-def to_chrome_trace(tracer: Tracer, namespace: str | None = None) -> dict[str, Any]:
+def to_chrome_trace(tracer: Tracer) -> dict[str, Any]:
     """Build a Chrome Trace Event Format object from a tracer.
 
     Events are sorted by ``(pid, tid, ts)`` with metadata first, so every
     rank's track lists its spans in simulated-time order.
-
-    ``namespace`` labels the trace as belonging to one engine of a
-    multi-engine run: track display names gain an ``<ns>:`` prefix so N
-    per-engine files stay tellable apart after loading several into one
-    viewer session.  ``None`` (the default) produces byte-identical
-    output to the pre-namespace exporter — golden-trace suites compare
-    un-namespaced dumps.
     """
     validate_spans(tracer.spans)
-    prefix = "" if namespace is None else f"{namespace}:"
     events: list[dict[str, Any]] = []
     for core in tracer.cores():
         events.append(
@@ -53,7 +45,7 @@ def to_chrome_trace(tracer: Tracer, namespace: str | None = None) -> dict[str, A
                 "pid": core,
                 "tid": 0,
                 "ts": 0,
-                "args": {"name": f"{prefix}core {core}"},
+                "args": {"name": f"core {core}"},
             }
         )
     named_threads = sorted({(s.core, s.rank) for s in tracer.spans})
@@ -65,7 +57,7 @@ def to_chrome_trace(tracer: Tracer, namespace: str | None = None) -> dict[str, A
                 "pid": core,
                 "tid": rank,
                 "ts": 0,
-                "args": {"name": f"{prefix}rank {rank}"},
+                "args": {"name": f"rank {rank}"},
             }
         )
 
@@ -101,37 +93,15 @@ def to_chrome_trace(tracer: Tracer, namespace: str | None = None) -> dict[str, A
     return {"displayTimeUnit": "ms", "traceEvents": events}
 
 
-def dumps_chrome_trace(tracer: Tracer, namespace: str | None = None) -> str:
+def dumps_chrome_trace(tracer: Tracer) -> str:
     """Serialize deterministically (sorted keys, no whitespace jitter)."""
-    return json.dumps(
-        to_chrome_trace(tracer, namespace), sort_keys=True, separators=(",", ":")
-    )
+    return json.dumps(to_chrome_trace(tracer), sort_keys=True, separators=(",", ":"))
 
 
-def write_chrome_trace(tracer: Tracer, path, namespace: str | None = None) -> None:
+def write_chrome_trace(tracer: Tracer, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_chrome_trace(tracer, namespace))
+        fh.write(dumps_chrome_trace(tracer))
         fh.write("\n")
-
-
-def write_engine_traces(tracers: dict[str, Tracer], directory) -> list[str]:
-    """Write one namespaced ``trace-<engine>.json`` per engine.
-
-    ``tracers`` maps engine name -> that engine's (private) tracer; each
-    file is namespaced with its engine name so interleaved runs export
-    disjoint, individually-loadable traces.  Returns the written paths in
-    name order.
-    """
-    import os
-
-    os.makedirs(directory, exist_ok=True)
-    paths = []
-    for name in sorted(tracers):
-        safe = "".join(c if (c.isalnum() or c in "-_.") else "_" for c in name)
-        path = os.path.join(directory, f"trace-{safe}.json")
-        write_chrome_trace(tracers[name], path, namespace=name)
-        paths.append(path)
-    return paths
 
 
 # ----------------------------------------------------------------------

@@ -29,10 +29,6 @@ class TraceCollector:
     samples: dict[int, dict[int, int]] = field(default_factory=dict)
     cores: dict[int, dict[int, int]] = field(default_factory=dict)
     events: list[LbEvent] = field(default_factory=list)
-    #: Engine id this collector belongs to, when several interleaved runs
-    #: record side by side (one collector per engine).  Purely a label:
-    #: ``None`` leaves every analysis and export byte-identical.
-    namespace: str | None = None
 
     def record(self, rank: int, step: int, n_particles: int, core: int) -> None:
         self.samples.setdefault(step, {})[rank] = n_particles

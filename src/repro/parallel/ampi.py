@@ -90,14 +90,6 @@ class AmpiPIC(ParallelPICBase):
         """User-level scheduling cost of one VP for one step."""
         return self.cost.vp_scheduling_s
 
-    def _engine_tag(self) -> str:
-        # Overdecomposition changes the rank count behind the same core
-        # count, so it belongs in the engine id a shared pool sees.
-        return (
-            f"{self.name}-c{self.n_cores}"
-            f"-d{self.overdecomposition}-F{self.lb_interval}"
-        )
-
     def _impl_config(self):
         strategy = self.strategy
         if isinstance(strategy, MeteredLB):

@@ -219,10 +219,6 @@ class ParallelPICBase:
     # ------------------------------------------------------------------
     # Run
     # ------------------------------------------------------------------
-    def _engine_tag(self) -> str:
-        """Default engine id for this driver when run inside a group."""
-        return f"{self.name}-c{self.n_cores}"
-
     def run(self) -> ParallelResult:
         """Build the engine and drive it to completion (the classic API)."""
         engine = self.build_engine()
@@ -263,7 +259,8 @@ class ParallelPICBase:
         initial particle placement, scheduler construction and per-rank
         program creation.  The returned engine is ready to ``tick()``,
         ``run()`` or ``pause()``; its ``result()`` is the driver's
-        :class:`ParallelResult`.
+        :class:`ParallelResult`.  ``engine_id`` only names the engine (the
+        layered benchmark passes one).
         """
         if self.dims_override is not None:
             dims = tuple(self.dims_override)
@@ -332,7 +329,7 @@ class ParallelPICBase:
         self._engine = SimEngine(
             scheduler,
             programs,
-            engine_id=engine_id if engine_id is not None else self._engine_tag(),
+            engine_id=engine_id,
             checkpointer=checkpointer,
             finalize=lambda spmd: self._finalize(spmd, scheduler, sampler),
         )

@@ -17,10 +17,3 @@ class Mpi2dPIC(ParallelPICBase):
     """Baseline parallel implementation without load balancing."""
 
     name = "mpi-2d"
-
-    def _engine_tag(self) -> str:
-        # The baseline has no LB tunables: cores and grid shape are the
-        # whole identity of a run within an engine group.
-        dims = self.dims_override
-        shape = f"-{dims[0]}x{dims[1]}" if dims is not None else ""
-        return f"{self.name}-c{self.n_cores}{shape}"

@@ -84,14 +84,6 @@ class Mpi2dLbPIC(ParallelPICBase):
         ))
 
     # ------------------------------------------------------------------
-    def _engine_tag(self) -> str:
-        # The diffusion tunables distinguish co-scheduled LB runs sharing
-        # one worker pool.
-        return (
-            f"{self.name}-c{self.n_cores}"
-            f"-F{self.lb_interval}-b{self.border_width}-{self.axes}"
-        )
-
     def setup_hook(self, comm, cart, state):
         # Column communicator: ranks sharing my processor-column index cx
         # (used for the per-column load reduction).  Row communicator: one

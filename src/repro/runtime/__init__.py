@@ -29,7 +29,6 @@ from repro.runtime.engine import (
     ENGINE_RUNNING,
     SimEngine,
 )
-from repro.runtime.multiplex import EngineGroup
 
 __all__ = [
     "ANY_SOURCE",
@@ -50,7 +49,6 @@ __all__ = [
     "SpmdResult",
     "run_spmd",
     "SimEngine",
-    "EngineGroup",
     "ENGINE_RUNNING",
     "ENGINE_BLOCKED",
     "ENGINE_FINISHED",

@@ -66,9 +66,7 @@ class SimEngine:
     :class:`~repro.runtime.multiplex.EngineGroup` can hand back finished
     per-engine results directly.
 
-    ``engine_id`` tags executor batches (``start_batch(..., tag=...)``)
-    so a shared pool can account work per engine, and namespaces exported
-    traces in multi-engine runs.
+    ``engine_id`` is a label (:attr:`engine_id`); no behaviour depends on it.
     """
 
     def __init__(
@@ -91,7 +89,6 @@ class SimEngine:
                 f"got {len(programs)} programs for {scheduler.n_ranks} ranks"
             )
         scheduler._driven = True
-        scheduler.engine_tag = engine_id
         self.scheduler = scheduler
         self.engine_id = engine_id
         self.checkpointer = checkpointer
@@ -123,16 +120,6 @@ class SimEngine:
     @property
     def finished(self) -> bool:
         return self._status == ENGINE_FINISHED
-
-    @property
-    def now(self) -> float:
-        """Current virtual time: the maximum rank clock.
-
-        Deadline scheduling in :class:`~repro.runtime.multiplex.EngineGroup`
-        keys on this — it is monotone under ticking and identical to the
-        ``total_time`` a finished run reports.
-        """
-        return max(self.scheduler.clock)
 
     # ------------------------------------------------------------------
     # Drive

@@ -81,7 +81,6 @@ from repro.core.particles import _FIELDS as _PARTICLE_FIELDS
 __all__ = [
     "PushTask",
     "Executor",
-    "ExecutorHandle",
     "BatchHandle",
     "InProcessExecutor",
     "ProcessExecutor",
@@ -201,23 +200,9 @@ class Executor:
         )
         self.work_meter = work_meter
         self.exec_tracer = exec_tracer
-        #: Per-tag batch/task/particle counters for batches stamped with an
-        #: engine id (``start_batch(..., tag=...)``); untagged batches are
-        #: not tracked.  Observational only — never touches results.
-        self.tag_stats: dict[str, dict[str, int]] = {}
 
     def _backend_for(self, rank: int) -> str:
         return self.backend_map.get(rank, self.kernel_backend)
-
-    def _note_tag(self, tag: str | None, batch: list[tuple[int, Any]]) -> None:
-        if tag is None:
-            return
-        entry = self.tag_stats.setdefault(
-            tag, {"batches": 0, "tasks": 0, "particles": 0}
-        )
-        entry["batches"] += 1
-        entry["tasks"] += len(batch)
-        entry["particles"] += sum(len(t.particles) for _, t in batch)
 
     def run_batch(self, batch: list[tuple[int, Any]]) -> None:
         raise NotImplementedError
@@ -227,9 +212,8 @@ class Executor:
     ) -> BatchHandle:
         """Begin a batch, returning a :class:`BatchHandle`.
 
-        ``tag`` (optional) attributes the batch to an engine in
-        :attr:`tag_stats` when several engines share one pool; it never
-        affects execution.
+        ``tag`` is accepted and ignored: the layered benchmark's tracer
+        wraps ``start_batch`` with a ``tag=`` keyword.
 
         The default implementation runs the batch synchronously and hands
         back an already-completed handle: every executor without real
@@ -237,7 +221,6 @@ class Executor:
         scheduler, which is what keeps the overlapped-exchange resume
         policy backend-agnostic.
         """
-        self._note_tag(tag, batch)
         self.run_batch(batch)
         return _EAGER_HANDLE
 
@@ -253,48 +236,6 @@ class Executor:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-
-class ExecutorHandle(Executor):
-    """A per-engine view of a shared executor pool.
-
-    Engines in an :class:`~repro.runtime.multiplex.EngineGroup` share one
-    worker pool; each gets a handle carrying its engine tag, so every
-    batch it dispatches is attributed in the base pool's
-    :attr:`Executor.tag_stats` without the engine knowing it is sharing.
-    ``close()`` is a no-op — the pool belongs to its owner (the group or
-    the campaign runner), which closes the base exactly once.
-    """
-
-    def __init__(self, base: Executor, tag: str | None = None):
-        self.base = base
-        self.tag = tag
-
-    @property
-    def name(self) -> str:  # type: ignore[override]
-        return self.base.name
-
-    @property
-    def kernel_backend(self) -> str:  # type: ignore[override]
-        return self.base.kernel_backend
-
-    @property
-    def tag_stats(self) -> dict:  # type: ignore[override]
-        return self.base.tag_stats
-
-    def start_batch(
-        self, batch: list[tuple[int, Any]], tag: str | None = None
-    ) -> BatchHandle:
-        return self.base.start_batch(batch, tag=tag if tag is not None else self.tag)
-
-    def run_batch(self, batch: list[tuple[int, Any]]) -> None:
-        self.base.run_batch(batch)
-
-    def stats(self) -> dict:
-        return self.base.stats()
-
-    def close(self) -> None:
-        """No-op: the shared pool is closed by its owner, not per engine."""
 
 
 def _advance_fields(backend: str, mesh, x, y, vx, vy, q, dt, workspace=None) -> None:
@@ -1308,7 +1249,6 @@ class ProcessExecutor(Executor):
     def start_batch(
         self, batch: list[tuple[int, Any]], tag: str | None = None
     ) -> BatchHandle:
-        self._note_tag(tag, batch)
         work = []
         work_of: list[int | None] = []
         for rank, task in batch:

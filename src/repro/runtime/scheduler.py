@@ -228,9 +228,6 @@ class Scheduler:
         #: scheduler (directly or via :meth:`run`).  Clocks and transport
         #: counters are not reusable, so a second bind raises.
         self._driven = False
-        #: Engine id stamped onto executor batches (``start_batch`` tag)
-        #: when this scheduler runs inside a multi-engine group.
-        self.engine_tag: str | None = None
         self._finished = 0
 
     # ------------------------------------------------------------------
@@ -361,7 +358,7 @@ class Scheduler:
         can never leak into simulated time.
         """
         batch, self._pending_exec = self._pending_exec, []
-        handle = self._get_executor().start_batch(batch, tag=self.engine_tag)
+        handle = self._get_executor().start_batch(batch)
         states = self._states
         for i, (r, _task) in enumerate(batch):
             handle.wait(i)

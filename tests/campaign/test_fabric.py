@@ -16,6 +16,7 @@ Covers the PR-8 behaviours on top of tests/campaign/test_campaign.py
 
 import json
 import os
+import signal
 
 import pytest
 
@@ -256,6 +257,25 @@ class TestCrashRequeue:
                 jobs=2, fabric=cfg,
             )
         assert err.value.attempts == 1
+        assert "code 17" in err.value.cause and "code 17" in str(err.value)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork start")
+    def test_killed_worker_names_the_signal(self, tmp_path, monkeypatch):
+        # A kill from outside (the OOM killer's SIGKILL) reaches the error
+        # as the signal's name, not as "exitcode -9".
+        from repro.config import build
+
+        monkeypatch.setattr(
+            build, "execute_runspec",
+            lambda rs, executor=None: os.kill(os.getpid(), signal.SIGKILL),
+        )
+        cfg = FabricConfig(jobs=2, max_retries=0, mp_context="fork")
+        with pytest.raises(WorkerLostError, match="SIGKILL") as err:
+            run_campaign(
+                CampaignSpec.from_dict(sweep_doc([200, 300], campaign="oom")),
+                cache_dir=str(tmp_path), jobs=2, fabric=cfg,
+            )
+        assert err.value.cause.endswith("(SIGKILL)")
 
 
 # ----------------------------------------------------------------------

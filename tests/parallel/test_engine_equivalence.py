@@ -28,8 +28,9 @@ from repro.core.spec import Distribution, PICSpec
 from repro.instrument import Tracer, dumps_chrome_trace
 from repro.parallel import AmpiPIC, Mpi2dLbPIC, Mpi2dPIC
 from repro.resilience import Checkpointer, ResilienceConfig, Snapshot
-from repro.runtime import ENGINE_BLOCKED, ENGINE_FINISHED, EngineGroup
+from repro.runtime import ENGINE_BLOCKED, ENGINE_FINISHED
 from repro.runtime.executor import make_executor
+from repro.runtime.multiplex import EngineGroup
 
 SPEC = PICSpec(
     cells=32, n_particles=900, steps=12,
@@ -187,7 +188,6 @@ def matrix(request, tmp_path_factory):
             results = group.run_all()
             for key, (impl, tracer, ckpt) in staged.items():
                 out[(mode, key)] = _collect(impl, results[key], tracer, ckpt)
-            out["tag_stats"] = {k: dict(v) for k, v in shared.tag_stats.items()}
         finally:
             group.close()
     return out
@@ -276,10 +276,3 @@ class TestPauseResume:
         for name in LATER_FILES:
             assert got[name] == ref[name], f"{name} differs after resume ({key})"
 
-
-def test_shared_pool_accounted_every_engine(matrix):
-    stats = matrix["tag_stats"]
-    assert set(stats) == {k for k, _, _ in _IMPL_TRIPLES}
-    for key, entry in stats.items():
-        assert entry["batches"] > 0, f"engine {key} never used the shared pool"
-        assert entry["particles"] > 0

@@ -643,62 +643,3 @@ def test_bad_outside_input_is_a_clean_error(env, argv, tmp_path, capsys, monkeyp
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: ") and "Traceback" not in err
-
-
-class TestMultirun:
-    """`pic-prk multirun`: N simulations interleaved in one process."""
-
-    def _spec_file(self, tmp_path, name="mr", **overrides):
-        doc = {
-            "workload": {"cells": 32, "n_particles": 400, "steps": 6,
-                         "distribution": "uniform"},
-            "impl": {"name": "mpi-2d", "cores": 4},
-        }
-        for path, value in overrides.items():
-            section, field = path.split(".")
-            doc.setdefault(section, {})[field] = value
-        p = tmp_path / f"{name}.json"
-        p.write_text(json.dumps(doc))
-        return str(p)
-
-    def test_two_specs_interleave_and_verify(self, tmp_path, capsys):
-        a = self._spec_file(tmp_path, "a")
-        b = self._spec_file(tmp_path, "b", **{
-            "impl.name": "ampi", "impl.overdecomposition": 2,
-            "impl.lb_interval": 3,
-        })
-        rc = main(["multirun", a, b])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "multiplexing 2 engines" in out
-        assert "[ok]" in out and "FAIL" not in out
-        assert "shared pool" in out
-
-    def test_copies_vary_the_seed_and_traces_are_namespaced(
-        self, tmp_path, capsys
-    ):
-        spec = self._spec_file(tmp_path, "base")
-        out_dir = str(tmp_path / "traces")
-        rc = main([
-            "multirun", spec, "--copies", "2", "--policy", "deadline",
-            "--out", out_dir,
-        ])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "multiplexing 2 engines" in out
-        names = sorted(os.listdir(out_dir))
-        assert names == ["trace-base_0.json", "trace-base_1.json"]
-        doc = json.load(open(os.path.join(out_dir, names[0])))
-        track_names = [
-            e["args"]["name"] for e in doc["traceEvents"] if e["ph"] == "M"
-        ]
-        assert all(n.startswith("base#0:") for n in track_names)
-
-    def test_order_seed_accepted(self, tmp_path, capsys):
-        spec = self._spec_file(tmp_path)
-        rc = main(["multirun", spec, spec, "--order-seed", "5",
-                   "--slice-ticks", "16"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        # the same file twice gets positionally-disambiguated engine ids
-        assert "mr@0" in out and "mr@1" in out
