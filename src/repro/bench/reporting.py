@@ -96,11 +96,11 @@ def dispatch_breakdown(spans) -> dict:
     ``spans`` is an iterable of :class:`repro.instrument.ExecSpan` (e.g.
     ``ExecutorTrace.spans``).  Per batch:
 
-    * ``dispatch_s`` — parent-side wall time to publish the batch (plan
-      lookup, ring records, doorbells);
+    * ``dispatch_s`` — parent-side wall time to publish the batch (arena
+      locations, the partition, one send per worker);
     * ``dispatch_cpu_s`` — the same window in parent CPU seconds (the
       span's ``cpu_s`` arg, falling back to wall).  On an oversubscribed
-      host the doorbell send can wake a worker that preempts
+      host a send can wake a worker that preempts
       the parent, and the worker's kernel time then lands in the *wall*
       dispatch window even though the execute spans already report it —
       CPU seconds are immune to that double-count;
@@ -113,8 +113,8 @@ def dispatch_breakdown(spans) -> dict:
       resume policy shrinks exactly this column.
 
     The totals carry per-task dispatch cost (wall and CPU) both over all
-    batches and over the steady state (batch 2 onward, once the dispatch
-    plan is cached) — ``steady_dispatch_cpu_s_per_task`` is the figure
+    batches and over the steady state (batch 2 onward, once every store is
+    rebased) — ``steady_dispatch_cpu_s_per_task`` is the figure
     the layered benchmark reports as ``executor.dispatch_cpu_us_per_task``.
     """
     by_batch: dict[int, dict] = {}

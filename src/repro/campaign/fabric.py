@@ -63,7 +63,6 @@ matter how the sweep interleaves (pinned by
 from __future__ import annotations
 
 import os
-import signal
 import time
 import traceback
 from collections import deque
@@ -75,6 +74,7 @@ from repro.runtime.costmodel import (
     predicted_point_pushes,
     predicted_point_seconds,
 )
+from repro.runtime.errors import exit_cause
 
 #: Test-only chaos hook: ``"<worker-id>:<nth-task>"`` makes the worker
 #: with that incarnation id exit hard (``os._exit``) upon *receiving* its
@@ -108,21 +108,6 @@ class WorkerLostError(RuntimeError):
             f"{attempts} time(s) (last on worker {worker}: {cause}); "
             "giving up rather than requeueing a poison point"
         )
-
-
-def _exit_cause(proc) -> str:
-    """A dead worker's exit status as text: ``code 17``, or ``SIGKILL`` for -9.
-
-    A fired sentinel or a closed pipe can precede the reap, so join first.
-    """
-    proc.join(timeout=5.0)
-    code = proc.exitcode
-    if code is not None and code < 0:
-        try:
-            return signal.Signals(-code).name
-        except ValueError:
-            pass
-    return f"code {code}"
 
 
 @dataclass(frozen=True)
@@ -578,7 +563,7 @@ def run_fabric(
                     if w.conn.poll():
                         continue  # drain its messages first, next loop
                     requeue(
-                        w, f"worker process exited ({_exit_cause(w.proc)})"
+                        w, f"worker process exited ({exit_cause(w.proc)})"
                     )
                     replacement = spawn(w.slot)
                     workers[workers.index(w)] = replacement
@@ -587,7 +572,7 @@ def run_fabric(
                     msg = w.conn.recv()
                 except EOFError:
                     requeue(
-                        w, f"worker pipe closed ({_exit_cause(w.proc)})"
+                        w, f"worker pipe closed ({exit_cause(w.proc)})"
                     )
                     workers[workers.index(w)] = spawn(w.slot)
                     continue

@@ -250,8 +250,9 @@ def advance_arrays(
     ``workspace`` (worker processes must: the module singleton is only safe
     within one process because the push never yields).  All arguments are
     picklable (the mesh is a frozen dataclass of scalars), but workers
-    rebuild views from shared-memory descriptors rather than pickling
-    arrays — see :func:`repro.runtime.executor._worker_ring_main`.
+    rebuild views from shared-memory ``(segment, offset)`` locations
+    rather than pickling arrays — see
+    :func:`repro.runtime.executor._worker_main`.
 
     Chunking is per :data:`KERNEL_BLOCK` and elementwise, so segment
     boundaries never change a result bit.

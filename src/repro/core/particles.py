@@ -184,22 +184,6 @@ class ParticleArray:
         """Current backing capacity (slots available without reallocating)."""
         return len(self._backing()[0])
 
-    @property
-    def generation(self) -> int:
-        """Backing-store generation counter.
-
-        Bumped every time the backing arrays are *replaced* — capacity
-        growth in :meth:`reserve` or a :meth:`rebase_backing` — i.e.
-        whenever the field base pointers may have moved.  ``(container
-        identity, generation)`` is therefore a complete, O(1) validity
-        key for caches that hold pointers into the backing stores, such
-        as the process executor's dispatch plan: the in-place mutators
-        (:meth:`compact` / :meth:`extend` / :meth:`extend_packed`)
-        re-slice the field views every call but leave the generation
-        alone unless they had to grow.
-        """
-        return self.__dict__.get("_gen", 0)
-
     def reserve(self, n_needed: int) -> None:
         """Grow the backing store to hold at least ``n_needed`` particles.
 
@@ -214,7 +198,6 @@ class ParticleArray:
         new_cap = max(n_needed, 2 * cap, _MIN_GROW)
         n = len(self)
         d = self.__dict__
-        d["_gen"] = d.get("_gen", 0) + 1
         alloc = d.get("_allocator")
         for i, name in enumerate(_FIELDS):
             if alloc is None:
@@ -241,7 +224,6 @@ class ParticleArray:
         n = len(self)
         d = self.__dict__
         d["_allocator"] = alloc
-        d["_gen"] = d.get("_gen", 0) + 1
         for i, name in enumerate(_FIELDS):
             moved = alloc(cap, store[i].dtype)
             moved[:n] = d[name]

@@ -1,6 +1,23 @@
-"""Error types raised by the simulated MPI runtime."""
+"""Error types raised by the simulated MPI runtime and its worker pools."""
 
 from __future__ import annotations
+
+import signal
+
+
+def exit_cause(proc) -> str:
+    """A dead worker's exit status as text: ``code 17``, or ``SIGKILL`` for -9.
+
+    A fired sentinel or a closed pipe can precede the reap, so join first.
+    """
+    proc.join(timeout=5.0)
+    code = proc.exitcode
+    if code is not None and code < 0:
+        try:
+            return signal.Signals(-code).name
+        except ValueError:
+            pass
+    return f"code {code}"
 
 
 class DeadlockError(RuntimeError):
@@ -49,3 +66,21 @@ class CheckpointCorruptError(RuntimeError):
     Raised by :meth:`repro.resilience.Snapshot.load` before any state is
     touched, so a damaged checkpoint can never half-restore a run.
     """
+
+
+class ExecutorWorkerLostError(RuntimeError):
+    """A process-executor worker died while the pool needed it.
+
+    Carries the ``worker`` index, the ``cause`` (:func:`exit_cause`:
+    ``SIGKILL``, ``code 1``, ...) and the world ``ranks`` whose tasks that
+    worker held, so a killed push names exactly what it took down.
+    """
+
+    def __init__(self, worker: int, cause: str, ranks):
+        self.worker = worker
+        self.cause = cause
+        self.ranks = list(ranks)
+        held = f"the tasks of world ranks {self.ranks}" if self.ranks else "no tasks"
+        super().__init__(
+            f"process executor worker {worker} died ({cause}) holding {held}"
+        )

@@ -31,12 +31,11 @@ traces (``tests/parallel/test_executor_determinism.py``):
     ``multiprocessing.shared_memory`` views of the pooled
     :class:`~repro.core.particles.ParticleArray` backing stores.  The parent
     rebases each rank's backing store into a shared-memory arena once
-    (:meth:`ParticleArray.rebase_backing`); after that a steady-state step
-    publishes only packed integer/float task records into per-worker
-    shared-memory *task rings* (see the ring section below).  Zero
-    particle bytes cross a pipe in either direction.  Workers mutate the
-    shared pages in place; the completion barrier is deterministic, so the
-    merge is too.
+    (:meth:`ParticleArray.rebase_backing`); after that a batch sends each
+    worker one list of small task records (segment names, byte offsets,
+    counts, mesh parameters) over its pipe.  Zero particle bytes cross a
+    pipe in either direction.  Workers mutate the shared pages in place;
+    the completion barrier is deterministic, so the merge is too.
     Results are bitwise identical to serial because each worker runs the
     very same kernel on the very same bytes, and tasks never overlap.
 
@@ -58,8 +57,6 @@ from __future__ import annotations
 
 import atexit
 import os
-import select
-import struct
 import time
 import weakref
 from typing import Any
@@ -74,9 +71,10 @@ from repro.core.kernel import (
     KernelWorkspace,
     advance_arrays,
 )
-from repro.core.kernel_compiled import KERNEL_BACKENDS, advance_arrays_compiled
+from repro.core.kernel_compiled import advance_arrays_compiled
 from repro.core.mesh import Mesh
 from repro.core.particles import _FIELDS as _PARTICLE_FIELDS
+from repro.runtime.errors import ExecutorWorkerLostError, exit_cause
 
 __all__ = [
     "PushTask",
@@ -570,247 +568,49 @@ def _attach_segment(name: str):
         return shared_memory.SharedMemory(name=name)
 
 
-# ----------------------------------------------------------------------
-# Zero-copy dispatch rings
-# ----------------------------------------------------------------------
-# Tasks reach a worker through its shared-memory *task ring*, never as
-# pickled descriptors.  Layout (all 8-byte lanes, see docs/performance.md):
-#
-#     [ ctrl  int64[16]            ]   reserved / padding
-#     [ rec_i int64[slots, 16]     ]   packed integer task records
-#     [ rec_f float64[slots, 4]    ]   packed float task records
-#     [ res   float64[slots, 2]    ]   per-slot results (seconds, n)
-#
-# The protocol is chunk-per-doorbell: the parent fills slots ``0..k-1``
-# (k <= slots), stamps each record's turn-counter lane with the current
-# dispatch-plan epoch, and rings a *doorbell* — a raw 16-byte
-# ``os.write`` of ``(count, epoch)`` on a dedicated pipe, bypassing
-# ``Connection.send``'s pickle/framing layer, which costs ~7x more CPU
-# when the write has to wake a sleeping worker.  The worker processes
-# those k slots in order, checking each record's epoch lane against the
-# doorbell (a seqlock-style staleness guard), and replies one int token
-# (the batch-relative work index) per completed task on the control
-# pipe; the parent reads that slot's result lanes at token-consumption
-# time.  The pipe write/read pair is the memory barrier in both
-# directions, and the parent never doorbells a ring again until it has
-# consumed every token of the chunk in flight — a slot is never
-# overwritten while its result is pending, so no locks and no spinning.
-#
-# Because doorbells and control traffic (segment registrations,
-# shutdown) travel different pipes, the worker multiplexes both fds
-# and always drains the control pipe first: the parent sends every
-# registration a chunk depends on before ringing its doorbell, and both
-# fds are already readable when ``select`` returns.
-#
-# The epoch stamping is what makes the steady state zero-copy: while the
-# dispatch plan holds (same ranks, same arrays, same mesh/dt/backends),
-# the static record lanes already sit in the ring from the previous
-# batch, and publishing a new batch is one vectorized store of the
-# particle-count lane plus the doorbell.
-#
-# Rings live in their own SharedMemory segments, deliberately *not* in
-# the ShmArena: the arena recycles segments only when every handed-out
-# view has died, and the rings' views live as long as the pool.
+def _worker_main(conn, warm_backends: tuple = ()) -> None:
+    """Worker loop: one bin of task records per batch over ``conn``.
 
-_CTRL_INTS = 16
-_REC_INTS = 16
-_REC_F64 = 4
-_RES_F64 = 2
-
-# Integer-record lanes.
-_RI_SEG0 = 0      # [0:5]  arena segment ids of x, y, vx, vy, q
-_RI_OFF0 = 5      # [5:10] byte offsets into those segments
-_RI_N = 10        # particle count
-_RI_CELLS = 11    # mesh cells
-_RI_BACKEND = 12  # kernel backend id (_BACKEND_IDS)
-_RI_SEQ = 13      # dispatch-plan epoch stamp (staleness guard)
-_RI_WORK = 14     # batch-relative work index (the completion token)
-
-# Float-record lanes.
-_RF_H = 0
-_RF_MESHQ = 1
-_RF_DT = 2
-
-_BACKEND_IDS = {
-    name: i for i, name in enumerate(b for b in KERNEL_BACKENDS if b != "auto")
-}
-_BACKEND_NAMES = {v: k for k, v in _BACKEND_IDS.items()}
-
-# Doorbell wire format: (count, epoch) as two little-endian int64.  16
-# bytes is far below PIPE_BUF, so every doorbell write is atomic.
-_DOORBELL = struct.Struct("<qq")
-
-
-def _read_doorbell(fd: int) -> tuple[int, int] | None:
-    """Read one ``(count, epoch)`` doorbell; ``None`` on EOF (parent gone)."""
-    buf = b""
-    while len(buf) < _DOORBELL.size:
-        chunk = os.read(fd, _DOORBELL.size - len(buf))
-        if not chunk:  # pragma: no cover - parent died mid-doorbell
-            return None
-        buf += chunk
-    count, epoch = _DOORBELL.unpack(buf)
-    return count, epoch
-
-
-def _ring_nbytes(slots: int) -> int:
-    return 8 * (_CTRL_INTS + slots * (_REC_INTS + _REC_F64 + _RES_F64))
-
-
-def _map_ring(buf, slots: int):
-    """``(rec_i, rec_f, res)`` ndarray views over a ring segment buffer."""
-    o = 8 * _CTRL_INTS
-    rec_i = np.frombuffer(buf, np.int64, slots * _REC_INTS, o)
-    o += 8 * slots * _REC_INTS
-    rec_f = np.frombuffer(buf, np.float64, slots * _REC_F64, o)
-    o += 8 * slots * _REC_F64
-    res = np.frombuffer(buf, np.float64, slots * _RES_F64, o)
-    return (
-        rec_i.reshape(slots, _REC_INTS),
-        rec_f.reshape(slots, _REC_F64),
-        res.reshape(slots, _RES_F64),
-    )
-
-
-#: Slots per worker task ring; a larger per-worker bin publishes in chunks.
-RING_SLOTS = 64
-
-
-class _TaskRing:
-    """Parent-side handle on one worker's task ring."""
-
-    __slots__ = (
-        "shm", "slots", "rec_i", "rec_f", "res",
-        "written_epoch", "chunk_total", "chunk_done",
-    )
-
-    def __init__(self, slots: int) -> None:
-        from multiprocessing import shared_memory
-
-        self.slots = int(slots)
-        self.shm = shared_memory.SharedMemory(
-            create=True, size=_ring_nbytes(self.slots)
-        )
-        self.rec_i, self.rec_f, self.res = _map_ring(self.shm.buf, self.slots)
-        self.rec_i[:] = 0  # epoch lanes start at 0 = never published
-        self.rec_f[:] = 0.0
-        self.res[:] = 0.0
-        #: Plan epoch whose full bin currently sits in slots 0..len(bin)-1,
-        #: or -1.  When it matches the live plan, publishing the next batch
-        #: only has to refresh the particle-count lane.
-        self.written_epoch = -1
-        self.chunk_total = 0  # tasks in the doorbelled chunk in flight
-        self.chunk_done = 0   # tokens consumed of that chunk
-
-    def close(self) -> None:
-        self.rec_i = self.rec_f = self.res = None
-        try:
-            self.shm.close()
-        except BufferError:  # pragma: no cover - view still referenced
-            _ZOMBIE_SEGMENTS.append(self.shm)
-        try:
-            self.shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-
-
-def _worker_ring_main(conn, bell, ring_name: str, slots: int,
-                      warm_backends: tuple = ()) -> None:
-    """Worker loop: tasks from shared memory, not the pipe.
-
-    Two channels from the parent: the control pipe ``conn`` carries
-    segment registrations ``("seg", id, name)`` and the ``None``
-    shutdown, and the raw doorbell pipe ``bell`` carries 16-byte
-    ``(count, epoch)`` chunk announcements (see ``_DOORBELL``).  The
-    worker multiplexes both and drains control first, so a registration
-    is always applied before any doorbell that references it.  Replies
-    (the ready handshake and one int token per completed task) go back
-    on ``conn``.  Task payloads (field locations, mesh parameters, dt,
-    backend) arrive through the fixed-layout ring this worker attached
-    at startup, so the per-task dispatch cost on the parent is a handful
-    of int64/float64 stores — or, on a cached plan, one vectorized
-    particle-count refresh — instead of a pickle round-trip.
+    A bin is a list of ``(work index, field locations, n, (cells, h, mesh
+    q), dt, backend)`` records, each field location an arena ``(segment
+    name, byte offset)``: the particle bytes stay in shared memory, and a
+    segment is attached the first time a record names it.  The worker
+    replies ``(work index, seconds)`` as each task completes, so the parent
+    can resume that task's rank while the rest of the bin runs.  ``None``
+    (or the parent's end closing) shuts the worker down.
     """
     segments: dict[str, Any] = {}
-    seg_by_id: dict[int, Any] = {}
     workspace = KernelWorkspace()
-    mesh_cache: dict[tuple, Mesh] = {}
+    meshes: dict[tuple, Mesh] = {}
     warm_s = sum(kernel_compiled.warmup(b) for b in warm_backends)
-    ring_shm = _attach_segment(ring_name)
-    rec_i, rec_f, res = _map_ring(ring_shm.buf, slots)
     conn.send(("ready", os.getpid(), warm_s))
-    conn_fd = conn.fileno()
-    bell_fd = bell.fileno()
-    ri = rf = None
-    running = True
-    while running:
-        ready, _, _ = select.select([conn_fd, bell_fd], [], [])
-        if conn_fd in ready:
-            # Control first: the parent sent any registration this
-            # chunk depends on before ringing the doorbell.
-            while True:
-                try:
-                    msg = conn.recv()
-                except EOFError:  # pragma: no cover - parent died
-                    running = False
-                    break
-                if msg is None:
-                    running = False
-                    break
-                _, seg_id, name = msg  # ("seg", id, name)
+    while True:
+        try:
+            records = conn.recv()
+        except EOFError:  # pragma: no cover - parent died
+            break
+        if records is None:
+            break
+        for wi, locs, n, mesh_args, dt, backend in records:
+            t1 = time.perf_counter()
+            views = []
+            for name, off in locs:
                 shm = segments.get(name)
                 if shm is None:
-                    shm = _attach_segment(name)
-                    segments[name] = shm
-                seg_by_id[seg_id] = shm
-                if not conn.poll(0):
-                    break
-        if not running or bell_fd not in ready:
-            continue
-        db = _read_doorbell(bell_fd)
-        if db is None:  # pragma: no cover - parent died
-            break
-        count, epoch = db
-        for slot in range(count):
-            ri = rec_i[slot]
-            if int(ri[_RI_SEQ]) != epoch:  # pragma: no cover - protocol bug
-                raise RuntimeError(
-                    f"task ring slot {slot} is stale: holds plan epoch "
-                    f"{int(ri[_RI_SEQ])}, doorbell said {epoch}"
-                )
-            t1 = time.perf_counter()
-            n = int(ri[_RI_N])
-            views = [
-                np.frombuffer(
-                    seg_by_id[int(ri[_RI_SEG0 + k])].buf,
-                    dtype=np.float64, count=n, offset=int(ri[_RI_OFF0 + k]),
-                )
-                for k in range(5)
-            ]
-            rf = rec_f[slot]
-            mesh_args = (
-                int(ri[_RI_CELLS]), float(rf[_RF_H]), float(rf[_RF_MESHQ])
-            )
-            mesh = mesh_cache.get(mesh_args)
+                    shm = segments[name] = _attach_segment(name)
+                views.append(np.frombuffer(shm.buf, np.float64, n, off))
+            mesh = meshes.get(mesh_args)
             if mesh is None:
-                mesh = Mesh(*mesh_args)
-                mesh_cache[mesh_args] = mesh
-            dt = float(rf[_RF_DT])
-            backend = _BACKEND_NAMES[int(ri[_RI_BACKEND])]
+                mesh = meshes[mesh_args] = Mesh(*mesh_args)
             _advance_fields(backend, mesh, *views, dt, workspace=workspace)
-            res[slot, 0] = time.perf_counter() - t1
-            res[slot, 1] = n
+            # Drop the views before replying: close() below needs them gone.
             del views
-            conn.send(int(ri[_RI_WORK]))  # token; send is the write barrier
-    # Drop every ndarray view (including the slot slices) before closing,
-    # or SharedMemory.close() raises BufferError over exported pointers.
-    ri = rf = rec_i = rec_f = res = None
-    for shm in list(segments.values()) + [ring_shm]:
+            conn.send((wi, time.perf_counter() - t1))
+    for shm in segments.values():
         try:
             shm.close()
         except BufferError:  # pragma: no cover - view still referenced
             pass
-    bell.close()
     conn.close()
 
 
@@ -828,29 +628,32 @@ def _partition(sizes: list[int], k: int) -> list[list[int]]:
     return bins
 
 
-class _RingHandle(BatchHandle):
+class _PoolHandle(BatchHandle):
     """In-flight batch on a :class:`ProcessExecutor`.
 
-    A batch whose per-worker bin exceeds the ring size is published in
-    chunks of up to ``RING_SLOTS`` tasks; follow-on chunks go out from
-    :meth:`wait` as soon as the chunk in flight has fully drained (slots
-    are only reused once their results were consumed).
+    ``bins[w]`` lists the work indices sent to worker ``w``, ``held[w]``
+    their world ranks, and ``sizes`` the particle counts at dispatch
+    (exchange changes them while the batch is still in flight).  Replies
+    arrive in bin order, so :meth:`wait` reads worker ``w``'s pipe until
+    the task it needs has reported.
     """
 
     __slots__ = (
-        "_ex", "_work", "_work_of", "_bins", "_locs", "_pub", "_owner",
-        "_t_d0", "_t_pub", "_cpu_s", "_finished",
+        "_ex", "_work", "_work_of", "_bins", "_held", "_sizes", "_owner",
+        "_done", "_t_d0", "_t_pub", "_cpu_s", "_finished",
     )
 
-    def __init__(self, ex, work, work_of, bins, locs, pub, t_d0, t_pub,
+    def __init__(self, ex, work, work_of, bins, held, sizes, t_d0, t_pub,
                  cpu_s) -> None:
         self._ex = ex
         self._work = work
         self._work_of = work_of
         self._bins = bins
-        self._locs = locs
-        self._pub = pub  # per-worker count of bin entries published so far
+        self._held = held
+        self._sizes = sizes
         self._owner = {i: w for w, b in enumerate(bins) for i in b}
+        #: Completed tasks: work index -> worker seconds.
+        self._done: dict[int, float] = {}
         self._t_d0 = t_d0
         self._t_pub = t_pub
         self._cpu_s = cpu_s
@@ -860,18 +663,10 @@ class _RingHandle(BatchHandle):
         wi = self._work_of[i]
         if wi is None:  # empty task: completed by construction
             return
-        ex = self._ex
         w = self._owner[wi]
-        bin_idxs = self._bins[w]
-        while wi not in ex._batch_task:
-            ring = ex._rings[w]
-            if (ring.chunk_done >= ring.chunk_total
-                    and self._pub[w] < len(bin_idxs)):
-                self._pub[w] = ex._publish_chunk(
-                    w, self._work, bin_idxs, self._locs, self._pub[w]
-                )
-            else:
-                ex._consume_token(w)
+        while wi not in self._done:
+            j, seconds = self._ex._recv(w, self._held[w])
+            self._done[j] = seconds
 
     def finish(self) -> None:
         if self._finished:
@@ -881,14 +676,13 @@ class _RingHandle(BatchHandle):
         for i in range(len(self._work_of)):
             self.wait(i)
         t_merged = ex._now()
+        done, sizes = self._done, self._sizes
         ex.batches += 1
         ex.tasks_executed += len(self._work)
-        pushed = sum(n for _, n in ex._batch_task.values())
-        ex.particles_pushed += pushed
+        ex.particles_pushed += sum(sizes)
         if ex.work_meter is not None:
             for i, (rank, _task) in enumerate(self._work):
-                task_s, n = ex._batch_task[i]
-                ex.work_meter.record(rank, n, task_s)
+                ex.work_meter.record(rank, sizes[i], done[i])
         tr = ex.exec_tracer
         if tr is not None:
             used = [w for w, b in enumerate(self._bins) if b]
@@ -897,19 +691,18 @@ class _RingHandle(BatchHandle):
                 tasks=len(self._work), cpu_s=self._cpu_s,
             )
             for w in used:
-                dur = sum(ex._batch_task[i][0] for i in self._bins[w])
+                dur = sum(done[i] for i in self._bins[w])
                 tr.record(
                     "execute", w, ex.batches, self._t_pub, self._t_pub + dur,
                     tasks=len(self._bins[w]),
                 )
                 t_task = self._t_pub
                 for i in self._bins[w]:
-                    task_s, n = ex._batch_task[i]
                     tr.record(
-                        "task", w, ex.batches, t_task, t_task + task_s,
-                        rank=self._work[i][0], n=n,
+                        "task", w, ex.batches, t_task, t_task + done[i],
+                        rank=self._work[i][0], n=sizes[i],
                     )
-                    t_task += task_s
+                    t_task += done[i]
             tr.record(
                 "merge", -1, ex.batches, self._t_pub, t_merged, tasks=len(used)
             )
@@ -923,19 +716,21 @@ class ProcessExecutor(Executor):
     repetitions and whole test suites reuse one warmed pool
     (``pool_startup_s`` reports the one-time fork/spawn cost separately).
 
-    Dispatch is zero-copy in the steady state.  Task records go through
-    per-worker shared-memory rings (see the ring section above) and a
-    *dispatch plan* — arena locations, segment-id registrations and the
-    LPT partition — is cached across batches, keyed on the work list's
-    identity (ranks, field arrays, mesh objects, dt).  A steady-state
-    step refreshes one particle-count lane per worker ring and sends one
-    doorbell each: no pickling, no descriptor rebuild, no per-task
-    stores.
+    A batch costs one message per worker: the parent partitions the tasks
+    by particle count (:func:`_partition`) and sends each worker its bin
+    as one list of task records — arena locations, counts, mesh
+    parameters, dt and backend — over the pipe the worker already has.
+    The particles themselves never leave shared memory.
 
     Workers boot concurrently: :meth:`start` spawns without blocking and
     :meth:`ensure_ready` collects the ready handshakes, so ``workers=N``
     costs roughly one worker's startup, not N of them, and the parent's
-    plan resolution overlaps worker boot on the first batch.
+    record building overlaps worker boot on the first batch.
+
+    A worker that dies surfaces as
+    :class:`~repro.runtime.errors.ExecutorWorkerLostError`; the pool is
+    torn down (the arena stays until :meth:`close`) and the next batch
+    starts a fresh one.
 
     Optional ``exec_tracer`` (:class:`repro.instrument.ExecutorTrace`)
     receives per-batch dispatch/execute/merge spans on a *wall-clock*
@@ -965,8 +760,6 @@ class ProcessExecutor(Executor):
         self.arena = ShmArena()
         self._procs: list = []
         self._conns: list = []
-        self._bells: list = []  # parent-side doorbell write ends
-        self._rings: list[_TaskRing] = []
         self._ready = False
         self._spawn_t0: float | None = None
         self._epoch: float | None = None
@@ -975,17 +768,6 @@ class ProcessExecutor(Executor):
         self.batches = 0
         self.tasks_executed = 0
         self.particles_pushed = 0
-        # Dispatch-plan cache.
-        self._plan_items: list[tuple] | None = None
-        self._plan_bins: list[list[int]] | None = None
-        self._plan_locs: list[tuple] | None = None
-        self._batch_sizes: list[int] = []
-        self._seg_ids: dict[str, int] = {}
-        self.plan_epoch = 0
-        self.plan_hits = 0
-        self.plan_misses = 0
-        # Completions of the in-flight batch: work idx -> (seconds, n).
-        self._batch_task: dict[int, tuple[float, int]] = {}
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -993,54 +775,49 @@ class ProcessExecutor(Executor):
 
         All workers boot *concurrently* — interpreter start and JIT
         warm-up overlap across workers and with whatever the parent does
-        next (typically dispatch-plan resolution).  Call
+        next (typically building the first batch's records).  Call
         :meth:`ensure_ready` before exchanging any task traffic.
         """
         if self._procs:
             return
         import multiprocessing as mp
+        from multiprocessing import resource_tracker
 
         self._spawn_t0 = time.perf_counter()
         ctx = mp.get_context(self._ctx_name)
+        # Workers must share this process's resource tracker (see
+        # _attach_segment).  Spawn starts it anyway; a forked worker
+        # inherits it only if it already runs, and would otherwise start
+        # its own, which unlinks the arena when that worker exits.
+        resource_tracker.ensure_running()
         # Workers pre-warm every JIT backend any rank may run.
         warm_backends = tuple(sorted(
             {self.kernel_backend, *self.backend_map.values()} - {"python"}
         ))
         for i in range(self.workers):
             parent_conn, child_conn = ctx.Pipe()
-            ring = _TaskRing(RING_SLOTS)
-            self._rings.append(ring)
-            # The doorbell pipe is a Connection pair only so the read
-            # end survives the spawn context (raw fd numbers do not);
-            # both ends are used as raw fds via os.write/os.read.
-            bell_r, bell_w = ctx.Pipe(duplex=False)
-            self._bells.append(bell_w)
             proc = ctx.Process(
-                target=_worker_ring_main,
-                args=(
-                    child_conn, bell_r, ring.shm.name, RING_SLOTS,
-                    warm_backends,
-                ),
+                target=_worker_main,
+                args=(child_conn, warm_backends),
                 name=f"repro-exec-{i}",
                 daemon=True,
             )
             proc.start()
             child_conn.close()
-            bell_r.close()
             self._procs.append(proc)
             self._conns.append(parent_conn)
 
     def ensure_ready(self) -> None:
         """Collect the ready handshakes; records ``pool_startup_s``.
 
-        Must run before the first :meth:`_consume_token` — the handshake
-        travels the same pipe as completion tokens.
+        Must run before the first task reply is read — the handshake
+        travels the same pipe.
         """
         if self._ready:
             return
         self.start()
-        for conn in self._conns:
-            msg = conn.recv()  # ("ready", pid, warm_s)
+        for w in range(self.workers):
+            msg = self._recv(w, [])  # ("ready", pid, warm_s)
             self.jit_warmup_s = max(self.jit_warmup_s, msg[2])
         self.pool_startup_s = time.perf_counter() - self._spawn_t0
         self._ready = True
@@ -1061,189 +838,28 @@ class ProcessExecutor(Executor):
             assert all(loc is not None for loc in locs)
         return locs
 
-    # ------------------------------------------------------------------
-    # Dispatch-plan cache
-    # ------------------------------------------------------------------
-    def _plan_for(self, work) -> tuple[list[list[int]], list[tuple]]:
-        """``(bins, locs)`` for this work list, cached across batches.
+    def _send(self, w: int, msg, ranks) -> None:
+        try:
+            self._conns[w].send(msg)
+        except OSError as exc:  # BrokenPipeError: the worker is gone
+            raise self._lost(w, ranks) from exc
 
-        The plan is keyed on the work list's *identity*: per task the
-        rank, the particle container plus its backing-store
-        ``generation``, the mesh object and dt.  The (container,
-        generation) pair pins the five field base pointers: the in-place
-        particle mutators (``compact``/``extend_packed``) re-slice fresh
-        view objects every step while the stores stay put, and the
-        generation bumps exactly when the stores are replaced (growth or
-        rebase) — see :attr:`ParticleArray.generation`.  The cache holds
-        strong references and validates with ``is`` — no pointer reads,
-        no hashing, and (unlike raw ``id()`` keys) no aliasing after a
-        GC, because the keyed objects are kept alive.  Particle counts
-        are deliberately NOT part of the identity: exchange changes them
-        every step, and that is exactly the steady state the cache
-        targets — on a hit only the count lanes are refreshed.  A hit
-        whose new sizes leave the cached partition lopsided (max bin
-        load > 1.5x the mean over used bins) re-runs LPT on the spot.
+    def _recv(self, w: int, ranks):
+        try:
+            return self._conns[w].recv()
+        except (EOFError, OSError) as exc:
+            raise self._lost(w, ranks) from exc
 
-        Generation bumps get a *partial* refresh rather than a full
-        miss: when the work list's structure still matches (same
-        containers, meshes, ranks, dt) and only some backing stores
-        moved (capacity growth), just those tasks' field locations are
-        re-resolved and the rest of the plan is kept.  That matters
-        because with many ranks the containers cross their capacities at
-        staggered times — a full replan per growth event would make
-        growth-heavy phases pay the cold-plan cost nearly every batch.
+    def _lost(self, w: int, ranks) -> ExecutorWorkerLostError:
+        """Tear the pool down after worker ``w`` died holding ``ranks``.
+
+        The survivors may still owe replies to the lost batch, so they go
+        too; the arena (and with it every rebased particle store) stays,
+        and the next batch boots a fresh pool.
         """
-        items = self._plan_items
-        changed: list[int] | None = None
-        if items is not None and len(items) == len(work):
-            changed = []
-            for j, ((rank, t), it) in enumerate(zip(work, items)):
-                p = t.particles
-                if (it[0] is not p or it[2] is not t.mesh
-                        or it[3] != rank or it[4] != t.dt):
-                    changed = None
-                    break
-                # p.__dict__ access instead of the generation property:
-                # this check runs per task per batch and is the whole
-                # steady-state plan cost.
-                if it[1] != p.__dict__.get("_gen", 0):
-                    changed.append(j)
-        hit = changed is not None and not changed
-        sizes = [len(t.particles) for _, t in work]
-        self._batch_sizes = sizes
-        if hit:
-            loads = [
-                sum(sizes[i] for i in b) for b in self._plan_bins if b
-            ]
-            if loads and max(loads) > 1.5 * (sum(loads) / len(loads)):
-                # Drift: arrays unchanged but the load moved.  Locations
-                # and segment registrations stay valid; only re-partition.
-                # The epoch bump forces full ring writes (bins changed).
-                self._plan_bins = _partition(sizes, self.workers)
-                self.plan_epoch += 1
-                self.plan_misses += 1
-            else:
-                self.plan_hits += 1
-            return self._plan_bins, self._plan_locs
-        if changed is not None:
-            # Partial refresh: structure intact, some stores regrown.
-            locs = self._plan_locs
-            for j in changed:
-                rank, t = work[j]
-                locs[j] = self._resolve_locs(t.particles)
-                p = t.particles
-                items[j] = (p, p.__dict__.get("_gen", 0), t.mesh, rank, t.dt)
-            # Growth means sizes moved: re-run LPT.  The epoch bump
-            # forces full ring writes (changed tasks' location lanes are
-            # stale in the rings).
-            self._plan_bins = _partition(sizes, self.workers)
-            self.plan_epoch += 1
-            self.plan_misses += 1
-            return self._plan_bins, self._plan_locs
-        locs = []
-        items = []
-        for rank, t in work:
-            locs.append(self._resolve_locs(t.particles))
-            # Identity captured AFTER the location resolve: it may have
-            # rebased the particle container (a generation bump).
-            p = t.particles
-            items.append(
-                (p, p.__dict__.get("_gen", 0), t.mesh, rank, t.dt)
-            )
-        self._plan_items = items
-        self._plan_bins = _partition(sizes, self.workers)
-        self._plan_locs = locs
-        self.plan_epoch += 1
-        self.plan_misses += 1
-        return self._plan_bins, self._plan_locs
-
-    def _resolve_locs(self, particles) -> tuple[tuple, tuple]:
-        """``(seg_ids, offsets)`` of a container's five kernel fields.
-
-        New arena segments are registered with every worker on the spot.
-        Ordering is safe: any doorbell that references them is sent
-        later, and the ring workers drain control traffic first.
-        """
-        seg_ids = []
-        offs = []
-        for name, off in self._field_locs(particles):
-            sid = self._seg_ids.get(name)
-            if sid is None:
-                sid = len(self._seg_ids)
-                self._seg_ids[name] = sid
-                for conn in self._conns:
-                    conn.send(("seg", sid, name))
-            seg_ids.append(sid)
-            offs.append(off)
-        return tuple(seg_ids), tuple(offs)
-
-    def _publish_chunk(self, w, work, bin_idxs, locs, start, *,
-                       doorbell: bool = True) -> int:
-        """Publish up to ``RING_SLOTS`` of worker ``w``'s bin from ``start``.
-
-        Steady-state fast path: when the ring already holds this plan's
-        full bin (``written_epoch`` matches and the bin fits in one
-        chunk), the static lanes — field locations, mesh, backend, work
-        index, epoch stamp — are still valid from the previous batch and
-        only the particle-count lane is stored, vectorized.  Otherwise
-        every record is written and stamped with the current plan epoch.
-
-        Returns the new publish cursor.  With ``doorbell=False`` the
-        caller batches the raw ``(k, epoch)`` doorbell writes itself (so
-        all ring writes of a batch land before the first worker wakes).
-        """
-        ring = self._rings[w]
-        total = len(bin_idxs)
-        k = min(ring.slots, total - start)
-        epoch = self.plan_epoch
-        if start == 0 and k == total and ring.written_epoch == epoch:
-            sizes = self._batch_sizes
-            ring.rec_i[:k, _RI_N] = [sizes[i] for i in bin_idxs]
-        else:
-            rec_i = ring.rec_i
-            rec_f = ring.rec_f
-            for slot in range(k):
-                i = bin_idxs[start + slot]
-                rank, task = work[i]
-                seg_ids, offs = locs[i]
-                m = task.mesh
-                ri = rec_i[slot]
-                ri[_RI_SEG0:_RI_SEG0 + 5] = seg_ids
-                ri[_RI_OFF0:_RI_OFF0 + 5] = offs
-                ri[_RI_N] = len(task.particles)
-                ri[_RI_CELLS] = m.cells
-                ri[_RI_BACKEND] = _BACKEND_IDS[self._backend_for(rank)]
-                ri[_RI_WORK] = i
-                ri[_RI_SEQ] = epoch
-                rf = rec_f[slot]
-                rf[_RF_H] = m.h
-                rf[_RF_MESHQ] = m.q
-                rf[_RF_DT] = task.dt
-            # Only a whole-bin single-chunk write arms the fast path.
-            ring.written_epoch = epoch if (start == 0 and k == total) else -1
-        ring.chunk_total = k
-        ring.chunk_done = 0
-        if doorbell:
-            os.write(self._bells[w].fileno(), _DOORBELL.pack(k, epoch))
-        return start + k
-
-    def _consume_token(self, w: int) -> int:
-        """Blockingly consume one completion token from worker ``w``.
-
-        Tokens arrive in the worker's processing order, which is slot
-        order within the doorbelled chunk, so ``chunk_done`` names the
-        completed slot.  The pipe recv is the read barrier: the worker
-        stored the result lanes before sending, and the slot cannot be
-        republished until the whole chunk has drained.
-        """
-        tok = int(self._conns[w].recv())
-        ring = self._rings[w]
-        slot = ring.chunk_done
-        self._batch_task[tok] = (
-            float(ring.res[slot, 0]), int(ring.res[slot, 1])
-        )
-        ring.chunk_done += 1
-        return tok
+        err = ExecutorWorkerLostError(w, exit_cause(self._procs[w]), ranks)
+        self._stop_workers(grace=0.0)
+        return err
 
     # ------------------------------------------------------------------
     def start_batch(
@@ -1261,40 +877,34 @@ class ProcessExecutor(Executor):
             return _EAGER_HANDLE
         self.start()
         # Parent-side dispatch cost is also metered in CPU seconds
-        # (process_time): on an oversubscribed host the doorbell send can
-        # wake a worker that preempts the parent, and the worker's kernel
-        # time would otherwise be double-counted into the wall-clock
-        # dispatch span (it is already reported by the execute spans).
+        # (process_time): on an oversubscribed host a send can wake a
+        # worker that preempts the parent, and the worker's kernel time
+        # would otherwise be double-counted into the wall-clock dispatch
+        # span (it is already reported by the execute spans).
         cpu0 = time.process_time()
         # First batch: the dispatch clock can only start once the pool's
-        # epoch exists; plan resolution still overlaps worker boot.
+        # epoch exists; building the records still overlaps worker boot.
         t_d0 = self._now() if self._ready else None
-        bins, locs = self._plan_for(work)
+        records = []
+        for i, (rank, task) in enumerate(work):
+            m = task.mesh
+            records.append((
+                i, self._field_locs(task.particles), len(task.particles),
+                (m.cells, m.h, m.q), task.dt, self._backend_for(rank),
+            ))
+        sizes = [r[2] for r in records]
+        bins = _partition(sizes, self.workers)
+        held = [[work[i][0] for i in idxs] for idxs in bins]
         self.ensure_ready()
         if t_d0 is None:
             t_d0 = self._now()
-        self._batch_task = {}
-        pub = [0] * self.workers
-        # All ring writes first, then all doorbells: on an oversubscribed
-        # host the first doorbell may wake a worker that preempts the
-        # parent, and the remaining writes should already be done.
-        used = []
         for w, idxs in enumerate(bins):
             if idxs:
-                pub[w] = self._publish_chunk(
-                    w, work, idxs, locs, 0, doorbell=False
-                )
-                used.append(w)
-        epoch = self.plan_epoch
-        for w in used:
-            os.write(
-                self._bells[w].fileno(),
-                _DOORBELL.pack(self._rings[w].chunk_total, epoch),
-            )
+                self._send(w, [records[i] for i in idxs], held[w])
         cpu_s = time.process_time() - cpu0
         t_pub = self._now()
-        return _RingHandle(
-            self, work, work_of, bins, locs, pub, t_d0, t_pub, cpu_s
+        return _PoolHandle(
+            self, work, work_of, bins, held, sizes, t_d0, t_pub, cpu_s
         )
 
     def run_batch(self, batch: list[tuple[int, Any]]) -> None:
@@ -1312,45 +922,34 @@ class ProcessExecutor(Executor):
             pool_startup_s=self.pool_startup_s,
             jit_warmup_s=self.jit_warmup_s,
             kernel_backend=self.kernel_backend,
-            ring_slots=RING_SLOTS,
-            plan_epoch=self.plan_epoch,
-            plan_hits=self.plan_hits,
-            plan_misses=self.plan_misses,
             batches=self.batches,
             tasks_executed=self.tasks_executed,
             particles_pushed=self.particles_pushed,
             arena_bytes=self.arena.total_bytes,
         )
 
-    def close(self) -> None:
+    def _stop_workers(self, grace: float) -> None:
+        """Ask every worker to exit, terminating any still alive after
+        ``grace`` seconds; the next batch starts a fresh pool."""
         for conn in self._conns:
             try:
                 conn.send(None)
-            except (BrokenPipeError, OSError):  # pragma: no cover
+            except OSError:  # the worker is already gone
                 pass
         for proc in self._procs:
-            proc.join(timeout=5.0)
-            if proc.is_alive():  # pragma: no cover - defensive
+            proc.join(timeout=grace)
+            if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=1.0)
         for conn in self._conns:
             conn.close()
-        for bell in self._bells:
-            bell.close()
         self._procs.clear()
         self._conns.clear()
-        self._bells.clear()
-        for ring in self._rings:
-            ring.close()
-        self._rings.clear()
         self._ready = False
         self._spawn_t0 = None
-        # The plan's segment-id registrations died with the workers.
-        self._plan_items = None
-        self._plan_bins = None
-        self._plan_locs = None
-        self._seg_ids.clear()
-        self._batch_task = {}
+
+    def close(self) -> None:
+        self._stop_workers(grace=5.0)
         self.arena.close()
         # A closed arena refuses allocation; the pool restarts lazily on the
         # next batch, so it needs a live (empty, segment-less) one.

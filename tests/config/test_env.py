@@ -138,13 +138,17 @@ class TestDispatchChain:
     """The removed dispatch knobs: leftovers in the environment are unread."""
 
     def test_executor_construction_honours_env(self, monkeypatch):
-        from repro.runtime.executor import RING_SLOTS, ProcessExecutor
+        from repro.runtime.executor import ProcessExecutor
 
+        clean = ProcessExecutor(workers=1)
         monkeypatch.setenv("REPRO_DISPATCH", "carrier-pigeon")
         monkeypatch.setenv("REPRO_RING_SLOTS", "carrier-pigeon")
         ex = ProcessExecutor(workers=1)
-        assert ex.stats()["ring_slots"] == RING_SLOTS
-        ex.close()
+        try:
+            assert ex.stats() == clean.stats()
+        finally:
+            ex.close()
+            clean.close()
 
 
 class TestDefaultExecutorUsesChain:

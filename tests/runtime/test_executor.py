@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -19,8 +21,9 @@ from repro.core.kernel import (
 from repro.core.mesh import Mesh
 from repro.core.particles import ParticleArray
 from repro.runtime import ops
+from repro.runtime import executor as executor_mod
+from repro.runtime.errors import ExecutorWorkerLostError
 from repro.runtime.executor import (
-    RING_SLOTS,
     InProcessExecutor,
     ProcessExecutor,
     PushTask,
@@ -268,12 +271,11 @@ class TestBackends:
             try:
                 ex.run_batch(batch)
                 names |= {seg.shm.name for seg in ex.arena._segments}
-                names |= {ring.shm.name for ring in ex._rings}
             finally:
                 ex.close()
             for (_, task), oracle in zip(batch, _serial_oracle(mesh, 0.01, sizes)):
                 _assert_fields_equal(task.particles, oracle)
-        assert len(names) >= 4  # an arena segment + two rings, per life
+        assert len(names) >= 2  # a fresh arena segment per life
         assert not [n for n in names if os.path.exists(f"/dev/shm/{n}")]
 
     def test_batched_stats_count_fusions(self):
@@ -288,113 +290,57 @@ class TestBackends:
 
 
 class TestRingDispatch:
-    """Zero-copy ring path: bitwise parity, plan cache, chunking, knobs."""
+    """The pool's dispatch path: one bin per worker per batch, exact."""
 
-    @pytest.mark.parametrize("dispatch", ["ring"])  # the one transport
-    def test_both_paths_match_serial_oracle(self, dispatch):
+    def test_store_regrown_between_batches_stays_exact(self):
+        """Growth past capacity moves a rank's store to a new arena
+        allocation; the next batch must push the new one."""
         mesh = Mesh(cells=8)
-        sizes = (40, 0, 333, 17)
+        sizes = (50, 60, 70)
         batch = _push_batch(mesh, 0.01, sizes)
-        ex = ProcessExecutor(workers=2)
-        try:
-            ex.run_batch(batch)
-        finally:
-            ex.close()
-        for (_, task), oracle in zip(batch, _serial_oracle(mesh, 0.01, sizes)):
-            _assert_fields_equal(task.particles, oracle)
-
-    def test_plan_cache_hits_and_generation_invalidation(self):
-        mesh = Mesh(cells=8)
-        batch = _push_batch(mesh, 0.01, (50, 60, 70))
         ex = ProcessExecutor(workers=2)
         try:
             for _ in range(3):
                 ex.run_batch(batch)
-            stats = ex.stats()
-            assert stats["plan_misses"] == 1  # cold plan only
-            assert stats["plan_hits"] == 2
-            # Growth past capacity bumps the container generation: the
-            # next batch must re-resolve that task's field locations
-            # (a partial-refresh miss), and the results stay exact.
             p = batch[0][1].particles
-            gen0 = p.generation
+            before = ex.arena.locate(p.x)
             p.reserve(len(p) * 10)
-            assert p.generation > gen0
-            ex.run_batch(batch)
-            assert ex.stats()["plan_misses"] == 2
-            ex.run_batch(batch)  # steady again
-            assert ex.stats()["plan_hits"] == 3
+            assert ex.arena.locate(p.x) not in (None, before)
+            for _ in range(2):
+                ex.run_batch(batch)
         finally:
             ex.close()
-        # 5 pushes of the same batch vs 5 serial pushes.
-        oracles = [
-            _particles(n, mesh, seed=10 + r) for r, n in enumerate((50, 60, 70))
-        ]
+        oracles = _serial_oracle(mesh, 0.01, sizes)
         for p in oracles:
-            for _ in range(5):
+            for _ in range(4):
                 advance(mesh, p, 0.01)
         for (_, task), oracle in zip(batch, oracles):
             _assert_fields_equal(task.particles, oracle)
 
-    def test_drift_triggers_repartition(self):
-        """A cached plan whose sizes went lopsided re-runs LPT (counted as
-        a miss) instead of dispatching against a stale partition."""
+    def test_many_tasks_on_one_worker_go_as_one_message(self):
         mesh = Mesh(cells=8)
-        batch = _push_batch(mesh, 0.01, (100, 100, 100, 100))
-        ex = ProcessExecutor(workers=2)
-        try:
-            ex.run_batch(batch)
-            ex.run_batch(batch)
-            assert ex.stats()["plan_hits"] == 1
-            # Shrink two tasks sharing a bin: loads go 200 vs 20.
-            bins = ex._plan_bins
-            w = max(range(len(bins)), key=lambda j: len(bins[j]))
-            for i in bins[w]:
-                p = batch[i][1].particles
-                keep = np.zeros(len(p), dtype=bool)
-                keep[:10] = True
-                p.compact(keep)
-            misses0 = ex.stats()["plan_misses"]
-            ex.run_batch(batch)
-            assert ex.stats()["plan_misses"] == misses0 + 1
-        finally:
-            ex.close()
-
-    def test_tiny_ring_publishes_in_chunks(self):
-        """A bin larger than the ring drains through follow-on chunks."""
-        mesh = Mesh(cells=8)
-        sizes = tuple(3 + i % 5 for i in range(2 * RING_SLOTS + 3))
+        sizes = tuple(3 + i % 5 for i in range(2 * 64 + 3))
         batch = _push_batch(mesh, 0.01, sizes)
         ex = ProcessExecutor(workers=1)
-        chunks = []
-        publish = ex._publish_chunk
+        sent = []
+        send = ex._send
 
-        def counting(w, work, bin_idxs, locs, start, **kw):
-            chunks.append(start)
-            return publish(w, work, bin_idxs, locs, start, **kw)
+        def counting(w, msg, ranks):
+            sent.append((w, len(msg)))
+            send(w, msg, ranks)
 
-        ex._publish_chunk = counting
+        ex._send = counting
         try:
-            for _ in range(2):  # second pass exercises chunked re-publish
+            for _ in range(2):
                 ex.run_batch(batch)
         finally:
             ex.close()
-        assert chunks == [0, RING_SLOTS, 2 * RING_SLOTS] * 2
+        assert sent == [(0, len(sizes))] * 2
         oracles = _serial_oracle(mesh, 0.01, sizes)
         for p in oracles:
             advance(mesh, p, 0.01)
         for (_, task), oracle in zip(batch, oracles):
             _assert_fields_equal(task.particles, oracle)
-
-    def test_stats_report_dispatch_knobs(self):
-        ex = ProcessExecutor(workers=1)
-        try:
-            stats = ex.stats()
-        finally:
-            ex.close()
-        assert "dispatch" not in stats
-        assert stats["ring_slots"] == RING_SLOTS == 64  # a view, not a knob
-        assert {"plan_epoch", "plan_hits", "plan_misses"} <= set(stats)
 
     def test_invalid_dispatch_and_ring_slots_rejected(self):
         for removed in ("dispatch", "ring_slots"):
@@ -429,6 +375,82 @@ class TestRingDispatch:
         assert spans
         for s in spans:
             assert s.args_dict()["cpu_s"] >= 0.0
+
+
+def _in_dev_shm(names):
+    return [n for n in names if os.path.exists(f"/dev/shm/{n}")]
+
+
+class TestWorkerLoss:
+    """A killed pool worker is a typed error naming it, never a hang."""
+
+    def test_killed_between_batches(self):
+        mesh = Mesh(cells=8)
+        sizes = (40, 333, 17, 90)
+        ex = ProcessExecutor(workers=2)
+        try:
+            ex.run_batch(_push_batch(mesh, 0.01, sizes))
+            victim = ex._procs[1]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(5.0)
+            assert not victim.is_alive()
+            t0 = time.monotonic()
+            with pytest.raises(ExecutorWorkerLostError, match="SIGKILL") as err:
+                ex.run_batch(_push_batch(mesh, 0.01, sizes, seed0=40))
+            assert time.monotonic() - t0 < 5.0
+            names = {seg.shm.name for seg in ex.arena._segments}
+        finally:
+            ex.close()
+        assert err.value.worker == 1 and err.value.cause == "SIGKILL"
+        assert err.value.ranks == _partition(list(sizes), 2)[1] == [0, 2, 3]
+        assert names and not _in_dev_shm(names)
+
+    def test_killed_mid_batch(self, monkeypatch):
+        # Forked workers inherit the patch: each dies on its first task.
+        monkeypatch.setattr(
+            executor_mod, "_advance_fields",
+            lambda *a, **k: os.kill(os.getpid(), signal.SIGKILL),
+        )
+        mesh = Mesh(cells=8)
+        ex = ProcessExecutor(workers=2, mp_context="fork")
+        try:
+            t0 = time.monotonic()
+            with pytest.raises(ExecutorWorkerLostError, match="SIGKILL") as err:
+                ex.run_batch(_push_batch(mesh, 0.01, (40, 0, 333, 17)))
+            assert time.monotonic() - t0 < 5.0
+            names = {seg.shm.name for seg in ex.arena._segments}
+        finally:
+            ex.close()
+        # Rank 0 (40 particles) shares worker 1's bin with rank 3.
+        assert err.value.worker == 1 and err.value.cause == "SIGKILL"
+        assert err.value.ranks == [0, 3]
+        assert names and not _in_dev_shm(names)
+
+    @pytest.mark.parametrize("mp_context", ["spawn", "fork"])
+    def test_pool_restarts_after_a_loss(self, mp_context):
+        """The next batch boots a fresh pool on the same arena.  Under fork
+        the workers must share this process's resource tracker, or a dead
+        worker's own tracker unlinks the segments it attached."""
+        mesh = Mesh(cells=8)
+        sizes = (40, 0, 333, 17)
+        ex = ProcessExecutor(workers=2, mp_context=mp_context)
+        try:
+            ex.run_batch(_push_batch(mesh, 0.01, sizes))
+            victim = ex._procs[0]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(5.0)
+            assert not victim.is_alive()
+            time.sleep(0.5)  # time for a tracker of the victim's own to unlink
+            with pytest.raises(ExecutorWorkerLostError):
+                ex.run_batch(_push_batch(mesh, 0.01, sizes))
+            batch = _push_batch(mesh, 0.01, sizes)
+            ex.run_batch(batch)
+            names = {seg.shm.name for seg in ex.arena._segments}
+            assert len(_in_dev_shm(names)) == len(names)
+        finally:
+            ex.close()
+        for (_, task), oracle in zip(batch, _serial_oracle(mesh, 0.01, sizes)):
+            _assert_fields_equal(task.particles, oracle)
 
 
 @pytest.mark.skipif(
