@@ -9,11 +9,15 @@ no pytest-benchmark needed) it prints the python kernel's per-pass table
 for each branch of the push — an on-axis block (the PRK's own population)
 and an off-axis one (uniform y): what each ufunc of one ``KERNEL_BLOCK``
 costs and its share of the block, then the whole push against
-``advance_reference`` and the compiled kernel.
+``advance_reference`` and the compiled kernel.  A last table prices the
+exchange's per-hop bookkeeping — ``compact(drop=)``, ``pack_into`` and
+``extend_packed`` — per call and per particle column, at ``pump_heavy``'s
+and ``exchange_lb``'s shapes.
 """
 
 from __future__ import annotations
 
+import time
 from collections import defaultdict
 
 import numpy as np
@@ -31,6 +35,7 @@ from repro.core.kernel_compiled import (
     advance_arrays_compiled,
 )
 from repro.core.mesh import Mesh
+from repro.core.particles import STATE_FIELDS
 from repro.core.spec import Distribution, PICSpec
 from repro.runtime import SUM, run_spmd
 
@@ -129,6 +134,58 @@ def _report(title: str, mesh: Mesh, particles, dt: float) -> None:
         print(row("advance_arrays_compiled", c, 1e3 / c, c / fused))
 
 
+#: (label, residents, leavers): one rank's hop in pump_heavy (64 ranks x
+#: 250 particles) and in exchange_lb (8 ranks x 75 000, fast particles).
+EXCHANGE_SHAPES = (("pump_heavy", 250, 8), ("exchange_lb", 75_000, 5_000))
+
+
+def _best_call_us(op, restore, reps: int) -> float:
+    """Best wall microseconds of ``op()``, with ``restore()`` untimed
+    before each call."""
+    best = float("inf")
+    for _ in range(reps + 1):  # the first call warms up
+        restore()
+        t0 = time.perf_counter()
+        op()
+        best = min(best, time.perf_counter() - t0)
+    return best * 1e6
+
+
+def _exchange_report() -> None:
+    """Per-call cost of one hop's particle bookkeeping: drop the leavers
+    (tail-fill), pack them into a wire buffer, append as many arrivals."""
+    print(f"exchange bookkeeping per call, {STATE_FIELDS}-column particle record")
+    print(f"{'shape':<26}{'op':<16}{'us/call':>9}{'us/column':>11}")
+    rng = np.random.default_rng(7)
+    for label, n, k in EXCHANGE_SHAPES:
+        spec = PICSpec(cells=256, n_particles=n, steps=1,
+                       distribution=Distribution.UNIFORM)
+        p = initialize(spec, Mesh(spec.cells))
+        p.reserve(n + k)
+        leavers = np.sort(rng.choice(n, size=k, replace=False))
+        wire = np.empty((k, STATE_FIELDS))
+        arrivals = p.pack(leavers)
+        tail = np.arange(n, n + k)
+        reps = 2000 if n < 10_000 else 50
+
+        def regrow(p=p, arrivals=arrivals):
+            if len(p) < n:
+                p.extend_packed(arrivals)
+
+        def shrink(p=p, tail=tail):
+            if len(p) > n:
+                p.compact(drop=tail)
+
+        for name, op, restore in (
+            ("compact(drop=)", lambda: p.compact(drop=leavers), regrow),
+            ("pack_into", lambda: p.pack_into(leavers, wire), regrow),
+            ("extend_packed", lambda: p.extend_packed(arrivals), shrink),
+        ):
+            us = _best_call_us(op, restore, reps)
+            print(f"{f'{label} {n}/{k}':<26}{name:<16}{us:>9.2f}"
+                  f"{us / STATE_FIELDS:>11.3f}")
+
+
 def main() -> None:
     """Both branches of the python push at h = dt = q = 1: a PRK population
     (every particle on its row's axis, one corner per column) and the same
@@ -144,6 +201,8 @@ def main() -> None:
     _report("on-axis", mesh, particles, spec.dt)
     print()
     _report("off-axis", mesh, off_axis, spec.dt)
+    print()
+    _exchange_report()
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
-from repro import Distribution, PICSpec, run_serial
+from repro import Distribution, PICSpec, SerialSimulation
 from repro.core.simulation import serial_work_profile
 
 
@@ -45,7 +45,8 @@ def main():
     print("\nInitial particles per cell column (the induced load imbalance):")
     print(ascii_histogram(serial_work_profile(spec)))
 
-    result = run_serial(spec)
+    sim = SerialSimulation(spec)
+    result = sim.run()
     v = result.verification
     print(f"\nafter {result.steps} steps: {v}")
     print(f"total particle pushes: {result.particle_pushes:,}")
@@ -53,9 +54,12 @@ def main():
 
     # The closed form behind the verification (Eqs. 5-6): every particle
     # moved exactly (2k+1)*steps cells right and m*steps cells up, modulo L.
+    # Particles carry only their state; the birth positions are looked up
+    # by particle id.
     p = result.particles
     s = spec.steps
-    expected_x = np.mod(p.x0 + (2 * spec.k + 1) * s * spec.h, spec.L)
+    x0 = sim.origins.x0[p.pid - 1]
+    expected_x = np.mod(x0 + (2 * spec.k + 1) * s * spec.h, spec.L)
     print(
         "max |x - closed_form(x)| =",
         float(np.abs(np.minimum(np.abs(p.x - expected_x),

@@ -13,10 +13,14 @@ module provides both halves of that story:
   driver's bookkeeping counters.  The checkpoint/restart subsystem
   (:mod:`repro.resilience.checkpoint`) stores one packed blob per rank.
 
-The format is canonical — sorted-key JSON header plus the raw float64
-particle buffer — so ``pack_vp(unpack_vp(b)...) == b`` holds bytewise,
-which is what lets resumed runs and checkpoint files be compared for
-bit-identity.
+The format is canonical — ``VPUP``, a little-endian ``<HI`` (version,
+header length) prefix, a sorted-key JSON header, then the raw ``(n, 6)``
+float64 particle buffer (version 3; version 2 blobs carry ``(n, 11)``, whose
+first six columns are the same record, and still unpack) — so
+``pack_vp(unpack_vp(b)...) == b`` holds bytewise, which is what lets
+resumed runs and checkpoint files be compared for bit-identity.  The cost
+model prices a blob as if it carried the paper's 11-double record
+(:func:`charged_nbytes`).
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.particles import PARTICLE_RECORD_FIELDS, ParticleArray
+from repro.core.particles import STATE_FIELDS, ParticleArray, record_nbytes
 from repro.decomp.partition import BlockPartition
 
 #: Fixed per-VP overhead bytes: thread stack, communicator state, buffers.
@@ -40,7 +44,12 @@ BYTES_PER_CELL: int = 8
 
 #: On-wire PUP blob format: magic, version, little-endian lengths.
 PUP_MAGIC: bytes = b"VPUP"
-PUP_VERSION: int = 2
+PUP_VERSION: int = 3
+#: Particle columns in the body of each readable version (version 2 also
+#: carried x0, y0, kdisp, mdisp and birth after the state).
+_BODY_FIELDS = {2: 11, PUP_VERSION: STATE_FIELDS}
+#: Magic plus the ``<HI`` (version, header length) prefix.
+_PREFIX = len(PUP_MAGIC) + struct.calcsize("<HI")
 
 
 def vp_state_bytes(
@@ -121,36 +130,53 @@ def pack_vp(
     return PUP_MAGIC + struct.pack("<HI", PUP_VERSION, len(hjson)) + hjson + body
 
 
-def unpack_vp(blob: bytes) -> VpState:
-    """Inverse of :func:`pack_vp`; raises ``ValueError`` on malformed blobs."""
+def _prefix(blob: bytes) -> tuple[int, int]:
+    """``(body columns, header length)`` of a blob; ``ValueError`` if its
+    magic, prefix or version is bad."""
     if blob[:4] != PUP_MAGIC:
         raise ValueError("not a PUP blob (bad magic)")
-    version, hlen = struct.unpack_from("<HI", blob, 4)
-    if version != PUP_VERSION:
-        raise ValueError(f"unsupported PUP version {version}")
-    off = 4 + 6
-    header = json.loads(blob[off : off + hlen].decode("utf-8"))
-    off += hlen
-    n = int(header["n"])
-    expect = n * PARTICLE_RECORD_FIELDS * 8
-    body = blob[off:]
-    if len(body) != expect:
+    if len(blob) < _PREFIX:
         raise ValueError(
-            f"PUP blob truncated: {len(body)} particle bytes, expected {expect}"
+            f"PUP blob truncated: {len(blob)} bytes, its prefix needs {_PREFIX}"
         )
-    buf = np.frombuffer(body, dtype="<f8").reshape(n, PARTICLE_RECORD_FIELDS)
-    particles = ParticleArray.from_packed(buf.copy())
-    part = None
-    if header["partition"] is not None:
-        p = header["partition"]
-        part = BlockPartition(
+    version, hlen = struct.unpack_from("<HI", blob, 4)
+    if version not in _BODY_FIELDS:
+        raise ValueError(f"unsupported PUP version {version}")
+    return _BODY_FIELDS[version], hlen
+
+
+def charged_nbytes(blob: bytes) -> int:
+    """Bytes the cost model charges for a blob: its prefix and header plus
+    :func:`record_nbytes` of its particles, whatever its body's width."""
+    width, hlen = _prefix(blob)
+    n = (len(blob) - _PREFIX - hlen) // (width * 8)
+    return _PREFIX + hlen + record_nbytes(n)
+
+
+def unpack_vp(blob: bytes) -> VpState:
+    """Inverse of :func:`pack_vp`; raises ``ValueError`` on malformed blobs."""
+    width, hlen = _prefix(blob)
+    try:
+        header = json.loads(blob[_PREFIX : _PREFIX + hlen].decode("utf-8"))
+        n = int(header["n"])
+        rng_state, p, counters = header["rng"], header["partition"], header["counters"]
+        part = None if p is None else BlockPartition(
             int(p["cells"]),
             np.asarray(p["xsplits"], dtype=np.int64),
             np.asarray(p["ysplits"], dtype=np.int64),
         )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed PUP header: {exc!r}") from exc
+    expect = n * width * 8
+    body = blob[_PREFIX + hlen :]
+    if len(body) != expect:
+        raise ValueError(
+            f"PUP blob truncated: {len(body)} particle bytes, expected {expect}"
+        )
+    buf = np.frombuffer(body, dtype="<f8").reshape(n, width)
     return VpState(
-        particles=particles,
-        rng_state=header["rng"],
+        particles=ParticleArray.from_packed(buf[:, :STATE_FIELDS].copy()),
+        rng_state=rng_state,
         partition=part,
-        counters=header["counters"],
+        counters=counters,
     )

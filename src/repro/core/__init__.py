@@ -17,6 +17,7 @@ from repro.core.spec import (
     RemovalEvent,
 )
 from repro.core.verification import (
+    ParticleOrigins,
     VerificationResult,
     expected_checksum,
     expected_final_positions,
@@ -42,6 +43,7 @@ __all__ = [
     "PICSpec",
     "Region",
     "RemovalEvent",
+    "ParticleOrigins",
     "VerificationResult",
     "expected_checksum",
     "expected_final_positions",

@@ -12,9 +12,10 @@ that their effect is *deterministic and decomposition-independent*:
   removed particles does not depend on which rank happens to own them.
 
 Injected particles follow the standard placement rules (cell centres, Eq. 3
-charges), so they remain analytically verifiable; their ``birth`` field
-records the injection step so Eqs. 5-6 are evaluated with the correct
-participation count.
+charges), so they remain analytically verifiable; their birth step is the
+injection step, looked up from the id block
+(:class:`repro.core.verification.ParticleOrigins`), so Eqs. 5-6 are
+evaluated with the correct participation count.
 """
 
 from __future__ import annotations
@@ -90,8 +91,16 @@ def materialize_injection(
         k=k,
         m_vertical=m,
         start_id=start_id,
-        birth=event.step,
     )
+
+
+def materialize_injections(spec: PICSpec, mesh: Mesh) -> dict[int, ParticleArray]:
+    """Every injection's particle list, keyed by event index (in order)."""
+    return {
+        idx: materialize_injection(spec, mesh, event, idx)
+        for idx, event in enumerate(spec.events)
+        if isinstance(event, InjectionEvent)
+    }
 
 
 def removal_mask(

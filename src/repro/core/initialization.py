@@ -125,7 +125,6 @@ def place_particles(
     k,
     m_vertical,
     start_id: int,
-    birth: int = 0,
 ) -> ParticleArray:
     """Create fully-initialized particles in the given cells.
 
@@ -134,7 +133,8 @@ def place_particles(
     with sign chosen by birth-column parity (all particles drift in +x);
     initial velocity is ``(0, m_vertical * h / dt)`` per Eq. 4.  ``k`` and
     ``m_vertical`` may be scalars or per-particle integer arrays (§III-E's
-    charge/velocity variation facility).
+    charge/velocity variation facility).  All particles drift rightward
+    at ``2k+1`` cells per step (see :func:`assign_charges`).
     """
     cell_col = np.asarray(cell_col, dtype=np.int64)
     cell_row = np.asarray(cell_row, dtype=np.int64)
@@ -149,11 +149,6 @@ def place_particles(
     p.vy[:] = m_vertical * h / dt
     p.q[:] = assign_charges(mesh, dt, cell_col, k)
     p.pid[:] = np.arange(start_id, start_id + n, dtype=np.int64)
-    p.x0[:] = p.x
-    p.y0[:] = p.y
-    p.kdisp[:] = 2 * k + 1  # all particles drift rightward (see assign_charges)
-    p.mdisp[:] = m_vertical
-    p.birth[:] = birth
     return p
 
 
@@ -200,5 +195,4 @@ def initialize(spec: PICSpec, mesh: Mesh | None = None) -> ParticleArray:
         k=k,
         m_vertical=m,
         start_id=1,
-        birth=0,
     )

@@ -1,30 +1,28 @@
 """Particle storage and charge assignment for the PIC PRK.
 
 Particles are stored in structure-of-arrays form (:class:`ParticleArray`) so
-the force/integration kernel can be fully vectorized.  Besides the dynamic
-state (position, velocity, charge) each particle carries the metadata the
-self-verification of §III-D needs:
+the force/integration kernel can be fully vectorized.  A particle is its
+dynamic state only:
 
+``x, y, vx, vy``
+    Position and velocity.
+``q``
+    Charge (Eq. 3).
 ``pid``
     Unique id in ``1..n`` (checksum ``n (n+1) / 2`` detects lost/duplicated
     particles after communication).
-``x0, y0``
-    Initial position.
-``kdisp``
-    Signed horizontal displacement per step in *cells*: ``sign * (2k+1)``,
-    where the sign is the direction the particle drifts (decided by the
-    column parity of its birth cell, §III-E1).
-``mdisp``
-    Vertical displacement per step in cells (the ``m`` of Eq. 4).
-``birth``
-    Step index at which the particle entered the simulation (0 for initial
-    particles, ``t'`` for injected ones), so Eqs. 5-6 can be evaluated with
-    the correct participation count.
 
-For communication, particles are packed into a flat ``(n, 11)`` float64
+What the self-verification of §III-D needs besides that — the birth
+position, the drift ``2k+1``, the vertical ``m`` and the birth step — never
+changes and is a function of ``pid`` and the spec, so it is not carried:
+:class:`repro.core.verification.ParticleOrigins` looks it up by id.
+
+For communication, particles are packed into a flat ``(n, 6)`` float64
 buffer (:func:`ParticleArray.pack` / :func:`ParticleArray.from_packed`);
-integer fields round-trip exactly for any realistic problem size (ids below
-2**53).
+ids round-trip exactly for any realistic problem size (below 2**53).  The
+cost model still prices the paper's 11-double particle record
+(:func:`record_nbytes`), so payload sizes and simulated clocks do not depend
+on how many columns are really shipped.
 
 Storage model (capacity-managed)
 --------------------------------
@@ -50,11 +48,22 @@ import numpy as np
 from repro.constants import PARTICLE_RECORD_FIELDS
 from repro.core.mesh import Mesh
 
-_FIELDS = ("x", "y", "vx", "vy", "q", "pid", "x0", "y0", "kdisp", "mdisp", "birth")
-assert len(_FIELDS) == PARTICLE_RECORD_FIELDS
+_FIELDS = ("x", "y", "vx", "vy", "q", "pid")
+#: Columns of a packed particle: the width of wire buffers and PUP bodies.
+STATE_FIELDS: int = len(_FIELDS)
 
 #: Minimum backing capacity allocated when an empty container first grows.
 _MIN_GROW = 16
+
+
+def record_nbytes(n: int) -> int:
+    """Bytes the cost model charges for ``n`` particles.
+
+    The paper's implementations ship an 11-double particle struct
+    (:data:`PARTICLE_RECORD_FIELDS`); every modelled payload, migration and
+    checkpoint size reads this, never a buffer's real ``.nbytes``.
+    """
+    return n * PARTICLE_RECORD_FIELDS * 8
 
 
 @dataclass
@@ -78,11 +87,6 @@ class ParticleArray:
     vy: np.ndarray
     q: np.ndarray
     pid: np.ndarray
-    x0: np.ndarray
-    y0: np.ndarray
-    kdisp: np.ndarray
-    mdisp: np.ndarray
-    birth: np.ndarray
 
     def __post_init__(self) -> None:
         n = len(self.x)
@@ -101,7 +105,7 @@ class ParticleArray:
         """Fast constructor for internal hot paths.
 
         Bypasses the dataclass __init__ (and its per-field length check):
-        callers guarantee ``arrays`` holds the 11 fields in ``_FIELDS``
+        callers guarantee ``arrays`` holds the 6 fields in ``_FIELDS``
         order with equal lengths and correct dtypes.
         """
         self = object.__new__(cls)
@@ -116,8 +120,6 @@ class ParticleArray:
         return cls._raw(
             [np.zeros(n, dtype=np.float64) for _ in range(5)]
             + [np.zeros(n, dtype=np.int64)]
-            + [np.zeros(n, dtype=np.float64) for _ in range(2)]
-            + [np.zeros(n, dtype=np.int64) for _ in range(3)]
         )
 
     @classmethod
@@ -292,19 +294,19 @@ class ParticleArray:
             d[name] = store[i][: n + m]
 
     def extend_packed(self, buf: np.ndarray) -> None:
-        """Append particles from a packed ``(m, 11)`` wire buffer, in place.
+        """Append particles from a packed ``(m, 6)`` wire buffer, in place.
 
-        Equivalent to ``append(from_packed(buf))`` — the int64 fields are
-        recovered by the same float64 -> int64 cast — but copies each column
+        Equivalent to ``append(from_packed(buf))`` — ``pid`` is recovered by
+        the same float64 -> int64 cast — but copies each column
         exactly once, straight into the backing store.
         """
         buf = np.asarray(buf)
         m = buf.shape[0]
         if m == 0:
             return
-        if buf.ndim != 2 or buf.shape[1] != PARTICLE_RECORD_FIELDS:
+        if buf.ndim != 2 or buf.shape[1] != STATE_FIELDS:
             raise ValueError(
-                f"packed particle buffer must be (n, {PARTICLE_RECORD_FIELDS}), "
+                f"packed particle buffer must be (n, {STATE_FIELDS}), "
                 f"got shape {buf.shape}"
             )
         n = len(self)
@@ -320,7 +322,7 @@ class ParticleArray:
     def pack_into(self, mask_or_index, out: np.ndarray) -> np.ndarray:
         """Pack the selected particles into a caller-owned wire buffer.
 
-        ``out`` must be a float64 array of shape ``(cap, 11)`` with
+        ``out`` must be a float64 array of shape ``(cap, 6)`` with
         ``cap >= n_selected``; the filled prefix ``out[:n_selected]`` is
         returned (a view).  Element-for-element equivalent to :meth:`pack`,
         but reuses the destination instead of allocating it.
@@ -331,7 +333,7 @@ class ParticleArray:
             col = d[name][mask_or_index]
             if k is None:
                 k = len(col)
-                if out.shape[0] < k or out.shape[1] != PARTICLE_RECORD_FIELDS:
+                if out.shape[0] < k or out.shape[1] != STATE_FIELDS:
                     raise ValueError(
                         f"wire buffer {out.shape} too small for {k} particles"
                     )
@@ -344,9 +346,10 @@ class ParticleArray:
     def pack(self, mask_or_index=None) -> np.ndarray:
         """Pack (a subset of) the particles into a flat float64 buffer.
 
-        The result has shape ``(n_selected, 11)`` and can be transmitted as a
+        The result has shape ``(n_selected, 6)`` and can be transmitted as a
         contiguous byte buffer, mirroring how the MPI implementations of the
-        paper ship particle structs.
+        paper ship particle structs (priced at their 11 doubles by
+        :func:`record_nbytes`).
         """
         if mask_or_index is None:
             cols = [getattr(self, name) for name in _FIELDS]
@@ -354,7 +357,7 @@ class ParticleArray:
         else:
             cols = [getattr(self, name)[mask_or_index] for name in _FIELDS]
             n = len(cols[0])
-        out = np.empty((n, PARTICLE_RECORD_FIELDS), dtype=np.float64)
+        out = np.empty((n, STATE_FIELDS), dtype=np.float64)
         for j, col in enumerate(cols):
             out[:, j] = col
         return out
@@ -365,23 +368,24 @@ class ParticleArray:
         buf = np.asarray(buf, dtype=np.float64)
         if buf.size == 0:
             return cls.empty(0)
-        if buf.ndim != 2 or buf.shape[1] != PARTICLE_RECORD_FIELDS:
+        if buf.ndim != 2 or buf.shape[1] != STATE_FIELDS:
             raise ValueError(
-                f"packed particle buffer must be (n, {PARTICLE_RECORD_FIELDS}), "
+                f"packed particle buffer must be (n, {STATE_FIELDS}), "
                 f"got shape {buf.shape}"
             )
         arrays = []
         for j, name in enumerate(_FIELDS):
             col = np.ascontiguousarray(buf[:, j])
-            if name in ("pid", "kdisp", "mdisp", "birth"):
+            if name == "pid":
                 col = col.astype(np.int64)
             arrays.append(col)
         return cls._raw(arrays)
 
     @property
     def nbytes(self) -> int:
-        """Total payload bytes (used by the communication cost model)."""
-        return len(self) * PARTICLE_RECORD_FIELDS * 8
+        """Modelled payload bytes (:func:`record_nbytes`), not the real
+        footprint of the stored columns."""
+        return record_nbytes(len(self))
 
     # ------------------------------------------------------------------
     # Derived quantities

@@ -49,10 +49,15 @@ class SerialSimulation:
     spec: PICSpec
     mesh: Mesh = field(init=False)
     particles: ParticleArray = field(init=False)
+    origins: verification.ParticleOrigins = field(init=False)
 
     def __post_init__(self) -> None:
         self.mesh = Mesh(self.spec.cells, self.spec.h, self.spec.q)
         self.particles = initialize(self.spec, self.mesh)
+        self.origins = verification.ParticleOrigins.build(
+            self.spec, self.particles,
+            ev.materialize_injections(self.spec, self.mesh).values(),
+        )
 
     # ------------------------------------------------------------------
     def step(self, t: int) -> int:
@@ -79,7 +84,7 @@ class SerialSimulation:
             pushes += len(self.particles)
         expected = verification.expected_checksum(self.spec, removed_ids_sum)
         result = verification.verify(
-            self.mesh, self.particles, self.spec.steps, expected
+            self.mesh, self.particles, self.spec.steps, expected, self.origins
         )
         return SerialResult(
             particles=self.particles,

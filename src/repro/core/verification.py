@@ -8,9 +8,12 @@ position has a closed form:
 
 with ``s`` the number of time steps the particle participated in.  The charge
 assignment of :func:`repro.core.particles.assign_charges` makes every
-particle drift in the +x direction, and each particle stores its signed
-per-step displacement ``kdisp`` (= ``sign * (2k+1)``) and ``mdisp`` (= ``m``)
-explicitly, so the check is O(1) per particle and trivially parallel.
+particle drift in the +x direction.  None of ``x_0, y_0, k, m`` or the birth
+step changes during a run and all are functions of the particle id and the
+spec, so particles do not carry them: :class:`ParticleOrigins` holds the
+birth positions (indexed ``pid - 1``) and derives the rest from ``pid``.
+The check stays O(1) per particle and trivially parallel, and a particle
+whose id is outside ``[1, n_total]`` fails it.
 
 A second, integer-exact test guards against lost or duplicated particles:
 the checksum of the unique particle ids must equal the analytically known
@@ -27,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.constants import VERIFICATION_EPSILON
+from repro.core.initialization import per_particle_speeds
 from repro.core.mesh import Mesh
 from repro.core.particles import ParticleArray
 from repro.core.spec import InjectionEvent, PICSpec, RemovalEvent
@@ -56,18 +60,78 @@ class VerificationResult:
         )
 
 
-def expected_final_positions(
-    mesh: Mesh, particles: ParticleArray, total_steps: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form final coordinates (Eqs. 5-6) for every particle.
+class ParticleOrigins:
+    """What Eqs. 5-6 need of each particle besides its state, by ``pid``.
 
-    Each particle participated in ``total_steps - birth`` pushes.
+    ``x0``/``y0`` are the birth positions, float64, indexed ``pid - 1``:
+    the initial population (ids ``1..n``) followed by each injection's id
+    block in event order (:func:`repro.core.events.injection_base_id`).
+    The drift ``2k+1`` and vertical ``m`` come from
+    :func:`~repro.core.initialization.per_particle_speeds`, the birth step
+    from the id block a ``pid`` falls in.
     """
-    s = (total_steps - particles.birth).astype(np.float64)
+
+    def __init__(self, spec: PICSpec, x0: np.ndarray, y0: np.ndarray):
+        starts, births = [1], [0]
+        next_id = spec.n_particles + 1
+        for event in spec.events:
+            if isinstance(event, InjectionEvent):
+                starts.append(next_id)
+                births.append(event.step)
+                next_id += event.count
+        if len(x0) != next_id - 1 or len(y0) != next_id - 1:
+            raise ValueError(
+                f"origins cover {len(x0)}/{len(y0)} particles, "
+                f"the spec creates {next_id - 1}"
+            )
+        self.spec = spec
+        self.x0 = x0
+        self.y0 = y0
+        self._starts = np.array(starts, dtype=np.int64)
+        self._births = np.array(births, dtype=np.int64)
+
+    @classmethod
+    def build(cls, spec: PICSpec, initial: ParticleArray, injections) -> "ParticleOrigins":
+        """From the unpushed initial population and each injection's
+        particles (in event order).  The positions are copied, so the table
+        aliases no particle store."""
+        parts = [initial, *injections]
+        return cls(
+            spec,
+            np.concatenate([p.x for p in parts]),
+            np.concatenate([p.y for p in parts]),
+        )
+
+    @property
+    def n_total(self) -> int:
+        """Particles the spec ever creates (ids ``1..n_total``)."""
+        return len(self.x0)
+
+    def birth(self, pid: np.ndarray) -> np.ndarray:
+        """Birth step of each id in ``[1, n_total]``: 0 for the initial
+        population, the event's step for an injected particle."""
+        return self._births[self._starts.searchsorted(pid, "right") - 1]
+
+
+def _closed_form(mesh, particles, total_steps, origins):
+    """Eqs. 5-6 for every particle, and the mask of ids outside
+    ``[1, n_total]`` (None when there are none); those rows are computed
+    as if they were id 1, or are NaN when every row is unknown."""
+    pid = particles.pid
+    unknown = (pid < 1) | (pid > origins.n_total)
+    if not unknown.any():
+        unknown = None
+    elif unknown.all():  # the table may be empty: nothing to look up
+        return np.full(len(pid), np.nan), np.full(len(pid), np.nan), unknown
+    else:
+        pid = np.where(unknown, 1, pid)
+    k, m = per_particle_speeds(origins.spec, pid)
+    s = (total_steps - origins.birth(pid)).astype(np.float64)
     if np.any(s < 0):
         raise ValueError("particle birth step exceeds total_steps")
-    xs = particles.x0 + particles.kdisp * s * mesh.h
-    ys = particles.y0 + particles.mdisp * s * mesh.h
+    idx = pid - 1
+    xs = origins.x0[idx] + (2 * k + 1) * s * mesh.h
+    ys = origins.y0[idx] + m * s * mesh.h
     # ``np.mod(v, L)`` is a scalar fmod loop and returns ``v`` bit for bit
     # whenever ``0 <= v < L``, so only the rows outside the domain pay for it
     # (``signbit`` rather than ``v < 0``: ``np.mod(-0.0, L)`` is ``+0.0``).
@@ -75,20 +139,39 @@ def expected_final_positions(
         outside = np.signbit(v) | (v >= mesh.L)
         if outside.any():
             v[outside] = np.mod(v[outside], mesh.L)
+    return xs, ys, unknown
+
+
+def expected_final_positions(
+    mesh: Mesh, particles: ParticleArray, total_steps: int, origins: ParticleOrigins
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form final coordinates (Eqs. 5-6) for every particle.
+
+    Each particle participated in ``total_steps - birth`` pushes.  A
+    particle whose id is outside ``[1, n_total]`` has no closed form: its
+    coordinates are NaN.
+    """
+    xs, ys, unknown = _closed_form(mesh, particles, total_steps, origins)
+    if unknown is not None:
+        xs[unknown] = ys[unknown] = np.nan
     return xs, ys
 
 
 def position_errors(
-    mesh: Mesh, particles: ParticleArray, total_steps: int
+    mesh: Mesh, particles: ParticleArray, total_steps: int, origins: ParticleOrigins
 ) -> np.ndarray:
-    """Periodic-aware absolute error of each particle vs the closed form."""
-    xs, ys = expected_final_positions(mesh, particles, total_steps)
+    """Periodic-aware absolute error of each particle vs the closed form
+    (infinite for an id outside ``[1, n_total]``)."""
+    xs, ys, unknown = _closed_form(mesh, particles, total_steps, origins)
     ex = np.abs(particles.x - xs)
     ey = np.abs(particles.y - ys)
     # A particle sitting at coordinate ~0 may legitimately be reported at ~L.
     ex = np.minimum(ex, mesh.L - ex)
     ey = np.minimum(ey, mesh.L - ey)
-    return np.maximum(ex, ey)
+    errors = np.maximum(ex, ey)
+    if unknown is not None:
+        errors[unknown] = np.inf
+    return errors
 
 
 def initial_checksum(n_particles: int) -> int:
@@ -122,6 +205,7 @@ def verify(
     particles: ParticleArray,
     total_steps: int,
     expected_ids: int,
+    origins: ParticleOrigins,
     epsilon: float = VERIFICATION_EPSILON,
 ) -> VerificationResult:
     """Run the full §III-D verification on a (gathered) particle set."""
@@ -129,7 +213,7 @@ def verify(
         max_err = 0.0
         positions_ok = True
     else:
-        errors = position_errors(mesh, particles, total_steps)
+        errors = position_errors(mesh, particles, total_steps, origins)
         max_err = float(errors.max())
         positions_ok = bool(max_err <= epsilon)
     checksum = particles.id_checksum()

@@ -40,7 +40,7 @@ from repro.core import events as ev
 from repro.core import verification
 from repro.core.initialization import initialize
 from repro.core.mesh import Mesh
-from repro.core.particles import PARTICLE_RECORD_FIELDS, ParticleArray
+from repro.core.particles import STATE_FIELDS, ParticleArray, record_nbytes
 from repro.core.spec import InjectionEvent, PICSpec
 from repro.decomp.grid import factor_2d, grid_fits_mesh
 from repro.decomp.partition import BlockPartition
@@ -189,6 +189,10 @@ class ParallelPICBase:
         #: by its measured slowdown, so a mixed compiled/python fleet shows
         #: up as a real, LB-correctable simulated imbalance.
         self.work_rates = work_rates
+        #: The verification lookup table (:class:`ParticleOrigins`), built
+        #: by a fresh :meth:`build_engine` or, after a resume, on first
+        #: verify.
+        self._origins: verification.ParticleOrigins | None = None
 
     # ------------------------------------------------------------------
     # Subclass surface
@@ -287,10 +291,15 @@ class ParallelPICBase:
             # (possibly expensive) global initialization entirely.
             locals0 = [ParticleArray.empty(0) for _ in range(self.n_ranks)]
         else:
-            locals0 = self._initial_locals(partition0)
+            population = initialize(self.spec, self.mesh)
+            locals0 = self._initial_locals(partition0, population)
         if checkpointer is not None:
             checkpointer.meta = self._snapshot_meta()
-        injections = self._materialize_injections()
+        injections = ev.materialize_injections(self.spec, self.mesh)
+        # A resumed driver has no population: it builds the table on verify.
+        self._origins = None if snapshot is not None else (
+            verification.ParticleOrigins.build(self.spec, population, injections.values())
+        )
 
         scheduler = Scheduler(
             self.n_ranks,
@@ -385,9 +394,10 @@ class ParallelPICBase:
     # ------------------------------------------------------------------
     # Initialization (decomposition-independent)
     # ------------------------------------------------------------------
-    def _initial_locals(self, partition: BlockPartition) -> list[ParticleArray]:
-        """Initialize the global population once and slice it by owner."""
-        particles = initialize(self.spec, self.mesh)
+    def _initial_locals(
+        self, partition: BlockPartition, particles: ParticleArray
+    ) -> list[ParticleArray]:
+        """Slice the global initial population by owner (copies)."""
         if len(particles) == 0:
             return [ParticleArray.empty(0) for _ in range(self.n_ranks)]
         owner = partition.owner_rank(
@@ -401,13 +411,14 @@ class ParallelPICBase:
             for r in range(self.n_ranks)
         ]
 
-    def _materialize_injections(self) -> dict[int, ParticleArray]:
-        """Pre-build the shared (read-only) particle list of each injection."""
-        out: dict[int, ParticleArray] = {}
-        for idx, event in enumerate(self.spec.events):
-            if isinstance(event, InjectionEvent):
-                out[idx] = ev.materialize_injection(self.spec, self.mesh, event, idx)
-        return out
+    def _particle_origins(self) -> verification.ParticleOrigins:
+        """The verification table; a resumed driver builds it here, once."""
+        if self._origins is None:
+            self._origins = verification.ParticleOrigins.build(
+                self.spec, initialize(self.spec, self.mesh),
+                ev.materialize_injections(self.spec, self.mesh).values(),
+            )
+        return self._origins
 
     # ------------------------------------------------------------------
     # The SPMD program
@@ -522,7 +533,7 @@ class ParallelPICBase:
     def _checkpoint_step(self, comm: Comm, state: "_RankState", t: int, ckpt):
         """End-of-step checkpoint round (generator; consistent cut)."""
         blob = self._pack_rank(state)
-        yield comm.compute(ckpt.write_seconds(len(blob)))
+        yield comm.compute(ckpt.write_seconds(pup.charged_nbytes(blob)))
         yield comm.barrier()
         ckpt.contribute(comm._scheduler, comm.world_rank, t, blob, self.n_ranks)
 
@@ -616,7 +627,9 @@ class ParallelPICBase:
         particles = state.particles
         if len(particles):
             local_err = float(
-                verification.position_errors(mesh, particles, spec.steps).max()
+                verification.position_errors(
+                    mesh, particles, spec.steps, self._particle_origins()
+                ).max()
             )
         else:
             local_err = 0.0
@@ -692,11 +705,11 @@ class ExchangeScratch:
         self._tmpb = np.empty(0, dtype=bool)
 
     def wire(self, axis: int, direction: int, n: int) -> np.ndarray:
-        """The ``(capacity, 11)`` wire buffer for one axis/direction."""
+        """The ``(capacity, 6)`` wire buffer for one axis/direction."""
         buf = self._wire.get((axis, direction))
         if buf is None or buf.shape[0] < n:
             cap = max(n, 2 * (buf.shape[0] if buf is not None else 0), 16)
-            buf = np.empty((cap, PARTICLE_RECORD_FIELDS), dtype=np.float64)
+            buf = np.empty((cap, STATE_FIELDS), dtype=np.float64)
             self._wire[(axis, direction)] = buf
         return buf
 
@@ -861,8 +874,9 @@ def _route_axis(
     Returns how many *arrivals* lie outside any of the ranges — kept
     residents cannot.  The sequence of simulated events — pack compute,
     the two sendrecvs, unpack compute — and their costs and payload sizes
-    are identical to the historical copy-based hop; the order of particles
-    within the rank is not (tail-fill compaction).
+    are identical to the historical copy-based hop (a payload is priced by
+    :func:`record_nbytes`, not by its 6-column buffer); the order of
+    particles within the rank is not (tail-fill compaction).
     """
     if front is None:
         front = hop_front_half(
@@ -877,11 +891,11 @@ def _route_axis(
     src_fwd, dst_bwd = cart.shift(axis, -1)
     from_bwd = yield comm.sendrecv(
         fwd_buf, dst=dst_fwd, src=src_bwd, sendtag=tag_fwd, recvtag=tag_fwd,
-        nbytes=cost.particle_wire_bytes(fwd_buf.nbytes),
+        nbytes=cost.particle_wire_bytes(record_nbytes(len(fwd_buf))),
     )
     from_fwd = yield comm.sendrecv(
         bwd_buf, dst=dst_bwd, src=src_fwd, sendtag=tag_bwd, recvtag=tag_bwd,
-        nbytes=cost.particle_wire_bytes(bwd_buf.nbytes),
+        nbytes=cost.particle_wire_bytes(record_nbytes(len(bwd_buf))),
     )
 
     n_in = len(from_bwd) + len(from_fwd)

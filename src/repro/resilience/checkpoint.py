@@ -33,6 +33,7 @@ import struct
 import zlib
 from dataclasses import replace
 
+from repro.ampi.pup import charged_nbytes
 from repro.runtime.errors import CheckpointCorruptError
 
 CKPT_MAGIC = b"RPRKCKPT"
@@ -168,11 +169,11 @@ class Snapshot:
             res.watch.load_state(g["watch"])
         if res is not None and res.checkpointer is not None:
             # Crash recovery prices the restore from the latest checkpoint's
-            # blob size; the resumed run must see the same sizes the
+            # charged blob size; the resumed run must see the same sizes the
             # uninterrupted run had on record at the cut.
-            res.checkpointer.last_blob_bytes = dict(
-                enumerate(self.header["blob_sizes"])
-            )
+            res.checkpointer.last_blob_bytes = {
+                r: charged_nbytes(blob) for r, blob in enumerate(self.blobs)
+            }
 
 
 class Checkpointer:
@@ -240,7 +241,7 @@ class Checkpointer:
                 "blobs": {},
             }
         rnd["blobs"][rank] = blob
-        self.last_blob_bytes[rank] = len(blob)
+        self.last_blob_bytes[rank] = charged_nbytes(blob)
         if len(rnd["blobs"]) < n_ranks:
             return None
         del self._rounds[step]

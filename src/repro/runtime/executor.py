@@ -63,7 +63,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.constants import PARTICLE_RECORD_FIELDS
 from repro.core import kernel, kernel_compiled
 from repro.core.kernel import (
     KERNEL_BLOCK,
@@ -73,7 +72,7 @@ from repro.core.kernel import (
 )
 from repro.core.kernel_compiled import advance_arrays_compiled
 from repro.core.mesh import Mesh
-from repro.core.particles import _FIELDS as _PARTICLE_FIELDS
+from repro.core.particles import STATE_FIELDS
 from repro.runtime.errors import ExecutorWorkerLostError, exit_cause
 
 __all__ = [
@@ -249,10 +248,9 @@ def _advance_fields(backend: str, mesh, x, y, vx, vy, q, dt, workspace=None) -> 
 
 
 #: A zero-particle wire buffer (read-only by convention).
-EMPTY_WIRE = np.empty((0, PARTICLE_RECORD_FIELDS), dtype=np.float64)
+EMPTY_WIRE = np.empty((0, STATE_FIELDS), dtype=np.float64)
 #: The front half of a hop nobody leaves: no rows, nothing to send.
 NO_LEAVERS = (np.empty(0, dtype=np.int64), EMPTY_WIRE, EMPTY_WIRE)
-_COLD_FIELDS = _PARTICLE_FIELDS[5:]
 
 
 def x_hop_wave(stage: np.ndarray, members, mesh: Mesh) -> list[tuple]:
@@ -302,7 +300,7 @@ def x_hop_wave(stage: np.ndarray, members, mesh: Mesh) -> list[tuple]:
     order = seg.argsort(kind="stable")
     local = rows - starts[mem]
     src = local[order]
-    block = np.empty((len(rows), PARTICLE_RECORD_FIELDS), dtype=np.float64)
+    block = np.empty((len(rows), STATE_FIELDS), dtype=np.float64)
     block[:, :5] = stage[:, rows[order]].T
     ends = np.bincount(seg, minlength=2 * m).cumsum().tolist()
     out = []
@@ -313,12 +311,12 @@ def x_hop_wave(stage: np.ndarray, members, mesh: Mesh) -> list[tuple]:
         if a == b:
             out.append(NO_LEAVERS)
             continue
-        movers.append((p.__dict__, src[a:b]))
+        movers.append(p.pid[src[a:b]])
         out.append((local[a:b], block[a:f], block[f:b]))
         a = b
-    # Movers are in block order, so each cold column is one concatenate.
-    for j, name in enumerate(_COLD_FIELDS, 5):
-        block[:, j] = np.concatenate([d[name][idx] for d, idx in movers])
+    # Movers are in block order, so the one column the stage lacks, pid,
+    # is one concatenate.
+    block[:, 5] = np.concatenate(movers)
     return out
 
 

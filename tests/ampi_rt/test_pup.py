@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -81,7 +84,62 @@ class TestRoundTrip:
         assert np.array_equal(got.ysplits, partition.ysplits)
 
 
+def _blob(version, header: dict, body: np.ndarray) -> bytes:
+    """A PUP blob assembled by hand: prefix, canonical header, raw body."""
+    hjson = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return b"VPUP" + struct.pack("<HI", version, len(hjson)) + hjson + body.tobytes()
+
+
+class TestFormat:
+    def test_body_is_six_columns_priced_at_eleven(self):
+        particles = _particles(200)
+        blob = pup.pack_vp(particles, rng=_rng(), counters=_counters())
+        (version, hlen) = struct.unpack_from("<HI", blob, 4)
+        assert version == pup.PUP_VERSION == 3
+        assert len(blob) == 10 + hlen + 200 * 6 * 8
+        assert blob[10 + hlen :] == particles.pack().tobytes()
+        # The cost model prices the paper's 11-double record.
+        assert pup.charged_nbytes(blob) == 10 + hlen + 200 * 11 * 8
+
+    def test_version_2_blob_still_unpacks(self):
+        """A parent checkpoint's 11-column body: its first six columns are
+        the record, the other five (x0, y0, kdisp, mdisp, birth) are
+        dropped."""
+        particles = _particles(50)
+        state = particles.pack()
+        legacy_cols = np.column_stack([
+            particles.x, particles.y, np.full(50, 3.0), np.ones(50), np.zeros(50)
+        ])
+        header = {"n": 50, "rng": None, "partition": None, "counters": _counters()}
+        v2 = _blob(2, header, np.hstack([state, legacy_cols]))
+        got = pup.unpack_vp(v2)
+        assert got.particles.pack().tobytes() == state.tobytes()
+        assert got.particles.pid.dtype == np.int64
+        assert got.counters == _counters()
+        # Re-packing writes the current version, and both price the same.
+        v3 = pup.pack_vp(got.particles, counters=got.counters)
+        assert v3 == _blob(3, header, state)
+        assert pup.charged_nbytes(v2) == len(v2) == pup.charged_nbytes(v3)
+
+
 class TestMalformedBlobs:
+    @pytest.mark.parametrize("header", [
+        {"rng": None, "partition": None, "counters": {}},
+        {"n": 0, "partition": None, "counters": {}},
+        {"n": 0, "rng": None, "partition": {"cells": 4}, "counters": {}},
+        {"n": None, "rng": None, "partition": None, "counters": {}},
+        [],
+    ], ids=["no-n", "no-rng", "partition-no-splits", "n-null", "not-a-dict"])
+    def test_bad_header_raises_value_error(self, header):
+        with pytest.raises(ValueError, match="malformed PUP header"):
+            pup.unpack_vp(_blob(pup.PUP_VERSION, header, np.empty(0)))
+
+    @pytest.mark.parametrize("blob", [b"VPUP\x02\x00", b"VPUP"],
+                             ids=["cut-prefix", "magic-only"])
+    def test_cut_prefix_raises_value_error(self, blob):
+        with pytest.raises(ValueError, match="truncated"):
+            pup.unpack_vp(blob)
+
     def test_bad_magic(self):
         with pytest.raises(ValueError, match="bad magic"):
             pup.unpack_vp(b"NOPE" + b"\x00" * 32)

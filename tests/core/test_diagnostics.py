@@ -11,11 +11,12 @@ from repro.core.diagnostics import (
     imbalance_over_columns,
     population_stats,
 )
+from repro.core.initialization import initialize
 from repro.core.mesh import Mesh
 from repro.core.particles import ParticleArray
 from repro.core.simulation import run_serial
 from repro.core.spec import Distribution, PICSpec
-from repro.core.verification import position_errors
+from repro.core.verification import ParticleOrigins, position_errors
 
 
 def uniform_run(n=2000, steps=20):
@@ -111,7 +112,8 @@ class TestStatisticalVerificationIsInsufficient:
         assert d < 0.01
 
         # The PRK's exact verification: caught, and localized.
-        errors = position_errors(mesh, corrupted, spec.steps)
+        origins = ParticleOrigins.build(spec, initialize(spec, mesh), [])
+        errors = position_errors(mesh, corrupted, spec.steps, origins)
         assert errors[7] == pytest.approx(1.0)
         assert np.count_nonzero(errors > 1e-5) == 1
 

@@ -7,6 +7,7 @@ from repro.core import events as ev
 from repro.core.initialization import initialize
 from repro.core.mesh import Mesh
 from repro.core.spec import Distribution, InjectionEvent, PICSpec, Region, RemovalEvent
+from repro.core.verification import ParticleOrigins
 
 
 def uniform_spec(**kw):
@@ -57,7 +58,9 @@ class TestMaterializeInjection:
         newp = ev.materialize_injection(spec, mesh, event, 0)
         assert len(newp) == 100
         assert np.all(region.contains(newp.cell_columns(mesh), newp.cell_rows(mesh)))
-        assert np.all(newp.birth == 3)
+        origins = ParticleOrigins.build(spec, initialize(spec, mesh), [newp])
+        assert np.all(origins.birth(newp.pid) == 3)
+        np.testing.assert_array_equal(origins.x0[newp.pid - 1], newp.x)
 
     def test_deterministic(self):
         event = InjectionEvent(step=3, region=Region(0, 4, 0, 4), count=10)

@@ -9,11 +9,13 @@ from repro.core.initialization import (
     initialize,
     integer_counts,
     linear_weights,
+    per_particle_speeds,
     place_particles,
     sinusoidal_weights,
 )
 from repro.core.mesh import Mesh
-from repro.core.spec import Distribution, PICSpec, Region
+from repro.core.spec import Distribution, InjectionEvent, PICSpec, Region
+from repro.core.verification import ParticleOrigins
 
 
 def column_histogram(spec):
@@ -201,13 +203,22 @@ class TestInitialize:
 
 class TestPlaceParticles:
     def test_metadata_recorded(self):
+        """Particles carry their id; the origins table recovers the rest
+        (birth position, drift 2k+1, vertical m, birth step) from it."""
         mesh = Mesh(8)
         p = place_particles(
             mesh, np.array([1, 2]), np.array([3, 4]),
-            dt=1.0, k=1, m_vertical=2, start_id=10, birth=5,
+            dt=1.0, k=1, m_vertical=2, start_id=10,
         )
         assert p.pid.tolist() == [10, 11]
-        assert p.kdisp.tolist() == [3, 3]
-        assert p.mdisp.tolist() == [2, 2]
-        assert p.birth.tolist() == [5, 5]
-        np.testing.assert_array_equal(p.x0, p.x)
+        assert p.vy.tolist() == [2.0, 2.0]
+        # Ids 10-11 are the block of an injection at step 5 after 9 initial.
+        event = InjectionEvent(step=5, region=Region(1, 3, 3, 5), count=2)
+        spec = PICSpec(cells=8, n_particles=9, steps=8, k=1, m_vertical=2,
+                       events=(event,))
+        origins = ParticleOrigins(spec, np.r_[np.zeros(9), p.x], np.r_[np.zeros(9), p.y])
+        k, m = per_particle_speeds(spec, p.pid)
+        assert 2 * k + 1 == 3 and m == 2
+        assert origins.birth(p.pid).tolist() == [5, 5]
+        np.testing.assert_array_equal(origins.x0[p.pid - 1], p.x)
+        np.testing.assert_array_equal(origins.y0[p.pid - 1], p.y)

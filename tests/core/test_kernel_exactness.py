@@ -72,9 +72,10 @@ class TestHorizontalAccuracy:
                        distribution=Distribution.UNIFORM)
         mesh = Mesh(spec.cells)
         p = initialize(spec, mesh)
+        x0 = p.x.copy()
         for _ in range(1000):
             advance(mesh, p, spec.dt)
-        expected = np.mod(p.x0 + p.kdisp * 1000.0, mesh.L)
+        expected = np.mod(x0 + (2 * spec.k + 1) * 1000.0, mesh.L)
         delta = np.abs(p.x - expected)
         delta = np.minimum(delta, mesh.L - delta)
         assert float(delta.max()) < 1e-9

@@ -5,9 +5,11 @@ import pytest
 
 from repro.core.mesh import Mesh
 from repro.core.particles import (
+    STATE_FIELDS,
     ParticleArray,
     assign_charges,
     charge_magnitude,
+    record_nbytes,
 )
 
 
@@ -19,11 +21,6 @@ def sample_particles(n=5):
     p.vy[:] = 1.0
     p.q[:] = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
     p.pid[:] = np.arange(1, n + 1)
-    p.x0[:] = p.x
-    p.y0[:] = p.y
-    p.kdisp[:] = 1
-    p.mdisp[:] = 1
-    p.birth[:] = 0
     return p
 
 
@@ -38,8 +35,7 @@ class TestParticleArray:
         with pytest.raises(ValueError, match="length"):
             ParticleArray(
                 x=p.x, y=p.y, vx=p.vx, vy=p.vy, q=p.q,
-                pid=p.pid[:2], x0=p.x0, y0=p.y0,
-                kdisp=p.kdisp, mdisp=p.mdisp, birth=p.birth,
+                pid=p.pid[:2],
             )
 
     def test_select_copies(self):
@@ -80,13 +76,12 @@ class TestPacking:
     def test_pack_roundtrip(self):
         p = sample_particles(7)
         buf = p.pack()
-        assert buf.shape == (7, 11)
+        assert buf.shape == (7, STATE_FIELDS) == (7, 6)
         q = ParticleArray.from_packed(buf)
-        for name in ("x", "y", "vx", "vy", "q", "x0", "y0"):
+        for name in ("x", "y", "vx", "vy", "q"):
             np.testing.assert_array_equal(getattr(p, name), getattr(q, name))
-        for name in ("pid", "kdisp", "mdisp", "birth"):
-            np.testing.assert_array_equal(getattr(p, name), getattr(q, name))
-            assert getattr(q, name).dtype == np.int64
+        np.testing.assert_array_equal(p.pid, q.pid)
+        assert q.pid.dtype == np.int64
 
     def test_pack_subset(self):
         p = sample_particles(5)
@@ -95,15 +90,18 @@ class TestPacking:
         assert q.pid.tolist() == [2, 4]
 
     def test_from_packed_empty(self):
-        q = ParticleArray.from_packed(np.empty((0, 11)))
+        q = ParticleArray.from_packed(np.empty((0, 6)))
         assert len(q) == 0
 
     def test_from_packed_bad_shape(self):
-        with pytest.raises(ValueError, match="11"):
-            ParticleArray.from_packed(np.zeros((3, 5)))
+        for width in (5, 11):  # 11: a parent commit's wire record
+            with pytest.raises(ValueError, match=r"\(n, 6\)"):
+                ParticleArray.from_packed(np.zeros((3, width)))
 
     def test_nbytes(self):
-        assert sample_particles(10).nbytes == 10 * 11 * 8
+        # Six columns are stored and shipped; the cost model still charges
+        # the paper's 11-double particle struct.
+        assert sample_particles(10).nbytes == record_nbytes(10) == 10 * 11 * 8
 
     def test_large_pid_roundtrip(self):
         p = sample_particles(1)

@@ -6,7 +6,7 @@ over a capacity-managed backing store.  These property tests pin the
 contract the exchange and event paths rely on: for *any* population and
 *any* mask, the pooled operations produce element-for-element (and
 dtype-for-dtype) the same particles as the legacy ones — including the
-int64 fields' value round-trip through the float64 wire format.
+int64 ``pid``'s value round-trip through the float64 wire format.
 """
 
 from __future__ import annotations
@@ -15,16 +15,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.particles import PARTICLE_RECORD_FIELDS, ParticleArray
+from repro.core.particles import STATE_FIELDS, ParticleArray
 
-_FIELDS = ("x", "y", "vx", "vy", "q", "pid", "x0", "y0", "kdisp", "mdisp", "birth")
-_INT_FIELDS = ("pid", "kdisp", "mdisp", "birth")
+_FIELDS = ("x", "y", "vx", "vy", "q", "pid")
+_INT_FIELDS = ("pid",)
 
 
 def random_particles(n: int, seed: int) -> ParticleArray:
     """A population with non-trivial values in every field.
 
-    Int64 fields get values up to 2**52 — within the float64-exact integer
+    The int64 ``pid`` gets values up to 2**52 — within the float64-exact integer
     range the wire format guarantees, and far beyond what int32 could hold.
     """
     rng = np.random.default_rng(seed)
@@ -76,7 +76,7 @@ def test_pack_into_equals_pack(n, seed, mask_seed, headroom):
     p = random_particles(n, seed)
     mask = np.random.default_rng(mask_seed).integers(0, 2, size=n).astype(bool)
     k = int(np.count_nonzero(mask))
-    out = np.full((k + headroom, PARTICLE_RECORD_FIELDS), np.nan)
+    out = np.full((k + headroom, STATE_FIELDS), np.nan)
     got = p.pack_into(mask, out)
     expected = p.pack(mask)
     assert got.shape == expected.shape
@@ -138,7 +138,7 @@ def test_extend_within_capacity_does_not_reallocate():
     p.reserve(1000)
     store_before = list(p._backing())
     p.extend(random_particles(500, 4))
-    assert [a is b for a, b in zip(store_before, p._backing())] == [True] * 11
+    assert [a is b for a, b in zip(store_before, p._backing())] == [True] * len(_FIELDS)
 
 
 def test_concatenate_single_part_fast_path():
@@ -153,7 +153,7 @@ def test_concatenate_single_part_fast_path():
 
 def test_pack_into_rejects_undersized_buffer():
     p = random_particles(8, 6)
-    out = np.empty((4, PARTICLE_RECORD_FIELDS))
+    out = np.empty((4, STATE_FIELDS))
     try:
         p.pack_into(np.ones(8, dtype=bool), out)
     except ValueError:
@@ -191,7 +191,7 @@ def test_compact_drop_keeps_the_multiset_of_select(n, seed, mask_seed, density, 
     expected = random_particles(n, seed).select(~mask)
     store, cap = list(p._backing()), p.capacity
     p.compact(drop=np.flatnonzero(mask))
-    assert_same(by_row(p), by_row(expected))  # all 11 fields, dtypes included
+    assert_same(by_row(p), by_row(expected))  # all 6 fields, dtypes included
     assert p.capacity == cap
     assert all(a is b for a, b in zip(store, p._backing()))  # not reallocated
     # Rows below the new length that were not dropped never move.

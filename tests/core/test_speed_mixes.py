@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.initialization import initialize, speed_choice
+from repro.core.initialization import initialize, per_particle_speeds, speed_choice
 from repro.core.mesh import Mesh
 from repro.core.simulation import run_serial
 from repro.core.spec import Distribution, InjectionEvent, PICSpec, Region
@@ -49,11 +49,15 @@ class TestMixedPopulation:
         spec = mixed_spec()
         mesh = Mesh(spec.cells)
         p = initialize(spec, mesh)
-        assert set(p.kdisp.tolist()) == {1, 3, 5}
-        assert set(p.mdisp.tolist()) == {0, 1}
+        k, m = per_particle_speeds(spec, p.pid)
+        kdisp = 2 * k + 1
+        assert set(kdisp.tolist()) == {1, 3, 5}
+        assert set(m.tolist()) == {0, 1}
         # Charge magnitude scales with the particle's own (2k+1).
-        base = np.abs(p.q[p.kdisp == 1][0])
-        assert np.abs(p.q[p.kdisp == 5][0]) == pytest.approx(5 * base)
+        base = np.abs(p.q[kdisp == 1][0])
+        assert np.abs(p.q[kdisp == 5][0]) == pytest.approx(5 * base)
+        # ... and its vertical speed with its own m.
+        np.testing.assert_array_equal(p.vy, m * spec.h / spec.dt)
 
     def test_serial_run_verifies(self):
         result = run_serial(mixed_spec())
@@ -74,9 +78,13 @@ class TestMixedPopulation:
         )
         result = run_serial(spec)
         assert result.verification.ok
-        injected = result.particles.select(result.particles.birth == 5)
+        injected = result.particles.select(result.particles.pid > spec.n_particles)
         assert len(injected) == 30
-        assert set(injected.kdisp.tolist()) <= {1, 3, 5}
+        k, _ = per_particle_speeds(spec, injected.pid)
+        assert set((2 * k + 1).tolist()) <= {1, 3, 5}
+        # Each drifts at its own 2k+1: the charge carries the same factor.
+        base = np.abs(injected.q[k == 0][0])
+        np.testing.assert_allclose(np.abs(injected.q), (2 * k + 1) * base)
 
     def test_mixture_smears_the_cloud(self):
         """Different drift speeds spread an initially tight distribution."""

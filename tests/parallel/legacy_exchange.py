@@ -9,7 +9,10 @@ full population on every routing hop.
 These functions are verbatim ports of the seed implementation (commit
 "PR 1") modulo renames, moved here unchanged from the former
 ``repro.bench.legacy``, and must stay behaviourally identical to the
-seed.  Do not optimise them.
+seed.  Do not optimise them.  The one port since: particles pack to six
+columns now, and each payload is charged the seed's 11 doubles per
+particle, counted here from ``PARTICLE_RECORD_FIELDS`` rather than through
+the code under test.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.mesh import Mesh
-from repro.core.particles import PARTICLE_RECORD_FIELDS, ParticleArray
+from repro.constants import PARTICLE_RECORD_FIELDS
+from repro.core.particles import ParticleArray
 from repro.decomp.partition import BlockPartition
 from repro.parallel.base import (
     TAG_X_LEFT,
@@ -31,7 +35,12 @@ from repro.runtime.costmodel import CostModel
 from repro.runtime.reduce_ops import SUM
 
 #: Shared zero-particle wire buffer (read-only by convention).
-_EMPTY_BUF = np.empty((0, PARTICLE_RECORD_FIELDS), dtype=np.float64)
+_EMPTY_BUF = ParticleArray.empty(0).pack()
+
+
+def _seed_nbytes(buf: np.ndarray) -> int:
+    """The seed's payload size: 11 float64 per particle."""
+    return len(buf) * PARTICLE_RECORD_FIELDS * 8
 
 
 def exchange_particles_legacy(
@@ -106,11 +115,11 @@ def _route_axis_legacy(
     src_fwd, dst_bwd = cart.shift(axis, -1)
     from_bwd = yield comm.sendrecv(
         fwd_buf, dst=dst_fwd, src=src_bwd, sendtag=tag_fwd, recvtag=tag_fwd,
-        nbytes=cost.particle_wire_bytes(fwd_buf.nbytes),
+        nbytes=cost.particle_wire_bytes(_seed_nbytes(fwd_buf)),
     )
     from_fwd = yield comm.sendrecv(
         bwd_buf, dst=dst_bwd, src=src_fwd, sendtag=tag_bwd, recvtag=tag_bwd,
-        nbytes=cost.particle_wire_bytes(bwd_buf.nbytes),
+        nbytes=cost.particle_wire_bytes(_seed_nbytes(bwd_buf)),
     )
 
     n_in = len(from_bwd) + len(from_fwd)

@@ -51,11 +51,11 @@ from repro.runtime import run_spmd
 from repro.runtime.costmodel import CostModel
 from tests.parallel.legacy_exchange import exchange_particles_legacy
 
-_FIELDS = ("x", "y", "vx", "vy", "q", "pid", "x0", "y0", "kdisp", "mdisp", "birth")
+_FIELDS = ("x", "y", "vx", "vy", "q", "pid")
 
 
 def make_population(n, mesh, seed, *, x_range=None, y_range=None):
-    """Particles with all 11 fields populated, optionally confined to a block."""
+    """Particles with all 6 fields populated, optionally confined to a block."""
     rng = np.random.default_rng(seed)
     p = ParticleArray.empty(n)
     xlo, xhi = x_range if x_range else (0.0, mesh.L)
@@ -66,11 +66,6 @@ def make_population(n, mesh, seed, *, x_range=None, y_range=None):
     p.vy[:] = rng.normal(size=n)
     p.q[:] = rng.choice([-1.0, 1.0], size=n)
     p.pid[:] = rng.integers(0, 2**40, size=n)
-    p.x0[:] = p.x
-    p.y0[:] = p.y
-    p.kdisp[:] = rng.integers(-5, 5, size=n)
-    p.mdisp[:] = rng.integers(-5, 5, size=n)
-    p.birth[:] = rng.integers(0, 1000, size=n)
     return p
 
 

@@ -17,17 +17,42 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.constants import PARTICLE_RECORD_FIELDS
 from repro.core.mesh import Mesh
+from repro.core.particles import STATE_FIELDS, ParticleArray
+from repro.core.spec import Distribution, PICSpec
 from repro.decomp.partition import BlockPartition
+from repro.parallel import Mpi2dPIC
 from repro.parallel.base import ExchangeScratch, _count_misplaced
+from repro.runtime.executor import EMPTY_WIRE
 
 
 class TestWire:
     def test_shape_and_dtype(self):
         buf = ExchangeScratch().wire(0, +1, 5)
         assert buf.dtype == np.float64
-        assert buf.ndim == 2 and buf.shape[1] == PARTICLE_RECORD_FIELDS
+        assert buf.ndim == 2 and buf.shape[1] == STATE_FIELDS == 6
+        assert EMPTY_WIRE.shape == (0, 6)
+
+    def test_run_ships_six_columns_and_charges_eleven(self, monkeypatch):
+        """Every arrival's wire buffer is 6 columns wide, while the run's
+        ``bytes_sent`` stays the paper's 88 B (11 doubles) per particle
+        shipped: payload sizes, and so clocks, do not see the narrower
+        record."""
+        widths, shipped = set(), []
+        real = ParticleArray.extend_packed
+
+        def counting(self, buf):
+            widths.add(buf.shape[1])
+            shipped.append(len(buf))
+            real(self, buf)
+
+        monkeypatch.setattr(ParticleArray, "extend_packed", counting)
+        spec = PICSpec(cells=24, n_particles=600, steps=6, k=1, m_vertical=1,
+                       distribution=Distribution.UNIFORM)
+        res = Mpi2dPIC(spec, 6).run()
+        assert res.verification.ok
+        assert widths == {6} and sum(shipped) > 0
+        assert res.bytes_sent == 88 * sum(shipped)
 
     def test_minimum_capacity_is_16(self):
         s = ExchangeScratch()

@@ -65,11 +65,10 @@ def _member(rng, mesh, n, mode):
         x[rng.choice(n, size=k, replace=False)] = edges[:k]
     p = ParticleArray.empty(n)
     p.x[:] = x
-    for name in ("y", "vx", "vy", "x0", "y0"):
+    for name in ("y", "vx", "vy"):
         getattr(p, name)[:] = rng.normal(size=n)
     p.q[:] = rng.choice([-1.0, 1.0], size=n)
-    for name in ("pid", "kdisp", "mdisp", "birth"):
-        getattr(p, name)[:] = rng.integers(-(2**40), 2**40, size=n)
+    p.pid[:] = rng.integers(-(2**40), 2**40, size=n)
     return p, (lo, hi, splits, i, px)
 
 

@@ -5,8 +5,10 @@ from __future__ import annotations
 import os
 import struct
 
+import numpy as np
 import pytest
 
+from repro.ampi import pup
 from repro.core.spec import (
     Distribution,
     InjectionEvent,
@@ -16,13 +18,19 @@ from repro.core.spec import (
     spec_from_dict,
     spec_to_dict,
 )
+from repro.instrument import Tracer
 from repro.parallel import Mpi2dPIC
 from repro.resilience import (
     Checkpointer,
+    CrashFault,
+    FaultPlan,
+    RecoveryPolicy,
     ResilienceConfig,
+    RuntimeResilience,
     Snapshot,
 )
 from repro.resilience.checkpoint import CKPT_MAGIC
+from repro.runtime import Scheduler
 from repro.runtime.errors import CheckpointCorruptError
 
 
@@ -140,6 +148,92 @@ def test_resume_engine_accepts_parent_commit_executor_section(tmp_path, monkeypa
     resumed = resume_engine(cut, checkpoint_dir=str(tmp_path / "again")).run()
     assert resumed.verification.ok
     assert resumed.total_time == whole.total_time
+
+
+def test_crash_recovery_prices_the_paper_record(tmp_path):
+    """A restore after a checkpoint is priced at the blob's charged size —
+    88 B per particle, the paper's 11-double record — not at the length of
+    its 6-column body, both in the writing run and after a resume."""
+    directory = str(tmp_path / "ckpts")
+    tracer = Tracer()
+    cfg = ResilienceConfig(
+        plan=FaultPlan(faults=(CrashFault(rank=1, step=3, retries=1),)),
+        recovery=RecoveryPolicy(),
+        checkpointer=Checkpointer(directory, every=2),
+    )
+    assert Mpi2dPIC(_spec(), 4, resilience=cfg, span_tracer=tracer).run().verification.ok
+    snap = Snapshot.load(os.path.join(directory, "ckpt_step000002.ckpt"))
+
+    def paper_bytes(blob):
+        return len(blob) + 5 * 8 * len(pup.unpack_vp(blob).particles)
+
+    (span,) = [s for s in tracer.spans if s.name == "recovery"]
+    assert span.args_dict()["state_bytes"] == paper_bytes(snap.blobs[1])
+
+    resumed = Checkpointer(directory)
+    sched = Scheduler(4, resilience=RuntimeResilience(checkpointer=resumed))
+    snap.apply_global(sched)
+    assert resumed.last_blob_bytes == {
+        r: paper_bytes(blob) for r, blob in enumerate(snap.blobs)
+    }
+
+
+def test_a_driver_initializes_the_population_once(tmp_path, monkeypatch):
+    """A fresh run builds the verification table from the population it
+    hands out; a resumed run, which skips initialization, builds it once,
+    when it first verifies.  Injected particles verify from either."""
+    from repro.parallel import base
+    from repro.resilience import resume_engine
+
+    calls = []
+    real = base.initialize
+    monkeypatch.setattr(base, "initialize", lambda *a: calls.append(1) or real(*a))
+    region = Region(0, 16, 0, 16)
+    spec = PICSpec(cells=32, n_particles=600, steps=6, distribution=Distribution.UNIFORM,
+                   events=(InjectionEvent(step=1, region=region, count=50),
+                           RemovalEvent(step=3, region=region, fraction=0.5)))
+    directory = str(tmp_path / "ckpts")
+    cfg = ResilienceConfig(checkpointer=Checkpointer(directory, every=2))
+    fresh = Mpi2dPIC(spec, 4, resilience=cfg).run()
+    assert fresh.verification.ok and len(calls) == 1
+    calls.clear()
+    cut = os.path.join(directory, "ckpt_step000002.ckpt")
+    resumed = resume_engine(cut, checkpoint_dir=str(tmp_path / "again")).run()
+    assert resumed.verification.ok and len(calls) == 1
+    assert resumed.total_time == fresh.total_time
+
+
+def _as_version_2(blob: bytes) -> bytes:
+    """A PUP blob as a parent commit wrote it: the same header over an
+    ``(n, 11)`` body whose last five columns carried verification metadata."""
+    (hlen,) = struct.unpack_from("<I", blob, 6)
+    state = np.frombuffer(blob[10 + hlen :], dtype="<f8").reshape(-1, 6)
+    legacy = np.hstack([state, np.full((len(state), 5), 7.0)])
+    return b"VPUP" + struct.pack("<HI", 2, hlen) + blob[10 : 10 + hlen] + legacy.tobytes()
+
+
+def test_parent_commit_checkpoint_resumes_identically(tmp_path):
+    """A checkpoint whose blobs are PUP version 2 resumes to the same clocks
+    and the same later checkpoint bytes as the uninterrupted run."""
+    from repro.resilience import resume_engine
+
+    directory = str(tmp_path / "ckpts")
+    cfg = ResilienceConfig(checkpointer=Checkpointer(directory, every=2))
+    fresh = Mpi2dPIC(_spec(), 4, resilience=cfg).run()
+    snap = Snapshot.load(os.path.join(directory, "ckpt_step000002.ckpt"))
+    old = Checkpointer(str(tmp_path / "old"), meta=snap.meta)
+    cut = old._write(1, {"global": snap.header["global"],
+                         "blobs": {r: _as_version_2(b) for r, b in enumerate(snap.blobs)}})
+    assert Snapshot.load(cut).blobs[0][4] == 2
+    again = str(tmp_path / "again")
+    resumed = resume_engine(cut, checkpoint_dir=again).run()
+    assert resumed.verification.ok
+    assert resumed.total_time == fresh.total_time
+    assert resumed.bytes_sent == fresh.bytes_sent
+    for name in ("ckpt_step000004.ckpt", "ckpt_step000006.ckpt"):
+        with open(os.path.join(directory, name), "rb") as a, \
+                open(os.path.join(again, name), "rb") as b:
+            assert a.read() == b.read()
 
 
 class TestCheckpointer:

@@ -18,7 +18,7 @@ from repro.ampi.loadbalancer import GreedyLB, GreedyTransferLB, RefineLB
 from repro.core.initialization import initialize, integer_counts
 from repro.core.mesh import Mesh
 from repro.core.particles import ParticleArray
-from repro.core.simulation import run_serial
+from repro.core.simulation import SerialSimulation, run_serial
 from repro.core.spec import Distribution, PICSpec
 from repro.core.verification import position_errors
 from repro.decomp.partition import BlockPartition, even_splits
@@ -61,12 +61,12 @@ class TestSerialSelfVerification:
     )
     def test_verification_detects_any_position_corruption(self, spec, victim, dx):
         """Corrupting a single particle by a sub-cell offset is detected."""
-        result = run_serial(spec)
-        mesh = Mesh(spec.cells, spec.h, spec.q)
-        p = result.particles
+        sim = SerialSimulation(spec)
+        mesh = sim.mesh
+        p = sim.run().particles
         idx = victim % len(p)
         p.x[idx] = (p.x[idx] + dx * spec.h) % mesh.L
-        errors = position_errors(mesh, p, spec.steps)
+        errors = position_errors(mesh, p, spec.steps, sim.origins)
         assert errors[idx] > 1e-5
 
     @settings(max_examples=15, deadline=None)
@@ -206,12 +206,11 @@ class TestPackingRoundtrip:
     def test_pack_roundtrip_bitwise(self, n, seed):
         rng = np.random.default_rng(seed)
         p = ParticleArray.empty(n)
-        for name in ("x", "y", "vx", "vy", "q", "x0", "y0"):
+        for name in ("x", "y", "vx", "vy", "q"):
             getattr(p, name)[:] = rng.uniform(-1e6, 1e6, size=n)
-        for name in ("pid", "kdisp", "mdisp", "birth"):
-            getattr(p, name)[:] = rng.integers(-(2**40), 2**40, size=n)
+        p.pid[:] = rng.integers(-(2**40), 2**40, size=n)
         q = ParticleArray.from_packed(p.pack())
-        for name in ("x", "y", "vx", "vy", "q", "x0", "y0", "pid", "kdisp", "mdisp", "birth"):
+        for name in ("x", "y", "vx", "vy", "q", "pid"):
             np.testing.assert_array_equal(getattr(p, name), getattr(q, name))
 
 
