@@ -232,6 +232,21 @@ class ParticleArray:
             store[i] = moved
             d[name] = moved[:n]
 
+    def adopt(self, columns) -> None:
+        """Make ``columns`` — the six fields, in order, of equal length —
+        this container's fields *and* backing store.
+
+        Capacity equals length, so the container never writes past the
+        given views: :meth:`compact` stays inside them and any growth
+        reallocates privately.  That is what lets the fused exchange
+        round hand every member a slice of one shared block
+        (:func:`repro.runtime.executor.exchange_wave`).
+        """
+        d = self.__dict__
+        for name, col in zip(_FIELDS, columns):
+            d[name] = col
+        d["_store"] = list(columns)
+
     def compact(self, keep=None, *, drop=None) -> None:
         """Shrink in place: keep the rows of boolean mask ``keep``, or remove
         the rows of the strictly increasing index array ``drop``.

@@ -1,19 +1,28 @@
-"""The first x hop's front half, run once per fused kernel chunk.
+"""A fused group's first exchange round, run once for every member.
 
-``InProcessExecutor`` finds, routes and packs every member's x leavers in
-one pass over a fused chunk (:func:`repro.runtime.executor.x_hop_wave`)
-when the chunk has at least ``WAVE_MIN_MEMBERS`` members.  The per-rank
-front half (:func:`repro.parallel.base.hop_front_half`) stays the oracle:
+When ``InProcessExecutor`` has just pushed a group of small ranks, one pass
+(:func:`repro.runtime.executor.exchange_wave`) runs what each member's
+``exchange_particles`` would do in round 1: the x hop, the y hop on the
+post-x populations, tail-fill, arrivals and the settlement counts — for a
+closed group (every member's source neighbours are members) with at most
+``WAVE_MAX_MEAN`` particles per member on average.  Other chunks of at
+least ``WAVE_MIN_MEMBERS`` members get only the x hop's front half from the
+same function.  The per-rank path (:func:`repro.parallel.base.hop_front_half`
+plus ``_route_axis``'s back half) stays the oracle:
 
-* **Property** — for arbitrary members (sizes, bounds, per-member
-  LB-shifted splits, ``h``, the ``x == L`` and ``-0.0`` edges, all-leave
-  and none-leave populations) the wave's leaver rows and forward and
-  backward wire bytes equal the oracle's, byte for byte.
-* **Where it runs** — on a 64-rank fused step no first-round x hop calls
-  ``ParticleArray.pack_into``; below the cut-over, for in-place tasks and
-  under the process executor the wave never runs.
-* **Runs** — a 64-rank run with the wave and one without it agree on the
-  final particle bytes (in-rank order included), clocks and traffic.
+* **Properties** — the front half equals ``hop_front_half`` byte for byte
+  for arbitrary members; the settled round equals the real per-rank round
+  (``exchange_particles`` up to its settlement allreduce) byte for byte:
+  populations in row order, wire buffers, op sequence, stray and misplaced
+  counts — over uneven and disagreeing splits, multi-hop moves, empty
+  members, ``px``/``py`` in {1, 2, odd} and ``h != 1``.
+* **Where it runs** — on a 64-rank fused run settled hops make no
+  ``compact``/``extend_packed``/``hop_front_half`` call, and the calls
+  reappear without the settle; below the cut-over, for in-place tasks and
+  under the process executor no wave runs.
+* **Runs** — a 64-rank run settled, one with the x front half only and one
+  without any wave agree on the final particle bytes (in-rank order
+  included), clocks and traffic.
 """
 
 from __future__ import annotations
@@ -24,17 +33,22 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.kernel import KERNEL_BLOCK, WAVE_MIN_MEMBERS
 from repro.core.mesh import Mesh
-from repro.core.particles import ParticleArray
+from repro.core.particles import ParticleArray, STATE_FIELDS
 from repro.core.spec import PICSpec
+from repro.decomp.partition import BlockPartition
 from repro.parallel import AmpiPIC, Mpi2dLbPIC, Mpi2dPIC, base
 from repro.runtime import executor as executor_mod
+from repro.runtime import ops, run_spmd
+from repro.runtime.costmodel import CostModel
 from repro.runtime.executor import (
     InProcessExecutor,
     ProcessExecutor,
-    x_hop_wave,
+    RankRoute,
+    _closed_sources,
+    exchange_wave,
 )
 
-_HOT = ("x", "y", "vx", "vy", "q")
+_FIELDS = ("x", "y", "vx", "vy", "q", "pid")
 
 
 def _splits(rng, cells, px):
@@ -69,12 +83,16 @@ def _member(rng, mesh, n, mode):
         getattr(p, name)[:] = rng.normal(size=n)
     p.q[:] = rng.choice([-1.0, 1.0], size=n)
     p.pid[:] = rng.integers(-(2**40), 2**40, size=n)
-    return p, (lo, hi, splits, i, px)
+    route = RankRoute((lo, hi, i, px, 0, mesh.cells, 0, 1), (splits, None), None)
+    return p, route
 
 
-def _stage(members):
-    return np.stack([np.concatenate([getattr(p, f) for p, _ in members])
-                     for f in _HOT])
+def _stage(parts):
+    stage = np.empty((STATE_FIELDS, sum(len(p) for p in parts)))
+    for row, name in enumerate(_FIELDS[:5]):
+        stage[row] = np.concatenate([getattr(p, name) for p in parts])
+    stage[5].view(np.int64)[:] = np.concatenate([p.pid for p in parts])
+    return stage
 
 
 @settings(max_examples=60, deadline=None)
@@ -91,16 +109,173 @@ def test_wave_equals_per_rank_front_half(seed, sizes, h, cells, modes):
     mesh = Mesh(cells, h)
     members = [_member(rng, mesh, n, modes[i % len(modes)])
                for i, n in enumerate(sizes)]
-    got = x_hop_wave(_stage(members), members, mesh)
+    parts = [p for p, _ in members]
+    got = exchange_wave(_stage(parts), [len(p) for p in parts],
+                        [r for _, r in members], mesh)
     assert len(got) == len(members)
-    for (p, (lo, hi, splits, i, px)), (rows, fwd, bwd) in zip(members, got):
+    for (p, route), ((rows, fwd, bwd), yfront, columns) in zip(members, got):
+        lo, hi, i, px = route.bounds[:4]
         want = base.hop_front_half(
-            p, mesh, base.ExchangeScratch(), splits=splits, my_index=i,
-            n_index=px, axis=0, rng=(lo, hi),
+            p, mesh, base.ExchangeScratch(), splits=route.splits[0],
+            my_index=i, n_index=px, axis=0, rng=(lo, hi),
         )
         np.testing.assert_array_equal(rows, want[0])
         assert fwd.tobytes() == want[1].tobytes()
         assert bwd.tobytes() == want[2].tobytes()
+        assert yfront is None and columns is None
+
+
+# ----------------------------------------------------------------------
+# The settled round against the per-rank round
+# ----------------------------------------------------------------------
+def _population(rng, mesh, n, part, cx, cy, reach):
+    """``n`` particles of one rank: mostly on its block, some moved ``reach``
+    blocks' worth (multi-hop when far), some on the domain's edges."""
+    L = mesh.cells * mesh.h
+    x0, x1 = part.x_range(cx)
+    y0, y1 = part.y_range(cy)
+    x = rng.uniform(x0 * mesh.h, x1 * mesh.h, n)
+    y = rng.uniform(y0 * mesh.h, y1 * mesh.h, n)
+    moved = rng.random(n) < 0.3
+    x[moved] = (x[moved] + rng.normal(0.0, reach, moved.sum()) * mesh.h) % L
+    y[moved] = (y[moved] + rng.normal(0.0, reach, moved.sum()) * mesh.h) % L
+    edges = [L, -0.0, 0.0, x0 * mesh.h, np.nextafter(x1 * mesh.h, 0.0)]
+    k = min(n, len(edges))
+    x[rng.choice(n, size=k, replace=False)] = edges[:k]
+    p = ParticleArray.empty(n)
+    p.x[:], p.y[:] = x, y
+    p.vx[:] = rng.normal(size=n)
+    p.vy[:] = rng.normal(size=n)
+    p.q[:] = rng.choice([-1.0, 1.0], size=n)
+    p.pid[:] = rng.integers(-(2**40), 2**40, size=n)
+    return p
+
+
+def _first_round(mesh, dims, parts, partitions, firsts=None):
+    """Every rank's ``exchange_particles`` up to its first settlement
+    allreduce: ``{rank: (route, population, ops, allreduce value)}``, and
+    the per-rank fronts and hop counts (``{(rank, axis): ...}``)."""
+    cost = CostModel()
+    out, fronts, counts = {}, {}, {}
+    owner = {}
+    real_front, real_route = base.hop_front_half, base._route_axis
+
+    def front(particles, mesh, scratch, *, axis, **kw):
+        got = real_front(particles, mesh, scratch, axis=axis, **kw)
+        fronts[owner[id(particles)], axis] = (
+            got[0].copy(), got[1].tobytes(), got[2].tobytes())
+        return got
+
+    def route(comm, cart, particles, *args, axis, **kw):
+        counts[cart.rank, axis] = yield from real_route(
+            comm, cart, particles, *args, axis=axis, **kw)
+        return counts[cart.rank, axis]
+
+    def prog(comm):
+        cart = yield comm.create_cart(dims)
+        r = cart.rank
+        part = partitions[r]
+        p = parts[r].copy()
+        owner[id(p)] = r
+        gen = base.exchange_particles(
+            comm, cart, part, mesh, p, cost, base.ExchangeScratch(),
+            first=None if firsts is None else firsts[r],
+        )
+        seen, value = [], None
+        while True:
+            op = gen.send(value)
+            if type(op) is ops.CollectiveOp:
+                break
+            if type(op) is ops.ComputeOp:
+                seen.append(("compute", op.seconds))
+            else:
+                seen.append(("sendrecv", op.dst, op.src, op.sendtag, op.nbytes,
+                             np.asarray(op.payload).tobytes()))
+            value = yield op
+        out[r] = (base._rank_route(part, cart), p, seen, op.value)
+        gen.close()
+
+    base.hop_front_half, base._route_axis = front, route
+    try:
+        run_spmd(dims[0] * dims[1], prog)
+    finally:
+        base.hop_front_half, base._route_axis = real_front, real_route
+    return out, fronts, counts
+
+
+def _bytes(p):
+    return [getattr(p, name).tobytes() for name in _FIELDS]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    px=st.sampled_from([1, 2, 3, 5]),
+    py=st.sampled_from([1, 2, 3, 5]),
+    h=st.sampled_from([1.0, 0.73]),
+    cells=st.sampled_from([20, 36]),
+    sizes=st.lists(st.integers(0, 90), min_size=25, max_size=25),
+    reach=st.sampled_from([0.5, 3.0, 12.0]),
+    disagree=st.booleans(),
+)
+def test_settled_round_equals_per_rank_round(seed, px, py, h, cells, sizes,
+                                             reach, disagree):
+    rng = np.random.default_rng(seed)
+    mesh = Mesh(cells, h)
+    dims = (px, py)
+    n_ranks = px * py
+
+    def lb_split():
+        return BlockPartition(cells, _splits(rng, cells, px), _splits(rng, cells, py))
+
+    shared = lb_split()
+    partitions = [lb_split() if disagree else shared for _ in range(n_ranks)]
+    parts = [_population(rng, mesh, sizes[r], partitions[r], r // py, r % py, reach)
+             for r in range(n_ranks)]
+    want, fronts, counts = _first_round(mesh, dims, parts, partitions)
+
+    routes = [want[r][0] for r in range(n_ranks)]
+    sources = _closed_sources(list(range(n_ranks)), routes)
+    assert sources is not None
+    firsts = exchange_wave(_stage(parts), [len(p) for p in parts], routes, mesh,
+                           sources)
+    for r, (xfront, yfront, columns) in enumerate(firsts):
+        for axis, got in enumerate((xfront, yfront)):
+            if (r, axis) not in counts:  # a grid of one rank along the axis
+                continue
+            rows, fwd, bwd = fronts[r, axis]
+            np.testing.assert_array_equal(got[0], rows)
+            assert (got[1].tobytes(), got[2].tobytes()) == (fwd, bwd)
+            assert got[3] == counts[r, axis]
+        assert [c.tobytes() for c in columns] == _bytes(want[r][1])
+
+    got, _, _ = _first_round(mesh, dims, parts, partitions, firsts)
+    for r in range(n_ranks):
+        assert _bytes(got[r][1]) == _bytes(want[r][1])
+        assert got[r][2] == want[r][2]  # the same ops, costs and payloads
+        assert got[r][3] == want[r][3]  # the same allreduce value
+
+
+def test_adopted_rows_never_reach_a_neighbour():
+    """Members adopt slices of one block; growth reallocates privately."""
+    mesh = Mesh(16)
+    part = BlockPartition.uniform(16, 4, 2)
+    rng = np.random.default_rng(3)
+    parts = [_population(rng, mesh, 40, part, r // 2, r % 2, 3.0) for r in range(8)]
+    want, _, _ = _first_round(mesh, (4, 2), parts, [part] * 8)
+    routes = [want[r][0] for r in range(8)]
+    firsts = exchange_wave(_stage(parts), [40] * 8, routes, mesh,
+                           _closed_sources(list(range(8)), routes))
+    members = [ParticleArray.empty(0) for _ in range(8)]
+    for p, (_, _, columns) in zip(members, firsts):
+        p.adopt(columns)
+        assert p.capacity == len(p)
+    before = [_bytes(p) for p in members]
+    members[0].extend(members[1])
+    members[2].compact(drop=np.arange(len(members[2]) // 2))
+    members[2].extend_packed(members[3].pack())
+    for i in (1, 3, 4, 5, 6, 7):
+        assert _bytes(members[i]) == before[i]
 
 
 # ----------------------------------------------------------------------
@@ -112,14 +287,15 @@ def _spec(n_particles, steps=2):
 
 @pytest.fixture
 def wave_calls(monkeypatch):
+    """``(members, settled)`` of every ``exchange_wave`` call."""
     calls = []
-    real = executor_mod.x_hop_wave
+    real = executor_mod.exchange_wave
 
-    def counting(stage, members, mesh):
-        calls.append(len(members))
-        return real(stage, members, mesh)
+    def counting(stage, counts, routes, mesh, sources=None):
+        calls.append((len(routes), sources is not None))
+        return real(stage, counts, routes, mesh, sources)
 
-    monkeypatch.setattr(executor_mod, "x_hop_wave", counting)
+    monkeypatch.setattr(executor_mod, "exchange_wave", counting)
     return calls
 
 
@@ -152,11 +328,35 @@ def x_hop_packs(monkeypatch):
     return counts
 
 
-def test_wave_replaces_x_packs_on_a_64_rank_fused_step(wave_calls, x_hop_packs):
-    # 64 ranks x ~60 particles, k = 0, m = 1: every hop settles in one round.
+@pytest.fixture
+def per_rank_calls(monkeypatch):
+    """Calls of the per-rank round's array work, by name."""
+    calls = {"compact": 0, "extend_packed": 0, "hop_front_half": 0}
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return real(*args, **kw)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(ParticleArray, "compact")
+    counted(ParticleArray, "extend_packed")
+    counted(base, "hop_front_half")
+    return calls
+
+
+def test_wave_replaces_x_packs_on_a_64_rank_fused_step(monkeypatch, wave_calls,
+                                                       x_hop_packs):
+    # 64 ranks x ~60 particles, k = 0, m = 1: every hop settles in one
+    # round.  With the settle out of reach the chunk still gets the x front
+    # half from the wave, and only the y hops pack.
+    monkeypatch.setattr(executor_mod, "WAVE_MAX_MEAN", 0)
     res = Mpi2dPIC(_spec(4_000), 64, executor=InProcessExecutor()).run()
     assert res.verification.ok
-    assert wave_calls == [64, 64]
+    assert wave_calls == [(64, False), (64, False)]
     assert x_hop_packs[0] == 0
     assert x_hop_packs[1] > 0
 
@@ -166,6 +366,35 @@ def test_without_the_wave_x_hops_pack_per_rank(monkeypatch, wave_calls, x_hop_pa
     Mpi2dPIC(_spec(4_000), 64, executor=InProcessExecutor()).run()
     assert wave_calls == []
     assert x_hop_packs[0] > 0
+
+
+def test_settled_hops_make_no_per_rank_array_calls(monkeypatch, wave_calls,
+                                                   x_hop_packs, per_rank_calls):
+    res = Mpi2dPIC(_spec(4_000), 64, executor=InProcessExecutor()).run()
+    assert res.verification.ok
+    assert wave_calls == [(64, True), (64, True)]
+    assert per_rank_calls == {"compact": 0, "extend_packed": 0, "hop_front_half": 0}
+    assert x_hop_packs == {0: 0, 1: 0}
+    # The same run without the settle: every hop does its own array work.
+    monkeypatch.setattr(executor_mod, "WAVE_MAX_MEAN", 0)
+    Mpi2dPIC(_spec(4_000), 64, executor=InProcessExecutor()).run()
+    assert wave_calls[2:] == [(64, False), (64, False)]
+    assert all(per_rank_calls[name] > 0 for name in per_rank_calls)
+    assert x_hop_packs[1] > 0
+
+
+def test_empty_ranks_keep_a_group_closed(wave_calls):
+    # 64 ranks, 40 particles: most ranks start and stay empty members.
+    res = Mpi2dPIC(_spec(40), 64, executor=InProcessExecutor()).run()
+    assert res.verification.ok
+    assert wave_calls == [(64, True), (64, True)]
+
+
+def test_no_settle_above_the_mean_size(wave_calls):
+    # 16 ranks x 3 000 particles (churn_ckpt's 16 x 7 500 is further out):
+    # the group keeps today's chunks, whose two-member chunks get no wave.
+    Mpi2dPIC(_spec(48_000, steps=1), 16, executor=InProcessExecutor()).run()
+    assert wave_calls == []
 
 
 def test_no_wave_below_the_cut_over(wave_calls):
@@ -191,7 +420,7 @@ def test_no_wave_under_the_process_executor(wave_calls, x_hop_packs):
 
 
 # ----------------------------------------------------------------------
-# Whole runs, with and without the wave
+# Whole runs: settled, x front half only, and without any wave
 # ----------------------------------------------------------------------
 def _observe(monkeypatch, build):
     """Final particle bytes per rank, clocks and traffic of one run."""
@@ -221,7 +450,11 @@ def _observe(monkeypatch, build):
                  id="ampi"),
 ])
 def test_runs_with_and_without_the_wave_are_identical(monkeypatch, wave_calls, build):
-    with_wave = _observe(monkeypatch, build)
-    assert wave_calls
+    settled = _observe(monkeypatch, build)
+    assert wave_calls and all(s for _, s in wave_calls)
+    monkeypatch.setattr(executor_mod, "WAVE_MAX_MEAN", 0)
+    wave_calls.clear()
+    assert _observe(monkeypatch, build) == settled
+    assert wave_calls and not any(s for _, s in wave_calls)
     monkeypatch.setattr(executor_mod, "WAVE_MIN_MEMBERS", 10**9)
-    assert _observe(monkeypatch, build) == with_wave
+    assert _observe(monkeypatch, build) == settled
