@@ -361,6 +361,13 @@ def cmd_trace(args: argparse.Namespace) -> int:
         return _print_resolved(args, rs)
     from repro.config.build import build_executor, build_impl
 
+    if args.out:
+        # Before the run, so a bad --out costs no simulation.
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            print(f"error: --out {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     cfg = _executor_config(args, rs)
     tracer = TraceCollector()
     spans = Tracer() if args.out else None
@@ -376,7 +383,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
         executor.close()
     print(render_imbalance_timeline(tracer))
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         trace_path = os.path.join(args.out, "trace.json")
         timeline_path = os.path.join(args.out, "timeline.txt")
         metrics_path = os.path.join(args.out, "metrics.json")

@@ -123,15 +123,14 @@ def compute_acceleration(
 #: Chunking an elementwise computation does not change a single result bit.
 KERNEL_BLOCK = 16384
 
-#: Fewest members a fused group (or, when it cannot settle, a fused chunk)
-#: needs before the executor runs its first exchange round — or the x hop's
-#: front half — for all of them at once (``exchange_wave`` in
+#: Fewest members a closed fused group needs before the executor settles
+#: its first exchange round for all of them at once (``exchange_wave`` in
 #: :mod:`repro.runtime.executor`) instead of once per rank.  The whole
 #: round per group against the per-rank round (``bench_kernel_micro.py``'s
 #: wave table): 652 vs 3173 us at 64 x 250 particles, 246 vs 702 us at
-#: 8 x 250.  The front half alone paid from ~4 members in isolation, but at
-#: 2 and 4 members no end-to-end gain was resolved and peak RSS rose 2-3 MB,
-#: so those shapes stay per rank.
+#: 8 x 250.  At 2 and 4 members an earlier wave (the x hop's front half
+#: only) resolved no end-to-end gain and raised peak RSS 2-3 MB, so those
+#: shapes stay per rank.
 WAVE_MIN_MEMBERS = 8
 
 #: Most particles per member, on average, a fused group may hold for the

@@ -793,12 +793,11 @@ def exchange_particles(
     compaction, the settlement count — touches only the particles that
     leave or arrive.
 
-    ``first`` is the executor's result for the first round
+    ``first`` is the first round as the executor settled it
     (:attr:`PushTask.first`, :func:`repro.runtime.executor.exchange_wave`):
-    the x hop's front half, which the hop then uses in place of its own,
-    or the whole round settled — fronts that carry their hop's count, and
-    the post-round population, which the rank adopts here.  Either way
-    the round yields the same ops, costs and payloads as without it.
+    each hop's front half with its count, and the post-round population,
+    which the rank adopts here.  The round yields the same ops, costs and
+    payloads as without it.
     """
     my_px, my_py = cart.coords
     px, py = cart.px, cart.py
@@ -809,8 +808,7 @@ def exchange_particles(
     xfront = yfront = None
     if first is not None:
         xfront, yfront, columns = first
-        if columns is not None:
-            particles.adopt(columns)
+        particles.adopt(columns)
     while True:
         # Residents a hop keeps are proven on-block along its axis, so only
         # arrivals can be misplaced: the x hop's on x, the y hop's on both.
@@ -865,9 +863,10 @@ def hop_front_half(particles, mesh, scratch, *, splits, my_index, n_index, axis,
     shorter periodic way) packed, in row order, into ``scratch``'s wire
     buffers.  With :func:`_route_axis`'s back half this is the per-rank
     path and the oracle of :func:`repro.runtime.executor.exchange_wave`,
-    which settles a fused group's whole first round at once.  It serves
-    everything the wave does not: the process executor, in-place tasks,
-    groups that are too small or not closed, rounds >= 2 and LB exchanges.
+    which settles a closed fused group's whole first round at once.  It
+    serves everything the wave does not: the process executor, in-place
+    tasks, groups that are too small, too big or not closed, rounds >= 2
+    and LB exchanges.
     """
     if not len(particles):
         return NO_LEAVERS
@@ -896,23 +895,25 @@ def _route_axis(
     """One forwarding hop along one axis (generator), in place.
 
     ``ranges`` is the rank's ``(x_range,)`` for the x hop and ``(x_range,
-    y_range)`` for the y hop.  ``front`` is the hop's front half when the
-    executor already computed it (:func:`hop_front_half` runs otherwise);
-    a settled front also carries the hop's count, and then the back half
-    — compaction, arrivals, the count — is skipped, its result already
-    adopted.  Returns how many *arrivals* lie outside any of the ranges —
-    kept residents cannot.  The sequence of simulated events — pack compute,
-    the two sendrecvs, unpack compute — and their costs and payload sizes
-    are identical to the historical copy-based hop (a payload is priced by
-    :func:`record_nbytes`, not by its 6-column buffer); the order of
-    particles within the rank is not (tail-fill compaction).
+    y_range)`` for the y hop.  ``front`` is the hop as the executor settled
+    it, ``(leavers, fwd_buf, bwd_buf, count)``: the hop then only sends
+    and prices, its result already adopted.  Without it
+    :func:`hop_front_half` and the back half — compaction, arrivals, the
+    count — run here.  Returns how many *arrivals* lie outside any of the
+    ranges — kept residents cannot.  The sequence of simulated events —
+    pack compute, the two sendrecvs, unpack compute — and their costs and
+    payload sizes are identical to the historical copy-based hop (a
+    payload is priced by :func:`record_nbytes`, not by its 6-column
+    buffer); the order of particles within the rank is not (tail-fill
+    compaction).
     """
     if front is None:
-        front = hop_front_half(
+        leavers, fwd_buf, bwd_buf = hop_front_half(
             particles, mesh, scratch, splits=splits, my_index=my_index,
             n_index=n_index, axis=axis, rng=ranges[axis],
         )
-    leavers, fwd_buf, bwd_buf = front[0], front[1], front[2]
+    else:
+        leavers, fwd_buf, bwd_buf, settled = front
     if len(leavers):
         yield comm.compute(cost.pack_time(len(leavers)))
 
@@ -930,8 +931,8 @@ def _route_axis(
     n_in = len(from_bwd) + len(from_fwd)
     if n_in:
         yield comm.compute(cost.pack_time(n_in))
-    if len(front) == 4:  # settled by the executor
-        return front[3]
+    if front is not None:  # the back half's result is already adopted
+        return settled
     if len(leavers):
         particles.compact(drop=leavers)
     if not n_in:

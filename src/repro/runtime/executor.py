@@ -25,8 +25,9 @@ traces (``tests/parallel/test_executor_determinism.py``):
     number of numpy ufunc dispatches — 64 per *chunk* instead of 64 per
     *rank* — which is where many-small-rank configs (the strong-scaling
     and AMPI VP sweeps) spend their wall clock.  For a closed group of
-    small ranks the executor also runs their whole first exchange round
-    in one pass (:func:`exchange_wave`).
+    small ranks the executor also settles their whole first exchange
+    round in one pass (:func:`exchange_wave`); every other rank runs its
+    exchange itself.
 
 ``process``
     A persistent ``multiprocessing`` worker pool operating on
@@ -134,11 +135,12 @@ class PushTask:
         self.mesh = mesh
         self.particles = particles
         self.dt = dt
-        #: The rank's :class:`RankRoute`, or None: lets an executor run the
-        #: first exchange round for a whole fused group (:func:`exchange_wave`).
+        #: The rank's :class:`RankRoute`, or None: lets an executor settle
+        #: the first exchange round for a whole fused group
+        #: (:func:`exchange_wave`).
         self.route = route
         #: That round's result for this rank, ``(xfront, yfront, columns)``,
-        #: when an executor ran it; None means the exchange computes its own.
+        #: when an executor settled it; None means the exchange runs it.
         self.first = None
 
     def run(self, workspace: KernelWorkspace | None = None) -> None:
@@ -284,47 +286,49 @@ def _ranges(starts, lengths):
     return np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1])
 
 
-def _off_block(v, lo, hi, mesh):
-    """Which positions lie in a cell outside ``[lo, hi)`` (bounds per row):
-    ``ExchangeScratch.outside`` as a mask."""
-    if mesh.h != 1.0:
-        v = v / mesh.h
-    bad = (v < lo) | (v >= hi)
-    if bad.any():
-        cells = np.floor(v[bad]).astype(np.int64) % mesh.cells
-        bad[bad] = (cells < lo[bad]) | (cells >= hi[bad])
-    return bad
+def _outside(v, lo, hi, mesh):
+    """Rows of ``v`` whose cell lies outside ``[lo, hi)``, with bounds per
+    row, and those rows' cells: ``ExchangeScratch.outside`` for many ranks.
 
-
-def _hop(v, counts, starts, lo, hi, index, n_index, splits, mesh):
-    """Every member's leavers along one axis, as ``hop_front_half`` finds
-    and routes them for one rank.
-
-    ``v`` holds the members' coordinates along the axis, laid out by
-    ``starts`` and ``counts``; the other arguments are per member.  Returns
-    ``(rows, mem, order, seglen)`` — the ascending leaver rows, each one's
-    member, the stable order grouping them by (member, forward then
-    backward) and the sizes of those ``2 M`` segments — or None when
-    nobody leaves.
+    Rows are flagged straight from positions, then floored, wrapped and
+    re-tested on the flagged rows only.  The bounds are small integers, so
+    as float64 or int64 they compare identically.
     """
     if mesh.h != 1.0:  # division by 1.0 is a bitwise no-op
         v = v / mesh.h
-    # Flags straight from positions, then floor, wrap and re-test on the
-    # flagged rows only, as ExchangeScratch.outside does per rank.  The
-    # bounds are small integers, so as float64 they compare identically.
-    flags = v < np.repeat(lo.astype(np.float64), counts)
-    flags |= v >= np.repeat(hi.astype(np.float64), counts)
-    rows = flags.nonzero()[0]
+    rows = ((v < lo) | (v >= hi)).nonzero()[0]
     if not len(rows):
-        return None
+        return rows, rows
     cells = np.floor(v[rows]).astype(np.int64)
     np.mod(cells, mesh.cells, out=cells)
-    mem = starts.searchsorted(rows, "right") - 1
-    off = (cells < lo[mem]) | (cells >= hi[mem])
+    off = (cells < lo[rows]) | (cells >= hi[rows])
     if np.count_nonzero(off) != len(rows):
-        rows, cells, mem = rows[off], cells[off], mem[off]
-        if not len(rows):
-            return None
+        rows, cells = rows[off], cells[off]
+    return rows, cells
+
+
+def _settle_hop(v, counts, starts, lo, hi, index, n_index, splits,
+                src_bwd, src_fwd, mesh):
+    """One hop of a closed group's round: what every member's
+    ``_route_axis`` does to its population, for all members at once.
+
+    ``v`` holds the members' coordinates along the axis, laid out by
+    ``starts`` and ``counts``; the other arguments are per member: its
+    block ``[lo, hi)``, processor index and count, split vector, and the
+    members its two directions receive from (``src_bwd``, ``src_fwd``;
+    each a permutation of the group).  Returns ``(perm, counts, starts,
+    moved, seglen, local, recv)``, or None when nobody leaves: ``perm[p]``
+    is the pre-hop row of post-hop row ``p``; the post-hop layout's counts
+    and starts; the leavers' pre-hop rows grouped by (member, forward then
+    backward) — the hop's ``2 M`` segments — and the segment sizes; each
+    leaver's row inside its member (ascending per member) and, in segment
+    order, its receiving member.
+    """
+    rows, cells = _outside(v, np.repeat(lo.astype(np.float64), counts),
+                           np.repeat(hi.astype(np.float64), counts), mesh)
+    if not len(rows):
+        return None
+    mem = starts.searchsorted(rows, "right") - 1
     # Owners by one searchsorted over every distinct split vector (members
     # may hold different, LB-shifted ones), each shifted into its own key
     # range so a search cannot leave it.
@@ -347,28 +351,8 @@ def _hop(v, counts, starts, lo, hi, index, n_index, splits, mesh):
     # The shorter periodic way (an off-block particle never has distance 0).
     bwd = (owner - index[mem]) % n_index[mem] > n_index[mem] // 2
     seg = 2 * mem + bwd
-    seglen = np.bincount(seg, minlength=2 * len(counts))
-    return rows, mem, seg.argsort(kind="stable"), seglen
-
-
-def _settle_hop(v, counts, starts, lo, hi, index, n_index, splits,
-                src_bwd, src_fwd, mesh):
-    """One hop of a closed group's round: what every member's
-    ``_route_axis`` does to its population, for all members at once.
-
-    Besides :func:`_hop`'s arguments takes each member's source members
-    (``src_bwd``, ``src_fwd``; each a permutation of the group).  Returns
-    ``(perm, counts, starts, moved, seglen, local, recv)``, or None when
-    nobody leaves: ``perm[p]`` is the pre-hop row of post-hop row ``p``;
-    the post-hop layout's counts and starts; the leavers' pre-hop rows in
-    segment order, the segment sizes, each leaver's row inside its member
-    (ascending per member) and, in segment order, its receiving member.
-    """
-    hop = _hop(v, counts, starts, lo, hi, index, n_index, splits, mesh)
-    if hop is None:
-        return None
-    rows, mem, order, seglen = hop
     m = len(counts)
+    seglen = np.bincount(seg, minlength=2 * m)
     gone = np.bincount(mem, minlength=m)
     keep = counts - gone
     # Tail-fill, as ParticleArray.compact(drop=): the holes below a
@@ -389,7 +373,7 @@ def _settle_hop(v, counts, starts, lo, hi, index, n_index, splits,
     perm = np.repeat(starts - new_starts, new_counts)
     perm += np.arange(len(perm))
     perm[new_starts[mem[hole]] + local[hole]] = fill
-    moved = rows[order]
+    moved = rows[seg.argsort(kind="stable")]
     at_seg = np.empty(2 * m, dtype=np.int64)
     at_seg[2 * src_bwd] = new_starts + keep
     at_seg[2 * src_fwd + 1] = new_starts + keep + a_bwd
@@ -408,46 +392,43 @@ def _wire(stage, pid, rows):
     return block
 
 
-def _fronts(m, local, seglen, wire, counts=None):
-    """Per member ``(leavers, fwd_buf, bwd_buf)`` — plus, with ``counts``,
-    the count its ``_route_axis`` returns — from one hop's segments."""
+def _fronts(m, local, seglen, wire, counts):
+    """Per member ``(leavers, fwd_buf, bwd_buf, count)`` from one hop's
+    segments, ``count`` being what the member's ``_route_axis`` returns."""
     out = []
     a = 0
     ends = seglen.cumsum().tolist()
     for i in range(m):
         f, e = ends[2 * i], ends[2 * i + 1]
         if a == e:
-            front = NO_LEAVERS
+            out.append((*NO_LEAVERS, counts[i]))
         else:
-            front = (local[a:e], wire[a:f], wire[f:e])
+            out.append((local[a:e], wire[a:f], wire[f:e], counts[i]))
             a = e
-        out.append(front if counts is None else (*front, counts[i]))
     return out
 
 
-def exchange_wave(stage, counts, routes, mesh, sources=None) -> list[tuple]:
-    """The first exchange round of a fused group, for every member at once.
+def exchange_wave(stage, counts, routes, mesh, sources) -> list[tuple]:
+    """The first exchange round of a closed fused group, for every member
+    at once.
 
     ``stage`` holds the group's pushed x, y, vx, vy and q rows and, viewed
-    as int64, its pid row, members in order; ``counts`` gives their sizes
-    and ``routes`` their :class:`RankRoute`.  Returns one ``(xfront,
-    yfront, columns)`` per member, for the rank's exchange to use in place
-    of its own work (:func:`repro.parallel.base.exchange_particles`).
+    as int64, its pid row, members in order; ``counts`` gives their sizes,
+    ``routes`` their :class:`RankRoute` and ``sources`` (``(M, 4)``) the
+    member each member's x-bwd, x-fwd, y-bwd and y-fwd hop receives from.
+    The whole round runs as the per-rank path would run it: the x hop, the
+    y hop on the post-x populations, the tail-fill and arrival order of
+    ``compact(drop=)`` and ``extend_packed``.
 
-    Without ``sources`` only the x hop's front half runs: ``xfront`` is
-    element for element what :func:`repro.parallel.base.hop_front_half`
-    computes for the member alone (ascending leaver rows, then the leavers
-    owned forward and backward packed in row order), and the rest is None.
-
-    ``sources`` (``(M, 4)``: the member each member's x-bwd, x-fwd, y-bwd
-    and y-fwd hop receives from) says the group is closed, and then the
-    whole round runs as the per-rank path would run it: the x hop, the y
-    hop on the post-x populations, the tail-fill and arrival order of
-    ``compact(drop=)`` and ``extend_packed``.  Each front then also carries
-    the count its ``_route_axis`` returns (stray x arrivals, misplaced y
-    arrivals), and ``columns`` are the member's six post-round fields,
-    slices of one fresh block that the rank adopts
-    (:meth:`~repro.core.particles.ParticleArray.adopt`).
+    Returns one ``(xfront, yfront, columns)`` per member, for the rank's
+    exchange to use in place of its own work
+    (:func:`repro.parallel.base.exchange_particles`).  A front is element
+    for element what :func:`repro.parallel.base.hop_front_half` computes
+    for the member (ascending leaver rows, then the leavers owned forward
+    and backward packed in row order) plus the count its ``_route_axis``
+    returns (stray x arrivals, misplaced y arrivals); ``columns`` are the
+    member's six post-round fields, slices of one fresh block that the
+    rank adopts (:meth:`~repro.core.particles.ParticleArray.adopt`).
 
     Every wire buffer is a slice of one block allocated here, so it stays
     valid however long its message is in flight.
@@ -458,16 +439,6 @@ def exchange_wave(stage, counts, routes, mesh, sources=None) -> list[tuple]:
     n = int(starts[-1] + counts[-1])
     b = np.array([r.bounds for r in routes], dtype=np.int64).T
     pid = stage[5].view(np.int64)
-    if sources is None:
-        hop = _hop(stage[0, :n], counts, starts, *b[:4],
-                   [r.splits[0] for r in routes], mesh)
-        if hop is None:
-            return [(NO_LEAVERS, None, None)] * m
-        rows, mem, order, seglen = hop
-        wire = _wire(stage, pid, rows[order])
-        return [(f, None, None)
-                for f in _fronts(m, rows - starts[mem], seglen, wire)]
-
     layout = None  # the stage row of every current row; None: the identity
     cnt, st = counts, starts
     hops = []
@@ -501,9 +472,10 @@ def exchange_wave(stage, counts, routes, mesh, sources=None) -> list[tuple]:
         a += len(recv)
         # The settlement count on the arrivals: off the receiver's x block,
         # and for the y hop off its y block too.
-        bad = _off_block(w[:, 0], b[0][recv], b[1][recv], mesh)
-        if axis:
-            bad |= _off_block(w[:, 1], b[4][recv], b[5][recv], mesh)
+        bad = np.zeros(len(recv), dtype=bool)
+        for ax in range(axis + 1):
+            lo, hi = b[4 * ax][recv], b[4 * ax + 1][recv]
+            bad[_outside(w[:, ax], lo, hi, mesh)[0]] = True
         stray = np.bincount(recv[bad], minlength=m).tolist()
         fronts.append(_fronts(m, local, seglen, w, stray))
     block = stage[:, :n].copy() if layout is None else np.take(stage, layout, axis=1)
@@ -549,8 +521,7 @@ class InProcessExecutor(Executor):
     group is packed, in park order, into chunks of at most
     :data:`KERNEL_BLOCK` particles; each chunk's field arrays are staged
     contiguously, advanced with a single kernel call and copied back per
-    task, and a chunk of at least ``WAVE_MIN_MEMBERS`` gets its first x
-    hop's front half from the same :func:`exchange_wave`.  Elementwise
+    task, and its members run their whole exchange per rank.  Elementwise
     kernels are chunk-boundary-agnostic, so the fusion is bitwise exact.
     Both ``executor.kind`` values ``serial`` and ``batched`` build this
     class.
@@ -610,8 +581,8 @@ class InProcessExecutor(Executor):
             if chunk:
                 self._run_chunk(backend, chunk, total)
 
-    def _staged(self, parts, total: int, pid: bool) -> np.ndarray:
-        """Copy ``parts``' x, y, vx, vy, q (and pid) into the stage."""
+    def _staged(self, parts, total: int) -> np.ndarray:
+        """Copy ``parts``' x, y, vx, vy and q into the stage."""
         if self._stage.shape[1] < total:
             self._stage = np.empty(
                 (STATE_FIELDS, max(total, KERNEL_BLOCK)), dtype=np.float64
@@ -622,8 +593,6 @@ class InProcessExecutor(Executor):
         np.concatenate([p.vx for p in parts], out=stage[2, :total])
         np.concatenate([p.vy for p in parts], out=stage[3, :total])
         np.concatenate([p.q for p in parts], out=stage[4, :total])
-        if pid:
-            np.concatenate([p.pid for p in parts], out=stage[5, :total].view(np.int64))
         return stage
 
     def _settle(self, backend: str, members) -> bool:
@@ -641,15 +610,17 @@ class InProcessExecutor(Executor):
             return False
         tasks = [t for _, t, _ in members]
         routes = [t.route for t in tasks]
-        sources = _closed_sources([r for r, _, _ in members], routes)
-        if sources is None:
+        closed = _closed_sources([r for r, _, _ in members], routes)
+        if closed is None:
             return False
         self.fused_tasks += m
-        stage = self._staged([t.particles for t in tasks], total, pid=True)
+        parts = [t.particles for t in tasks]
+        stage = self._staged(parts, total)
+        np.concatenate([p.pid for p in parts], out=stage[5, :total].view(np.int64))
         self._push(backend, members, total, stage)
         counts = [n for _, _, n in members]
         for t, first in zip(
-            tasks, exchange_wave(stage, counts, routes, tasks[0].mesh, sources)
+            tasks, exchange_wave(stage, counts, routes, tasks[0].mesh, closed)
         ):
             t.first = first
         return True
@@ -661,12 +632,8 @@ class InProcessExecutor(Executor):
             self._push(backend, chunk, total)
             return
         self.fused_tasks += len(chunk)
-        tasks = [t for _, t, _ in chunk]
-        parts = [t.particles for t in tasks]
-        wave = len(chunk) >= WAVE_MIN_MEMBERS and all(
-            t.route is not None and t.route.bounds[3] > 1 for t in tasks
-        )
-        stage = self._staged(parts, total, pid=wave)
+        parts = [t.particles for _, t, _ in chunk]
+        stage = self._staged(parts, total)
         self._push(backend, chunk, total, stage)
         x, y, vx, vy = stage[:4, :total]
         a = 0
@@ -677,14 +644,6 @@ class InProcessExecutor(Executor):
             p.vx[:] = vx[a:b]
             p.vy[:] = vy[a:b]
             a = b
-        if wave:
-            # The staged x is still hot: route every member's x leavers now.
-            fronts = exchange_wave(
-                stage, [n for _, _, n in chunk], [t.route for t in tasks],
-                tasks[0].mesh,
-            )
-            for t, first in zip(tasks, fronts):
-                t.first = first
 
     def _push(self, backend: str, chunk, total, stage=None) -> None:
         """Advance ``chunk`` — ``(rank, task, n)`` triples of one ``(mesh,

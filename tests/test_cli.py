@@ -632,14 +632,17 @@ class TestExecutorPrecedence:
     ({}, ["campaign", "{decl}", "--jobs", "2", "--io-batch", "0"]),
     ({}, ["campaign", "{decl}", "--heartbeat-timeout", "0"]),
     ({}, ["run", "--executor", "process", "--workers", "-1", "--steps", "1"]),
-], ids=["env-executor", "io-batch", "heartbeat-timeout", "workers"])
+    ({}, ["trace", "--out", "{file}"]),
+], ids=["env-executor", "io-batch", "heartbeat-timeout", "workers", "trace-out-file"])
 def test_bad_outside_input_is_a_clean_error(env, argv, tmp_path, capsys, monkeypatch):
     """Bad values from the environment or the command line print one
     ``error:`` line and exit 2, never a traceback."""
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     decl = TestCampaignCLI()._declaration(tmp_path)
-    rc = main([arg.format(decl=decl) for arg in argv])
+    taken = tmp_path / "taken"
+    taken.write_text("an existing file\n")
+    rc = main([arg.format(decl=decl, file=taken) for arg in argv])
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: ") and "Traceback" not in err
