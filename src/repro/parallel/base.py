@@ -458,15 +458,17 @@ class ParallelPICBase:
                 # processes (bitwise-identical either way — see
                 # repro.runtime.executor).  The task also carries the rank's
                 # exchange route, so a fusing executor may run the first
-                # exchange round for the whole group (task.first).
+                # exchange round for the whole group (task.first) and the
+                # scheduler clock it (task.clocked).
                 task = PushTask(
-                    mesh, state.particles, spec.dt, route=state.route(cart)
+                    mesh, state.particles, spec.dt, route=state.route(cart, cost)
                 )
                 yield comm.compute(step_cost, task=task)
                 state.pushes += n_local
                 state.particles = yield from exchange_particles(
                     comm, cart, state.partition, mesh, state.particles, cost,
                     scratch=state.scratch, first=task.first,
+                    clocked=task.clocked,
                 )
                 yield from self.lb_hook(comm, cart, state, t)
                 if len(state.particles) > state.max_particles:
@@ -678,11 +680,11 @@ class _RankState:
     def __post_init__(self) -> None:
         self.max_particles = len(self.particles)
 
-    def route(self, cart: CartComm) -> RankRoute:
+    def route(self, cart: CartComm, cost: CostModel) -> RankRoute:
         """This rank's exchange route, rebuilt only when the partition
         changed."""
         if self._routed is not self.partition:
-            self._route = _rank_route(self.partition, cart)
+            self._route = _rank_route(self.partition, cart, cost)
             self._routed = self.partition
         return self._route
 
@@ -757,8 +759,9 @@ class ExchangeScratch:
         return rows, cells
 
 
-def _rank_route(partition: BlockPartition, cart: CartComm) -> RankRoute:
-    """The rank's block, grid position and source neighbours per axis."""
+def _rank_route(partition: BlockPartition, cart: CartComm, cost=None) -> RankRoute:
+    """The rank's block, grid position and source neighbours per axis, and
+    the cost model its exchange prices with."""
     bounds = []
     sources = []
     for axis, splits in enumerate((partition.xsplits, partition.ysplits)):
@@ -766,7 +769,8 @@ def _rank_route(partition: BlockPartition, cart: CartComm) -> RankRoute:
         bounds += [int(splits[i]), int(splits[i + 1]), i, cart.dims[axis]]
         sources += [cart.world_ranks[cart.shift(axis, d)[0]] for d in (1, -1)]
     return RankRoute(
-        tuple(bounds), (partition.xsplits, partition.ysplits), tuple(sources)
+        tuple(bounds), (partition.xsplits, partition.ysplits), tuple(sources),
+        cost,
     )
 
 
@@ -779,6 +783,7 @@ def exchange_particles(
     cost: CostModel,
     scratch: ExchangeScratch | None = None,
     first=None,
+    clocked: bool = False,
 ):
     """Route particles to their owning rank (generator; returns the new set).
 
@@ -797,7 +802,12 @@ def exchange_particles(
     (:attr:`PushTask.first`, :func:`repro.runtime.executor.exchange_wave`):
     each hop's front half with its count, and the post-round population,
     which the rank adopts here.  The round yields the same ops, costs and
-    payloads as without it.
+    payloads as without it.  With ``clocked`` the scheduler has already
+    charged those ops for the whole wave
+    (:func:`repro.runtime.executor.clock_round`, which mirrors
+    :func:`_route_axis`'s op template): the round yields nothing, its
+    counts come from the fronts, and the rank goes straight to the
+    settlement allreduce.  Later rounds always run here.
     """
     my_px, my_py = cart.coords
     px, py = cart.px, cart.py
@@ -812,21 +822,25 @@ def exchange_particles(
     while True:
         # Residents a hop keeps are proven on-block along its axis, so only
         # arrivals can be misplaced: the x hop's on x, the y hop's on both.
-        stray_x = misplaced = 0
-        if px > 1:
-            stray_x = yield from _route_axis(
-                comm, cart, particles, mesh, cost, scratch,
-                splits=partition.xsplits, my_index=my_px, n_index=px, axis=0,
-                tag_fwd=TAG_X_RIGHT, tag_bwd=TAG_X_LEFT, ranges=(x_range,),
-                front=xfront,
-            )
-        if py > 1:
-            misplaced = yield from _route_axis(
-                comm, cart, particles, mesh, cost, scratch,
-                splits=partition.ysplits, my_index=my_py, n_index=py, axis=1,
-                tag_fwd=TAG_Y_UP, tag_bwd=TAG_Y_DOWN, ranges=(x_range, y_range),
-                front=yfront,
-            )
+        if clocked:
+            stray_x, misplaced = xfront[3], yfront[3]
+            clocked = False
+        else:
+            stray_x = misplaced = 0
+            if px > 1:
+                stray_x = yield from _route_axis(
+                    comm, cart, particles, mesh, cost, scratch,
+                    splits=partition.xsplits, my_index=my_px, n_index=px,
+                    axis=0, tag_fwd=TAG_X_RIGHT, tag_bwd=TAG_X_LEFT,
+                    ranges=(x_range,), front=xfront,
+                )
+            if py > 1:
+                misplaced = yield from _route_axis(
+                    comm, cart, particles, mesh, cost, scratch,
+                    splits=partition.ysplits, my_index=my_py, n_index=py,
+                    axis=1, tag_fwd=TAG_Y_UP, tag_bwd=TAG_Y_DOWN,
+                    ranges=(x_range, y_range), front=yfront,
+                )
         xfront = yfront = None
         if stray_x:
             # Multi-hop case: an x arrival is still off-block and may or may
@@ -905,7 +919,8 @@ def _route_axis(
     payload sizes are identical to the historical copy-based hop (a
     payload is priced by :func:`record_nbytes`, not by its 6-column
     buffer); the order of particles within the rank is not (tail-fill
-    compaction).
+    compaction).  :func:`repro.runtime.executor.clock_round` replays this
+    op template for a whole settled wave: change both or neither.
     """
     if front is None:
         leavers, fwd_buf, bwd_buf = hop_front_half(

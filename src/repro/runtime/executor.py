@@ -26,8 +26,9 @@ traces (``tests/parallel/test_executor_determinism.py``):
     *rank* — which is where many-small-rank configs (the strong-scaling
     and AMPI VP sweeps) spend their wall clock.  For a closed group of
     small ranks the executor also settles their whole first exchange
-    round in one pass (:func:`exchange_wave`); every other rank runs its
-    exchange itself.
+    round in one pass (:func:`exchange_wave`), and the scheduler may clock
+    that round's ops for the whole group at once (:func:`clock_round`);
+    every other rank runs its exchange itself.
 
 ``process``
     A persistent ``multiprocessing`` worker pool operating on
@@ -76,13 +77,15 @@ from repro.core.kernel import (
 )
 from repro.core.kernel_compiled import advance_arrays_compiled
 from repro.core.mesh import Mesh
-from repro.core.particles import STATE_FIELDS
+from repro.core.particles import STATE_FIELDS, record_nbytes
 from repro.runtime.errors import ExecutorWorkerLostError, exit_cause
 
 __all__ = [
     "PushTask",
     "RankRoute",
     "exchange_wave",
+    "SettledWave",
+    "clock_round",
     "Executor",
     "BatchHandle",
     "InProcessExecutor",
@@ -107,17 +110,21 @@ class RankRoute:
     the rank's block ``[lo, hi)`` and its processor index and count along
     each axis.  ``splits`` holds the two axes' split vectors and
     ``sources`` the world ranks its ``(x bwd, x fwd, y bwd, y fwd)`` hops
-    receive from (its own rank along an axis of one processor).  Ranks
-    build one per partition and reuse it every step
+    receive from (its own rank along an axis of one processor).  ``cost``
+    is the :class:`~repro.runtime.costmodel.CostModel` the rank's exchange
+    prices its pack computes and wire bytes with (None: the round cannot
+    be clocked in bulk, :func:`clock_round`).  Ranks build one per
+    partition and reuse it every step
     (:meth:`repro.parallel.base._RankState.route`).
     """
 
-    __slots__ = ("bounds", "splits", "sources")
+    __slots__ = ("bounds", "splits", "sources", "cost")
 
-    def __init__(self, bounds, splits, sources) -> None:
+    def __init__(self, bounds, splits, sources, cost=None) -> None:
         self.bounds = bounds
         self.splits = splits
         self.sources = sources
+        self.cost = cost
 
 
 class PushTask:
@@ -129,7 +136,7 @@ class PushTask:
     serial reference semantics.
     """
 
-    __slots__ = ("mesh", "particles", "dt", "route", "first")
+    __slots__ = ("mesh", "particles", "dt", "route", "first", "clocked")
 
     def __init__(self, mesh: Mesh, particles, dt: float, route=None):
         self.mesh = mesh
@@ -142,6 +149,10 @@ class PushTask:
         #: That round's result for this rank, ``(xfront, yfront, columns)``,
         #: when an executor settled it; None means the exchange runs it.
         self.first = None
+        #: True once the scheduler has clocked that round's ops for the
+        #: whole wave (:func:`clock_round`): the exchange then only adopts
+        #: the round's result and joins the settlement allreduce.
+        self.clocked = False
 
     def run(self, workspace: KernelWorkspace | None = None) -> None:
         # Dynamic module-attribute call so the layered benchmark's tracer
@@ -408,7 +419,7 @@ def _fronts(m, local, seglen, wire, counts):
     return out
 
 
-def exchange_wave(stage, counts, routes, mesh, sources) -> list[tuple]:
+def exchange_wave(stage, counts, routes, mesh, sources) -> tuple[list, np.ndarray]:
     """The first exchange round of a closed fused group, for every member
     at once.
 
@@ -420,15 +431,19 @@ def exchange_wave(stage, counts, routes, mesh, sources) -> list[tuple]:
     y hop on the post-x populations, the tail-fill and arrival order of
     ``compact(drop=)`` and ``extend_packed``.
 
-    Returns one ``(xfront, yfront, columns)`` per member, for the rank's
-    exchange to use in place of its own work
-    (:func:`repro.parallel.base.exchange_particles`).  A front is element
-    for element what :func:`repro.parallel.base.hop_front_half` computes
-    for the member (ascending leaver rows, then the leavers owned forward
-    and backward packed in row order) plus the count its ``_route_axis``
-    returns (stray x arrivals, misplaced y arrivals); ``columns`` are the
-    member's six post-round fields, slices of one fresh block that the
-    rank adopts (:meth:`~repro.core.particles.ParticleArray.adopt`).
+    Returns ``(firsts, lengths)``.  ``firsts`` holds one ``(xfront,
+    yfront, columns)`` per member, for the rank's exchange to use in place
+    of its own work (:func:`repro.parallel.base.exchange_particles`).  A
+    front is element for element what
+    :func:`repro.parallel.base.hop_front_half` computes for the member
+    (ascending leaver rows, then the leavers owned forward and backward
+    packed in row order) plus the count its ``_route_axis`` returns (stray
+    x arrivals, misplaced y arrivals); ``columns`` are the member's six
+    post-round fields, slices of one fresh block that the rank adopts
+    (:meth:`~repro.core.particles.ParticleArray.adopt`).
+    ``lengths`` (``(M, 4)``) counts each member's x-forward, x-backward,
+    y-forward and y-backward wire buffer — all the round's timing needs
+    (:func:`clock_round`).
 
     Every wire buffer is a slice of one block allocated here, so it stays
     valid however long its message is in flight.
@@ -441,6 +456,7 @@ def exchange_wave(stage, counts, routes, mesh, sources) -> list[tuple]:
     pid = stage[5].view(np.int64)
     layout = None  # the stage row of every current row; None: the identity
     cnt, st = counts, starts
+    lengths = np.zeros((m, 4), dtype=np.int64)
     hops = []
     for axis in (0, 1):
         lo, hi, index, n_index = b[4 * axis : 4 * axis + 4]
@@ -457,6 +473,7 @@ def exchange_wave(stage, counts, routes, mesh, sources) -> list[tuple]:
             if layout is not None:
                 moved = layout[moved]
             layout = perm if layout is None else layout[perm]
+            lengths[:, 2 * axis : 2 * axis + 2] = seglen.reshape(m, 2)
             hop = (moved, seglen, local, recv)
         hops.append(hop)
     moved = [h[0] for h in hops if h is not None]
@@ -486,7 +503,7 @@ def exchange_wave(stage, counts, routes, mesh, sources) -> list[tuple]:
         rows = slice(a, a + k)  # slicing 1-D rows is ~3x cheaper than 2-D
         columns = (x[rows], y[rows], vx[rows], vy[rows], q[rows], pid[rows])
         out.append((fronts[0][i], fronts[1][i], columns))
-    return out
+    return out, lengths
 
 
 def _closed_sources(ranks, routes):
@@ -506,6 +523,156 @@ def _closed_sources(ranks, routes):
         return None
     src = where[src]
     return None if (src < 0).any() else src
+
+
+class SettledWave:
+    """A wave as :meth:`InProcessExecutor._settle` settled it, in the terms
+    the round's timing needs (:func:`clock_round`).
+
+    ``ranks`` lists the members' world ranks in park order, ``sources``
+    is :func:`_closed_sources`' ``(M, 4)`` array, ``lengths``
+    :func:`exchange_wave`'s ``(M, 4)`` buffer lengths, ``dims`` the
+    processor grid ``(px, py)`` and ``cost`` the members' exchange cost
+    model (:attr:`RankRoute.cost`).
+    """
+
+    __slots__ = ("ranks", "sources", "lengths", "dims", "cost")
+
+    def __init__(self, ranks, sources, lengths, dims, cost) -> None:
+        self.ranks = ranks
+        self.sources = sources
+        self.lengths = lengths
+        self.dims = dims
+        self.cost = cost
+
+
+def _occupy_all(st, seconds, hit) -> None:
+    """``Scheduler._occupy`` for every member at once.
+
+    ``st`` rows are the members' clocks, core-free times, core busy and
+    rank busy seconds; ``seconds`` is one charge (a float) for all or an
+    array of one per member.  A member charged 0.0 is left alone, as
+    there; ``hit`` marks the members whose core was occupied.
+    """
+    if isinstance(seconds, float):
+        if seconds == 0.0:
+            return
+        np.maximum(st[0], st[1], out=st[0])
+        st[0] += seconds
+        st[1] = st[0]
+        st[2:] += seconds
+        hit[:] = True
+        return
+    on = seconds != 0.0
+    end = np.maximum(st[0], st[1])
+    end += seconds
+    np.copyto(st[:2], end, where=on)
+    st[2:] += seconds  # busy seconds are >= 0: adding 0.0 keeps every bit
+    hit |= on
+
+
+def _round_links(sched, cores, sources):
+    """Latency and bandwidth, ``(M, 4)`` each, of the link every member's
+    four receives arrive over (``MachineModel.link`` of the sender's and
+    its cores), read through the scheduler's link table and kept for the
+    next wave of the same geometry."""
+    key = (cores, sources.tobytes())
+    cached = sched._round_links
+    if cached is not None and cached[0] == key:
+        return cached[1]
+    links, machine = sched._links, sched.machine
+    lat = np.empty(sources.shape)
+    bw = np.empty(sources.shape)
+    for i, row in enumerate(sources.tolist()):
+        for j, s in enumerate(row):
+            pair = (cores[s], cores[i])
+            link = links.get(pair)
+            if link is None:
+                link = links[pair] = machine.link(*pair)
+            lat[i, j], bw[i, j] = link.latency, link.bandwidth
+    sched._round_links = (key, (lat, bw))
+    return lat, bw
+
+
+def clock_round(sched, wave: SettledWave, cores: tuple) -> bool:
+    """Clock a settled wave's first exchange round for every member at
+    once, on ``sched`` (a :class:`~repro.runtime.scheduler.Scheduler`).
+
+    Each member runs the op template of ``_route_axis``'s round
+    (:func:`repro.parallel.base.exchange_particles`): per hop — x when
+    ``px > 1``, then y when ``py > 1`` — pack compute of its leavers,
+    ``sendrecv`` forward, ``sendrecv`` backward, unpack compute of its
+    arrivals.  Clocks, core clocks, core and rank busy seconds and the
+    transport's traffic counters move by the same IEEE operations, in the
+    same per-member order, as ``_occupy``, ``_do_send`` and
+    ``_complete_recv`` would move them; only the interleaving across
+    members differs, which ``cores`` (one per member, all distinct) makes
+    unobservable: a member's times depend only on its own ops and its
+    sources' send times.  The caller checks the rest of that premise
+    (``Scheduler._round_cores``).
+
+    One thing the interleaving does decide is the order in which cores
+    the scheduler has never occupied enter ``core_clock`` (and
+    ``core_busy``; checkpoints serialise both in that order).  The pump
+    occupies each member's core for the first time in member order when
+    that happens by the member's first send — its first or second op,
+    both run before the next member wakes — so those keys are inserted
+    here in member order.  A round that first occupies a new core later
+    than that, with another new core in play, changes nothing and returns
+    False: the pump clocks it.  Otherwise it returns True.
+    """
+    ranks, src, n = wave.ranks, wave.sources, wave.lengths
+    m = len(ranks)
+    clock, rank_busy = sched.clock, sched.rank_busy
+    core_clock, core_busy = sched.core_clock, sched.core_busy
+    st = np.array([
+        [clock[r] for r in ranks],
+        [core_clock.get(c, 0.0) for c in cores],
+        [core_busy.get(c, 0.0) for c in cores],
+        [rank_busy[r] for r in ranks],
+    ])
+    hit = np.zeros(m, dtype=bool)
+    lat, bw = _round_links(sched, cores, src)
+    cost = wave.cost  # the exchange's; message overheads are the scheduler's
+    send_s, recv_s = sched._send_overhead_s, sched._recv_overhead_s
+    messages = nbytes = 0
+    early = None  # the members occupied by their first send
+    for axis in (0, 1):
+        if wave.dims[axis] == 1:
+            continue
+        fwd, bwd = n[:, 2 * axis], n[:, 2 * axis + 1]
+        src_bwd, src_fwd = src[:, 2 * axis], src[:, 2 * axis + 1]
+        _occupy_all(st, cost.pack_time(fwd + bwd), hit)
+        # Forward buffers arrive from the backward source, backward ones
+        # from the forward source.
+        for j, out, sender in ((2 * axis, fwd, src_bwd), (2 * axis + 1, bwd, src_fwd)):
+            _occupy_all(st, send_s, hit)
+            if early is None:
+                early = hit.copy()
+            # cost.particle_wire_bytes(record_nbytes(len(buf))) per buffer
+            wire = (record_nbytes(out) * cost.particle_byte_scale).astype(np.int64)
+            t_avail = st[0][sender] + (lat[:, j] + wire[sender] / bw[:, j])
+            np.maximum(st[0], t_avail, out=st[0])
+            _occupy_all(st, recv_s, hit)
+            messages += m
+            nbytes += int(wire.sum())
+        _occupy_all(st, cost.pack_time(fwd[src_bwd] + bwd[src_fwd]), hit)
+    if early is not None and not early.all():
+        new = hit & ~np.fromiter(map(core_clock.__contains__, cores), bool, m)
+        if (new & ~early).any() and np.count_nonzero(new) > 1:
+            return False
+    for r, t, busy in zip(ranks, st[0].tolist(), st[3].tolist()):
+        clock[r] = t
+        rank_busy[r] = busy
+    for c, free, busy, h in zip(cores, st[1].tolist(), st[2].tolist(), hit.tolist()):
+        if h:  # new keys in member order, as the pump inserts them
+            core_clock[c] = free
+            core_busy[c] = busy
+    transport = sched.transport
+    transport._seq += messages
+    transport.messages_sent += messages
+    transport.bytes_sent += nbytes
+    return True
 
 
 class InProcessExecutor(Executor):
@@ -546,9 +713,13 @@ class InProcessExecutor(Executor):
         self._epoch: float | None = None
         self.batches = 0
         self.fused_tasks = 0
+        #: The last batch's settled wave (:class:`SettledWave`), or None;
+        #: the scheduler may clock its round in bulk (:func:`clock_round`).
+        self.wave: SettledWave | None = None
 
     def run_batch(self, batch: list[tuple[int, Any]]) -> None:
         self.batches += 1
+        self.wave = None
         default = self.kernel_backend
         bmap = self.backend_map
         # Grouping by backend keeps fusion sound per kernel: a mixed
@@ -610,7 +781,8 @@ class InProcessExecutor(Executor):
             return False
         tasks = [t for _, t, _ in members]
         routes = [t.route for t in tasks]
-        closed = _closed_sources([r for r, _, _ in members], routes)
+        ranks = [r for r, _, _ in members]
+        closed = _closed_sources(ranks, routes)
         if closed is None:
             return False
         self.fused_tasks += m
@@ -619,10 +791,12 @@ class InProcessExecutor(Executor):
         np.concatenate([p.pid for p in parts], out=stage[5, :total].view(np.int64))
         self._push(backend, members, total, stage)
         counts = [n for _, _, n in members]
-        for t, first in zip(
-            tasks, exchange_wave(stage, counts, routes, tasks[0].mesh, closed)
-        ):
+        firsts, lengths = exchange_wave(stage, counts, routes, tasks[0].mesh, closed)
+        for t, first in zip(tasks, firsts):
             t.first = first
+        self.wave = SettledWave(
+            ranks, closed, lengths, routes[0].bounds[3::4], routes[0].cost
+        )
         return True
 
     def _run_chunk(self, backend: str, chunk, total) -> None:

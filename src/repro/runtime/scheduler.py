@@ -33,6 +33,7 @@ from repro.runtime.errors import (
     DeadlockError,
     RuntimeConfigError,
 )
+from repro.runtime.executor import clock_round
 from repro.runtime.machine import MachineModel, TierCosts
 from repro.runtime.message import Message
 from repro.runtime.reduce_ops import ReduceOp
@@ -175,6 +176,9 @@ class Scheduler:
         #: first use.  Keyed by cores, not ranks: an AMPI migration changes
         #: a rank's core, never the tier joining two cores.
         self._links: dict[tuple[int, int], TierCosts] = {}
+        #: The last settled round's link prices, keyed by its cores and
+        #: sources (:func:`repro.runtime.executor.clock_round`).
+        self._round_links = None
         #: Optional :class:`repro.instrument.Tracer` — receives spans at
         #: every state transition.  Purely observational: emissions are
         #: guarded with ``is not None`` and never touch simulated state.
@@ -356,9 +360,26 @@ class Scheduler:
         whether or not anything actually overlapped, and simulated clocks
         were already charged at dispatch — wall-clock completion order
         can never leak into simulated time.
+
+        When the executor settled the batch as one wave holding every
+        unfinished rank (``InProcessExecutor.wave``) and
+        :meth:`_round_cores` admits it, the wave's first exchange round is
+        clocked for all members before anyone wakes
+        (:func:`~repro.runtime.executor.clock_round`): woken, each member
+        adopts its post-round rows and goes straight to the settlement
+        allreduce, so the round's ops never pass through the per-op pump.
+        Everything else — and this whole method without that step — is the
+        per-op pump, the oracle the bulk clocking must equal bit for bit.
         """
         batch, self._pending_exec = self._pending_exec, []
-        handle = self._get_executor().start_batch(batch)
+        executor = self._get_executor()
+        handle = executor.start_batch(batch)
+        wave = getattr(executor, "wave", None)
+        if wave is not None:
+            cores = self._round_cores(wave)
+            if cores is not None and clock_round(self, wave, cores):
+                for _, task in batch:
+                    task.clocked = True
         states = self._states
         for i, (r, _task) in enumerate(batch):
             handle.wait(i)
@@ -367,6 +388,40 @@ class Scheduler:
             for _ in range(len(ready)):
                 self._advance_one(ready)
         handle.finish()
+
+    def _round_cores(self, wave):
+        """The wave members' cores if its round may be clocked in bulk,
+        else None.
+
+        A member's clocks are a function of its own ops and its sources'
+        send times — whatever order the pump would interleave them in —
+        only when no other rank can touch its core or its mailbox and
+        nobody watches the order.  So the wave (a subset of the batch)
+        must hold every unfinished rank; every member must have a core of
+        its own (AMPI's virtual ranks share one) and no pending message (a
+        receive would match it first); no tracer, metrics registry or
+        resilience hook may be attached (they record or perturb the
+        interleaving); and the routes must say how the exchange prices
+        (``RankRoute.cost``).  :func:`~repro.runtime.executor.clock_round`
+        checks the one order left, that of new ``core_clock`` keys.
+        """
+        if (
+            self.tracer is not None
+            or self.metrics is not None
+            or self.resilience is not None
+            or wave.cost is None
+        ):
+            return None
+        ranks = wave.ranks
+        if len(ranks) != self.n_ranks - self._finished:
+            return None
+        cores = tuple(map(self.rank_to_core.__getitem__, ranks))
+        if len(set(cores)) != len(ranks):
+            return None
+        pending = self.transport._pending
+        if any(map(pending.__getitem__, ranks)):
+            return None
+        return cores
 
     # ------------------------------------------------------------------
     # Op dispatch

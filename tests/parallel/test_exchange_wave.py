@@ -12,8 +12,8 @@ per-rank path (:func:`repro.parallel.base.hop_front_half` plus
 
 * **Property** — the settled round equals the real per-rank round
   (``exchange_particles`` up to its settlement allreduce) byte for byte:
-  populations in row order, wire buffers, op sequence, stray and misplaced
-  counts — over uneven and disagreeing splits, multi-hop moves, empty
+  populations in row order, wire buffers and their lengths, op sequence,
+  stray and misplaced counts — over uneven and disagreeing splits, multi-hop moves, empty
   members, members whose particles all leave or all stay, ``px``/``py``
   in {1, 2, odd}, ``h != 1`` and up to 288 cells.
 * **Where it runs** — on a 64-rank fused run settled hops make no
@@ -195,9 +195,12 @@ def test_settled_round_equals_per_rank_round(seed, px, py, h, cells, sizes,
     routes = [want[r][0] for r in range(n_ranks)]
     sources = _closed_sources(list(range(n_ranks)), routes)
     assert sources is not None
-    firsts = exchange_wave(_stage(parts), [len(p) for p in parts], routes, mesh,
-                           sources)
+    firsts, lengths = exchange_wave(_stage(parts), [len(p) for p in parts],
+                                    routes, mesh, sources)
     for r, (xfront, yfront, columns) in enumerate(firsts):
+        # What the round's bulk timing reads: the four wire buffers' lengths.
+        assert lengths[r].tolist() == [len(xfront[1]), len(xfront[2]),
+                                       len(yfront[1]), len(yfront[2])]
         for axis, got in enumerate((xfront, yfront)):
             if (r, axis) not in counts:  # a grid of one rank along the axis
                 continue
@@ -222,8 +225,8 @@ def test_adopted_rows_never_reach_a_neighbour():
     parts = [_population(rng, mesh, 40, part, r // 2, r % 2, 3.0) for r in range(8)]
     want, _, _ = _first_round(mesh, (4, 2), parts, [part] * 8)
     routes = [want[r][0] for r in range(8)]
-    firsts = exchange_wave(_stage(parts), [40] * 8, routes, mesh,
-                           _closed_sources(list(range(8)), routes))
+    firsts, _ = exchange_wave(_stage(parts), [40] * 8, routes, mesh,
+                              _closed_sources(list(range(8)), routes))
     members = [ParticleArray.empty(0) for _ in range(8)]
     for p, (_, _, columns) in zip(members, firsts):
         p.adopt(columns)

@@ -5,7 +5,10 @@ Every simulated op passes through ``Scheduler._advance_one`` ->
 rank-step's wall clock.  These tests pin what it costs (a call count, so
 it repeats exactly on any host) and that its shortcuts — message prices
 read from a per-core-pair table, ``sendrecv`` matching without a
-``RecvOp`` — give the answers the long way gave.
+``RecvOp`` — give the answers the long way gave.  A settled exchange round
+skips the per-op path altogether (``repro.runtime.executor.clock_round``);
+the per-op budget is measured with that out of reach, and a second budget
+prices a whole rank-step with it.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import gc
 import itertools
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,10 +29,18 @@ from repro.runtime.executor import make_executor
 from repro.runtime.machine import Tier
 
 #: Python-level calls (``call`` + ``c_call`` profile events) per scheduler
-#: op on :data:`BUDGET_SPEC`.  This path reads 37.0 (16 ranks x 40
-#: particles x 10 steps, 1 374 ops); the parent read 49.8, ~48 on the
-#: pump_heavy shape.  Raise it only with a measurement that says why.
+#: op on :data:`BUDGET_SPEC` with every exchange round on the per-op path.
+#: It reads 32.1 (16 ranks x 40 particles x 10 steps, 1 374 ops); it was
+#: 49.8 before the per-core-pair link table, ~48 on the pump_heavy shape.
+#: Raise it only with a measurement that says why.
 CALLS_PER_OP_BUDGET = 40.0
+
+#: Python-level calls per rank-step (ranks x steps) of :data:`BUDGET_SPEC`
+#: as it runs: settled rounds clocked in bulk, 416 ops left on the per-op
+#: path.  It reads 127.7 (20 427 calls over 160 rank-steps; 275.3 with
+#: every round per op), so 150 leaves ~17 % headroom.  A change that trips
+#: it added calls to every rank-step or sent settled rounds back per op.
+CALLS_PER_RANK_STEP_BUDGET = 150.0
 
 BUDGET_SPEC = {
     "workload": {"cells": 32, "n_particles": 16 * 40, "steps": 10, "seed": 7},
@@ -40,7 +52,7 @@ def _calls_per_op(rs: RunSpec) -> tuple[int, int]:
     """``(calls, ops)`` of one engine run of ``rs``, counted by a profile hook.
 
     The executor is built here, not from the environment, so every CI leg
-    counts the same in-process path.
+    counts the same in-process path (and settles the same waves).
     """
     executor = make_executor("serial", kernel_backend="python")
     engine = build_impl(rs, executor=executor).build_engine()
@@ -69,10 +81,21 @@ def _calls_per_op(rs: RunSpec) -> tuple[int, int]:
 class TestCallBudget:
     def test_scheduler_op_stays_within_its_call_budget(self):
         rs = RunSpec.from_dict(BUDGET_SPEC)
-        _calls_per_op(rs)  # warm: first-use imports and buffers are not the pump
-        calls, ops = _calls_per_op(rs)
+        # Every round on the per-op path: no wave is clocked in bulk.
+        with mock.patch.object(Scheduler, "_round_cores", lambda *a: None):
+            _calls_per_op(rs)  # warm: first-use imports and buffers are not the pump
+            calls, ops = _calls_per_op(rs)
         assert ops > 1000  # the run really drove the pump
         assert calls / ops <= CALLS_PER_OP_BUDGET, (calls, ops, calls / ops)
+
+    def test_rank_step_stays_within_its_call_budget(self):
+        rs = RunSpec.from_dict(BUDGET_SPEC)
+        _calls_per_op(rs)  # warm
+        calls, ops = _calls_per_op(rs)
+        rank_steps = rs.impl.cores * rs.workload.steps
+        assert ops < 500  # settled rounds never reached the per-op path
+        assert calls / rank_steps <= CALLS_PER_RANK_STEP_BUDGET, (
+            calls, rank_steps, calls / rank_steps)
 
 
 #: Two nodes x two sockets x two cores: every tier appears among its pairs.
