@@ -46,13 +46,14 @@ from repro.core.mesh import Mesh
 from repro.core.particles import STATE_FIELDS
 from repro.core.spec import Distribution, PICSpec
 from repro.parallel import Mpi2dPIC
-from repro.parallel.base import ExchangeScratch, _count_misplaced, hop_front_half
 from repro.runtime import SUM, run_spmd
-from repro.runtime.executor import (
-    InProcessExecutor,
+from repro.runtime.exchange import (
     _closed_sources,
+    _count_misplaced,
     exchange_wave,
+    hop_front_half,
 )
+from repro.runtime.executor import InProcessExecutor
 
 
 @pytest.mark.parametrize("n", [1_000, 100_000])
@@ -203,12 +204,14 @@ def _exchange_report() -> None:
 
 #: (label, cores, particles) of the groups the wave table times, at 288
 #: cells: pump_heavy's, one just past one kernel block, one at the
-#: member cut-over, and churn_ckpt's 16 virtual ranks (4 x 4 on an
-#: ampi grid; the same populations on a 16-rank mpi-2d grid here).
+#: member cut-over, multiplex_32's four ranks per engine (below the cut,
+#: so run per rank) and churn_ckpt's 16 virtual ranks (4 x 4 on an ampi
+#: grid; the same populations on a 16-rank mpi-2d grid here).
 WAVE_SHAPES = (
     ("64 x 250 (pump_heavy)", 64, 16_000),
     ("64 x 312", 64, 20_000),
     ("8 x 250", 8, 2_000),
+    ("4 x 1000 (multiplex_32)", 4, 4_000),
     ("16 x 7500 (churn_ckpt)", 16, 120_000),
 )
 
@@ -232,22 +235,22 @@ def _first_batch(cores: int, n: int):
     return mesh, captured
 
 
-def _per_rank_round(mesh, parts, routes, where, scratches) -> None:
+def _per_rank_round(mesh, parts, routes, where) -> None:
     """The array work of ``exchange_particles``' first round, rank by rank:
     each hop's front half, then tail-fill, arrivals and their count."""
     for axis in (0, 1):
         fronts = []
-        for p, r, s in zip(parts, routes, scratches):
+        for p, r in zip(parts, routes):
             b = r.bounds[4 * axis : 4 * axis + 4]
             if b[3] == 1:
                 break
             fronts.append(hop_front_half(
-                p, mesh, s, splits=r.splits[axis], my_index=b[2], n_index=b[3],
+                p, mesh, splits=r.splits[axis], my_index=b[2], n_index=b[3],
                 axis=axis, rng=b[:2],
             ))
         if not fronts:
             continue
-        for p, r, s, front in zip(parts, routes, scratches, fronts):
+        for p, r, front in zip(parts, routes, fronts):
             if len(front[0]):
                 p.compact(drop=front[0])
             n_kept = len(p)
@@ -256,7 +259,7 @@ def _per_rank_round(mesh, parts, routes, where, scratches) -> None:
             if len(p) > n_kept:
                 b = r.bounds
                 ranges = ((b[0], b[1]),) if axis == 0 else ((b[0], b[1]), (b[4], b[5]))
-                _count_misplaced(s, mesh, p.x[n_kept:], p.y[n_kept:], *ranges)
+                _count_misplaced(mesh, p.x[n_kept:], p.y[n_kept:], *ranges)
 
 
 def _wave_report(reps: int = 20) -> None:
@@ -281,7 +284,6 @@ def _wave_report(reps: int = 20) -> None:
         for row, name in enumerate(("x", "y", "vx", "vy", "q")):
             stage[row] = np.concatenate([getattr(p, name) for p in pushed])
         hot = stage[:5].copy()
-        scratches = [ExchangeScratch() for _ in batch]
         state: dict = {}
 
         def restore():
@@ -297,14 +299,13 @@ def _wave_report(reps: int = 20) -> None:
                 p.vx[:] = hot[2, a:b]
                 p.vy[:] = hot[3, a:b]
                 a = b
-            _per_rank_round(mesh, parts, routes, where, scratches)
+            _per_rank_round(mesh, parts, routes, where)
 
         def wave():
             parts = state["parts"]
             np.concatenate([p.pid for p in parts], out=stage[5].view(np.int64))
-            for p, (_, _, columns) in zip(
-                parts, exchange_wave(stage, counts, routes, mesh, sources)
-            ):
+            firsts, _ = exchange_wave(stage, counts, routes, mesh, sources)
+            for p, (_, _, columns) in zip(parts, firsts):
                 p.adopt(columns)
 
         slow = _best_call_us(per_rank, restore, reps)

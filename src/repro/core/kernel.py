@@ -125,12 +125,14 @@ KERNEL_BLOCK = 16384
 
 #: Fewest members a closed fused group needs before the executor settles
 #: its first exchange round for all of them at once (``exchange_wave`` in
-#: :mod:`repro.runtime.executor`) instead of once per rank.  The whole
-#: round per group against the per-rank round (``bench_kernel_micro.py``'s
-#: wave table): 652 vs 3173 us at 64 x 250 particles, 246 vs 702 us at
-#: 8 x 250.  At 2 and 4 members an earlier wave (the x hop's front half
-#: only) resolved no end-to-end gain and raised peak RSS 2-3 MB, so those
-#: shapes stay per rank.
+#: :mod:`repro.runtime.exchange`) instead of once per rank.  The round's
+#: array work alone favours the wave down to the smallest groups
+#: (``bench_kernel_micro.py``'s wave table, 2-vCPU host, best of 20): 4.5 vs
+#: 0.8 ms at 64 x 250 particles, 0.50 vs 0.19 ms at 8 x 250, 0.27 vs
+#: 0.19 ms at multiplex_32's 4 x 1000.  End to end the smallest groups do
+#: not pay: with no member cut, ``multiplex_32`` (4 members per group) read
+#: 3.62 -> 4.06 s (4 alternating pairs, 1 of 4 faster), so groups below 8
+#: members stay per rank.
 WAVE_MIN_MEMBERS = 8
 
 #: Most particles per member, on average, a fused group may hold for the

@@ -9,23 +9,9 @@ and exposes two hooks that the load-balanced variants override:
 * :meth:`ParallelPICBase.lb_hook` — after each step's particle exchange, may
   return a new partition (and must then re-route particles).
 
-Particle exchange is the multi-hop x-then-y routing described in DESIGN.md:
-each iteration forwards misplaced particles one processor column/row toward
-their owner (periodic, shorter direction), then an allreduce checks global
-settlement.  For the paper's workloads (``2k+1`` smaller than any block
-width) a single iteration suffices, reproducing the baseline's
-nearest-neighbor communication structure.
-
-Hot-path note (docs/performance.md): the exchange mutates the rank's
-:class:`ParticleArray` in place (``compact`` / ``extend_packed``) and packs
-departures into per-rank reused wire buffers (:class:`ExchangeScratch`), so
-a settled step — the common case — performs zero full-population array
-allocations.  A step with migration makes one range-test pass per axis and
-then works on the leavers and arrivals only: index-based packing, tail-fill
-compaction, an arrival-only settlement count.  The order of particles within
-a rank is therefore implementation-defined (but deterministic).  None of
-this changes simulated time, message counts or payload sizes: the
-golden-trace and differential suites pin that exactly.
+The per-step particle exchange lives in :mod:`repro.runtime.exchange`;
+the drivers call it through this module's ``exchange_particles`` attribute,
+so a harness that wraps it here sees every exchange.
 """
 
 from __future__ import annotations
@@ -40,7 +26,7 @@ from repro.core import events as ev
 from repro.core import verification
 from repro.core.initialization import initialize
 from repro.core.mesh import Mesh
-from repro.core.particles import STATE_FIELDS, ParticleArray, record_nbytes
+from repro.core.particles import ParticleArray
 from repro.core.spec import InjectionEvent, PICSpec
 from repro.decomp.grid import factor_2d, grid_fits_mesh
 from repro.decomp.partition import BlockPartition
@@ -48,7 +34,8 @@ from repro.runtime.cart import CartComm
 from repro.runtime.comm import Comm
 from repro.runtime.costmodel import CostModel
 from repro.runtime.errors import RuntimeConfigError
-from repro.runtime.executor import EMPTY_WIRE, NO_LEAVERS, PushTask, RankRoute
+from repro.runtime.exchange import RankRoute, _rank_route, exchange_particles
+from repro.runtime.executor import PushTask
 from repro.runtime.machine import MachineModel
 from repro.runtime.reduce_ops import MAX, SUM
 from repro.runtime.scheduler import Scheduler
@@ -61,11 +48,7 @@ from repro.config.runspec import (
     RunSpec,
 )
 
-# Message tags of the particle-exchange protocol.
-TAG_X_RIGHT = 101
-TAG_X_LEFT = 102
-TAG_Y_UP = 103
-TAG_Y_DOWN = 104
+#: Message tag of the diffusion LB's subgrid shipment (``mpi2d_lb``).
 TAG_SUBGRID = 110
 
 
@@ -460,15 +443,12 @@ class ParallelPICBase:
                 # exchange route, so a fusing executor may run the first
                 # exchange round for the whole group (task.first) and the
                 # scheduler clock it (task.clocked).
-                task = PushTask(
-                    mesh, state.particles, spec.dt, route=state.route(cart, cost)
-                )
+                task = PushTask(mesh, state.particles, spec.dt, route=state.route(cart))
                 yield comm.compute(step_cost, task=task)
                 state.pushes += n_local
                 state.particles = yield from exchange_particles(
                     comm, cart, state.partition, mesh, state.particles, cost,
-                    scratch=state.scratch, first=task.first,
-                    clocked=task.clocked,
+                    first=task.first, clocked=task.clocked,
                 )
                 yield from self.lb_hook(comm, cart, state, t)
                 if len(state.particles) > state.max_particles:
@@ -517,7 +497,7 @@ class ParallelPICBase:
             "max_particles": state.max_particles,
             "pushes": state.pushes,
             # Numeric hook bookkeeping (LB accumulators, forced-round
-            # cursors); communicators and scratch are rebuilt on resume.
+            # cursors); communicators are rebuilt on resume.
             "extra": {
                 k: v
                 for k, v in state.extra.items()
@@ -668,8 +648,6 @@ class _RankState:
     #: Per-rank RNG stream, seeded from (spec.seed, rank) and checkpointed
     #: via the PUP blob so resumed runs continue the identical sequence.
     rng: Any = None
-    #: Reusable exchange buffers (wire + range-test scratch) for this rank.
-    scratch: "ExchangeScratch" = field(default_factory=lambda: ExchangeScratch())
     #: Scratch slot for subclass hooks (sub-communicators, LB bookkeeping).
     extra: dict[str, Any] = field(default_factory=dict)
 
@@ -680,281 +658,11 @@ class _RankState:
     def __post_init__(self) -> None:
         self.max_particles = len(self.particles)
 
-    def route(self, cart: CartComm, cost: CostModel) -> RankRoute:
+    def route(self, cart: CartComm) -> RankRoute:
         """This rank's exchange route, rebuilt only when the partition
         changed."""
         if self._routed is not self.partition:
-            self._route = _rank_route(self.partition, cart, cost)
+            self._route = _rank_route(self.partition, cart)
             self._routed = self.partition
         return self._route
 
-
-# ----------------------------------------------------------------------
-# Particle exchange
-# ----------------------------------------------------------------------
-class ExchangeScratch:
-    """Per-rank reusable buffers backing the zero-churn particle exchange.
-
-    One instance per SPMD rank (a field of :class:`_RankState`) — the
-    exchange generator yields control mid-flight, so a module-level
-    singleton would be clobbered by interleaved ranks.  Holds:
-
-    * four wire buffers, one per (axis, direction), that departures are
-      packed into with :meth:`ParticleArray.pack_into`.  A receiver copies
-      the payload out of the sender's buffer (``extend_packed``) before
-      joining the settlement allreduce, and the sender's next write to the
-      same buffer happens only after that allreduce — so reuse across hops
-      and steps never aliases an in-flight message;
-    * float / bool scratch for the one full-population pass a hop makes:
-      the ownership range test is computed with ``out=`` into these, so a
-      step in which no particle migrates allocates nothing, and a step in
-      which some do allocates only leaver-sized index arrays.
-    """
-
-    def __init__(self) -> None:
-        self._wire: dict[tuple[int, int], np.ndarray] = {}
-        self._flt = np.empty(0, dtype=np.float64)
-        self._out = np.empty(0, dtype=bool)
-        self._tmpb = np.empty(0, dtype=bool)
-
-    def wire(self, axis: int, direction: int, n: int) -> np.ndarray:
-        """The ``(capacity, 6)`` wire buffer for one axis/direction."""
-        buf = self._wire.get((axis, direction))
-        if buf is None or buf.shape[0] < n:
-            cap = max(n, 2 * (buf.shape[0] if buf is not None else 0), 16)
-            buf = np.empty((cap, STATE_FIELDS), dtype=np.float64)
-            self._wire[(axis, direction)] = buf
-        return buf
-
-    def outside(self, coord: np.ndarray, mesh: Mesh, lo: int, hi: int):
-        """Rows of ``coord`` whose cell lies outside ``[lo, hi)``.
-
-        Returns ``(rows, cells)``: ascending row indices and those rows'
-        ``mesh.cell_of`` values.  Rows are flagged straight from positions,
-        ``(v < lo) | (v >= hi)`` with ``v = coord / h`` — for ``v`` in
-        ``[0, cells)`` exactly ``floor(v)`` outside ``[lo, hi)`` — so the
-        floor, cast and periodic wrap run on the flagged rows only.  An
-        out-of-domain value (the ``x == L`` rounding edge) is always
-        flagged but may wrap to a cell inside the range, hence the re-test
-        of the flagged rows' cells.
-        """
-        n = len(coord)
-        if len(self._out) < n:
-            cap = max(n, 2 * len(self._out), 16)
-            self._flt = np.empty(cap, dtype=np.float64)
-            self._out = np.empty(cap, dtype=bool)
-            self._tmpb = np.empty(cap, dtype=bool)
-        # Division by 1.0 is a bitwise no-op.
-        v = coord if mesh.h == 1.0 else np.divide(coord, mesh.h, out=self._flt[:n])
-        out = np.less(v, lo, out=self._out[:n])
-        tmp = np.greater_equal(v, hi, out=self._tmpb[:n])
-        rows = np.logical_or(out, tmp, out=out).nonzero()[0]
-        if not len(rows):
-            return rows, rows
-        cells = np.floor(v[rows]).astype(np.int64)
-        np.mod(cells, mesh.cells, out=cells)
-        off = (cells < lo) | (cells >= hi)
-        if np.count_nonzero(off) != len(rows):
-            rows, cells = rows[off], cells[off]
-        return rows, cells
-
-
-def _rank_route(partition: BlockPartition, cart: CartComm, cost=None) -> RankRoute:
-    """The rank's block, grid position and source neighbours per axis, and
-    the cost model its exchange prices with."""
-    bounds = []
-    sources = []
-    for axis, splits in enumerate((partition.xsplits, partition.ysplits)):
-        i = cart.coords[axis]
-        bounds += [int(splits[i]), int(splits[i + 1]), i, cart.dims[axis]]
-        sources += [cart.world_ranks[cart.shift(axis, d)[0]] for d in (1, -1)]
-    return RankRoute(
-        tuple(bounds), (partition.xsplits, partition.ysplits), tuple(sources),
-        cost,
-    )
-
-
-def exchange_particles(
-    comm: Comm,
-    cart: CartComm,
-    partition: BlockPartition,
-    mesh: Mesh,
-    particles: ParticleArray,
-    cost: CostModel,
-    scratch: ExchangeScratch | None = None,
-    first=None,
-    clocked: bool = False,
-):
-    """Route particles to their owning rank (generator; returns the new set).
-
-    Each iteration performs one hop of x routing (both directions) and one
-    hop of y routing, then checks global settlement with an allreduce.
-    Routing direction per particle is the shorter periodic way around.
-
-    ``particles`` is mutated in place (tail-fill compact + extend into its
-    pooled backing storage) and also returned, preserving the original
-    return-the-new-set contract.  A hop makes one range-test pass over the
-    population per axis; everything after it — owner lookup, packing,
-    compaction, the settlement count — touches only the particles that
-    leave or arrive.
-
-    ``first`` is the first round as the executor settled it
-    (:attr:`PushTask.first`, :func:`repro.runtime.executor.exchange_wave`):
-    each hop's front half with its count, and the post-round population,
-    which the rank adopts here.  The round yields the same ops, costs and
-    payloads as without it.  With ``clocked`` the scheduler has already
-    charged those ops for the whole wave
-    (:func:`repro.runtime.executor.clock_round`, which mirrors
-    :func:`_route_axis`'s op template): the round yields nothing, its
-    counts come from the fronts, and the rank goes straight to the
-    settlement allreduce.  Later rounds always run here.
-    """
-    my_px, my_py = cart.coords
-    px, py = cart.px, cart.py
-    if scratch is None:
-        scratch = ExchangeScratch()
-    x_range = partition.x_range(my_px)
-    y_range = partition.y_range(my_py)
-    xfront = yfront = None
-    if first is not None:
-        xfront, yfront, columns = first
-        particles.adopt(columns)
-    while True:
-        # Residents a hop keeps are proven on-block along its axis, so only
-        # arrivals can be misplaced: the x hop's on x, the y hop's on both.
-        if clocked:
-            stray_x, misplaced = xfront[3], yfront[3]
-            clocked = False
-        else:
-            stray_x = misplaced = 0
-            if px > 1:
-                stray_x = yield from _route_axis(
-                    comm, cart, particles, mesh, cost, scratch,
-                    splits=partition.xsplits, my_index=my_px, n_index=px,
-                    axis=0, tag_fwd=TAG_X_RIGHT, tag_bwd=TAG_X_LEFT,
-                    ranges=(x_range,), front=xfront,
-                )
-            if py > 1:
-                misplaced = yield from _route_axis(
-                    comm, cart, particles, mesh, cost, scratch,
-                    splits=partition.ysplits, my_index=my_py, n_index=py,
-                    axis=1, tag_fwd=TAG_Y_UP, tag_bwd=TAG_Y_DOWN,
-                    ranges=(x_range, y_range), front=yfront,
-                )
-        xfront = yfront = None
-        if stray_x:
-            # Multi-hop case: an x arrival is still off-block and may or may
-            # not have left again along y — recount the whole population.
-            misplaced = _count_misplaced(
-                scratch, mesh, particles.x, particles.y, x_range, y_range
-            )
-        total = yield comm.allreduce(misplaced, op=SUM)
-        if total == 0:
-            return particles
-
-
-def _count_misplaced(scratch, mesh, x, y, x_range, y_range=None) -> int:
-    """How many of the positions ``(x, y)`` lie outside the rank's block.
-
-    A particle is misplaced iff its cell column is outside ``x_range`` or
-    its cell row is outside ``y_range`` (not tested when ``None``) — exactly
-    ``owner_rank != cart.rank`` for a Cartesian-product partition, without
-    materializing per-particle owner indices.
-    """
-    bad, _ = scratch.outside(x, mesh, *x_range)
-    if y_range is not None:
-        bad_y, _ = scratch.outside(y, mesh, *y_range)
-        if len(bad_y):
-            bad = np.union1d(bad, bad_y)
-    return len(bad)
-
-
-def hop_front_half(particles, mesh, scratch, *, splits, my_index, n_index, axis, rng):
-    """Find and pack one rank's leavers along one axis.
-
-    Returns ``(leavers, fwd_buf, bwd_buf)``: the ascending rows whose cell
-    lies outside ``rng``, and those owned forward and backward (the
-    shorter periodic way) packed, in row order, into ``scratch``'s wire
-    buffers.  With :func:`_route_axis`'s back half this is the per-rank
-    path and the oracle of :func:`repro.runtime.executor.exchange_wave`,
-    which settles a closed fused group's whole first round at once.  It
-    serves everything the wave does not: the process executor, in-place
-    tasks, groups that are too small, too big or not closed, rounds >= 2
-    and LB exchanges.
-    """
-    if not len(particles):
-        return NO_LEAVERS
-    leavers, cells = scratch.outside(
-        particles.x if axis == 0 else particles.y, mesh, *rng
-    )
-    if not len(leavers):
-        return NO_LEAVERS
-    # Owner index and the shorter periodic direction, for the leavers only
-    # (an off-block particle never has dist == 0).
-    owner = splits.searchsorted(cells, "right") - 1
-    go_fwd = (owner - my_index) % n_index <= n_index // 2
-    fwd, bwd = leavers[go_fwd], leavers[~go_fwd]
-    fwd_buf = bwd_buf = EMPTY_WIRE
-    if len(fwd):
-        fwd_buf = particles.pack_into(fwd, scratch.wire(axis, 1, len(fwd)))
-    if len(bwd):
-        bwd_buf = particles.pack_into(bwd, scratch.wire(axis, -1, len(bwd)))
-    return leavers, fwd_buf, bwd_buf
-
-
-def _route_axis(
-    comm, cart, particles, mesh, cost, scratch,
-    *, splits, my_index, n_index, axis, tag_fwd, tag_bwd, ranges, front=None,
-):
-    """One forwarding hop along one axis (generator), in place.
-
-    ``ranges`` is the rank's ``(x_range,)`` for the x hop and ``(x_range,
-    y_range)`` for the y hop.  ``front`` is the hop as the executor settled
-    it, ``(leavers, fwd_buf, bwd_buf, count)``: the hop then only sends
-    and prices, its result already adopted.  Without it
-    :func:`hop_front_half` and the back half — compaction, arrivals, the
-    count — run here.  Returns how many *arrivals* lie outside any of the
-    ranges — kept residents cannot.  The sequence of simulated events —
-    pack compute, the two sendrecvs, unpack compute — and their costs and
-    payload sizes are identical to the historical copy-based hop (a
-    payload is priced by :func:`record_nbytes`, not by its 6-column
-    buffer); the order of particles within the rank is not (tail-fill
-    compaction).  :func:`repro.runtime.executor.clock_round` replays this
-    op template for a whole settled wave: change both or neither.
-    """
-    if front is None:
-        leavers, fwd_buf, bwd_buf = hop_front_half(
-            particles, mesh, scratch, splits=splits, my_index=my_index,
-            n_index=n_index, axis=axis, rng=ranges[axis],
-        )
-    else:
-        leavers, fwd_buf, bwd_buf, settled = front
-    if len(leavers):
-        yield comm.compute(cost.pack_time(len(leavers)))
-
-    src_bwd, dst_fwd = cart.shift(axis, 1)
-    src_fwd, dst_bwd = cart.shift(axis, -1)
-    from_bwd = yield comm.sendrecv(
-        fwd_buf, dst=dst_fwd, src=src_bwd, sendtag=tag_fwd, recvtag=tag_fwd,
-        nbytes=cost.particle_wire_bytes(record_nbytes(len(fwd_buf))),
-    )
-    from_fwd = yield comm.sendrecv(
-        bwd_buf, dst=dst_bwd, src=src_fwd, sendtag=tag_bwd, recvtag=tag_bwd,
-        nbytes=cost.particle_wire_bytes(record_nbytes(len(bwd_buf))),
-    )
-
-    n_in = len(from_bwd) + len(from_fwd)
-    if n_in:
-        yield comm.compute(cost.pack_time(n_in))
-    if front is not None:  # the back half's result is already adopted
-        return settled
-    if len(leavers):
-        particles.compact(drop=leavers)
-    if not n_in:
-        return 0
-    n_kept = len(particles)
-    particles.extend_packed(from_bwd)
-    particles.extend_packed(from_fwd)
-    return _count_misplaced(
-        scratch, mesh, particles.x[n_kept:], particles.y[n_kept:], *ranges
-    )

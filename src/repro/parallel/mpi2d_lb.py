@@ -196,6 +196,5 @@ class Mpi2dLbPIC(ParallelPICBase):
                     comm.wtime(), axis=axis, moved_cols=moved_cols,
                 )
         state.particles = yield from exchange_particles(
-            comm, cart, state.partition, self.mesh, state.particles, cost,
-            scratch=state.scratch,
+            comm, cart, state.partition, self.mesh, state.particles, cost
         )

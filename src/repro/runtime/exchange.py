@@ -1,0 +1,542 @@
+"""The particle exchange: routing every particle to its owning rank.
+
+Particle exchange is the multi-hop x-then-y routing described in DESIGN.md:
+each iteration forwards misplaced particles one processor column/row toward
+their owner (periodic, shorter direction), then an allreduce checks global
+settlement.  For the paper's workloads (``2k+1`` smaller than any block
+width) a single iteration suffices, reproducing the baseline's
+nearest-neighbor communication structure.
+
+Two paths compute a round, with one range test (:func:`_outside`):
+
+* per rank — :func:`exchange_particles` drives :func:`_route_axis` per
+  hop, whose front half (:func:`hop_front_half`) finds and packs the
+  rank's leavers.  It mutates the rank's :class:`ParticleArray` in place
+  (``compact`` / ``extend_packed``): one range-test pass over the
+  population per axis, then work on the leavers and arrivals only —
+  index-based packing into fresh wire arrays, tail-fill compaction, an
+  arrival-only settlement count;
+* per wave — :func:`exchange_wave` settles the first round of a closed
+  fused group (:mod:`repro.runtime.executor`) for every member at once,
+  element for element what the per-rank path would compute, which stays
+  its oracle.
+
+The order of particles within a rank is therefore implementation-defined
+(but deterministic).  None of this changes simulated time, message counts
+or payload sizes: the golden-trace and differential suites pin that
+exactly.  Both paths follow the leaver-only migration of Miller et al.
+(arXiv:2003.10406).
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+import numpy as np
+
+from repro.core.particles import STATE_FIELDS, record_nbytes
+from repro.runtime.reduce_ops import SUM
+
+if TYPE_CHECKING:
+    from repro.core.mesh import Mesh
+    from repro.core.particles import ParticleArray
+    from repro.decomp.partition import BlockPartition
+    from repro.runtime.cart import CartComm
+    from repro.runtime.comm import Comm
+    from repro.runtime.costmodel import CostModel
+
+# Message tags of the particle-exchange protocol.
+TAG_X_RIGHT = 101
+TAG_X_LEFT = 102
+TAG_Y_UP = 103
+TAG_Y_DOWN = 104
+
+#: A zero-particle wire buffer (read-only by convention).
+EMPTY_WIRE = np.empty((0, STATE_FIELDS), dtype=np.float64)
+_NO_ROWS = np.empty(0, dtype=np.int64)
+#: The front half of a hop nobody leaves: no rows, nothing to send.
+NO_LEAVERS = (_NO_ROWS, EMPTY_WIRE, EMPTY_WIRE)
+
+
+class RankRoute:
+    """One rank's exchange geometry, as a fusing executor reads it.
+
+    ``bounds`` is ``(x lo, x hi, x index, px, y lo, y hi, y index, py)``:
+    the rank's block ``[lo, hi)`` and its processor index and count along
+    each axis.  ``splits`` holds the two axes' split vectors and
+    ``sources`` the world ranks its ``(x bwd, x fwd, y bwd, y fwd)`` hops
+    receive from (its own rank along an axis of one processor).  Ranks
+    build one per partition and reuse it every step
+    (:meth:`repro.parallel.base._RankState.route`).
+    """
+
+    __slots__ = ("bounds", "splits", "sources")
+
+    def __init__(self, bounds, splits, sources) -> None:
+        self.bounds = bounds
+        self.splits = splits
+        self.sources = sources
+
+
+def _rank_route(partition: BlockPartition, cart: CartComm) -> RankRoute:
+    """The rank's block, grid position and source neighbours per axis."""
+    bounds = []
+    sources = []
+    for axis, splits in enumerate((partition.xsplits, partition.ysplits)):
+        i = cart.coords[axis]
+        bounds += [int(splits[i]), int(splits[i + 1]), i, cart.dims[axis]]
+        sources += [cart.world_ranks[cart.shift(axis, d)[0]] for d in (1, -1)]
+    return RankRoute(
+        tuple(bounds), (partition.xsplits, partition.ysplits), tuple(sources)
+    )
+
+
+def _outside(v, lo, hi, mesh):
+    """Rows of the coordinates ``v`` whose cell lies outside ``[lo, hi)``.
+
+    ``lo`` and ``hi`` are one rank's bounds (scalars) or one per row
+    (arrays: a wave's members).  Returns ``(rows, cells)``: ascending row
+    indices and those rows' ``mesh.cell_of`` values.  Rows are flagged
+    straight from positions, ``(v < lo) | (v >= hi)`` with ``v = coord /
+    h`` — for ``v`` in ``[0, cells)`` exactly ``floor(v)`` outside ``[lo,
+    hi)`` — so the floor, cast and periodic wrap run on the flagged rows
+    only.  An out-of-domain value (the ``x == L`` rounding edge) is always
+    flagged but may wrap to a cell inside the range, hence the re-test of
+    the flagged rows' cells.  The bounds are small integers, so as float64
+    or int64 they compare identically.
+    """
+    if mesh.h != 1.0:  # division by 1.0 is a bitwise no-op
+        v = v / mesh.h
+    out = v < lo
+    out |= v >= hi
+    rows = out.nonzero()[0]
+    if not len(rows):
+        return rows, rows
+    cells = np.floor(v[rows]).astype(np.int64)
+    np.mod(cells, mesh.cells, out=cells)
+    if np.ndim(lo):
+        lo, hi = lo[rows], hi[rows]
+    off = (cells < lo) | (cells >= hi)
+    if np.count_nonzero(off) != len(rows):
+        rows, cells = rows[off], cells[off]
+    return rows, cells
+
+
+def _count_misplaced(mesh, x, y, x_range, y_range=None) -> int:
+    """How many of the positions ``(x, y)`` lie outside the rank's block.
+
+    A particle is misplaced iff its cell column is outside ``x_range`` or
+    its cell row is outside ``y_range`` (not tested when ``None``) — exactly
+    ``owner_rank != cart.rank`` for a Cartesian-product partition, without
+    materializing per-particle owner indices.
+    """
+    bad, _ = _outside(x, *x_range, mesh)
+    if y_range is not None:
+        bad_y, _ = _outside(y, *y_range, mesh)
+        if len(bad_y):
+            bad = np.union1d(bad, bad_y)
+    return len(bad)
+
+
+# ----------------------------------------------------------------------
+# Per rank
+# ----------------------------------------------------------------------
+def exchange_particles(
+    comm: Comm,
+    cart: CartComm,
+    partition: BlockPartition,
+    mesh: Mesh,
+    particles: ParticleArray,
+    cost: CostModel,
+    first=None,
+    clocked: bool = False,
+):
+    """Route particles to their owning rank (generator; returns the new set).
+
+    Each iteration performs one hop of x routing (both directions) and one
+    hop of y routing, then checks global settlement with an allreduce.
+    Routing direction per particle is the shorter periodic way around.
+
+    ``particles`` is mutated in place (tail-fill compact + extend into its
+    pooled backing storage) and also returned, preserving the original
+    return-the-new-set contract.  A hop makes one range-test pass over the
+    population per axis; everything after it — owner lookup, packing,
+    compaction, the settlement count — touches only the particles that
+    leave or arrive.
+
+    ``first`` is the first round as the executor settled it
+    (:attr:`~repro.runtime.executor.PushTask.first`, :func:`exchange_wave`):
+    each hop's front half with its count, and the post-round population,
+    which the rank adopts here.  The round yields the same ops, costs and
+    payloads as without it.  With ``clocked`` the scheduler has already
+    charged those ops for the whole wave
+    (``Scheduler._clock_round``, which mirrors :func:`_route_axis`'s op
+    template): the round yields nothing, its counts come from the fronts,
+    and the rank goes straight to the settlement allreduce.  Later rounds
+    always run here.
+    """
+    my_px, my_py = cart.coords
+    px, py = cart.px, cart.py
+    x_range = partition.x_range(my_px)
+    y_range = partition.y_range(my_py)
+    xfront = yfront = None
+    if first is not None:
+        xfront, yfront, columns = first
+        particles.adopt(columns)
+    while True:
+        # Residents a hop keeps are proven on-block along its axis, so only
+        # arrivals can be misplaced: the x hop's on x, the y hop's on both.
+        if clocked:
+            stray_x, misplaced = xfront[3], yfront[3]
+            clocked = False
+        else:
+            stray_x = misplaced = 0
+            if px > 1:
+                stray_x = yield from _route_axis(
+                    comm, cart, particles, mesh, cost,
+                    splits=partition.xsplits, my_index=my_px, n_index=px,
+                    axis=0, tag_fwd=TAG_X_RIGHT, tag_bwd=TAG_X_LEFT,
+                    ranges=(x_range,), front=xfront,
+                )
+            if py > 1:
+                misplaced = yield from _route_axis(
+                    comm, cart, particles, mesh, cost,
+                    splits=partition.ysplits, my_index=my_py, n_index=py,
+                    axis=1, tag_fwd=TAG_Y_UP, tag_bwd=TAG_Y_DOWN,
+                    ranges=(x_range, y_range), front=yfront,
+                )
+        xfront = yfront = None
+        if stray_x:
+            # Multi-hop case: an x arrival is still off-block and may or may
+            # not have left again along y — recount the whole population.
+            misplaced = _count_misplaced(
+                mesh, particles.x, particles.y, x_range, y_range
+            )
+        total = yield comm.allreduce(misplaced, op=SUM)
+        if total == 0:
+            return particles
+
+
+def hop_front_half(particles, mesh, *, splits, my_index, n_index, axis, rng):
+    """Find and pack one rank's leavers along one axis.
+
+    Returns ``(leavers, fwd_buf, bwd_buf)``: the ascending rows whose cell
+    lies outside ``rng``, and those owned forward and backward (the
+    shorter periodic way) packed, in row order, into one fresh wire block
+    (``fwd_buf`` its head, ``bwd_buf`` its tail), so a buffer stays valid
+    however long its message is in flight.  With :func:`_route_axis`'s back
+    half this is the per-rank path and the oracle of :func:`exchange_wave`,
+    which settles a closed fused group's whole first round at once.  It
+    serves everything the wave does not: the process executor, in-place
+    tasks, groups that are too small, too big or not closed, rounds >= 2
+    and LB exchanges.
+    """
+    if not len(particles):
+        return NO_LEAVERS
+    leavers, cells = _outside(particles.x if axis == 0 else particles.y, *rng, mesh)
+    if not len(leavers):
+        return NO_LEAVERS
+    # Owner index and the shorter periodic direction, for the leavers only
+    # (an off-block particle never has dist == 0).
+    owner = splits.searchsorted(cells, "right") - 1
+    go_fwd = (owner - my_index) % n_index <= n_index // 2
+    fwd, bwd = leavers[go_fwd], leavers[~go_fwd]
+    wire = np.empty((len(leavers), STATE_FIELDS), dtype=np.float64)
+    fwd_buf = bwd_buf = EMPTY_WIRE
+    if len(fwd):
+        fwd_buf = particles.pack_into(fwd, wire)
+    if len(bwd):
+        bwd_buf = particles.pack_into(bwd, wire[len(fwd):])
+    return leavers, fwd_buf, bwd_buf
+
+
+def _route_axis(
+    comm, cart, particles, mesh, cost,
+    *, splits, my_index, n_index, axis, tag_fwd, tag_bwd, ranges, front=None,
+):
+    """One forwarding hop along one axis (generator), in place.
+
+    ``ranges`` is the rank's ``(x_range,)`` for the x hop and ``(x_range,
+    y_range)`` for the y hop.  ``front`` is the hop as the executor settled
+    it, ``(leavers, fwd_buf, bwd_buf, count)``: the hop then only sends
+    and prices, its result already adopted.  Without it
+    :func:`hop_front_half` and the back half — compaction, arrivals, the
+    count — run here.  Returns how many *arrivals* lie outside any of the
+    ranges — kept residents cannot.  The sequence of simulated events —
+    pack compute, the two sendrecvs, unpack compute — and their costs and
+    payload sizes are identical to the historical copy-based hop (a
+    payload is priced by :func:`record_nbytes`, not by its 6-column
+    buffer); the order of particles within the rank is not (tail-fill
+    compaction).  ``Scheduler._clock_round`` replays this op template for
+    a whole settled wave: change both or neither.
+    """
+    if front is None:
+        leavers, fwd_buf, bwd_buf = hop_front_half(
+            particles, mesh, splits=splits, my_index=my_index,
+            n_index=n_index, axis=axis, rng=ranges[axis],
+        )
+    else:
+        leavers, fwd_buf, bwd_buf, settled = front
+    if len(leavers):
+        yield comm.compute(cost.pack_time(len(leavers)))
+
+    src_bwd, dst_fwd = cart.shift(axis, 1)
+    src_fwd, dst_bwd = cart.shift(axis, -1)
+    from_bwd = yield comm.sendrecv(
+        fwd_buf, dst=dst_fwd, src=src_bwd, sendtag=tag_fwd, recvtag=tag_fwd,
+        nbytes=cost.particle_wire_bytes(record_nbytes(len(fwd_buf))),
+    )
+    from_fwd = yield comm.sendrecv(
+        bwd_buf, dst=dst_bwd, src=src_fwd, sendtag=tag_bwd, recvtag=tag_bwd,
+        nbytes=cost.particle_wire_bytes(record_nbytes(len(bwd_buf))),
+    )
+
+    n_in = len(from_bwd) + len(from_fwd)
+    if n_in:
+        yield comm.compute(cost.pack_time(n_in))
+    if front is not None:  # the back half's result is already adopted
+        return settled
+    if len(leavers):
+        particles.compact(drop=leavers)
+    if not n_in:
+        return 0
+    n_kept = len(particles)
+    particles.extend_packed(from_bwd)
+    particles.extend_packed(from_fwd)
+    return _count_misplaced(
+        mesh, particles.x[n_kept:], particles.y[n_kept:], *ranges
+    )
+
+
+# ----------------------------------------------------------------------
+# Per wave
+# ----------------------------------------------------------------------
+def _ranges(starts, lengths):
+    """``concatenate([arange(s, s + l) for s, l in zip(starts, lengths)])``."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1])
+
+
+def _settle_hop(v, counts, starts, lo, hi, index, n_index, splits,
+                src_bwd, src_fwd, mesh):
+    """One hop of a closed group's round: what every member's
+    ``_route_axis`` does to its population, for all members at once.
+
+    ``v`` holds the members' coordinates along the axis, laid out by
+    ``starts`` and ``counts``; the other arguments are per member: its
+    block ``[lo, hi)``, processor index and count, split vector, and the
+    members its two directions receive from (``src_bwd``, ``src_fwd``;
+    each a permutation of the group).  Returns ``(perm, counts, starts,
+    moved, seglen, local, recv)``, or None when nobody leaves: ``perm[p]``
+    is the pre-hop row of post-hop row ``p``; the post-hop layout's counts
+    and starts; the leavers' pre-hop rows grouped by (member, forward then
+    backward) — the hop's ``2 M`` segments — and the segment sizes; each
+    leaver's row inside its member (ascending per member) and, in segment
+    order, its receiving member.
+    """
+    rows, cells = _outside(v, np.repeat(lo.astype(np.float64), counts),
+                           np.repeat(hi.astype(np.float64), counts), mesh)
+    if not len(rows):
+        return None
+    mem = starts.searchsorted(rows, "right") - 1
+    # Owners by one searchsorted over every distinct split vector (members
+    # may hold different, LB-shifted ones), each shifted into its own key
+    # range so a search cannot leave it.
+    ids: dict[int, int] = {}
+    distinct = []
+    for s in splits:
+        if ids.setdefault(id(s), len(distinct)) == len(distinct):
+            distinct.append(s)
+    if len(distinct) == 1:
+        owner = distinct[0].searchsorted(cells, "right") - 1
+    else:
+        stride = mesh.cells + 1
+        sid = np.array([ids[id(s)] for s in splits])[mem]
+        sizes = [len(s) for s in distinct]
+        keys = np.concatenate(distinct) + np.repeat(
+            np.arange(0, len(distinct) * stride, stride), sizes
+        )
+        first = np.cumsum(sizes) - sizes
+        owner = keys.searchsorted(sid * stride + cells, "right") - first[sid] - 1
+    # The shorter periodic way (an off-block particle never has distance 0).
+    bwd = (owner - index[mem]) % n_index[mem] > n_index[mem] // 2
+    seg = 2 * mem + bwd
+    m = len(counts)
+    seglen = np.bincount(seg, minlength=2 * m)
+    gone = np.bincount(mem, minlength=m)
+    keep = counts - gone
+    # Tail-fill, as ParticleArray.compact(drop=): the holes below a
+    # member's new length take its surviving tail rows in ascending order.
+    # Holes and fill rows both ascend member by member, equally many per
+    # member, so they pair up in order.
+    local = rows - starts[mem]
+    hole = local < keep[mem]
+    tail = _ranges(starts + keep, gone)
+    at = np.minimum(rows.searchsorted(tail), len(rows) - 1)
+    fill = tail[rows[at] != tail]
+    # Then the arrivals: the bwd source's forward segment, the fwd source's
+    # backward one.
+    a_bwd = seglen[2 * src_bwd]
+    a_fwd = seglen[2 * src_fwd + 1]
+    new_counts = keep + a_bwd + a_fwd
+    new_starts = np.cumsum(new_counts) - new_counts
+    perm = np.repeat(starts - new_starts, new_counts)
+    perm += np.arange(len(perm))
+    perm[new_starts[mem[hole]] + local[hole]] = fill
+    moved = rows[seg.argsort(kind="stable")]
+    at_seg = np.empty(2 * m, dtype=np.int64)
+    at_seg[2 * src_bwd] = new_starts + keep
+    at_seg[2 * src_fwd + 1] = new_starts + keep + a_bwd
+    perm[_ranges(at_seg, seglen)] = moved
+    recv = np.empty(2 * m, dtype=np.int64)
+    recv[2 * src_bwd] = np.arange(m)
+    recv[2 * src_fwd + 1] = np.arange(m)
+    return perm, new_counts, new_starts, moved, seglen, local, np.repeat(recv, seglen)
+
+
+def _wire(stage, pid, rows):
+    """Stage rows packed as one fresh ``(L, 6)`` wire block."""
+    block = np.empty((len(rows), STATE_FIELDS), dtype=np.float64)
+    block[:, :5] = stage[:5, rows].T
+    block[:, 5] = pid[rows]
+    return block
+
+
+def _fronts(m, local, seglen, wire, counts):
+    """Per member ``(leavers, fwd_buf, bwd_buf, count)`` from one hop's
+    segments, ``count`` being what the member's ``_route_axis`` returns."""
+    out = []
+    a = 0
+    ends = seglen.cumsum().tolist()
+    for i in range(m):
+        f, e = ends[2 * i], ends[2 * i + 1]
+        if a == e:
+            out.append((*NO_LEAVERS, counts[i]))
+        else:
+            out.append((local[a:e], wire[a:f], wire[f:e], counts[i]))
+            a = e
+    return out
+
+
+def exchange_wave(stage, counts, routes, mesh, sources) -> tuple[list, np.ndarray]:
+    """The first exchange round of a closed fused group, for every member
+    at once.
+
+    ``stage`` holds the group's pushed x, y, vx, vy and q rows and, viewed
+    as int64, its pid row, members in order; ``counts`` gives their sizes,
+    ``routes`` their :class:`RankRoute` and ``sources`` (``(M, 4)``) the
+    member each member's x-bwd, x-fwd, y-bwd and y-fwd hop receives from.
+    The whole round runs as the per-rank path would run it: the x hop, the
+    y hop on the post-x populations, the tail-fill and arrival order of
+    ``compact(drop=)`` and ``extend_packed``.
+
+    Returns ``(firsts, lengths)``.  ``firsts`` holds one ``(xfront,
+    yfront, columns)`` per member, for the rank's exchange to use in place
+    of its own work (:func:`exchange_particles`).  A front is element for
+    element what :func:`hop_front_half` computes for the member (ascending
+    leaver rows, then the leavers owned forward and backward packed in row
+    order) plus the count its ``_route_axis`` returns (stray x arrivals,
+    misplaced y arrivals); ``columns`` are the member's six post-round
+    fields, slices of one fresh block that the rank adopts
+    (:meth:`~repro.core.particles.ParticleArray.adopt`).  ``lengths``
+    (``(M, 4)``) counts each member's x-forward, x-backward, y-forward and
+    y-backward wire buffer — all the round's timing needs
+    (``Scheduler._clock_round``).
+
+    Every wire buffer is a slice of one block allocated here, so it stays
+    valid however long its message is in flight.
+    """
+    m = len(routes)
+    counts = np.asarray(counts, dtype=np.int64)
+    starts = np.cumsum(counts) - counts
+    n = int(starts[-1] + counts[-1])
+    b = np.array([r.bounds for r in routes], dtype=np.int64).T
+    pid = stage[5].view(np.int64)
+    layout = None  # the stage row of every current row; None: the identity
+    cnt, st = counts, starts
+    lengths = np.zeros((m, 4), dtype=np.int64)
+    hops = []
+    for axis in (0, 1):
+        lo, hi, index, n_index = b[4 * axis : 4 * axis + 4]
+        hop = None
+        if n_index[0] > 1:
+            v = stage[axis, :n] if layout is None else stage[axis][layout]
+            hop = _settle_hop(
+                v, cnt, st, lo, hi, index, n_index,
+                [r.splits[axis] for r in routes],
+                sources[:, 2 * axis], sources[:, 2 * axis + 1], mesh,
+            )
+        if hop is not None:
+            perm, cnt, st, moved, seglen, local, recv = hop
+            if layout is not None:
+                moved = layout[moved]
+            layout = perm if layout is None else layout[perm]
+            lengths[:, 2 * axis : 2 * axis + 2] = seglen.reshape(m, 2)
+            hop = (moved, seglen, local, recv)
+        hops.append(hop)
+    moved = [h[0] for h in hops if h is not None]
+    wire = _wire(stage, pid, np.concatenate(moved)) if moved else EMPTY_WIRE
+    fronts = []
+    a = 0
+    for axis, hop in enumerate(hops):
+        if hop is None:
+            fronts.append([(*NO_LEAVERS, 0)] * m)
+            continue
+        _, seglen, local, recv = hop
+        w = wire[a : a + len(recv)]
+        a += len(recv)
+        # The settlement count on the arrivals: off the receiver's x block,
+        # and for the y hop off its y block too.
+        bad = np.zeros(len(recv), dtype=bool)
+        for ax in range(axis + 1):
+            lo, hi = b[4 * ax][recv], b[4 * ax + 1][recv]
+            bad[_outside(w[:, ax], lo, hi, mesh)[0]] = True
+        stray = np.bincount(recv[bad], minlength=m).tolist()
+        fronts.append(_fronts(m, local, seglen, w, stray))
+    block = stage[:, :n].copy() if layout is None else np.take(stage, layout, axis=1)
+    x, y, vx, vy, q, pid = block
+    pid = pid.view(np.int64)
+    out = []
+    for i, (a, k) in enumerate(zip(st.tolist(), cnt.tolist())):
+        rows = slice(a, a + k)  # slicing 1-D rows is ~3x cheaper than 2-D
+        columns = (x[rows], y[rows], vx[rows], vy[rows], q[rows], pid[rows])
+        out.append((fronts[0][i], fronts[1][i], columns))
+    return out, lengths
+
+
+def _closed_sources(ranks, routes):
+    """The member each member's x-bwd, x-fwd, y-bwd and y-fwd hop receives
+    from, as an ``(M, 4)`` array, or None unless every member is routed on
+    one processor grid and every source is a member.
+
+    A periodic shift is a bijection of the grid's ranks, so in a group
+    closed this way each column is a permutation of the members.
+    """
+    if None in routes or len({r.bounds[3::4] for r in routes}) != 1:
+        return None
+    where = np.full(max(ranks) + 1, -1)
+    where[ranks] = np.arange(len(ranks))
+    src = np.array([r.sources for r in routes])
+    if src.max() >= len(where):
+        return None
+    src = where[src]
+    return None if (src < 0).any() else src
+
+
+class SettledWave:
+    """A wave as the executor settled it, in the terms the round's timing
+    needs (``Scheduler._clock_round``).
+
+    ``ranks`` lists the members' world ranks in park order, ``sources``
+    is :func:`_closed_sources`' ``(M, 4)`` array, ``lengths``
+    :func:`exchange_wave`'s ``(M, 4)`` buffer lengths and ``dims`` the
+    processor grid ``(px, py)``.
+    """
+
+    __slots__ = ("ranks", "sources", "lengths", "dims")
+
+    def __init__(self, ranks, sources, lengths, dims) -> None:
+        self.ranks = ranks
+        self.sources = sources
+        self.lengths = lengths
+        self.dims = dims

@@ -26,9 +26,9 @@ traces (``tests/parallel/test_executor_determinism.py``):
     *rank* — which is where many-small-rank configs (the strong-scaling
     and AMPI VP sweeps) spend their wall clock.  For a closed group of
     small ranks the executor also settles their whole first exchange
-    round in one pass (:func:`exchange_wave`), and the scheduler may clock
-    that round's ops for the whole group at once (:func:`clock_round`);
-    every other rank runs its exchange itself.
+    round in one pass (:func:`~repro.runtime.exchange.exchange_wave`), and
+    the scheduler may clock that round's ops for the whole group at once
+    (``Scheduler._clock_round``); every other rank runs its exchange itself.
 
 ``process``
     A persistent ``multiprocessing`` worker pool operating on
@@ -77,15 +77,12 @@ from repro.core.kernel import (
 )
 from repro.core.kernel_compiled import advance_arrays_compiled
 from repro.core.mesh import Mesh
-from repro.core.particles import STATE_FIELDS, record_nbytes
+from repro.core.particles import STATE_FIELDS
 from repro.runtime.errors import ExecutorWorkerLostError, exit_cause
+from repro.runtime.exchange import SettledWave, _closed_sources, exchange_wave
 
 __all__ = [
     "PushTask",
-    "RankRoute",
-    "exchange_wave",
-    "SettledWave",
-    "clock_round",
     "Executor",
     "BatchHandle",
     "InProcessExecutor",
@@ -103,30 +100,6 @@ _ALIGN = 64
 _ZOMBIE_SEGMENTS: list = []
 
 
-class RankRoute:
-    """One rank's exchange geometry, as a fusing executor reads it.
-
-    ``bounds`` is ``(x lo, x hi, x index, px, y lo, y hi, y index, py)``:
-    the rank's block ``[lo, hi)`` and its processor index and count along
-    each axis.  ``splits`` holds the two axes' split vectors and
-    ``sources`` the world ranks its ``(x bwd, x fwd, y bwd, y fwd)`` hops
-    receive from (its own rank along an axis of one processor).  ``cost``
-    is the :class:`~repro.runtime.costmodel.CostModel` the rank's exchange
-    prices its pack computes and wire bytes with (None: the round cannot
-    be clocked in bulk, :func:`clock_round`).  Ranks build one per
-    partition and reuse it every step
-    (:meth:`repro.parallel.base._RankState.route`).
-    """
-
-    __slots__ = ("bounds", "splits", "sources", "cost")
-
-    def __init__(self, bounds, splits, sources, cost=None) -> None:
-        self.bounds = bounds
-        self.splits = splits
-        self.sources = sources
-        self.cost = cost
-
-
 class PushTask:
     """Descriptor of one rank's particle push: the work behind a compute op.
 
@@ -142,16 +115,16 @@ class PushTask:
         self.mesh = mesh
         self.particles = particles
         self.dt = dt
-        #: The rank's :class:`RankRoute`, or None: lets an executor settle
-        #: the first exchange round for a whole fused group
-        #: (:func:`exchange_wave`).
+        #: The rank's :class:`~repro.runtime.exchange.RankRoute`, or None:
+        #: lets an executor settle the first exchange round for a whole
+        #: fused group (:func:`~repro.runtime.exchange.exchange_wave`).
         self.route = route
         #: That round's result for this rank, ``(xfront, yfront, columns)``,
         #: when an executor settled it; None means the exchange runs it.
         self.first = None
         #: True once the scheduler has clocked that round's ops for the
-        #: whole wave (:func:`clock_round`): the exchange then only adopts
-        #: the round's result and joins the settlement allreduce.
+        #: whole wave (``Scheduler._clock_round``): the exchange then only
+        #: adopts the round's result and joins the settlement allreduce.
         self.clocked = False
 
     def run(self, workspace: KernelWorkspace | None = None) -> None:
@@ -284,397 +257,6 @@ def _advance_fields(backend: str, mesh, x, y, vx, vy, q, dt, workspace=None) -> 
         advance_arrays_compiled(mesh, x, y, vx, vy, q, dt)
 
 
-#: A zero-particle wire buffer (read-only by convention).
-EMPTY_WIRE = np.empty((0, STATE_FIELDS), dtype=np.float64)
-_NO_ROWS = np.empty(0, dtype=np.int64)
-#: The front half of a hop nobody leaves: no rows, nothing to send.
-NO_LEAVERS = (_NO_ROWS, EMPTY_WIRE, EMPTY_WIRE)
-
-
-def _ranges(starts, lengths):
-    """``concatenate([arange(s, s + l) for s, l in zip(starts, lengths)])``."""
-    ends = np.cumsum(lengths)
-    return np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1])
-
-
-def _outside(v, lo, hi, mesh):
-    """Rows of ``v`` whose cell lies outside ``[lo, hi)``, with bounds per
-    row, and those rows' cells: ``ExchangeScratch.outside`` for many ranks.
-
-    Rows are flagged straight from positions, then floored, wrapped and
-    re-tested on the flagged rows only.  The bounds are small integers, so
-    as float64 or int64 they compare identically.
-    """
-    if mesh.h != 1.0:  # division by 1.0 is a bitwise no-op
-        v = v / mesh.h
-    rows = ((v < lo) | (v >= hi)).nonzero()[0]
-    if not len(rows):
-        return rows, rows
-    cells = np.floor(v[rows]).astype(np.int64)
-    np.mod(cells, mesh.cells, out=cells)
-    off = (cells < lo[rows]) | (cells >= hi[rows])
-    if np.count_nonzero(off) != len(rows):
-        rows, cells = rows[off], cells[off]
-    return rows, cells
-
-
-def _settle_hop(v, counts, starts, lo, hi, index, n_index, splits,
-                src_bwd, src_fwd, mesh):
-    """One hop of a closed group's round: what every member's
-    ``_route_axis`` does to its population, for all members at once.
-
-    ``v`` holds the members' coordinates along the axis, laid out by
-    ``starts`` and ``counts``; the other arguments are per member: its
-    block ``[lo, hi)``, processor index and count, split vector, and the
-    members its two directions receive from (``src_bwd``, ``src_fwd``;
-    each a permutation of the group).  Returns ``(perm, counts, starts,
-    moved, seglen, local, recv)``, or None when nobody leaves: ``perm[p]``
-    is the pre-hop row of post-hop row ``p``; the post-hop layout's counts
-    and starts; the leavers' pre-hop rows grouped by (member, forward then
-    backward) — the hop's ``2 M`` segments — and the segment sizes; each
-    leaver's row inside its member (ascending per member) and, in segment
-    order, its receiving member.
-    """
-    rows, cells = _outside(v, np.repeat(lo.astype(np.float64), counts),
-                           np.repeat(hi.astype(np.float64), counts), mesh)
-    if not len(rows):
-        return None
-    mem = starts.searchsorted(rows, "right") - 1
-    # Owners by one searchsorted over every distinct split vector (members
-    # may hold different, LB-shifted ones), each shifted into its own key
-    # range so a search cannot leave it.
-    ids: dict[int, int] = {}
-    distinct = []
-    for s in splits:
-        if ids.setdefault(id(s), len(distinct)) == len(distinct):
-            distinct.append(s)
-    if len(distinct) == 1:
-        owner = distinct[0].searchsorted(cells, "right") - 1
-    else:
-        stride = mesh.cells + 1
-        sid = np.array([ids[id(s)] for s in splits])[mem]
-        sizes = [len(s) for s in distinct]
-        keys = np.concatenate(distinct) + np.repeat(
-            np.arange(0, len(distinct) * stride, stride), sizes
-        )
-        first = np.cumsum(sizes) - sizes
-        owner = keys.searchsorted(sid * stride + cells, "right") - first[sid] - 1
-    # The shorter periodic way (an off-block particle never has distance 0).
-    bwd = (owner - index[mem]) % n_index[mem] > n_index[mem] // 2
-    seg = 2 * mem + bwd
-    m = len(counts)
-    seglen = np.bincount(seg, minlength=2 * m)
-    gone = np.bincount(mem, minlength=m)
-    keep = counts - gone
-    # Tail-fill, as ParticleArray.compact(drop=): the holes below a
-    # member's new length take its surviving tail rows in ascending order.
-    # Holes and fill rows both ascend member by member, equally many per
-    # member, so they pair up in order.
-    local = rows - starts[mem]
-    hole = local < keep[mem]
-    tail = _ranges(starts + keep, gone)
-    at = np.minimum(rows.searchsorted(tail), len(rows) - 1)
-    fill = tail[rows[at] != tail]
-    # Then the arrivals: the bwd source's forward segment, the fwd source's
-    # backward one.
-    a_bwd = seglen[2 * src_bwd]
-    a_fwd = seglen[2 * src_fwd + 1]
-    new_counts = keep + a_bwd + a_fwd
-    new_starts = np.cumsum(new_counts) - new_counts
-    perm = np.repeat(starts - new_starts, new_counts)
-    perm += np.arange(len(perm))
-    perm[new_starts[mem[hole]] + local[hole]] = fill
-    moved = rows[seg.argsort(kind="stable")]
-    at_seg = np.empty(2 * m, dtype=np.int64)
-    at_seg[2 * src_bwd] = new_starts + keep
-    at_seg[2 * src_fwd + 1] = new_starts + keep + a_bwd
-    perm[_ranges(at_seg, seglen)] = moved
-    recv = np.empty(2 * m, dtype=np.int64)
-    recv[2 * src_bwd] = np.arange(m)
-    recv[2 * src_fwd + 1] = np.arange(m)
-    return perm, new_counts, new_starts, moved, seglen, local, np.repeat(recv, seglen)
-
-
-def _wire(stage, pid, rows):
-    """Stage rows packed as one fresh ``(L, 6)`` wire block."""
-    block = np.empty((len(rows), STATE_FIELDS), dtype=np.float64)
-    block[:, :5] = stage[:5, rows].T
-    block[:, 5] = pid[rows]
-    return block
-
-
-def _fronts(m, local, seglen, wire, counts):
-    """Per member ``(leavers, fwd_buf, bwd_buf, count)`` from one hop's
-    segments, ``count`` being what the member's ``_route_axis`` returns."""
-    out = []
-    a = 0
-    ends = seglen.cumsum().tolist()
-    for i in range(m):
-        f, e = ends[2 * i], ends[2 * i + 1]
-        if a == e:
-            out.append((*NO_LEAVERS, counts[i]))
-        else:
-            out.append((local[a:e], wire[a:f], wire[f:e], counts[i]))
-            a = e
-    return out
-
-
-def exchange_wave(stage, counts, routes, mesh, sources) -> tuple[list, np.ndarray]:
-    """The first exchange round of a closed fused group, for every member
-    at once.
-
-    ``stage`` holds the group's pushed x, y, vx, vy and q rows and, viewed
-    as int64, its pid row, members in order; ``counts`` gives their sizes,
-    ``routes`` their :class:`RankRoute` and ``sources`` (``(M, 4)``) the
-    member each member's x-bwd, x-fwd, y-bwd and y-fwd hop receives from.
-    The whole round runs as the per-rank path would run it: the x hop, the
-    y hop on the post-x populations, the tail-fill and arrival order of
-    ``compact(drop=)`` and ``extend_packed``.
-
-    Returns ``(firsts, lengths)``.  ``firsts`` holds one ``(xfront,
-    yfront, columns)`` per member, for the rank's exchange to use in place
-    of its own work (:func:`repro.parallel.base.exchange_particles`).  A
-    front is element for element what
-    :func:`repro.parallel.base.hop_front_half` computes for the member
-    (ascending leaver rows, then the leavers owned forward and backward
-    packed in row order) plus the count its ``_route_axis`` returns (stray
-    x arrivals, misplaced y arrivals); ``columns`` are the member's six
-    post-round fields, slices of one fresh block that the rank adopts
-    (:meth:`~repro.core.particles.ParticleArray.adopt`).
-    ``lengths`` (``(M, 4)``) counts each member's x-forward, x-backward,
-    y-forward and y-backward wire buffer — all the round's timing needs
-    (:func:`clock_round`).
-
-    Every wire buffer is a slice of one block allocated here, so it stays
-    valid however long its message is in flight.
-    """
-    m = len(routes)
-    counts = np.asarray(counts, dtype=np.int64)
-    starts = np.cumsum(counts) - counts
-    n = int(starts[-1] + counts[-1])
-    b = np.array([r.bounds for r in routes], dtype=np.int64).T
-    pid = stage[5].view(np.int64)
-    layout = None  # the stage row of every current row; None: the identity
-    cnt, st = counts, starts
-    lengths = np.zeros((m, 4), dtype=np.int64)
-    hops = []
-    for axis in (0, 1):
-        lo, hi, index, n_index = b[4 * axis : 4 * axis + 4]
-        hop = None
-        if n_index[0] > 1:
-            v = stage[axis, :n] if layout is None else stage[axis][layout]
-            hop = _settle_hop(
-                v, cnt, st, lo, hi, index, n_index,
-                [r.splits[axis] for r in routes],
-                sources[:, 2 * axis], sources[:, 2 * axis + 1], mesh,
-            )
-        if hop is not None:
-            perm, cnt, st, moved, seglen, local, recv = hop
-            if layout is not None:
-                moved = layout[moved]
-            layout = perm if layout is None else layout[perm]
-            lengths[:, 2 * axis : 2 * axis + 2] = seglen.reshape(m, 2)
-            hop = (moved, seglen, local, recv)
-        hops.append(hop)
-    moved = [h[0] for h in hops if h is not None]
-    wire = _wire(stage, pid, np.concatenate(moved)) if moved else EMPTY_WIRE
-    fronts = []
-    a = 0
-    for axis, hop in enumerate(hops):
-        if hop is None:
-            fronts.append([(*NO_LEAVERS, 0)] * m)
-            continue
-        _, seglen, local, recv = hop
-        w = wire[a : a + len(recv)]
-        a += len(recv)
-        # The settlement count on the arrivals: off the receiver's x block,
-        # and for the y hop off its y block too.
-        bad = np.zeros(len(recv), dtype=bool)
-        for ax in range(axis + 1):
-            lo, hi = b[4 * ax][recv], b[4 * ax + 1][recv]
-            bad[_outside(w[:, ax], lo, hi, mesh)[0]] = True
-        stray = np.bincount(recv[bad], minlength=m).tolist()
-        fronts.append(_fronts(m, local, seglen, w, stray))
-    block = stage[:, :n].copy() if layout is None else np.take(stage, layout, axis=1)
-    x, y, vx, vy, q, pid = block
-    pid = pid.view(np.int64)
-    out = []
-    for i, (a, k) in enumerate(zip(st.tolist(), cnt.tolist())):
-        rows = slice(a, a + k)  # slicing 1-D rows is ~3x cheaper than 2-D
-        columns = (x[rows], y[rows], vx[rows], vy[rows], q[rows], pid[rows])
-        out.append((fronts[0][i], fronts[1][i], columns))
-    return out, lengths
-
-
-def _closed_sources(ranks, routes):
-    """The member each member's x-bwd, x-fwd, y-bwd and y-fwd hop receives
-    from, as an ``(M, 4)`` array, or None unless every member is routed on
-    one processor grid and every source is a member.
-
-    A periodic shift is a bijection of the grid's ranks, so in a group
-    closed this way each column is a permutation of the members.
-    """
-    if None in routes or len({r.bounds[3::4] for r in routes}) != 1:
-        return None
-    where = np.full(max(ranks) + 1, -1)
-    where[ranks] = np.arange(len(ranks))
-    src = np.array([r.sources for r in routes])
-    if src.max() >= len(where):
-        return None
-    src = where[src]
-    return None if (src < 0).any() else src
-
-
-class SettledWave:
-    """A wave as :meth:`InProcessExecutor._settle` settled it, in the terms
-    the round's timing needs (:func:`clock_round`).
-
-    ``ranks`` lists the members' world ranks in park order, ``sources``
-    is :func:`_closed_sources`' ``(M, 4)`` array, ``lengths``
-    :func:`exchange_wave`'s ``(M, 4)`` buffer lengths, ``dims`` the
-    processor grid ``(px, py)`` and ``cost`` the members' exchange cost
-    model (:attr:`RankRoute.cost`).
-    """
-
-    __slots__ = ("ranks", "sources", "lengths", "dims", "cost")
-
-    def __init__(self, ranks, sources, lengths, dims, cost) -> None:
-        self.ranks = ranks
-        self.sources = sources
-        self.lengths = lengths
-        self.dims = dims
-        self.cost = cost
-
-
-def _occupy_all(st, seconds, hit) -> None:
-    """``Scheduler._occupy`` for every member at once.
-
-    ``st`` rows are the members' clocks, core-free times, core busy and
-    rank busy seconds; ``seconds`` is one charge (a float) for all or an
-    array of one per member.  A member charged 0.0 is left alone, as
-    there; ``hit`` marks the members whose core was occupied.
-    """
-    if isinstance(seconds, float):
-        if seconds == 0.0:
-            return
-        np.maximum(st[0], st[1], out=st[0])
-        st[0] += seconds
-        st[1] = st[0]
-        st[2:] += seconds
-        hit[:] = True
-        return
-    on = seconds != 0.0
-    end = np.maximum(st[0], st[1])
-    end += seconds
-    np.copyto(st[:2], end, where=on)
-    st[2:] += seconds  # busy seconds are >= 0: adding 0.0 keeps every bit
-    hit |= on
-
-
-def _round_links(sched, cores, sources):
-    """Latency and bandwidth, ``(M, 4)`` each, of the link every member's
-    four receives arrive over (``MachineModel.link`` of the sender's and
-    its cores), read through the scheduler's link table and kept for the
-    next wave of the same geometry."""
-    key = (cores, sources.tobytes())
-    cached = sched._round_links
-    if cached is not None and cached[0] == key:
-        return cached[1]
-    links, machine = sched._links, sched.machine
-    lat = np.empty(sources.shape)
-    bw = np.empty(sources.shape)
-    for i, row in enumerate(sources.tolist()):
-        for j, s in enumerate(row):
-            pair = (cores[s], cores[i])
-            link = links.get(pair)
-            if link is None:
-                link = links[pair] = machine.link(*pair)
-            lat[i, j], bw[i, j] = link.latency, link.bandwidth
-    sched._round_links = (key, (lat, bw))
-    return lat, bw
-
-
-def clock_round(sched, wave: SettledWave, cores: tuple) -> bool:
-    """Clock a settled wave's first exchange round for every member at
-    once, on ``sched`` (a :class:`~repro.runtime.scheduler.Scheduler`).
-
-    Each member runs the op template of ``_route_axis``'s round
-    (:func:`repro.parallel.base.exchange_particles`): per hop — x when
-    ``px > 1``, then y when ``py > 1`` — pack compute of its leavers,
-    ``sendrecv`` forward, ``sendrecv`` backward, unpack compute of its
-    arrivals.  Clocks, core clocks, core and rank busy seconds and the
-    transport's traffic counters move by the same IEEE operations, in the
-    same per-member order, as ``_occupy``, ``_do_send`` and
-    ``_complete_recv`` would move them; only the interleaving across
-    members differs, which ``cores`` (one per member, all distinct) makes
-    unobservable: a member's times depend only on its own ops and its
-    sources' send times.  The caller checks the rest of that premise
-    (``Scheduler._round_cores``).
-
-    One thing the interleaving does decide is the order in which cores
-    the scheduler has never occupied enter ``core_clock`` (and
-    ``core_busy``; checkpoints serialise both in that order).  The pump
-    occupies each member's core for the first time in member order when
-    that happens by the member's first send — its first or second op,
-    both run before the next member wakes — so those keys are inserted
-    here in member order.  A round that first occupies a new core later
-    than that, with another new core in play, changes nothing and returns
-    False: the pump clocks it.  Otherwise it returns True.
-    """
-    ranks, src, n = wave.ranks, wave.sources, wave.lengths
-    m = len(ranks)
-    clock, rank_busy = sched.clock, sched.rank_busy
-    core_clock, core_busy = sched.core_clock, sched.core_busy
-    st = np.array([
-        [clock[r] for r in ranks],
-        [core_clock.get(c, 0.0) for c in cores],
-        [core_busy.get(c, 0.0) for c in cores],
-        [rank_busy[r] for r in ranks],
-    ])
-    hit = np.zeros(m, dtype=bool)
-    lat, bw = _round_links(sched, cores, src)
-    cost = wave.cost  # the exchange's; message overheads are the scheduler's
-    send_s, recv_s = sched._send_overhead_s, sched._recv_overhead_s
-    messages = nbytes = 0
-    early = None  # the members occupied by their first send
-    for axis in (0, 1):
-        if wave.dims[axis] == 1:
-            continue
-        fwd, bwd = n[:, 2 * axis], n[:, 2 * axis + 1]
-        src_bwd, src_fwd = src[:, 2 * axis], src[:, 2 * axis + 1]
-        _occupy_all(st, cost.pack_time(fwd + bwd), hit)
-        # Forward buffers arrive from the backward source, backward ones
-        # from the forward source.
-        for j, out, sender in ((2 * axis, fwd, src_bwd), (2 * axis + 1, bwd, src_fwd)):
-            _occupy_all(st, send_s, hit)
-            if early is None:
-                early = hit.copy()
-            # cost.particle_wire_bytes(record_nbytes(len(buf))) per buffer
-            wire = (record_nbytes(out) * cost.particle_byte_scale).astype(np.int64)
-            t_avail = st[0][sender] + (lat[:, j] + wire[sender] / bw[:, j])
-            np.maximum(st[0], t_avail, out=st[0])
-            _occupy_all(st, recv_s, hit)
-            messages += m
-            nbytes += int(wire.sum())
-        _occupy_all(st, cost.pack_time(fwd[src_bwd] + bwd[src_fwd]), hit)
-    if early is not None and not early.all():
-        new = hit & ~np.fromiter(map(core_clock.__contains__, cores), bool, m)
-        if (new & ~early).any() and np.count_nonzero(new) > 1:
-            return False
-    for r, t, busy in zip(ranks, st[0].tolist(), st[3].tolist()):
-        clock[r] = t
-        rank_busy[r] = busy
-    for c, free, busy, h in zip(cores, st[1].tolist(), st[2].tolist(), hit.tolist()):
-        if h:  # new keys in member order, as the pump inserts them
-            core_clock[c] = free
-            core_busy[c] = busy
-    transport = sched.transport
-    transport._seq += messages
-    transport.messages_sent += messages
-    transport.bytes_sent += nbytes
-    return True
-
-
 class InProcessExecutor(Executor):
     """Size-aware in-process backend: big tasks in place, small ones fused.
 
@@ -714,7 +296,8 @@ class InProcessExecutor(Executor):
         self.batches = 0
         self.fused_tasks = 0
         #: The last batch's settled wave (:class:`SettledWave`), or None;
-        #: the scheduler may clock its round in bulk (:func:`clock_round`).
+        #: the scheduler may clock its round in bulk
+        #: (``Scheduler._clock_round``).
         self.wave: SettledWave | None = None
 
     def run_batch(self, batch: list[tuple[int, Any]]) -> None:
@@ -794,9 +377,7 @@ class InProcessExecutor(Executor):
         firsts, lengths = exchange_wave(stage, counts, routes, tasks[0].mesh, closed)
         for t, first in zip(tasks, firsts):
             t.first = first
-        self.wave = SettledWave(
-            ranks, closed, lengths, routes[0].bounds[3::4], routes[0].cost
-        )
+        self.wave = SettledWave(ranks, closed, lengths, routes[0].bounds[3::4])
         return True
 
     def _run_chunk(self, backend: str, chunk, total) -> None:

@@ -21,9 +21,12 @@ the paper's reported wall-clock seconds.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Sequence
 
+import numpy as np
+
+from repro.core.particles import record_nbytes
 from repro.runtime import ops
 from repro.runtime.cart import CartComm
 from repro.runtime.comm import Comm
@@ -33,7 +36,6 @@ from repro.runtime.errors import (
     DeadlockError,
     RuntimeConfigError,
 )
-from repro.runtime.executor import clock_round
 from repro.runtime.machine import MachineModel, TierCosts
 from repro.runtime.message import Message
 from repro.runtime.reduce_ops import ReduceOp
@@ -151,15 +153,8 @@ class Scheduler:
         self.machine = machine or MachineModel()
         self.cost = cost or CostModel(machine=self.machine)
         if self.cost.machine is not self.machine:
-            # Keep one source of truth for the topology.
-            self.cost = CostModel(
-                machine=self.machine,
-                particle_push_s=self.cost.particle_push_s,
-                particle_pack_s=self.cost.particle_pack_s,
-                cell_handling_s=self.cost.cell_handling_s,
-                message_overhead_s=self.cost.message_overhead_s,
-                vp_scheduling_s=self.cost.vp_scheduling_s,
-            )
+            # Keep one source of truth for the topology, and every rate.
+            self.cost = replace(self.cost, machine=self.machine)
         if rank_to_core is None:
             rank_to_core = list(range(n_ranks))
         else:
@@ -177,8 +172,8 @@ class Scheduler:
         #: a rank's core, never the tier joining two cores.
         self._links: dict[tuple[int, int], TierCosts] = {}
         #: The last settled round's link prices, keyed by its cores and
-        #: sources (:func:`repro.runtime.executor.clock_round`).
-        self._round_links = None
+        #: sources (:meth:`_clock_round`).
+        self._wave_links = None
         #: Optional :class:`repro.instrument.Tracer` — receives spans at
         #: every state transition.  Purely observational: emissions are
         #: guarded with ``is not None`` and never touch simulated state.
@@ -361,25 +356,22 @@ class Scheduler:
         were already charged at dispatch — wall-clock completion order
         can never leak into simulated time.
 
-        When the executor settled the batch as one wave holding every
-        unfinished rank (``InProcessExecutor.wave``) and
-        :meth:`_round_cores` admits it, the wave's first exchange round is
-        clocked for all members before anyone wakes
-        (:func:`~repro.runtime.executor.clock_round`): woken, each member
-        adopts its post-round rows and goes straight to the settlement
-        allreduce, so the round's ops never pass through the per-op pump.
-        Everything else — and this whole method without that step — is the
-        per-op pump, the oracle the bulk clocking must equal bit for bit.
+        When the executor settled the batch as one wave
+        (``InProcessExecutor.wave``) and :meth:`_clock_round` admits it,
+        the wave's first exchange round is clocked for all members before
+        anyone wakes: woken, each member adopts its post-round rows and
+        goes straight to the settlement allreduce, so the round's ops never
+        pass through the per-op pump.  Everything else — and this whole
+        method without that step — is the per-op pump, the oracle the bulk
+        clocking must equal bit for bit.
         """
         batch, self._pending_exec = self._pending_exec, []
         executor = self._get_executor()
         handle = executor.start_batch(batch)
         wave = getattr(executor, "wave", None)
-        if wave is not None:
-            cores = self._round_cores(wave)
-            if cores is not None and clock_round(self, wave, cores):
-                for _, task in batch:
-                    task.clocked = True
+        if wave is not None and self._clock_round(wave):
+            for _, task in batch:
+                task.clocked = True
         states = self._states
         for i, (r, _task) in enumerate(batch):
             handle.wait(i)
@@ -389,39 +381,142 @@ class Scheduler:
                 self._advance_one(ready)
         handle.finish()
 
-    def _round_cores(self, wave):
-        """The wave members' cores if its round may be clocked in bulk,
-        else None.
+    def _clock_round(self, wave) -> bool:
+        """Clock a settled wave's first exchange round for every member at
+        once; False, with nothing moved, leaves the round to the pump.
 
-        A member's clocks are a function of its own ops and its sources'
-        send times — whatever order the pump would interleave them in —
-        only when no other rank can touch its core or its mailbox and
-        nobody watches the order.  So the wave (a subset of the batch)
-        must hold every unfinished rank; every member must have a core of
-        its own (AMPI's virtual ranks share one) and no pending message (a
-        receive would match it first); no tracer, metrics registry or
-        resilience hook may be attached (they record or perturb the
-        interleaving); and the routes must say how the exchange prices
-        (``RankRoute.cost``).  :func:`~repro.runtime.executor.clock_round`
-        checks the one order left, that of new ``core_clock`` keys.
+        ``wave`` is a :class:`~repro.runtime.exchange.SettledWave`.  Each
+        member runs the op template of
+        :func:`~repro.runtime.exchange._route_axis`'s round: per hop — x
+        when ``px > 1``, then y when ``py > 1`` — pack compute of its
+        leavers, ``sendrecv`` forward, ``sendrecv`` backward, unpack compute
+        of its arrivals.  Clocks, core clocks, core and rank busy seconds
+        and the transport's traffic counters move by the same IEEE
+        operations, in the same per-member order, as :meth:`_occupy`,
+        :meth:`_do_send` and :meth:`_complete_recv` would move them; the
+        exchange prices with the driver's cost model, which :attr:`cost`
+        equals in every rate.
+
+        Only the interleaving across members differs, and a member's clocks
+        are a function of its own ops and its sources' send times, whatever
+        order the pump would interleave them in, only when no other rank
+        can touch its core or its mailbox and nobody watches the order.  So
+        the wave (a subset of the batch) must hold every unfinished rank;
+        every member must have a core of its own (AMPI's virtual ranks
+        share one) and no pending message (a receive would match it
+        first); and no tracer, metrics registry or resilience hook may be
+        attached (they record or perturb the interleaving).
+
+        One thing the interleaving does decide is the order in which cores
+        never occupied before enter ``core_clock`` (and ``core_busy``;
+        checkpoints serialise both in that order).  The pump occupies each
+        member's core for the first time in member order when that happens
+        by the member's first send — its first or second op, both run
+        before the next member wakes — so those keys are inserted here in
+        member order.  A round that first occupies a new core later than
+        that, with another new core in play, returns False.
         """
         if (
             self.tracer is not None
             or self.metrics is not None
             or self.resilience is not None
-            or wave.cost is None
         ):
-            return None
-        ranks = wave.ranks
-        if len(ranks) != self.n_ranks - self._finished:
-            return None
+            return False
+        ranks, src, n = wave.ranks, wave.sources, wave.lengths
+        m = len(ranks)
+        if m != self.n_ranks - self._finished:
+            return False
         cores = tuple(map(self.rank_to_core.__getitem__, ranks))
-        if len(set(cores)) != len(ranks):
-            return None
-        pending = self.transport._pending
-        if any(map(pending.__getitem__, ranks)):
-            return None
-        return cores
+        transport = self.transport
+        if len(set(cores)) != m or any(map(transport._pending.__getitem__, ranks)):
+            return False
+        clock, rank_busy = self.clock, self.rank_busy
+        core_clock, core_busy = self.core_clock, self.core_busy
+        # Rows: the members' clocks, core-free times, core busy and rank
+        # busy seconds.
+        st = np.array([
+            [clock[r] for r in ranks],
+            [core_clock.get(c, 0.0) for c in cores],
+            [core_busy.get(c, 0.0) for c in cores],
+            [rank_busy[r] for r in ranks],
+        ])
+        hit = np.zeros(m, dtype=bool)  # the members whose core was occupied
+
+        def occupy(seconds) -> None:
+            """:meth:`_occupy` for every member: one charge (a float) for
+            all or one per member (an array); a charge of 0.0 is free."""
+            nonlocal hit
+            if isinstance(seconds, float):
+                if seconds == 0.0:
+                    return
+                np.maximum(st[0], st[1], out=st[0])
+                st[0] += seconds
+                st[1] = st[0]
+                st[2:] += seconds
+                hit[:] = True
+                return
+            on = seconds != 0.0
+            end = np.maximum(st[0], st[1])
+            end += seconds
+            np.copyto(st[:2], end, where=on)
+            st[2:] += seconds  # busy seconds are >= 0: adding 0.0 keeps every bit
+            hit |= on
+
+        # Latency and bandwidth, (M, 4) each, of the link every member's
+        # four receives arrive over, kept for the next wave of the same
+        # geometry.
+        key = (cores, src.tobytes())
+        if self._wave_links is None or self._wave_links[0] != key:
+            lat, bw = np.empty(src.shape), np.empty(src.shape)
+            for i, row in enumerate(src.tolist()):
+                for j, s in enumerate(row):
+                    pair = (cores[s], cores[i])
+                    link = self._links.get(pair)
+                    if link is None:
+                        link = self._links[pair] = self.machine.link(*pair)
+                    lat[i, j], bw[i, j] = link.latency, link.bandwidth
+            self._wave_links = (key, (lat, bw))
+        lat, bw = self._wave_links[1]
+        cost = self.cost
+        send_s, recv_s = self._send_overhead_s, self._recv_overhead_s
+        messages = nbytes = 0
+        early = None  # the members occupied by their first send
+        for axis in (0, 1):
+            if wave.dims[axis] == 1:
+                continue
+            fwd, bwd = n[:, 2 * axis], n[:, 2 * axis + 1]
+            src_bwd, src_fwd = src[:, 2 * axis], src[:, 2 * axis + 1]
+            occupy(cost.pack_time(fwd + bwd))
+            # Forward buffers arrive from the backward source, backward ones
+            # from the forward source.
+            for j, out, sender in ((2 * axis, fwd, src_bwd),
+                                   (2 * axis + 1, bwd, src_fwd)):
+                occupy(send_s)
+                if early is None:
+                    early = hit.copy()
+                # cost.particle_wire_bytes(record_nbytes(len(buf))) per buffer
+                wire = (record_nbytes(out) * cost.particle_byte_scale).astype(np.int64)
+                t_avail = st[0][sender] + (lat[:, j] + wire[sender] / bw[:, j])
+                np.maximum(st[0], t_avail, out=st[0])
+                occupy(recv_s)
+                messages += m
+                nbytes += int(wire.sum())
+            occupy(cost.pack_time(fwd[src_bwd] + bwd[src_fwd]))
+        if early is not None and not early.all():
+            new = hit & ~np.fromiter(map(core_clock.__contains__, cores), bool, m)
+            if (new & ~early).any() and np.count_nonzero(new) > 1:
+                return False
+        for r, t, busy in zip(ranks, st[0].tolist(), st[3].tolist()):
+            clock[r] = t
+            rank_busy[r] = busy
+        for c, free, busy, h in zip(cores, st[1].tolist(), st[2].tolist(), hit.tolist()):
+            if h:  # new keys in member order, as the pump inserts them
+                core_clock[c] = free
+                core_busy[c] = busy
+        transport._seq += messages
+        transport.messages_sent += messages
+        transport.bytes_sent += nbytes
+        return True
 
     # ------------------------------------------------------------------
     # Op dispatch

@@ -1,7 +1,7 @@
 """The seed's particle exchange, kept verbatim as a differential oracle.
 
 Test support for ``test_exchange_pooling.py``: the pooled, O(leavers)
-:func:`repro.parallel.base.exchange_particles` must deliver the same
+:func:`repro.runtime.exchange.exchange_particles` must deliver the same
 particles, simulated clocks, traffic and settlement rounds as this
 pipeline, which allocates fresh select/pack/concatenate arrays for the
 full population on every routing hop.
@@ -23,7 +23,7 @@ from repro.core.mesh import Mesh
 from repro.constants import PARTICLE_RECORD_FIELDS
 from repro.core.particles import ParticleArray
 from repro.decomp.partition import BlockPartition
-from repro.parallel.base import (
+from repro.runtime.exchange import (
     TAG_X_LEFT,
     TAG_X_RIGHT,
     TAG_Y_DOWN,
@@ -50,12 +50,12 @@ def exchange_particles_legacy(
     mesh: Mesh,
     particles: ParticleArray,
     cost: CostModel,
-    scratch=None,
 ):
     """The seed's particle router: fresh allocations on every hop.
 
-    Accepts (and ignores) ``scratch`` so it can stand in for the optimised
-    :func:`repro.parallel.base.exchange_particles`.
+    Takes the arguments of the optimised
+    :func:`repro.runtime.exchange.exchange_particles`, so it can stand in
+    for it.
     """
     my_px, my_py = cart.coords
     px, py = cart.px, cart.py

@@ -3,7 +3,7 @@
 When ``InProcessExecutor`` settled a closed group holding every unfinished
 rank (``exchange_wave``), ``Scheduler._flush_compute`` advances all members
 through the round's op template in one pass
-(:func:`repro.runtime.executor.clock_round`); woken, each member adopts its
+(``Scheduler._clock_round``); woken, each member adopts its
 rows and goes straight to the settlement allreduce.  The per-op pump stays
 the oracle:
 
@@ -35,9 +35,10 @@ from repro.core.spec import PICSpec
 from repro.instrument import MetricsRegistry, Tracer
 from repro.parallel import AmpiPIC, Mpi2dPIC, base
 from repro.runtime import CostModel, MachineModel, ops
+from repro.runtime import exchange as exchange_mod
 from repro.runtime import executor as executor_mod
-from repro.runtime import scheduler as scheduler_mod
-from repro.runtime.executor import InProcessExecutor, SettledWave
+from repro.runtime.exchange import SettledWave
+from repro.runtime.executor import InProcessExecutor
 from repro.runtime.scheduler import Scheduler
 
 #: Two nodes x two sockets x two cores: a grid's messages cross every tier.
@@ -47,31 +48,26 @@ _VERIFY = base.ParallelPICBase._verify
 
 
 def _run(build, *, lockstep=True):
-    """Everything a run leaves behind, and what each ``clock_round`` call
+    """Everything a run leaves behind, and what each ``_clock_round`` call
     returned (True: clocked in bulk).  ``lockstep=False`` puts the bulk
     clocking out of reach."""
     finals = {}
     clocked = []
-    real = scheduler_mod.clock_round
+    real = Scheduler._clock_round
 
     def verify(self, comm, state):
         finals[comm.world_rank] = state.particles.pack().tobytes()
         return (yield from _VERIFY(self, comm, state))
 
-    def counting(*args):
-        done = real(*args)
+    def counting(self, wave):
+        done = lockstep and real(self, wave)
         clocked.append(done)
         return done
 
     with mock.patch.object(base.ParallelPICBase, "_verify", verify), \
-            mock.patch.object(scheduler_mod, "clock_round", counting):
-        if not lockstep:
-            with mock.patch.object(Scheduler, "_round_cores", lambda *a: None):
-                engine = build().build_engine()
-                res = engine.run()
-        else:
-            engine = build().build_engine()
-            res = engine.run()
+            mock.patch.object(Scheduler, "_clock_round", counting):
+        engine = build().build_engine()
+        res = engine.run()
     assert res.verification.ok
     sched = engine.scheduler
     state = {
@@ -110,8 +106,8 @@ def test_clocked_rounds_equal_the_per_op_pump(seed, px, py, cells, n_particles,
     # fig7 prices particle bytes 27.78 times over; free messages leave the
     # pack computes as the only occupations of a round.  Built without the
     # run's machine, the model is re-bound by the scheduler, which keeps
-    # its message overhead but not its byte scale: the exchange's pricing
-    # is the driver's model, not the scheduler's.
+    # every rate, the byte scale too: the bulk clocking prices with the
+    # scheduler's model what the exchange prices with the driver's.
     cost = (CostModel(message_overhead_s=0.0, particle_byte_scale=27.78)
             if free_messages else CostModel(machine=machine))
 
@@ -123,9 +119,9 @@ def test_clocked_rounds_equal_the_per_op_pump(seed, px, py, cells, n_particles,
                            min(WAVE_MIN_MEMBERS, px * py)):
         bulk, clocked = _run(build)
         pump, none = _run(build, lockstep=False)
-    assert clocked and not none
+    assert clocked and not any(none)
     # Free messages may leave several new cores first occupied late in a
-    # round (a pack compute after arrivals): clock_round then hands it back.
+    # round (a pack compute after arrivals): _clock_round then hands it back.
     assert any(clocked) or free_messages
     assert bulk == pump
 
@@ -141,7 +137,7 @@ def _spec(steps=6):
 def pump_calls(monkeypatch):
     """``_route_axis`` calls and dispatched ``SendrecvOp`` ops."""
     calls = {"route_axis": 0, "sendrecv": 0}
-    real_route, real_dispatch = base._route_axis, Scheduler._dispatch
+    real_route, real_dispatch = exchange_mod._route_axis, Scheduler._dispatch
 
     def route(*args, **kw):
         calls["route_axis"] += 1
@@ -152,7 +148,7 @@ def pump_calls(monkeypatch):
             calls["sendrecv"] += 1
         return real_dispatch(self, r, op, ready)
 
-    monkeypatch.setattr(base, "_route_axis", route)
+    monkeypatch.setattr(exchange_mod, "_route_axis", route)
     monkeypatch.setattr(Scheduler, "_dispatch", dispatch)
     return calls
 
@@ -172,7 +168,7 @@ def test_observed_runs_keep_the_pump(pump_calls, observed):
     assert clocked == [True] * 6 and pump_calls["sendrecv"] == 0
     seen, clocked = _run(lambda: Mpi2dPIC(_spec(), 64, executor=InProcessExecutor(),
                                           **observed))
-    assert clocked == []
+    assert clocked and True not in clocked
     assert pump_calls["route_axis"] > 0 and pump_calls["sendrecv"] > 0
     for key in ("clock", "rank_busy", "traffic", "result", "finals"):
         assert seen[key] == plain[key], key
@@ -184,7 +180,7 @@ def test_shared_cores_keep_the_pump(pump_calls):
                        executor=InProcessExecutor())
 
     shared, clocked = _run(build)
-    assert clocked == []
+    assert True not in clocked
     assert pump_calls["route_axis"] > 0 and pump_calls["sendrecv"] > 0
     pump, _ = _run(build, lockstep=False)
     assert shared == pump
@@ -203,29 +199,36 @@ def test_a_wave_over_ranks_of_one_core_each_is_clocked():
 
 
 def test_every_gate_condition_hands_the_round_back():
-    """``Scheduler._round_cores`` admits a wave only when nothing but the
-    members' own ops can move their clocks."""
+    """``Scheduler._clock_round`` clocks a wave only when nothing but the
+    members' own ops can move their clocks; a refused round moves
+    nothing."""
     sched = Scheduler(4, executor=InProcessExecutor())
     sources = np.array([[1, 1, 2, 2], [0, 0, 3, 3], [3, 3, 0, 0], [2, 2, 1, 1]])
     wave = SettledWave([0, 1, 2, 3], sources, np.zeros((4, 4), dtype=np.int64),
-                       (2, 2), CostModel())
-    assert sched._round_cores(wave) == (0, 1, 2, 3)
-    sched.n_ranks = 5
-    assert sched._round_cores(wave) is None  # an unfinished rank outside it
-    sched._finished = 1
-    assert sched._round_cores(wave) == (0, 1, 2, 3)  # ... that has finished
-    sched.n_ranks, sched._finished = 4, 0
-    sched.rank_to_core[3] = 0
-    assert sched._round_cores(wave) is None  # two members on one core
-    sched.rank_to_core[3] = 3
+                       (2, 2))
     sched.transport.post(2, 0, 0, 7, None, 8, 0.0)
-    assert sched._round_cores(wave) is None  # a receive would match it first
+    assert not sched._clock_round(wave)  # a receive would match it first
     sched.transport.match(2, 0, 0, 7)
-    wave.cost = None
-    assert sched._round_cores(wave) is None  # no exchange pricing
-    wave.cost = CostModel()
+
+    def state():
+        return (list(sched.clock), dict(sched.core_clock), dict(sched.core_busy),
+                list(sched.rank_busy), sched.transport.messages_sent,
+                sched.transport.bytes_sent)
+
+    before = state()
+    sched.n_ranks = 5
+    assert not sched._clock_round(wave)  # an unfinished rank outside it
+    sched.n_ranks = 4
+    sched.rank_to_core[3] = 0
+    assert not sched._clock_round(wave)  # two members on one core
+    sched.rank_to_core[3] = 3
     for hook in ("tracer", "metrics", "resilience"):
         setattr(sched, hook, object())
-        assert sched._round_cores(wave) is None, hook
+        assert not sched._clock_round(wave), hook
         setattr(sched, hook, None)
-    assert sched._round_cores(wave) == (0, 1, 2, 3)
+    assert state() == before
+    sched.n_ranks, sched._finished = 5, 1
+    assert sched._clock_round(wave)  # ... the rank outside it has finished
+    # Two hops, two empty messages per member each.
+    assert sched.transport.messages_sent == before[4] + 16
+    assert sched.core_clock.keys() == {0, 1, 2, 3}

@@ -1,15 +1,15 @@
-"""Coverage for :class:`repro.parallel.base.ExchangeScratch`.
+"""Coverage for the particle exchange's range test and wire buffers.
 
-Wire buffers: pins the growth policy (``cap = max(n, 2 * prev, 16)``), the
-per ``(axis, direction)`` keying, and reuse without reallocation when the
-existing capacity suffices — the invariants the zero-churn exchange in
-``ParallelPICBase._exchange`` relies on.
+Wire buffers: six columns shipped, eleven doubles charged per particle.
 
-Range test: ``outside`` flags leavers straight from positions and computes
-(and re-tests) cells for the flagged rows only; a generated property holds
-it to the ``mesh.cell_of`` + ``searchsorted`` owner oracle on the positions
-where the shortcut could differ (cell boundaries, signed zero, both ends of
-the domain, the ``x == L`` rounding edge, ``h != 1``).
+Range test: :func:`repro.runtime.exchange._outside` — the one range test
+of the per-rank hop, the wave and the settlement count — flags leavers
+straight from positions and computes (and re-tests) cells for the flagged
+rows only; a generated property holds it to the ``mesh.cell_of`` +
+``searchsorted`` owner oracle on the positions where the shortcut could
+differ (cell boundaries, signed zero, both ends of the domain, the
+``x == L`` rounding edge, ``h != 1``), with one rank's scalar bounds and
+with a wave's bounds per row.
 """
 
 from __future__ import annotations
@@ -22,16 +22,13 @@ from repro.core.particles import STATE_FIELDS, ParticleArray
 from repro.core.spec import Distribution, PICSpec
 from repro.decomp.partition import BlockPartition
 from repro.parallel import Mpi2dPIC
-from repro.parallel.base import ExchangeScratch, _count_misplaced
-from repro.runtime.executor import EMPTY_WIRE
+from repro.runtime.exchange import EMPTY_WIRE, _count_misplaced, _outside
 
 
 class TestWire:
     def test_shape_and_dtype(self):
-        buf = ExchangeScratch().wire(0, +1, 5)
-        assert buf.dtype == np.float64
-        assert buf.ndim == 2 and buf.shape[1] == STATE_FIELDS == 6
-        assert EMPTY_WIRE.shape == (0, 6)
+        assert EMPTY_WIRE.dtype == np.float64
+        assert EMPTY_WIRE.shape == (0, STATE_FIELDS) == (0, 6)
 
     def test_run_ships_six_columns_and_charges_eleven(self, monkeypatch):
         """Every arrival's wire buffer is 6 columns wide, while the run's
@@ -53,43 +50,6 @@ class TestWire:
         assert res.verification.ok
         assert widths == {6} and sum(shipped) > 0
         assert res.bytes_sent == 88 * sum(shipped)
-
-    def test_minimum_capacity_is_16(self):
-        s = ExchangeScratch()
-        assert s.wire(0, +1, 0).shape[0] == 16
-        assert s.wire(1, -1, 3).shape[0] == 16
-
-    def test_reuse_without_realloc_when_capacity_suffices(self):
-        s = ExchangeScratch()
-        first = s.wire(0, +1, 10)
-        again = s.wire(0, +1, 7)
-        assert again is first  # same object: zero-churn steady state
-
-    def test_growth_doubles_previous_capacity(self):
-        s = ExchangeScratch()
-        assert s.wire(0, +1, 10).shape[0] == 16
-        assert s.wire(0, +1, 17).shape[0] == 32  # 2*16 > 17
-        assert s.wire(0, +1, 100).shape[0] == 100  # n > 2*32
-
-    def test_axis_direction_pairs_are_independent(self):
-        s = ExchangeScratch()
-        bufs = {
-            key: s.wire(*key, 20)
-            for key in ((0, +1), (0, -1), (1, +1), (1, -1))
-        }
-        assert len({id(b) for b in bufs.values()}) == 4
-        # Growing one pair leaves the others untouched.
-        grown = s.wire(0, +1, 200)
-        assert grown is not bufs[(0, +1)]
-        for key in ((0, -1), (1, +1), (1, -1)):
-            assert s.wire(*key, 20) is bufs[key]
-
-    def test_contents_survive_reuse_up_to_n(self):
-        """A smaller follow-up request must not clear previously packed rows."""
-        s = ExchangeScratch()
-        buf = s.wire(1, +1, 16)
-        buf[:4] = 7.5
-        assert np.all(s.wire(1, +1, 4)[:4] == 7.5)
 
 
 def _edge_positions(mesh: Mesh, n: int, rng) -> np.ndarray:
@@ -117,16 +77,16 @@ def _edge_positions(mesh: Mesh, n: int, rng) -> np.ndarray:
 def test_outside_matches_cell_of_owner_oracle(h, dims, n, seed):
     """On every block — including those with ``lo == 0`` and ``hi == cells``
     — the returned rows are exactly the rows the owner oracle sends away,
-    and their cells are ``mesh.cell_of`` bit for bit."""
+    and their cells are ``mesh.cell_of`` bit for bit: with one rank's
+    scalar bounds and with bounds drawn per row."""
     mesh = Mesh(20, h)
     part = BlockPartition.uniform(mesh.cells, *dims)
     rng = np.random.default_rng(seed)
     x, y = _edge_positions(mesh, n, rng), _edge_positions(mesh, n, rng)
     col, row = mesh.cell_of(x), mesh.cell_of(y)
-    scratch = ExchangeScratch()
     for i in range(part.px):
         lo, hi = part.x_range(i)
-        rows, cells = scratch.outside(x, mesh, lo, hi)
+        rows, cells = _outside(x, lo, hi, mesh)
         assert cells.dtype == np.int64
         np.testing.assert_array_equal(cells, col[rows])
         np.testing.assert_array_equal(
@@ -135,5 +95,17 @@ def test_outside_matches_cell_of_owner_oracle(h, dims, n, seed):
         for j in range(part.py):
             owner = part.owner_rank(col, row)
             assert _count_misplaced(
-                scratch, mesh, x, y, (lo, hi), part.y_range(j)
+                mesh, x, y, (lo, hi), part.y_range(j)
             ) == np.count_nonzero(owner != i * part.py + j)
+    # A wave's form: every row tested against its own member's block, the
+    # bounds as float64 (the hop) and as int64 (the arrivals' count).
+    block = rng.integers(0, part.px, n)
+    for dtype in (np.float64, np.int64):
+        lo = part.xsplits[block].astype(dtype)
+        hi = part.xsplits[block + 1].astype(dtype)
+        rows, cells = _outside(x, lo, hi, mesh)
+        assert cells.dtype == np.int64
+        np.testing.assert_array_equal(cells, col[rows])
+        np.testing.assert_array_equal(
+            rows, np.flatnonzero(part.x_owner(col) != block)
+        )

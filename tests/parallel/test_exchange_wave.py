@@ -1,13 +1,13 @@
 """A closed fused group's first exchange round, settled once for every member.
 
 When ``InProcessExecutor`` has just pushed a group of small ranks, one pass
-(:func:`repro.runtime.executor.exchange_wave`) runs what each member's
+(:func:`repro.runtime.exchange.exchange_wave`) runs what each member's
 ``exchange_particles`` would do in round 1: the x hop, the y hop on the
 post-x populations, tail-fill, arrivals and the settlement counts — for a
 closed group (every member's source neighbours are members) of at least
 ``WAVE_MIN_MEMBERS`` members with at most ``WAVE_MAX_MEAN`` particles per
 member on average.  Every other rank runs its exchange itself.  The
-per-rank path (:func:`repro.parallel.base.hop_front_half` plus
+per-rank path (:func:`repro.runtime.exchange.hop_front_half` plus
 ``_route_axis``'s back half) stays the oracle:
 
 * **Property** — the settled round equals the real per-rank round
@@ -37,15 +37,12 @@ from repro.core.particles import ParticleArray, STATE_FIELDS
 from repro.core.spec import PICSpec
 from repro.decomp.partition import BlockPartition
 from repro.parallel import AmpiPIC, Mpi2dLbPIC, Mpi2dPIC, base
+from repro.runtime import exchange as exchange_mod
 from repro.runtime import executor as executor_mod
 from repro.runtime import ops, run_spmd
 from repro.runtime.costmodel import CostModel
-from repro.runtime.executor import (
-    InProcessExecutor,
-    ProcessExecutor,
-    _closed_sources,
-    exchange_wave,
-)
+from repro.runtime.exchange import _closed_sources, exchange_wave
+from repro.runtime.executor import InProcessExecutor, ProcessExecutor
 from tests.core.backend_conformance import requires_compiled
 
 _FIELDS = ("x", "y", "vx", "vy", "q", "pid")
@@ -113,10 +110,10 @@ def _first_round(mesh, dims, parts, partitions, firsts=None):
     cost = CostModel()
     out, fronts, counts = {}, {}, {}
     owner = {}
-    real_front, real_route = base.hop_front_half, base._route_axis
+    real_front, real_route = exchange_mod.hop_front_half, exchange_mod._route_axis
 
-    def front(particles, mesh, scratch, *, axis, **kw):
-        got = real_front(particles, mesh, scratch, axis=axis, **kw)
+    def front(particles, mesh, *, axis, **kw):
+        got = real_front(particles, mesh, axis=axis, **kw)
         fronts[owner[id(particles)], axis] = (
             got[0].copy(), got[1].tobytes(), got[2].tobytes())
         return got
@@ -132,8 +129,8 @@ def _first_round(mesh, dims, parts, partitions, firsts=None):
         part = partitions[r]
         p = parts[r].copy()
         owner[id(p)] = r
-        gen = base.exchange_particles(
-            comm, cart, part, mesh, p, cost, base.ExchangeScratch(),
+        gen = exchange_mod.exchange_particles(
+            comm, cart, part, mesh, p, cost,
             first=None if firsts is None else firsts[r],
         )
         seen, value = [], None
@@ -147,14 +144,14 @@ def _first_round(mesh, dims, parts, partitions, firsts=None):
                 seen.append(("sendrecv", op.dst, op.src, op.sendtag, op.nbytes,
                              np.asarray(op.payload).tobytes()))
             value = yield op
-        out[r] = (base._rank_route(part, cart), p, seen, op.value)
+        out[r] = (exchange_mod._rank_route(part, cart), p, seen, op.value)
         gen.close()
 
-    base.hop_front_half, base._route_axis = front, route
+    exchange_mod.hop_front_half, exchange_mod._route_axis = front, route
     try:
         run_spmd(dims[0] * dims[1], prog)
     finally:
-        base.hop_front_half, base._route_axis = real_front, real_route
+        exchange_mod.hop_front_half, exchange_mod._route_axis = real_front, real_route
     return out, fronts, counts
 
 
@@ -265,7 +262,7 @@ def x_hop_packs(monkeypatch):
     """``pack_into`` calls made inside x hops and inside y hops."""
     counts = {0: 0, 1: 0}
     axis = []
-    real_route, real_pack = base._route_axis, ParticleArray.pack_into
+    real_route, real_pack = exchange_mod._route_axis, ParticleArray.pack_into
 
     def route(*args, **kw):
         gen = real_route(*args, **kw)
@@ -284,7 +281,7 @@ def x_hop_packs(monkeypatch):
         counts[axis[-1]] += 1
         return real_pack(self, rows, out)
 
-    monkeypatch.setattr(base, "_route_axis", route)
+    monkeypatch.setattr(exchange_mod, "_route_axis", route)
     monkeypatch.setattr(ParticleArray, "pack_into", pack_into)
     return counts
 
@@ -305,7 +302,7 @@ def per_rank_calls(monkeypatch):
 
     counted(ParticleArray, "compact")
     counted(ParticleArray, "extend_packed")
-    counted(base, "hop_front_half")
+    counted(exchange_mod, "hop_front_half")
     return calls
 
 

@@ -38,10 +38,9 @@ class TestInjectedFaultsAreDetected:
     def test_dropped_particle_fails_checksum(self, restore_exchange):
         state = {"dropped": False}
 
-        def dropping_exchange(comm, cart, partition, mesh, particles, cost,
-                              scratch=None, **kw):
+        def dropping_exchange(comm, cart, partition, mesh, particles, cost, **kw):
             result = yield from real_exchange(
-                comm, cart, partition, mesh, particles, cost, scratch, **kw
+                comm, cart, partition, mesh, particles, cost, **kw
             )
             if not state["dropped"] and cart.rank == 0 and len(result) > 0:
                 state["dropped"] = True
@@ -56,10 +55,9 @@ class TestInjectedFaultsAreDetected:
     def test_duplicated_particle_fails_checksum(self, restore_exchange):
         state = {"done": False}
 
-        def duplicating_exchange(comm, cart, partition, mesh, particles, cost,
-                                 scratch=None, **kw):
+        def duplicating_exchange(comm, cart, partition, mesh, particles, cost, **kw):
             result = yield from real_exchange(
-                comm, cart, partition, mesh, particles, cost, scratch, **kw
+                comm, cart, partition, mesh, particles, cost, **kw
             )
             if not state["done"] and cart.rank == 1 and len(result) > 0:
                 state["done"] = True
@@ -74,10 +72,9 @@ class TestInjectedFaultsAreDetected:
         """Mimic one force miscalculation on one rank in one step."""
         state = {"done": False}
 
-        def corrupting_exchange(comm, cart, partition, mesh, particles, cost,
-                                scratch=None, **kw):
+        def corrupting_exchange(comm, cart, partition, mesh, particles, cost, **kw):
             result = yield from real_exchange(
-                comm, cart, partition, mesh, particles, cost, scratch, **kw
+                comm, cart, partition, mesh, particles, cost, **kw
             )
             if not state["done"] and cart.rank == 2 and len(result) > 0:
                 state["done"] = True
@@ -93,10 +90,9 @@ class TestInjectedFaultsAreDetected:
         """A corrupted velocity derails every subsequent step."""
         state = {"done": False}
 
-        def corrupting_exchange(comm, cart, partition, mesh, particles, cost,
-                                scratch=None, **kw):
+        def corrupting_exchange(comm, cart, partition, mesh, particles, cost, **kw):
             result = yield from real_exchange(
-                comm, cart, partition, mesh, particles, cost, scratch, **kw
+                comm, cart, partition, mesh, particles, cost, **kw
             )
             if not state["done"] and cart.rank == 0 and len(result) > 0:
                 state["done"] = True

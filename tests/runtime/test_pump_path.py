@@ -6,7 +6,7 @@ rank-step's wall clock.  These tests pin what it costs (a call count, so
 it repeats exactly on any host) and that its shortcuts — message prices
 read from a per-core-pair table, ``sendrecv`` matching without a
 ``RecvOp`` — give the answers the long way gave.  A settled exchange round
-skips the per-op path altogether (``repro.runtime.executor.clock_round``);
+skips the per-op path altogether (``Scheduler._clock_round``);
 the per-op budget is measured with that out of reach, and a second budget
 prices a whole rank-step with it.
 """
@@ -37,8 +37,8 @@ CALLS_PER_OP_BUDGET = 40.0
 
 #: Python-level calls per rank-step (ranks x steps) of :data:`BUDGET_SPEC`
 #: as it runs: settled rounds clocked in bulk, 416 ops left on the per-op
-#: path.  It reads 127.7 (20 427 calls over 160 rank-steps; 275.3 with
-#: every round per op), so 150 leaves ~17 % headroom.  A change that trips
+#: path.  It reads 125.8 (20 127 calls over 160 rank-steps; 275.3 with
+#: every round per op), so 150 leaves ~19 % headroom.  A change that trips
 #: it added calls to every rank-step or sent settled rounds back per op.
 CALLS_PER_RANK_STEP_BUDGET = 150.0
 
@@ -82,7 +82,7 @@ class TestCallBudget:
     def test_scheduler_op_stays_within_its_call_budget(self):
         rs = RunSpec.from_dict(BUDGET_SPEC)
         # Every round on the per-op path: no wave is clocked in bulk.
-        with mock.patch.object(Scheduler, "_round_cores", lambda *a: None):
+        with mock.patch.object(Scheduler, "_clock_round", lambda *a: False):
             _calls_per_op(rs)  # warm: first-use imports and buffers are not the pump
             calls, ops = _calls_per_op(rs)
         assert ops > 1000  # the run really drove the pump

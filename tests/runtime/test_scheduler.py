@@ -437,6 +437,41 @@ class TestSchedulerConfig:
         with pytest.raises(TypeError, match="not a runtime operation"):
             run_spmd(1, prog)
 
+    def test_cost_model_of_another_machine_keeps_every_rate(self):
+        """A cost model bound to another machine is re-bound to the
+        scheduler's, every other field kept: byte scales and
+        ``pup_bandwidth`` as much as the per-op rates."""
+        machine = MachineModel(cores_per_socket=2)
+        cost = CostModel(particle_pack_s=3e-8, message_overhead_s=1e-6,
+                         particle_byte_scale=2.5, cell_byte_scale=4.0,
+                         pup_bandwidth=1e5)
+        sched = Scheduler(2, machine=machine, cost=cost)
+        assert sched.cost.machine is machine
+        assert sched.cost == CostModel(
+            machine=machine, particle_pack_s=3e-8, message_overhead_s=1e-6,
+            particle_byte_scale=2.5, cell_byte_scale=4.0, pup_bandwidth=1e5)
+
+    def test_migration_is_priced_by_the_given_pup_bandwidth(self):
+        """An AMPI run given a slow PUP rate, with or without the machine
+        its cost model is bound to, simulates the same migration time."""
+        from repro.core.spec import PICSpec
+        from repro.parallel import AmpiPIC
+        from repro.runtime.executor import InProcessExecutor
+
+        spec = PICSpec(cells=64, n_particles=4000, steps=20, k=1, r=0.9)
+        machine = MachineModel()
+
+        def run(**kw):
+            return AmpiPIC(spec, 4, executor=InProcessExecutor(),
+                           overdecomposition=4, lb_interval=5, **kw).run()
+
+        slow = run(cost=CostModel(pup_bandwidth=1e5))
+        bound = run(machine=machine,
+                    cost=CostModel(machine=machine, pup_bandwidth=1e5))
+        default = run(cost=CostModel())
+        assert slow.total_time == bound.total_time
+        assert slow.total_time > 100 * default.total_time
+
 
 class TestWorldCommunicator:
     @staticmethod
