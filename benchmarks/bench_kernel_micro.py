@@ -304,8 +304,8 @@ def _wave_report(reps: int = 20) -> None:
         def wave():
             parts = state["parts"]
             np.concatenate([p.pid for p in parts], out=stage[5].view(np.int64))
-            firsts, _ = exchange_wave(stage, counts, routes, mesh, sources)
-            for p, (_, _, columns) in zip(parts, firsts):
+            wave = exchange_wave(stage, counts, ranks, routes, mesh, sources)
+            for p, columns in zip(parts, wave.columns):
                 p.adopt(columns)
 
         slow = _best_call_us(per_rank, restore, reps)

@@ -240,7 +240,7 @@ class ParticleArray:
         given views: :meth:`compact` stays inside them and any growth
         reallocates privately.  That is what lets the fused exchange
         round hand every member a slice of one shared block
-        (:func:`repro.runtime.executor.exchange_wave`).
+        (:func:`repro.runtime.exchange.exchange_wave`).
         """
         d = self.__dict__
         for name, col in zip(_FIELDS, columns):

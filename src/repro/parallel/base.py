@@ -440,15 +440,15 @@ class ParallelPICBase:
                 # may fuse the kernel calls or fan them out across worker
                 # processes (bitwise-identical either way — see
                 # repro.runtime.executor).  The task also carries the rank's
-                # exchange route, so a fusing executor may run the first
-                # exchange round for the whole group (task.first) and the
-                # scheduler clock it (task.clocked).
+                # exchange route, so a fusing executor may settle the first
+                # exchange round for the whole group (task.first), which the
+                # scheduler may then clock in bulk.
                 task = PushTask(mesh, state.particles, spec.dt, route=state.route(cart))
                 yield comm.compute(step_cost, task=task)
                 state.pushes += n_local
                 state.particles = yield from exchange_particles(
                     comm, cart, state.partition, mesh, state.particles, cost,
-                    first=task.first, clocked=task.clocked,
+                    first=task.first,
                 )
                 yield from self.lb_hook(comm, cart, state, t)
                 if len(state.particles) > state.max_particles:

@@ -19,7 +19,13 @@ Two paths compute a round, with one range test (:func:`_outside`):
 * per wave — :func:`exchange_wave` settles the first round of a closed
   fused group (:mod:`repro.runtime.executor`) for every member at once,
   element for element what the per-rank path would compute, which stays
-  its oracle.
+  its oracle.  A settled round is its counts (:class:`SettledWave`): one
+  integer table — per hop each member's forward and backward leavers,
+  arrivals and settlement count — plus each member's post-round columns.
+  No particle is packed for it: the scheduler clocks the round from the
+  table (``Scheduler._clock_round``), or each member replays its ops
+  from its row (:func:`_route_axis` with ``front``), sending messages
+  without payload that only members of the wave receive.
 
 The order of particles within a rank is therefore implementation-defined
 (but deterministic).  None of this changes simulated time, message counts
@@ -149,7 +155,6 @@ def exchange_particles(
     particles: ParticleArray,
     cost: CostModel,
     first=None,
-    clocked: bool = False,
 ):
     """Route particles to their owning rank (generator; returns the new set).
 
@@ -164,25 +169,27 @@ def exchange_particles(
     compaction, the settlement count — touches only the particles that
     leave or arrive.
 
-    ``first`` is the first round as the executor settled it
-    (:attr:`~repro.runtime.executor.PushTask.first`, :func:`exchange_wave`):
-    each hop's front half with its count, and the post-round population,
-    which the rank adopts here.  The round yields the same ops, costs and
-    payloads as without it.  With ``clocked`` the scheduler has already
-    charged those ops for the whole wave
-    (``Scheduler._clock_round``, which mirrors :func:`_route_axis`'s op
-    template): the round yields nothing, its counts come from the fronts,
-    and the rank goes straight to the settlement allreduce.  Later rounds
-    always run here.
+    ``first`` is ``(wave, i)`` when the executor settled the first round
+    (:attr:`~repro.runtime.executor.PushTask.first`): the
+    :class:`SettledWave` and the rank's member index in it.  The rank
+    adopts its post-round columns here and takes each hop's counts from
+    its table row.  If the scheduler has already clocked the round for
+    the whole wave (``wave.clocked``, ``Scheduler._clock_round``, which
+    mirrors :func:`_route_axis`'s op template) the round yields nothing
+    and the rank goes straight to the settlement allreduce; otherwise each
+    hop replays its ops from the counts.  Later rounds always run here.
     """
     my_px, my_py = cart.coords
     px, py = cart.px, cart.py
     x_range = partition.x_range(my_px)
     y_range = partition.y_range(my_py)
     xfront = yfront = None
+    clocked = False
     if first is not None:
-        xfront, yfront, columns = first
-        particles.adopt(columns)
+        wave, i = first
+        particles.adopt(wave.columns[i])
+        row = wave.table[i].tolist()
+        xfront, yfront, clocked = row[:4], row[4:], wave.clocked
     while True:
         # Residents a hop keeps are proven on-block along its axis, so only
         # arrivals can be misplaced: the x hop's on x, the y hop's on both.
@@ -257,9 +264,11 @@ def _route_axis(
     """One forwarding hop along one axis (generator), in place.
 
     ``ranges`` is the rank's ``(x_range,)`` for the x hop and ``(x_range,
-    y_range)`` for the y hop.  ``front`` is the hop as the executor settled
-    it, ``(leavers, fwd_buf, bwd_buf, count)``: the hop then only sends
-    and prices, its result already adopted.  Without it
+    y_range)`` for the y hop.  ``front`` is the hop's row of a settled
+    wave's table, four ints ``(forward leavers, backward leavers,
+    arrivals, count)``: the hop then replays its ops from the counts, with
+    messages that carry no payload (every peer is a member of the closed
+    wave and replays too), its result already adopted.  Without it
     :func:`hop_front_half` and the back half — compaction, arrivals, the
     count — run here.  Returns how many *arrivals* lie outside any of the
     ranges — kept residents cannot.  The sequence of simulated events —
@@ -267,31 +276,34 @@ def _route_axis(
     payload sizes are identical to the historical copy-based hop (a
     payload is priced by :func:`record_nbytes`, not by its 6-column
     buffer); the order of particles within the rank is not (tail-fill
-    compaction).  ``Scheduler._clock_round`` replays this op template for
-    a whole settled wave: change both or neither.
+    compaction).  ``Scheduler._clock_round`` runs this op template for a
+    whole settled wave: change both or neither.
     """
     if front is None:
         leavers, fwd_buf, bwd_buf = hop_front_half(
             particles, mesh, splits=splits, my_index=my_index,
             n_index=n_index, axis=axis, rng=ranges[axis],
         )
+        n_fwd, n_bwd = len(fwd_buf), len(bwd_buf)
     else:
-        leavers, fwd_buf, bwd_buf, settled = front
-    if len(leavers):
-        yield comm.compute(cost.pack_time(len(leavers)))
+        n_fwd, n_bwd, n_in, settled = front
+        fwd_buf = bwd_buf = None
+    if n_fwd + n_bwd:
+        yield comm.compute(cost.pack_time(n_fwd + n_bwd))
 
     src_bwd, dst_fwd = cart.shift(axis, 1)
     src_fwd, dst_bwd = cart.shift(axis, -1)
     from_bwd = yield comm.sendrecv(
         fwd_buf, dst=dst_fwd, src=src_bwd, sendtag=tag_fwd, recvtag=tag_fwd,
-        nbytes=cost.particle_wire_bytes(record_nbytes(len(fwd_buf))),
+        nbytes=cost.particle_wire_bytes(record_nbytes(n_fwd)),
     )
     from_fwd = yield comm.sendrecv(
         bwd_buf, dst=dst_bwd, src=src_fwd, sendtag=tag_bwd, recvtag=tag_bwd,
-        nbytes=cost.particle_wire_bytes(record_nbytes(len(bwd_buf))),
+        nbytes=cost.particle_wire_bytes(record_nbytes(n_bwd)),
     )
 
-    n_in = len(from_bwd) + len(from_fwd)
+    if front is None:
+        n_in = len(from_bwd) + len(from_fwd)
     if n_in:
         yield comm.compute(cost.pack_time(n_in))
     if front is not None:  # the back half's result is already adopted
@@ -327,12 +339,12 @@ def _settle_hop(v, counts, starts, lo, hi, index, n_index, splits,
     block ``[lo, hi)``, processor index and count, split vector, and the
     members its two directions receive from (``src_bwd``, ``src_fwd``;
     each a permutation of the group).  Returns ``(perm, counts, starts,
-    moved, seglen, local, recv)``, or None when nobody leaves: ``perm[p]``
-    is the pre-hop row of post-hop row ``p``; the post-hop layout's counts
-    and starts; the leavers' pre-hop rows grouped by (member, forward then
-    backward) — the hop's ``2 M`` segments — and the segment sizes; each
-    leaver's row inside its member (ascending per member) and, in segment
-    order, its receiving member.
+    moved, seglen, arrivals, recv)``, or None when nobody leaves:
+    ``perm[p]`` is the pre-hop row of post-hop row ``p``; the post-hop
+    layout's counts and starts; the leavers' pre-hop rows grouped by
+    (member, forward then backward) — the hop's ``2 M`` segments — and
+    the segment sizes; each member's arrivals and, in segment order, each
+    leaver's receiving member.
     """
     rows, cells = _outside(v, np.repeat(lo.astype(np.float64), counts),
                            np.repeat(hi.astype(np.float64), counts), mesh)
@@ -377,8 +389,8 @@ def _settle_hop(v, counts, starts, lo, hi, index, n_index, splits,
     # Then the arrivals: the bwd source's forward segment, the fwd source's
     # backward one.
     a_bwd = seglen[2 * src_bwd]
-    a_fwd = seglen[2 * src_fwd + 1]
-    new_counts = keep + a_bwd + a_fwd
+    arrivals = a_bwd + seglen[2 * src_fwd + 1]
+    new_counts = keep + arrivals
     new_starts = np.cumsum(new_counts) - new_counts
     perm = np.repeat(starts - new_starts, new_counts)
     perm += np.arange(len(perm))
@@ -391,117 +403,69 @@ def _settle_hop(v, counts, starts, lo, hi, index, n_index, splits,
     recv = np.empty(2 * m, dtype=np.int64)
     recv[2 * src_bwd] = np.arange(m)
     recv[2 * src_fwd + 1] = np.arange(m)
-    return perm, new_counts, new_starts, moved, seglen, local, np.repeat(recv, seglen)
+    return perm, new_counts, new_starts, moved, seglen, arrivals, np.repeat(recv, seglen)
 
 
-def _wire(stage, pid, rows):
-    """Stage rows packed as one fresh ``(L, 6)`` wire block."""
-    block = np.empty((len(rows), STATE_FIELDS), dtype=np.float64)
-    block[:, :5] = stage[:5, rows].T
-    block[:, 5] = pid[rows]
-    return block
-
-
-def _fronts(m, local, seglen, wire, counts):
-    """Per member ``(leavers, fwd_buf, bwd_buf, count)`` from one hop's
-    segments, ``count`` being what the member's ``_route_axis`` returns."""
-    out = []
-    a = 0
-    ends = seglen.cumsum().tolist()
-    for i in range(m):
-        f, e = ends[2 * i], ends[2 * i + 1]
-        if a == e:
-            out.append((*NO_LEAVERS, counts[i]))
-        else:
-            out.append((local[a:e], wire[a:f], wire[f:e], counts[i]))
-            a = e
-    return out
-
-
-def exchange_wave(stage, counts, routes, mesh, sources) -> tuple[list, np.ndarray]:
+def exchange_wave(stage, counts, ranks, routes, mesh, sources) -> SettledWave:
     """The first exchange round of a closed fused group, for every member
-    at once.
+    at once, as a :class:`SettledWave`.
 
     ``stage`` holds the group's pushed x, y, vx, vy and q rows and, viewed
     as int64, its pid row, members in order; ``counts`` gives their sizes,
-    ``routes`` their :class:`RankRoute` and ``sources`` (``(M, 4)``) the
-    member each member's x-bwd, x-fwd, y-bwd and y-fwd hop receives from.
-    The whole round runs as the per-rank path would run it: the x hop, the
-    y hop on the post-x populations, the tail-fill and arrival order of
-    ``compact(drop=)`` and ``extend_packed``.
-
-    Returns ``(firsts, lengths)``.  ``firsts`` holds one ``(xfront,
-    yfront, columns)`` per member, for the rank's exchange to use in place
-    of its own work (:func:`exchange_particles`).  A front is element for
-    element what :func:`hop_front_half` computes for the member (ascending
-    leaver rows, then the leavers owned forward and backward packed in row
-    order) plus the count its ``_route_axis`` returns (stray x arrivals,
-    misplaced y arrivals); ``columns`` are the member's six post-round
-    fields, slices of one fresh block that the rank adopts
-    (:meth:`~repro.core.particles.ParticleArray.adopt`).  ``lengths``
-    (``(M, 4)``) counts each member's x-forward, x-backward, y-forward and
-    y-backward wire buffer — all the round's timing needs
-    (``Scheduler._clock_round``).
-
-    Every wire buffer is a slice of one block allocated here, so it stays
-    valid however long its message is in flight.
+    ``ranks`` their world ranks, ``routes`` their :class:`RankRoute` and
+    ``sources`` (``(M, 4)``) the member each member's x-bwd, x-fwd, y-bwd
+    and y-fwd hop receives from.  The whole round runs as the per-rank
+    path would run it: the x hop, the y hop on the post-x populations, the
+    tail-fill and arrival order of ``compact(drop=)`` and
+    ``extend_packed``.  Each member's row of the wave's table holds, per
+    hop, the lengths of the two buffers :func:`hop_front_half` would pack
+    for it, its arrivals and the count its ``_route_axis`` returns; the
+    settlement count reads the arrivals' coordinates from the stage.  The
+    post-round columns are the only particle data the round produces:
+    one gather of the stage into a fresh block, sliced per member.
     """
     m = len(routes)
     counts = np.asarray(counts, dtype=np.int64)
     starts = np.cumsum(counts) - counts
     n = int(starts[-1] + counts[-1])
     b = np.array([r.bounds for r in routes], dtype=np.int64).T
-    pid = stage[5].view(np.int64)
     layout = None  # the stage row of every current row; None: the identity
     cnt, st = counts, starts
-    lengths = np.zeros((m, 4), dtype=np.int64)
-    hops = []
+    table = np.zeros((m, 8), dtype=np.int64)
     for axis in (0, 1):
         lo, hi, index, n_index = b[4 * axis : 4 * axis + 4]
-        hop = None
-        if n_index[0] > 1:
-            v = stage[axis, :n] if layout is None else stage[axis][layout]
-            hop = _settle_hop(
-                v, cnt, st, lo, hi, index, n_index,
-                [r.splits[axis] for r in routes],
-                sources[:, 2 * axis], sources[:, 2 * axis + 1], mesh,
-            )
-        if hop is not None:
-            perm, cnt, st, moved, seglen, local, recv = hop
-            if layout is not None:
-                moved = layout[moved]
-            layout = perm if layout is None else layout[perm]
-            lengths[:, 2 * axis : 2 * axis + 2] = seglen.reshape(m, 2)
-            hop = (moved, seglen, local, recv)
-        hops.append(hop)
-    moved = [h[0] for h in hops if h is not None]
-    wire = _wire(stage, pid, np.concatenate(moved)) if moved else EMPTY_WIRE
-    fronts = []
-    a = 0
-    for axis, hop in enumerate(hops):
-        if hop is None:
-            fronts.append([(*NO_LEAVERS, 0)] * m)
+        if n_index[0] == 1:
             continue
-        _, seglen, local, recv = hop
-        w = wire[a : a + len(recv)]
-        a += len(recv)
+        v = stage[axis, :n] if layout is None else stage[axis][layout]
+        hop = _settle_hop(
+            v, cnt, st, lo, hi, index, n_index,
+            [r.splits[axis] for r in routes],
+            sources[:, 2 * axis], sources[:, 2 * axis + 1], mesh,
+        )
+        if hop is None:
+            continue
+        perm, cnt, st, moved, seglen, arrivals, recv = hop
+        if layout is not None:
+            moved = layout[moved]
+        layout = perm if layout is None else layout[perm]
         # The settlement count on the arrivals: off the receiver's x block,
         # and for the y hop off its y block too.
         bad = np.zeros(len(recv), dtype=bool)
         for ax in range(axis + 1):
             lo, hi = b[4 * ax][recv], b[4 * ax + 1][recv]
-            bad[_outside(w[:, ax], lo, hi, mesh)[0]] = True
-        stray = np.bincount(recv[bad], minlength=m).tolist()
-        fronts.append(_fronts(m, local, seglen, w, stray))
+            bad[_outside(stage[ax][moved], lo, hi, mesh)[0]] = True
+        row = table[:, 4 * axis : 4 * axis + 4]
+        row[:, :2] = seglen.reshape(m, 2)
+        row[:, 2] = arrivals
+        row[:, 3] = np.bincount(recv[bad], minlength=m)
     block = stage[:, :n].copy() if layout is None else np.take(stage, layout, axis=1)
     x, y, vx, vy, q, pid = block
     pid = pid.view(np.int64)
-    out = []
-    for i, (a, k) in enumerate(zip(st.tolist(), cnt.tolist())):
+    columns = []
+    for a, k in zip(st.tolist(), cnt.tolist()):
         rows = slice(a, a + k)  # slicing 1-D rows is ~3x cheaper than 2-D
-        columns = (x[rows], y[rows], vx[rows], vy[rows], q[rows], pid[rows])
-        out.append((fronts[0][i], fronts[1][i], columns))
-    return out, lengths
+        columns.append((x[rows], y[rows], vx[rows], vy[rows], q[rows], pid[rows]))
+    return SettledWave(ranks, sources, routes[0].bounds[3::4], columns, table)
 
 
 def _closed_sources(ranks, routes):
@@ -524,19 +488,31 @@ def _closed_sources(ranks, routes):
 
 
 class SettledWave:
-    """A wave as the executor settled it, in the terms the round's timing
-    needs (``Scheduler._clock_round``).
+    """A closed fused group's first exchange round as the executor settled
+    it (:func:`exchange_wave`): its counts, and each member's post-round
+    columns.
 
     ``ranks`` lists the members' world ranks in park order, ``sources``
-    is :func:`_closed_sources`' ``(M, 4)`` array, ``lengths``
-    :func:`exchange_wave`'s ``(M, 4)`` buffer lengths and ``dims`` the
-    processor grid ``(px, py)``.
+    is :func:`_closed_sources`' ``(M, 4)`` array and ``dims`` the
+    processor grid ``(px, py)``.  ``columns[i]`` are member ``i``'s six
+    post-round fields, slices of one fresh block that the rank adopts
+    (:meth:`~repro.core.particles.ParticleArray.adopt`).  ``table``
+    (``(M, 8)`` int64) holds per member, for the x hop then the y hop, its
+    forward leavers, backward leavers, arrivals and the count its
+    :func:`_route_axis` returns (stray x arrivals, misplaced y arrivals);
+    a hop that does not run or that nobody leaves reads zeros.  The
+    round's timing needs nothing else: the scheduler clocks it for every
+    member from the table and then sets ``clocked``
+    (``Scheduler._clock_round``), or each member replays its ops from its
+    row.
     """
 
-    __slots__ = ("ranks", "sources", "lengths", "dims")
+    __slots__ = ("ranks", "sources", "dims", "columns", "table", "clocked")
 
-    def __init__(self, ranks, sources, lengths, dims) -> None:
+    def __init__(self, ranks, sources, dims, columns, table) -> None:
         self.ranks = ranks
         self.sources = sources
-        self.lengths = lengths
         self.dims = dims
+        self.columns = columns
+        self.table = table
+        self.clocked = False

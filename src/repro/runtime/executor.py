@@ -79,7 +79,7 @@ from repro.core.kernel_compiled import advance_arrays_compiled
 from repro.core.mesh import Mesh
 from repro.core.particles import STATE_FIELDS
 from repro.runtime.errors import ExecutorWorkerLostError, exit_cause
-from repro.runtime.exchange import SettledWave, _closed_sources, exchange_wave
+from repro.runtime.exchange import _closed_sources, exchange_wave
 
 __all__ = [
     "PushTask",
@@ -109,7 +109,7 @@ class PushTask:
     serial reference semantics.
     """
 
-    __slots__ = ("mesh", "particles", "dt", "route", "first", "clocked")
+    __slots__ = ("mesh", "particles", "dt", "route", "first")
 
     def __init__(self, mesh: Mesh, particles, dt: float, route=None):
         self.mesh = mesh
@@ -119,13 +119,10 @@ class PushTask:
         #: lets an executor settle the first exchange round for a whole
         #: fused group (:func:`~repro.runtime.exchange.exchange_wave`).
         self.route = route
-        #: That round's result for this rank, ``(xfront, yfront, columns)``,
-        #: when an executor settled it; None means the exchange runs it.
+        #: ``(wave, i)`` when an executor settled that round: the
+        #: :class:`~repro.runtime.exchange.SettledWave` and this rank's
+        #: member index in it.  None means the exchange runs the round.
         self.first = None
-        #: True once the scheduler has clocked that round's ops for the
-        #: whole wave (``Scheduler._clock_round``): the exchange then only
-        #: adopts the round's result and joins the settlement allreduce.
-        self.clocked = False
 
     def run(self, workspace: KernelWorkspace | None = None) -> None:
         # Dynamic module-attribute call so the layered benchmark's tracer
@@ -295,14 +292,9 @@ class InProcessExecutor(Executor):
         self._epoch: float | None = None
         self.batches = 0
         self.fused_tasks = 0
-        #: The last batch's settled wave (:class:`SettledWave`), or None;
-        #: the scheduler may clock its round in bulk
-        #: (``Scheduler._clock_round``).
-        self.wave: SettledWave | None = None
 
     def run_batch(self, batch: list[tuple[int, Any]]) -> None:
         self.batches += 1
-        self.wave = None
         default = self.kernel_backend
         bmap = self.backend_map
         # Grouping by backend keeps fusion sound per kernel: a mixed
@@ -374,10 +366,9 @@ class InProcessExecutor(Executor):
         np.concatenate([p.pid for p in parts], out=stage[5, :total].view(np.int64))
         self._push(backend, members, total, stage)
         counts = [n for _, _, n in members]
-        firsts, lengths = exchange_wave(stage, counts, routes, tasks[0].mesh, closed)
-        for t, first in zip(tasks, firsts):
-            t.first = first
-        self.wave = SettledWave(ranks, closed, lengths, routes[0].bounds[3::4])
+        wave = exchange_wave(stage, counts, ranks, routes, tasks[0].mesh, closed)
+        for i, t in enumerate(tasks):
+            t.first = (wave, i)
         return True
 
     def _run_chunk(self, backend: str, chunk, total) -> None:

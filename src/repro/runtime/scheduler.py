@@ -356,22 +356,23 @@ class Scheduler:
         were already charged at dispatch — wall-clock completion order
         can never leak into simulated time.
 
-        When the executor settled the batch as one wave
-        (``InProcessExecutor.wave``) and :meth:`_clock_round` admits it,
-        the wave's first exchange round is clocked for all members before
-        anyone wakes: woken, each member adopts its post-round rows and
-        goes straight to the settlement allreduce, so the round's ops never
-        pass through the per-op pump.  Everything else — and this whole
+        When the executor settled the batch as one wave (a task's
+        ``first``) and :meth:`_clock_round` admits it, the wave's first
+        exchange round is clocked for all members before anyone wakes:
+        woken, each member adopts its post-round rows and goes straight to
+        the settlement allreduce, so the round's ops never pass through
+        the per-op pump.  Everything else — and this whole
         method without that step — is the per-op pump, the oracle the bulk
         clocking must equal bit for bit.
         """
         batch, self._pending_exec = self._pending_exec, []
         executor = self._get_executor()
         handle = executor.start_batch(batch)
-        wave = getattr(executor, "wave", None)
-        if wave is not None and self._clock_round(wave):
-            for _, task in batch:
-                task.clocked = True
+        # Only a wave holding every unfinished rank can be clocked, so the
+        # batch's first rank is in it or no wave is.
+        first = getattr(batch[0][1], "first", None)
+        if first is not None:
+            first[0].clocked = self._clock_round(first[0])
         states = self._states
         for i, (r, _task) in enumerate(batch):
             handle.wait(i)
@@ -387,10 +388,11 @@ class Scheduler:
 
         ``wave`` is a :class:`~repro.runtime.exchange.SettledWave`.  Each
         member runs the op template of
-        :func:`~repro.runtime.exchange._route_axis`'s round: per hop — x
-        when ``px > 1``, then y when ``py > 1`` — pack compute of its
-        leavers, ``sendrecv`` forward, ``sendrecv`` backward, unpack compute
-        of its arrivals.  Clocks, core clocks, core and rank busy seconds
+        :func:`~repro.runtime.exchange._route_axis`'s round from its row of
+        the wave's count table: per hop — x when ``px > 1``, then y when
+        ``py > 1`` — pack compute of its leavers, ``sendrecv`` forward,
+        ``sendrecv`` backward, unpack compute of its arrivals.  Clocks, core
+        clocks, core and rank busy seconds
         and the transport's traffic counters move by the same IEEE
         operations, in the same per-member order, as :meth:`_occupy`,
         :meth:`_do_send` and :meth:`_complete_recv` would move them; the
@@ -422,7 +424,7 @@ class Scheduler:
             or self.resilience is not None
         ):
             return False
-        ranks, src, n = wave.ranks, wave.sources, wave.lengths
+        ranks, src, n = wave.ranks, wave.sources, wave.table
         m = len(ranks)
         if m != self.n_ranks - self._finished:
             return False
@@ -484,7 +486,7 @@ class Scheduler:
         for axis in (0, 1):
             if wave.dims[axis] == 1:
                 continue
-            fwd, bwd = n[:, 2 * axis], n[:, 2 * axis + 1]
+            fwd, bwd, arrivals = n[:, 4 * axis : 4 * axis + 3].T
             src_bwd, src_fwd = src[:, 2 * axis], src[:, 2 * axis + 1]
             occupy(cost.pack_time(fwd + bwd))
             # Forward buffers arrive from the backward source, backward ones
@@ -494,14 +496,14 @@ class Scheduler:
                 occupy(send_s)
                 if early is None:
                     early = hit.copy()
-                # cost.particle_wire_bytes(record_nbytes(len(buf))) per buffer
+                # cost.particle_wire_bytes(record_nbytes(count)) per buffer
                 wire = (record_nbytes(out) * cost.particle_byte_scale).astype(np.int64)
                 t_avail = st[0][sender] + (lat[:, j] + wire[sender] / bw[:, j])
                 np.maximum(st[0], t_avail, out=st[0])
                 occupy(recv_s)
                 messages += m
                 nbytes += int(wire.sum())
-            occupy(cost.pack_time(fwd[src_bwd] + bwd[src_fwd]))
+            occupy(cost.pack_time(arrivals))
         if early is not None and not early.all():
             new = hit & ~np.fromiter(map(core_clock.__contains__, cores), bool, m)
             if (new & ~early).any() and np.count_nonzero(new) > 1:

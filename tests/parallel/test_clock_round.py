@@ -204,8 +204,8 @@ def test_every_gate_condition_hands_the_round_back():
     nothing."""
     sched = Scheduler(4, executor=InProcessExecutor())
     sources = np.array([[1, 1, 2, 2], [0, 0, 3, 3], [3, 3, 0, 0], [2, 2, 1, 1]])
-    wave = SettledWave([0, 1, 2, 3], sources, np.zeros((4, 4), dtype=np.int64),
-                       (2, 2))
+    wave = SettledWave([0, 1, 2, 3], sources, (2, 2), None,
+                       np.zeros((4, 8), dtype=np.int64))
     sched.transport.post(2, 0, 0, 7, None, 8, 0.0)
     assert not sched._clock_round(wave)  # a receive would match it first
     sched.transport.match(2, 0, 0, 7)

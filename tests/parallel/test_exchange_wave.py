@@ -11,18 +11,22 @@ per-rank path (:func:`repro.runtime.exchange.hop_front_half` plus
 ``_route_axis``'s back half) stays the oracle:
 
 * **Property** — the settled round equals the real per-rank round
-  (``exchange_particles`` up to its settlement allreduce) byte for byte:
-  populations in row order, wire buffers and their lengths, op sequence,
-  stray and misplaced counts — over uneven and disagreeing splits, multi-hop moves, empty
-  members, members whose particles all leave or all stay, ``px``/``py``
-  in {1, 2, odd}, ``h != 1`` and up to 288 cells.
+  (``exchange_particles`` up to its settlement allreduce): each member's
+  count-table row holds the per-rank round's buffer lengths, arrivals and
+  stray and misplaced counts, its populations match byte for byte in row
+  order, and its replay yields the per-rank op sequence with messages
+  that carry no payload — over uneven and disagreeing splits, multi-hop
+  moves, empty members, members whose particles all leave or all stay,
+  ``px``/``py`` in {1, 2, odd}, ``h != 1`` and up to 288 cells.
 * **Where it runs** — on a 64-rank fused run settled hops make no
   ``compact``/``extend_packed``/``hop_front_half`` call, and the calls
   reappear without the settle; below the cut-over, for in-place tasks,
   for groups that are not closed and under the process executor no wave
   runs.
 * **Runs** — a 64-rank run settled and one without the wave agree on the
-  final particle bytes (in-rank order included), clocks and traffic.
+  final particle bytes (in-rank order included), clocks and traffic; a
+  traced run (whose settled rounds replay per op from their counts) and
+  one without the wave record the same spans and instants.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from repro.core.mesh import Mesh
 from repro.core.particles import ParticleArray, STATE_FIELDS
 from repro.core.spec import PICSpec
 from repro.decomp.partition import BlockPartition
+from repro.instrument import Tracer
 from repro.parallel import AmpiPIC, Mpi2dLbPIC, Mpi2dPIC, base
 from repro.runtime import exchange as exchange_mod
 from repro.runtime import executor as executor_mod
@@ -103,25 +108,29 @@ def _population(rng, mesh, n, part, cx, cy, reach, mode="mixed"):
     return p
 
 
-def _first_round(mesh, dims, parts, partitions, firsts=None):
+def _first_round(mesh, dims, parts, partitions, wave=None):
     """Every rank's ``exchange_particles`` up to its first settlement
-    allreduce: ``{rank: (route, population, ops, allreduce value)}``, and
-    the per-rank fronts and hop counts (``{(rank, axis): ...}``)."""
+    allreduce: ``{rank: (route, population, ops, payloads, allreduce
+    value)}``, and each hop's ``[forward leavers, backward leavers,
+    arrivals, count]`` as the per-rank path computes it (``{(rank, axis):
+    ...}``; none when ``wave`` settled the round)."""
     cost = CostModel()
-    out, fronts, counts = {}, {}, {}
+    out, fronts, hops = {}, {}, {}
     owner = {}
     real_front, real_route = exchange_mod.hop_front_half, exchange_mod._route_axis
 
     def front(particles, mesh, *, axis, **kw):
         got = real_front(particles, mesh, axis=axis, **kw)
-        fronts[owner[id(particles)], axis] = (
-            got[0].copy(), got[1].tobytes(), got[2].tobytes())
+        fronts[owner[id(particles)], axis] = (len(got[1]), len(got[2]))
         return got
 
     def route(comm, cart, particles, *args, axis, **kw):
-        counts[cart.rank, axis] = yield from real_route(
-            comm, cart, particles, *args, axis=axis, **kw)
-        return counts[cart.rank, axis]
+        n0 = len(particles)
+        count = yield from real_route(comm, cart, particles, *args, axis=axis, **kw)
+        if (cart.rank, axis) in fronts:
+            fwd, bwd = fronts[cart.rank, axis]
+            hops[cart.rank, axis] = [fwd, bwd, len(particles) - n0 + fwd + bwd, count]
+        return count
 
     def prog(comm):
         cart = yield comm.create_cart(dims)
@@ -131,9 +140,9 @@ def _first_round(mesh, dims, parts, partitions, firsts=None):
         owner[id(p)] = r
         gen = exchange_mod.exchange_particles(
             comm, cart, part, mesh, p, cost,
-            first=None if firsts is None else firsts[r],
+            first=None if wave is None else (wave, r),
         )
-        seen, value = [], None
+        seen, payloads, value = [], [], None
         while True:
             op = gen.send(value)
             if type(op) is ops.CollectiveOp:
@@ -141,10 +150,11 @@ def _first_round(mesh, dims, parts, partitions, firsts=None):
             if type(op) is ops.ComputeOp:
                 seen.append(("compute", op.seconds))
             else:
-                seen.append(("sendrecv", op.dst, op.src, op.sendtag, op.nbytes,
-                             np.asarray(op.payload).tobytes()))
+                seen.append(("sendrecv", op.dst, op.src, op.sendtag, op.recvtag,
+                             op.nbytes))
+                payloads.append(op.payload)
             value = yield op
-        out[r] = (exchange_mod._rank_route(part, cart), p, seen, op.value)
+        out[r] = (exchange_mod._rank_route(part, cart), p, seen, payloads, op.value)
         gen.close()
 
     exchange_mod.hop_front_half, exchange_mod._route_axis = front, route
@@ -152,7 +162,7 @@ def _first_round(mesh, dims, parts, partitions, firsts=None):
         run_spmd(dims[0] * dims[1], prog)
     finally:
         exchange_mod.hop_front_half, exchange_mod._route_axis = real_front, real_route
-    return out, fronts, counts
+    return out, hops
 
 
 def _bytes(p):
@@ -187,31 +197,28 @@ def test_settled_round_equals_per_rank_round(seed, px, py, h, cells, sizes,
     parts = [_population(rng, mesh, sizes[r], partitions[r], r // py, r % py,
                          reach, modes[r % len(modes)])
              for r in range(n_ranks)]
-    want, fronts, counts = _first_round(mesh, dims, parts, partitions)
+    want, hops = _first_round(mesh, dims, parts, partitions)
 
-    routes = [want[r][0] for r in range(n_ranks)]
-    sources = _closed_sources(list(range(n_ranks)), routes)
+    ranks = list(range(n_ranks))
+    routes = [want[r][0] for r in ranks]
+    sources = _closed_sources(ranks, routes)
     assert sources is not None
-    firsts, lengths = exchange_wave(_stage(parts), [len(p) for p in parts],
-                                    routes, mesh, sources)
-    for r, (xfront, yfront, columns) in enumerate(firsts):
-        # What the round's bulk timing reads: the four wire buffers' lengths.
-        assert lengths[r].tolist() == [len(xfront[1]), len(xfront[2]),
-                                       len(yfront[1]), len(yfront[2])]
-        for axis, got in enumerate((xfront, yfront)):
-            if (r, axis) not in counts:  # a grid of one rank along the axis
-                continue
-            rows, fwd, bwd = fronts[r, axis]
-            np.testing.assert_array_equal(got[0], rows)
-            assert (got[1].tobytes(), got[2].tobytes()) == (fwd, bwd)
-            assert got[3] == counts[r, axis]
-        assert [c.tobytes() for c in columns] == _bytes(want[r][1])
+    wave = exchange_wave(_stage(parts), [len(p) for p in parts], ranks, routes,
+                         mesh, sources)
+    assert wave.table.shape == (n_ranks, 8) and wave.table.dtype == np.int64
+    for r in ranks:
+        # A hop that does not run (one rank along its axis) reads zeros.
+        row = [hops.get((r, axis), [0] * 4) for axis in (0, 1)]
+        assert wave.table[r].tolist() == row[0] + row[1]
+        assert [c.tobytes() for c in wave.columns[r]] == _bytes(want[r][1])
 
-    got, _, _ = _first_round(mesh, dims, parts, partitions, firsts)
-    for r in range(n_ranks):
+    got, none = _first_round(mesh, dims, parts, partitions, wave)
+    assert none == {}  # no per-rank hop ran
+    for r in ranks:
         assert _bytes(got[r][1]) == _bytes(want[r][1])
-        assert got[r][2] == want[r][2]  # the same ops, costs and payloads
-        assert got[r][3] == want[r][3]  # the same allreduce value
+        assert got[r][2] == want[r][2]  # the same ops, peers, tags, nbytes, costs
+        assert all(p is None for p in got[r][3])  # replayed without payload
+        assert got[r][4] == want[r][4]  # the same allreduce value
 
 
 def test_adopted_rows_never_reach_a_neighbour():
@@ -220,12 +227,13 @@ def test_adopted_rows_never_reach_a_neighbour():
     part = BlockPartition.uniform(16, 4, 2)
     rng = np.random.default_rng(3)
     parts = [_population(rng, mesh, 40, part, r // 2, r % 2, 3.0) for r in range(8)]
-    want, _, _ = _first_round(mesh, (4, 2), parts, [part] * 8)
-    routes = [want[r][0] for r in range(8)]
-    firsts, _ = exchange_wave(_stage(parts), [40] * 8, routes, mesh,
-                              _closed_sources(list(range(8)), routes))
+    want, _ = _first_round(mesh, (4, 2), parts, [part] * 8)
+    ranks = list(range(8))
+    routes = [want[r][0] for r in ranks]
+    wave = exchange_wave(_stage(parts), [40] * 8, ranks, routes, mesh,
+                         _closed_sources(ranks, routes))
     members = [ParticleArray.empty(0) for _ in range(8)]
-    for p, (_, _, columns) in zip(members, firsts):
+    for p, columns in zip(members, wave.columns):
         p.adopt(columns)
         assert p.capacity == len(p)
     before = [_bytes(p) for p in members]
@@ -249,9 +257,9 @@ def wave_calls(monkeypatch):
     calls = []
     real = executor_mod.exchange_wave
 
-    def counting(stage, counts, routes, mesh, sources):
+    def counting(stage, counts, ranks, routes, mesh, sources):
         calls.append(len(routes))
-        return real(stage, counts, routes, mesh, sources)
+        return real(stage, counts, ranks, routes, mesh, sources)
 
     monkeypatch.setattr(executor_mod, "exchange_wave", counting)
     return calls
@@ -405,6 +413,40 @@ def test_runs_with_and_without_the_wave_are_identical(monkeypatch, wave_calls, b
     wave_calls.clear()
     assert _observe(monkeypatch, build) == settled
     assert wave_calls == []
+
+
+#: Skewed enough that LB moves something: the traced runs record
+#: migrate / diffusion_lb instants.
+_SKEWED = PICSpec(cells=64, n_particles=4_000, steps=6, m_vertical=1, r=0.95)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda tracer: AmpiPIC(_SKEWED, 32, overdecomposition=2,
+                                        lb_interval=3, span_tracer=tracer,
+                                        executor=InProcessExecutor()),
+                 id="ampi"),
+    pytest.param(lambda tracer: Mpi2dLbPIC(_SKEWED, 64, lb_interval=2,
+                                           border_width=1, span_tracer=tracer,
+                                           executor=InProcessExecutor()),
+                 id="mpi-2d-LB"),
+])
+def test_replayed_rounds_trace_like_per_rank_rounds(monkeypatch, wave_calls, build):
+    """A tracer keeps settled rounds off the bulk clocking, so each member
+    replays its round from its counts: the spans and instants it records
+    equal those of the run without the wave."""
+    def trace():
+        tracer = Tracer()
+        assert build(tracer).run().verification.ok
+        return tracer.spans, tracer.instants
+
+    replayed = trace()
+    assert wave_calls and replayed[1]
+    monkeypatch.setattr(executor_mod, "WAVE_MAX_MEAN", 0)
+    wave_calls.clear()
+    spans, instants = trace()
+    assert wave_calls == []
+    assert replayed[0] == spans
+    assert replayed[1] == instants
 
 
 @requires_compiled

@@ -30,15 +30,17 @@ from repro.runtime.machine import Tier
 
 #: Python-level calls (``call`` + ``c_call`` profile events) per scheduler
 #: op on :data:`BUDGET_SPEC` with every exchange round on the per-op path.
-#: It reads 32.1 (16 ranks x 40 particles x 10 steps, 1 374 ops); it was
-#: 49.8 before the per-core-pair link table, ~48 on the pump_heavy shape.
+#: It reads 30.7 (16 ranks x 40 particles x 10 steps, 1 374 ops; settled
+#: rounds replayed from their counts, 32.1 while they packed wire blocks);
+#: it was 49.8 before the per-core-pair link table, ~48 on the pump_heavy
+#: shape.
 #: Raise it only with a measurement that says why.
 CALLS_PER_OP_BUDGET = 40.0
 
 #: Python-level calls per rank-step (ranks x steps) of :data:`BUDGET_SPEC`
 #: as it runs: settled rounds clocked in bulk, 416 ops left on the per-op
-#: path.  It reads 125.8 (20 127 calls over 160 rank-steps; 275.3 with
-#: every round per op), so 150 leaves ~19 % headroom.  A change that trips
+#: path.  It reads 124.8 (19 967 calls over 160 rank-steps; 263.3 with
+#: every round per op), so 150 leaves ~20 % headroom.  A change that trips
 #: it added calls to every rank-step or sent settled rounds back per op.
 CALLS_PER_RANK_STEP_BUDGET = 150.0
 
