@@ -109,8 +109,8 @@ def dispatch_breakdown(spans) -> dict:
     * ``merge_s`` — the parent's completion barrier;
     * ``exchange_s`` — the gap between the previous batch's merge end and
       this batch's dispatch start, which in a simulation loop is the
-      parent-side exchange/routing work between steps.  The overlapped
-      resume policy shrinks exactly this column.
+      parent-side exchange/routing work between steps (a batch finishes
+      before any of its ranks wakes, so nothing of it overlaps a batch).
 
     The totals carry per-task dispatch cost (wall and CPU) both over all
     batches and over the steady state (batch 2 onward, once every store is

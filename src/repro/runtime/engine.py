@@ -7,10 +7,9 @@
   returns a status — ``running`` (budget exhausted), ``blocked-on-executor``
   (every runnable rank is parked on a dispatched compute task) or
   ``finished``;
-* :meth:`SimEngine.flush` hands the parked batch to the executor — the
-  one operation that is *not* budget-divisible, because the wake/sweep
-  interleaving inside ``Scheduler._flush_compute`` is exactly what the
-  golden traces pin;
+* :meth:`SimEngine.flush` hands the parked batch to the executor and wakes
+  the whole batch in park order (``Scheduler._flush_compute``); it
+  advances no rank, so the ticks that follow carry every op;
 * :meth:`SimEngine.run` is the thin drive-to-completion loop every
   historical ``Scheduler.run`` caller now goes through;
 * :meth:`SimEngine.pause` rides the existing CRC-validated checkpoint
@@ -94,8 +93,7 @@ class SimEngine:
         self.checkpointer = checkpointer
         self._finalize = finalize
         #: Total rank steps (``_advance_one`` calls) driven through
-        #: :meth:`tick`; flush-internal sweeps are not counted (they are
-        #: part of the atomic flush).
+        #: :meth:`tick`, which are all of them: a flush advances no rank.
         self.ticks = 0
         self._status = ENGINE_RUNNING
         self._spmd = None
@@ -162,11 +160,10 @@ class SimEngine:
     def flush(self) -> str:
         """Run the parked compute batch through the executor (atomic).
 
-        Park-order wake and the one-sweep-per-wake interleaving happen
-        inside ``Scheduler._flush_compute`` and are never sliced — a
-        budgeted caller pays the whole flush at once, keeping the op order
-        identical to a blocking run.  No-op (status unchanged) when
-        nothing is parked.
+        The whole batch finishes, then every member wakes in park order
+        (``Scheduler._flush_compute``); no rank advances here, so the op
+        order that follows is the round-robin's whatever budget the caller
+        ticks with.  No-op (status unchanged) when nothing is parked.
         """
         sched = self.scheduler
         if self._status == ENGINE_FINISHED or not sched._pending_exec:

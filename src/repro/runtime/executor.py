@@ -136,18 +136,13 @@ class PushTask:
 class BatchHandle:
     """An in-flight batch returned by :meth:`Executor.start_batch`.
 
-    ``wait(i)`` blocks until ``batch[i]``'s task has completed (its particle
-    arrays hold the post-push values); ``finish()`` blocks until the whole
-    batch is done and folds the batch's measurements into the executor's
-    counters, work meter and exec tracer.  The scheduler uses the handle to
-    overlap its own work — resuming ranks into the exchange phase — with
-    still-running workers; executors without asynchrony return an
-    already-completed handle, so callers never need to know which kind
-    they hold.
+    ``finish()`` blocks until the whole batch is done (every task's particle
+    arrays hold the post-push values) and folds the batch's measurements
+    into the executor's counters, work meter and exec tracer.  The scheduler
+    finishes a batch before it wakes any of its ranks; executors without
+    asynchrony return an already-completed handle, so callers never need to
+    know which kind they hold.
     """
-
-    def wait(self, i: int) -> None:
-        raise NotImplementedError
 
     def finish(self) -> None:
         raise NotImplementedError
@@ -155,9 +150,6 @@ class BatchHandle:
 
 class _EagerHandle(BatchHandle):
     """Handle for batches that already ran to completion synchronously."""
-
-    def wait(self, i: int) -> None:
-        pass
 
     def finish(self) -> None:
         pass
@@ -220,10 +212,7 @@ class Executor:
         wraps ``start_batch`` with a ``tag=`` keyword.
 
         The default implementation runs the batch synchronously and hands
-        back an already-completed handle: every executor without real
-        asynchrony therefore presents the *same* completion order to the
-        scheduler, which is what keeps the overlapped-exchange resume
-        policy backend-agnostic.
+        back an already-completed handle.
         """
         self.run_batch(batch)
         return _EAGER_HANDLE
@@ -614,51 +603,42 @@ class _PoolHandle(BatchHandle):
     """In-flight batch on a :class:`ProcessExecutor`.
 
     ``bins[w]`` lists the work indices sent to worker ``w``, ``held[w]``
-    their world ranks, and ``sizes`` the particle counts at dispatch
-    (exchange changes them while the batch is still in flight).  Replies
-    arrive in bin order, so :meth:`wait` reads worker ``w``'s pipe until
-    the task it needs has reported.
+    their world ranks, and ``sizes`` the particle counts at dispatch.
+    Each worker replies once per task, in bin order.
     """
 
     __slots__ = (
-        "_ex", "_work", "_work_of", "_bins", "_held", "_sizes", "_owner",
-        "_done", "_t_d0", "_t_pub", "_cpu_s", "_finished",
+        "_ex", "_work", "_bins", "_held", "_sizes", "_t_d0", "_t_pub",
+        "_cpu_s", "_finished",
     )
 
-    def __init__(self, ex, work, work_of, bins, held, sizes, t_d0, t_pub,
-                 cpu_s) -> None:
+    def __init__(self, ex, work, bins, held, sizes, t_d0, t_pub, cpu_s) -> None:
         self._ex = ex
         self._work = work
-        self._work_of = work_of
         self._bins = bins
         self._held = held
         self._sizes = sizes
-        self._owner = {i: w for w, b in enumerate(bins) for i in b}
-        #: Completed tasks: work index -> worker seconds.
-        self._done: dict[int, float] = {}
         self._t_d0 = t_d0
         self._t_pub = t_pub
         self._cpu_s = cpu_s
         self._finished = False
-
-    def wait(self, i: int) -> None:
-        wi = self._work_of[i]
-        if wi is None:  # empty task: completed by construction
-            return
-        w = self._owner[wi]
-        while wi not in self._done:
-            j, seconds = self._ex._recv(w, self._held[w])
-            self._done[j] = seconds
 
     def finish(self) -> None:
         if self._finished:
             return
         self._finished = True
         ex = self._ex
-        for i in range(len(self._work_of)):
-            self.wait(i)
+        # Work index -> worker seconds.  Replies are read in park order, so
+        # a lost worker is reported by the first task it held.
+        done: dict[int, float] = {}
+        owner = {i: w for w, b in enumerate(self._bins) for i in b}
+        for i in range(len(self._work)):
+            w = owner[i]
+            while i not in done:
+                j, seconds = ex._recv(w, self._held[w])
+                done[j] = seconds
         t_merged = ex._now()
-        done, sizes = self._done, self._sizes
+        sizes = self._sizes
         ex.batches += 1
         ex.tasks_executed += len(self._work)
         ex.particles_pushed += sum(sizes)
@@ -847,14 +827,7 @@ class ProcessExecutor(Executor):
     def start_batch(
         self, batch: list[tuple[int, Any]], tag: str | None = None
     ) -> BatchHandle:
-        work = []
-        work_of: list[int | None] = []
-        for rank, task in batch:
-            if len(task.particles):
-                work_of.append(len(work))
-                work.append((rank, task))
-            else:
-                work_of.append(None)
+        work = [(rank, task) for rank, task in batch if len(task.particles)]
         if not work:
             return _EAGER_HANDLE
         self.start()
@@ -885,18 +858,12 @@ class ProcessExecutor(Executor):
                 self._send(w, [records[i] for i in idxs], held[w])
         cpu_s = time.process_time() - cpu0
         t_pub = self._now()
-        return _PoolHandle(
-            self, work, work_of, bins, held, sizes, t_d0, t_pub, cpu_s
-        )
+        return _PoolHandle(self, work, bins, held, sizes, t_d0, t_pub, cpu_s)
 
     def run_batch(self, batch: list[tuple[int, Any]]) -> None:
-        # Synchronous wrapper over start_batch/wait/finish: the completion
-        # barrier ("merge") is deterministic because workers wrote disjoint
-        # shared-memory regions in place.
-        handle = self.start_batch(batch)
-        for i in range(len(batch)):
-            handle.wait(i)
-        handle.finish()
+        # The completion barrier ("merge") is deterministic because workers
+        # wrote disjoint shared-memory regions in place.
+        self.start_batch(batch).finish()
 
     def stats(self) -> dict:
         return dict(
