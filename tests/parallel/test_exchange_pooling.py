@@ -329,7 +329,7 @@ PINNED = {
     ),
     "ampi": (
         lambda **kw: AmpiPIC(PINNED_SPEC, 4, overdecomposition=2, lb_interval=3, **kw),
-        "0x1.ed9eb05817aeap-10", 640, 1559096, 28,
+        "0x1.f43019f76d9fap-10", 640, 1559096, 28,
         [2, 2, 2, 2, 2, 2, 2, 2, 2, 6],
     ),
 }
