@@ -46,6 +46,19 @@ def _ring_program(comm):
     return comm.rank
 
 
+def _park_out_of_order(comm):
+    """Rank 0 waits for the last rank's message before it parks, so every
+    step parks ranks 1, 0, 2 (of three)."""
+    for step in range(3):
+        if comm.rank == 0:
+            yield comm.recv(src=comm.size - 1)
+        elif comm.rank == comm.size - 1:
+            yield comm.send(step, dst=0)
+        yield comm.compute(1e-4, _FakeTask())
+        yield comm.compute(1e-5)
+    return comm.rank
+
+
 def _fresh_engine(n_ranks=3):
     sched = Scheduler(n_ranks, executor=make_executor("serial"))
     return SimEngine(sched, [_ring_program] * n_ranks)
@@ -96,6 +109,31 @@ class TestDriveEquivalence:
         assert eng.flush() in (ENGINE_RUNNING, ENGINE_BLOCKED, ENGINE_FINISHED)
         eng.run()
         assert eng.finished
+
+    def test_flush_wakes_the_whole_batch_in_park_order(self, monkeypatch):
+        """The core-service rule: a flush finishes the batch and makes every
+        member runnable, in park order; the round-robin that follows, not
+        the flush, advances them."""
+        advanced = []
+        real = Scheduler._advance_one
+
+        def advance_one(self, ready):
+            advanced.append(ready[0])
+            real(self, ready)
+
+        monkeypatch.setattr(Scheduler, "_advance_one", advance_one)
+        eng = SimEngine(Scheduler(3, executor=make_executor("serial")),
+                        [_park_out_of_order] * 3)
+        sched = eng.scheduler
+        orders = []
+        while eng.tick() == ENGINE_BLOCKED:
+            parked = [r for r, _task in sched._pending_exec]
+            n, clocks = len(advanced), list(sched.clock)
+            eng.flush()
+            assert len(advanced) == n and sched.clock == clocks
+            assert list(eng._ready) == parked
+            orders.append(parked)
+        assert orders == [[1, 0, 2]] * 3
 
     def test_flush_without_pending_is_a_noop(self):
         eng = _fresh_engine()
