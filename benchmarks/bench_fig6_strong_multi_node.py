@@ -18,7 +18,7 @@ from repro.bench.workloads import fig6_workload
 def test_fig6_strong_scaling_multi_node(benchmark, results_dir, quiet_progress):
     records = run_once(benchmark, lambda: run_fig6_multi_node(quiet_progress))
     report = report_fig6(records, "right: multi node")
-    write_report("fig6_right", report, results_dir)
+    write_report("fig6r", report, results_dir)
 
     assert all(r.verified for r in records)
     w = fig6_workload()

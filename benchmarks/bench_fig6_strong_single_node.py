@@ -24,7 +24,7 @@ def _by_impl(records, cores):
 def test_fig6_strong_scaling_single_node(benchmark, results_dir, quiet_progress):
     records = run_once(benchmark, lambda: run_fig6_single_node(quiet_progress))
     report = report_fig6(records, "left: single node")
-    write_report("fig6_left", report, results_dir)
+    write_report("fig6l", report, results_dir)
 
     assert all(r.verified for r in records)
     benchmark.extra_info["points"] = len(records)

@@ -6,8 +6,8 @@
 * :mod:`repro.bench.runner` — runs one implementation on one configuration
   and records simulated time plus imbalance statistics;
 * :mod:`repro.bench.reporting` — paper-style tables and ASCII log-log plots;
-* :mod:`repro.bench.figures` — the per-figure drivers, runnable standalone
-  via ``python -m repro.bench.figures <fig5|fig6l|fig6r|fig7>``.
+* :mod:`repro.bench.figures` — the per-figure drivers, run by
+  ``pic-prk figures <fig5|fig6l|fig6r|fig7>``.
 """
 
 from repro.bench.runner import RunRecord, run_implementation

@@ -1,11 +1,11 @@
 """Per-figure benchmark drivers.
 
 Each ``run_*`` function regenerates one figure/table of the paper's
-evaluation (§V) on the simulated runtime and returns the records; the
-``main`` entry point makes them runnable standalone::
+evaluation (§V) on the simulated runtime and returns the records;
+``pic-prk figures`` runs them and writes each report as ``<name>.txt``::
 
-    python -m repro.bench.figures fig5
-    python -m repro.bench.figures fig6l fig6r fig7 --out benchmarks/results
+    pic-prk figures fig5
+    pic-prk figures fig6l fig6r fig7 --out benchmarks/results
 
 Expected shapes (paper §V; absolute numbers differ, see EXPERIMENTS.md):
 
@@ -21,9 +21,7 @@ Expected shapes (paper §V; absolute numbers differ, see EXPERIMENTS.md):
 
 from __future__ import annotations
 
-import argparse
 import os
-import sys
 import tempfile
 from pathlib import Path
 from typing import Callable, Sequence
@@ -34,7 +32,6 @@ from repro.bench.campaigns import (
     fig6r_campaign,
     fig7_campaign,
 )
-from repro.bench.persist import save_records
 from repro.bench.reporting import ascii_loglog, format_series, format_table, speedup_table
 from repro.bench.runner import RunRecord, serial_model_time
 from repro.bench.workloads import (
@@ -52,8 +49,8 @@ def _echo(msg: str) -> None:
 
 # ----------------------------------------------------------------------
 # Campaign plumbing: every figure is a campaign (repro.bench.campaigns);
-# this adapter runs one and converts the outcomes back to RunRecords so
-# the report/persist layers are untouched.
+# this adapter runs one and converts the outcomes back to RunRecords for
+# the report layer.
 # ----------------------------------------------------------------------
 def _run_figure_campaign(
     figure: str,
@@ -206,7 +203,7 @@ def report_fig7(records: list[RunRecord]) -> str:
 
 
 # ----------------------------------------------------------------------
-# Standalone entry point
+# Figure name -> (driver, report), as ``pic-prk figures`` names them
 # ----------------------------------------------------------------------
 FIGURES = {
     "fig5": (run_fig5, report_fig5),
@@ -223,26 +220,3 @@ def write_report(name: str, text: str, out_dir: str | os.PathLike) -> Path:
     path.write_text(text + "\n")
     return path
 
-
-def main(argv: Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("figures", nargs="+", choices=sorted(FIGURES))
-    parser.add_argument("--out", default="benchmarks/results", help="report directory")
-    parser.add_argument(
-        "--cache", default=None, metavar="DIR",
-        help="persistent campaign cache (re-runs complete from cache)",
-    )
-    args = parser.parse_args(argv)
-    for name in args.figures:
-        run, report = FIGURES[name]
-        records = run(cache_dir=args.cache)
-        text = report(records)
-        print(text)
-        path = write_report(name, text, args.out)
-        json_path = save_records(records, Path(args.out) / f"{name}.json")
-        print(f"[written to {path} and {json_path}]")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI
-    sys.exit(main())

@@ -511,12 +511,14 @@ def cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def cmd_figures(args: argparse.Namespace) -> int:
-    from repro.bench.figures import main as figures_main
+    from repro.bench.figures import FIGURES, write_report
 
-    argv = [*args.names, "--out", args.out]
-    if args.cache:
-        argv += ["--cache", args.cache]
-    return figures_main(argv)
+    for name in args.names:
+        run, report = FIGURES[name]
+        text = report(run(cache_dir=args.cache))
+        print(text)
+        print(f"[written to {write_report(name, text, args.out)}]")
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

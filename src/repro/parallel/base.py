@@ -363,7 +363,7 @@ class ParallelPICBase:
         busy = m.histogram("core.busy_fraction")
         for core in range(self.n_cores):
             busy.observe(
-                scheduler.core_busy.get(core, 0.0) / total if total > 0 else 0.0
+                scheduler.core_busy[core] / total if total > 0 else 0.0
             )
         if per_core:
             ideal = sum(per_core.values()) / self.n_cores

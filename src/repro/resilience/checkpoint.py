@@ -46,12 +46,16 @@ CKPT_VERSION = 1
 def _capture_global(scheduler, next_step: int) -> dict:
     res = getattr(scheduler, "resilience", None)
     watch = res.watch if res is not None else None
+    # Per-core state is stored for the cores ever occupied (busy > 0),
+    # keyed by core, so every checkpoint shares one header format.
+    busy = scheduler.core_busy
+    used = [c for c, seconds in enumerate(busy) if seconds > 0.0]
     return {
         "next_step": next_step,
         "clocks": list(scheduler.clock),
         "rank_busy": list(scheduler.rank_busy),
-        "core_clock": {str(k): v for k, v in scheduler.core_clock.items()},
-        "core_busy": {str(k): v for k, v in scheduler.core_busy.items()},
+        "core_clock": {str(c): scheduler.core_clock[c] for c in used},
+        "core_busy": {str(c): busy[c] for c in used},
         "rank_to_core": list(scheduler.rank_to_core),
         "messages_sent": scheduler.transport.messages_sent,
         "bytes_sent": scheduler.transport.bytes_sent,
@@ -151,14 +155,11 @@ class Snapshot:
         g = self.header["global"]
         scheduler.clock[:] = [float(v) for v in g["clocks"]]
         scheduler.rank_busy[:] = [float(v) for v in g["rank_busy"]]
-        scheduler.core_clock.clear()
-        scheduler.core_clock.update(
-            {int(k): float(v) for k, v in g["core_clock"].items()}
-        )
-        scheduler.core_busy.clear()
-        scheduler.core_busy.update(
-            {int(k): float(v) for k, v in g["core_busy"].items()}
-        )
+        for per_core, stored in ((scheduler.core_clock, g["core_clock"]),
+                                 (scheduler.core_busy, g["core_busy"])):
+            per_core[:] = [0.0] * len(per_core)
+            for k, v in stored.items():
+                per_core[int(k)] = float(v)
         scheduler.rank_to_core[:] = [int(v) for v in g["rank_to_core"]]
         scheduler.transport.messages_sent = int(g["messages_sent"])
         scheduler.transport.bytes_sent = int(g["bytes_sent"])

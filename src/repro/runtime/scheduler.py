@@ -82,17 +82,27 @@ class CollectiveContext:
 
     def set_core(self, local_rank: int, core: int) -> None:
         world = self.comm.world_ranks[local_rank]
-        tracer = self.scheduler.tracer
+        if core < 0:
+            raise RuntimeConfigError(
+                f"rank {world} cannot move to core {core}; cores are >= 0"
+            )
+        # A rank may move to a core no rank started on: give it state.
+        sched = self.scheduler
+        missing = core + 1 - len(sched.core_clock)
+        if missing > 0:
+            sched.core_clock += [0.0] * missing
+            sched.core_busy += [0.0] * missing
+        tracer = sched.tracer
         if tracer is not None:
             tracer.instant(
                 "migrate",
                 "lb",
                 world,
                 core,
-                self.scheduler.clock[world],
-                old_core=self.scheduler.rank_to_core[world],
+                sched.clock[world],
+                old_core=sched.rank_to_core[world],
             )
-        self.scheduler.rank_to_core[world] = core
+        sched.rank_to_core[world] = core
 
     def add_time(self, local_rank: int, seconds: float) -> None:
         self.extra_time[local_rank] = self.extra_time.get(local_rank, 0.0) + seconds
@@ -161,6 +171,11 @@ class Scheduler:
             rank_to_core = list(rank_to_core)
             if len(rank_to_core) != n_ranks:
                 raise RuntimeConfigError("rank_to_core must have one entry per rank")
+            for rank, core in enumerate(rank_to_core):
+                if core < 0:
+                    raise RuntimeConfigError(
+                        f"rank {rank} is mapped to core {core}; cores are >= 0"
+                    )
         self.rank_to_core = rank_to_core
         # Per-message CPU overheads are constants of the (frozen) cost
         # model; cache them here so the per-message hot path does not pay
@@ -203,10 +218,13 @@ class Scheduler:
         #: busy time is the straggler signal: rank clocks synchronize at
         #: every collective, busy time does not.
         self.rank_busy = [0.0] * n_ranks
-        self.core_clock: dict[int, float] = {}
+        #: Busy-until time of each core, indexed by core (grown by
+        #: :meth:`CollectiveContext.set_core` for a core no rank started on).
+        n_cores = max(rank_to_core) + 1
+        self.core_clock = [0.0] * n_cores
         #: Cumulative seconds each core spent occupied (compute + message
         #: CPU overheads); feeds the core-busy-fraction metric.
-        self.core_busy: dict[int, float] = {}
+        self.core_busy = [0.0] * n_cores
         self._comm_counter = 0
         self._coll_pool: dict[tuple[int, int], dict[int, ops.CollectiveOp]] = {}
         self._states: list[_RankState] = []
@@ -316,13 +334,13 @@ class Scheduler:
             return self.clock[rank]
         core = self.rank_to_core[rank]
         start = self.clock[rank]
-        core_free = self.core_clock.get(core, 0.0)
+        core_free = self.core_clock[core]
         if core_free > start:
             start = core_free
         end = start + seconds
         self.clock[rank] = end
         self.core_clock[core] = end
-        self.core_busy[core] = self.core_busy.get(core, 0.0) + seconds
+        self.core_busy[core] += seconds
         self.rank_busy[rank] += seconds
         return end
 
@@ -349,11 +367,11 @@ class Scheduler:
         completion order can reach simulated time.
 
         When the executor settled the batch as one wave (a task's
-        ``first``) and :meth:`_clock_round` admits it, the wave's first
-        exchange round is clocked for all members before anyone wakes:
-        woken, each member adopts its post-round rows and goes straight to
-        the settlement allreduce, so the round's ops never pass through
-        the per-op pump.  Everything else — and this whole
+        ``first``) and the wave passes :meth:`_clock_round`'s gate, the
+        wave's first exchange round is clocked for all members before
+        anyone wakes: woken, each member adopts its post-round rows and
+        goes straight to the settlement allreduce, so the round's ops never
+        pass through the per-op pump.  Everything else — and this whole
         method without that step — is the per-op pump, the oracle the bulk
         clocking must equal bit for bit.
         """
@@ -372,6 +390,8 @@ class Scheduler:
     def _clock_round(self, wave) -> bool:
         """Clock a settled wave's first exchange round for every member at
         once; False, with nothing moved, leaves the round to the pump.
+        Only the gate below returns False: a round that passes it is
+        clocked.
 
         ``wave`` is a :class:`~repro.runtime.exchange.SettledWave`.  Each
         member runs the op template of
@@ -379,12 +399,11 @@ class Scheduler:
         the wave's count table: per hop — x when ``px > 1``, then y when
         ``py > 1`` — pack compute of its leavers, ``sendrecv`` forward,
         ``sendrecv`` backward, unpack compute of its arrivals.  Clocks, core
-        clocks, core and rank busy seconds
-        and the transport's traffic counters move by the same IEEE
-        operations, in the same per-member order, as :meth:`_occupy`,
-        :meth:`_do_send` and :meth:`_complete_recv` would move them; the
-        exchange prices with the driver's cost model, which :attr:`cost`
-        equals in every rate.
+        clocks, core and rank busy seconds and the transport's traffic
+        counters move by the same IEEE operations, in the same per-member
+        order, as :meth:`_occupy`, :meth:`_do_send` and
+        :meth:`_complete_recv` would move them; the exchange prices with
+        the driver's cost model, which :attr:`cost` equals in every rate.
 
         Only the interleaving across members differs, and a member's clocks
         are a function of its own ops and its sources' send times, whatever
@@ -394,22 +413,9 @@ class Scheduler:
         every member must have a core of its own (AMPI's virtual ranks
         share one) and no pending message (a receive would match it
         first); and no tracer, metrics registry or resilience hook may be
-        attached (they record or perturb the interleaving).
-
-        One thing the interleaving does decide is the order in which cores
-        never occupied before enter ``core_clock`` (and ``core_busy``;
-        checkpoints serialise both in that order).  A core is new at the
-        round only if its member's push charged nothing; with a nonzero
-        ``particle_push_s`` the member then has no particles, so no
-        leavers, and its first op of the round is its forward send.  The
-        flush wakes the members in member order into an empty ``ready``, so
-        the pump's first pass runs every member's first op, in member
-        order, before any second op: whenever sends cost CPU the new cores
-        enter in member order, and the keys are inserted here in member
-        order.  Free sends (``message_overhead_s = 0``) can leave a new core
-        to be first charged later, in an order the message matching
-        decides; such a round, with another new core in play, returns
-        False.
+        attached (they record or perturb the interleaving).  Per-core
+        state is indexed by core, so it has no order for the interleaving
+        to decide.
         """
         if (
             self.tracer is not None
@@ -431,16 +437,14 @@ class Scheduler:
         # busy seconds.
         st = np.array([
             [clock[r] for r in ranks],
-            [core_clock.get(c, 0.0) for c in cores],
-            [core_busy.get(c, 0.0) for c in cores],
+            [core_clock[c] for c in cores],
+            [core_busy[c] for c in cores],
             [rank_busy[r] for r in ranks],
         ])
-        hit = np.zeros(m, dtype=bool)  # the members whose core was occupied
 
         def occupy(seconds) -> None:
             """:meth:`_occupy` for every member: one charge (a float) for
             all or one per member (an array); a charge of 0.0 is free."""
-            nonlocal hit
             if isinstance(seconds, float):
                 if seconds == 0.0:
                     return
@@ -448,14 +452,11 @@ class Scheduler:
                 st[0] += seconds
                 st[1] = st[0]
                 st[2:] += seconds
-                hit[:] = True
                 return
-            on = seconds != 0.0
             end = np.maximum(st[0], st[1])
             end += seconds
-            np.copyto(st[:2], end, where=on)
+            np.copyto(st[:2], end, where=seconds != 0.0)
             st[2:] += seconds  # busy seconds are >= 0: adding 0.0 keeps every bit
-            hit |= on
 
         # Latency and bandwidth, (M, 4) each, of the link every member's
         # four receives arrive over, kept for the next wave of the same
@@ -475,7 +476,6 @@ class Scheduler:
         cost = self.cost
         send_s, recv_s = self._send_overhead_s, self._recv_overhead_s
         messages = nbytes = 0
-        early = None  # the members occupied by their first send
         for axis in (0, 1):
             if wave.dims[axis] == 1:
                 continue
@@ -487,8 +487,6 @@ class Scheduler:
             for j, out, sender in ((2 * axis, fwd, src_bwd),
                                    (2 * axis + 1, bwd, src_fwd)):
                 occupy(send_s)
-                if early is None:
-                    early = hit.copy()
                 # cost.particle_wire_bytes(record_nbytes(count)) per buffer
                 wire = (record_nbytes(out) * cost.particle_byte_scale).astype(np.int64)
                 t_avail = st[0][sender] + (lat[:, j] + wire[sender] / bw[:, j])
@@ -497,17 +495,12 @@ class Scheduler:
                 messages += m
                 nbytes += int(wire.sum())
             occupy(cost.pack_time(arrivals))
-        if early is not None and not early.all():
-            new = hit & ~np.fromiter(map(core_clock.__contains__, cores), bool, m)
-            if (new & ~early).any() and np.count_nonzero(new) > 1:
-                return False
         for r, t, busy in zip(ranks, st[0].tolist(), st[3].tolist()):
             clock[r] = t
             rank_busy[r] = busy
-        for c, free, busy, h in zip(cores, st[1].tolist(), st[2].tolist(), hit.tolist()):
-            if h:  # new keys in member order, as the pump inserts them
-                core_clock[c] = free
-                core_busy[c] = busy
+        for c, free, busy in zip(cores, st[1].tolist(), st[2].tolist()):
+            core_clock[c] = free
+            core_busy[c] = busy
         transport._seq += messages
         transport.messages_sent += messages
         transport.bytes_sent += nbytes

@@ -8,9 +8,9 @@ rows and goes straight to the settlement allreduce.  The per-op pump stays
 the oracle:
 
 * **Property** — a run with the bulk clocking and the same run with it out
-  of reach agree bit for bit on every rank clock, core clock (keys in
-  order), core and rank busy second, the transport's counters, the result
-  document and the final particle bytes — over ``px``/``py`` in {1, 2, 3,
+  of reach agree bit for bit on every rank clock, core clock, core and
+  rank busy second, the transport's counters, the result document and
+  the final particle bytes — over ``px``/``py`` in {1, 2, 3,
   5}, empty members, y leavers and multi-hop moves, ``h != 1``, a machine
   whose messages cross every link tier and free messages with a
   fractional byte scale.  Grids below ``WAVE_MIN_MEMBERS`` ranks lower the
@@ -72,8 +72,8 @@ def _run(build, *, lockstep=True):
     sched = engine.scheduler
     state = {
         "clock": [t.hex() for t in sched.clock],
-        "core_clock": [(c, t.hex()) for c, t in sched.core_clock.items()],
-        "core_busy": [(c, t.hex()) for c, t in sched.core_busy.items()],
+        "core_clock": [t.hex() for t in sched.core_clock],
+        "core_busy": [t.hex() for t in sched.core_busy],
         "rank_busy": [t.hex() for t in sched.rank_busy],
         "traffic": (sched.transport.messages_sent, sched.transport.bytes_sent,
                     sched.transport._seq, sched.collectives_completed),
@@ -120,9 +120,7 @@ def test_clocked_rounds_equal_the_per_op_pump(seed, px, py, cells, n_particles,
         bulk, clocked = _run(build)
         pump, none = _run(build, lockstep=False)
     assert clocked and not any(none)
-    # Free messages may leave several new cores first occupied late in a
-    # round (a pack compute after arrivals): _clock_round then hands it back.
-    assert any(clocked) or free_messages
+    assert any(clocked)
     assert bulk == pump
 
 
@@ -211,7 +209,7 @@ def test_every_gate_condition_hands_the_round_back():
     sched.transport.match(2, 0, 0, 7)
 
     def state():
-        return (list(sched.clock), dict(sched.core_clock), dict(sched.core_busy),
+        return (list(sched.clock), list(sched.core_clock), list(sched.core_busy),
                 list(sched.rank_busy), sched.transport.messages_sent,
                 sched.transport.bytes_sent)
 
@@ -231,4 +229,7 @@ def test_every_gate_condition_hands_the_round_back():
     assert sched._clock_round(wave)  # ... the rank outside it has finished
     # Two hops, two empty messages per member each.
     assert sched.transport.messages_sent == before[4] + 16
-    assert sched.core_clock.keys() == {0, 1, 2, 3}
+    # Each member's last op is its last receive, on a core of its own.
+    assert min(sched.core_clock) > 0.0
+    assert sched.core_clock == sched.clock
+    assert sched.core_busy == sched.rank_busy

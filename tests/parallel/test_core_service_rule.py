@@ -9,9 +9,9 @@ number.  With several virtual ranks on one core the
 order of their occupations sets the clocks, so the property draws small
 ``ampi`` runs (``d`` in 2..8, any core count, LB interval and strategy) and
 checks every drive against ``run()`` on the serial executor, bit for bit:
-rank clocks, ``core_clock`` items in insertion order, core and rank busy
-seconds, the transport's traffic and the result document.  ``mpi-2d`` and
-``mpi-2d-LB`` (one rank per core, order-invariant) are the controls.
+rank and core clocks, core and rank busy seconds, the transport's traffic
+and the result document.  ``mpi-2d`` and ``mpi-2d-LB`` (one rank per
+core, order-invariant) are the controls.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ def _state(engine) -> dict:
     sched = engine.scheduler
     return {
         "clock": [t.hex() for t in sched.clock],
-        "core_clock": [(c, t.hex()) for c, t in sched.core_clock.items()],
-        "core_busy": [(c, t.hex()) for c, t in sched.core_busy.items()],
+        "core_clock": [t.hex() for t in sched.core_clock],
+        "core_busy": [t.hex() for t in sched.core_busy],
         "rank_busy": [t.hex() for t in sched.rank_busy],
         "traffic": (sched.transport.messages_sent, sched.transport.bytes_sent,
                     sched.collectives_completed),

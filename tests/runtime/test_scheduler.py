@@ -401,6 +401,33 @@ class TestSchedulerConfig:
         with pytest.raises(RuntimeConfigError):
             Scheduler(3, rank_to_core=[0, 1])
 
+    def test_negative_core_rejected(self):
+        with pytest.raises(RuntimeConfigError, match="rank 1 .* core -1"):
+            Scheduler(3, rank_to_core=[0, -1, 2])
+
+    @staticmethod
+    def _move_rank_1(core):
+        def remap(values, ctx):
+            ctx.set_core(1, core)
+            return [None] * len(values)
+
+        def prog(comm):
+            yield comm.user_collective(None, remap)
+            yield comm.compute(1.0 + comm.rank)
+
+        return prog
+
+    def test_set_core_to_a_negative_core_rejected(self):
+        with pytest.raises(RuntimeConfigError, match="rank 1 .* core -1"):
+            run_spmd(2, self._move_rank_1(-1), rank_to_core=[0, 2])
+
+    def test_set_core_past_the_initial_cores_adds_them(self):
+        sched = Scheduler(2, rank_to_core=[0, 0])
+        sched.run([self._move_rank_1(3)] * 2)
+        assert sched.rank_to_core == [0, 3]
+        assert sched.core_busy == [1.0, 0.0, 0.0, 2.0]
+        assert sched.core_clock[1:3] == [0.0, 0.0]
+
     def test_non_generator_program(self):
         res = run_spmd(2, lambda comm: None)
         assert res.returns == [None, None]
