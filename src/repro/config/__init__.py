@@ -1,7 +1,7 @@
 """Unified run configuration: the declarative :class:`RunSpec` layer.
 
 * :mod:`repro.config.runspec` — the typed dataclass tree (workload, impl,
-  machine, cost, executor, resilience, tracing) with schema validation,
+  machine, cost, executor, resilience) with schema validation,
   JSON round-trip and a canonical content hash;
 * :mod:`repro.config.env` — the single home of the ``REPRO_EXECUTOR`` /
   ``REPRO_WORKERS`` / ``REPRO_KERNEL_BACKEND`` environment knobs and of
@@ -26,7 +26,6 @@ from repro.config.runspec import (
     MachineConfig,
     ResilienceSpec,
     RunSpec,
-    TracingConfig,
     apply_overrides,
     canonical_json,
     diff_docs,
@@ -44,7 +43,6 @@ __all__ = [
     "ResilienceSpec",
     "RunSpec",
     "SCHEMA_VERSION",
-    "TracingConfig",
     "apply_overrides",
     "canonical_json",
     "diff_docs",

@@ -173,7 +173,7 @@ def canonical_runspec(rs: RunSpec) -> RunSpec:
     n_ranks = impl.cores * (impl.overdecomposition or 1)
     return RunSpec(
         workload=rs.workload, impl=impl, machine=machine, cost=rs.cost,
-        executor=rs.executor, tracing=rs.tracing,
+        executor=rs.executor,
         resilience=ResilienceSpec.from_config(build_resilience(rs, n_ranks)),
     )
 

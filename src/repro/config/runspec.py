@@ -3,8 +3,8 @@
 One :class:`RunSpec` captures *everything* that defines a run — the
 workload (:class:`~repro.core.spec.PICSpec`), the implementation and its
 tunables, the machine model, the cost model, the compute-executor backend,
-the resilience setup (fault plan, straggler watch, recovery policy,
-checkpointing) and tracing — as a typed dataclass tree with
+and the resilience setup (fault plan, straggler watch, recovery policy,
+checkpointing) — as a typed dataclass tree with
 
 * **schema validation**: :meth:`RunSpec.from_dict` rejects unknown fields
   at every level (with the dotted path in the error) and type/range
@@ -14,8 +14,8 @@ checkpointing) and tracing — as a typed dataclass tree with
   :meth:`save` (pinned by tests/config/test_runspec_properties.py);
 * **a canonical content hash**: :meth:`spec_hash` is the SHA-256 of the
   canonical JSON of :meth:`identity_dict` — the subset of the spec that
-  determines the *simulated* outcome.  Executor backend, worker count,
-  tracing and the checkpoint directory are excluded: the determinism
+  determines the *simulated* outcome.  Executor backend, worker count
+  and the checkpoint directory are excluded: the determinism
   suites pin that they cannot change a single simulated bit, and
   excluding them lets the campaign result cache hit across machines and
   CI matrix legs.
@@ -507,25 +507,6 @@ class ResilienceSpec:
         )
 
 
-@dataclass(frozen=True)
-class TracingConfig:
-    """Observability switches (never part of the identity hash)."""
-
-    timeline: bool = False
-    out: str | None = None
-
-    def to_dict(self) -> dict:
-        return {"timeline": self.timeline, "out": self.out}
-
-    @classmethod
-    def from_dict(cls, doc: Mapping, where: str = "tracing") -> "TracingConfig":
-        _check_keys(doc, ("timeline", "out"), where)
-        return cls(
-            timeline=bool(doc.get("timeline", False)),
-            out=doc.get("out"),
-        )
-
-
 # ----------------------------------------------------------------------
 # The top-level RunSpec
 # ----------------------------------------------------------------------
@@ -545,7 +526,6 @@ SECTION_PARSERS = {
     "cost": CostConfig.from_dict,
     "executor": ExecutorConfig.from_dict,
     "resilience": ResilienceSpec.from_dict,
-    "tracing": TracingConfig.from_dict,
 }
 
 
@@ -559,7 +539,6 @@ class RunSpec:
     cost: CostConfig = field(default_factory=CostConfig)
     executor: ExecutorConfig = field(default_factory=ExecutorConfig)
     resilience: ResilienceSpec = field(default_factory=ResilienceSpec)
-    tracing: TracingConfig = field(default_factory=TracingConfig)
 
     # -- serialization -------------------------------------------------
     def to_dict(self) -> dict:
@@ -572,12 +551,11 @@ class RunSpec:
             "cost": self.cost.to_dict(),
             "executor": self.executor.to_dict(),
             "resilience": self.resilience.to_dict(),
-            "tracing": self.tracing.to_dict(),
         }
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "RunSpec":
-        _check_keys(doc, ("schema", *SECTION_PARSERS), "runspec")
+        _check_keys(doc, ("schema", "tracing", *SECTION_PARSERS), "runspec")
         schema = doc.get("schema", SCHEMA_VERSION)
         if schema != SCHEMA_VERSION:
             raise ConfigError(
@@ -587,9 +565,13 @@ class RunSpec:
             raise ConfigError("runspec.workload is required")
         if "impl" not in doc:
             raise ConfigError("runspec.impl is required")
-        return cls(**{
+        spec = cls(**{
             name: parse(doc.get(name, {})) for name, parse in SECTION_PARSERS.items()
         })
+        # Read for compatibility, then dropped: spec files written while
+        # the spec had a tracing section (switches nothing read) carry it.
+        _check_keys(doc.get("tracing", {}), ("timeline", "out"), "tracing")
+        return spec
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -616,14 +598,13 @@ class RunSpec:
     def identity_dict(self) -> dict:
         """The hash-relevant subset: what determines the simulated outcome.
 
-        Excludes the executor section, tracing, and the checkpoint
-        *directory* — all pinned bitwise-irrelevant by the determinism
-        suites — so a result cached under this hash is valid no matter
-        which backend later recomputes it.
+        Excludes the executor section and the checkpoint *directory* —
+        both pinned bitwise-irrelevant by the determinism suites — so a
+        result cached under this hash is valid no matter which backend
+        later recomputes it.
         """
         doc = self.to_dict()
         del doc["executor"]
-        del doc["tracing"]
         del doc["resilience"]["checkpoint_dir"]
         return doc
 

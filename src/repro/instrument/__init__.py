@@ -13,11 +13,12 @@ result (the golden-trace tests enforce this invariant):
   AMPI load balancer: messages sent, bytes moved, collectives by kind,
   particles migrated, per-step imbalance ratio, core busy fraction.
 * Exporters (``export.py``) — Chrome/Perfetto ``trace.json``, a plain-text
-  per-rank timeline, and a metrics summary table consumed by
-  ``repro.bench.reporting``.
+  per-rank timeline, and a metrics summary table printed by
+  ``pic-prk trace``.
 
 The original coarse per-step load sampler (:class:`TraceCollector`) remains
-for imbalance timelines and figure generation.
+for ``pic-prk trace``'s ASCII imbalance timeline and for the metrics
+registry's per-step imbalance histogram.
 
 Usage::
 

@@ -130,7 +130,6 @@ class ParallelPICBase:
         metrics=None,
         executor=None,
         resilience=None,
-        work_rates=None,
     ):
         if n_cores <= 0:
             raise RuntimeConfigError("need at least one core")
@@ -164,14 +163,6 @@ class ParallelPICBase:
         #: snapshot.  Unlike the instrument hooks, an attached fault plan
         #: or checkpointer perturbs simulated time (deterministically).
         self.resilience = resilience
-        #: Optional :class:`repro.runtime.costmodel.WorkRateMeter` with
-        #: measured per-rank pushes/sec (fed by an executor's ``work_meter``
-        #: or seeded directly).  Deliberately *not* part of the RunSpec:
-        #: rates are measurements of the host, not identity of the run.
-        #: When set, the scheduler scales each rank's modelled push charge
-        #: by its measured slowdown, so a mixed compiled/python fleet shows
-        #: up as a real, LB-correctable simulated imbalance.
-        self.work_rates = work_rates
         #: The verification lookup table (:class:`ParticleOrigins`), built
         #: by a fresh :meth:`build_engine` or, after a resume, on first
         #: verify.
@@ -293,14 +284,8 @@ class ParallelPICBase:
             metrics=self.metrics,
             executor=self.executor,
             resilience=res.runtime_hook() if res is not None else None,
-            work_rates=self.work_rates,
             owns_executor=self.owns_executor,
         )
-        # Measured backend rates are diagnostic context for the straggler
-        # watch: flagging still happens on observed busy seconds, but the
-        # watch records *why* the fleet is skewed (and by how much).
-        if self.work_rates is not None and res is not None and res.watch is not None:
-            res.watch.note_backend_rates(self.work_rates.rates())
         # Per-step load sampling backs both the explicit TraceCollector and
         # the imbalance histogram of the metrics registry.
         sampler = self.tracer

@@ -72,12 +72,6 @@ class StragglerWatch:
         #: Steps at which a *new* straggler was flagged, in order —
         #: consumed by the drivers to trigger off-interval LB rounds.
         self.flag_steps: list[int] = []
-        #: Measured per-rank work rates (pushes/sec) noted by the driver
-        #: when a :class:`~repro.runtime.costmodel.WorkRateMeter` is
-        #: attached — diagnostic context explaining *why* ranks straggle
-        #: (e.g. a mixed compiled/python kernel fleet).  Never consulted
-        #: for flagging, which stays purely busy-seconds-driven.
-        self.backend_rates: dict[int, float] = {}
 
     def params_dict(self) -> dict:
         """Constructor parameters (for checkpoint metadata)."""
@@ -162,28 +156,6 @@ class StragglerWatch:
         return [r for r, f in enumerate(self.flagged) if f]
 
     # ------------------------------------------------------------------
-    # Measured backend work rates (diagnostic)
-    # ------------------------------------------------------------------
-    def note_backend_rates(self, rates: dict) -> None:
-        """Attach measured per-rank pushes/sec (merging over prior notes)."""
-        for rank, rate in rates.items():
-            if rate <= 0.0:
-                raise ValueError(f"rate for rank {rank} must be positive")
-            self.backend_rates[int(rank)] = float(rate)
-
-    def backend_imbalance(self) -> float | None:
-        """Fastest/slowest measured rate ratio, or None with < 2 rates.
-
-        A homogeneous fleet sits near 1.0; a mixed compiled/python fleet
-        shows the kernel-backend speedup itself (order 10x), telling the
-        operator the flagged ranks are slow by construction, not by fault.
-        """
-        if len(self.backend_rates) < 2:
-            return None
-        rates = self.backend_rates.values()
-        return max(rates) / min(rates)
-
-    # ------------------------------------------------------------------
     # Checkpoint round-trip
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
@@ -195,11 +167,11 @@ class StragglerWatch:
             "restart": list(self._restart),
             "flagged": list(self.flagged),
             "flag_steps": list(self.flag_steps),
-            # JSON object keys are strings; load_state converts back.
-            "backend_rates": {str(r): v for r, v in self.backend_rates.items()},
         }
 
     def load_state(self, state: dict) -> None:
+        """Restore :meth:`state_dict`'s keys; any other key is ignored
+        (older checkpoints also carry a table of measured work rates)."""
         if len(state["ewma"]) != self.n_ranks:
             raise ValueError(
                 f"watch state covers {len(state['ewma'])} ranks, "
@@ -214,9 +186,3 @@ class StragglerWatch:
         self._restart = [bool(v) for v in state["restart"]]
         self.flagged = [bool(v) for v in state["flagged"]]
         self.flag_steps = [int(v) for v in state["flag_steps"]]
-        # .get(): checkpoints written before measured work rates existed
-        # load cleanly with an empty rate table.
-        self.backend_rates = {
-            int(r): float(v)
-            for r, v in (state.get("backend_rates") or {}).items()
-        }

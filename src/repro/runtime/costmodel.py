@@ -149,12 +149,10 @@ class CostModel:
 
 #: Nominal push rates (particles/sec) per kernel backend.  Order-of-
 #: magnitude priors, not measurements: python is the numpy fused kernel on
-#: one core, compiled the C kernel (>= 3x the python one, with headroom;
-#: re-fitted when the compiled twin workloads exist).  They exist so a
-#: heterogeneous fleet can seed a :class:`WorkRateMeter` *before* the first
-#: measured batch — giving the straggler watch and the load balancers a sane
-#: relative-speed prior — and are overwritten by real measurements as soon
-#: as the executor records them (EWMA, alpha=0.5).
+#: one core, compiled the C kernel (>= 3x the python one, with headroom).
+#: Their one use is the campaign ordering prior: the fabric's
+#: ``schedule_order`` prices a point's pushes at its backend's rate
+#: (:func:`predicted_point_seconds`) to start the longest points first.
 NOMINAL_BACKEND_RATES = {"python": 2.0e7, "compiled": 1.0e8}
 
 
@@ -208,97 +206,6 @@ def predicted_point_seconds(
         raise ValueError("n_ranks and steps must be non-negative")
     seconds = pushes / nominal_backend_rate(backend)
     return seconds + n_ranks * steps * NOMINAL_RANK_STEP_S
-
-
-class WorkRateMeter:
-    """Measured per-rank work rates (pushes/sec), EWMA-smoothed.
-
-    The frozen :class:`CostModel` above prices every rank's push at the
-    same ``particle_push_s`` — correct for a homogeneous fleet, wrong the
-    moment ranks run different kernel backends (compiled vs python differ
-    by ~an order of magnitude).  This meter closes the loop: executors
-    feed it *measured* wall-clock ``(particles, seconds)`` samples per
-    rank (the same measurements that become ``task`` ExecSpans), and the
-    scheduler can scale a rank's modelled compute seconds by how much
-    slower than the fleet's fastest rank it has proven to be.  The
-    scaled seconds then flow through ``rank_busy`` into the
-    :class:`~repro.resilience.StragglerWatch` and the load balancers —
-    a mixed compiled/python fleet becomes an ordinary, LB-correctable
-    imbalance, exactly like a :class:`~repro.resilience.SlowdownFault`.
-
-    Keys are plain ints (world ranks in the executors; anything the
-    caller likes elsewhere).  A key without samples scales by 1.0, so an
-    unfed meter is invisible — golden traces only change when
-    measurements (or seeded rates) say they should.
-    """
-
-    def __init__(self, alpha: float = 0.5, reference_rate: float | None = None):
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        if reference_rate is not None and reference_rate <= 0.0:
-            raise ValueError("reference_rate must be positive")
-        self.alpha = float(alpha)
-        self.reference_rate = reference_rate
-        self._rates: dict[int, float] = {}
-        self.samples = 0
-
-    def record(self, key: int, particles: int, seconds: float) -> None:
-        """Fold one measured sample (``particles`` pushed in ``seconds``)."""
-        if particles <= 0 or seconds <= 0.0:
-            return
-        rate = particles / seconds
-        prev = self._rates.get(key)
-        if prev is None:
-            self._rates[key] = rate
-        else:
-            self._rates[key] = self.alpha * rate + (1.0 - self.alpha) * prev
-        self.samples += 1
-
-    def seed(self, rates: dict) -> None:
-        """Install known rates directly (tests, resumed runs)."""
-        for key, rate in rates.items():
-            if rate <= 0.0:
-                raise ValueError(f"rate for key {key} must be positive")
-            self._rates[int(key)] = float(rate)
-
-    def seed_backends(self, backends: dict) -> None:
-        """Seed nominal rates from a rank -> kernel-backend-name mapping.
-
-        Gives a mixed-backend fleet a relative-speed prior (see
-        :data:`NOMINAL_BACKEND_RATES`) before the first measured batch;
-        real executor measurements then take over sample by sample.
-        """
-        self.seed(
-            {rank: nominal_backend_rate(b) for rank, b in backends.items()}
-        )
-
-    def rate(self, key: int) -> float | None:
-        """Smoothed pushes/sec for ``key``, or None if never measured."""
-        return self._rates.get(key)
-
-    def rates(self) -> dict[int, float]:
-        """All measured rates, keyed as recorded."""
-        return dict(self._rates)
-
-    def _reference(self) -> float | None:
-        if self.reference_rate is not None:
-            return self.reference_rate
-        if not self._rates:
-            return None
-        return max(self._rates.values())
-
-    def slowdown(self, key: int) -> float:
-        """How much slower ``key`` is than the reference rate (>= 1.0 when
-        the reference is the fleet maximum); 1.0 when unmeasured."""
-        rate = self._rates.get(key)
-        ref = self._reference()
-        if rate is None or ref is None:
-            return 1.0
-        return ref / rate
-
-    def scale_compute(self, key: int, seconds: float) -> float:
-        """Scale modelled compute seconds by the measured slowdown."""
-        return seconds * self.slowdown(key)
 
 
 def payload_nbytes(value) -> int:

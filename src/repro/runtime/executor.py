@@ -165,40 +165,27 @@ class Executor:
     deterministic park order.  On return every task's particle arrays must
     be bitwise identical to running ``task.run()`` serially in that order.
 
-    Every backend additionally honors a *kernel backend* selection —
-    ``python`` (the numpy fused kernel) or ``compiled`` (the C one,
-    see :mod:`repro.core.kernel_compiled`) — either fleet-wide via
-    ``kernel_backend`` or per world rank via ``backend_map`` (rank ->
-    backend name; ranks not in the map use the fleet-wide choice).  The
+    Every backend additionally honors one fleet-wide *kernel backend*
+    selection, ``kernel_backend``: ``python`` (the numpy fused kernel) or
+    ``compiled`` (the C one, see :mod:`repro.core.kernel_compiled`).  The
     two kernels are bitwise-identical, so the selection can never change
-    results, only wall-clock — which an optional
-    :class:`~repro.runtime.costmodel.WorkRateMeter` (``work_meter``)
-    observes as measured per-rank pushes/sec.
+    results, only wall-clock.  A rank that runs slower is declared as a
+    :class:`~repro.resilience.SlowdownFault`, never measured here.
     """
 
     name = "?"
     #: Concrete kernel backend after resolution: "python" or "compiled".
     kernel_backend = "python"
 
-    def _init_kernel_backend(
-        self, kernel_backend, backend_map, work_meter, exec_tracer=None
-    ) -> None:
-        """Shared constructor tail: resolve backend names eagerly so a
+    def _init_kernel_backend(self, kernel_backend, exec_tracer=None) -> None:
+        """Shared constructor tail: resolve the backend name eagerly so a
         ``compiled`` request without a C compiler fails at build time."""
-        resolve = kernel_compiled.resolve_backend
         self.kernel_backend = (
-            "python" if kernel_backend is None else resolve(kernel_backend)
+            "python"
+            if kernel_backend is None
+            else kernel_compiled.resolve_backend(kernel_backend)
         )
-        self.backend_map = (
-            {}
-            if not backend_map
-            else {int(r): resolve(b) for r, b in backend_map.items()}
-        )
-        self.work_meter = work_meter
         self.exec_tracer = exec_tracer
-
-    def _backend_for(self, rank: int) -> str:
-        return self.backend_map.get(rank, self.kernel_backend)
 
     def run_batch(self, batch: list[tuple[int, Any]]) -> None:
         raise NotImplementedError
@@ -248,10 +235,10 @@ class InProcessExecutor(Executor):
 
     A task with at least ``KERNEL_BLOCK // 2`` particles already amortises
     the 44-66 ufunc dispatches of a push and runs in place, in park order.
-    Smaller tasks are grouped by ``(mesh, dt, backend)`` (in practice one
-    group).  A group that qualifies for a wave (:meth:`_settle`) is staged
-    whole, pushed with one kernel call and its first exchange round settled
-    for every member at once (:func:`exchange_wave`); its members skip the
+    Smaller tasks are grouped by ``(mesh, dt)`` (in practice one group).
+    A group that qualifies for a wave (:meth:`_settle`) is staged whole,
+    pushed with one kernel call and its first exchange round settled for
+    every member at once (:func:`exchange_wave`); its members skip the
     copy-back and adopt their post-round rows in their exchange.  Any other
     group is packed, in park order, into chunks of at most
     :data:`KERNEL_BLOCK` particles; each chunk's field arrays are staged
@@ -267,13 +254,9 @@ class InProcessExecutor(Executor):
     def __init__(
         self,
         kernel_backend: str | None = None,
-        backend_map=None,
-        work_meter=None,
         exec_tracer=None,
     ) -> None:
-        self._init_kernel_backend(
-            kernel_backend, backend_map, work_meter, exec_tracer
-        )
+        self._init_kernel_backend(kernel_backend, exec_tracer)
         #: Staging rows x, y, vx, vy, q and pid (as int64); allocated by the
         #: first fused push so an executor that only sees large tasks never
         #: holds one.  Its contents never outlive a batch.
@@ -284,24 +267,19 @@ class InProcessExecutor(Executor):
 
     def run_batch(self, batch: list[tuple[int, Any]]) -> None:
         self.batches += 1
-        default = self.kernel_backend
-        bmap = self.backend_map
-        # Grouping by backend keeps fusion sound per kernel: a mixed
-        # backend_map yields its own groups per (mesh, dt, backend).
         groups: dict[tuple, list] = {}
         for rank, task in batch:
             n = len(task.particles)
             if not n and getattr(task, "route", None) is None:
                 continue  # nothing to push, and no wave to be an empty member of
-            backend = bmap.get(rank, default) if bmap else default
             if n >= KERNEL_BLOCK // 2:
-                self._push(backend, [(rank, task, n)], n)
+                self._push([(rank, task, n)], n)
             else:
-                groups.setdefault((task.mesh, task.dt, backend), []).append(
+                groups.setdefault((task.mesh, task.dt), []).append(
                     (rank, task, n)
                 )
-        for (_, _, backend), members in groups.items():
-            if self._settle(backend, members):
+        for members in groups.values():
+            if self._settle(members):
                 continue
             chunk: list = []
             total = 0
@@ -309,12 +287,12 @@ class InProcessExecutor(Executor):
                 if not member[2]:
                     continue
                 if total + member[2] > KERNEL_BLOCK:
-                    self._run_chunk(backend, chunk, total)
+                    self._run_chunk(chunk, total)
                     chunk, total = [], 0
                 chunk.append(member)
                 total += member[2]
             if chunk:
-                self._run_chunk(backend, chunk, total)
+                self._run_chunk(chunk, total)
 
     def _staged(self, parts, total: int) -> np.ndarray:
         """Copy ``parts``' x, y, vx, vy and q into the stage."""
@@ -330,7 +308,7 @@ class InProcessExecutor(Executor):
         np.concatenate([p.q for p in parts], out=stage[4, :total])
         return stage
 
-    def _settle(self, backend: str, members) -> bool:
+    def _settle(self, members) -> bool:
         """Push a group of small tasks and settle its first exchange round
         in one wave, if the group qualifies.
 
@@ -353,23 +331,23 @@ class InProcessExecutor(Executor):
         parts = [t.particles for t in tasks]
         stage = self._staged(parts, total)
         np.concatenate([p.pid for p in parts], out=stage[5, :total].view(np.int64))
-        self._push(backend, members, total, stage)
+        self._push(members, total, stage)
         counts = [n for _, _, n in members]
         wave = exchange_wave(stage, counts, ranks, routes, tasks[0].mesh, closed)
         for i, t in enumerate(tasks):
             t.first = (wave, i)
         return True
 
-    def _run_chunk(self, backend: str, chunk, total) -> None:
+    def _run_chunk(self, chunk, total) -> None:
         """Advance a chunk of ``(rank, task, n)`` triples, ``total`` particles,
         through the stage and copy it back (a lone task runs in place)."""
         if len(chunk) == 1:
-            self._push(backend, chunk, total)
+            self._push(chunk, total)
             return
         self.fused_tasks += len(chunk)
         parts = [t.particles for _, t, _ in chunk]
         stage = self._staged(parts, total)
-        self._push(backend, chunk, total, stage)
+        self._push(chunk, total, stage)
         x, y, vx, vy = stage[:4, :total]
         a = 0
         for p in parts:  # q is read-only in the kernel: not copied back
@@ -380,14 +358,15 @@ class InProcessExecutor(Executor):
             p.vy[:] = vy[a:b]
             a = b
 
-    def _push(self, backend: str, chunk, total, stage=None) -> None:
+    def _push(self, chunk, total, stage=None) -> None:
         """Advance ``chunk`` — ``(rank, task, n)`` triples of one ``(mesh,
         dt)``, ``total`` particles — with one kernel call: the one task in
-        place, or the ``stage``; feed meter and tracer."""
+        place, or the ``stage``; feed the tracer."""
         task = chunk[0][1]
         mesh, dt = task.mesh, task.dt
-        measure = self.work_meter is not None or self.exec_tracer is not None
-        if measure:
+        backend = self.kernel_backend
+        tracer = self.exec_tracer
+        if tracer is not None:
             if self._epoch is None:
                 self._epoch = time.perf_counter()
             t0 = time.perf_counter()
@@ -401,20 +380,12 @@ class InProcessExecutor(Executor):
         else:
             p = task.particles
             _advance_fields(backend, mesh, p.x, p.y, p.vx, p.vy, p.q, dt)
-        if measure:
-            elapsed = time.perf_counter() - t0
-            if self.exec_tracer is not None:
-                start = t0 - self._epoch
-                self.exec_tracer.record(
-                    "execute", -1, self.batches, start, start + elapsed,
-                    tasks=len(chunk), n=total,
-                )
-            if self.work_meter is not None:
-                # A fused push yields one timing; attribute it to the
-                # member ranks proportionally to their particle share.
-                for rank, _, n in chunk:
-                    if n:
-                        self.work_meter.record(rank, n, elapsed * n / total)
+        if tracer is not None:
+            start = t0 - self._epoch
+            tracer.record(
+                "execute", -1, self.batches, start,
+                start + time.perf_counter() - t0, tasks=len(chunk), n=total,
+            )
 
     def stats(self) -> dict:
         return dict(batches=self.batches, fused_tasks=self.fused_tasks)
@@ -539,13 +510,15 @@ def _attach_segment(name: str):
         return shared_memory.SharedMemory(name=name)
 
 
-def _worker_main(conn, warm_backends: tuple = ()) -> None:
-    """Worker loop: one bin of task records per batch over ``conn``.
+def _worker_main(conn, backend: str = "python") -> None:
+    """Worker loop: one bin of task records per batch over ``conn``, each
+    task pushed with the fleet's kernel ``backend`` (warmed before the
+    ready handshake).
 
     A bin is a list of ``(work index, field locations, n, (cells, h, mesh
-    q), dt, backend)`` records, each field location an arena ``(segment
-    name, byte offset)``: the particle bytes stay in shared memory, and a
-    segment is attached the first time a record names it.  The worker
+    q), dt)`` records, each field location an arena ``(segment name, byte
+    offset)``: the particle bytes stay in shared memory, and a segment is
+    attached the first time a record names it.  The worker
     replies ``(work index, seconds)`` as each task completes, so the parent
     can resume that task's rank while the rest of the bin runs.  ``None``
     (or the parent's end closing) shuts the worker down.
@@ -553,7 +526,7 @@ def _worker_main(conn, warm_backends: tuple = ()) -> None:
     segments: dict[str, Any] = {}
     workspace = KernelWorkspace()
     meshes: dict[tuple, Mesh] = {}
-    warm_s = sum(kernel_compiled.warmup(b) for b in warm_backends)
+    warm_s = kernel_compiled.warmup(backend)
     conn.send(("ready", os.getpid(), warm_s))
     while True:
         try:
@@ -562,7 +535,7 @@ def _worker_main(conn, warm_backends: tuple = ()) -> None:
             break
         if records is None:
             break
-        for wi, locs, n, mesh_args, dt, backend in records:
+        for wi, locs, n, mesh_args, dt in records:
             t1 = time.perf_counter()
             views = []
             for name, off in locs:
@@ -642,9 +615,6 @@ class _PoolHandle(BatchHandle):
         ex.batches += 1
         ex.tasks_executed += len(self._work)
         ex.particles_pushed += sum(sizes)
-        if ex.work_meter is not None:
-            for i, (rank, _task) in enumerate(self._work):
-                ex.work_meter.record(rank, sizes[i], done[i])
         tr = ex.exec_tracer
         if tr is not None:
             used = [w for w, b in enumerate(self._bins) if b]
@@ -681,8 +651,9 @@ class ProcessExecutor(Executor):
     A batch costs one message per worker: the parent partitions the tasks
     by particle count (:func:`_partition`) and sends each worker its bin
     as one list of task records — arena locations, counts, mesh
-    parameters, dt and backend — over the pipe the worker already has.
-    The particles themselves never leave shared memory.
+    parameters and dt — over the pipe the worker already has; every
+    worker runs the fleet's ``kernel_backend``, given at spawn.  The
+    particles themselves never leave shared memory.
 
     Workers boot concurrently: :meth:`start` spawns without blocking and
     :meth:`ensure_ready` collects the ready handshakes, so ``workers=N``
@@ -709,15 +680,11 @@ class ProcessExecutor(Executor):
         exec_tracer=None,
         mp_context: str | None = None,
         kernel_backend: str | None = None,
-        backend_map=None,
-        work_meter=None,
     ) -> None:
         self.workers = int(workers) if workers else (os.cpu_count() or 1)
         if self.workers < 1:
             raise ValueError("need at least one worker")
-        self._init_kernel_backend(
-            kernel_backend, backend_map, work_meter, exec_tracer
-        )
+        self._init_kernel_backend(kernel_backend, exec_tracer)
         self._ctx_name = mp_context or "spawn"
         self.arena = ShmArena()
         self._procs: list = []
@@ -752,15 +719,11 @@ class ProcessExecutor(Executor):
         # inherits it only if it already runs, and would otherwise start
         # its own, which unlinks the arena when that worker exits.
         resource_tracker.ensure_running()
-        # Workers pre-warm every JIT backend any rank may run.
-        warm_backends = tuple(sorted(
-            {self.kernel_backend, *self.backend_map.values()} - {"python"}
-        ))
         for i in range(self.workers):
             parent_conn, child_conn = ctx.Pipe()
             proc = ctx.Process(
                 target=_worker_main,
-                args=(child_conn, warm_backends),
+                args=(child_conn, self.kernel_backend),
                 name=f"repro-exec-{i}",
                 daemon=True,
             )
@@ -841,11 +804,11 @@ class ProcessExecutor(Executor):
         # epoch exists; building the records still overlaps worker boot.
         t_d0 = self._now() if self._ready else None
         records = []
-        for i, (rank, task) in enumerate(work):
+        for i, (_, task) in enumerate(work):
             m = task.mesh
             records.append((
                 i, self._field_locs(task.particles), len(task.particles),
-                (m.cells, m.h, m.q), task.dt, self._backend_for(rank),
+                (m.cells, m.h, m.q), task.dt,
             ))
         sizes = [r[2] for r in records]
         bins = _partition(sizes, self.workers)
@@ -919,8 +882,6 @@ def make_executor(
     workers: int = 0,
     exec_tracer=None,
     kernel_backend: str | None = None,
-    backend_map=None,
-    work_meter=None,
 ) -> Executor:
     """Build a backend by name (the CLI's ``--executor`` values).
 
@@ -928,12 +889,7 @@ def make_executor(
     python); it is resolved eagerly, so asking for the compiled backend
     without a C compiler raises here, not mid-run.
     """
-    kw = dict(
-        kernel_backend=kernel_backend,
-        backend_map=backend_map,
-        work_meter=work_meter,
-        exec_tracer=exec_tracer,
-    )
+    kw = dict(kernel_backend=kernel_backend, exec_tracer=exec_tracer)
     if name in ("serial", "batched"):
         return InProcessExecutor(**kw)
     if name == "process":

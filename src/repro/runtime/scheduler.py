@@ -151,7 +151,6 @@ class Scheduler:
         metrics=None,
         executor=None,
         resilience=None,
-        work_rates=None,
         owns_executor: bool = False,
     ):
         if n_ranks <= 0:
@@ -199,15 +198,6 @@ class Scheduler:
         #: Unlike tracer/metrics this one is *not* purely observational: an
         #: attached fault plan perturbs simulated time (deterministically).
         self.resilience = resilience
-        #: Optional :class:`repro.runtime.costmodel.WorkRateMeter` keyed by
-        #: world rank.  When set, each rank's modelled compute charge is
-        #: scaled by its measured slowdown relative to the fleet's fastest
-        #: rank, so heterogeneous kernel backends surface as real simulated
-        #: imbalance.  Applied only to task-carrying compute ops (the
-        #: particle push — the phase the meter actually measures), before
-        #: any resilience scaling.  ``None`` (the default) leaves every
-        #: simulated timestamp untouched.
-        self.work_rates = work_rates
         self.transport = Transport(n_ranks, metrics=metrics)
         self.clock = [0.0] * n_ranks
         #: Current step of each rank (-1 before the first annotation),
@@ -519,12 +509,6 @@ class Scheduler:
             # fault plan scales the charge (slowdown faults) here, at the
             # single point every compute phase passes through.
             seconds = op.seconds
-            if (
-                self.work_rates is not None
-                and op.task is not None
-                and seconds > 0.0
-            ):
-                seconds = self.work_rates.scale_compute(r, seconds)
             if self.resilience is not None and seconds > 0.0:
                 seconds = self.resilience.scale_compute(self, r, seconds)
             end = self._occupy(r, seconds)
@@ -838,7 +822,6 @@ def run_spmd(
     metrics=None,
     executor=None,
     resilience=None,
-    work_rates=None,
 ) -> SpmdResult:
     """Convenience wrapper: run one program (or one per rank) on ``n_ranks``.
 
@@ -854,7 +837,6 @@ def run_spmd(
         metrics=metrics,
         executor=executor,
         resilience=resilience,
-        work_rates=work_rates,
     )
     if callable(program):
         programs = [program] * n_ranks

@@ -154,12 +154,34 @@ class TestRoundTrip:
         with pytest.raises(ConfigError, match="python/compiled/auto"):
             ExecutorConfig(kernel_backend="compiled-parallel")
 
+    @pytest.mark.parametrize(
+        "section", [{}, {"timeline": True}, {"timeline": False, "out": "trace/"}]
+    )
+    def test_removed_tracing_section_still_loads(self, section):
+        """Spec files written while the spec had a ``tracing`` section
+        (``timeline``/``out``, read by nothing) load; it is dropped."""
+        doc = small_spec().to_dict()
+        assert "tracing" not in doc
+        doc["tracing"] = section
+        rs = RunSpec.from_dict(doc)
+        assert rs == small_spec()
+        assert rs.to_dict() == small_spec().to_dict()
+
+    def test_removed_tracing_section_still_validated(self):
+        doc = small_spec().to_dict()
+        doc["tracing"] = {"timeline": True, "bogus": 1}
+        with pytest.raises(ConfigError, match=r"\['bogus'\] in tracing"):
+            RunSpec.from_dict(doc)
+
 
 class TestIdentityHash:
     def test_executor_and_tracing_are_not_identity(self):
         a = small_spec()
         b = a.with_overrides(executor=ExecutorConfig(kind="process", workers=4))
         assert a.spec_hash() == b.spec_hash()
+        doc = a.to_dict()
+        doc["tracing"] = {"timeline": True, "out": "trace/"}
+        assert RunSpec.from_dict(doc).spec_hash() == a.spec_hash()
 
     def test_checkpoint_dir_is_not_identity(self):
         a = small_spec()

@@ -177,8 +177,8 @@ class TestCanonicalResolverProperty:
         derived = build.build_impl(rs).runspec()
         for section in ("workload", "impl", "machine", "cost", "resilience"):
             assert getattr(canon, section) == getattr(derived, section), section
-        # Identity-neutral sections ride along from the input.
-        assert (canon.executor, canon.tracing) == (rs.executor, rs.tracing)
+        # The identity-neutral section rides along from the input.
+        assert canon.executor == rs.executor
         assert canon.spec_hash() == derived.spec_hash()
 
     @given(rs=full_specs)
@@ -286,8 +286,7 @@ class TestHashStability:
 # ----------------------------------------------------------------------
 # Rejection of unknown / invalid fields
 # ----------------------------------------------------------------------
-SECTIONS = ("workload", "impl", "machine", "cost", "executor", "resilience",
-            "tracing")
+SECTIONS = ("workload", "impl", "machine", "cost", "executor", "resilience")
 
 
 class TestRejection:

@@ -48,7 +48,6 @@ from repro.runtime import ops, run_spmd
 from repro.runtime.costmodel import CostModel
 from repro.runtime.exchange import _closed_sources, exchange_wave
 from repro.runtime.executor import InProcessExecutor, ProcessExecutor
-from tests.core.backend_conformance import requires_compiled
 
 _FIELDS = ("x", "y", "vx", "vy", "q", "pid")
 
@@ -449,15 +448,31 @@ def test_replayed_rounds_trace_like_per_rank_rounds(monkeypatch, wave_calls, bui
     assert replayed[1] == instants
 
 
-@requires_compiled
-def test_split_backend_groups_are_not_closed(monkeypatch, wave_calls):
-    # Even ranks on the compiled kernel, odd ones on python: two groups of
-    # 32 members, neither closed (every y neighbour is in the other one),
-    # so each rank runs its whole exchange itself.
-    def build(backend_map):
-        return lambda: Mpi2dPIC(_spec(4_000, 6), 64, executor=InProcessExecutor(
-            backend_map=backend_map))
+def test_groups_beside_in_place_ranks_are_not_closed(monkeypatch, wave_calls):
+    # r = 0.9 piles 52-57 % of the particles on the first block column
+    # over both steps: its 8 ranks (>= 10 000 each, >= KERNEL_BLOCK // 2)
+    # run in place, so the 56 small ranks fused beside them (~1 200 each)
+    # form a group whose x sources include in-place ranks: not closed, and
+    # no wave runs.
+    closures = []
+    real = executor_mod._closed_sources
 
-    split = _observe(monkeypatch, build({r: "compiled" for r in range(0, 64, 2)}))
+    def closed(ranks, routes):
+        got = real(ranks, routes)
+        closures.append((len(ranks), got is None))
+        return got
+
+    monkeypatch.setattr(executor_mod, "_closed_sources", closed)
+    spec = PICSpec(cells=64, n_particles=160_000, steps=2, r=0.9, m_vertical=1)
+
+    def build():
+        return Mpi2dPIC(spec, 64, executor=InProcessExecutor())
+
+    split = _observe(monkeypatch, build)
+    assert closures and all(WAVE_MIN_MEMBERS <= m < 64 for m, _ in closures)
+    assert all(none for _, none in closures)
     assert wave_calls == []
-    assert split == _observe(monkeypatch, build({}))
+    monkeypatch.setattr(executor_mod, "WAVE_MAX_MEAN", 0)
+    closures.clear()
+    assert split == _observe(monkeypatch, build)
+    assert closures == []

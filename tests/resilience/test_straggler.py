@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.config import RunSpec
+from repro.config.build import build_impl
 from repro.core.spec import Distribution, PICSpec
 from repro.instrument import MetricsRegistry, Tracer
 from repro.parallel import Mpi2dLbPIC, Mpi2dPIC
@@ -101,6 +103,20 @@ class TestWatchUnit:
         with pytest.raises(ValueError, match="ranks"):
             StragglerWatch(5).load_state(a.state_dict())
 
+    def test_state_with_measured_rates_loads(self):
+        """Older checkpoints carry a ``backend_rates`` table in the watch
+        state; it loads cleanly and is not written back."""
+        a = StragglerWatch(3, alpha=1.0, min_samples=1)
+        for step, cum in enumerate([(1, 1, 1), (2, 2, 6), (3, 3, 11)]):
+            for r, c in enumerate(cum):
+                a.observe(r, step, float(c), core=r)
+        state = {**a.state_dict(), "backend_rates": {"0": 5e7}}
+        b = StragglerWatch(3, alpha=1.0, min_samples=1)
+        b.load_state(state)
+        assert b.state_dict() == a.state_dict()
+        assert "backend_rates" not in b.state_dict()
+        assert b.stragglers() == a.stragglers() == [2]
+
 
 SPEC = PICSpec(
     cells=32, n_particles=2000, steps=20,
@@ -164,6 +180,43 @@ class TestStragglerIntegration:
         assert reactive.verification.ok and inert.verification.ok
         # The forced round moved work off the slow core.
         assert reactive.total_time < 0.85 * inert.total_time
+
+
+class TestDeclaredSlowRank:
+    """A rank that runs 10x slower (say, the one rank of a fleet left on a
+    slower kernel) is declared in the RunSpec as a rank-targeted slowdown
+    fault; nothing is measured on the host."""
+
+    def _run(self, impl, faults=True, **params):
+        doc = {
+            "workload": {"cells": 32, "n_particles": 1200, "steps": 10,
+                         "distribution": "uniform"},
+            "impl": {"name": impl, "cores": 4, **params},
+        }
+        if faults:
+            doc["resilience"] = {"faults": {"faults": [
+                {"kind": "slowdown", "rank": 3, "factor": 10}]}}
+        driver = build_impl(RunSpec.from_dict(doc))
+        result = driver.run()
+        assert result.verification.ok, str(result.verification)
+        return driver, result
+
+    def test_watch_flags_the_slow_rank(self):
+        driver, _ = self._run("mpi-2d")
+        assert driver.resilience.watch.stragglers() == [3]
+        assert driver.resilience.watch.flag_steps
+
+    def test_physics_untouched_only_clocks_move(self):
+        _, slow = self._run("mpi-2d")
+        _, clean = self._run("mpi-2d", faults=False)
+        v, w = slow.verification, clean.verification
+        assert (v.id_checksum, v.n_particles) == (w.id_checksum, w.n_particles)
+        assert slow.total_time > clean.total_time
+
+    def test_lb_finishes_sooner_than_static(self):
+        _, static = self._run("mpi-2d")
+        _, balanced = self._run("mpi-2d-LB", lb_interval=2, border_width=1)
+        assert balanced.total_time < static.total_time
 
 
 class TestCrashes:

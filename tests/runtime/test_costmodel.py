@@ -5,7 +5,6 @@ import pytest
 
 from repro.runtime.costmodel import (
     CostModel,
-    WorkRateMeter,
     nominal_backend_rate,
     payload_nbytes,
     predicted_point_pushes,
@@ -98,59 +97,6 @@ class TestPayloadBytes:
         assert payload_nbytes(42) == 8
 
 
-class TestWorkRateMeter:
-    def test_first_sample_sets_rate(self):
-        m = WorkRateMeter()
-        m.record(0, 1000, 0.001)  # 1e6 pushes/sec
-        assert m.rate(0) == pytest.approx(1.0e6)
-        assert m.samples == 1
-
-    def test_ewma_smoothing(self):
-        m = WorkRateMeter(alpha=0.5)
-        m.record(0, 1000, 0.001)  # 1e6
-        m.record(0, 2000, 0.001)  # 2e6 -> 0.5*2e6 + 0.5*1e6
-        assert m.rate(0) == pytest.approx(1.5e6)
-
-    def test_nonpositive_samples_ignored(self):
-        m = WorkRateMeter()
-        m.record(0, 0, 1.0)
-        m.record(0, 10, 0.0)
-        assert m.rate(0) is None
-        assert m.samples == 0
-
-    def test_seed_installs_rates_verbatim(self):
-        m = WorkRateMeter()
-        m.seed({0: 5.0e7, 3: 5.0e6})
-        assert m.rates() == {0: 5.0e7, 3: 5.0e6}
-
-    def test_slowdown_is_relative_to_fleet_max(self):
-        m = WorkRateMeter()
-        m.seed({0: 5.0e7, 1: 5.0e6})
-        assert m.slowdown(0) == pytest.approx(1.0)
-        assert m.slowdown(1) == pytest.approx(10.0)
-        assert m.scale_compute(1, 2.0) == pytest.approx(20.0)
-
-    def test_explicit_reference_rate_wins(self):
-        m = WorkRateMeter(reference_rate=1.0e8)
-        m.seed({0: 5.0e7})
-        assert m.slowdown(0) == pytest.approx(2.0)
-
-    def test_unmeasured_key_scales_by_one(self):
-        m = WorkRateMeter()
-        assert m.slowdown(9) == 1.0
-        assert m.scale_compute(9, 3.5) == 3.5
-        m.seed({0: 1.0e6})
-        assert m.slowdown(9) == 1.0  # still unmeasured
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            WorkRateMeter(alpha=0.0)
-        with pytest.raises(ValueError):
-            WorkRateMeter(reference_rate=0.0)
-        with pytest.raises(ValueError):
-            WorkRateMeter().seed({0: -1.0})
-
-
 class TestPointPrediction:
     """The sweep-scheduling prior the campaign fabric orders points by."""
 
@@ -180,6 +126,11 @@ class TestPointPrediction:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="no nominal rate"):
             predicted_point_seconds(100, "fortran")
+
+    def test_nominal_rate_unknown_backend_rejected(self):
+        for name in ("fortran", "compiled-parallel"):
+            with pytest.raises(ValueError, match=name):
+                nominal_backend_rate(name)
 
     def test_rank_step_term_separates_equal_pushes(self):
         from repro.runtime.costmodel import NOMINAL_RANK_STEP_S

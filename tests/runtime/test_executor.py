@@ -33,7 +33,6 @@ from repro.runtime.executor import (
 )
 from repro.core.kernel_compiled import CompiledKernelUnavailable, resolve_backend
 from repro.instrument import ExecutorTrace
-from repro.runtime.costmodel import WorkRateMeter
 from repro.runtime.scheduler import run_spmd
 from tests.core.backend_conformance import BACKENDS
 
@@ -523,7 +522,7 @@ class TestSchedulerBatching:
 
 
 class TestKernelBackendPlumbing:
-    """Backend selection, work-rate metering and warm-up accounting."""
+    """Backend selection and warm-up accounting."""
 
     def test_default_backend_is_python(self):
         for ex in (InProcessExecutor(), ProcessExecutor(workers=1)):
@@ -538,36 +537,17 @@ class TestKernelBackendPlumbing:
         for name in ("serial", "batched", "process"):
             with pytest.raises(CompiledKernelUnavailable):
                 make_executor(name, workers=1, kernel_backend="compiled")
-        with pytest.raises(CompiledKernelUnavailable):
-            InProcessExecutor(backend_map={2: "compiled"})
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
             InProcessExecutor(kernel_backend="fortran")
         with pytest.raises(ValueError, match="unknown kernel backend"):
-            InProcessExecutor(backend_map={0: "compiled-parallel"})
+            InProcessExecutor(kernel_backend="compiled-parallel")
 
-    def test_backend_map_overrides_fleet_default(self):
-        ex = InProcessExecutor(kernel_backend="python", backend_map={1: "auto"})
-        assert ex._backend_for(0) == "python"
-        assert ex._backend_for(1) == resolve_backend("auto") != "auto"
-
-    @pytest.mark.parametrize("name,workers", [("serial", 0), ("batched", 0), ("process", 2)])
-    def test_work_meter_records_per_rank_rates(self, name, workers):
+    def test_traced_run_stays_bitwise_exact(self):
+        """The wall-clock timing around each push observes, never perturbs."""
         mesh = Mesh(cells=8)
-        meter = WorkRateMeter()
-        ex = make_executor(name, workers=workers, work_meter=meter)
-        try:
-            ex.run_batch(_push_batch(mesh, 0.05, [5000, 8000]))
-        finally:
-            ex.close()
-        rates = meter.rates()
-        assert set(rates) == {0, 1}
-        assert all(r > 0.0 for r in rates.values())
-
-    def test_metered_run_stays_bitwise_exact(self):
-        mesh = Mesh(cells=8)
-        ex = InProcessExecutor(work_meter=WorkRateMeter())
+        ex = InProcessExecutor(exec_tracer=ExecutorTrace())
         batch = _push_batch(mesh, 0.05, [3000, 700])
         ex.run_batch(batch)
         for (_, task), oracle in zip(batch, _serial_oracle(mesh, 0.05, [3000, 700])):
@@ -611,22 +591,19 @@ _task_sizes = st.lists(
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@given(sizes=_task_sizes, map_seed=st.integers(0, 2**16), many_tiny=st.booleans())
+@given(sizes=_task_sizes, many_tiny=st.booleans())
 @settings(max_examples=12, deadline=None)
-def test_fusion_matches_per_task_reference(backend, sizes, map_seed, many_tiny):
+def test_fusion_matches_per_task_reference(backend, sizes, many_tiny):
     """Every task bitwise equal to ``advance_reference`` run on it alone,
-    whatever mix of in-place tasks, fused chunks and backends it rode in."""
+    whatever mix of in-place tasks and fused chunks it rode in, under the
+    fleet-wide kernel ``backend``."""
     if many_tiny:
         sizes = sizes + [7] * 40
     mesh = Mesh(cells=8)
-    rng = np.random.default_rng(map_seed)
-    backend_map = {
-        r: backend for r in range(len(sizes)) if rng.integers(0, 2)
-    }
     batch = _push_batch(mesh, 0.01, sizes)
     oracles = [task.particles.copy() for _, task in batch]
     assert type(make_executor("serial")) is type(make_executor("batched"))
-    ex = make_executor("serial", backend_map=backend_map)
+    ex = make_executor("serial", kernel_backend=backend)
     ex.run_batch(batch)
     assert ex._stage.shape[1] <= KERNEL_BLOCK
     for (_, task), oracle in zip(batch, oracles):
