@@ -276,8 +276,11 @@ def _route_axis(
     payload sizes are identical to the historical copy-based hop (a
     payload is priced by :func:`record_nbytes`, not by its 6-column
     buffer); the order of particles within the rank is not (tail-fill
-    compaction).  ``Scheduler._clock_round`` runs this op template for a
-    whole settled wave: change both or neither.
+    compaction).  The op template has three copies: this one, and the two
+    with which ``Scheduler._clock_round`` runs it for a whole settled wave
+    (``_clock_own_cores``, a core per member, and
+    ``_replay_shared_cores``, members sharing cores).  Change all three or
+    none.
     """
     if front is None:
         leavers, fwd_buf, bwd_buf = hop_front_half(

@@ -390,22 +390,23 @@ class Scheduler:
         ``py > 1`` — pack compute of its leavers, ``sendrecv`` forward,
         ``sendrecv`` backward, unpack compute of its arrivals.  Clocks, core
         clocks, core and rank busy seconds and the transport's traffic
-        counters move by the same IEEE operations, in the same per-member
-        order, as :meth:`_occupy`, :meth:`_do_send` and
-        :meth:`_complete_recv` would move them; the exchange prices with
-        the driver's cost model, which :attr:`cost` equals in every rate.
+        counters move by the same IEEE operations as :meth:`_occupy`,
+        :meth:`_do_send` and :meth:`_complete_recv` would move them; the
+        exchange prices with the driver's cost model, which :attr:`cost`
+        equals in every rate.
 
-        Only the interleaving across members differs, and a member's clocks
-        are a function of its own ops and its sources' send times, whatever
-        order the pump would interleave them in, only when no other rank
-        can touch its core or its mailbox and nobody watches the order.  So
-        the wave (a subset of the batch) must hold every unfinished rank;
-        every member must have a core of its own (AMPI's virtual ranks
-        share one) and no pending message (a receive would match it
-        first); and no tracer, metrics registry or resilience hook may be
-        attached (they record or perturb the interleaving).  Per-core
-        state is indexed by core, so it has no order for the interleaving
-        to decide.
+        The round is the pump's only while nothing but the members' own ops
+        can reach their clocks, cores or mailboxes and nobody watches the
+        order.  So the wave (a subset of the batch) must hold every
+        unfinished rank — it is then the whole batch, in park order, and
+        ``ready`` is empty; no member may have a pending message (a receive
+        would match it first); and no tracer, metrics registry or
+        resilience hook may be attached (they record or perturb the
+        interleaving).  Members with a core each are clocked by
+        :meth:`_clock_own_cores`, whose result no interleaving can change;
+        members that share cores (AMPI's virtual ranks) by
+        :meth:`_replay_shared_cores`, which replays the pump's service
+        order.
         """
         if (
             self.tracer is not None
@@ -413,14 +414,77 @@ class Scheduler:
             or self.resilience is not None
         ):
             return False
-        ranks, src, n = wave.ranks, wave.sources, wave.table
+        ranks = wave.ranks
         m = len(ranks)
         if m != self.n_ranks - self._finished:
             return False
-        cores = tuple(map(self.rank_to_core.__getitem__, ranks))
         transport = self.transport
-        if len(set(cores)) != m or any(map(transport._pending.__getitem__, ranks)):
+        if any(map(transport._pending.__getitem__, ranks)):
             return False
+        cores = tuple(map(self.rank_to_core.__getitem__, ranks))
+        hops = self._round_hops(wave, cores)
+        if len(set(cores)) == m:
+            self._clock_own_cores(ranks, cores, hops)
+        else:
+            self._replay_shared_cores(ranks, cores, hops)
+        messages = 2 * m * len(hops)
+        transport._seq += messages
+        transport.messages_sent += messages
+        transport.bytes_sent += sum(
+            int(wire.sum()) for *_, slots in hops for _, wire, _ in slots
+        )
+        return True
+
+    def _round_hops(self, wave, cores) -> list:
+        """The prices of a settled round's hops, one tuple per hop that
+        runs: ``(leavers, pack_s, arrivals, unpack_s, slots)``, each member's
+        leaver count and pack charge and arrival count and unpack charge,
+        and per ``sendrecv`` (forward, backward) ``(sender, wire,
+        transfer)``: the member each member receives from, the wire bytes
+        each member sends and the transfer time of the message each member
+        receives.  Link prices are kept for the next wave of the same
+        geometry.
+        """
+        src, n = wave.sources, wave.table
+        key = (cores, src.tobytes())
+        if self._wave_links is None or self._wave_links[0] != key:
+            # Latency and bandwidth, (M, 4) each, of the link every
+            # member's four receives arrive over.
+            lat, bw = np.empty(src.shape), np.empty(src.shape)
+            for i, row in enumerate(src.tolist()):
+                for j, s in enumerate(row):
+                    pair = (cores[s], cores[i])
+                    link = self._links.get(pair)
+                    if link is None:
+                        link = self._links[pair] = self.machine.link(*pair)
+                    lat[i, j], bw[i, j] = link.latency, link.bandwidth
+            self._wave_links = (key, (lat, bw))
+        lat, bw = self._wave_links[1]
+        cost = self.cost
+        hops = []
+        for axis in (0, 1):
+            if wave.dims[axis] == 1:
+                continue
+            fwd, bwd, arrivals = n[:, 4 * axis : 4 * axis + 3].T
+            slots = []
+            # Forward buffers arrive from the backward source, backward ones
+            # from the forward source.
+            for j, out in ((2 * axis, fwd), (2 * axis + 1, bwd)):
+                sender = src[:, j]
+                # cost.particle_wire_bytes(record_nbytes(count)) per buffer
+                wire = (record_nbytes(out) * cost.particle_byte_scale).astype(np.int64)
+                slots.append((sender, wire, lat[:, j] + wire[sender] / bw[:, j]))
+            leavers = fwd + bwd
+            hops.append((leavers, cost.pack_time(leavers), arrivals,
+                         cost.pack_time(arrivals), slots))
+        return hops
+
+    def _clock_own_cores(self, ranks, cores, hops) -> None:
+        """Clock a round whose members have a core each, all members per op
+        with numpy: a member's clocks are then a function of its own ops and
+        its sources' send times, whatever order the pump would interleave
+        them in.  Per-core state is indexed by core, so it has no order for
+        the interleaving to decide either."""
         clock, rank_busy = self.clock, self.rank_busy
         core_clock, core_busy = self.core_clock, self.core_busy
         # Rows: the members' clocks, core-free times, core busy and rank
@@ -448,53 +512,138 @@ class Scheduler:
             np.copyto(st[:2], end, where=seconds != 0.0)
             st[2:] += seconds  # busy seconds are >= 0: adding 0.0 keeps every bit
 
-        # Latency and bandwidth, (M, 4) each, of the link every member's
-        # four receives arrive over, kept for the next wave of the same
-        # geometry.
-        key = (cores, src.tobytes())
-        if self._wave_links is None or self._wave_links[0] != key:
-            lat, bw = np.empty(src.shape), np.empty(src.shape)
-            for i, row in enumerate(src.tolist()):
-                for j, s in enumerate(row):
-                    pair = (cores[s], cores[i])
-                    link = self._links.get(pair)
-                    if link is None:
-                        link = self._links[pair] = self.machine.link(*pair)
-                    lat[i, j], bw[i, j] = link.latency, link.bandwidth
-            self._wave_links = (key, (lat, bw))
-        lat, bw = self._wave_links[1]
-        cost = self.cost
         send_s, recv_s = self._send_overhead_s, self._recv_overhead_s
-        messages = nbytes = 0
-        for axis in (0, 1):
-            if wave.dims[axis] == 1:
-                continue
-            fwd, bwd, arrivals = n[:, 4 * axis : 4 * axis + 3].T
-            src_bwd, src_fwd = src[:, 2 * axis], src[:, 2 * axis + 1]
-            occupy(cost.pack_time(fwd + bwd))
-            # Forward buffers arrive from the backward source, backward ones
-            # from the forward source.
-            for j, out, sender in ((2 * axis, fwd, src_bwd),
-                                   (2 * axis + 1, bwd, src_fwd)):
+        for _, pack_s, _, unpack_s, slots in hops:
+            occupy(pack_s)
+            for sender, _, transfer in slots:
                 occupy(send_s)
-                # cost.particle_wire_bytes(record_nbytes(count)) per buffer
-                wire = (record_nbytes(out) * cost.particle_byte_scale).astype(np.int64)
-                t_avail = st[0][sender] + (lat[:, j] + wire[sender] / bw[:, j])
-                np.maximum(st[0], t_avail, out=st[0])
+                np.maximum(st[0], st[0][sender] + transfer, out=st[0])
                 occupy(recv_s)
-                messages += m
-                nbytes += int(wire.sum())
-            occupy(cost.pack_time(arrivals))
+            occupy(unpack_s)
         for r, t, busy in zip(ranks, st[0].tolist(), st[3].tolist()):
             clock[r] = t
             rank_busy[r] = busy
         for c, free, busy in zip(cores, st[1].tolist(), st[2].tolist()):
             core_clock[c] = free
             core_busy[c] = busy
-        transport._seq += messages
-        transport.messages_sent += messages
-        transport.bytes_sent += nbytes
-        return True
+
+    def _replay_shared_cores(self, ranks, cores, hops) -> None:
+        """Clock a round whose members share cores by replaying the pump on
+        member indices.
+
+        A core serves occupations in the order the round-robin dispatches
+        them (DESIGN.md §2), and that order is not (member, op index): a
+        member blocked on its forward neighbour's buffer rejoins the deque
+        at its tail when the buffer arrives.  So this runs the pump's own
+        loop — a deque of members in park order, each popped member issuing
+        its next op — with a float for a compute charge and an int for a
+        ``sendrecv`` slot instead of generators, ops and messages.  A
+        ``sendrecv`` does what :meth:`_dispatch` does: occupy the send
+        overhead, hand the buffer to a destination blocked on that slot (it
+        receives and rejoins the deque) or leave its arrival time in the
+        destination's inbox, then receive the member's own buffer or block.
+        """
+        m = len(ranks)
+        # Every member's ops in _route_axis's order, in one flat list (a
+        # list per member would cost the garbage collector): a float is a
+        # compute charge, an int a sendrecv slot (forward, backward per
+        # running hop), None the settlement allreduce that ends the round.
+        # at[i] is the index of member i's next op.
+        grid = np.empty((m, 4 * len(hops) + 1), dtype=object)
+        issued = np.ones(grid.shape, dtype=bool)
+        dst, transfer = [], []
+        members = np.arange(m)
+        for h, (leavers, pack_s, arrivals, unpack_s, slots) in enumerate(hops):
+            grid[:, 4 * h] = pack_s.astype(object)
+            grid[:, 4 * h + 1] = 2 * h
+            grid[:, 4 * h + 2] = 2 * h + 1
+            grid[:, 4 * h + 3] = unpack_s.astype(object)
+            issued[:, 4 * h] = leavers != 0
+            issued[:, 4 * h + 3] = arrivals != 0
+            for sender, _, recv_transfer in slots:
+                to = np.empty(m, dtype=np.int64)
+                to[sender] = members
+                dst.append(to.tolist())
+                transfer.append(recv_transfer[to].tolist())
+        todo = grid[issued].tolist()
+        n_ops = issued.sum(axis=1)
+        at = (np.cumsum(n_ops) - n_ops).tolist()
+        clock, rank_busy = self.clock, self.rank_busy
+        core_clock, core_busy = self.core_clock, self.core_busy
+        send_s, recv_s = self._send_overhead_s, self._recv_overhead_s
+        clk = [clock[r] for r in ranks]
+        busy = [rank_busy[r] for r in ranks]
+        # The slot each member is blocked on (-1: none), and per slot the
+        # arrival time of each member's buffer not yet received.
+        blocked = [-1] * m
+        inbox = [[None] * m for _ in dst]
+        ready = deque(range(m))
+        pop, push = ready.popleft, ready.append
+        # Every occupation below is _occupy inlined (the loop's cost is its
+        # calls): a nonzero charge starts at max(clock, core free), ends
+        # both, and adds to both busy counters; a zero charge is free.
+        while ready:
+            i = pop()
+            op = todo[at[i]]
+            if op is None:
+                continue
+            at[i] += 1
+            core = cores[i]
+            if type(op) is float:  # compute
+                if op != 0.0:
+                    t = clk[i]
+                    if core_clock[core] > t:
+                        t = core_clock[core]
+                    clk[i] = core_clock[core] = t = t + op
+                    core_busy[core] += op
+                    busy[i] += op
+                push(i)
+                continue
+            # sendrecv: the send overhead, then the buffer's arrival time.
+            t = clk[i]
+            if send_s != 0.0:
+                if core_clock[core] > t:
+                    t = core_clock[core]
+                clk[i] = core_clock[core] = t = t + send_s
+                core_busy[core] += send_s
+                busy[i] += send_s
+            t += transfer[op][i]
+            d = dst[op][i]
+            if blocked[d] != op:
+                inbox[op][d] = t
+            else:  # _complete_recv for the destination, which rejoins
+                blocked[d] = -1
+                if t < clk[d]:
+                    t = clk[d]
+                if recv_s != 0.0:
+                    d_core = cores[d]
+                    if core_clock[d_core] > t:
+                        t = core_clock[d_core]
+                    t += recv_s
+                    core_busy[d_core] += recv_s
+                    busy[d] += recv_s
+                    core_clock[d_core] = t
+                clk[d] = t
+                push(d)
+            t = inbox[op][i]
+            if t is None:
+                blocked[i] = op
+                continue
+            # _complete_recv for the member itself
+            if t < clk[i]:
+                t = clk[i]
+            if recv_s != 0.0:
+                if core_clock[core] > t:
+                    t = core_clock[core]
+                t += recv_s
+                core_busy[core] += recv_s
+                busy[i] += recv_s
+                core_clock[core] = t
+            clk[i] = t
+            push(i)
+        for r, t, b in zip(ranks, clk, busy):
+            clock[r] = t
+            rank_busy[r] = b
 
     # ------------------------------------------------------------------
     # Op dispatch

@@ -4,21 +4,28 @@ When ``InProcessExecutor`` settled a closed group holding every unfinished
 rank (``exchange_wave``), ``Scheduler._flush_compute`` advances all members
 through the round's op template in one pass
 (``Scheduler._clock_round``); woken, each member adopts its
-rows and goes straight to the settlement allreduce.  The per-op pump stays
-the oracle:
+rows and goes straight to the settlement allreduce.  Members with a core
+each are clocked with numpy; members that share cores (AMPI's virtual
+ranks) by a replay of the pump's round-robin on member indices.  The per-op
+pump stays the oracle:
 
-* **Property** — a run with the bulk clocking and the same run with it out
-  of reach agree bit for bit on every rank clock, core clock, core and
+* **Properties** — a run with the bulk clocking and the same run with it
+  out of reach agree bit for bit on every rank clock, core clock, core and
   rank busy second, the transport's counters, the result document and
-  the final particle bytes — over ``px``/``py`` in {1, 2, 3,
-  5}, empty members, y leavers and multi-hop moves, ``h != 1``, a machine
-  whose messages cross every link tier and free messages with a
-  fractional byte scale.  Grids below ``WAVE_MIN_MEMBERS`` ranks lower the
-  cut-over so single-axis rounds are drawn too.
-* **Where it runs** — a 64-rank ``mpi-2d`` run with no observer clocks
-  every step in bulk: no ``_route_axis`` call, no ``SendrecvOp``
-  dispatched.  A tracer, a metrics registry or AMPI's shared cores keep
-  the per-op pump, with the same numbers.
+  the final particle bytes.  One core per rank: over ``px``/``py`` in {1,
+  2, 3, 5}, empty members, y leavers and multi-hop moves, ``h != 1``, a
+  machine whose messages cross every link tier and free messages with a
+  fractional byte scale.  Shared cores: AMPI over ``d`` in 2..8 and 1-6
+  cores, VP grids one or two ranks wide (at two, both of a hop's sources
+  are one rank and only the tag tells its buffers apart), tiny
+  populations (empty VPs, hops with no pack op), the same machines and
+  message prices, and GreedyLB migrations that mix VPs across cores.
+  Grids below ``WAVE_MIN_MEMBERS`` ranks lower the cut-over so small
+  rounds are drawn too.
+* **Where it runs** — a 64-rank ``mpi-2d`` run and a 32-core ``ampi`` run
+  with two VPs per core, with no observer, clock every step in bulk: no
+  ``_route_axis`` call, no ``SendrecvOp`` dispatched.  A tracer or a
+  metrics registry keeps the per-op pump, with the same numbers.
 """
 
 from __future__ import annotations
@@ -124,6 +131,48 @@ def test_clocked_rounds_equal_the_per_op_pump(seed, px, py, cells, n_particles,
     assert bulk == pump
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n_cores=st.integers(1, 6),
+    d=st.integers(2, 8),
+    grid=st.sampled_from(["row", "column", "two rows", "two columns"]),
+    n_particles=st.sampled_from([3, 30, 400]),
+    k=st.sampled_from([0, 2]),
+    m_vertical=st.sampled_from([0, 1]),
+    lb_interval=st.integers(1, 3),
+    small_cluster=st.booleans(),
+    free_messages=st.booleans(),
+)
+def test_shared_core_rounds_equal_the_per_op_pump(seed, n_cores, d, grid,
+                                                  n_particles, k, m_vertical,
+                                                  lb_interval, small_cluster,
+                                                  free_messages):
+    n = n_cores * d
+    if grid in ("two rows", "two columns"):
+        assume(n % 2 == 0)
+    dims = {"row": (n, 1), "column": (1, n), "two rows": (n // 2, 2),
+            "two columns": (2, n // 2)}[grid]
+    spec = PICSpec(cells=48, n_particles=n_particles, steps=4, k=k,
+                   m_vertical=m_vertical, seed=seed)
+    machine = SMALL_CLUSTER if small_cluster else MachineModel()
+    cost = (CostModel(message_overhead_s=0.0, particle_byte_scale=27.78)
+            if free_messages else CostModel(machine=machine))
+
+    def build():
+        return AmpiPIC(spec, n_cores, overdecomposition=d, lb_interval=lb_interval,
+                       machine=machine, cost=cost, dims=dims,
+                       executor=InProcessExecutor())
+
+    with mock.patch.object(executor_mod, "WAVE_MIN_MEMBERS",
+                           min(WAVE_MIN_MEMBERS, n)):
+        bulk, clocked = _run(build)
+        pump, none = _run(build, lockstep=False)
+    assert clocked and not any(none)
+    assert any(clocked)
+    assert bulk == pump
+
+
 # ----------------------------------------------------------------------
 # Where it runs
 # ----------------------------------------------------------------------
@@ -172,14 +221,16 @@ def test_observed_runs_keep_the_pump(pump_calls, observed):
         assert seen[key] == plain[key], key
 
 
-def test_shared_cores_keep_the_pump(pump_calls):
+def test_shared_core_rounds_are_clocked(pump_calls):
+    """AMPI's virtual ranks share cores: their settled steps are clocked in
+    bulk by the replay, and agree with the pump."""
     def build():
         return AmpiPIC(_spec(), 32, overdecomposition=2, lb_interval=3,
                        executor=InProcessExecutor())
 
     shared, clocked = _run(build)
-    assert True not in clocked
-    assert pump_calls["route_axis"] > 0 and pump_calls["sendrecv"] > 0
+    assert clocked == [True] * 6
+    assert pump_calls == {"route_axis": 0, "sendrecv": 0}
     pump, _ = _run(build, lockstep=False)
     assert shared == pump
 
@@ -208,23 +259,20 @@ def test_every_gate_condition_hands_the_round_back():
     assert not sched._clock_round(wave)  # a receive would match it first
     sched.transport.match(2, 0, 0, 7)
 
-    def state():
-        return (list(sched.clock), list(sched.core_clock), list(sched.core_busy),
-                list(sched.rank_busy), sched.transport.messages_sent,
-                sched.transport.bytes_sent)
+    def state(s):
+        return (list(s.clock), list(s.core_clock), list(s.core_busy),
+                list(s.rank_busy), s.transport.messages_sent,
+                s.transport.bytes_sent, s.transport._seq)
 
-    before = state()
+    before = state(sched)
     sched.n_ranks = 5
     assert not sched._clock_round(wave)  # an unfinished rank outside it
     sched.n_ranks = 4
-    sched.rank_to_core[3] = 0
-    assert not sched._clock_round(wave)  # two members on one core
-    sched.rank_to_core[3] = 3
     for hook in ("tracer", "metrics", "resilience"):
         setattr(sched, hook, object())
         assert not sched._clock_round(wave), hook
         setattr(sched, hook, None)
-    assert state() == before
+    assert state(sched) == before
     sched.n_ranks, sched._finished = 5, 1
     assert sched._clock_round(wave)  # ... the rank outside it has finished
     # Two hops, two empty messages per member each.
@@ -233,3 +281,22 @@ def test_every_gate_condition_hands_the_round_back():
     assert min(sched.core_clock) > 0.0
     assert sched.core_clock == sched.clock
     assert sched.core_busy == sched.rank_busy
+
+    # Two members on one core are clocked too, as the pump clocks the
+    # round's four empty sendrecvs per member (px = 2: both of a hop's
+    # buffers come from one rank, under two tags).
+    shared = [0, 1, 2, 0]
+    sched = Scheduler(4, rank_to_core=shared, executor=InProcessExecutor())
+    assert sched._clock_round(wave)
+
+    def template(comm):
+        r = comm.rank
+        for j, tag in enumerate((exchange_mod.TAG_X_RIGHT, exchange_mod.TAG_X_LEFT,
+                                 exchange_mod.TAG_Y_UP, exchange_mod.TAG_Y_DOWN)):
+            dst = sources[:, j].tolist().index(r)
+            yield comm.sendrecv(None, dst=dst, src=int(sources[r, j]), sendtag=tag,
+                                recvtag=tag, nbytes=0)
+
+    pump = Scheduler(4, rank_to_core=shared, executor=InProcessExecutor())
+    pump.run([template] * 4)
+    assert state(sched) == state(pump)

@@ -12,9 +12,19 @@ checks every drive against ``run()`` on the serial executor, bit for bit:
 rank and core clocks, core and rank busy seconds, the transport's traffic
 and the result document.  ``mpi-2d`` and ``mpi-2d-LB`` (one rank per
 core, order-invariant) are the controls.
+
+Two executors run the rule two ways.  On the in-process ones a settled
+round on shared cores is clocked in bulk by ``Scheduler._clock_round``,
+which replays the round-robin's service order; every AMPI example with at
+least ``WAVE_MIN_MEMBERS`` virtual ranks reaches that path.  The process
+executor settles no wave, so its drives run every op through the pump:
+the oracle the replay must equal.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +32,8 @@ from hypothesis import given, settings, strategies as st
 from repro.config import RunSpec
 from repro.config.build import build_impl, parallel_result_doc
 from repro.config.runspec import LB_STRATEGY_NAMES
-from repro.runtime import ENGINE_BLOCKED, ENGINE_FINISHED
+from repro.core.kernel import WAVE_MIN_MEMBERS
+from repro.runtime import ENGINE_BLOCKED, ENGINE_FINISHED, Scheduler
 from repro.runtime.executor import make_executor
 from repro.runtime.multiplex import EngineGroup
 
@@ -51,6 +62,22 @@ def _state(engine) -> dict:
                     sched.collectives_completed),
         "result": parallel_result_doc(engine.result()),
     }
+
+
+@contextmanager
+def _clock_rounds():
+    """What each ``Scheduler._clock_round`` call returned (True: clocked in
+    bulk)."""
+    seen = []
+    real = Scheduler._clock_round
+
+    def counting(self, wave):
+        done = real(self, wave)
+        seen.append(done)
+        return done
+
+    with mock.patch.object(Scheduler, "_clock_round", counting):
+        yield seen
 
 
 @st.composite
@@ -85,17 +112,23 @@ def runspecs(draw):
 )
 def test_every_drive_obeys_the_core_service_rule(executors, rs, kind, budget,
                                                   order_seed):
-    ref = build_impl(rs, executor=executors["serial"]).build_engine()
-    ref.run()
+    with _clock_rounds() as clocked:
+        ref = build_impl(rs, executor=executors["serial"]).build_engine()
+        ref.run()
     want = _state(ref)
     assert want["result"]["verified"]
+    if rs.impl.name == "ampi" and ref.scheduler.n_ranks >= WAVE_MIN_MEMBERS:
+        assert True in clocked  # shared-core rounds reached the bulk path
     ex = executors[kind]
 
-    ticked = build_impl(rs, executor=ex).build_engine()
-    while (status := ticked.tick(budget)) != ENGINE_FINISHED:
-        if status == ENGINE_BLOCKED:
-            ticked.flush()
+    with _clock_rounds() as clocked:
+        ticked = build_impl(rs, executor=ex).build_engine()
+        while (status := ticked.tick(budget)) != ENGINE_FINISHED:
+            if status == ENGINE_BLOCKED:
+                ticked.flush()
     assert _state(ticked) == want
+    if kind == "process":
+        assert not clocked  # every op through the pump
 
     # Two copies of the run, time-sliced in a shuffled order over one
     # shared executor.

@@ -7,8 +7,9 @@ it repeats exactly on any host) and that its shortcuts — message prices
 read from a per-core-pair table, ``sendrecv`` matching without a
 ``RecvOp`` — give the answers the long way gave.  A settled exchange round
 skips the per-op path altogether (``Scheduler._clock_round``);
-the per-op budget is measured with that out of reach, and a second budget
-prices a whole rank-step with it.
+the per-op budget is measured with that out of reach, and two more price
+a whole rank-step with it: one rank per core, and AMPI's virtual ranks
+sharing cores.
 """
 
 from __future__ import annotations
@@ -47,6 +48,20 @@ CALLS_PER_RANK_STEP_BUDGET = 150.0
 BUDGET_SPEC = {
     "workload": {"cells": 32, "n_particles": 16 * 40, "steps": 10, "seed": 7},
     "impl": {"name": "mpi-2d", "cores": 16},
+}
+
+#: Python-level calls per VP-step (virtual ranks x steps) of
+#: :data:`AMPI_BUDGET_SPEC`, :data:`BUDGET_SPEC`'s workload as ``ampi`` on 4
+#: cores with 4 virtual ranks each, as it runs: settled rounds on shared
+#: cores clocked in bulk by the replay, 416 ops left on the per-op path.
+#: It reads 135.0 (21 593 calls over 160 VP-steps; 241.0 and 1 374 ops with
+#: every round per op), so 160 leaves ~20 % headroom and a silent fallback
+#: to the pump fails it without a wall clock.
+CALLS_PER_VP_STEP_BUDGET = 160.0
+
+AMPI_BUDGET_SPEC = {
+    "workload": BUDGET_SPEC["workload"],
+    "impl": {"name": "ampi", "cores": 4, "overdecomposition": 4},
 }
 
 
@@ -98,6 +113,16 @@ class TestCallBudget:
         assert ops < 500  # settled rounds never reached the per-op path
         assert calls / rank_steps <= CALLS_PER_RANK_STEP_BUDGET, (
             calls, rank_steps, calls / rank_steps)
+
+    def test_ampi_vp_step_stays_within_its_call_budget(self):
+        """The twin on shared cores: 16 virtual ranks on 4 cores."""
+        rs = RunSpec.from_dict(AMPI_BUDGET_SPEC)
+        _calls_per_op(rs)  # warm
+        calls, ops = _calls_per_op(rs)
+        vp_steps = rs.impl.cores * rs.impl.overdecomposition * rs.workload.steps
+        assert ops < 500  # settled rounds never reached the per-op path
+        assert calls / vp_steps <= CALLS_PER_VP_STEP_BUDGET, (
+            calls, vp_steps, calls / vp_steps)
 
 
 #: Two nodes x two sockets x two cores: every tier appears among its pairs.
