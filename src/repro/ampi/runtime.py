@@ -23,7 +23,10 @@ from repro.ampi.loadbalancer import LoadBalancer
 from repro.runtime.comm import Comm
 
 #: Centralized LB bookkeeping seconds per VP per invocation (statistics
-#: collection, strategy evaluation, decision broadcast).
+#: collection, strategy evaluation, decision broadcast).  An uncalibrated
+#: prior: no figure was fitted to it, yet at fig7's 768-core point it is a
+#: third of AMPI's simulated time and at 3 072 cores two thirds
+#: (EXPERIMENTS.md deviation 5, DESIGN.md §2).
 DEFAULT_STATS_S_PER_VP: float = 4.0e-6
 
 

@@ -243,8 +243,7 @@ class ParticleArray:
         (:func:`repro.runtime.exchange.exchange_wave`).
         """
         d = self.__dict__
-        for name, col in zip(_FIELDS, columns):
-            d[name] = col
+        d.update(zip(_FIELDS, columns))
         d["_store"] = list(columns)
 
     def compact(self, keep=None, *, drop=None) -> None:

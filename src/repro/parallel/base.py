@@ -11,7 +11,9 @@ and exposes two hooks that the load-balanced variants override:
 
 The per-step particle exchange lives in :mod:`repro.runtime.exchange`;
 the drivers call it through this module's ``exchange_particles`` attribute,
-so a harness that wraps it here sees every exchange.
+so a harness that wraps it here sees every exchange a rank runs.  A step
+whose exchange the scheduler settled for every rank at once
+(``Scheduler._close_step``) runs none.
 """
 
 from __future__ import annotations
@@ -399,6 +401,7 @@ class ParallelPICBase:
         mesh = self.mesh
         cost = self.cost
         overhead = self.per_step_overhead()
+        event_steps = {event.step for event in spec.events}
 
         def program(comm: Comm):
             cart = yield comm.create_cart(dims)
@@ -415,7 +418,7 @@ class ParallelPICBase:
 
             for t in range(start_step, spec.steps):
                 comm.annotate_step(t)
-                if ev.has_events_at(spec, t):
+                if t in event_steps:
                     yield from self._apply_events(comm, cart, state, t, injections)
                 n_local = len(state.particles)
                 step_cost = cost.push_time(n_local) + overhead
@@ -427,14 +430,17 @@ class ParallelPICBase:
                 # repro.runtime.executor).  The task also carries the rank's
                 # exchange route, so a fusing executor may settle the first
                 # exchange round for the whole group (task.first), which the
-                # scheduler may then clock in bulk.
+                # scheduler may then clock in bulk — and when that round
+                # settled every particle, finish the whole exchange itself
+                # (resuming us with True).
                 task = PushTask(mesh, state.particles, spec.dt, route=state.route(cart))
-                yield comm.compute(step_cost, task=task)
+                settled = yield comm.step(step_cost, task)
                 state.pushes += n_local
-                state.particles = yield from exchange_particles(
-                    comm, cart, state.partition, mesh, state.particles, cost,
-                    first=task.first,
-                )
+                if not settled:
+                    state.particles = yield from exchange_particles(
+                        comm, cart, state.partition, mesh, state.particles, cost,
+                        first=task.first,
+                    )
                 yield from self.lb_hook(comm, cart, state, t)
                 if len(state.particles) > state.max_particles:
                     state.max_particles = len(state.particles)

@@ -291,6 +291,18 @@ class Comm:
         """
         return ops.ComputeOp(seconds, task)
 
+    def step(self, seconds: float, task) -> ops.ComputeOp:
+        """A PIC step's push, whose exchange settles on this communicator.
+
+        Charged and executed exactly like :meth:`compute` with ``task``.
+        The rank resumes with True when the scheduler finished the step's
+        whole particle exchange — the settled first round and the
+        settlement allreduce on this communicator — for every rank at once
+        (``Scheduler._close_step``); with None otherwise, and then runs the
+        exchange itself (:func:`repro.runtime.exchange.exchange_particles`).
+        """
+        return ops.ComputeOp(seconds, task, self)
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"Comm(id={self.comm_id}, rank={self.rank}/{self.size}, "

@@ -25,7 +25,10 @@ Two paths compute a round, with one range test (:func:`_outside`):
   No particle is packed for it: the scheduler clocks the round from the
   table (``Scheduler._clock_round``), or each member replays its ops
   from its row (:func:`_route_axis` with ``front``), sending messages
-  without payload that only members of the wave receive.
+  without payload that only members of the wave receive.  When the
+  clocked round left nothing to route, the scheduler also settles the
+  step (``Scheduler._close_step``) and no member calls
+  :func:`exchange_particles` at all.
 
 The order of particles within a rank is therefore implementation-defined
 (but deterministic).  None of this changes simulated time, message counts
@@ -178,6 +181,9 @@ def exchange_particles(
     mirrors :func:`_route_axis`'s op template) the round yields nothing
     and the rank goes straight to the settlement allreduce; otherwise each
     hop replays its ops from the counts.  Later rounds always run here.
+    A step the scheduler closed in one op (``Scheduler._close_step``: a
+    clocked round of the whole world with nothing left to route) does not
+    come here: the rank's push resumed it with True.
     """
     my_px, my_py = cart.coords
     px, py = cart.px, cart.py
@@ -409,7 +415,8 @@ def _settle_hop(v, counts, starts, lo, hi, index, n_index, splits,
     return perm, new_counts, new_starts, moved, seglen, arrivals, np.repeat(recv, seglen)
 
 
-def exchange_wave(stage, counts, ranks, routes, mesh, sources) -> SettledWave:
+def exchange_wave(stage, counts, ranks, routes, mesh, sources, *,
+                  bounds=None) -> SettledWave:
     """The first exchange round of a closed fused group, for every member
     at once, as a :class:`SettledWave`.
 
@@ -417,7 +424,9 @@ def exchange_wave(stage, counts, ranks, routes, mesh, sources) -> SettledWave:
     as int64, its pid row, members in order; ``counts`` gives their sizes,
     ``ranks`` their world ranks, ``routes`` their :class:`RankRoute` and
     ``sources`` (``(M, 4)``) the member each member's x-bwd, x-fwd, y-bwd
-    and y-fwd hop receives from.  The whole round runs as the per-rank
+    and y-fwd hop receives from; ``bounds``, if the caller keeps it, is
+    the routes' bounds as an ``(8, M)`` int64 array (built here when
+    None).  The whole round runs as the per-rank
     path would run it: the x hop, the y hop on the post-x populations, the
     tail-fill and arrival order of ``compact(drop=)`` and
     ``extend_packed``.  Each member's row of the wave's table holds, per
@@ -431,7 +440,9 @@ def exchange_wave(stage, counts, ranks, routes, mesh, sources) -> SettledWave:
     counts = np.asarray(counts, dtype=np.int64)
     starts = np.cumsum(counts) - counts
     n = int(starts[-1] + counts[-1])
-    b = np.array([r.bounds for r in routes], dtype=np.int64).T
+    b = bounds
+    if b is None:
+        b = np.array([r.bounds for r in routes], dtype=np.int64).T
     layout = None  # the stage row of every current row; None: the identity
     cnt, st = counts, starts
     table = np.zeros((m, 8), dtype=np.int64)
@@ -507,7 +518,9 @@ class SettledWave:
     round's timing needs nothing else: the scheduler clocks it for every
     member from the table and then sets ``clocked``
     (``Scheduler._clock_round``), or each member replays its ops from its
-    row.
+    row.  With every count column zero the scheduler may also close the
+    step, adopting each member's columns itself
+    (``Scheduler._close_step``).
     """
 
     __slots__ = ("ranks", "sources", "dims", "columns", "table", "clocked")

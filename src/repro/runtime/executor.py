@@ -262,6 +262,9 @@ class InProcessExecutor(Executor):
         #: holds one.  Its contents never outlive a batch.
         self._stage = np.empty((STATE_FIELDS, 0), dtype=np.float64)
         self._epoch: float | None = None
+        #: :meth:`_geometry`'s last group: ``(route ids, ranks, routes,
+        #: sources, bounds)``.
+        self._kept_geometry = None
         self.batches = 0
         self.fused_tasks = 0
 
@@ -324,7 +327,7 @@ class InProcessExecutor(Executor):
         tasks = [t for _, t, _ in members]
         routes = [t.route for t in tasks]
         ranks = [r for r, _, _ in members]
-        closed = _closed_sources(ranks, routes)
+        closed, bounds = self._geometry(ranks, routes)
         if closed is None:
             return False
         self.fused_tasks += m
@@ -333,10 +336,33 @@ class InProcessExecutor(Executor):
         np.concatenate([p.pid for p in parts], out=stage[5, :total].view(np.int64))
         self._push(members, total, stage)
         counts = [n for _, _, n in members]
-        wave = exchange_wave(stage, counts, ranks, routes, tasks[0].mesh, closed)
+        wave = exchange_wave(stage, counts, ranks, routes, tasks[0].mesh, closed,
+                             bounds=bounds)
         for i, t in enumerate(tasks):
             t.first = (wave, i)
         return True
+
+    def _geometry(self, ranks, routes):
+        """A group's ``(sources, bounds)``: :func:`_closed_sources` and the
+        routes' bounds as an ``(8, M)`` int64 array, or ``(None, None)``
+        when the group is not closed.
+
+        Kept for the last group seen, keyed by its ranks and its routes'
+        identities: ranks reuse a route until their partition changes
+        (:meth:`repro.parallel.base._RankState.route`), so a group's
+        geometry is rebuilt once per partition, not once per step.  The
+        entry holds the routes themselves, so no other object can take
+        one of their identities while it is kept.
+        """
+        key = tuple(map(id, routes))
+        kept = self._kept_geometry
+        if kept is None or kept[0] != key or kept[1] != ranks:
+            closed = _closed_sources(ranks, routes)
+            bounds = None if closed is None else (
+                np.array([r.bounds for r in routes], dtype=np.int64).T
+            )
+            kept = self._kept_geometry = (key, ranks, routes, closed, bounds)
+        return kept[3], kept[4]
 
     def _run_chunk(self, chunk, total) -> None:
         """Advance a chunk of ``(rank, task, n)`` triples, ``total`` particles,

@@ -67,15 +67,21 @@ class ComputeOp:
     clock at dispatch exactly as for a bare compute op, parks the rank, and
     batches all simultaneously-parked tasks to the active executor backend
     — which may fuse them or fan them out across worker processes.
+
+    ``settle`` is the communicator of the step's settlement allreduce when
+    the op is a PIC step's push (:meth:`repro.runtime.comm.Comm.step`):
+    the scheduler may then finish the step's whole exchange itself and
+    resume the rank with True instead of None (``Scheduler._close_step``).
     """
 
-    __slots__ = ("seconds", "task")
+    __slots__ = ("seconds", "task", "settle")
 
-    def __init__(self, seconds: float, task=None):
+    def __init__(self, seconds: float, task=None, settle=None):
         if seconds < 0:
             raise ValueError("compute time must be non-negative")
         self.seconds = seconds
         self.task = task
+        self.settle = settle
 
 
 class WaitOp:

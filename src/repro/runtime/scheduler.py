@@ -30,7 +30,7 @@ from repro.core.particles import record_nbytes
 from repro.runtime import ops
 from repro.runtime.cart import CartComm
 from repro.runtime.comm import Comm
-from repro.runtime.costmodel import CostModel
+from repro.runtime.costmodel import CostModel, payload_nbytes
 from repro.runtime.errors import (
     CollectiveMismatchError,
     DeadlockError,
@@ -188,6 +188,9 @@ class Scheduler:
         #: The last settled round's link prices, keyed by its cores and
         #: sources (:meth:`_clock_round`).
         self._wave_links = None
+        #: The price of a step's settlement allreduce, keyed by the
+        #: rank -> core map it was priced on (:meth:`_close_step`).
+        self._settle_cost = None
         #: Optional :class:`repro.instrument.Tracer` — receives spans at
         #: every state transition.  Purely observational: emissions are
         #: guarded with ``is not None`` and never touch simulated state.
@@ -361,9 +364,12 @@ class Scheduler:
         wave's first exchange round is clocked for all members before
         anyone wakes: woken, each member adopts its post-round rows and
         goes straight to the settlement allreduce, so the round's ops never
-        pass through the per-op pump.  Everything else — and this whole
-        method without that step — is the per-op pump, the oracle the bulk
-        clocking must equal bit for bit.
+        pass through the per-op pump.  When, in addition, the whole world
+        parked on step ops and nobody's round left a particle off its block,
+        :meth:`_close_step` finishes the exchange, allreduce included, and
+        wakes the ranks as that allreduce would.  Everything else — and
+        this whole method without those steps — is the per-op pump, the
+        oracle the bulk clocking and the closed form must equal bit for bit.
         """
         batch, self._pending_exec = self._pending_exec, []
         self._get_executor().start_batch(batch).finish()
@@ -371,10 +377,15 @@ class Scheduler:
         # batch's first rank is in it or no wave is.
         first = getattr(batch[0][1], "first", None)
         if first is not None:
-            first[0].clocked = self._clock_round(first[0])
+            wave = first[0]
+            wave.clocked = self._clock_round(wave)
+            if wave.clocked and self._close_step(batch, wave, ready):
+                return
         states = self._states
         for r, _task in batch:
-            states[r].status = _RUNNABLE
+            state = states[r]
+            state.status = _RUNNABLE
+            state.blocked_op = None
             ready.append(r)
 
     def _clock_round(self, wave) -> bool:
@@ -433,6 +444,56 @@ class Scheduler:
         transport.bytes_sent += sum(
             int(wire.sum()) for *_, slots in hops for _, wire, _ in slots
         )
+        return True
+
+    def _close_step(self, batch, wave, ready: deque) -> bool:
+        """Finish a clocked wave's step — its settlement allreduce and the
+        exchange around it — for every rank at once; False, with nothing
+        moved, leaves the allreduce to the pump.
+
+        Woken, each member of a clocked round would adopt its rows, join
+        the allreduce of its zero misplaced count and, the total being 0,
+        leave :func:`~repro.runtime.exchange.exchange_particles`.  That is
+        the pump's allreduce only if every rank takes part: the wave must
+        be the whole world (nobody finished), every op of the batch a step
+        op settling on the world communicator (:meth:`Comm.step`), and no
+        member's round may have left an arrival off its block (the table's
+        count columns all zero).  Then this does what
+        :meth:`_finish_collective` does for an ``allreduce`` of one int —
+        the same arithmetic on the same clocks, the collective counted,
+        every rank's world sequence number advanced, every rank woken in
+        world-rank order — and resumes each rank with True, so its
+        program skips the exchange (one resume per step instead of two).
+        It duplicates ``_finish_collective``'s arithmetic and wake order:
+        change both or neither.
+        """
+        n = self.n_ranks
+        if len(wave.ranks) != n or wave.table[:, 3::4].any():
+            return False
+        states = self._states
+        comms = []
+        for r, _task in batch:
+            settle = states[r].blocked_op.settle
+            if settle is None or settle.comm_id != 0:
+                return False
+            comms.append(settle)
+        cores = tuple(self.rank_to_core)
+        if self._settle_cost is None or self._settle_cost[0] != cores:
+            self._settle_cost = (
+                cores, self.cost.collective_time("allreduce", cores, payload_nbytes(0))
+            )
+        t_done = max(self.clock) + self._settle_cost[1]
+        self.clock[:] = [t_done] * n
+        self.collectives_completed += 1
+        columns = wave.columns
+        for comm, (_r, task) in zip(comms, batch):
+            comm._coll_seq += 1
+            task.particles.adopt(columns[task.first[1]])
+        for state in states:
+            state.status = _RUNNABLE
+            state.blocked_op = None
+            state.resume_value = True
+        ready.extend(range(n))
         return True
 
     def _round_hops(self, wave, cores) -> list:
@@ -669,7 +730,9 @@ class Scheduler:
             if op.task is None:
                 ready.append(r)
             else:
-                self._states[r].status = _BLOCKED_EXEC
+                state = self._states[r]
+                state.status = _BLOCKED_EXEC
+                state.blocked_op = op
                 self._pending_exec.append((r, op.task))
         elif kind is ops.SendrecvOp:
             comm = op.comm
@@ -843,6 +906,8 @@ class Scheduler:
         else:
             results = self._builtin_collective(kind, pool, values, size)
 
+        # _close_step repeats this arithmetic and wake order for a settled
+        # step's allreduce: change both or neither.
         t_done = t_arrive + self.cost.collective_time(kind, cores, nbytes)
         for i, w in enumerate(world_ranks):
             end_w = t_done + extra.get(i, 0.0)

@@ -1,4 +1,5 @@
-"""A settled wave's first exchange round, clocked for every member at once.
+"""A settled wave's first exchange round, clocked for every member at once,
+and a settled step closed in one op.
 
 When ``InProcessExecutor`` settled a closed group holding every unfinished
 rank (``exchange_wave``), ``Scheduler._flush_compute`` advances all members
@@ -6,13 +7,18 @@ through the round's op template in one pass
 (``Scheduler._clock_round``); woken, each member adopts its
 rows and goes straight to the settlement allreduce.  Members with a core
 each are clocked with numpy; members that share cores (AMPI's virtual
-ranks) by a replay of the pump's round-robin on member indices.  The per-op
-pump stays the oracle:
+ranks) by a replay of the pump's round-robin on member indices.  When the
+wave is the whole world and no member's round left an arrival off its
+block, ``Scheduler._close_step`` also prices that allreduce in closed form
+and the ranks skip their exchange.  The per-op pump stays the oracle:
 
-* **Properties** — a run with the bulk clocking and the same run with it
-  out of reach agree bit for bit on every rank clock, core clock, core and
-  rank busy second, the transport's counters, the result document and
-  the final particle bytes.  One core per rank: over ``px``/``py`` in {1,
+* **Properties** — a run with the bulk clocking and the closed form, the
+  same run with only the closed form out of reach, and the same run with
+  both out of reach agree bit for bit on every rank clock, core clock,
+  core and rank busy second, the transport's counters, the collective
+  count, every world communicator's collective sequence number, the
+  result document and the final particle bytes; and every clocked step
+  the closed form may take is taken.  One core per rank: over ``px``/``py`` in {1,
   2, 3, 5}, empty members, y leavers and multi-hop moves, ``h != 1``, a
   machine whose messages cross every link tier and free messages with a
   fractional byte scale.  Shared cores: AMPI over ``d`` in 2..8 and 1-6
@@ -23,13 +29,17 @@ pump stays the oracle:
   Grids below ``WAVE_MIN_MEMBERS`` ranks lower the cut-over so small
   rounds are drawn too.
 * **Where it runs** — a 64-rank ``mpi-2d`` run and a 32-core ``ampi`` run
-  with two VPs per core, with no observer, clock every step in bulk: no
-  ``_route_axis`` call, no ``SendrecvOp`` dispatched.  A tracer or a
-  metrics registry keeps the per-op pump, with the same numbers.
+  with two VPs per core, with no observer, close every step in one op: no
+  ``exchange_particles`` or ``_route_axis`` call, no ``SendrecvOp`` and no
+  step's ``allreduce`` dispatched.  A tracer or a metrics registry keeps
+  the per-op pump, with the same numbers; so do the process executor (no
+  wave), a multi-hop step (a stray arrival) and a wave smaller than the
+  world.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from unittest import mock
 
 import numpy as np
@@ -38,14 +48,16 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro.config.build import parallel_result_doc
 from repro.core.kernel import WAVE_MIN_MEMBERS
+from repro.core.particles import ParticleArray
 from repro.core.spec import PICSpec
 from repro.instrument import MetricsRegistry, Tracer
 from repro.parallel import AmpiPIC, Mpi2dPIC, base
 from repro.runtime import CostModel, MachineModel, ops
+from repro.runtime.comm import Comm
 from repro.runtime import exchange as exchange_mod
 from repro.runtime import executor as executor_mod
 from repro.runtime.exchange import SettledWave
-from repro.runtime.executor import InProcessExecutor
+from repro.runtime.executor import InProcessExecutor, make_executor
 from repro.runtime.scheduler import Scheduler
 
 #: Two nodes x two sockets x two cores: a grid's messages cross every tier.
@@ -54,25 +66,36 @@ SMALL_CLUSTER = MachineModel(cores_per_socket=2, sockets_per_node=2)
 _VERIFY = base.ParallelPICBase._verify
 
 
-def _run(build, *, lockstep=True):
-    """Everything a run leaves behind, and what each ``_clock_round`` call
-    returned (True: clocked in bulk).  ``lockstep=False`` puts the bulk
-    clocking out of reach."""
-    finals = {}
-    clocked = []
-    real = Scheduler._clock_round
+def _run(build, *, lockstep=True, close=True):
+    """Everything a run leaves behind; what each ``_clock_round`` call
+    returned (True: clocked in bulk); and per ``_close_step`` call (one per
+    clocked flush) whether the step could close — the wave is the whole
+    world and its count columns are zero — and whether it did.
+    ``lockstep=False`` puts the bulk clocking and the closed form out of
+    reach, ``close=False`` the closed form only."""
+    finals, worlds = {}, {}
+    clocked, closed = [], []
+    real_clock, real_close = Scheduler._clock_round, Scheduler._close_step
 
     def verify(self, comm, state):
         finals[comm.world_rank] = state.particles.pack().tobytes()
+        worlds[comm.world_rank] = comm
         return (yield from _VERIFY(self, comm, state))
 
     def counting(self, wave):
-        done = lockstep and real(self, wave)
+        done = lockstep and real_clock(self, wave)
         clocked.append(done)
         return done
 
+    def closing(self, batch, wave, ready):
+        done = close and real_close(self, batch, wave, ready)
+        whole = len(wave.ranks) == self.n_ranks
+        closed.append((whole and not wave.table[:, 3::4].any(), done))
+        return done
+
     with mock.patch.object(base.ParallelPICBase, "_verify", verify), \
-            mock.patch.object(Scheduler, "_clock_round", counting):
+            mock.patch.object(Scheduler, "_clock_round", counting), \
+            mock.patch.object(Scheduler, "_close_step", closing):
         engine = build().build_engine()
         res = engine.run()
     assert res.verification.ok
@@ -84,10 +107,25 @@ def _run(build, *, lockstep=True):
         "rank_busy": [t.hex() for t in sched.rank_busy],
         "traffic": (sched.transport.messages_sent, sched.transport.bytes_sent,
                     sched.transport._seq, sched.collectives_completed),
+        "coll_seq": [worlds[r]._coll_seq for r in range(sched.n_ranks)],
         "result": parallel_result_doc(res),
         "finals": finals,
     }
-    return state, clocked
+    return state, clocked, closed
+
+
+def _three_ways(build):
+    """The run closed where it can, clocked only, and all per op: they must
+    agree bit for bit, and the first must close every step it can."""
+    bulk, clocked, closed = _run(build)
+    held, clocked_too, _ = _run(build, close=False)
+    pump, none, nothing = _run(build, lockstep=False)
+    assert clocked == clocked_too and not any(none) and not nothing
+    assert len(closed) == clocked.count(True)
+    assert all(could == did for could, did in closed)
+    assert bulk == held
+    assert bulk == pump
+    return clocked, closed
 
 
 @settings(max_examples=100, deadline=None)
@@ -124,11 +162,8 @@ def test_clocked_rounds_equal_the_per_op_pump(seed, px, py, cells, n_particles,
 
     with mock.patch.object(executor_mod, "WAVE_MIN_MEMBERS",
                            min(WAVE_MIN_MEMBERS, px * py)):
-        bulk, clocked = _run(build)
-        pump, none = _run(build, lockstep=False)
-    assert clocked and not any(none)
+        clocked, _ = _three_ways(build)
     assert any(clocked)
-    assert bulk == pump
 
 
 @settings(max_examples=60, deadline=None)
@@ -166,25 +201,33 @@ def test_shared_core_rounds_equal_the_per_op_pump(seed, n_cores, d, grid,
 
     with mock.patch.object(executor_mod, "WAVE_MIN_MEMBERS",
                            min(WAVE_MIN_MEMBERS, n)):
-        bulk, clocked = _run(build)
-        pump, none = _run(build, lockstep=False)
-    assert clocked and not any(none)
+        clocked, _ = _three_ways(build)
     assert any(clocked)
-    assert bulk == pump
 
 
 # ----------------------------------------------------------------------
 # Where it runs
 # ----------------------------------------------------------------------
-def _spec(steps=6):
-    return PICSpec(cells=64, n_particles=4_000, steps=steps, m_vertical=1)
+def _spec(steps=6, **kw):
+    return PICSpec(cells=64, n_particles=4_000, steps=steps, m_vertical=1, **kw)
+
+
+#: The allreduces every rank's verification makes (``_verify``): the only
+#: ones left in a run whose every step closed in one op.
+VERIFY_ALLREDUCES = 4
 
 
 @pytest.fixture
 def pump_calls(monkeypatch):
-    """``_route_axis`` calls and dispatched ``SendrecvOp`` ops."""
-    calls = {"route_axis": 0, "sendrecv": 0}
-    real_route, real_dispatch = exchange_mod._route_axis, Scheduler._dispatch
+    """``exchange_particles`` and ``_route_axis`` calls, and dispatched
+    ``SendrecvOp`` and ``allreduce`` ops."""
+    calls = {"exchange": 0, "route_axis": 0, "sendrecv": 0, "allreduce": 0}
+    real_exchange, real_route = base.exchange_particles, exchange_mod._route_axis
+    real_dispatch = Scheduler._dispatch
+
+    def exchange(*args, **kw):
+        calls["exchange"] += 1
+        return (yield from real_exchange(*args, **kw))
 
     def route(*args, **kw):
         calls["route_axis"] += 1
@@ -193,17 +236,27 @@ def pump_calls(monkeypatch):
     def dispatch(self, r, op, ready):
         if type(op) is ops.SendrecvOp:
             calls["sendrecv"] += 1
+        elif type(op) is ops.CollectiveOp and op.kind == "allreduce":
+            calls["allreduce"] += 1
         return real_dispatch(self, r, op, ready)
 
+    monkeypatch.setattr(base, "exchange_particles", exchange)
     monkeypatch.setattr(exchange_mod, "_route_axis", route)
     monkeypatch.setattr(Scheduler, "_dispatch", dispatch)
     return calls
 
 
+def _closed_every_step(pump_calls, n_ranks, closed):
+    assert closed == [(True, True)] * 6
+    assert pump_calls == {"exchange": 0, "route_axis": 0, "sendrecv": 0,
+                          "allreduce": VERIFY_ALLREDUCES * n_ranks}
+
+
 def test_settled_steps_skip_the_per_op_pump(pump_calls):
-    _, clocked = _run(lambda: Mpi2dPIC(_spec(), 64, executor=InProcessExecutor()))
+    """64 ranks of ``mpi-2d``: every step is one op per rank."""
+    _, clocked, closed = _run(lambda: Mpi2dPIC(_spec(), 64, executor=InProcessExecutor()))
     assert clocked == [True] * 6
-    assert pump_calls == {"route_axis": 0, "sendrecv": 0}
+    _closed_every_step(pump_calls, 64, closed)
 
 
 @pytest.mark.parametrize("observed", [
@@ -211,40 +264,69 @@ def test_settled_steps_skip_the_per_op_pump(pump_calls):
     pytest.param(dict(metrics=MetricsRegistry()), id="metrics"),
 ])
 def test_observed_runs_keep_the_pump(pump_calls, observed):
-    plain, clocked = _run(lambda: Mpi2dPIC(_spec(), 64, executor=InProcessExecutor()))
-    assert clocked == [True] * 6 and pump_calls["sendrecv"] == 0
-    seen, clocked = _run(lambda: Mpi2dPIC(_spec(), 64, executor=InProcessExecutor(),
-                                          **observed))
-    assert clocked and True not in clocked
+    plain, clocked, closed = _run(lambda: Mpi2dPIC(_spec(), 64,
+                                                   executor=InProcessExecutor()))
+    assert clocked == [True] * 6 and all(did for _, did in closed)
+    assert pump_calls["sendrecv"] == 0
+    seen, clocked, closed = _run(lambda: Mpi2dPIC(_spec(), 64, executor=InProcessExecutor(),
+                                                  **observed))
+    assert clocked and True not in clocked and not closed
     assert pump_calls["route_axis"] > 0 and pump_calls["sendrecv"] > 0
-    for key in ("clock", "rank_busy", "traffic", "result", "finals"):
+    assert pump_calls["exchange"] == 6 * 64
+    for key in ("clock", "rank_busy", "traffic", "coll_seq", "result", "finals"):
         assert seen[key] == plain[key], key
 
 
 def test_shared_core_rounds_are_clocked(pump_calls):
     """AMPI's virtual ranks share cores: their settled steps are clocked in
-    bulk by the replay, and agree with the pump."""
+    bulk by the replay and closed in one op, and agree with the pump."""
     def build():
         return AmpiPIC(_spec(), 32, overdecomposition=2, lb_interval=3,
                        executor=InProcessExecutor())
 
-    shared, clocked = _run(build)
+    shared, clocked, closed = _run(build)
     assert clocked == [True] * 6
-    assert pump_calls == {"route_axis": 0, "sendrecv": 0}
-    pump, _ = _run(build, lockstep=False)
+    _closed_every_step(pump_calls, 64, closed)
+    pump, _, _ = _run(build, lockstep=False)
     assert shared == pump
 
 
 def test_a_wave_over_ranks_of_one_core_each_is_clocked():
     """AMPI without overdecomposition has a core per rank: its settled
-    steps are clocked in bulk, and agree with the pump."""
+    steps are clocked in bulk and closed, and agree with the pump."""
     def build():
         return AmpiPIC(_spec(), 64, overdecomposition=1, lb_interval=3,
                        executor=InProcessExecutor())
 
-    bulk, clocked = _run(build)
-    assert clocked == [True] * 6
+    bulk, clocked, closed = _run(build)
+    assert clocked == [True] * 6 and closed == [(True, True)] * 6
     assert bulk == _run(build, lockstep=False)[0]
+
+
+def test_a_multi_hop_step_keeps_its_allreduce(pump_calls):
+    """k = 4 moves particles 9 cells a step over blocks 8 cells wide: x
+    arrivals are strays, the round is clocked but the step cannot close,
+    and its ranks run the rest of the exchange per op."""
+    def build():
+        return Mpi2dPIC(_spec(k=4), 64, executor=InProcessExecutor())
+
+    clocked, closed = _three_ways(build)
+    assert clocked == [True] * 6 and closed == [(False, False)] * 6
+    assert pump_calls["exchange"] > 0 and pump_calls["sendrecv"] > 0
+
+
+def test_the_process_executor_keeps_the_pump():
+    """The process executor settles no wave: nothing is clocked or closed,
+    and the numbers are the closed form's."""
+    def build(executor):
+        return lambda: Mpi2dPIC(_spec(), 64, executor=executor)
+
+    plain, _, closed = _run(build(InProcessExecutor()))
+    assert all(did for _, did in closed)
+    with make_executor("process", workers=1) as pool:
+        seen, clocked, closed = _run(build(pool))
+    assert not clocked and not closed
+    assert seen == plain
 
 
 def test_every_gate_condition_hands_the_round_back():
@@ -300,3 +382,75 @@ def test_every_gate_condition_hands_the_round_back():
     pump = Scheduler(4, rank_to_core=shared, executor=InProcessExecutor())
     pump.run([template] * 4)
     assert state(sched) == state(pump)
+
+
+def test_every_close_condition_leaves_the_allreduce_to_the_pump():
+    """``Scheduler._close_step`` closes a clocked step only when the wave
+    is the whole world, every op of the batch settles on the world
+    communicator and no count is left; a refused step moves nothing.  A
+    closed one leaves the clocks, collective count and sequence numbers
+    the pump's allreduce leaves, and wakes the ranks in world-rank order
+    whatever order they parked in."""
+    shared = [0, 0, 1, 1]
+
+    def pump_program(comm):
+        yield comm.compute((3.5e-6, 1.25e-6, 7.0e-6, 2.0e-6)[comm.rank])
+        arrived = comm.wtime()
+        yield comm.allreduce(0)
+        return arrived
+
+    pump = Scheduler(4, rank_to_core=shared, executor=InProcessExecutor())
+    before = pump.run([pump_program] * 4).returns
+
+    sched = Scheduler(4, rank_to_core=shared, executor=InProcessExecutor())
+    worlds = [sched.make_world(r) for r in range(4)]
+    sched._states = [sched._rank_state(iter(())) for _ in range(4)]
+    sched.clock = list(before)
+    sources = np.array([[1, 1, 2, 2], [0, 0, 3, 3], [3, 3, 0, 0], [2, 2, 1, 1]])
+    columns = [tuple(np.full(1, float(r)) for _ in range(5)) + (np.full(1, r),)
+               for r in range(4)]
+    parked = [2, 0, 3, 1]
+
+    class Task:
+        def __init__(self, r):
+            self.particles = ParticleArray.empty(0)
+            self.first = (wave, r)
+
+    wave = SettledWave([0, 1, 2, 3], sources, (2, 2), columns,
+                       np.zeros((4, 8), dtype=np.int64))
+    batch = [(r, Task(r)) for r in parked]
+
+    def park(settle):
+        for r, task in batch:
+            sched._states[r].blocked_op = ops.ComputeOp(0.0, task, settle(r))
+
+    def state():
+        return (list(sched.clock), sched.collectives_completed,
+                [c._coll_seq for c in worlds],
+                [len(t.particles) for _, t in batch])
+
+    park(worlds.__getitem__)
+    refused = state()
+    ready = deque()
+    wave.ranks = [0, 1, 2]
+    assert not sched._close_step(batch, wave, ready)  # smaller than the world
+    wave.ranks = [0, 1, 2, 3]
+    for col in (3, 7):
+        wave.table[2, col] = 1
+        assert not sched._close_step(batch, wave, ready), col  # a stray is left
+        wave.table[2, col] = 0
+    park(lambda r: None if r == 3 else worlds[r])
+    assert not sched._close_step(batch, wave, ready)  # a plain compute op
+    sub = [Comm(sched, 5, (0, 1, 2, 3), r) for r in range(4)]
+    park(sub.__getitem__)
+    assert not sched._close_step(batch, wave, ready)  # settles elsewhere
+    assert state() == refused and not ready
+
+    park(worlds.__getitem__)
+    assert sched._close_step(batch, wave, ready)
+    assert list(ready) == [0, 1, 2, 3]
+    assert [t.hex() for t in sched.clock] == [t.hex() for t in pump.clock]
+    assert sched.collectives_completed == pump.collectives_completed == 1
+    assert [c._coll_seq for c in worlds] == [1, 1, 1, 1]
+    assert [t.particles.x.tolist() for _, t in batch] == [[2.0], [0.0], [3.0], [1.0]]
+    assert all(st.resume_value is True for st in sched._states)

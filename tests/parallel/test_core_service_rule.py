@@ -9,16 +9,19 @@ number.  With several virtual ranks on one core the
 order of their occupations sets the clocks, so the property draws small
 ``ampi`` runs (``d`` in 2..8, any core count, LB interval and strategy) and
 checks every drive against ``run()`` on the serial executor, bit for bit:
-rank and core clocks, core and rank busy seconds, the transport's traffic
-and the result document.  ``mpi-2d`` and ``mpi-2d-LB`` (one rank per
-core, order-invariant) are the controls.
+rank and core clocks, core and rank busy seconds, the transport's traffic,
+the collective count, every world communicator's collective sequence
+number, the result document and the final particle bytes.  ``mpi-2d`` and
+``mpi-2d-LB`` (one rank per core, order-invariant) are the controls.
 
 Two executors run the rule two ways.  On the in-process ones a settled
 round on shared cores is clocked in bulk by ``Scheduler._clock_round``,
-which replays the round-robin's service order; every AMPI example with at
-least ``WAVE_MIN_MEMBERS`` virtual ranks reaches that path.  The process
+which replays the round-robin's service order, and a clocked step whose
+wave is the whole world with nothing left to route is closed in one op by
+``Scheduler._close_step``; every AMPI example with at least
+``WAVE_MIN_MEMBERS`` virtual ranks reaches that path.  The process
 executor settles no wave, so its drives run every op through the pump:
-the oracle the replay must equal.
+the oracle the replay and the closed form must equal.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from repro.config import RunSpec
 from repro.config.build import build_impl, parallel_result_doc
 from repro.config.runspec import LB_STRATEGY_NAMES
 from repro.core.kernel import WAVE_MIN_MEMBERS
+from repro.parallel.base import ParallelPICBase
 from repro.runtime import ENGINE_BLOCKED, ENGINE_FINISHED, Scheduler
 from repro.runtime.executor import make_executor
 from repro.runtime.multiplex import EngineGroup
@@ -51,8 +55,9 @@ def executors():
         ex.close()
 
 
-def _state(engine) -> dict:
+def _state(engine, seen) -> dict:
     sched = engine.scheduler
+    worlds, finals = seen.worlds[sched], seen.finals[sched]
     return {
         "clock": [t.hex() for t in sched.clock],
         "core_clock": [t.hex() for t in sched.core_clock],
@@ -60,23 +65,55 @@ def _state(engine) -> dict:
         "rank_busy": [t.hex() for t in sched.rank_busy],
         "traffic": (sched.transport.messages_sent, sched.transport.bytes_sent,
                     sched.collectives_completed),
+        "coll_seq": [c._coll_seq for c in worlds],
         "result": parallel_result_doc(engine.result()),
+        "finals": [finals[r] for r in range(sched.n_ranks)],
     }
 
 
+class _Seen:
+    """What the runs of one ``_observed()`` block did, by scheduler: the
+    world communicators handed out, the final particle bytes per rank,
+    what each ``_clock_round`` call returned (True: clocked in bulk) and
+    per ``_close_step`` call whether the step could close (whole world,
+    zero counts) and whether it did."""
+
+    def __init__(self) -> None:
+        self.worlds, self.finals = {}, {}
+        self.clocked, self.closed = [], []
+
+
 @contextmanager
-def _clock_rounds():
-    """What each ``Scheduler._clock_round`` call returned (True: clocked in
-    bulk)."""
-    seen = []
-    real = Scheduler._clock_round
+def _observed():
+    seen = _Seen()
+    make_world, verify = Scheduler.make_world, ParallelPICBase._verify
+    clock_round, close_step = Scheduler._clock_round, Scheduler._close_step
+
+    def making(self, rank):
+        comm = make_world(self, rank)
+        seen.worlds.setdefault(self, []).append(comm)
+        return comm
+
+    def verifying(self, comm, state):
+        finals = seen.finals.setdefault(comm._scheduler, {})
+        finals[comm.world_rank] = state.particles.pack().tobytes()
+        return (yield from verify(self, comm, state))
 
     def counting(self, wave):
-        done = real(self, wave)
-        seen.append(done)
+        done = clock_round(self, wave)
+        seen.clocked.append(done)
         return done
 
-    with mock.patch.object(Scheduler, "_clock_round", counting):
+    def closing(self, batch, wave, ready):
+        done = close_step(self, batch, wave, ready)
+        whole = len(wave.ranks) == self.n_ranks
+        seen.closed.append((whole and not wave.table[:, 3::4].any(), done))
+        return done
+
+    with mock.patch.object(Scheduler, "make_world", making), \
+            mock.patch.object(ParallelPICBase, "_verify", verifying), \
+            mock.patch.object(Scheduler, "_clock_round", counting), \
+            mock.patch.object(Scheduler, "_close_step", closing):
         yield seen
 
 
@@ -112,30 +149,33 @@ def runspecs(draw):
 )
 def test_every_drive_obeys_the_core_service_rule(executors, rs, kind, budget,
                                                   order_seed):
-    with _clock_rounds() as clocked:
+    with _observed() as seen:
         ref = build_impl(rs, executor=executors["serial"]).build_engine()
         ref.run()
-    want = _state(ref)
+    want = _state(ref, seen)
     assert want["result"]["verified"]
     if rs.impl.name == "ampi" and ref.scheduler.n_ranks >= WAVE_MIN_MEMBERS:
-        assert True in clocked  # shared-core rounds reached the bulk path
+        assert True in seen.clocked  # shared-core rounds reached the bulk path
+    # Every clocked step that could close did.
+    assert all(could == did for could, did in seen.closed)
     ex = executors[kind]
 
-    with _clock_rounds() as clocked:
+    with _observed() as seen:
         ticked = build_impl(rs, executor=ex).build_engine()
         while (status := ticked.tick(budget)) != ENGINE_FINISHED:
             if status == ENGINE_BLOCKED:
                 ticked.flush()
-    assert _state(ticked) == want
+    assert _state(ticked, seen) == want
     if kind == "process":
-        assert not clocked  # every op through the pump
+        assert not seen.clocked and not seen.closed  # every op through the pump
 
     # Two copies of the run, time-sliced in a shuffled order over one
     # shared executor.
-    group = EngineGroup(slice_ticks=budget, order_seed=order_seed, executor=ex)
-    for tag in ("a", "b"):
-        group.add(tag, build_impl(rs, executor=group.handle(tag))
-                  .build_engine(engine_id=tag))
-    group.run_all()
+    with _observed() as seen:
+        group = EngineGroup(slice_ticks=budget, order_seed=order_seed, executor=ex)
+        for tag in ("a", "b"):
+            group.add(tag, build_impl(rs, executor=group.handle(tag))
+                      .build_engine(engine_id=tag))
+        group.run_all()
     for tag in group:
-        assert _state(group.engine(tag)) == want, tag
+        assert _state(group.engine(tag), seen) == want, tag

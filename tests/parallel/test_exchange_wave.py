@@ -256,9 +256,9 @@ def wave_calls(monkeypatch):
     calls = []
     real = executor_mod.exchange_wave
 
-    def counting(stage, counts, ranks, routes, mesh, sources):
+    def counting(stage, counts, ranks, routes, mesh, sources, **kw):
         calls.append(len(routes))
-        return real(stage, counts, ranks, routes, mesh, sources)
+        return real(stage, counts, ranks, routes, mesh, sources, **kw)
 
     monkeypatch.setattr(executor_mod, "exchange_wave", counting)
     return calls

@@ -9,7 +9,8 @@ read from a per-core-pair table, ``sendrecv`` matching without a
 skips the per-op path altogether (``Scheduler._clock_round``);
 the per-op budget is measured with that out of reach, and two more price
 a whole rank-step with it: one rank per core, and AMPI's virtual ranks
-sharing cores.
+sharing cores.  There a settled step is one op per rank: the scheduler
+also closes the step's settlement allreduce (``Scheduler._close_step``).
 """
 
 from __future__ import annotations
@@ -31,19 +32,19 @@ from repro.runtime.machine import Tier
 
 #: Python-level calls (``call`` + ``c_call`` profile events) per scheduler
 #: op on :data:`BUDGET_SPEC` with every exchange round on the per-op path.
-#: It reads 30.7 (16 ranks x 40 particles x 10 steps, 1 374 ops; settled
-#: rounds replayed from their counts, 32.1 while they packed wire blocks);
-#: it was 49.8 before the per-core-pair link table, ~48 on the pump_heavy
-#: shape.
+#: On Python 3.11.7 it reads 27.4 (16 ranks x 40 particles x 10 steps,
+#: 1 374 ops; settled rounds replayed from their counts); it was 49.8
+#: before the per-core-pair link table, ~48 on the pump_heavy shape.
 #: Raise it only with a measurement that says why.
 CALLS_PER_OP_BUDGET = 40.0
 
 #: Python-level calls per rank-step (ranks x steps) of :data:`BUDGET_SPEC`
-#: as it runs: settled rounds clocked in bulk, 416 ops left on the per-op
-#: path.  It reads 124.8 (19 967 calls over 160 rank-steps; 263.3 with
-#: every round per op), so 150 leaves ~20 % headroom.  A change that trips
-#: it added calls to every rank-step or sent settled rounds back per op.
-CALLS_PER_RANK_STEP_BUDGET = 150.0
+#: as it runs: every settled step closed in one op per rank, 256 ops on the
+#: per-op path.  On Python 3.11.7 it reads 83.4 (13 343 calls over 160
+#: rank-steps; 119.4 and 416 ops when settled rounds are only clocked, not
+#: closed), so 100 leaves ~20 % headroom.  A change that trips it added
+#: calls to every rank-step or sent settled steps back per op.
+CALLS_PER_RANK_STEP_BUDGET = 100.0
 
 BUDGET_SPEC = {
     "workload": {"cells": 32, "n_particles": 16 * 40, "steps": 10, "seed": 7},
@@ -53,11 +54,12 @@ BUDGET_SPEC = {
 #: Python-level calls per VP-step (virtual ranks x steps) of
 #: :data:`AMPI_BUDGET_SPEC`, :data:`BUDGET_SPEC`'s workload as ``ampi`` on 4
 #: cores with 4 virtual ranks each, as it runs: settled rounds on shared
-#: cores clocked in bulk by the replay, 416 ops left on the per-op path.
-#: It reads 135.0 (21 593 calls over 160 VP-steps; 241.0 and 1 374 ops with
-#: every round per op), so 160 leaves ~20 % headroom and a silent fallback
-#: to the pump fails it without a wall clock.
-CALLS_PER_VP_STEP_BUDGET = 160.0
+#: cores clocked in bulk by the replay and every settled step closed, 256
+#: ops on the per-op path.  On Python 3.11.7 it reads 100.2 (16 037 calls
+#: over 160 VP-steps; 135.0 with steps only clocked, 237.9 and 1 374 ops
+#: with every round per op), so 120 leaves ~20 % headroom and a silent
+#: fallback to the pump fails it without a wall clock.
+CALLS_PER_VP_STEP_BUDGET = 120.0
 
 AMPI_BUDGET_SPEC = {
     "workload": BUDGET_SPEC["workload"],
@@ -110,7 +112,7 @@ class TestCallBudget:
         _calls_per_op(rs)  # warm
         calls, ops = _calls_per_op(rs)
         rank_steps = rs.impl.cores * rs.workload.steps
-        assert ops < 500  # settled rounds never reached the per-op path
+        assert ops < 300  # settled steps closed in one op (416 if only clocked)
         assert calls / rank_steps <= CALLS_PER_RANK_STEP_BUDGET, (
             calls, rank_steps, calls / rank_steps)
 
@@ -120,7 +122,7 @@ class TestCallBudget:
         _calls_per_op(rs)  # warm
         calls, ops = _calls_per_op(rs)
         vp_steps = rs.impl.cores * rs.impl.overdecomposition * rs.workload.steps
-        assert ops < 500  # settled rounds never reached the per-op path
+        assert ops < 300  # settled steps closed in one op (416 if only clocked)
         assert calls / vp_steps <= CALLS_PER_VP_STEP_BUDGET, (
             calls, vp_steps, calls / vp_steps)
 
