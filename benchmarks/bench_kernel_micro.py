@@ -48,10 +48,10 @@ from repro.core.spec import Distribution, PICSpec
 from repro.parallel import Mpi2dPIC
 from repro.runtime import SUM, run_spmd
 from repro.runtime.exchange import (
-    _closed_sources,
     _count_misplaced,
     exchange_wave,
     hop_front_half,
+    wave_geometry,
 )
 from repro.runtime.executor import InProcessExecutor
 
@@ -278,7 +278,7 @@ def _wave_report(reps: int = 20) -> None:
         pushed = [p for _, _, p in batch]
         counts = [len(p) for p in pushed]
         total = sum(counts)
-        sources = _closed_sources(ranks, routes)
+        geometry = wave_geometry(ranks, routes)
         where = {r: i for i, r in enumerate(ranks)}
         stage = np.empty((STATE_FIELDS, total))
         for row, name in enumerate(("x", "y", "vx", "vy", "q")):
@@ -304,7 +304,7 @@ def _wave_report(reps: int = 20) -> None:
         def wave():
             parts = state["parts"]
             np.concatenate([p.pid for p in parts], out=stage[5].view(np.int64))
-            wave = exchange_wave(stage, counts, ranks, routes, mesh, sources)
+            wave = exchange_wave(stage, counts, ranks, routes, mesh, *geometry)
             for p, columns in zip(parts, wave.columns):
                 p.adopt(columns)
 

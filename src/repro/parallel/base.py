@@ -11,9 +11,9 @@ and exposes two hooks that the load-balanced variants override:
 
 The per-step particle exchange lives in :mod:`repro.runtime.exchange`;
 the drivers call it through this module's ``exchange_particles`` attribute,
-so a harness that wraps it here sees every exchange a rank runs.  A step
-whose exchange the scheduler settled for every rank at once
-(``Scheduler._close_step``) runs none.
+so a harness that wraps it here sees every exchange.  A step whose
+exchange the scheduler settled for every rank at once
+(``Scheduler._close_step``) still calls it, and it yields nothing.
 """
 
 from __future__ import annotations
@@ -432,15 +432,14 @@ class ParallelPICBase:
                 # exchange round for the whole group (task.first), which the
                 # scheduler may then clock in bulk — and when that round
                 # settled every particle, finish the whole exchange itself
-                # (resuming us with True).
+                # (resuming us with True: the exchange only adopts our rows).
                 task = PushTask(mesh, state.particles, spec.dt, route=state.route(cart))
                 settled = yield comm.step(step_cost, task)
                 state.pushes += n_local
-                if not settled:
-                    state.particles = yield from exchange_particles(
-                        comm, cart, state.partition, mesh, state.particles, cost,
-                        first=task.first,
-                    )
+                state.particles = yield from exchange_particles(
+                    comm, cart, state.partition, mesh, state.particles, cost,
+                    first=task.first, settled=settled,
+                )
                 yield from self.lb_hook(comm, cart, state, t)
                 if len(state.particles) > state.max_particles:
                     state.max_particles = len(state.particles)

@@ -298,8 +298,10 @@ class Comm:
         The rank resumes with True when the scheduler finished the step's
         whole particle exchange — the settled first round and the
         settlement allreduce on this communicator — for every rank at once
-        (``Scheduler._close_step``); with None otherwise, and then runs the
-        exchange itself (:func:`repro.runtime.exchange.exchange_particles`).
+        (``Scheduler._close_step``); with None otherwise.  Either way the
+        rank passes the value on to
+        :func:`repro.runtime.exchange.exchange_particles`, which runs
+        whatever of the exchange is left.
         """
         return ops.ComputeOp(seconds, task, self)
 

@@ -27,8 +27,9 @@ Two paths compute a round, with one range test (:func:`_outside`):
   from its row (:func:`_route_axis` with ``front``), sending messages
   without payload that only members of the wave receive.  When the
   clocked round left nothing to route, the scheduler also settles the
-  step (``Scheduler._close_step``) and no member calls
-  :func:`exchange_particles` at all.
+  step (``Scheduler._close_step``): each member's
+  :func:`exchange_particles` then only adopts its columns and yields
+  nothing.
 
 The order of particles within a rank is therefore implementation-defined
 (but deterministic).  None of this changes simulated time, message counts
@@ -158,6 +159,7 @@ def exchange_particles(
     particles: ParticleArray,
     cost: CostModel,
     first=None,
+    settled=None,
 ):
     """Route particles to their owning rank (generator; returns the new set).
 
@@ -181,10 +183,17 @@ def exchange_particles(
     mirrors :func:`_route_axis`'s op template) the round yields nothing
     and the rank goes straight to the settlement allreduce; otherwise each
     hop replays its ops from the counts.  Later rounds always run here.
-    A step the scheduler closed in one op (``Scheduler._close_step``: a
-    clocked round of the whole world with nothing left to route) does not
-    come here: the rank's push resumed it with True.
+    ``settled`` is what the rank's step op resumed it with
+    (:meth:`~repro.runtime.comm.Comm.step`): True when the scheduler
+    closed the step for every rank at once (``Scheduler._close_step``: a
+    clocked round of the whole world with nothing left to route, and its
+    settlement allreduce).  The rank then adopts its columns and returns
+    without yielding an op.
     """
+    if settled:
+        wave, i = first
+        particles.adopt(wave.columns[i])
+        return particles
     my_px, my_py = cart.coords
     px, py = cart.px, cart.py
     x_range = partition.x_range(my_px)
@@ -338,16 +347,18 @@ def _ranges(starts, lengths):
     return np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1])
 
 
-def _settle_hop(v, counts, starts, lo, hi, index, n_index, splits,
+def _settle_hop(v, counts, starts, lo, hi, index, n_index, owners,
                 src_bwd, src_fwd, mesh):
     """One hop of a closed group's round: what every member's
     ``_route_axis`` does to its population, for all members at once.
 
     ``v`` holds the members' coordinates along the axis, laid out by
     ``starts`` and ``counts``; the other arguments are per member: its
-    block ``[lo, hi)``, processor index and count, split vector, and the
-    members its two directions receive from (``src_bwd``, ``src_fwd``;
-    each a permutation of the group).  Returns ``(perm, counts, starts,
+    block ``[lo, hi)``, processor index and count, and the members its two
+    directions receive from (``src_bwd``, ``src_fwd``; each a permutation
+    of the group).  ``owners`` is the axis' ``(distinct, sid)`` from
+    :func:`wave_geometry`: the distinct split vectors and, unless there is
+    one, the index of each member's in them.  Returns ``(perm, counts, starts,
     moved, seglen, arrivals, recv)``, or None when nobody leaves:
     ``perm[p]`` is the pre-hop row of post-hop row ``p``; the post-hop
     layout's counts and starts; the leavers' pre-hop rows grouped by
@@ -363,16 +374,12 @@ def _settle_hop(v, counts, starts, lo, hi, index, n_index, splits,
     # Owners by one searchsorted over every distinct split vector (members
     # may hold different, LB-shifted ones), each shifted into its own key
     # range so a search cannot leave it.
-    ids: dict[int, int] = {}
-    distinct = []
-    for s in splits:
-        if ids.setdefault(id(s), len(distinct)) == len(distinct):
-            distinct.append(s)
-    if len(distinct) == 1:
+    distinct, sid = owners
+    if sid is None:
         owner = distinct[0].searchsorted(cells, "right") - 1
     else:
         stride = mesh.cells + 1
-        sid = np.array([ids[id(s)] for s in splits])[mem]
+        sid = sid[mem]
         sizes = [len(s) for s in distinct]
         keys = np.concatenate(distinct) + np.repeat(
             np.arange(0, len(distinct) * stride, stride), sizes
@@ -415,18 +422,17 @@ def _settle_hop(v, counts, starts, lo, hi, index, n_index, splits,
     return perm, new_counts, new_starts, moved, seglen, arrivals, np.repeat(recv, seglen)
 
 
-def exchange_wave(stage, counts, ranks, routes, mesh, sources, *,
-                  bounds=None) -> SettledWave:
+def exchange_wave(stage, counts, ranks, routes, mesh, sources, bounds,
+                  owners) -> SettledWave:
     """The first exchange round of a closed fused group, for every member
     at once, as a :class:`SettledWave`.
 
     ``stage`` holds the group's pushed x, y, vx, vy and q rows and, viewed
     as int64, its pid row, members in order; ``counts`` gives their sizes,
-    ``ranks`` their world ranks, ``routes`` their :class:`RankRoute` and
-    ``sources`` (``(M, 4)``) the member each member's x-bwd, x-fwd, y-bwd
-    and y-fwd hop receives from; ``bounds``, if the caller keeps it, is
-    the routes' bounds as an ``(8, M)`` int64 array (built here when
-    None).  The whole round runs as the per-rank
+    ``ranks`` their world ranks, ``routes`` their :class:`RankRoute`, and
+    ``sources``, ``bounds`` and ``owners`` the group's
+    :func:`wave_geometry`.  The
+    whole round runs as the per-rank
     path would run it: the x hop, the y hop on the post-x populations, the
     tail-fill and arrival order of ``compact(drop=)`` and
     ``extend_packed``.  Each member's row of the wave's table holds, per
@@ -441,8 +447,6 @@ def exchange_wave(stage, counts, ranks, routes, mesh, sources, *,
     starts = np.cumsum(counts) - counts
     n = int(starts[-1] + counts[-1])
     b = bounds
-    if b is None:
-        b = np.array([r.bounds for r in routes], dtype=np.int64).T
     layout = None  # the stage row of every current row; None: the identity
     cnt, st = counts, starts
     table = np.zeros((m, 8), dtype=np.int64)
@@ -452,8 +456,7 @@ def exchange_wave(stage, counts, ranks, routes, mesh, sources, *,
             continue
         v = stage[axis, :n] if layout is None else stage[axis][layout]
         hop = _settle_hop(
-            v, cnt, st, lo, hi, index, n_index,
-            [r.splits[axis] for r in routes],
+            v, cnt, st, lo, hi, index, n_index, owners[axis],
             sources[:, 2 * axis], sources[:, 2 * axis + 1], mesh,
         )
         if hop is None:
@@ -482,13 +485,19 @@ def exchange_wave(stage, counts, ranks, routes, mesh, sources, *,
     return SettledWave(ranks, sources, routes[0].bounds[3::4], columns, table)
 
 
-def _closed_sources(ranks, routes):
-    """The member each member's x-bwd, x-fwd, y-bwd and y-fwd hop receives
-    from, as an ``(M, 4)`` array, or None unless every member is routed on
-    one processor grid and every source is a member.
+def wave_geometry(ranks, routes):
+    """A fused group's ``(sources, bounds, owners)`` for
+    :func:`exchange_wave`, or None unless every member is routed on one
+    processor grid and every source is a member.
 
-    A periodic shift is a bijection of the grid's ranks, so in a group
-    closed this way each column is a permutation of the members.
+    ``sources`` (``(M, 4)``) is the member each member's x-bwd, x-fwd,
+    y-bwd and y-fwd hop receives from; ``bounds`` the routes' bounds as
+    an ``(8, M)`` int64 array; ``owners`` per axis ``(distinct, sid)``:
+    the distinct split vectors the members hold (LB may leave them
+    different ones) and each member's index in that list, or None when
+    there is one.  A periodic shift is a bijection of the grid's ranks, so
+    in a group closed this way each column of ``sources`` is a permutation
+    of the members.
     """
     if None in routes or len({r.bounds[3::4] for r in routes}) != 1:
         return None
@@ -498,7 +507,21 @@ def _closed_sources(ranks, routes):
     if src.max() >= len(where):
         return None
     src = where[src]
-    return None if (src < 0).any() else src
+    if (src < 0).any():
+        return None
+    owners = []
+    for axis in (0, 1):
+        ids: dict[int, int] = {}  # the routes hold the vectors: ids stay theirs
+        distinct = []
+        for r in routes:
+            s = r.splits[axis]
+            if ids.setdefault(id(s), len(distinct)) == len(distinct):
+                distinct.append(s)
+        sid = None
+        if len(distinct) > 1:
+            sid = np.array([ids[id(r.splits[axis])] for r in routes])
+        owners.append((distinct, sid))
+    return src, np.array([r.bounds for r in routes], dtype=np.int64).T, owners
 
 
 class SettledWave:
@@ -507,7 +530,7 @@ class SettledWave:
     columns.
 
     ``ranks`` lists the members' world ranks in park order, ``sources``
-    is :func:`_closed_sources`' ``(M, 4)`` array and ``dims`` the
+    is :func:`wave_geometry`'s ``(M, 4)`` array and ``dims`` the
     processor grid ``(px, py)``.  ``columns[i]`` are member ``i``'s six
     post-round fields, slices of one fresh block that the rank adopts
     (:meth:`~repro.core.particles.ParticleArray.adopt`).  ``table``
@@ -519,8 +542,8 @@ class SettledWave:
     member from the table and then sets ``clocked``
     (``Scheduler._clock_round``), or each member replays its ops from its
     row.  With every count column zero the scheduler may also close the
-    step, adopting each member's columns itself
-    (``Scheduler._close_step``).
+    step (``Scheduler._close_step``); each member still adopts its own
+    columns (:func:`exchange_particles` with ``settled``).
     """
 
     __slots__ = ("ranks", "sources", "dims", "columns", "table", "clocked")

@@ -79,7 +79,7 @@ from repro.core.kernel_compiled import advance_arrays_compiled
 from repro.core.mesh import Mesh
 from repro.core.particles import STATE_FIELDS
 from repro.runtime.errors import ExecutorWorkerLostError, exit_cause
-from repro.runtime.exchange import _closed_sources, exchange_wave
+from repro.runtime.exchange import exchange_wave, wave_geometry
 
 __all__ = [
     "PushTask",
@@ -263,7 +263,7 @@ class InProcessExecutor(Executor):
         self._stage = np.empty((STATE_FIELDS, 0), dtype=np.float64)
         self._epoch: float | None = None
         #: :meth:`_geometry`'s last group: ``(route ids, ranks, routes,
-        #: sources, bounds)``.
+        #: geometry)``.
         self._kept_geometry = None
         self.batches = 0
         self.fused_tasks = 0
@@ -271,16 +271,21 @@ class InProcessExecutor(Executor):
     def run_batch(self, batch: list[tuple[int, Any]]) -> None:
         self.batches += 1
         groups: dict[tuple, list] = {}
+        mesh = dt = group = None
         for rank, task in batch:
             n = len(task.particles)
             if not n and getattr(task, "route", None) is None:
                 continue  # nothing to push, and no wave to be an empty member of
             if n >= KERNEL_BLOCK // 2:
                 self._push([(rank, task, n)], n)
-            else:
-                groups.setdefault((task.mesh, task.dt), []).append(
-                    (rank, task, n)
-                )
+                continue
+            # Grouped by equal meshes; an engine's tasks share one mesh
+            # object, so the key (a frozen dataclass) is hashed per run of
+            # tasks, not per task.
+            if task.mesh is not mesh or task.dt != dt:
+                mesh, dt = task.mesh, task.dt
+                group = groups.setdefault((mesh, dt), [])
+            group.append((rank, task, n))
         for members in groups.values():
             if self._settle(members):
                 continue
@@ -327,8 +332,8 @@ class InProcessExecutor(Executor):
         tasks = [t for _, t, _ in members]
         routes = [t.route for t in tasks]
         ranks = [r for r, _, _ in members]
-        closed, bounds = self._geometry(ranks, routes)
-        if closed is None:
+        geometry = self._geometry(ranks, routes)
+        if geometry is None:
             return False
         self.fused_tasks += m
         parts = [t.particles for t in tasks]
@@ -336,16 +341,13 @@ class InProcessExecutor(Executor):
         np.concatenate([p.pid for p in parts], out=stage[5, :total].view(np.int64))
         self._push(members, total, stage)
         counts = [n for _, _, n in members]
-        wave = exchange_wave(stage, counts, ranks, routes, tasks[0].mesh, closed,
-                             bounds=bounds)
+        wave = exchange_wave(stage, counts, ranks, routes, tasks[0].mesh, *geometry)
         for i, t in enumerate(tasks):
             t.first = (wave, i)
         return True
 
     def _geometry(self, ranks, routes):
-        """A group's ``(sources, bounds)``: :func:`_closed_sources` and the
-        routes' bounds as an ``(8, M)`` int64 array, or ``(None, None)``
-        when the group is not closed.
+        """A group's :func:`wave_geometry`, or None when it is not closed.
 
         Kept for the last group seen, keyed by its ranks and its routes'
         identities: ranks reuse a route until their partition changes
@@ -357,12 +359,9 @@ class InProcessExecutor(Executor):
         key = tuple(map(id, routes))
         kept = self._kept_geometry
         if kept is None or kept[0] != key or kept[1] != ranks:
-            closed = _closed_sources(ranks, routes)
-            bounds = None if closed is None else (
-                np.array([r.bounds for r in routes], dtype=np.int64).T
-            )
-            kept = self._kept_geometry = (key, ranks, routes, closed, bounds)
-        return kept[3], kept[4]
+            kept = self._kept_geometry = (key, ranks, routes,
+                                          wave_geometry(ranks, routes))
+        return kept[3]
 
     def _run_chunk(self, chunk, total) -> None:
         """Advance a chunk of ``(rank, task, n)`` triples, ``total`` particles,

@@ -188,9 +188,6 @@ class Scheduler:
         #: The last settled round's link prices, keyed by its cores and
         #: sources (:meth:`_clock_round`).
         self._wave_links = None
-        #: The price of a step's settlement allreduce, keyed by the
-        #: rank -> core map it was priced on (:meth:`_close_step`).
-        self._settle_cost = None
         #: Optional :class:`repro.instrument.Tracer` — receives spans at
         #: every state transition.  Purely observational: emissions are
         #: guarded with ``is not None`` and never touch simulated state.
@@ -460,12 +457,12 @@ class Scheduler:
         member's round may have left an arrival off its block (the table's
         count columns all zero).  Then this does what
         :meth:`_finish_collective` does for an ``allreduce`` of one int —
-        the same arithmetic on the same clocks, the collective counted,
-        every rank's world sequence number advanced, every rank woken in
-        world-rank order — and resumes each rank with True, so its
-        program skips the exchange (one resume per step instead of two).
-        It duplicates ``_finish_collective``'s arithmetic and wake order:
-        change both or neither.
+        the same price (:meth:`_collective_end`) on the same clocks, the
+        collective counted, every rank's world sequence number advanced,
+        every rank woken in world-rank order — and resumes each rank with
+        True, so its exchange only adopts its columns and yields nothing
+        (one resume per step instead of two).  The wake order is
+        ``_finish_collective``'s too: change both or neither.
         """
         n = self.n_ranks
         if len(wave.ranks) != n or wave.table[:, 3::4].any():
@@ -477,18 +474,12 @@ class Scheduler:
             if settle is None or settle.comm_id != 0:
                 return False
             comms.append(settle)
-        cores = tuple(self.rank_to_core)
-        if self._settle_cost is None or self._settle_cost[0] != cores:
-            self._settle_cost = (
-                cores, self.cost.collective_time("allreduce", cores, payload_nbytes(0))
-            )
-        t_done = max(self.clock) + self._settle_cost[1]
+        t_done = self._collective_end(max(self.clock), "allreduce", self.rank_to_core,
+                                      payload_nbytes(0))
         self.clock[:] = [t_done] * n
         self.collectives_completed += 1
-        columns = wave.columns
-        for comm, (_r, task) in zip(comms, batch):
+        for comm in comms:
             comm._coll_seq += 1
-            task.particles.adopt(columns[task.first[1]])
         for state in states:
             state.status = _RUNNABLE
             state.blocked_op = None
@@ -906,9 +897,9 @@ class Scheduler:
         else:
             results = self._builtin_collective(kind, pool, values, size)
 
-        # _close_step repeats this arithmetic and wake order for a settled
-        # step's allreduce: change both or neither.
-        t_done = t_arrive + self.cost.collective_time(kind, cores, nbytes)
+        # _close_step wakes a settled step's allreduce in this order too:
+        # change both or neither.
+        t_done = self._collective_end(t_arrive, kind, cores, nbytes)
         for i, w in enumerate(world_ranks):
             end_w = t_done + extra.get(i, 0.0)
             if self.tracer is not None and end_w > t_arrive:
@@ -923,6 +914,14 @@ class Scheduler:
                 st.status = _RUNNABLE
                 st.blocked_op = None
             ready.append(w)
+
+    def _collective_end(self, t_arrive: float, kind: str, cores, nbytes) -> float:
+        """The clock at which a collective of ``kind`` over ``cores``,
+        moving ``nbytes``, ends when its last member arrives at
+        ``t_arrive``: the one price of a collective, whether the pump
+        finishes it (:meth:`_finish_collective`) or a settled step closes
+        in one op (:meth:`_close_step`)."""
+        return t_arrive + self.cost.collective_time(kind, cores, nbytes)
 
     def _builtin_collective(self, kind, pool, values, size):
         if kind == "barrier":

@@ -29,9 +29,10 @@ and the ranks skip their exchange.  The per-op pump stays the oracle:
   Grids below ``WAVE_MIN_MEMBERS`` ranks lower the cut-over so small
   rounds are drawn too.
 * **Where it runs** — a 64-rank ``mpi-2d`` run and a 32-core ``ampi`` run
-  with two VPs per core, with no observer, close every step in one op: no
-  ``exchange_particles`` or ``_route_axis`` call, no ``SendrecvOp`` and no
-  step's ``allreduce`` dispatched.  A tracer or a metrics registry keeps
+  with two VPs per core, with no observer, close every step in one op:
+  every ``exchange_particles`` call is resumed settled and only adopts
+  its rows — no ``_route_axis`` call, no ``SendrecvOp`` and no step's
+  ``allreduce`` dispatched.  A tracer or a metrics registry keeps
   the per-op pump, with the same numbers; so do the process executor (no
   wave), a multi-hop step (a stray arrival) and a wave smaller than the
   world.
@@ -48,7 +49,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro.config.build import parallel_result_doc
 from repro.core.kernel import WAVE_MIN_MEMBERS
-from repro.core.particles import ParticleArray
 from repro.core.spec import PICSpec
 from repro.instrument import MetricsRegistry, Tracer
 from repro.parallel import AmpiPIC, Mpi2dPIC, base
@@ -219,14 +219,17 @@ VERIFY_ALLREDUCES = 4
 
 @pytest.fixture
 def pump_calls(monkeypatch):
-    """``exchange_particles`` and ``_route_axis`` calls, and dispatched
-    ``SendrecvOp`` and ``allreduce`` ops."""
-    calls = {"exchange": 0, "route_axis": 0, "sendrecv": 0, "allreduce": 0}
+    """``exchange_particles`` calls (and how many were resumed settled),
+    ``_route_axis`` calls, and dispatched ``SendrecvOp`` and ``allreduce``
+    ops."""
+    calls = {"exchange": 0, "settled": 0, "route_axis": 0, "sendrecv": 0,
+             "allreduce": 0}
     real_exchange, real_route = base.exchange_particles, exchange_mod._route_axis
     real_dispatch = Scheduler._dispatch
 
     def exchange(*args, **kw):
         calls["exchange"] += 1
+        calls["settled"] += kw.get("settled") is True
         return (yield from real_exchange(*args, **kw))
 
     def route(*args, **kw):
@@ -248,7 +251,8 @@ def pump_calls(monkeypatch):
 
 def _closed_every_step(pump_calls, n_ranks, closed):
     assert closed == [(True, True)] * 6
-    assert pump_calls == {"exchange": 0, "route_axis": 0, "sendrecv": 0,
+    assert pump_calls == {"exchange": 6 * n_ranks, "settled": 6 * n_ranks,
+                          "route_axis": 0, "sendrecv": 0,
                           "allreduce": VERIFY_ALLREDUCES * n_ranks}
 
 
@@ -267,12 +271,13 @@ def test_observed_runs_keep_the_pump(pump_calls, observed):
     plain, clocked, closed = _run(lambda: Mpi2dPIC(_spec(), 64,
                                                    executor=InProcessExecutor()))
     assert clocked == [True] * 6 and all(did for _, did in closed)
-    assert pump_calls["sendrecv"] == 0
+    assert pump_calls["sendrecv"] == 0 and pump_calls["settled"] == 6 * 64
+    pump_calls.update(dict.fromkeys(pump_calls, 0))
     seen, clocked, closed = _run(lambda: Mpi2dPIC(_spec(), 64, executor=InProcessExecutor(),
                                                   **observed))
     assert clocked and True not in clocked and not closed
     assert pump_calls["route_axis"] > 0 and pump_calls["sendrecv"] > 0
-    assert pump_calls["exchange"] == 6 * 64
+    assert pump_calls["exchange"] == 6 * 64 and pump_calls["settled"] == 0
     for key in ("clock", "rank_busy", "traffic", "coll_seq", "result", "finals"):
         assert seen[key] == plain[key], key
 
@@ -411,14 +416,9 @@ def test_every_close_condition_leaves_the_allreduce_to_the_pump():
                for r in range(4)]
     parked = [2, 0, 3, 1]
 
-    class Task:
-        def __init__(self, r):
-            self.particles = ParticleArray.empty(0)
-            self.first = (wave, r)
-
     wave = SettledWave([0, 1, 2, 3], sources, (2, 2), columns,
                        np.zeros((4, 8), dtype=np.int64))
-    batch = [(r, Task(r)) for r in parked]
+    batch = [(r, None) for r in parked]
 
     def park(settle):
         for r, task in batch:
@@ -426,8 +426,7 @@ def test_every_close_condition_leaves_the_allreduce_to_the_pump():
 
     def state():
         return (list(sched.clock), sched.collectives_completed,
-                [c._coll_seq for c in worlds],
-                [len(t.particles) for _, t in batch])
+                [c._coll_seq for c in worlds])
 
     park(worlds.__getitem__)
     refused = state()
@@ -452,5 +451,4 @@ def test_every_close_condition_leaves_the_allreduce_to_the_pump():
     assert [t.hex() for t in sched.clock] == [t.hex() for t in pump.clock]
     assert sched.collectives_completed == pump.collectives_completed == 1
     assert [c._coll_seq for c in worlds] == [1, 1, 1, 1]
-    assert [t.particles.x.tolist() for _, t in batch] == [[2.0], [0.0], [3.0], [1.0]]
     assert all(st.resume_value is True for st in sched._states)

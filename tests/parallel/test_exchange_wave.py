@@ -46,7 +46,7 @@ from repro.runtime import exchange as exchange_mod
 from repro.runtime import executor as executor_mod
 from repro.runtime import ops, run_spmd
 from repro.runtime.costmodel import CostModel
-from repro.runtime.exchange import _closed_sources, exchange_wave
+from repro.runtime.exchange import exchange_wave, wave_geometry
 from repro.runtime.executor import InProcessExecutor, ProcessExecutor
 
 _FIELDS = ("x", "y", "vx", "vy", "q", "pid")
@@ -200,10 +200,10 @@ def test_settled_round_equals_per_rank_round(seed, px, py, h, cells, sizes,
 
     ranks = list(range(n_ranks))
     routes = [want[r][0] for r in ranks]
-    sources = _closed_sources(ranks, routes)
-    assert sources is not None
+    geometry = wave_geometry(ranks, routes)
+    assert geometry is not None
     wave = exchange_wave(_stage(parts), [len(p) for p in parts], ranks, routes,
-                         mesh, sources)
+                         mesh, *geometry)
     assert wave.table.shape == (n_ranks, 8) and wave.table.dtype == np.int64
     for r in ranks:
         # A hop that does not run (one rank along its axis) reads zeros.
@@ -230,7 +230,7 @@ def test_adopted_rows_never_reach_a_neighbour():
     ranks = list(range(8))
     routes = [want[r][0] for r in ranks]
     wave = exchange_wave(_stage(parts), [40] * 8, ranks, routes, mesh,
-                         _closed_sources(ranks, routes))
+                         *wave_geometry(ranks, routes))
     members = [ParticleArray.empty(0) for _ in range(8)]
     for p, columns in zip(members, wave.columns):
         p.adopt(columns)
@@ -256,9 +256,9 @@ def wave_calls(monkeypatch):
     calls = []
     real = executor_mod.exchange_wave
 
-    def counting(stage, counts, ranks, routes, mesh, sources, **kw):
+    def counting(stage, counts, ranks, routes, mesh, *geometry):
         calls.append(len(routes))
-        return real(stage, counts, ranks, routes, mesh, sources, **kw)
+        return real(stage, counts, ranks, routes, mesh, *geometry)
 
     monkeypatch.setattr(executor_mod, "exchange_wave", counting)
     return calls
@@ -455,14 +455,14 @@ def test_groups_beside_in_place_ranks_are_not_closed(monkeypatch, wave_calls):
     # form a group whose x sources include in-place ranks: not closed, and
     # no wave runs.
     closures = []
-    real = executor_mod._closed_sources
+    real = executor_mod.wave_geometry
 
     def closed(ranks, routes):
         got = real(ranks, routes)
         closures.append((len(ranks), got is None))
         return got
 
-    monkeypatch.setattr(executor_mod, "_closed_sources", closed)
+    monkeypatch.setattr(executor_mod, "wave_geometry", closed)
     spec = PICSpec(cells=64, n_particles=160_000, steps=2, r=0.9, m_vertical=1)
 
     def build():

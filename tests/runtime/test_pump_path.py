@@ -40,9 +40,9 @@ CALLS_PER_OP_BUDGET = 40.0
 
 #: Python-level calls per rank-step (ranks x steps) of :data:`BUDGET_SPEC`
 #: as it runs: every settled step closed in one op per rank, 256 ops on the
-#: per-op path.  On Python 3.11.7 it reads 83.4 (13 343 calls over 160
-#: rank-steps; 119.4 and 416 ops when settled rounds are only clocked, not
-#: closed), so 100 leaves ~20 % headroom.  A change that trips it added
+#: per-op path.  On Python 3.11.7 it reads 88.7 (14 193 calls over 160
+#: rank-steps; 116.4 and 416 ops when settled rounds are only clocked, not
+#: closed), so 100 leaves ~13 % headroom.  A change that trips it added
 #: calls to every rank-step or sent settled steps back per op.
 CALLS_PER_RANK_STEP_BUDGET = 100.0
 
@@ -55,9 +55,9 @@ BUDGET_SPEC = {
 #: :data:`AMPI_BUDGET_SPEC`, :data:`BUDGET_SPEC`'s workload as ``ampi`` on 4
 #: cores with 4 virtual ranks each, as it runs: settled rounds on shared
 #: cores clocked in bulk by the replay and every settled step closed, 256
-#: ops on the per-op path.  On Python 3.11.7 it reads 100.2 (16 037 calls
-#: over 160 VP-steps; 135.0 with steps only clocked, 237.9 and 1 374 ops
-#: with every round per op), so 120 leaves ~20 % headroom and a silent
+#: ops on the per-op path.  On Python 3.11.7 it reads 104.3 (16 689 calls
+#: over 160 VP-steps; 132.0 with steps only clocked, 237.9 and 1 374 ops
+#: with every round per op), so 120 leaves ~15 % headroom and a silent
 #: fallback to the pump fails it without a wall clock.
 CALLS_PER_VP_STEP_BUDGET = 120.0
 
