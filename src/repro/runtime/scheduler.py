@@ -188,6 +188,9 @@ class Scheduler:
         #: The last settled round's link prices, keyed by its cores and
         #: sources (:meth:`_clock_round`).
         self._wave_links = None
+        #: The last collective's price, keyed by its kind, payload and
+        #: cores (:meth:`_collective_end`).
+        self._collective_price = None
         #: Optional :class:`repro.instrument.Tracer` — receives spans at
         #: every state transition.  Purely observational: emissions are
         #: guarded with ``is not None`` and never touch simulated state.
@@ -915,13 +918,20 @@ class Scheduler:
                 st.blocked_op = None
             ready.append(w)
 
-    def _collective_end(self, t_arrive: float, kind: str, cores, nbytes) -> float:
+    def _collective_end(self, t_arrive: float, kind: str, cores: list, nbytes) -> float:
         """The clock at which a collective of ``kind`` over ``cores``,
         moving ``nbytes``, ends when its last member arrives at
         ``t_arrive``: the one price of a collective, whether the pump
         finishes it (:meth:`_finish_collective`) or a settled step closes
-        in one op (:meth:`_close_step`)."""
-        return t_arrive + self.cost.collective_time(kind, cores, nbytes)
+        in one op (:meth:`_close_step`).  The price is kept for the next
+        collective of the same kind, payload and cores (a copy of them:
+        an AMPI migration changes the rank -> core map in place)."""
+        kept = self._collective_price
+        if kept is None or kept[0] != kind or kept[1] != nbytes or kept[2] != cores:
+            kept = self._collective_price = (
+                kind, nbytes, list(cores), self.cost.collective_time(kind, cores, nbytes)
+            )
+        return t_arrive + kept[3]
 
     def _builtin_collective(self, kind, pool, values, size):
         if kind == "barrier":

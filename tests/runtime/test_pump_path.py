@@ -32,19 +32,20 @@ from repro.runtime.machine import Tier
 
 #: Python-level calls (``call`` + ``c_call`` profile events) per scheduler
 #: op on :data:`BUDGET_SPEC` with every exchange round on the per-op path.
-#: On Python 3.11.7 it reads 27.4 (16 ranks x 40 particles x 10 steps,
-#: 1 374 ops; settled rounds replayed from their counts); it was 49.8
-#: before the per-core-pair link table, ~48 on the pump_heavy shape.
+#: On Python 3.11.7 it reads 26.1 (16 ranks x 40 particles x 10 steps,
+#: 1 374 ops; settled rounds replayed from their counts; 27.4 before the
+#: scheduler kept a collective's price); it was 49.8 before the
+#: per-core-pair link table, ~48 on the pump_heavy shape.
 #: Raise it only with a measurement that says why.
 CALLS_PER_OP_BUDGET = 40.0
 
 #: Python-level calls per rank-step (ranks x steps) of :data:`BUDGET_SPEC`
 #: as it runs: every settled step closed in one op per rank, 256 ops on the
-#: per-op path.  On Python 3.11.7 it reads 88.7 (14 193 calls over 160
-#: rank-steps; 116.4 and 416 ops when settled rounds are only clocked, not
-#: closed), so 100 leaves ~13 % headroom.  A change that trips it added
+#: per-op path.  On Python 3.11.7 it reads 76.8 (12 287 calls over 160
+#: rank-steps; 104.5 and 416 ops when settled rounds are only clocked, not
+#: closed), so 92 leaves ~20 % headroom.  A change that trips it added
 #: calls to every rank-step or sent settled steps back per op.
-CALLS_PER_RANK_STEP_BUDGET = 100.0
+CALLS_PER_RANK_STEP_BUDGET = 92.0
 
 BUDGET_SPEC = {
     "workload": {"cells": 32, "n_particles": 16 * 40, "steps": 10, "seed": 7},
@@ -55,11 +56,11 @@ BUDGET_SPEC = {
 #: :data:`AMPI_BUDGET_SPEC`, :data:`BUDGET_SPEC`'s workload as ``ampi`` on 4
 #: cores with 4 virtual ranks each, as it runs: settled rounds on shared
 #: cores clocked in bulk by the replay and every settled step closed, 256
-#: ops on the per-op path.  On Python 3.11.7 it reads 104.3 (16 689 calls
-#: over 160 VP-steps; 132.0 with steps only clocked, 237.9 and 1 374 ops
-#: with every round per op), so 120 leaves ~15 % headroom and a silent
+#: ops on the per-op path.  On Python 3.11.7 it reads 94.2 (15 069 calls
+#: over 160 VP-steps; 121.9 with steps only clocked, 227.8 and 1 374 ops
+#: with every round per op), so 113 leaves ~20 % headroom and a silent
 #: fallback to the pump fails it without a wall clock.
-CALLS_PER_VP_STEP_BUDGET = 120.0
+CALLS_PER_VP_STEP_BUDGET = 113.0
 
 AMPI_BUDGET_SPEC = {
     "workload": BUDGET_SPEC["workload"],
