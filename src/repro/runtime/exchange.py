@@ -358,7 +358,7 @@ def _settle_hop(v, counts, starts, lo, hi, index, n_index, owners,
     directions receive from (``src_bwd``, ``src_fwd``; each a permutation
     of the group).  ``owners`` is the axis' ``(distinct, sid)`` from
     :func:`wave_geometry`: the distinct split vectors and, unless there is
-    one, the index of each member's in them.  Returns ``(perm, counts, starts,
+    one, each member's index in them.  Returns ``(perm, counts, starts,
     moved, seglen, arrivals, recv)``, or None when nobody leaves:
     ``perm[p]`` is the pre-hop row of post-hop row ``p``; the post-hop
     layout's counts and starts; the leavers' pre-hop rows grouped by
@@ -431,9 +431,8 @@ def exchange_wave(stage, counts, ranks, routes, mesh, sources, bounds,
     as int64, its pid row, members in order; ``counts`` gives their sizes,
     ``ranks`` their world ranks, ``routes`` their :class:`RankRoute`, and
     ``sources``, ``bounds`` and ``owners`` the group's
-    :func:`wave_geometry`.  The
-    whole round runs as the per-rank
-    path would run it: the x hop, the y hop on the post-x populations, the
+    :func:`wave_geometry`.  The whole round runs as the per-rank path
+    would run it: the x hop, the y hop on the post-x populations, the
     tail-fill and arrival order of ``compact(drop=)`` and
     ``extend_packed``.  Each member's row of the wave's table holds, per
     hop, the lengths of the two buffers :func:`hop_front_half` would pack
@@ -446,12 +445,11 @@ def exchange_wave(stage, counts, ranks, routes, mesh, sources, bounds,
     counts = np.asarray(counts, dtype=np.int64)
     starts = np.cumsum(counts) - counts
     n = int(starts[-1] + counts[-1])
-    b = bounds
     layout = None  # the stage row of every current row; None: the identity
     cnt, st = counts, starts
     table = np.zeros((m, 8), dtype=np.int64)
     for axis in (0, 1):
-        lo, hi, index, n_index = b[4 * axis : 4 * axis + 4]
+        lo, hi, index, n_index = bounds[4 * axis : 4 * axis + 4]
         if n_index[0] == 1:
             continue
         v = stage[axis, :n] if layout is None else stage[axis][layout]
@@ -469,7 +467,7 @@ def exchange_wave(stage, counts, ranks, routes, mesh, sources, bounds,
         # and for the y hop off its y block too.
         bad = np.zeros(len(recv), dtype=bool)
         for ax in range(axis + 1):
-            lo, hi = b[4 * ax][recv], b[4 * ax + 1][recv]
+            lo, hi = bounds[4 * ax][recv], bounds[4 * ax + 1][recv]
             bad[_outside(stage[ax][moved], lo, hi, mesh)[0]] = True
         row = table[:, 4 * axis : 4 * axis + 4]
         row[:, :2] = seglen.reshape(m, 2)
