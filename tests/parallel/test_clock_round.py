@@ -10,7 +10,8 @@ each are clocked with numpy; members that share cores (AMPI's virtual
 ranks) by a replay of the pump's round-robin on member indices.  When the
 wave is the whole world and no member's round left an arrival off its
 block, ``Scheduler._close_step`` also prices that allreduce in closed form
-and the ranks skip their exchange.  The per-op pump stays the oracle:
+and each rank's exchange only adopts its rows.  The per-op pump stays the
+oracle:
 
 * **Properties** — a run with the bulk clocking and the closed form, the
   same run with only the closed form out of reach, and the same run with
