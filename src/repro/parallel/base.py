@@ -221,9 +221,9 @@ class ParallelPICBase:
         executor passed to the constructor belongs to its caller and is
         untouched.
         """
-        engine = getattr(self, "_engine", None)
-        if engine is not None:
-            engine.close()
+        scheduler = getattr(self, "_scheduler", None)
+        if scheduler is not None:
+            scheduler.close()
 
     def __enter__(self) -> "ParallelPICBase":
         return self
@@ -305,14 +305,17 @@ class ParallelPICBase:
         ]
         from repro.runtime.engine import SimEngine
 
-        self._engine = SimEngine(
+        # The driver keeps the scheduler, not the engine: the engine's
+        # finalize holds the driver, so driver -> engine would be a cycle
+        # and a finished run would wait for the cyclic collector.
+        self._scheduler = scheduler
+        return SimEngine(
             scheduler,
             programs,
             engine_id=engine_id,
             checkpointer=checkpointer,
             finalize=lambda spmd: self._finalize(spmd, scheduler, sampler),
         )
-        return self._engine
 
     def _finalize(self, spmd, scheduler, sampler) -> ParallelResult:
         """Assemble the driver-level result from a finished SPMD run."""
@@ -429,10 +432,10 @@ class ParallelPICBase:
                 # processes (bitwise-identical either way — see
                 # repro.runtime.executor).  The task also carries the rank's
                 # exchange route, so a fusing executor may settle the first
-                # exchange round for the whole group (task.first), which the
-                # scheduler may then clock in bulk — and when that round
-                # settled every particle, finish the whole exchange itself
-                # (resuming us with True: the exchange only adopts our rows).
+                # exchange round for the whole group (task.first); when that
+                # round settled every particle the scheduler may finish the
+                # whole exchange itself (resuming us with True: the exchange
+                # only adopts our rows).
                 task = PushTask(mesh, state.particles, spec.dt, route=state.route(cart))
                 settled = yield comm.step(step_cost, task)
                 state.pushes += n_local

@@ -22,14 +22,13 @@ Two paths compute a round, with one range test (:func:`_outside`):
   its oracle.  A settled round is its counts (:class:`SettledWave`): one
   integer table — per hop each member's forward and backward leavers,
   arrivals and settlement count — plus each member's post-round columns.
-  No particle is packed for it: the scheduler clocks the round from the
-  table (``Scheduler._clock_round``), or each member replays its ops
-  from its row (:func:`_route_axis` with ``front``), sending messages
-  without payload that only members of the wave receive.  When the
-  clocked round left nothing to route, the scheduler also settles the
-  step (``Scheduler._close_step``): each member's
-  :func:`exchange_particles` then only adopts its columns and yields
-  nothing.
+  No particle is packed for it.  Either the scheduler closes the step —
+  the round and its settlement allreduce — for every member in one op
+  (``Scheduler._close_step``), and each member's
+  :func:`exchange_particles` only adopts its columns and yields nothing;
+  or each member replays the round's ops from its row (:func:`_route_axis`
+  with ``front``), sending messages without payload that only members of
+  the wave receive.
 
 The order of particles within a rank is therefore implementation-defined
 (but deterministic).  None of this changes simulated time, message counts
@@ -176,19 +175,15 @@ def exchange_particles(
 
     ``first`` is ``(wave, i)`` when the executor settled the first round
     (:attr:`~repro.runtime.executor.PushTask.first`): the
-    :class:`SettledWave` and the rank's member index in it.  The rank
-    adopts its post-round columns here and takes each hop's counts from
-    its table row.  If the scheduler has already clocked the round for
-    the whole wave (``wave.clocked``, ``Scheduler._clock_round``, which
-    mirrors :func:`_route_axis`'s op template) the round yields nothing
-    and the rank goes straight to the settlement allreduce; otherwise each
-    hop replays its ops from the counts.  Later rounds always run here.
-    ``settled`` is what the rank's step op resumed it with
-    (:meth:`~repro.runtime.comm.Comm.step`): True when the scheduler
-    closed the step for every rank at once (``Scheduler._close_step``: a
-    clocked round of the whole world with nothing left to route, and its
-    settlement allreduce).  The rank then adopts its columns and returns
-    without yielding an op.
+    :class:`SettledWave` and the rank's member index in it; the rank
+    adopts its post-round columns here.  ``settled`` is what the rank's
+    step op resumed it with (:meth:`~repro.runtime.comm.Comm.step`): True
+    when the scheduler closed the step for every rank at once
+    (``Scheduler._close_step``, which runs :func:`_route_axis`'s op
+    template for the whole wave and then the settlement allreduce), and
+    the rank returns without yielding an op.  Otherwise each hop of the
+    first round replays its ops from the rank's table row, and later
+    rounds run here.
     """
     if settled:
         wave, i = first
@@ -199,34 +194,29 @@ def exchange_particles(
     x_range = partition.x_range(my_px)
     y_range = partition.y_range(my_py)
     xfront = yfront = None
-    clocked = False
     if first is not None:
         wave, i = first
         particles.adopt(wave.columns[i])
         row = wave.table[i].tolist()
-        xfront, yfront, clocked = row[:4], row[4:], wave.clocked
+        xfront, yfront = row[:4], row[4:]
     while True:
         # Residents a hop keeps are proven on-block along its axis, so only
         # arrivals can be misplaced: the x hop's on x, the y hop's on both.
-        if clocked:
-            stray_x, misplaced = xfront[3], yfront[3]
-            clocked = False
-        else:
-            stray_x = misplaced = 0
-            if px > 1:
-                stray_x = yield from _route_axis(
-                    comm, cart, particles, mesh, cost,
-                    splits=partition.xsplits, my_index=my_px, n_index=px,
-                    axis=0, tag_fwd=TAG_X_RIGHT, tag_bwd=TAG_X_LEFT,
-                    ranges=(x_range,), front=xfront,
-                )
-            if py > 1:
-                misplaced = yield from _route_axis(
-                    comm, cart, particles, mesh, cost,
-                    splits=partition.ysplits, my_index=my_py, n_index=py,
-                    axis=1, tag_fwd=TAG_Y_UP, tag_bwd=TAG_Y_DOWN,
-                    ranges=(x_range, y_range), front=yfront,
-                )
+        stray_x = misplaced = 0
+        if px > 1:
+            stray_x = yield from _route_axis(
+                comm, cart, particles, mesh, cost,
+                splits=partition.xsplits, my_index=my_px, n_index=px,
+                axis=0, tag_fwd=TAG_X_RIGHT, tag_bwd=TAG_X_LEFT,
+                ranges=(x_range,), front=xfront,
+            )
+        if py > 1:
+            misplaced = yield from _route_axis(
+                comm, cart, particles, mesh, cost,
+                splits=partition.ysplits, my_index=my_py, n_index=py,
+                axis=1, tag_fwd=TAG_Y_UP, tag_bwd=TAG_Y_DOWN,
+                ranges=(x_range, y_range), front=yfront,
+            )
         xfront = yfront = None
         if stray_x:
             # Multi-hop case: an x arrival is still off-block and may or may
@@ -292,7 +282,7 @@ def _route_axis(
     payload is priced by :func:`record_nbytes`, not by its 6-column
     buffer); the order of particles within the rank is not (tail-fill
     compaction).  The op template has three copies: this one, and the two
-    with which ``Scheduler._clock_round`` runs it for a whole settled wave
+    with which ``Scheduler._close_step`` runs it for a whole settled wave
     (``_clock_own_cores``, a core per member, and
     ``_replay_shared_cores``, members sharing cores).  Change all three or
     none.
@@ -536,15 +526,13 @@ class SettledWave:
     forward leavers, backward leavers, arrivals and the count its
     :func:`_route_axis` returns (stray x arrivals, misplaced y arrivals);
     a hop that does not run or that nobody leaves reads zeros.  The
-    round's timing needs nothing else: the scheduler clocks it for every
-    member from the table and then sets ``clocked``
-    (``Scheduler._clock_round``), or each member replays its ops from its
-    row.  With every count column zero the scheduler may also close the
-    step (``Scheduler._close_step``); each member still adopts its own
-    columns (:func:`exchange_particles` with ``settled``).
+    round's timing needs nothing else: the scheduler closes the step for
+    every member from the table (``Scheduler._close_step``), or each
+    member replays its ops from its row; either way each member adopts
+    its own columns (:func:`exchange_particles`).
     """
 
-    __slots__ = ("ranks", "sources", "dims", "columns", "table", "clocked")
+    __slots__ = ("ranks", "sources", "dims", "columns", "table")
 
     def __init__(self, ranks, sources, dims, columns, table) -> None:
         self.ranks = ranks
@@ -552,4 +540,3 @@ class SettledWave:
         self.dims = dims
         self.columns = columns
         self.table = table
-        self.clocked = False

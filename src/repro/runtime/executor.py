@@ -27,8 +27,8 @@ traces (``tests/parallel/test_executor_determinism.py``):
     and AMPI VP sweeps) spend their wall clock.  For a closed group of
     small ranks the executor also settles their whole first exchange
     round in one pass (:func:`~repro.runtime.exchange.exchange_wave`), and
-    the scheduler may clock that round's ops for the whole group at once
-    (``Scheduler._clock_round``); every other rank runs its exchange itself.
+    the scheduler may close that step for the whole group at once
+    (``Scheduler._close_step``); every other rank runs its exchange itself.
 
 ``process``
     A persistent ``multiprocessing`` worker pool operating on

@@ -186,7 +186,7 @@ class Scheduler:
         #: a rank's core, never the tier joining two cores.
         self._links: dict[tuple[int, int], TierCosts] = {}
         #: The last settled round's link prices, keyed by its cores and
-        #: sources (:meth:`_clock_round`).
+        #: sources (:meth:`_close_step`).
         self._wave_links = None
         #: The last collective's price, keyed by its kind, payload and
         #: cores (:meth:`_collective_end`).
@@ -360,27 +360,18 @@ class Scheduler:
         completion order can reach simulated time.
 
         When the executor settled the batch as one wave (a task's
-        ``first``) and the wave passes :meth:`_clock_round`'s gate, the
-        wave's first exchange round is clocked for all members before
-        anyone wakes: woken, each member adopts its post-round rows and
-        goes straight to the settlement allreduce, so the round's ops never
-        pass through the per-op pump.  When, in addition, the whole world
-        parked on step ops and nobody's round left a particle off its block,
-        :meth:`_close_step` finishes the exchange, allreduce included, and
-        wakes the ranks as that allreduce would.  Everything else — and
-        this whole method without those steps — is the per-op pump, the
-        oracle the bulk clocking and the closed form must equal bit for bit.
+        ``first``) and :meth:`_close_step` takes it, the whole step —
+        exchange and settlement allreduce — is finished for every rank
+        before anyone wakes.  Everything else is the per-op pump, the
+        oracle the closed step must equal bit for bit.
         """
         batch, self._pending_exec = self._pending_exec, []
         self._get_executor().start_batch(batch).finish()
-        # Only a wave holding every unfinished rank can be clocked, so the
-        # batch's first rank is in it or no wave is.
+        # Only a wave of the whole world closes, so the batch's first rank
+        # is in it or no wave is.
         first = getattr(batch[0][1], "first", None)
-        if first is not None:
-            wave = first[0]
-            wave.clocked = self._clock_round(wave)
-            if wave.clocked and self._close_step(batch, wave, ready):
-                return
+        if first is not None and self._close_step(batch, first[0], ready):
+            return
         states = self._states
         for r, _task in batch:
             state = states[r]
@@ -388,36 +379,44 @@ class Scheduler:
             state.blocked_op = None
             ready.append(r)
 
-    def _clock_round(self, wave) -> bool:
-        """Clock a settled wave's first exchange round for every member at
-        once; False, with nothing moved, leaves the round to the pump.
-        Only the gate below returns False: a round that passes it is
-        clocked.
+    def _close_step(self, batch, wave, ready: deque) -> bool:
+        """Finish a settled wave's step — its first exchange round and the
+        settlement allreduce after it — for every rank at once; False, with
+        nothing moved, leaves the step to its ranks, which replay the round
+        from the wave's counts (:func:`~repro.runtime.exchange._route_axis`
+        with ``front``).
 
-        ``wave`` is a :class:`~repro.runtime.exchange.SettledWave`.  Each
-        member runs the op template of
-        :func:`~repro.runtime.exchange._route_axis`'s round from its row of
-        the wave's count table: per hop — x when ``px > 1``, then y when
-        ``py > 1`` — pack compute of its leavers, ``sendrecv`` forward,
-        ``sendrecv`` backward, unpack compute of its arrivals.  Clocks, core
-        clocks, core and rank busy seconds and the transport's traffic
-        counters move by the same IEEE operations as :meth:`_occupy`,
-        :meth:`_do_send` and :meth:`_complete_recv` would move them; the
-        exchange prices with the driver's cost model, which :attr:`cost`
-        equals in every rate.
+        ``wave`` is a :class:`~repro.runtime.exchange.SettledWave`.  The
+        step is the pump's only while nothing but the ranks' own ops can
+        reach their clocks, cores or mailboxes, nobody watches the order,
+        and the round leaves nothing to route.  So every check runs before
+        anything moves: no tracer, metrics registry or resilience hook is
+        attached (they record or perturb the interleaving); the wave is
+        the whole world (nobody finished, so it is the batch, in park
+        order, and ``ready`` is empty); no member's round left an arrival
+        off its block (the table's count columns all zero); no rank has a
+        pending message (a receive would match it first); and every op of
+        the batch is a step op settling on the world communicator
+        (:meth:`Comm.step`).
 
-        The round is the pump's only while nothing but the members' own ops
-        can reach their clocks, cores or mailboxes and nobody watches the
-        order.  So the wave (a subset of the batch) must hold every
-        unfinished rank — it is then the whole batch, in park order, and
-        ``ready`` is empty; no member may have a pending message (a receive
-        would match it first); and no tracer, metrics registry or
-        resilience hook may be attached (they record or perturb the
-        interleaving).  Members with a core each are clocked by
-        :meth:`_clock_own_cores`, whose result no interleaving can change;
-        members that share cores (AMPI's virtual ranks) by
-        :meth:`_replay_shared_cores`, which replays the pump's service
-        order.
+        Then each member runs the op template of ``_route_axis``'s round
+        from its row of the table: per hop — x when ``px > 1``, then y
+        when ``py > 1`` — pack compute of its leavers, ``sendrecv``
+        forward, ``sendrecv`` backward, unpack compute of its arrivals.
+        Members with a core each are clocked by :meth:`_clock_own_cores`,
+        whose result no interleaving can change; members that share cores
+        (AMPI's virtual ranks) by :meth:`_replay_shared_cores`, which
+        replays the pump's service order.  Clocks, core clocks, busy
+        seconds and the transport's counters move by the IEEE operations
+        :meth:`_occupy`, :meth:`_do_send` and :meth:`_complete_recv` would
+        use; the exchange prices with the driver's cost model, which
+        :attr:`cost` equals in every rate.  The allreduce of each rank's
+        zero misplaced count is then what :meth:`_finish_collective` does
+        for it — the same price (:meth:`_collective_end`) on the same
+        clocks, the collective counted, every world sequence number
+        advanced, every rank woken in world-rank order (its order too:
+        change both or neither) — and each rank resumes with True, so its
+        exchange only adopts its columns.
         """
         if (
             self.tracer is not None
@@ -425,50 +424,12 @@ class Scheduler:
             or self.resilience is not None
         ):
             return False
+        n = self.n_ranks
         ranks = wave.ranks
-        m = len(ranks)
-        if m != self.n_ranks - self._finished:
+        if len(ranks) != n or wave.table[:, 3::4].any():
             return False
         transport = self.transport
-        if any(map(transport._pending.__getitem__, ranks)):
-            return False
-        cores = tuple(map(self.rank_to_core.__getitem__, ranks))
-        hops = self._round_hops(wave, cores)
-        if len(set(cores)) == m:
-            self._clock_own_cores(ranks, cores, hops)
-        else:
-            self._replay_shared_cores(ranks, cores, hops)
-        messages = 2 * m * len(hops)
-        transport._seq += messages
-        transport.messages_sent += messages
-        transport.bytes_sent += sum(
-            int(wire.sum()) for *_, slots in hops for _, wire, _ in slots
-        )
-        return True
-
-    def _close_step(self, batch, wave, ready: deque) -> bool:
-        """Finish a clocked wave's step — its settlement allreduce and the
-        exchange around it — for every rank at once; False, with nothing
-        moved, leaves the allreduce to the pump.
-
-        Woken, each member of a clocked round would adopt its rows, join
-        the allreduce of its zero misplaced count and, the total being 0,
-        leave :func:`~repro.runtime.exchange.exchange_particles`.  That is
-        the pump's allreduce only if every rank takes part: the wave must
-        be the whole world (nobody finished), every op of the batch a step
-        op settling on the world communicator (:meth:`Comm.step`), and no
-        member's round may have left an arrival off its block (the table's
-        count columns all zero).  Then this does what
-        :meth:`_finish_collective` does for an ``allreduce`` of one int —
-        the same price (:meth:`_collective_end`) on the same clocks, the
-        collective counted, every rank's world sequence number advanced,
-        every rank woken in world-rank order — and resumes each rank with
-        True, so its exchange only adopts its columns and yields nothing
-        (one resume per step instead of two).  The wake order is
-        ``_finish_collective``'s too: change both or neither.
-        """
-        n = self.n_ranks
-        if len(wave.ranks) != n or wave.table[:, 3::4].any():
+        if any(transport._pending):
             return False
         states = self._states
         comms = []
@@ -477,6 +438,18 @@ class Scheduler:
             if settle is None or settle.comm_id != 0:
                 return False
             comms.append(settle)
+        cores = tuple(map(self.rank_to_core.__getitem__, ranks))
+        hops = self._round_hops(wave, cores)
+        if len(set(cores)) == n:
+            self._clock_own_cores(ranks, cores, hops)
+        else:
+            self._replay_shared_cores(ranks, cores, hops)
+        messages = 2 * n * len(hops)
+        transport._seq += messages
+        transport.messages_sent += messages
+        transport.bytes_sent += sum(
+            int(wire.sum()) for *_, slots in hops for _, wire, _ in slots
+        )
         t_done = self._collective_end(max(self.clock), "allreduce", self.rank_to_core,
                                       payload_nbytes(0))
         self.clock[:] = [t_done] * n

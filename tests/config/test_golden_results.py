@@ -6,13 +6,12 @@ holds the sha256 of every artifact the smoke campaign
 result document of each ``rich`` spec in ``golden_spec_hashes.json``.  Its
 ``paper_scale`` entry pins fig7's three 768-core points, which CI's
 campaign-smoke job checks: ``ampi`` (6 144 virtual ranks, about a minute),
-``mpi-2d`` (768 ranks whose every step ends in a settled exchange round
-clocked in bulk, a few seconds) and ``mpi-2d-LB`` (the same ranks, settled
-rounds mixed with the per-rank re-routes that follow each diffusion LB
-step, about 30 s).  Each digest was generated before the
-change it guards and must pass unmodified after it; a refactor that moves a
-digest moved a simulated number — never regenerate the file to make this
-pass.
+``mpi-2d`` (768 ranks whose every step is settled and closed in one op, a
+few seconds) and ``mpi-2d-LB`` (the same ranks, closed steps mixed with the
+per-rank re-routes that follow each diffusion LB step, about 30 s).  Each
+digest was generated before the change it guards and must pass unmodified
+after it; a refactor that moves a digest moved a simulated number — never
+regenerate the file to make this pass.
 """
 
 import copy

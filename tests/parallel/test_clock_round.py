@@ -1,42 +1,42 @@
-"""A settled wave's first exchange round, clocked for every member at once,
-and a settled step closed in one op.
+"""A settled step closed in one op, or replayed by its ranks from the
+wave's counts.
 
-When ``InProcessExecutor`` settled a closed group holding every unfinished
-rank (``exchange_wave``), ``Scheduler._flush_compute`` advances all members
-through the round's op template in one pass
-(``Scheduler._clock_round``); woken, each member adopts its
-rows and goes straight to the settlement allreduce.  Members with a core
-each are clocked with numpy; members that share cores (AMPI's virtual
-ranks) by a replay of the pump's round-robin on member indices.  When the
-wave is the whole world and no member's round left an arrival off its
-block, ``Scheduler._close_step`` also prices that allreduce in closed form
-and each rank's exchange only adopts its rows.  The per-op pump stays the
-oracle:
+When ``InProcessExecutor`` settled a closed group holding every rank
+(``exchange_wave``) and nothing watches or perturbs the run,
+``Scheduler._close_step`` finishes the whole step for every member in one
+op: it advances all members through the round's op template — members
+with a core each with numpy, members that share cores (AMPI's virtual
+ranks) by a replay of the pump's round-robin on member indices — then
+prices the settlement allreduce in closed form, and each rank's exchange
+only adopts its rows.  A wave the gate refuses is replayed by its ranks,
+hop by hop, from the wave's counts.  A group that forms no wave runs the
+per-rank exchange, the oracle:
 
-* **Properties** — a run with the bulk clocking and the closed form, the
-  same run with only the closed form out of reach, and the same run with
-  both out of reach agree bit for bit on every rank clock, core clock,
-  core and rank busy second, the transport's counters, the collective
-  count, every world communicator's collective sequence number, the
-  result document and the final particle bytes; and every clocked step
-  the closed form may take is taken.  One core per rank: over ``px``/``py`` in {1,
-  2, 3, 5}, empty members, y leavers and multi-hop moves, ``h != 1``, a
-  machine whose messages cross every link tier and free messages with a
-  fractional byte scale.  Shared cores: AMPI over ``d`` in 2..8 and 1-6
-  cores, VP grids one or two ranks wide (at two, both of a hop's sources
-  are one rank and only the tag tells its buffers apart), tiny
-  populations (empty VPs, hops with no pack op), the same machines and
-  message prices, and GreedyLB migrations that mix VPs across cores.
+* **Properties** — a run closed where it can, the same run with the
+  closer out of reach (every wave replayed from its counts), and the same
+  run with no wave at all (``InProcessExecutor._settle`` refused: the
+  chunked push and the per-rank exchange) agree bit for bit on every rank
+  clock, core clock, core and rank busy second, the transport's counters,
+  the collective count, every world communicator's collective sequence
+  number, the result document and the final particle bytes; and every
+  step the closer may take is taken.  One core per rank: over ``px``/``py``
+  in {1, 2, 3, 5}, empty members, y leavers and multi-hop moves,
+  ``h != 1``, a machine whose messages cross every link tier and free
+  messages with a fractional byte scale.  Shared cores: AMPI over ``d`` in
+  2..8 and 1-6 cores, VP grids one or two ranks wide (at two, both of a
+  hop's sources are one rank and only the tag tells its buffers apart),
+  tiny populations (empty VPs, hops with no pack op), the same machines
+  and message prices, and GreedyLB migrations that mix VPs across cores.
   Grids below ``WAVE_MIN_MEMBERS`` ranks lower the cut-over so small
-  rounds are drawn too.
+  waves are drawn too.
 * **Where it runs** — a 64-rank ``mpi-2d`` run and a 32-core ``ampi`` run
   with two VPs per core, with no observer, close every step in one op:
   every ``exchange_particles`` call is resumed settled and only adopts
   its rows — no ``_route_axis`` call, no ``SendrecvOp`` and no step's
-  ``allreduce`` dispatched.  A tracer or a metrics registry keeps
-  the per-op pump, with the same numbers; so do the process executor (no
-  wave), a multi-hop step (a stray arrival) and a wave smaller than the
-  world.
+  ``allreduce`` dispatched.  A tracer or a metrics registry, a multi-hop
+  step (a stray arrival) and a wave smaller than the world keep the
+  per-op pump, with the same numbers; the process executor forms no
+  wave.
 """
 
 from __future__ import annotations
@@ -67,36 +67,33 @@ SMALL_CLUSTER = MachineModel(cores_per_socket=2, sockets_per_node=2)
 _VERIFY = base.ParallelPICBase._verify
 
 
-def _run(build, *, lockstep=True, close=True):
-    """Everything a run leaves behind; what each ``_clock_round`` call
-    returned (True: clocked in bulk); and per ``_close_step`` call (one per
-    clocked flush) whether the step could close — the wave is the whole
-    world and its count columns are zero — and whether it did.
-    ``lockstep=False`` puts the bulk clocking and the closed form out of
-    reach, ``close=False`` the closed form only."""
+def _run(build, *, close=True, wave=True):
+    """Everything a run leaves behind, and per ``_close_step`` call (one
+    per flush that formed a wave) whether the step could close — nothing
+    attached, the wave the whole world and its count columns zero — and
+    whether it did.  ``close=False`` puts the closer out of reach, so
+    every wave is replayed by its ranks; ``wave=False`` lets no group
+    form a wave."""
     finals, worlds = {}, {}
-    clocked, closed = [], []
-    real_clock, real_close = Scheduler._clock_round, Scheduler._close_step
+    closed = []
+    real_close = Scheduler._close_step
 
     def verify(self, comm, state):
         finals[comm.world_rank] = state.particles.pack().tobytes()
         worlds[comm.world_rank] = comm
         return (yield from _VERIFY(self, comm, state))
 
-    def counting(self, wave):
-        done = lockstep and real_clock(self, wave)
-        clocked.append(done)
-        return done
-
     def closing(self, batch, wave, ready):
         done = close and real_close(self, batch, wave, ready)
+        quiet = all(h is None for h in (self.tracer, self.metrics, self.resilience))
         whole = len(wave.ranks) == self.n_ranks
-        closed.append((whole and not wave.table[:, 3::4].any(), done))
+        closed.append((quiet and whole and not wave.table[:, 3::4].any(), done))
         return done
 
+    settle = InProcessExecutor._settle if wave else (lambda self, members: False)
     with mock.patch.object(base.ParallelPICBase, "_verify", verify), \
-            mock.patch.object(Scheduler, "_clock_round", counting), \
-            mock.patch.object(Scheduler, "_close_step", closing):
+            mock.patch.object(Scheduler, "_close_step", closing), \
+            mock.patch.object(InProcessExecutor, "_settle", settle):
         engine = build().build_engine()
         res = engine.run()
     assert res.verification.ok
@@ -112,21 +109,22 @@ def _run(build, *, lockstep=True, close=True):
         "result": parallel_result_doc(res),
         "finals": finals,
     }
-    return state, clocked, closed
+    return state, closed
 
 
 def _three_ways(build):
-    """The run closed where it can, clocked only, and all per op: they must
-    agree bit for bit, and the first must close every step it can."""
-    bulk, clocked, closed = _run(build)
-    held, clocked_too, _ = _run(build, close=False)
-    pump, none, nothing = _run(build, lockstep=False)
-    assert clocked == clocked_too and not any(none) and not nothing
-    assert len(closed) == clocked.count(True)
+    """The run closed where it can, replayed from the waves' counts, and
+    with no wave: they must agree bit for bit, and the first must close
+    every step it can."""
+    closed_run, closed = _run(build)
+    replayed, refused = _run(build, close=False)
+    per_rank, none = _run(build, wave=False)
+    assert [could for could, _ in refused] == [could for could, _ in closed]
+    assert not any(did for _, did in refused) and not none
     assert all(could == did for could, did in closed)
-    assert bulk == held
-    assert bulk == pump
-    return clocked, closed
+    assert closed_run == replayed
+    assert closed_run == per_rank
+    return closed
 
 
 @settings(max_examples=100, deadline=None)
@@ -152,7 +150,7 @@ def test_clocked_rounds_equal_the_per_op_pump(seed, px, py, cells, n_particles,
     # fig7 prices particle bytes 27.78 times over; free messages leave the
     # pack computes as the only occupations of a round.  Built without the
     # run's machine, the model is re-bound by the scheduler, which keeps
-    # every rate, the byte scale too: the bulk clocking prices with the
+    # every rate, the byte scale too: the closer prices with the
     # scheduler's model what the exchange prices with the driver's.
     cost = (CostModel(message_overhead_s=0.0, particle_byte_scale=27.78)
             if free_messages else CostModel(machine=machine))
@@ -163,8 +161,7 @@ def test_clocked_rounds_equal_the_per_op_pump(seed, px, py, cells, n_particles,
 
     with mock.patch.object(executor_mod, "WAVE_MIN_MEMBERS",
                            min(WAVE_MIN_MEMBERS, px * py)):
-        clocked, _ = _three_ways(build)
-    assert any(clocked)
+        assert _three_ways(build)  # a wave formed
 
 
 @settings(max_examples=60, deadline=None)
@@ -202,8 +199,7 @@ def test_shared_core_rounds_equal_the_per_op_pump(seed, n_cores, d, grid,
 
     with mock.patch.object(executor_mod, "WAVE_MIN_MEMBERS",
                            min(WAVE_MIN_MEMBERS, n)):
-        clocked, _ = _three_ways(build)
-    assert any(clocked)
+        assert _three_ways(build)  # a wave formed
 
 
 # ----------------------------------------------------------------------
@@ -259,8 +255,7 @@ def _closed_every_step(pump_calls, n_ranks, closed):
 
 def test_settled_steps_skip_the_per_op_pump(pump_calls):
     """64 ranks of ``mpi-2d``: every step is one op per rank."""
-    _, clocked, closed = _run(lambda: Mpi2dPIC(_spec(), 64, executor=InProcessExecutor()))
-    assert clocked == [True] * 6
+    _, closed = _run(lambda: Mpi2dPIC(_spec(), 64, executor=InProcessExecutor()))
     _closed_every_step(pump_calls, 64, closed)
 
 
@@ -269,14 +264,13 @@ def test_settled_steps_skip_the_per_op_pump(pump_calls):
     pytest.param(dict(metrics=MetricsRegistry()), id="metrics"),
 ])
 def test_observed_runs_keep_the_pump(pump_calls, observed):
-    plain, clocked, closed = _run(lambda: Mpi2dPIC(_spec(), 64,
-                                                   executor=InProcessExecutor()))
-    assert clocked == [True] * 6 and all(did for _, did in closed)
+    plain, closed = _run(lambda: Mpi2dPIC(_spec(), 64, executor=InProcessExecutor()))
+    assert closed == [(True, True)] * 6
     assert pump_calls["sendrecv"] == 0 and pump_calls["settled"] == 6 * 64
     pump_calls.update(dict.fromkeys(pump_calls, 0))
-    seen, clocked, closed = _run(lambda: Mpi2dPIC(_spec(), 64, executor=InProcessExecutor(),
-                                                  **observed))
-    assert clocked and True not in clocked and not closed
+    seen, closed = _run(lambda: Mpi2dPIC(_spec(), 64, executor=InProcessExecutor(),
+                                         **observed))
+    assert closed == [(False, False)] * 6
     assert pump_calls["route_axis"] > 0 and pump_calls["sendrecv"] > 0
     assert pump_calls["exchange"] == 6 * 64 and pump_calls["settled"] == 0
     for key in ("clock", "rank_busy", "traffic", "coll_seq", "result", "finals"):
@@ -284,119 +278,130 @@ def test_observed_runs_keep_the_pump(pump_calls, observed):
 
 
 def test_shared_core_rounds_are_clocked(pump_calls):
-    """AMPI's virtual ranks share cores: their settled steps are clocked in
-    bulk by the replay and closed in one op, and agree with the pump."""
+    """AMPI's virtual ranks share cores: their settled steps are clocked by
+    the replay and closed in one op, and agree with the per-rank path."""
     def build():
         return AmpiPIC(_spec(), 32, overdecomposition=2, lb_interval=3,
                        executor=InProcessExecutor())
 
-    shared, clocked, closed = _run(build)
-    assert clocked == [True] * 6
+    shared, closed = _run(build)
     _closed_every_step(pump_calls, 64, closed)
-    pump, _, _ = _run(build, lockstep=False)
-    assert shared == pump
+    assert shared == _run(build, wave=False)[0]
 
 
 def test_a_wave_over_ranks_of_one_core_each_is_clocked():
     """AMPI without overdecomposition has a core per rank: its settled
-    steps are clocked in bulk and closed, and agree with the pump."""
+    steps are closed in one op, and agree with the per-rank path."""
     def build():
         return AmpiPIC(_spec(), 64, overdecomposition=1, lb_interval=3,
                        executor=InProcessExecutor())
 
-    bulk, clocked, closed = _run(build)
-    assert clocked == [True] * 6 and closed == [(True, True)] * 6
-    assert bulk == _run(build, lockstep=False)[0]
+    closed_run, closed = _run(build)
+    assert closed == [(True, True)] * 6
+    assert closed_run == _run(build, wave=False)[0]
 
 
 def test_a_multi_hop_step_keeps_its_allreduce(pump_calls):
     """k = 4 moves particles 9 cells a step over blocks 8 cells wide: x
-    arrivals are strays, the round is clocked but the step cannot close,
-    and its ranks run the rest of the exchange per op."""
+    arrivals are strays, so no step closes; its ranks replay the settled
+    round from the wave's counts and run the rest of the exchange per op,
+    as the per-rank path does."""
     def build():
         return Mpi2dPIC(_spec(k=4), 64, executor=InProcessExecutor())
 
-    clocked, closed = _three_ways(build)
-    assert clocked == [True] * 6 and closed == [(False, False)] * 6
+    closed = _three_ways(build)
+    assert closed == [(False, False)] * 6
     assert pump_calls["exchange"] > 0 and pump_calls["sendrecv"] > 0
 
 
 def test_the_process_executor_keeps_the_pump():
-    """The process executor settles no wave: nothing is clocked or closed,
-    and the numbers are the closed form's."""
+    """The process executor settles no wave: nothing is closed, and the
+    numbers are the closed steps'."""
     def build(executor):
         return lambda: Mpi2dPIC(_spec(), 64, executor=executor)
 
-    plain, _, closed = _run(build(InProcessExecutor()))
-    assert all(did for _, did in closed)
+    plain, closed = _run(build(InProcessExecutor()))
+    assert closed == [(True, True)] * 6
     with make_executor("process", workers=1) as pool:
-        seen, clocked, closed = _run(build(pool))
-    assert not clocked and not closed
+        seen, closed = _run(build(pool))
+    assert not closed
     assert seen == plain
 
 
+#: The source members of a 2 x 2 grid's four receives, per member: x bwd,
+#: x fwd, y bwd, y fwd.
+SOURCES = np.array([[1, 1, 2, 2], [0, 0, 3, 3], [3, 3, 0, 0], [2, 2, 1, 1]])
+
+
+def _parked(sched, order=(0, 1, 2, 3)):
+    """Park the four ranks of ``sched`` on step ops settling on their
+    world communicators, in ``order``: the world communicators and the
+    batch."""
+    worlds = [sched.make_world(r) for r in range(4)]
+    sched._states = [sched._rank_state(iter(())) for _ in range(4)]
+    batch = [(r, None) for r in order]
+    for r, task in batch:
+        sched._states[r].blocked_op = ops.ComputeOp(0.0, task, worlds[r])
+    return worlds, batch
+
+
+def _moved(s):
+    return ([t.hex() for t in s.clock], [t.hex() for t in s.core_clock],
+            [t.hex() for t in s.core_busy], [t.hex() for t in s.rank_busy],
+            s.transport.messages_sent, s.transport.bytes_sent, s.transport._seq,
+            s.collectives_completed)
+
+
 def test_every_gate_condition_hands_the_round_back():
-    """``Scheduler._clock_round`` clocks a wave only when nothing but the
-    members' own ops can move their clocks; a refused round moves
-    nothing."""
-    sched = Scheduler(4, executor=InProcessExecutor())
-    sources = np.array([[1, 1, 2, 2], [0, 0, 3, 3], [3, 3, 0, 0], [2, 2, 1, 1]])
-    wave = SettledWave([0, 1, 2, 3], sources, (2, 2), None,
+    """``Scheduler._close_step`` finishes a step only when nothing but the
+    ranks' own ops can move their clocks; a refused step moves nothing.  A
+    closed one leaves what the pump leaves after the round's op template
+    and the settlement allreduce, on a core per rank and on shared cores
+    (px = 2: both of a hop's buffers come from one rank, under two
+    tags)."""
+    wave = SettledWave([0, 1, 2, 3], SOURCES, (2, 2), None,
                        np.zeros((4, 8), dtype=np.int64))
+    sched = Scheduler(4, executor=InProcessExecutor())
+    _, batch = _parked(sched)
+    ready = deque()
     sched.transport.post(2, 0, 0, 7, None, 8, 0.0)
-    assert not sched._clock_round(wave)  # a receive would match it first
+    before = _moved(sched)
+    assert not sched._close_step(batch, wave, ready)  # a receive would match it first
     sched.transport.match(2, 0, 0, 7)
-
-    def state(s):
-        return (list(s.clock), list(s.core_clock), list(s.core_busy),
-                list(s.rank_busy), s.transport.messages_sent,
-                s.transport.bytes_sent, s.transport._seq)
-
-    before = state(sched)
-    sched.n_ranks = 5
-    assert not sched._clock_round(wave)  # an unfinished rank outside it
-    sched.n_ranks = 4
     for hook in ("tracer", "metrics", "resilience"):
         setattr(sched, hook, object())
-        assert not sched._clock_round(wave), hook
+        assert not sched._close_step(batch, wave, ready), hook
         setattr(sched, hook, None)
-    assert state(sched) == before
-    sched.n_ranks, sched._finished = 5, 1
-    assert sched._clock_round(wave)  # ... the rank outside it has finished
-    # Two hops, two empty messages per member each.
-    assert sched.transport.messages_sent == before[4] + 16
-    # Each member's last op is its last receive, on a core of its own.
-    assert min(sched.core_clock) > 0.0
-    assert sched.core_clock == sched.clock
-    assert sched.core_busy == sched.rank_busy
-
-    # Two members on one core are clocked too, as the pump clocks the
-    # round's four empty sendrecvs per member (px = 2: both of a hop's
-    # buffers come from one rank, under two tags).
-    shared = [0, 1, 2, 0]
-    sched = Scheduler(4, rank_to_core=shared, executor=InProcessExecutor())
-    assert sched._clock_round(wave)
+    assert _moved(sched) == before and not ready
 
     def template(comm):
         r = comm.rank
         for j, tag in enumerate((exchange_mod.TAG_X_RIGHT, exchange_mod.TAG_X_LEFT,
                                  exchange_mod.TAG_Y_UP, exchange_mod.TAG_Y_DOWN)):
-            dst = sources[:, j].tolist().index(r)
-            yield comm.sendrecv(None, dst=dst, src=int(sources[r, j]), sendtag=tag,
+            dst = SOURCES[:, j].tolist().index(r)
+            yield comm.sendrecv(None, dst=dst, src=int(SOURCES[r, j]), sendtag=tag,
                                 recvtag=tag, nbytes=0)
+        yield comm.allreduce(0)
 
-    pump = Scheduler(4, rank_to_core=shared, executor=InProcessExecutor())
-    pump.run([template] * 4)
-    assert state(sched) == state(pump)
+    for cores in ([0, 1, 2, 3], [0, 1, 2, 0]):
+        sched = Scheduler(4, rank_to_core=cores, executor=InProcessExecutor())
+        _, batch = _parked(sched)
+        assert sched._close_step(batch, wave, ready)
+        # Two hops, two empty messages per member each.
+        assert sched.transport.messages_sent == 16
+        pump = Scheduler(4, rank_to_core=cores, executor=InProcessExecutor())
+        pump.run([template] * 4)
+        assert _moved(sched) == _moved(pump), cores
 
 
 def test_every_close_condition_leaves_the_allreduce_to_the_pump():
-    """``Scheduler._close_step`` closes a clocked step only when the wave
-    is the whole world, every op of the batch settles on the world
-    communicator and no count is left; a refused step moves nothing.  A
-    closed one leaves the clocks, collective count and sequence numbers
-    the pump's allreduce leaves, and wakes the ranks in world-rank order
-    whatever order they parked in."""
+    """``Scheduler._close_step`` closes a step only when the wave is the
+    whole world, every op of the batch settles on the world communicator
+    and no count is left; a refused step moves nothing.  A closed one
+    leaves the clocks, collective count and sequence numbers the pump's
+    allreduce leaves, and wakes the ranks in world-rank order whatever
+    order they parked in.  The wave's grid is one rank, so its round has
+    no hop and only the allreduce moves the clocks."""
     shared = [0, 0, 1, 1]
 
     def pump_program(comm):
@@ -409,17 +414,10 @@ def test_every_close_condition_leaves_the_allreduce_to_the_pump():
     before = pump.run([pump_program] * 4).returns
 
     sched = Scheduler(4, rank_to_core=shared, executor=InProcessExecutor())
-    worlds = [sched.make_world(r) for r in range(4)]
-    sched._states = [sched._rank_state(iter(())) for _ in range(4)]
+    worlds, batch = _parked(sched, order=(2, 0, 3, 1))
     sched.clock = list(before)
-    sources = np.array([[1, 1, 2, 2], [0, 0, 3, 3], [3, 3, 0, 0], [2, 2, 1, 1]])
-    columns = [tuple(np.full(1, float(r)) for _ in range(5)) + (np.full(1, r),)
-               for r in range(4)]
-    parked = [2, 0, 3, 1]
-
-    wave = SettledWave([0, 1, 2, 3], sources, (2, 2), columns,
+    wave = SettledWave([2, 0, 3, 1], SOURCES, (1, 1), None,
                        np.zeros((4, 8), dtype=np.int64))
-    batch = [(r, None) for r in parked]
 
     def park(settle):
         for r, task in batch:
@@ -429,12 +427,11 @@ def test_every_close_condition_leaves_the_allreduce_to_the_pump():
         return (list(sched.clock), sched.collectives_completed,
                 [c._coll_seq for c in worlds])
 
-    park(worlds.__getitem__)
     refused = state()
     ready = deque()
-    wave.ranks = [0, 1, 2]
+    wave.ranks = [2, 0, 3]
     assert not sched._close_step(batch, wave, ready)  # smaller than the world
-    wave.ranks = [0, 1, 2, 3]
+    wave.ranks = [2, 0, 3, 1]
     for col in (3, 7):
         wave.table[2, col] = 1
         assert not sched._close_step(batch, wave, ready), col  # a stray is left

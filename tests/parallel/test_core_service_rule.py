@@ -14,14 +14,17 @@ the collective count, every world communicator's collective sequence
 number, the result document and the final particle bytes.  ``mpi-2d`` and
 ``mpi-2d-LB`` (one rank per core, order-invariant) are the controls.
 
-Two executors run the rule two ways.  On the in-process ones a settled
-round on shared cores is clocked in bulk by ``Scheduler._clock_round``,
-which replays the round-robin's service order, and a clocked step whose
-wave is the whole world with nothing left to route is closed in one op by
-``Scheduler._close_step``; every AMPI example with at least
-``WAVE_MIN_MEMBERS`` virtual ranks reaches that path.  The process
-executor settles no wave, so its drives run every op through the pump:
-the oracle the replay and the closed form must equal.
+The drives run the rule three ways.  On the in-process executors a
+settled step whose wave is the whole world with nothing left to route is
+closed in one op by ``Scheduler._close_step``, which on shared cores
+replays the round-robin's service order; every AMPI example with at least
+``WAVE_MIN_MEMBERS`` virtual ranks forms waves, and with ``k = 0`` closes
+steps.  With the closer
+patched off (``replay``) each wave's ranks replay its round from the
+wave's counts.  With no wave at all (``no wave``: the in-process
+executor's ``_settle`` refused) and on the process executor, which
+settles none, every op goes through the pump: the oracle the closed step
+must equal.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from repro.config.runspec import LB_STRATEGY_NAMES
 from repro.core.kernel import WAVE_MIN_MEMBERS
 from repro.parallel.base import ParallelPICBase
 from repro.runtime import ENGINE_BLOCKED, ENGINE_FINISHED, Scheduler
-from repro.runtime.executor import make_executor
+from repro.runtime.executor import InProcessExecutor, make_executor
 from repro.runtime.multiplex import EngineGroup
 
 
@@ -73,21 +76,22 @@ def _state(engine, seen) -> dict:
 
 class _Seen:
     """What the runs of one ``_observed()`` block did, by scheduler: the
-    world communicators handed out, the final particle bytes per rank,
-    what each ``_clock_round`` call returned (True: clocked in bulk) and
-    per ``_close_step`` call whether the step could close (whole world,
-    zero counts) and whether it did."""
+    world communicators handed out, the final particle bytes per rank, and
+    per ``_close_step`` call (one per flush that formed a wave) whether the
+    step could close (whole world, zero counts) and whether it did."""
 
     def __init__(self) -> None:
         self.worlds, self.finals = {}, {}
-        self.clocked, self.closed = [], []
+        self.closed = []
 
 
 @contextmanager
-def _observed():
+def _observed(drive="closed"):
+    """Record the runs of the block; ``drive`` ``"replay"`` puts the closer
+    out of reach and ``"no wave"`` lets no group form a wave."""
     seen = _Seen()
     make_world, verify = Scheduler.make_world, ParallelPICBase._verify
-    clock_round, close_step = Scheduler._clock_round, Scheduler._close_step
+    close_step, settle = Scheduler._close_step, InProcessExecutor._settle
 
     def making(self, rank):
         comm = make_world(self, rank)
@@ -99,21 +103,21 @@ def _observed():
         finals[comm.world_rank] = state.particles.pack().tobytes()
         return (yield from verify(self, comm, state))
 
-    def counting(self, wave):
-        done = clock_round(self, wave)
-        seen.clocked.append(done)
-        return done
-
     def closing(self, batch, wave, ready):
-        done = close_step(self, batch, wave, ready)
+        done = drive != "replay" and close_step(self, batch, wave, ready)
         whole = len(wave.ranks) == self.n_ranks
         seen.closed.append((whole and not wave.table[:, 3::4].any(), done))
         return done
 
+    def no_wave(self, members):
+        return False
+
+    if drive == "no wave":
+        settle = no_wave
     with mock.patch.object(Scheduler, "make_world", making), \
             mock.patch.object(ParallelPICBase, "_verify", verifying), \
-            mock.patch.object(Scheduler, "_clock_round", counting), \
-            mock.patch.object(Scheduler, "_close_step", closing):
+            mock.patch.object(Scheduler, "_close_step", closing), \
+            mock.patch.object(InProcessExecutor, "_settle", settle):
         yield seen
 
 
@@ -143,7 +147,7 @@ def runspecs(draw):
 @settings(max_examples=30, deadline=None)
 @given(
     rs=runspecs(),
-    kind=st.sampled_from(["serial", "batched", "process"]),
+    kind=st.sampled_from(["serial", "batched", "process", "replay", "no wave"]),
     budget=st.integers(1, 40),
     order_seed=st.integers(0, 2**16),
 )
@@ -155,23 +159,28 @@ def test_every_drive_obeys_the_core_service_rule(executors, rs, kind, budget,
     want = _state(ref, seen)
     assert want["result"]["verified"]
     if rs.impl.name == "ampi" and ref.scheduler.n_ranks >= WAVE_MIN_MEMBERS:
-        assert True in seen.clocked  # shared-core rounds reached the bulk path
-    # Every clocked step that could close did.
+        assert seen.closed  # shared cores formed waves
+        if rs.workload.k == 0:  # ... and, with no strays, closed steps
+            assert any(did for _, did in seen.closed)
+    # Every step that could close did.
     assert all(could == did for could, did in seen.closed)
-    ex = executors[kind]
+    drive = kind if kind in ("replay", "no wave") else "closed"
+    ex = executors.get(kind, executors["serial"])
 
-    with _observed() as seen:
+    with _observed(drive) as seen:
         ticked = build_impl(rs, executor=ex).build_engine()
         while (status := ticked.tick(budget)) != ENGINE_FINISHED:
             if status == ENGINE_BLOCKED:
                 ticked.flush()
     assert _state(ticked, seen) == want
-    if kind == "process":
-        assert not seen.clocked and not seen.closed  # every op through the pump
+    if kind in ("process", "no wave"):
+        assert not seen.closed  # every op through the pump
+    if kind == "replay":
+        assert not any(did for _, did in seen.closed)
 
     # Two copies of the run, time-sliced in a shuffled order over one
     # shared executor.
-    with _observed() as seen:
+    with _observed(drive) as seen:
         group = EngineGroup(slice_ticks=budget, order_seed=order_seed, executor=ex)
         for tag in ("a", "b"):
             group.add(tag, build_impl(rs, executor=group.handle(tag))

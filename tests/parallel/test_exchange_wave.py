@@ -430,7 +430,7 @@ _SKEWED = PICSpec(cells=64, n_particles=4_000, steps=6, m_vertical=1, r=0.95)
                  id="mpi-2d-LB"),
 ])
 def test_replayed_rounds_trace_like_per_rank_rounds(monkeypatch, wave_calls, build):
-    """A tracer keeps settled rounds off the bulk clocking, so each member
+    """A tracer keeps settled steps from closing in one op, so each member
     replays its round from its counts: the spans and instants it records
     equal those of the run without the wave."""
     def trace():

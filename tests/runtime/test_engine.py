@@ -10,10 +10,13 @@ scheduler-level unit tests.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.spec import Distribution, PICSpec
-from repro.parallel import Mpi2dPIC
+from repro.parallel import AmpiPIC, Mpi2dPIC
 from repro.runtime import (
     ENGINE_BLOCKED,
     ENGINE_FINISHED,
@@ -270,3 +273,28 @@ class TestExecutorLifecycle:
         with pytest.raises(RuntimeError, match="rank exploded"):
             run_spmd(2, prog)
         assert pool._procs == []
+
+
+class TestReclaim:
+    @pytest.mark.parametrize("impl", ["mpi-2d", "ampi"])
+    def test_a_finished_run_is_freed_without_the_cycle_collector(self, impl):
+        """Nothing of a finished run refers back to its driver, engine or
+        scheduler, so reference counting frees all three as soon as the
+        caller drops them: a sweep worker or an ``EngineGroup`` keeps no
+        finished run's clocks and states until a full collection."""
+        spec = PICSpec(cells=32, n_particles=640, steps=4, seed=3)
+        executor = make_executor("serial")
+        if impl == "mpi-2d":
+            driver = Mpi2dPIC(spec, 16, executor=executor)
+        else:
+            driver = AmpiPIC(spec, 4, overdecomposition=4, lb_interval=2,
+                             executor=executor)
+        engine = driver.build_engine()
+        assert engine.run().verification.ok
+        refs = [weakref.ref(obj) for obj in (driver, engine, engine.scheduler)]
+        gc.disable()
+        try:
+            del driver, engine
+            assert [ref() for ref in refs] == [None, None, None]
+        finally:
+            gc.enable()

@@ -5,12 +5,12 @@ Every simulated op passes through ``Scheduler._advance_one`` ->
 rank-step's wall clock.  These tests pin what it costs (a call count, so
 it repeats exactly on any host) and that its shortcuts — message prices
 read from a per-core-pair table, ``sendrecv`` matching without a
-``RecvOp`` — give the answers the long way gave.  A settled exchange round
-skips the per-op path altogether (``Scheduler._clock_round``);
-the per-op budget is measured with that out of reach, and two more price
-a whole rank-step with it: one rank per core, and AMPI's virtual ranks
-sharing cores.  There a settled step is one op per rank: the scheduler
-also closes the step's settlement allreduce (``Scheduler._close_step``).
+``RecvOp`` — give the answers the long way gave.  A settled step skips the
+per-op path altogether: the scheduler closes it, exchange round and
+settlement allreduce, in one op per rank (``Scheduler._close_step``).  The
+per-op budget is measured with that out of reach, and two more price a
+whole rank-step with it: one rank per core, and AMPI's virtual ranks
+sharing cores.
 """
 
 from __future__ import annotations
@@ -41,9 +41,8 @@ CALLS_PER_OP_BUDGET = 40.0
 
 #: Python-level calls per rank-step (ranks x steps) of :data:`BUDGET_SPEC`
 #: as it runs: every settled step closed in one op per rank, 256 ops on the
-#: per-op path.  On Python 3.11.7 it reads 76.8 (12 287 calls over 160
-#: rank-steps; 104.5 and 416 ops when settled rounds are only clocked, not
-#: closed), so 92 leaves ~20 % headroom.  A change that trips it added
+#: per-op path.  On Python 3.11.7 it reads 76.7 (12 267 calls over 160
+#: rank-steps), so 92 leaves ~20 % headroom.  A change that trips it added
 #: calls to every rank-step or sent settled steps back per op.
 CALLS_PER_RANK_STEP_BUDGET = 92.0
 
@@ -55,11 +54,11 @@ BUDGET_SPEC = {
 #: Python-level calls per VP-step (virtual ranks x steps) of
 #: :data:`AMPI_BUDGET_SPEC`, :data:`BUDGET_SPEC`'s workload as ``ampi`` on 4
 #: cores with 4 virtual ranks each, as it runs: settled rounds on shared
-#: cores clocked in bulk by the replay and every settled step closed, 256
-#: ops on the per-op path.  On Python 3.11.7 it reads 94.2 (15 069 calls
-#: over 160 VP-steps; 121.9 with steps only clocked, 227.8 and 1 374 ops
-#: with every round per op), so 113 leaves ~20 % headroom and a silent
-#: fallback to the pump fails it without a wall clock.
+#: cores clocked by the replay and every settled step closed, 256 ops on
+#: the per-op path.  On Python 3.11.7 it reads 94.1 (15 049 calls over 160
+#: VP-steps; 227.8 and 1 374 ops with every round per op), so 113 leaves
+#: ~20 % headroom and a silent fallback to the pump fails it without a
+#: wall clock.
 CALLS_PER_VP_STEP_BUDGET = 113.0
 
 AMPI_BUDGET_SPEC = {
@@ -101,8 +100,8 @@ def _calls_per_op(rs: RunSpec) -> tuple[int, int]:
 class TestCallBudget:
     def test_scheduler_op_stays_within_its_call_budget(self):
         rs = RunSpec.from_dict(BUDGET_SPEC)
-        # Every round on the per-op path: no wave is clocked in bulk.
-        with mock.patch.object(Scheduler, "_clock_round", lambda *a: False):
+        # Every round on the per-op path: no step is closed.
+        with mock.patch.object(Scheduler, "_close_step", lambda *a: False):
             _calls_per_op(rs)  # warm: first-use imports and buffers are not the pump
             calls, ops = _calls_per_op(rs)
         assert ops > 1000  # the run really drove the pump
@@ -113,7 +112,7 @@ class TestCallBudget:
         _calls_per_op(rs)  # warm
         calls, ops = _calls_per_op(rs)
         rank_steps = rs.impl.cores * rs.workload.steps
-        assert ops < 300  # settled steps closed in one op (416 if only clocked)
+        assert ops < 300  # settled steps closed in one op (1 374 if replayed)
         assert calls / rank_steps <= CALLS_PER_RANK_STEP_BUDGET, (
             calls, rank_steps, calls / rank_steps)
 
@@ -123,7 +122,7 @@ class TestCallBudget:
         _calls_per_op(rs)  # warm
         calls, ops = _calls_per_op(rs)
         vp_steps = rs.impl.cores * rs.impl.overdecomposition * rs.workload.steps
-        assert ops < 300  # settled steps closed in one op (416 if only clocked)
+        assert ops < 300  # settled steps closed in one op (1 374 if replayed)
         assert calls / vp_steps <= CALLS_PER_VP_STEP_BUDGET, (
             calls, vp_steps, calls / vp_steps)
 
