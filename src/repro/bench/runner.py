@@ -7,16 +7,10 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.spec import PICSpec
-from repro.parallel import AmpiPIC, Mpi2dLbPIC, Mpi2dPIC
+from repro.parallel import DRIVERS as IMPLEMENTATIONS
 from repro.parallel.base import ParallelResult
 from repro.runtime.costmodel import CostModel
 from repro.runtime.machine import MachineModel
-
-IMPLEMENTATIONS = {
-    "mpi-2d": Mpi2dPIC,
-    "mpi-2d-LB": Mpi2dLbPIC,
-    "ampi": AmpiPIC,
-}
 
 
 @dataclass

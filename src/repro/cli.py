@@ -71,6 +71,7 @@ from repro.instrument import (
     write_executor_trace,
     write_metrics,
 )
+from repro.parallel import DRIVERS
 
 
 def _region(patch):
@@ -123,7 +124,7 @@ _FLAGS = (
     _Flag("--rotate90", "workload.rotate90", dict(nargs=0, const=True, default=False)),
     _Flag("--seed", "workload.seed", dict(type=int, default=42)),
     _Flag("--impl", "impl.name",
-          dict(choices=["mpi-2d", "mpi-2d-LB", "ampi"], default="mpi-2d")),
+          dict(choices=list(DRIVERS), default="mpi-2d")),
     _Flag("--cores", "impl.cores", dict(type=int, default=24)),
     _Flag("--push-ns", "cost.particle_push_s",
           dict(type=float, default=3500.0,

@@ -92,13 +92,6 @@ def build_executor(rs: RunSpec, *, cli=None, exec_tracer=None):
     )
 
 
-def _driver_class(name: str):
-    """The parallel driver class ``impl.name`` names, or None."""
-    from repro.parallel import AmpiPIC, Mpi2dLbPIC, Mpi2dPIC
-
-    return {"mpi-2d": Mpi2dPIC, "mpi-2d-LB": Mpi2dLbPIC, "ampi": AmpiPIC}.get(name)
-
-
 def build_impl(
     rs: RunSpec,
     *,
@@ -116,11 +109,13 @@ def build_impl(
     for ``rs`` and owns it: its engine's ``close()`` (or the end of
     ``run()``) closes it.
     """
-    cls = _driver_class(rs.impl.name)
+    from repro.parallel import DRIVERS
+
+    cls = DRIVERS.get(rs.impl.name)
     if cls is None:
         raise ConfigError(
             f"cannot build impl {rs.impl.name!r}; "
-            "choose from ampi, mpi-2d, mpi-2d-LB (or 'serial')"
+            f"choose from {', '.join(sorted(DRIVERS))} (or 'serial')"
         )
     machine = rs.machine.build()
     cost = rs.cost.build(machine)
@@ -162,7 +157,9 @@ def canonical_runspec(rs: RunSpec) -> RunSpec:
     hands a run — and what those constructors reject is rejected here.
     ``serial`` (and unknown test impls) pass through unchanged.
     """
-    cls = _driver_class(rs.impl.name)
+    from repro.parallel import DRIVERS
+
+    cls = DRIVERS.get(rs.impl.name)
     if cls is None:
         return rs
     machine = rs.machine.canonical()

@@ -17,4 +17,7 @@ from repro.parallel.mpi2d import Mpi2dPIC
 from repro.parallel.mpi2d_lb import Mpi2dLbPIC
 from repro.parallel.ampi import AmpiPIC
 
-__all__ = ["ParallelResult", "RankReturn", "Mpi2dPIC", "Mpi2dLbPIC", "AmpiPIC"]
+#: The drivers by ``impl.name``, in the order the CLI offers them.
+DRIVERS = {cls.name: cls for cls in (Mpi2dPIC, Mpi2dLbPIC, AmpiPIC)}
+
+__all__ = ["ParallelResult", "RankReturn", "Mpi2dPIC", "Mpi2dLbPIC", "AmpiPIC", "DRIVERS"]

@@ -3,10 +3,11 @@
 A deterministic message-passing runtime in which SPMD rank programs are
 Python *generators* that yield communication operations to a scheduler
 (:mod:`repro.runtime.scheduler`).  The API (:mod:`repro.runtime.comm`)
-mirrors the mpi4py/MPI surface the paper's reference implementations use:
-point-to-point send/recv (with wildcards and non-overtaking order),
-collectives (barrier, bcast, reduce, allreduce, gather(v), alltoall(v),
-scan, split) and Cartesian topologies.
+offers the MPI operations the paper's reference implementations use:
+blocking send/recv and sendrecv with an exact peer and tag (in
+non-overtaking order), the collectives barrier, allreduce (SUM, MAX),
+allgather, split and a user-defined collective, Cartesian topologies
+(create_cart), and compute/step for compute time.
 
 Each rank carries a virtual clock.  Compute phases charge time through a
 cost model (:mod:`repro.runtime.costmodel`) and messages/collectives advance
@@ -16,12 +17,12 @@ execution time comparable across implementations — the substitute for the
 paper's wall-clock measurements on Edison (see DESIGN.md §2).
 """
 
-from repro.runtime.comm import ANY_SOURCE, ANY_TAG, Comm
+from repro.runtime.comm import Comm
 from repro.runtime.cart import CartComm
 from repro.runtime.errors import CollectiveMismatchError, DeadlockError, RuntimeConfigError
 from repro.runtime.machine import MachineModel, Tier
 from repro.runtime.costmodel import CostModel
-from repro.runtime.reduce_ops import MAX, MIN, PROD, SUM
+from repro.runtime.reduce_ops import MAX, SUM
 from repro.runtime.scheduler import Scheduler, SpmdResult, run_spmd
 from repro.runtime.engine import (
     ENGINE_BLOCKED,
@@ -31,8 +32,6 @@ from repro.runtime.engine import (
 )
 
 __all__ = [
-    "ANY_SOURCE",
-    "ANY_TAG",
     "Comm",
     "CartComm",
     "CollectiveMismatchError",
@@ -43,8 +42,6 @@ __all__ = [
     "CostModel",
     "SUM",
     "MAX",
-    "MIN",
-    "PROD",
     "Scheduler",
     "SpmdResult",
     "run_spmd",

@@ -1,9 +1,12 @@
 """Communicator API of the simulated MPI runtime.
 
-:class:`Comm` mirrors the subset of the MPI interface the paper's reference
-implementations need.  Every communication method *returns an operation
-object* that the rank program must ``yield``; the scheduler performs the
-operation and resumes the generator with the result::
+:class:`Comm` offers the subset of the MPI interface the paper's reference
+implementations use: blocking ``send``/``recv`` and ``sendrecv`` with an
+exact peer and tag; the collectives ``barrier``, ``allreduce``,
+``allgather``, ``split``, ``create_cart`` and ``user_collective``; and
+``compute``/``step`` for compute time.  Every communication method *returns
+an operation object* that the rank program must ``yield``; the scheduler
+performs the operation and resumes the generator with the result::
 
     def program(comm: Comm):
         if comm.rank == 0:
@@ -19,15 +22,13 @@ directly.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from repro.runtime import ops
 from repro.runtime.costmodel import payload_nbytes
 from repro.runtime.reduce_ops import ReduceOp, SUM
-from repro.runtime.request import Request
-from repro.runtime.transport import ANY_SOURCE, ANY_TAG
 
-__all__ = ["Comm", "ANY_SOURCE", "ANY_TAG"]
+__all__ = ["Comm"]
 
 
 class Comm:
@@ -104,15 +105,10 @@ class Comm:
             self._count_op("send")
         return ops.SendOp(self, dst, tag, payload, nbytes)
 
-    def recv(self, src: int = ANY_SOURCE, tag: int = ANY_TAG, status: bool = False) -> ops.RecvOp:
-        """Blocking receive; resumes with the payload.
-
-        With ``status=True`` the program is resumed with ``(payload, src,
-        tag)`` instead, like querying an MPI_Status.
-        """
-        if src != ANY_SOURCE:
-            self._check_peer(src)
-        return ops.RecvOp(self, src, tag, with_status=status)
+    def recv(self, src: int, tag: int = 0) -> ops.RecvOp:
+        """Blocking receive from local rank ``src``; resumes with the payload."""
+        self._check_peer(src)
+        return ops.RecvOp(self, src, tag)
 
     def sendrecv(
         self,
@@ -120,12 +116,12 @@ class Comm:
         dst: int,
         src: int,
         sendtag: int = 0,
-        recvtag: int = ANY_TAG,
+        recvtag: int = 0,
         nbytes: int | None = None,
     ) -> ops.SendrecvOp:
         """Combined exchange: send to ``dst``, receive from ``src``."""
         size = self.size
-        if not (0 <= dst < size and (src == ANY_SOURCE or 0 <= src < size)):
+        if not (0 <= dst < size and 0 <= src < size):
             self._check_peer(dst)
             self._check_peer(src)
         if nbytes is None:
@@ -135,69 +131,10 @@ class Comm:
         return ops.SendrecvOp(self, payload, dst, sendtag, src, recvtag, nbytes)
 
     # ------------------------------------------------------------------
-    # Nonblocking point-to-point
-    # ------------------------------------------------------------------
-    def isend(self, payload: Any, dst: int, tag: int = 0, nbytes: int | None = None):
-        """Nonblocking send: returns ``(op, request)``.
-
-        Yield the op (the buffered send completes immediately), keep the
-        request for symmetry with MPI code::
-
-            op, req = comm.isend(data, dst=right)
-            yield op
-            ...
-            yield comm.wait(req)     # free: sends are buffered
-        """
-        req = Request(self, "send", payload=payload)
-        return self.send(payload, dst, tag, nbytes=nbytes), req
-
-    def irecv(self, src: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
-        """Post a nonblocking receive; complete it with :meth:`wait`.
-
-        Matching is lazy: the receive happens when the request is waited
-        on, with these criteria.  Requests on one (source, tag) stream
-        complete in the order they are waited on.
-        """
-        if src != ANY_SOURCE:
-            self._check_peer(src)
-        return Request(self, "recv", src=src, tag=tag)
-
-    def wait(self, request: Request) -> ops.WaitOp:
-        """Complete one request; resumes with its payload."""
-        if request.comm is not self:
-            raise ValueError("request belongs to a different communicator")
-        return ops.WaitOp(request)
-
-    def waitall(self, requests: Sequence[Request]):
-        """Complete several requests (generator; returns payload list).
-
-        Use as ``results = yield from comm.waitall(reqs)``.
-        """
-        results = []
-        for req in requests:
-            results.append((yield self.wait(req)))
-        return results
-
-    # ------------------------------------------------------------------
     # Collectives
     # ------------------------------------------------------------------
     def barrier(self) -> ops.CollectiveOp:
         return ops.CollectiveOp(self, "barrier", seq=self._next_seq())
-
-    def bcast(self, value: Any = None, root: int = 0) -> ops.CollectiveOp:
-        """Broadcast ``root``'s value to all ranks (others pass anything)."""
-        self._check_peer(root)
-        return ops.CollectiveOp(
-            self, "bcast", value=value, root=root, seq=self._next_seq(),
-            nbytes=payload_nbytes(value),
-        )
-
-    def reduce(self, value: Any, op: ReduceOp = SUM, root: int = 0) -> ops.CollectiveOp:
-        self._check_peer(root)
-        return ops.CollectiveOp(
-            self, "reduce", value=value, op=op, root=root, seq=self._next_seq(),
-            nbytes=payload_nbytes(value),
-        )
 
     def allreduce(self, value: Any, op: ReduceOp = SUM) -> ops.CollectiveOp:
         return ops.CollectiveOp(
@@ -205,37 +142,10 @@ class Comm:
             nbytes=payload_nbytes(value),
         )
 
-    def gather(self, value: Any, root: int = 0) -> ops.CollectiveOp:
-        """Root resumes with the list of all values (by rank); others None."""
-        self._check_peer(root)
-        return ops.CollectiveOp(
-            self, "gather", value=value, root=root, seq=self._next_seq(),
-            nbytes=payload_nbytes(value),
-        )
-
     def allgather(self, value: Any) -> ops.CollectiveOp:
         """Every rank resumes with the list of all values (by rank)."""
         return ops.CollectiveOp(
             self, "allgather", value=value, seq=self._next_seq(),
-            nbytes=payload_nbytes(value),
-        )
-
-    def alltoall(self, values: Sequence[Any]) -> ops.CollectiveOp:
-        """Rank ``i`` contributes ``values[j]`` for each peer ``j`` and
-        resumes with the list of values addressed to it."""
-        if len(values) != self.size:
-            raise ValueError(
-                f"alltoall needs exactly {self.size} values, got {len(values)}"
-            )
-        return ops.CollectiveOp(
-            self, "alltoall", value=list(values), seq=self._next_seq(),
-            nbytes=payload_nbytes(values),
-        )
-
-    def scan(self, value: Any, op: ReduceOp = SUM) -> ops.CollectiveOp:
-        """Inclusive prefix reduction over ranks."""
-        return ops.CollectiveOp(
-            self, "scan", value=value, op=op, seq=self._next_seq(),
             nbytes=payload_nbytes(value),
         )
 

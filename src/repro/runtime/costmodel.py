@@ -123,8 +123,8 @@ class CostModel:
 
         Modelled as ``ceil(log2 P)`` stages of the widest tier's latency plus
         a bandwidth term on the moved payload.  ``kind`` scales the payload
-        factor: rooted collectives move the data once, all-to-all moves it
-        across all pairs.
+        factor: a barrier moves none, the all-collectives move it twice
+        (reduce or gather, then distribute), everything else once.
         """
         cores = list(cores)
         p = len(cores)
@@ -133,17 +133,7 @@ class CostModel:
         tier = self.machine.worst_tier(cores)
         costs = self.machine.costs(tier)
         stages = max(1, math.ceil(math.log2(p)))
-        factor = {
-            "barrier": 0.0,
-            "bcast": 1.0,
-            "reduce": 1.0,
-            "allreduce": 2.0,
-            "gather": 1.0,
-            "allgather": 2.0,
-            "alltoall": float(p),
-            "scan": 1.0,
-            "split": 1.0,
-        }.get(kind, 1.0)
+        factor = {"barrier": 0.0, "allreduce": 2.0, "allgather": 2.0}.get(kind, 1.0)
         return stages * costs.latency + factor * nbytes / costs.bandwidth
 
 

@@ -9,10 +9,14 @@ Rank programs never construct these directly — they call methods on
         data = yield comm.recv(src=left, tag=0)
         return total
 
+The five ops are :class:`ComputeOp` (``compute``/``step``),
+:class:`SendrecvOp`, :class:`CollectiveOp` (barrier, allreduce, allgather,
+split, cart_create, user), :class:`SendOp` and :class:`RecvOp`.
+
 Sends are *buffered*: they complete locally as soon as the payload is handed
 to the transport (like an eager-protocol MPI_Send), so symmetric exchange
-patterns cannot deadlock on send.  Receives block until a matching message
-exists.
+patterns cannot deadlock on send.  Receives name an exact source and tag and
+block until a matching message exists.
 """
 
 from __future__ import annotations
@@ -32,15 +36,14 @@ class SendOp:
 
 
 class RecvOp:
-    """Blocking point-to-point receive (wildcards allowed)."""
+    """Blocking point-to-point receive from an exact source and tag."""
 
-    __slots__ = ("comm", "src", "tag", "with_status")
+    __slots__ = ("comm", "src", "tag")
 
-    def __init__(self, comm, src, tag, with_status=False):
+    def __init__(self, comm, src, tag):
         self.comm = comm
         self.src = src
         self.tag = tag
-        self.with_status = with_status
 
 
 class SendrecvOp:
@@ -84,23 +87,6 @@ class ComputeOp:
         self.settle = settle
 
 
-class WaitOp:
-    """Complete a previously posted nonblocking request.
-
-    Nonblocking sends are buffered (already complete when posted); waiting
-    on them is free.  Nonblocking receives are matched lazily: the wait
-    performs the actual blocking receive with the criteria recorded at post
-    time.  Requests posted on the same (source, tag) pair complete in post
-    order, preserving MPI's matching order for the patterns the PIC
-    implementations use.
-    """
-
-    __slots__ = ("request",)
-
-    def __init__(self, request):
-        self.request = request
-
-
 class CollectiveOp:
     """Any collective over a communicator.
 
@@ -108,20 +94,19 @@ class CollectiveOp:
     a communicator execute collectives in the same order, so ``(comm_id,
     seq)`` uniquely identifies one collective instance across ranks.
 
-    ``kind`` selects the built-in completion semantics (barrier, bcast,
-    reduce, allreduce, gather, allgather, alltoall, alltoallv, scan, split,
-    cart_create) or ``"user"``, in which case ``user_fn(values, ctx)``
-    computes the per-rank results (used by the AMPI runtime's migrate()).
+    ``kind`` selects the built-in completion semantics (barrier, allreduce,
+    allgather, split, cart_create) or ``"user"``, in which case
+    ``user_fn(values, ctx)`` computes the per-rank results (used by the AMPI
+    runtime's migrate()).
     """
 
-    __slots__ = ("comm", "kind", "value", "op", "root", "seq", "user_fn", "nbytes")
+    __slots__ = ("comm", "kind", "value", "op", "seq", "user_fn", "nbytes")
 
-    def __init__(self, comm, kind, value=None, op=None, root=0, seq=0, user_fn=None, nbytes=0):
+    def __init__(self, comm, kind, value=None, op=None, seq=0, user_fn=None, nbytes=0):
         self.comm = comm
         self.kind = kind
         self.value = value
         self.op = op
-        self.root = root
         self.seq = seq
         self.user_fn = user_fn
         self.nbytes = nbytes

@@ -1,9 +1,10 @@
 """Reduction operators for the simulated MPI collectives.
 
 Operators work uniformly on Python scalars and NumPy arrays, combining
-pairwise like MPI's predefined operations.  All predefined operators are
-associative and commutative, so reduction order does not change results
-(up to floating-point round-off, exactly as in real MPI).
+pairwise like MPI's predefined operations.  The two predefined here, SUM and
+MAX, are the ones the implementations reduce with; both are associative and
+commutative, so reduction order does not change results (up to
+floating-point round-off, exactly as in real MPI).
 """
 
 from __future__ import annotations
@@ -41,29 +42,9 @@ def _sum(a, b):
     return a + b
 
 
-def _prod(a, b):
-    return a * b
-
-
 def _max(a, b):
     return np.maximum(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) else max(a, b)
 
 
-def _min(a, b):
-    return np.minimum(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) else min(a, b)
-
-
-def _land(a, b):
-    return bool(a) and bool(b)
-
-
-def _lor(a, b):
-    return bool(a) or bool(b)
-
-
 SUM = ReduceOp("SUM", _sum)
-PROD = ReduceOp("PROD", _prod)
 MAX = ReduceOp("MAX", _max)
-MIN = ReduceOp("MIN", _min)
-LAND = ReduceOp("LAND", _land)
-LOR = ReduceOp("LOR", _lor)

@@ -39,7 +39,7 @@ from repro.runtime.errors import (
 from repro.runtime.machine import MachineModel, TierCosts
 from repro.runtime.message import Message
 from repro.runtime.reduce_ops import ReduceOp
-from repro.runtime.transport import ANY_SOURCE, ANY_TAG, Transport
+from repro.runtime.transport import Transport
 
 _RUNNABLE = 0
 _BLOCKED_RECV = 1
@@ -719,16 +719,6 @@ class Scheduler:
             ready.append(r)
         elif kind is ops.RecvOp:
             self._try_recv(r, op, ready)
-        elif kind is ops.WaitOp:
-            req = op.request
-            if req.done:
-                self._states[r].resume_value = req.result
-                ready.append(r)
-            else:
-                # Lazy irecv: the wait performs the blocking receive.
-                recv = ops.RecvOp(req.comm, req.src, req.tag)
-                req.done = True
-                self._try_recv(r, recv, ready)
         else:
             raise TypeError(
                 f"rank {r} yielded {op!r}, which is not a runtime operation"
@@ -766,7 +756,7 @@ class Scheduler:
                 dst_world, pending.comm.comm_id, pending.src, pending.tag
             )
             if matched is not None:
-                self._complete_recv(dst_world, matched, pending.with_status)
+                self._complete_recv(dst_world, matched)
                 dst_state.status = _RUNNABLE
                 dst_state.blocked_op = None
                 ready.append(dst_world)
@@ -778,10 +768,10 @@ class Scheduler:
             state.status = _BLOCKED_RECV
             state.blocked_op = op
             return
-        self._complete_recv(r, msg, op.with_status)
+        self._complete_recv(r, msg)
         ready.append(r)
 
-    def _complete_recv(self, r: int, msg: Message, with_status: bool = False) -> None:
+    def _complete_recv(self, r: int, msg: Message) -> None:
         t_avail = msg.t_avail
         if t_avail > self.clock[r]:
             if self.tracer is not None:
@@ -800,11 +790,7 @@ class Scheduler:
                 "recv", "comm", r, self.rank_to_core[r], end - overhead, end,
                 src=msg.src, tag=msg.tag, nbytes=msg.nbytes,
             )
-        state = self._states[r]
-        if with_status:
-            state.resume_value = (msg.payload, msg.src, msg.tag)
-        else:
-            state.resume_value = msg.payload
+        self._states[r].resume_value = msg.payload
 
     # ------------------------------------------------------------------
     # Collectives
@@ -909,31 +895,11 @@ class Scheduler:
     def _builtin_collective(self, kind, pool, values, size):
         if kind == "barrier":
             return [None] * size
-        if kind == "bcast":
-            root_value = values[pool[0].root]
-            return [root_value] * size
-        if kind == "reduce":
-            folded = _fold(pool[0].op, values)
-            root = pool[0].root
-            return [folded if i == root else None for i in range(size)]
         if kind == "allreduce":
             folded = _fold(pool[0].op, values)
             return [folded] * size
-        if kind == "gather":
-            root = pool[0].root
-            return [list(values) if i == root else None for i in range(size)]
         if kind == "allgather":
             return [list(values) for _ in range(size)]
-        if kind == "alltoall":
-            return [[values[j][i] for j in range(size)] for i in range(size)]
-        if kind == "scan":
-            op = pool[0].op
-            out = []
-            acc = None
-            for i, v in enumerate(values):
-                acc = v if i == 0 else op(acc, v)
-                out.append(acc)
-            return out
         if kind == "split":
             return self._do_split(pool, values, size)
         if kind == "cart_create":

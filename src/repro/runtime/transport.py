@@ -2,19 +2,14 @@
 
 Each destination (world rank) owns an ordered list of pending messages.
 A receive matches the *earliest delivered* pending message whose
-communicator, source and tag agree (``ANY_SOURCE``/``ANY_TAG`` wildcards
-supported).  Because the pending list is kept in send order, messages
-between one (source, tag) pair can never overtake one another — MPI's
-non-overtaking guarantee.
+communicator, source and tag agree.  Because the pending list is kept in
+send order, messages between one (source, tag) pair can never overtake one
+another — MPI's non-overtaking guarantee.
 """
 
 from __future__ import annotations
 
 from repro.runtime.message import Message
-
-#: Wildcard constants, mirroring MPI_ANY_SOURCE / MPI_ANY_TAG.
-ANY_SOURCE: int = -1
-ANY_TAG: int = -1
 
 
 class Transport:
@@ -50,21 +45,10 @@ class Transport:
         """Pop and return the first matching pending message, if any."""
         pending = self._pending[dst_world]
         for i, msg in enumerate(pending):
-            if msg.comm_id != comm_id:
-                continue
-            if src != ANY_SOURCE and msg.src != src:
-                continue
-            if tag != ANY_TAG and msg.tag != tag:
-                continue
-            del pending[i]
-            return msg
+            if msg.comm_id == comm_id and msg.src == src and msg.tag == tag:
+                del pending[i]
+                return msg
         return None
-
-    def pending_count(self, dst_world: int) -> int:
-        return len(self._pending[dst_world])
-
-    def total_pending(self) -> int:
-        return sum(len(q) for q in self._pending)
 
     def describe_pending(self, limit: int = 10) -> str:
         """Human-readable dump of undelivered messages (deadlock reports)."""

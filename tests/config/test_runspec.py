@@ -306,3 +306,20 @@ class TestBuildImplExecutor:
         ex = InProcessExecutor()
         impl = build_impl(small_spec(), executor=ex)
         assert impl.executor is ex and not impl.owns_executor
+
+
+class TestDriverTunables:
+    """A spec accepts exactly the tunables its driver resolves."""
+
+    def test_every_driver_has_a_params_row(self):
+        from repro.config.runspec import _IMPL_PARAMS
+        from repro.parallel import DRIVERS
+
+        assert set(_IMPL_PARAMS) == set(DRIVERS) | {"serial"}
+
+    @pytest.mark.parametrize("name", ["mpi-2d", "mpi-2d-LB", "ampi"])
+    def test_params_row_is_the_drivers_defaults(self, name):
+        from repro.config.runspec import _IMPL_PARAMS
+        from repro.parallel import DRIVERS
+
+        assert _IMPL_PARAMS[name] == tuple(DRIVERS[name].PARAM_DEFAULTS)

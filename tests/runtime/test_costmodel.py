@@ -71,12 +71,6 @@ class TestCollectiveCosts:
         cross_node = cm.collective_time("allreduce", [0, 1, 8, 9], 64)
         assert cross_node > same_socket
 
-    def test_alltoall_scales_with_p(self):
-        cm = CostModel()
-        p8 = cm.collective_time("alltoall", list(range(8)), 4096)
-        bcast8 = cm.collective_time("bcast", list(range(8)), 4096)
-        assert p8 > bcast8
-
 
 class TestPayloadBytes:
     def test_numpy_exact(self):
