@@ -432,16 +432,15 @@ class ParallelPICBase:
                 # processes (bitwise-identical either way — see
                 # repro.runtime.executor).  The task also carries the rank's
                 # exchange route, so a fusing executor may settle the first
-                # exchange round for the whole group (task.first); when that
-                # round settled every particle the scheduler may finish the
-                # whole exchange itself (resuming us with True: the exchange
-                # only adopts our rows).
+                # exchange round for the whole group (task.first); the
+                # scheduler then finished the whole exchange itself, and the
+                # exchange only adopts our rows.
                 task = PushTask(mesh, state.particles, spec.dt, route=state.route(cart))
-                settled = yield comm.step(step_cost, task)
+                yield comm.step(step_cost, task)
                 state.pushes += n_local
                 state.particles = yield from exchange_particles(
                     comm, cart, state.partition, mesh, state.particles, cost,
-                    first=task.first, settled=settled,
+                    first=task.first,
                 )
                 yield from self.lb_hook(comm, cart, state, t)
                 if len(state.particles) > state.max_particles:

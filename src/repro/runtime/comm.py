@@ -205,13 +205,12 @@ class Comm:
         """A PIC step's push, whose exchange settles on this communicator.
 
         Charged and executed exactly like :meth:`compute` with ``task``.
-        The rank resumes with True when the scheduler finished the step's
-        whole particle exchange — the settled first round and the
-        settlement allreduce on this communicator — for every rank at once
-        (``Scheduler._close_step``); with None otherwise.  Either way the
-        rank passes the value on to
-        :func:`repro.runtime.exchange.exchange_particles`, which runs
-        whatever of the exchange is left.
+        When every op of the batch is one of these on the world
+        communicator (and nothing else gates it), the task may come back
+        settled (``task.first``): the scheduler then finished the step's
+        whole particle exchange — the first round and the settlement
+        allreduce on this communicator — for every rank at once
+        (``Scheduler._close_step``).
         """
         return ops.ComputeOp(seconds, task, self)
 

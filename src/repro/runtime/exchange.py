@@ -22,13 +22,10 @@ Two paths compute a round, with one range test (:func:`_outside`):
   its oracle.  A settled round is its counts (:class:`SettledWave`): one
   integer table — per hop each member's forward and backward leavers,
   arrivals and settlement count — plus each member's post-round columns.
-  No particle is packed for it.  Either the scheduler closes the step —
-  the round and its settlement allreduce — for every member in one op
+  No particle is packed for it.  The scheduler closes the step — the
+  round and its settlement allreduce — for every member in one op
   (``Scheduler._close_step``), and each member's
-  :func:`exchange_particles` only adopts its columns and yields nothing;
-  or each member replays the round's ops from its row (:func:`_route_axis`
-  with ``front``), sending messages without payload that only members of
-  the wave receive.
+  :func:`exchange_particles` only adopts its columns and yields nothing.
 
 The order of particles within a rank is therefore implementation-defined
 (but deterministic).  None of this changes simulated time, message counts
@@ -158,7 +155,6 @@ def exchange_particles(
     particles: ParticleArray,
     cost: CostModel,
     first=None,
-    settled=None,
 ):
     """Route particles to their owning rank (generator; returns the new set).
 
@@ -175,17 +171,13 @@ def exchange_particles(
 
     ``first`` is ``(wave, i)`` when the executor settled the first round
     (:attr:`~repro.runtime.executor.PushTask.first`): the
-    :class:`SettledWave` and the rank's member index in it; the rank
-    adopts its post-round columns here.  ``settled`` is what the rank's
-    step op resumed it with (:meth:`~repro.runtime.comm.Comm.step`): True
-    when the scheduler closed the step for every rank at once
-    (``Scheduler._close_step``, which runs :func:`_route_axis`'s op
-    template for the whole wave and then the settlement allreduce), and
-    the rank returns without yielding an op.  Otherwise each hop of the
-    first round replays its ops from the rank's table row, and later
-    rounds run here.
+    :class:`SettledWave` and the rank's member index in it.  The scheduler
+    then closed the step for every rank at once (``Scheduler._close_step``,
+    which runs :func:`_route_axis`'s op template for the whole wave and
+    then the settlement allreduce): the rank adopts its post-round columns
+    and returns without yielding an op.
     """
-    if settled:
+    if first is not None:
         wave, i = first
         particles.adopt(wave.columns[i])
         return particles
@@ -193,12 +185,6 @@ def exchange_particles(
     px, py = cart.px, cart.py
     x_range = partition.x_range(my_px)
     y_range = partition.y_range(my_py)
-    xfront = yfront = None
-    if first is not None:
-        wave, i = first
-        particles.adopt(wave.columns[i])
-        row = wave.table[i].tolist()
-        xfront, yfront = row[:4], row[4:]
     while True:
         # Residents a hop keeps are proven on-block along its axis, so only
         # arrivals can be misplaced: the x hop's on x, the y hop's on both.
@@ -208,16 +194,15 @@ def exchange_particles(
                 comm, cart, particles, mesh, cost,
                 splits=partition.xsplits, my_index=my_px, n_index=px,
                 axis=0, tag_fwd=TAG_X_RIGHT, tag_bwd=TAG_X_LEFT,
-                ranges=(x_range,), front=xfront,
+                ranges=(x_range,),
             )
         if py > 1:
             misplaced = yield from _route_axis(
                 comm, cart, particles, mesh, cost,
                 splits=partition.ysplits, my_index=my_py, n_index=py,
                 axis=1, tag_fwd=TAG_Y_UP, tag_bwd=TAG_Y_DOWN,
-                ranges=(x_range, y_range), front=yfront,
+                ranges=(x_range, y_range),
             )
-        xfront = yfront = None
         if stray_x:
             # Multi-hop case: an x arrival is still off-block and may or may
             # not have left again along y — recount the whole population.
@@ -264,38 +249,28 @@ def hop_front_half(particles, mesh, *, splits, my_index, n_index, axis, rng):
 
 def _route_axis(
     comm, cart, particles, mesh, cost,
-    *, splits, my_index, n_index, axis, tag_fwd, tag_bwd, ranges, front=None,
+    *, splits, my_index, n_index, axis, tag_fwd, tag_bwd, ranges,
 ):
     """One forwarding hop along one axis (generator), in place.
 
     ``ranges`` is the rank's ``(x_range,)`` for the x hop and ``(x_range,
-    y_range)`` for the y hop.  ``front`` is the hop's row of a settled
-    wave's table, four ints ``(forward leavers, backward leavers,
-    arrivals, count)``: the hop then replays its ops from the counts, with
-    messages that carry no payload (every peer is a member of the closed
-    wave and replays too), its result already adopted.  Without it
-    :func:`hop_front_half` and the back half — compaction, arrivals, the
-    count — run here.  Returns how many *arrivals* lie outside any of the
-    ranges — kept residents cannot.  The sequence of simulated events —
-    pack compute, the two sendrecvs, unpack compute — and their costs and
-    payload sizes are identical to the historical copy-based hop (a
-    payload is priced by :func:`record_nbytes`, not by its 6-column
-    buffer); the order of particles within the rank is not (tail-fill
-    compaction).  The op template has three copies: this one, and the two
-    with which ``Scheduler._close_step`` runs it for a whole settled wave
-    (``_clock_own_cores``, a core per member, and
-    ``_replay_shared_cores``, members sharing cores).  Change all three or
-    none.
+    y_range)`` for the y hop.  :func:`hop_front_half` finds and packs the
+    leavers; the back half — compaction, arrivals, the count — runs here.
+    Returns how many *arrivals* lie outside any of the ranges — kept
+    residents cannot.  The sequence of simulated events — pack compute,
+    the two sendrecvs, unpack compute — and their costs and payload sizes
+    are identical to the historical copy-based hop (a payload is priced by
+    :func:`record_nbytes`, not by its 6-column buffer); the order of
+    particles within the rank is not (tail-fill compaction).  ``Scheduler._close_step`` runs this op template for a
+    whole settled wave (``_clock_own_cores``, a core per member, and
+    ``_replay_shared_cores``, members sharing cores): change both or
+    neither.
     """
-    if front is None:
-        leavers, fwd_buf, bwd_buf = hop_front_half(
-            particles, mesh, splits=splits, my_index=my_index,
-            n_index=n_index, axis=axis, rng=ranges[axis],
-        )
-        n_fwd, n_bwd = len(fwd_buf), len(bwd_buf)
-    else:
-        n_fwd, n_bwd, n_in, settled = front
-        fwd_buf = bwd_buf = None
+    leavers, fwd_buf, bwd_buf = hop_front_half(
+        particles, mesh, splits=splits, my_index=my_index,
+        n_index=n_index, axis=axis, rng=ranges[axis],
+    )
+    n_fwd, n_bwd = len(fwd_buf), len(bwd_buf)
     if n_fwd + n_bwd:
         yield comm.compute(cost.pack_time(n_fwd + n_bwd))
 
@@ -310,12 +285,9 @@ def _route_axis(
         nbytes=cost.particle_wire_bytes(record_nbytes(n_bwd)),
     )
 
-    if front is None:
-        n_in = len(from_bwd) + len(from_fwd)
+    n_in = len(from_bwd) + len(from_fwd)
     if n_in:
         yield comm.compute(cost.pack_time(n_in))
-    if front is not None:  # the back half's result is already adopted
-        return settled
     if len(leavers):
         particles.compact(drop=leavers)
     if not n_in:
@@ -527,9 +499,8 @@ class SettledWave:
     :func:`_route_axis` returns (stray x arrivals, misplaced y arrivals);
     a hop that does not run or that nobody leaves reads zeros.  The
     round's timing needs nothing else: the scheduler closes the step for
-    every member from the table (``Scheduler._close_step``), or each
-    member replays its ops from its row; either way each member adopts
-    its own columns (:func:`exchange_particles`).
+    every member from the table (``Scheduler._close_step``) and each
+    member adopts its own columns (:func:`exchange_particles`).
     """
 
     __slots__ = ("ranks", "sources", "dims", "columns", "table")

@@ -27,7 +27,7 @@ traces (``tests/parallel/test_executor_determinism.py``):
     and AMPI VP sweeps) spend their wall clock.  For a closed group of
     small ranks the executor also settles their whole first exchange
     round in one pass (:func:`~repro.runtime.exchange.exchange_wave`), and
-    the scheduler may close that step for the whole group at once
+    the scheduler closes that step for the whole group at once
     (``Scheduler._close_step``); every other rank runs its exchange itself.
 
 ``process``
@@ -117,11 +117,13 @@ class PushTask:
         self.dt = dt
         #: The rank's :class:`~repro.runtime.exchange.RankRoute`, or None:
         #: lets an executor settle the first exchange round for a whole
-        #: fused group (:func:`~repro.runtime.exchange.exchange_wave`).
+        #: fused group (:func:`~repro.runtime.exchange.exchange_wave`).  The
+        #: scheduler clears it when the step could not close.
         self.route = route
-        #: ``(wave, i)`` when an executor settled that round: the
-        #: :class:`~repro.runtime.exchange.SettledWave` and this rank's
-        #: member index in it.  None means the exchange runs the round.
+        #: ``(wave, i)`` when an executor settled that round and it left
+        #: no stray: the :class:`~repro.runtime.exchange.SettledWave` and
+        #: this rank's member index in it.  None means the exchange runs
+        #: the round.
         self.first = None
 
     def run(self, workspace: KernelWorkspace | None = None) -> None:
@@ -138,7 +140,7 @@ class BatchHandle:
 
     ``finish()`` blocks until the whole batch is done (every task's particle
     arrays hold the post-push values) and folds the batch's measurements
-    into the executor's counters, work meter and exec tracer.  The scheduler
+    into the executor's counters and exec tracer.  The scheduler
     finishes a batch before it wakes any of its ranks; executors without
     asynchrony return an already-completed handle, so callers never need to
     know which kind they hold.
@@ -230,6 +232,20 @@ def _advance_fields(backend: str, mesh, x, y, vx, vy, q, dt, workspace=None) -> 
         advance_arrays_compiled(mesh, x, y, vx, vy, q, dt)
 
 
+def _unstage(parts, stage) -> None:
+    """Copy the pushed x, y, vx and vy rows of ``stage`` back to ``parts``,
+    staged in order (q is read-only in the kernel: not copied back)."""
+    x, y, vx, vy = stage[:4]
+    a = 0
+    for p in parts:
+        b = a + len(p.x)
+        p.x[:] = x[a:b]
+        p.y[:] = y[a:b]
+        p.vx[:] = vx[a:b]
+        p.vy[:] = vy[a:b]
+        a = b
+
+
 class InProcessExecutor(Executor):
     """Size-aware in-process backend: big tasks in place, small ones fused.
 
@@ -238,15 +254,15 @@ class InProcessExecutor(Executor):
     Smaller tasks are grouped by ``(mesh, dt)`` (in practice one group).
     A group that qualifies for a wave (:meth:`_settle`) is staged whole,
     pushed with one kernel call and its first exchange round settled for
-    every member at once (:func:`exchange_wave`); its members skip the
-    copy-back and adopt their post-round rows in their exchange.  Any other
-    group is packed, in park order, into chunks of at most
-    :data:`KERNEL_BLOCK` particles; each chunk's field arrays are staged
-    contiguously, advanced with a single kernel call and copied back per
-    task, and its members run their whole exchange per rank.  Elementwise
-    kernels are chunk-boundary-agnostic, so the fusion is bitwise exact.
-    Both ``executor.kind`` values ``serial`` and ``batched`` build this
-    class.
+    every member at once (:func:`exchange_wave`); unless the round left a
+    stray, its members skip the copy-back and adopt their post-round rows
+    in their exchange.  Any other group is packed, in park order, into
+    chunks of at most :data:`KERNEL_BLOCK` particles; each chunk's field
+    arrays are staged contiguously, advanced with a single kernel call and
+    copied back per task, and its members run their whole exchange per
+    rank.  Elementwise kernels are chunk-boundary-agnostic, so the fusion
+    is bitwise exact.  Both ``executor.kind`` values ``serial`` and
+    ``batched`` build this class.
     """
 
     name = "in-process"
@@ -324,6 +340,9 @@ class InProcessExecutor(Executor):
         particles count, as empty members), no more than ``WAVE_MAX_MEAN``
         particles per member on average, and closure: every member's x and
         y source neighbours are members, so the wave knows all its arrivals.
+        A round that leaves an arrival off its block needs a second round:
+        the pushed stage is copied back and every member runs its whole
+        exchange itself (no ``first``).
         """
         m = len(members)
         total = sum(n for _, _, n in members)
@@ -342,6 +361,9 @@ class InProcessExecutor(Executor):
         self._push(members, total, stage)
         counts = [n for _, _, n in members]
         wave = exchange_wave(stage, counts, ranks, routes, tasks[0].mesh, *geometry)
+        if wave.table[:, 3::4].any():
+            _unstage(parts, stage)
+            return True
         for i, t in enumerate(tasks):
             t.first = (wave, i)
         return True
@@ -373,15 +395,7 @@ class InProcessExecutor(Executor):
         parts = [t.particles for _, t, _ in chunk]
         stage = self._staged(parts, total)
         self._push(chunk, total, stage)
-        x, y, vx, vy = stage[:4, :total]
-        a = 0
-        for p in parts:  # q is read-only in the kernel: not copied back
-            b = a + len(p.x)
-            p.x[:] = x[a:b]
-            p.y[:] = y[a:b]
-            p.vx[:] = vx[a:b]
-            p.vy[:] = vy[a:b]
-            a = b
+        _unstage(parts, stage)
 
     def _push(self, chunk, total, stage=None) -> None:
         """Advance ``chunk`` — ``(rank, task, n)`` triples of one ``(mesh,

@@ -73,8 +73,8 @@ class ComputeOp:
 
     ``settle`` is the communicator of the step's settlement allreduce when
     the op is a PIC step's push (:meth:`repro.runtime.comm.Comm.step`):
-    the scheduler may then finish the step's whole exchange itself and
-    resume the rank with True instead of None (``Scheduler._close_step``).
+    the scheduler may then finish the step's whole exchange itself
+    (``Scheduler._close_step``).
     """
 
     __slots__ = ("seconds", "task", "settle")

@@ -359,18 +359,30 @@ class Scheduler:
         charged at dispatch, so neither the executor nor wall-clock
         completion order can reach simulated time.
 
-        When the executor settled the batch as one wave (a task's
-        ``first``) and :meth:`_close_step` takes it, the whole step —
-        exchange and settlement allreduce — is finished for every rank
-        before anyone wakes.  Everything else is the per-op pump, the
-        oracle the closed step must equal bit for bit.
+        A batch forms a wave only for a step that will close, so the gate
+        runs before the push: no tracer, metrics registry or resilience
+        hook (they record or perturb the interleaving); the batch is the
+        whole world (nobody finished, so ``ready`` is empty); no rank has
+        a pending message (a receive would match it first); every op is a
+        step op settling on the world communicator (:meth:`Comm.step`).
+        Failing any, the tasks' ``route`` is cleared and no wave forms.  A
+        task that comes back with ``first`` was settled as one wave
+        without a stray, and :meth:`_close_step` finishes the whole step —
+        exchange and settlement allreduce — for every rank before anyone
+        wakes.  Everything else is the per-op pump, the oracle the closed
+        step must equal bit for bit.
         """
         batch, self._pending_exec = self._pending_exec, []
+        if not self._may_close(batch):
+            for _r, task in batch:
+                if hasattr(task, "route"):
+                    task.route = None
         self._get_executor().start_batch(batch).finish()
-        # Only a wave of the whole world closes, so the batch's first rank
-        # is in it or no wave is.
+        # A wave is closed under both periodic shifts of the grid, so it is
+        # the whole world: the batch's first rank is in it or no wave is.
         first = getattr(batch[0][1], "first", None)
-        if first is not None and self._close_step(batch, first[0], ready):
+        if first is not None:
+            self._close_step(batch, first[0], ready)
             return
         states = self._states
         for r, _task in batch:
@@ -379,65 +391,50 @@ class Scheduler:
             state.blocked_op = None
             ready.append(r)
 
-    def _close_step(self, batch, wave, ready: deque) -> bool:
-        """Finish a settled wave's step — its first exchange round and the
-        settlement allreduce after it — for every rank at once; False, with
-        nothing moved, leaves the step to its ranks, which replay the round
-        from the wave's counts (:func:`~repro.runtime.exchange._route_axis`
-        with ``front``).
-
-        ``wave`` is a :class:`~repro.runtime.exchange.SettledWave`.  The
-        step is the pump's only while nothing but the ranks' own ops can
-        reach their clocks, cores or mailboxes, nobody watches the order,
-        and the round leaves nothing to route.  So every check runs before
-        anything moves: no tracer, metrics registry or resilience hook is
-        attached (they record or perturb the interleaving); the wave is
-        the whole world (nobody finished, so it is the batch, in park
-        order, and ``ready`` is empty); no member's round left an arrival
-        off its block (the table's count columns all zero); no rank has a
-        pending message (a receive would match it first); and every op of
-        the batch is a step op settling on the world communicator
-        (:meth:`Comm.step`).
-
-        Then each member runs the op template of ``_route_axis``'s round
-        from its row of the table: per hop — x when ``px > 1``, then y
-        when ``py > 1`` — pack compute of its leavers, ``sendrecv``
-        forward, ``sendrecv`` backward, unpack compute of its arrivals.
-        Members with a core each are clocked by :meth:`_clock_own_cores`,
-        whose result no interleaving can change; members that share cores
-        (AMPI's virtual ranks) by :meth:`_replay_shared_cores`, which
-        replays the pump's service order.  Clocks, core clocks, busy
-        seconds and the transport's counters move by the IEEE operations
-        :meth:`_occupy`, :meth:`_do_send` and :meth:`_complete_recv` would
-        use; the exchange prices with the driver's cost model, which
-        :attr:`cost` equals in every rate.  The allreduce of each rank's
-        zero misplaced count is then what :meth:`_finish_collective` does
-        for it — the same price (:meth:`_collective_end`) on the same
-        clocks, the collective counted, every world sequence number
-        advanced, every rank woken in world-rank order (its order too:
-        change both or neither) — and each rank resumes with True, so its
-        exchange only adopts its columns.
-        """
+    def _may_close(self, batch) -> bool:
+        """:meth:`_flush_compute`'s gate."""
         if (
             self.tracer is not None
             or self.metrics is not None
             or self.resilience is not None
+            or len(batch) != self.n_ranks
+            or any(self.transport._pending)
         ):
             return False
-        n = self.n_ranks
-        ranks = wave.ranks
-        if len(ranks) != n or wave.table[:, 3::4].any():
-            return False
-        transport = self.transport
-        if any(transport._pending):
-            return False
         states = self._states
-        comms = []
         for r, _task in batch:
             settle = states[r].blocked_op.settle
             if settle is None or settle.comm_id != 0:
                 return False
-            comms.append(settle)
+        return True
+
+    def _close_step(self, batch, wave, ready: deque) -> None:
+        """Finish a settled wave's step — its first exchange round and the
+        settlement allreduce after it — for every rank at once.
+
+        ``wave`` is a :class:`~repro.runtime.exchange.SettledWave` of the
+        whole batch, which :meth:`_flush_compute` let form: no round of it
+        left an arrival off its block.  Each member runs the op template
+        of ``_route_axis``'s round from its row of the table: per hop — x
+        when ``px > 1``, then y when ``py > 1`` — pack compute of its
+        leavers, ``sendrecv`` forward, ``sendrecv`` backward, unpack
+        compute of its arrivals.  Members with a core each are clocked by
+        :meth:`_clock_own_cores`, whose result no interleaving can change;
+        members that share cores (AMPI's virtual ranks) by
+        :meth:`_replay_shared_cores`, which replays the pump's service
+        order.  Clocks, core clocks, busy seconds and the transport's
+        counters move by the IEEE operations :meth:`_occupy`,
+        :meth:`_do_send` and :meth:`_complete_recv` would use; the
+        exchange prices with the driver's cost model, which :attr:`cost`
+        equals in every rate.  The allreduce of each rank's zero misplaced
+        count is then what :meth:`_finish_collective` does for it — the
+        same price (:meth:`_collective_end`) on the same clocks, the
+        collective counted, every world sequence number advanced, every
+        rank woken in world-rank order (its order too: change both or
+        neither) — and each rank's exchange only adopts its columns.
+        """
+        n = self.n_ranks
+        ranks = wave.ranks
         cores = tuple(map(self.rank_to_core.__getitem__, ranks))
         hops = self._round_hops(wave, cores)
         if len(set(cores)) == n:
@@ -445,6 +442,7 @@ class Scheduler:
         else:
             self._replay_shared_cores(ranks, cores, hops)
         messages = 2 * n * len(hops)
+        transport = self.transport
         transport._seq += messages
         transport.messages_sent += messages
         transport.bytes_sent += sum(
@@ -454,14 +452,13 @@ class Scheduler:
                                       payload_nbytes(0))
         self.clock[:] = [t_done] * n
         self.collectives_completed += 1
-        for comm in comms:
-            comm._coll_seq += 1
+        states = self._states
+        for r, _task in batch:
+            states[r].blocked_op.settle._coll_seq += 1
         for state in states:
             state.status = _RUNNABLE
             state.blocked_op = None
-            state.resume_value = True
         ready.extend(range(n))
-        return True
 
     def _round_hops(self, wave, cores) -> list:
         """The prices of a settled round's hops, one tuple per hop that

@@ -1,42 +1,41 @@
-"""A settled step closed in one op, or replayed by its ranks from the
-wave's counts.
+"""A settled step, closed in one op.
 
 When ``InProcessExecutor`` settled a closed group holding every rank
-(``exchange_wave``) and nothing watches or perturbs the run,
-``Scheduler._close_step`` finishes the whole step for every member in one
-op: it advances all members through the round's op template — members
-with a core each with numpy, members that share cores (AMPI's virtual
-ranks) by a replay of the pump's round-robin on member indices — then
-prices the settlement allreduce in closed form, and each rank's exchange
-only adopts its rows.  A wave the gate refuses is replayed by its ranks,
-hop by hop, from the wave's counts.  A group that forms no wave runs the
-per-rank exchange, the oracle:
+(``exchange_wave``), ``Scheduler._close_step`` finishes the whole step for
+every member in one op: it advances all members through the round's op
+template — members with a core each with numpy, members that share cores
+(AMPI's virtual ranks) by a replay of the pump's round-robin on member
+indices — then prices the settlement allreduce in closed form, and each
+rank's exchange only adopts its rows.  A wave forms only for a step that
+will close: the scheduler checks its gate before the push, and the
+executor hands out no wave whose round left a stray.  A group that forms
+no wave runs the per-rank exchange, the oracle:
 
-* **Properties** — a run closed where it can, the same run with the
-  closer out of reach (every wave replayed from its counts), and the same
-  run with no wave at all (``InProcessExecutor._settle`` refused: the
-  chunked push and the per-rank exchange) agree bit for bit on every rank
-  clock, core clock, core and rank busy second, the transport's counters,
-  the collective count, every world communicator's collective sequence
+* **Properties** — a run closed where it can and the same run with no
+  wave at all (``InProcessExecutor._settle`` refused: the chunked push and
+  the per-rank exchange) agree bit for bit on every rank clock, core
+  clock, core and rank busy second, the transport's counters, the
+  collective count, every world communicator's collective sequence
   number, the result document and the final particle bytes; and every
-  step the closer may take is taken.  One core per rank: over ``px``/``py``
-  in {1, 2, 3, 5}, empty members, y leavers and multi-hop moves,
-  ``h != 1``, a machine whose messages cross every link tier and free
-  messages with a fractional byte scale.  Shared cores: AMPI over ``d`` in
-  2..8 and 1-6 cores, VP grids one or two ranks wide (at two, both of a
-  hop's sources are one rank and only the tag tells its buffers apart),
-  tiny populations (empty VPs, hops with no pack op), the same machines
-  and message prices, and GreedyLB migrations that mix VPs across cores.
-  Grids below ``WAVE_MIN_MEMBERS`` ranks lower the cut-over so small
-  waves are drawn too.
+  wave the executor settles without a stray is handed out and closed.
+  One core per rank: over ``px``/``py`` in {1, 2, 3, 5}, empty members,
+  y leavers and multi-hop moves, ``h != 1``, a machine whose messages
+  cross every link tier and free messages with a fractional byte scale.
+  Shared cores: AMPI over ``d`` in 2..8 and 1-6 cores, VP grids one or
+  two ranks wide (at two, both of a hop's sources are one rank and only
+  the tag tells its buffers apart), tiny populations (empty VPs, hops
+  with no pack op), the same machines and message prices, and GreedyLB
+  migrations that mix VPs across cores.  Grids below ``WAVE_MIN_MEMBERS``
+  ranks lower the cut-over so small waves are drawn too.
 * **Where it runs** — a 64-rank ``mpi-2d`` run and a 32-core ``ampi`` run
   with two VPs per core, with no observer, close every step in one op:
-  every ``exchange_particles`` call is resumed settled and only adopts
-  its rows — no ``_route_axis`` call, no ``SendrecvOp`` and no step's
-  ``allreduce`` dispatched.  A tracer or a metrics registry, a multi-hop
-  step (a stray arrival) and a wave smaller than the world keep the
-  per-op pump, with the same numbers; the process executor forms no
-  wave.
+  every ``exchange_particles`` call only adopts its rows — no
+  ``_route_axis`` call, no ``SendrecvOp`` and no step's ``allreduce``
+  dispatched.  Each gate condition alone — a tracer, a metrics registry,
+  a resilience hook, a pending message, a plain compute op, a step
+  settling on another communicator — forms no wave for its step, and the
+  run equals the no-wave run bit for bit; so does a multi-hop step (a
+  stray arrival).  The process executor forms no wave.
 """
 
 from __future__ import annotations
@@ -53,6 +52,7 @@ from repro.core.kernel import WAVE_MIN_MEMBERS
 from repro.core.spec import PICSpec
 from repro.instrument import MetricsRegistry, Tracer
 from repro.parallel import AmpiPIC, Mpi2dPIC, base
+from repro.resilience import FaultPlan, ResilienceConfig
 from repro.runtime import CostModel, MachineModel, ops
 from repro.runtime.comm import Comm
 from repro.runtime import exchange as exchange_mod
@@ -67,36 +67,52 @@ SMALL_CLUSTER = MachineModel(cores_per_socket=2, sockets_per_node=2)
 _VERIFY = base.ParallelPICBase._verify
 
 
-def _run(build, *, close=True, wave=True):
-    """Everything a run leaves behind, and per ``_close_step`` call (one
-    per flush that formed a wave) whether the step could close — nothing
-    attached, the wave the whole world and its count columns zero — and
-    whether it did.  ``close=False`` puts the closer out of reach, so
-    every wave is replayed by its ranks; ``wave=False`` lets no group
-    form a wave."""
+def _run(build, *, wave=True):
+    """Everything a run leaves behind, and per flush ``(stray, formed,
+    closed)``: whether the round the executor settled left a stray (None:
+    it settled no wave), whether a task came back with ``first`` and
+    whether ``_close_step`` ran.  ``wave=False`` lets no group form a
+    wave."""
     finals, worlds = {}, {}
-    closed = []
-    real_close = Scheduler._close_step
+    flushes, settled, closes = [], [], []
+    real_flush, real_close = Scheduler._flush_compute, Scheduler._close_step
+    real_wave = executor_mod.exchange_wave
 
     def verify(self, comm, state):
         finals[comm.world_rank] = state.particles.pack().tobytes()
         worlds[comm.world_rank] = comm
         return (yield from _VERIFY(self, comm, state))
 
+    def flush(self, ready):
+        batch = list(self._pending_exec)
+        settled.clear()
+        closes.clear()
+        real_flush(self, ready)
+        stray = bool(settled[0].table[:, 3::4].any()) if settled else None
+        formed = any(getattr(t, "first", None) is not None for _, t in batch)
+        flushes.append((stray, formed, bool(closes)))
+
+    def settling(*args):
+        settled.append(real_wave(*args))
+        return settled[-1]
+
     def closing(self, batch, wave, ready):
-        done = close and real_close(self, batch, wave, ready)
-        quiet = all(h is None for h in (self.tracer, self.metrics, self.resilience))
-        whole = len(wave.ranks) == self.n_ranks
-        closed.append((quiet and whole and not wave.table[:, 3::4].any(), done))
-        return done
+        closes.append(wave)
+        return real_close(self, batch, wave, ready)
 
     settle = InProcessExecutor._settle if wave else (lambda self, members: False)
     with mock.patch.object(base.ParallelPICBase, "_verify", verify), \
+            mock.patch.object(Scheduler, "_flush_compute", flush), \
+            mock.patch.object(executor_mod, "exchange_wave", settling), \
             mock.patch.object(Scheduler, "_close_step", closing), \
             mock.patch.object(InProcessExecutor, "_settle", settle):
         engine = build().build_engine()
         res = engine.run()
     assert res.verification.ok
+    # A wave is handed out exactly when its round left no stray, and every
+    # wave handed out is closed.
+    assert all(formed == closed == (stray is False)
+               for stray, formed, closed in flushes), flushes
     sched = engine.scheduler
     state = {
         "clock": [t.hex() for t in sched.clock],
@@ -109,22 +125,21 @@ def _run(build, *, close=True, wave=True):
         "result": parallel_result_doc(res),
         "finals": finals,
     }
-    return state, closed
+    return state, flushes
 
 
-def _three_ways(build):
-    """The run closed where it can, replayed from the waves' counts, and
-    with no wave: they must agree bit for bit, and the first must close
-    every step it can."""
-    closed_run, closed = _run(build)
-    replayed, refused = _run(build, close=False)
+#: A step closed in one op, and one that formed no wave.
+CLOSED, NO_WAVE = (False, True, True), (None, False, False)
+
+
+def _against_no_wave(build):
+    """The run closed where it can and the run with no wave must agree bit
+    for bit; returns the first run's flushes."""
+    closed_run, flushes = _run(build)
     per_rank, none = _run(build, wave=False)
-    assert [could for could, _ in refused] == [could for could, _ in closed]
-    assert not any(did for _, did in refused) and not none
-    assert all(could == did for could, did in closed)
-    assert closed_run == replayed
+    assert set(none) <= {NO_WAVE}
     assert closed_run == per_rank
-    return closed
+    return flushes
 
 
 @settings(max_examples=100, deadline=None)
@@ -161,7 +176,8 @@ def test_clocked_rounds_equal_the_per_op_pump(seed, px, py, cells, n_particles,
 
     with mock.patch.object(executor_mod, "WAVE_MIN_MEMBERS",
                            min(WAVE_MIN_MEMBERS, px * py)):
-        assert _three_ways(build)  # a wave formed
+        flushes = _against_no_wave(build)
+        assert any(stray is not None for stray, _, _ in flushes)  # a wave settled
 
 
 @settings(max_examples=60, deadline=None)
@@ -199,7 +215,8 @@ def test_shared_core_rounds_equal_the_per_op_pump(seed, n_cores, d, grid,
 
     with mock.patch.object(executor_mod, "WAVE_MIN_MEMBERS",
                            min(WAVE_MIN_MEMBERS, n)):
-        assert _three_ways(build)  # a wave formed
+        flushes = _against_no_wave(build)
+        assert any(stray is not None for stray, _, _ in flushes)  # a wave settled
 
 
 # ----------------------------------------------------------------------
@@ -216,17 +233,17 @@ VERIFY_ALLREDUCES = 4
 
 @pytest.fixture
 def pump_calls(monkeypatch):
-    """``exchange_particles`` calls (and how many were resumed settled),
-    ``_route_axis`` calls, and dispatched ``SendrecvOp`` and ``allreduce``
-    ops."""
-    calls = {"exchange": 0, "settled": 0, "route_axis": 0, "sendrecv": 0,
+    """``exchange_particles`` calls (and how many only adopted a settled
+    wave's rows), ``_route_axis`` calls, and dispatched ``SendrecvOp`` and
+    ``allreduce`` ops."""
+    calls = {"exchange": 0, "adopted": 0, "route_axis": 0, "sendrecv": 0,
              "allreduce": 0}
     real_exchange, real_route = base.exchange_particles, exchange_mod._route_axis
     real_dispatch = Scheduler._dispatch
 
     def exchange(*args, **kw):
         calls["exchange"] += 1
-        calls["settled"] += kw.get("settled") is True
+        calls["adopted"] += kw.get("first") is not None
         return (yield from real_exchange(*args, **kw))
 
     def route(*args, **kw):
@@ -246,33 +263,41 @@ def pump_calls(monkeypatch):
     return calls
 
 
-def _closed_every_step(pump_calls, n_ranks, closed):
-    assert closed == [(True, True)] * 6
-    assert pump_calls == {"exchange": 6 * n_ranks, "settled": 6 * n_ranks,
+def _closed_every_step(pump_calls, n_ranks, flushes):
+    assert flushes == [CLOSED] * 6
+    assert pump_calls == {"exchange": 6 * n_ranks, "adopted": 6 * n_ranks,
                           "route_axis": 0, "sendrecv": 0,
                           "allreduce": VERIFY_ALLREDUCES * n_ranks}
 
 
+def _mpi2d(**kw):
+    return lambda: Mpi2dPIC(_spec(), 64, executor=InProcessExecutor(), **kw)
+
+
 def test_settled_steps_skip_the_per_op_pump(pump_calls):
     """64 ranks of ``mpi-2d``: every step is one op per rank."""
-    _, closed = _run(lambda: Mpi2dPIC(_spec(), 64, executor=InProcessExecutor()))
-    _closed_every_step(pump_calls, 64, closed)
+    _, flushes = _run(_mpi2d())
+    _closed_every_step(pump_calls, 64, flushes)
 
 
 @pytest.mark.parametrize("observed", [
-    pytest.param(dict(span_tracer=Tracer()), id="tracer"),
-    pytest.param(dict(metrics=MetricsRegistry()), id="metrics"),
+    pytest.param(lambda: dict(span_tracer=Tracer()), id="tracer"),
+    pytest.param(lambda: dict(metrics=MetricsRegistry()), id="metrics"),
+    pytest.param(lambda: dict(resilience=ResilienceConfig(plan=FaultPlan())),
+                 id="resilience"),
 ])
 def test_observed_runs_keep_the_pump(pump_calls, observed):
-    plain, closed = _run(lambda: Mpi2dPIC(_spec(), 64, executor=InProcessExecutor()))
-    assert closed == [(True, True)] * 6
-    assert pump_calls["sendrecv"] == 0 and pump_calls["settled"] == 6 * 64
+    """An attached hook alone forms no wave: every step runs per op, with
+    the numbers of the run without the wave and of the unobserved run."""
+    plain, flushes = _run(_mpi2d())
+    assert flushes == [CLOSED] * 6
+    assert pump_calls["sendrecv"] == 0 and pump_calls["adopted"] == 6 * 64
     pump_calls.update(dict.fromkeys(pump_calls, 0))
-    seen, closed = _run(lambda: Mpi2dPIC(_spec(), 64, executor=InProcessExecutor(),
-                                         **observed))
-    assert closed == [(False, False)] * 6
+    seen, flushes = _run(lambda: _mpi2d(**observed())())
+    assert flushes == [NO_WAVE] * 6
     assert pump_calls["route_axis"] > 0 and pump_calls["sendrecv"] > 0
-    assert pump_calls["exchange"] == 6 * 64 and pump_calls["settled"] == 0
+    assert pump_calls["exchange"] == 6 * 64 and pump_calls["adopted"] == 0
+    assert seen == _run(lambda: _mpi2d(**observed())(), wave=False)[0]
     for key in ("clock", "rank_busy", "traffic", "coll_seq", "result", "finals"):
         assert seen[key] == plain[key], key
 
@@ -284,8 +309,8 @@ def test_shared_core_rounds_are_clocked(pump_calls):
         return AmpiPIC(_spec(), 32, overdecomposition=2, lb_interval=3,
                        executor=InProcessExecutor())
 
-    shared, closed = _run(build)
-    _closed_every_step(pump_calls, 64, closed)
+    shared, flushes = _run(build)
+    _closed_every_step(pump_calls, 64, flushes)
     assert shared == _run(build, wave=False)[0]
 
 
@@ -296,22 +321,19 @@ def test_a_wave_over_ranks_of_one_core_each_is_clocked():
         return AmpiPIC(_spec(), 64, overdecomposition=1, lb_interval=3,
                        executor=InProcessExecutor())
 
-    closed_run, closed = _run(build)
-    assert closed == [(True, True)] * 6
-    assert closed_run == _run(build, wave=False)[0]
+    assert _against_no_wave(build) == [CLOSED] * 6
 
 
 def test_a_multi_hop_step_keeps_its_allreduce(pump_calls):
     """k = 4 moves particles 9 cells a step over blocks 8 cells wide: x
-    arrivals are strays, so no step closes; its ranks replay the settled
-    round from the wave's counts and run the rest of the exchange per op,
-    as the per-rank path does."""
+    arrivals are strays, so the executor hands out no wave and the ranks
+    run their whole exchange per op, the settlement allreduce included."""
     def build():
         return Mpi2dPIC(_spec(k=4), 64, executor=InProcessExecutor())
 
-    closed = _three_ways(build)
-    assert closed == [(False, False)] * 6
-    assert pump_calls["exchange"] > 0 and pump_calls["sendrecv"] > 0
+    assert _against_no_wave(build) == [(True, False, False)] * 6
+    assert pump_calls["adopted"] == 0 and pump_calls["sendrecv"] > 0
+    assert pump_calls["allreduce"] > VERIFY_ALLREDUCES * 64
 
 
 def test_the_process_executor_keeps_the_pump():
@@ -320,12 +342,113 @@ def test_the_process_executor_keeps_the_pump():
     def build(executor):
         return lambda: Mpi2dPIC(_spec(), 64, executor=executor)
 
-    plain, closed = _run(build(InProcessExecutor()))
-    assert closed == [(True, True)] * 6
+    plain, flushes = _run(build(InProcessExecutor()))
+    assert flushes == [CLOSED] * 6
     with make_executor("process", workers=1) as pool:
-        seen, closed = _run(build(pool))
-    assert not closed
+        seen, flushes = _run(build(pool))
+    assert flushes == [NO_WAVE] * 6
     assert seen == plain
+
+
+# ----------------------------------------------------------------------
+# The gate, one condition at a time
+# ----------------------------------------------------------------------
+def _step(comm) -> int:
+    """The step ``comm``'s rank is in (``Comm.annotate_step``)."""
+    return comm._scheduler.step[comm.world_rank]
+
+
+def test_every_gate_condition_hands_the_round_back():
+    """A pending message at a flush forms no wave for that step (a receive
+    would match it first); the run equals the no-wave run.  A closed step
+    leaves what the pump leaves after the round's op template and the
+    settlement allreduce, on a core per rank and on shared cores (px = 2:
+    both of a hop's buffers come from one rank, under two tags)."""
+    real = base.exchange_particles
+
+    def exchange(comm, *args, **kw):
+        # Rank 0 sends after its step-0 exchange, rank 1 receives after its
+        # step-1 exchange: step 1's flush finds the message pending.
+        particles = yield from real(comm, *args, **kw)
+        if (comm.rank, _step(comm)) == (0, 0):
+            yield comm.send(None, dst=1, tag=999, nbytes=8)
+        elif (comm.rank, _step(comm)) == (1, 1):
+            yield comm.recv(src=0, tag=999)
+        return particles
+
+    with mock.patch.object(base, "exchange_particles", exchange):
+        flushes = _against_no_wave(_mpi2d())
+    assert flushes == [CLOSED, NO_WAVE] + [CLOSED] * 4
+
+    wave = SettledWave([0, 1, 2, 3], SOURCES, (2, 2), None,
+                       np.zeros((4, 8), dtype=np.int64))
+
+    def template(comm):
+        r = comm.rank
+        for j, tag in enumerate((exchange_mod.TAG_X_RIGHT, exchange_mod.TAG_X_LEFT,
+                                 exchange_mod.TAG_Y_UP, exchange_mod.TAG_Y_DOWN)):
+            dst = SOURCES[:, j].tolist().index(r)
+            yield comm.sendrecv(None, dst=dst, src=int(SOURCES[r, j]), sendtag=tag,
+                                recvtag=tag, nbytes=0)
+        yield comm.allreduce(0)
+
+    for cores in ([0, 1, 2, 3], [0, 1, 2, 0]):
+        sched = Scheduler(4, rank_to_core=cores, executor=InProcessExecutor())
+        _, batch = _parked(sched)
+        sched._close_step(batch, wave, deque())
+        # Two hops, two empty messages per member each.
+        assert sched.transport.messages_sent == 16
+        pump = Scheduler(4, rank_to_core=cores, executor=InProcessExecutor())
+        pump.run([template] * 4)
+        assert _moved(sched) == _moved(pump), cores
+
+
+def test_every_close_condition_leaves_the_allreduce_to_the_pump():
+    """A batch op that is a plain compute op, or a step op settling on
+    another communicator, forms no wave for its step: the ranks run the
+    settlement allreduce through the pump, and the run equals the no-wave
+    run.  A closed step leaves the clocks, collective count and sequence
+    numbers the pump's allreduce leaves, and wakes the ranks in world-rank
+    order whatever order they parked in.  The wave's grid is one rank, so
+    its round has no hop and only the allreduce moves the clocks."""
+    real = Comm.step
+
+    for settle in (lambda comm: None,  # a plain compute op
+                   lambda comm: Comm(comm._scheduler, 5, comm.world_ranks,
+                                     comm.rank)):  # settles elsewhere
+        def step(self, seconds, task):
+            # Rank 3's step-1 op.
+            if (self.rank, _step(self)) != (3, 1):
+                return real(self, seconds, task)
+            return ops.ComputeOp(seconds, task, settle(self))
+
+        with mock.patch.object(Comm, "step", step):
+            flushes = _against_no_wave(_mpi2d())
+        assert flushes == [CLOSED, NO_WAVE] + [CLOSED] * 4
+
+    shared = [0, 0, 1, 1]
+
+    def pump_program(comm):
+        yield comm.compute((3.5e-6, 1.25e-6, 7.0e-6, 2.0e-6)[comm.rank])
+        arrived = comm.wtime()
+        yield comm.allreduce(0)
+        return arrived
+
+    pump = Scheduler(4, rank_to_core=shared, executor=InProcessExecutor())
+    before = pump.run([pump_program] * 4).returns
+
+    sched = Scheduler(4, rank_to_core=shared, executor=InProcessExecutor())
+    worlds, batch = _parked(sched, order=(2, 0, 3, 1))
+    sched.clock = list(before)
+    wave = SettledWave([2, 0, 3, 1], SOURCES, (1, 1), None,
+                       np.zeros((4, 8), dtype=np.int64))
+    ready = deque()
+    sched._close_step(batch, wave, ready)
+    assert list(ready) == [0, 1, 2, 3]
+    assert [t.hex() for t in sched.clock] == [t.hex() for t in pump.clock]
+    assert sched.collectives_completed == pump.collectives_completed == 1
+    assert [c._coll_seq for c in worlds] == [1, 1, 1, 1]
+    assert all(st.resume_value is None for st in sched._states)
 
 
 #: The source members of a 2 x 2 grid's four receives, per member: x bwd,
@@ -350,103 +473,3 @@ def _moved(s):
             [t.hex() for t in s.core_busy], [t.hex() for t in s.rank_busy],
             s.transport.messages_sent, s.transport.bytes_sent, s.transport._seq,
             s.collectives_completed)
-
-
-def test_every_gate_condition_hands_the_round_back():
-    """``Scheduler._close_step`` finishes a step only when nothing but the
-    ranks' own ops can move their clocks; a refused step moves nothing.  A
-    closed one leaves what the pump leaves after the round's op template
-    and the settlement allreduce, on a core per rank and on shared cores
-    (px = 2: both of a hop's buffers come from one rank, under two
-    tags)."""
-    wave = SettledWave([0, 1, 2, 3], SOURCES, (2, 2), None,
-                       np.zeros((4, 8), dtype=np.int64))
-    sched = Scheduler(4, executor=InProcessExecutor())
-    _, batch = _parked(sched)
-    ready = deque()
-    sched.transport.post(2, 0, 0, 7, None, 8, 0.0)
-    before = _moved(sched)
-    assert not sched._close_step(batch, wave, ready)  # a receive would match it first
-    sched.transport.match(2, 0, 0, 7)
-    for hook in ("tracer", "metrics", "resilience"):
-        setattr(sched, hook, object())
-        assert not sched._close_step(batch, wave, ready), hook
-        setattr(sched, hook, None)
-    assert _moved(sched) == before and not ready
-
-    def template(comm):
-        r = comm.rank
-        for j, tag in enumerate((exchange_mod.TAG_X_RIGHT, exchange_mod.TAG_X_LEFT,
-                                 exchange_mod.TAG_Y_UP, exchange_mod.TAG_Y_DOWN)):
-            dst = SOURCES[:, j].tolist().index(r)
-            yield comm.sendrecv(None, dst=dst, src=int(SOURCES[r, j]), sendtag=tag,
-                                recvtag=tag, nbytes=0)
-        yield comm.allreduce(0)
-
-    for cores in ([0, 1, 2, 3], [0, 1, 2, 0]):
-        sched = Scheduler(4, rank_to_core=cores, executor=InProcessExecutor())
-        _, batch = _parked(sched)
-        assert sched._close_step(batch, wave, ready)
-        # Two hops, two empty messages per member each.
-        assert sched.transport.messages_sent == 16
-        pump = Scheduler(4, rank_to_core=cores, executor=InProcessExecutor())
-        pump.run([template] * 4)
-        assert _moved(sched) == _moved(pump), cores
-
-
-def test_every_close_condition_leaves_the_allreduce_to_the_pump():
-    """``Scheduler._close_step`` closes a step only when the wave is the
-    whole world, every op of the batch settles on the world communicator
-    and no count is left; a refused step moves nothing.  A closed one
-    leaves the clocks, collective count and sequence numbers the pump's
-    allreduce leaves, and wakes the ranks in world-rank order whatever
-    order they parked in.  The wave's grid is one rank, so its round has
-    no hop and only the allreduce moves the clocks."""
-    shared = [0, 0, 1, 1]
-
-    def pump_program(comm):
-        yield comm.compute((3.5e-6, 1.25e-6, 7.0e-6, 2.0e-6)[comm.rank])
-        arrived = comm.wtime()
-        yield comm.allreduce(0)
-        return arrived
-
-    pump = Scheduler(4, rank_to_core=shared, executor=InProcessExecutor())
-    before = pump.run([pump_program] * 4).returns
-
-    sched = Scheduler(4, rank_to_core=shared, executor=InProcessExecutor())
-    worlds, batch = _parked(sched, order=(2, 0, 3, 1))
-    sched.clock = list(before)
-    wave = SettledWave([2, 0, 3, 1], SOURCES, (1, 1), None,
-                       np.zeros((4, 8), dtype=np.int64))
-
-    def park(settle):
-        for r, task in batch:
-            sched._states[r].blocked_op = ops.ComputeOp(0.0, task, settle(r))
-
-    def state():
-        return (list(sched.clock), sched.collectives_completed,
-                [c._coll_seq for c in worlds])
-
-    refused = state()
-    ready = deque()
-    wave.ranks = [2, 0, 3]
-    assert not sched._close_step(batch, wave, ready)  # smaller than the world
-    wave.ranks = [2, 0, 3, 1]
-    for col in (3, 7):
-        wave.table[2, col] = 1
-        assert not sched._close_step(batch, wave, ready), col  # a stray is left
-        wave.table[2, col] = 0
-    park(lambda r: None if r == 3 else worlds[r])
-    assert not sched._close_step(batch, wave, ready)  # a plain compute op
-    sub = [Comm(sched, 5, (0, 1, 2, 3), r) for r in range(4)]
-    park(sub.__getitem__)
-    assert not sched._close_step(batch, wave, ready)  # settles elsewhere
-    assert state() == refused and not ready
-
-    park(worlds.__getitem__)
-    assert sched._close_step(batch, wave, ready)
-    assert list(ready) == [0, 1, 2, 3]
-    assert [t.hex() for t in sched.clock] == [t.hex() for t in pump.clock]
-    assert sched.collectives_completed == pump.collectives_completed == 1
-    assert [c._coll_seq for c in worlds] == [1, 1, 1, 1]
-    assert all(st.resume_value is True for st in sched._states)

@@ -14,14 +14,12 @@ the collective count, every world communicator's collective sequence
 number, the result document and the final particle bytes.  ``mpi-2d`` and
 ``mpi-2d-LB`` (one rank per core, order-invariant) are the controls.
 
-The drives run the rule three ways.  On the in-process executors a
-settled step whose wave is the whole world with nothing left to route is
-closed in one op by ``Scheduler._close_step``, which on shared cores
-replays the round-robin's service order; every AMPI example with at least
-``WAVE_MIN_MEMBERS`` virtual ranks forms waves, and with ``k = 0`` closes
-steps.  With the closer
-patched off (``replay``) each wave's ranks replay its round from the
-wave's counts.  With no wave at all (``no wave``: the in-process
+The drives run the rule two ways.  On the in-process executors a step
+whose wave is the whole world with nothing left to route is closed in
+one op by ``Scheduler._close_step``, which on shared cores replays the
+round-robin's service order; every AMPI example with at least
+``WAVE_MIN_MEMBERS`` virtual ranks settles waves, and with ``k = 0``
+closes steps.  With no wave at all (``no wave``: the in-process
 executor's ``_settle`` refused) and on the process executor, which
 settles none, every op goes through the pump: the oracle the closed step
 must equal.
@@ -41,6 +39,7 @@ from repro.config.runspec import LB_STRATEGY_NAMES
 from repro.core.kernel import WAVE_MIN_MEMBERS
 from repro.parallel.base import ParallelPICBase
 from repro.runtime import ENGINE_BLOCKED, ENGINE_FINISHED, Scheduler
+from repro.runtime import executor as executor_mod
 from repro.runtime.executor import InProcessExecutor, make_executor
 from repro.runtime.multiplex import EngineGroup
 
@@ -76,22 +75,24 @@ def _state(engine, seen) -> dict:
 
 class _Seen:
     """What the runs of one ``_observed()`` block did, by scheduler: the
-    world communicators handed out, the final particle bytes per rank, and
-    per ``_close_step`` call (one per flush that formed a wave) whether the
-    step could close (whole world, zero counts) and whether it did."""
+    world communicators handed out, the final particle bytes per rank, per
+    ``exchange_wave`` call whether its round left a stray, and how many
+    steps ``_close_step`` closed."""
 
     def __init__(self) -> None:
         self.worlds, self.finals = {}, {}
-        self.closed = []
+        self.strays = []
+        self.closed = 0
 
 
 @contextmanager
 def _observed(drive="closed"):
-    """Record the runs of the block; ``drive`` ``"replay"`` puts the closer
-    out of reach and ``"no wave"`` lets no group form a wave."""
+    """Record the runs of the block; ``drive`` ``"no wave"`` lets no group
+    form a wave."""
     seen = _Seen()
     make_world, verify = Scheduler.make_world, ParallelPICBase._verify
     close_step, settle = Scheduler._close_step, InProcessExecutor._settle
+    settle_wave = executor_mod.exchange_wave
 
     def making(self, rank):
         comm = make_world(self, rank)
@@ -103,11 +104,14 @@ def _observed(drive="closed"):
         finals[comm.world_rank] = state.particles.pack().tobytes()
         return (yield from verify(self, comm, state))
 
+    def settling(*args):
+        wave = settle_wave(*args)
+        seen.strays.append(bool(wave.table[:, 3::4].any()))
+        return wave
+
     def closing(self, batch, wave, ready):
-        done = drive != "replay" and close_step(self, batch, wave, ready)
-        whole = len(wave.ranks) == self.n_ranks
-        seen.closed.append((whole and not wave.table[:, 3::4].any(), done))
-        return done
+        seen.closed += 1
+        close_step(self, batch, wave, ready)
 
     def no_wave(self, members):
         return False
@@ -116,6 +120,7 @@ def _observed(drive="closed"):
         settle = no_wave
     with mock.patch.object(Scheduler, "make_world", making), \
             mock.patch.object(ParallelPICBase, "_verify", verifying), \
+            mock.patch.object(executor_mod, "exchange_wave", settling), \
             mock.patch.object(Scheduler, "_close_step", closing), \
             mock.patch.object(InProcessExecutor, "_settle", settle):
         yield seen
@@ -147,7 +152,7 @@ def runspecs(draw):
 @settings(max_examples=30, deadline=None)
 @given(
     rs=runspecs(),
-    kind=st.sampled_from(["serial", "batched", "process", "replay", "no wave"]),
+    kind=st.sampled_from(["serial", "batched", "process", "no wave"]),
     budget=st.integers(1, 40),
     order_seed=st.integers(0, 2**16),
 )
@@ -159,12 +164,12 @@ def test_every_drive_obeys_the_core_service_rule(executors, rs, kind, budget,
     want = _state(ref, seen)
     assert want["result"]["verified"]
     if rs.impl.name == "ampi" and ref.scheduler.n_ranks >= WAVE_MIN_MEMBERS:
-        assert seen.closed  # shared cores formed waves
+        assert seen.strays  # shared cores settled waves
         if rs.workload.k == 0:  # ... and, with no strays, closed steps
-            assert any(did for _, did in seen.closed)
-    # Every step that could close did.
-    assert all(could == did for could, did in seen.closed)
-    drive = kind if kind in ("replay", "no wave") else "closed"
+            assert seen.closed
+    # Every wave without a stray closed its step.
+    assert seen.closed == seen.strays.count(False)
+    drive = "no wave" if kind == "no wave" else "closed"
     ex = executors.get(kind, executors["serial"])
 
     with _observed(drive) as seen:
@@ -173,10 +178,9 @@ def test_every_drive_obeys_the_core_service_rule(executors, rs, kind, budget,
             if status == ENGINE_BLOCKED:
                 ticked.flush()
     assert _state(ticked, seen) == want
+    assert seen.closed == seen.strays.count(False)
     if kind in ("process", "no wave"):
-        assert not seen.closed  # every op through the pump
-    if kind == "replay":
-        assert not any(did for _, did in seen.closed)
+        assert not seen.strays and not seen.closed  # every op through the pump
 
     # Two copies of the run, time-sliced in a shuffled order over one
     # shared executor.
@@ -186,5 +190,6 @@ def test_every_drive_obeys_the_core_service_rule(executors, rs, kind, budget,
             group.add(tag, build_impl(rs, executor=group.handle(tag))
                       .build_engine(engine_id=tag))
         group.run_all()
+    assert seen.closed == seen.strays.count(False)
     for tag in group:
         assert _state(group.engine(tag), seen) == want, tag

@@ -13,20 +13,19 @@ per-rank path (:func:`repro.runtime.exchange.hop_front_half` plus
 * **Property** — the settled round equals the real per-rank round
   (``exchange_particles`` up to its settlement allreduce): each member's
   count-table row holds the per-rank round's buffer lengths, arrivals and
-  stray and misplaced counts, its populations match byte for byte in row
-  order, and its replay yields the per-rank op sequence with messages
-  that carry no payload — over uneven and disagreeing splits, multi-hop
-  moves, empty members, members whose particles all leave or all stay,
-  ``px``/``py`` in {1, 2, odd}, ``h != 1`` and up to 288 cells.
+  stray and misplaced counts, and its populations match byte for byte in
+  row order — over uneven and disagreeing splits, multi-hop moves, empty
+  members, members whose particles all leave or all stay, ``px``/``py``
+  in {1, 2, odd}, ``h != 1`` and up to 288 cells.
 * **Where it runs** — on a 64-rank fused run settled hops make no
   ``compact``/``extend_packed``/``hop_front_half`` call, and the calls
   reappear without the settle; below the cut-over, for in-place tasks,
   for groups that are not closed and under the process executor no wave
   runs.
 * **Runs** — a 64-rank run settled and one without the wave agree on the
-  final particle bytes (in-rank order included), clocks and traffic; a
-  traced run (whose settled rounds replay per op from their counts) and
-  one without the wave record the same spans and instants.
+  final particle bytes (in-rank order included), clocks and traffic; so
+  does a multi-hop run, whose rounds leave strays: the executor copies
+  each pushed stage back and hands out no wave.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from repro.core.mesh import Mesh
 from repro.core.particles import ParticleArray, STATE_FIELDS
 from repro.core.spec import PICSpec
 from repro.decomp.partition import BlockPartition
-from repro.instrument import Tracer
 from repro.parallel import AmpiPIC, Mpi2dLbPIC, Mpi2dPIC, base
 from repro.runtime import exchange as exchange_mod
 from repro.runtime import executor as executor_mod
@@ -107,12 +105,11 @@ def _population(rng, mesh, n, part, cx, cy, reach, mode="mixed"):
     return p
 
 
-def _first_round(mesh, dims, parts, partitions, wave=None):
+def _first_round(mesh, dims, parts, partitions):
     """Every rank's ``exchange_particles`` up to its first settlement
-    allreduce: ``{rank: (route, population, ops, payloads, allreduce
-    value)}``, and each hop's ``[forward leavers, backward leavers,
-    arrivals, count]`` as the per-rank path computes it (``{(rank, axis):
-    ...}``; none when ``wave`` settled the round)."""
+    allreduce: ``{rank: (route, population)}``, and each hop's ``[forward
+    leavers, backward leavers, arrivals, count]`` as the per-rank path
+    computes it (``{(rank, axis): ...}``)."""
     cost = CostModel()
     out, fronts, hops = {}, {}, {}
     owner = {}
@@ -137,23 +134,11 @@ def _first_round(mesh, dims, parts, partitions, wave=None):
         part = partitions[r]
         p = parts[r].copy()
         owner[id(p)] = r
-        gen = exchange_mod.exchange_particles(
-            comm, cart, part, mesh, p, cost,
-            first=None if wave is None else (wave, r),
-        )
-        seen, payloads, value = [], [], None
-        while True:
-            op = gen.send(value)
-            if type(op) is ops.CollectiveOp:
-                break
-            if type(op) is ops.ComputeOp:
-                seen.append(("compute", op.seconds))
-            else:
-                seen.append(("sendrecv", op.dst, op.src, op.sendtag, op.recvtag,
-                             op.nbytes))
-                payloads.append(op.payload)
+        gen = exchange_mod.exchange_particles(comm, cart, part, mesh, p, cost)
+        value = None
+        while type(op := gen.send(value)) is not ops.CollectiveOp:
             value = yield op
-        out[r] = (exchange_mod._rank_route(part, cart), p, seen, payloads, op.value)
+        out[r] = (exchange_mod._rank_route(part, cart), p)
         gen.close()
 
     exchange_mod.hop_front_half, exchange_mod._route_axis = front, route
@@ -211,14 +196,6 @@ def test_settled_round_equals_per_rank_round(seed, px, py, h, cells, sizes,
         assert wave.table[r].tolist() == row[0] + row[1]
         assert [c.tobytes() for c in wave.columns[r]] == _bytes(want[r][1])
 
-    got, none = _first_round(mesh, dims, parts, partitions, wave)
-    assert none == {}  # no per-rank hop ran
-    for r in ranks:
-        assert _bytes(got[r][1]) == _bytes(want[r][1])
-        assert got[r][2] == want[r][2]  # the same ops, peers, tags, nbytes, costs
-        assert all(p is None for p in got[r][3])  # replayed without payload
-        assert got[r][4] == want[r][4]  # the same allreduce value
-
 
 def test_adopted_rows_never_reach_a_neighbour():
     """Members adopt slices of one block; growth reallocates privately."""
@@ -246,8 +223,9 @@ def test_adopted_rows_never_reach_a_neighbour():
 # ----------------------------------------------------------------------
 # Where the wave runs
 # ----------------------------------------------------------------------
-def _spec(n_particles, steps=2):
-    return PICSpec(cells=64, n_particles=n_particles, steps=steps, m_vertical=1)
+def _spec(n_particles, steps=2, **kw):
+    return PICSpec(cells=64, n_particles=n_particles, steps=steps, m_vertical=1,
+                   **kw)
 
 
 @pytest.fixture
@@ -414,38 +392,31 @@ def test_runs_with_and_without_the_wave_are_identical(monkeypatch, wave_calls, b
     assert wave_calls == []
 
 
-#: Skewed enough that LB moves something: the traced runs record
-#: migrate / diffusion_lb instants.
-_SKEWED = PICSpec(cells=64, n_particles=4_000, steps=6, m_vertical=1, r=0.95)
+def test_a_stray_wave_copies_its_push_back(monkeypatch, wave_calls):
+    """k = 4 moves particles 9 cells a step over blocks 8 cells wide: every
+    settled round leaves x strays, so the executor copies each pushed stage
+    back, no task gets ``first`` and every rank runs its whole exchange;
+    final bytes, clocks and traffic equal the run without the wave."""
+    firsts = []
+    real_settle = InProcessExecutor._settle
 
+    def settle(self, members):
+        done = real_settle(self, members)
+        firsts.extend(t.first for _, t, _ in members)
+        return done
 
-@pytest.mark.parametrize("build", [
-    pytest.param(lambda tracer: AmpiPIC(_SKEWED, 32, overdecomposition=2,
-                                        lb_interval=3, span_tracer=tracer,
-                                        executor=InProcessExecutor()),
-                 id="ampi"),
-    pytest.param(lambda tracer: Mpi2dLbPIC(_SKEWED, 64, lb_interval=2,
-                                           border_width=1, span_tracer=tracer,
-                                           executor=InProcessExecutor()),
-                 id="mpi-2d-LB"),
-])
-def test_replayed_rounds_trace_like_per_rank_rounds(monkeypatch, wave_calls, build):
-    """A tracer keeps settled steps from closing in one op, so each member
-    replays its round from its counts: the spans and instants it records
-    equal those of the run without the wave."""
-    def trace():
-        tracer = Tracer()
-        assert build(tracer).run().verification.ok
-        return tracer.spans, tracer.instants
+    monkeypatch.setattr(InProcessExecutor, "_settle", settle)
 
-    replayed = trace()
-    assert wave_calls and replayed[1]
+    def build():
+        return Mpi2dPIC(_spec(4_000, 6, k=4), 64, executor=InProcessExecutor())
+
+    strayed = _observe(monkeypatch, build)
+    assert wave_calls == [64] * 6
+    assert len(firsts) == 6 * 64 and set(firsts) == {None}
     monkeypatch.setattr(executor_mod, "WAVE_MAX_MEAN", 0)
     wave_calls.clear()
-    spans, instants = trace()
+    assert _observe(monkeypatch, build) == strayed
     assert wave_calls == []
-    assert replayed[0] == spans
-    assert replayed[1] == instants
 
 
 def test_groups_beside_in_place_ranks_are_not_closed(monkeypatch, wave_calls):

@@ -8,9 +8,9 @@ read from a per-core-pair table, ``sendrecv`` matching without a
 ``RecvOp`` — give the answers the long way gave.  A settled step skips the
 per-op path altogether: the scheduler closes it, exchange round and
 settlement allreduce, in one op per rank (``Scheduler._close_step``).  The
-per-op budget is measured with that out of reach, and two more price a
-whole rank-step with it: one rank per core, and AMPI's virtual ranks
-sharing cores.
+per-op budget is measured with no wave formed, and two more price a whole
+rank-step with every step closed: one rank per core, and AMPI's virtual
+ranks sharing cores.
 """
 
 from __future__ import annotations
@@ -27,21 +27,22 @@ from repro.ampi.runtime import migrate
 from repro.config.build import build_impl
 from repro.config.runspec import RunSpec
 from repro.runtime import CostModel, DeadlockError, MachineModel, Scheduler, run_spmd
-from repro.runtime.executor import make_executor
+from repro.runtime.executor import InProcessExecutor, make_executor
 from repro.runtime.machine import Tier
 
 #: Python-level calls (``call`` + ``c_call`` profile events) per scheduler
 #: op on :data:`BUDGET_SPEC` with every exchange round on the per-op path.
-#: On Python 3.11.7 it reads 26.1 (16 ranks x 40 particles x 10 steps,
-#: 1 374 ops; settled rounds replayed from their counts; 27.4 before the
-#: scheduler kept a collective's price); it was 49.8 before the
-#: per-core-pair link table, ~48 on the pump_heavy shape.
+#: On Python 3.11.7 it reads 33.6 (16 ranks x 40 particles x 10 steps,
+#: 1 374 ops; no wave formed, so every round is the per-rank one, packing
+#: included; 26.1 when settled rounds were replayed from their counts);
+#: it was 49.8 before the per-core-pair link table, ~48 on the pump_heavy
+#: shape.
 #: Raise it only with a measurement that says why.
 CALLS_PER_OP_BUDGET = 40.0
 
 #: Python-level calls per rank-step (ranks x steps) of :data:`BUDGET_SPEC`
 #: as it runs: every settled step closed in one op per rank, 256 ops on the
-#: per-op path.  On Python 3.11.7 it reads 76.7 (12 267 calls over 160
+#: per-op path.  On Python 3.11.7 it reads 75.7 (12 117 calls over 160
 #: rank-steps), so 92 leaves ~20 % headroom.  A change that trips it added
 #: calls to every rank-step or sent settled steps back per op.
 CALLS_PER_RANK_STEP_BUDGET = 92.0
@@ -55,7 +56,7 @@ BUDGET_SPEC = {
 #: :data:`AMPI_BUDGET_SPEC`, :data:`BUDGET_SPEC`'s workload as ``ampi`` on 4
 #: cores with 4 virtual ranks each, as it runs: settled rounds on shared
 #: cores clocked by the replay and every settled step closed, 256 ops on
-#: the per-op path.  On Python 3.11.7 it reads 94.1 (15 049 calls over 160
+#: the per-op path.  On Python 3.11.7 it reads 93.1 (14 899 calls over 160
 #: VP-steps; 227.8 and 1 374 ops with every round per op), so 113 leaves
 #: ~20 % headroom and a silent fallback to the pump fails it without a
 #: wall clock.
@@ -100,8 +101,8 @@ def _calls_per_op(rs: RunSpec) -> tuple[int, int]:
 class TestCallBudget:
     def test_scheduler_op_stays_within_its_call_budget(self):
         rs = RunSpec.from_dict(BUDGET_SPEC)
-        # Every round on the per-op path: no step is closed.
-        with mock.patch.object(Scheduler, "_close_step", lambda *a: False):
+        # Every round on the per-op path: no wave forms, no step is closed.
+        with mock.patch.object(InProcessExecutor, "_settle", lambda *a: False):
             _calls_per_op(rs)  # warm: first-use imports and buffers are not the pump
             calls, ops = _calls_per_op(rs)
         assert ops > 1000  # the run really drove the pump
@@ -112,7 +113,7 @@ class TestCallBudget:
         _calls_per_op(rs)  # warm
         calls, ops = _calls_per_op(rs)
         rank_steps = rs.impl.cores * rs.workload.steps
-        assert ops < 300  # settled steps closed in one op (1 374 if replayed)
+        assert ops < 300  # settled steps closed in one op (1 374 without the wave)
         assert calls / rank_steps <= CALLS_PER_RANK_STEP_BUDGET, (
             calls, rank_steps, calls / rank_steps)
 
@@ -122,7 +123,7 @@ class TestCallBudget:
         _calls_per_op(rs)  # warm
         calls, ops = _calls_per_op(rs)
         vp_steps = rs.impl.cores * rs.impl.overdecomposition * rs.workload.steps
-        assert ops < 300  # settled steps closed in one op (1 374 if replayed)
+        assert ops < 300  # settled steps closed in one op (1 374 without the wave)
         assert calls / vp_steps <= CALLS_PER_VP_STEP_BUDGET, (
             calls, vp_steps, calls / vp_steps)
 
