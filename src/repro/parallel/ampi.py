@@ -101,10 +101,16 @@ class AmpiPIC(ParallelPICBase):
             stats_s_per_vp=self.stats_s_per_vp,
         )
 
+    def lb_round_after(self, t):
+        return (t + 1) % self.lb_interval == 0
+
+    def quiet_steps(self, state, counts):
+        state.extra["load"] = state.extra.get("load", 0) + int(counts.sum())
+
     def lb_hook(self, comm, cart, state, t):
         state.extra["load"] = state.extra.get("load", 0) + len(state.particles)
         # A straggler flag forces an off-interval migrate() round.
-        if not self._lb_due(state, t, self.lb_interval):
+        if not self._lb_due(state, t):
             return
         subgrid_cells = self._my_subgrid_cells(cart, state)
         load = float(state.extra["load"])

@@ -11,9 +11,12 @@ and exposes two hooks that the load-balanced variants override:
 
 The per-step particle exchange lives in :mod:`repro.runtime.exchange`;
 the drivers call it through this module's ``exchange_particles`` attribute,
-so a harness that wraps it here sees every exchange.  A step whose
-exchange the scheduler settled for every rank at once
-(``Scheduler._close_step``) still calls it, and it yields nothing.
+so a harness that wraps it here sees every exchange a rank runs.  A step
+whose exchange the scheduler settled for every rank at once
+(``Scheduler._close_run``) does not call it: the rank yields one op
+(:meth:`~repro.runtime.comm.Comm.run_steps`) for its push and the quiet
+steps after it, the steps its :class:`RunPlan` lets the scheduler close,
+and gets back its count after each.
 """
 
 from __future__ import annotations
@@ -102,6 +105,43 @@ class ParallelResult:
         )
 
 
+@dataclass(frozen=True, eq=False)
+class RunPlan:
+    """Where a run of steps ends, and what a push costs: what the scheduler
+    needs to close steps for every rank without resuming any
+    (``Scheduler._close_run``), which reads :meth:`ends`,
+    :meth:`push_seconds` and ``steps``.  One per engine, shared by its
+    ranks.
+
+    After step ``t`` a rank needs its program when an event fires at step
+    ``t + 1``, a load-balancing round is due after ``t``
+    (:meth:`ParallelPICBase.lb_round_after`), the checkpointer is due at
+    ``t`` or ``t`` is the last step: :meth:`ends`.  It is asked per step,
+    so a checkpoint requested between flushes still cuts at the next step
+    boundary.
+    """
+
+    steps: int
+    event_steps: set[int]
+    lb_round_after: Any
+    checkpointer: Any
+    cost: CostModel
+    overhead: float
+
+    def ends(self, t: int) -> bool:
+        """Whether a rank needs its program after step ``t``."""
+        return (
+            t + 1 >= self.steps
+            or t + 1 in self.event_steps
+            or self.lb_round_after(t)
+            or (self.checkpointer is not None and self.checkpointer.due(t))
+        )
+
+    def push_seconds(self, counts):
+        """The push charge of each of ``counts``: a rank's step cost."""
+        return self.cost.push_time(counts) + self.overhead
+
+
 class ParallelPICBase:
     """Common driver: subclasses choose topology, mapping and balancing."""
 
@@ -188,9 +228,23 @@ class ParallelPICBase:
         yield  # pragma: no cover - makes this a generator
 
     def lb_hook(self, comm: Comm, cart: CartComm, state: "_RankState", t: int):
-        """Load-balancing hook after the step-``t`` exchange (generator)."""
+        """Load-balancing hook after the step-``t`` exchange (generator).
+
+        It runs only after steps that end a run (:class:`RunPlan`); a step
+        after which it may yield or change anything must be one for which
+        :meth:`lb_round_after` is true.
+        """
         return
         yield  # pragma: no cover - makes this a generator
+
+    def lb_round_after(self, t: int) -> bool:
+        """Whether a load-balancing round is scheduled after step ``t``."""
+        return False
+
+    def quiet_steps(self, state: "_RankState", counts: np.ndarray) -> None:
+        """Bookkeeping of steps the scheduler closed inside a run, with the
+        rank's count after each (int64): steps after which :meth:`lb_hook`
+        would not balance (AMPI sums their loads)."""
 
     def per_step_overhead(self) -> float:
         """Extra per-rank seconds charged every step (AMPI VP scheduling)."""
@@ -295,9 +349,13 @@ class ParallelPICBase:
             from repro.instrument import TraceCollector
 
             sampler = TraceCollector()
+        plan = RunPlan(
+            self.spec.steps, {event.step for event in self.spec.events},
+            self.lb_round_after, checkpointer, self.cost, self.per_step_overhead(),
+        )
         programs = [
             self._make_program(
-                dims, partition0, locals0[r], injections, sampler,
+                dims, partition0, locals0[r], injections, plan, sampler,
                 start_step=start_step, snapshot=snapshot,
                 checkpointer=checkpointer,
             )
@@ -397,14 +455,13 @@ class ParallelPICBase:
     # The SPMD program
     # ------------------------------------------------------------------
     def _make_program(
-        self, dims, partition0, local0, injections, sampler=None,
+        self, dims, partition0, local0, injections, plan, sampler=None,
         *, start_step=0, snapshot=None, checkpointer=None,
     ):
         spec = self.spec
         mesh = self.mesh
         cost = self.cost
-        overhead = self.per_step_overhead()
-        event_steps = {event.step for event in spec.events}
+        event_steps = plan.event_steps
 
         def program(comm: Comm):
             cart = yield comm.create_cart(dims)
@@ -419,29 +476,45 @@ class ParallelPICBase:
                 yield comm.barrier()
                 self._restore_rank(comm, snapshot, state)
 
-            for t in range(start_step, spec.steps):
+            t = start_step
+            while t < spec.steps:
                 comm.annotate_step(t)
                 if t in event_steps:
                     yield from self._apply_events(comm, cart, state, t, injections)
                 n_local = len(state.particles)
-                step_cost = cost.push_time(n_local) + overhead
                 # The push is dispatched as a task descriptor instead of run
                 # inline: the scheduler batches all ranks parked here in the
                 # same step and hands them to the executor backend, which
                 # may fuse the kernel calls or fan them out across worker
                 # processes (bitwise-identical either way — see
                 # repro.runtime.executor).  The task also carries the rank's
-                # exchange route, so a fusing executor may settle the first
-                # exchange round for the whole group (task.first); the
-                # scheduler then finished the whole exchange itself, and the
-                # exchange only adopts our rows.
+                # exchange route, so a fusing executor may settle the
+                # exchange for the whole group; the scheduler then closes
+                # this step, and the quiet steps after it, for every rank.
                 task = PushTask(mesh, state.particles, spec.dt, route=state.route(cart))
-                yield comm.step(step_cost, task)
+                ran = yield comm.run_steps(plan.push_seconds(n_local), task, plan)
+                exchange = True
+                if ran is not None:
+                    # Steps t, t + 1, ... closed; our rows are in place.
+                    # No step but the last closed one, when nothing is
+                    # left open, needs the rest of the loop body.
+                    counts, exchange = ran
+                    quiet = counts if exchange else counts[:-1]
+                    if len(quiet):
+                        state.pushes += n_local + int(quiet[:-1].sum())
+                        n_local = int(quiet[-1])
+                        state.max_particles = max(state.max_particles, int(quiet.max()))
+                        self.quiet_steps(state, quiet)
+                        if sampler is not None:
+                            core = comm.core()
+                            for s, count in enumerate(quiet.tolist(), t):
+                                sampler.record(cart.rank, s, count, core)
+                        t += len(quiet)
                 state.pushes += n_local
-                state.particles = yield from exchange_particles(
-                    comm, cart, state.partition, mesh, state.particles, cost,
-                    first=task.first,
-                )
+                if exchange:
+                    state.particles = yield from exchange_particles(
+                        comm, cart, state.partition, mesh, state.particles, cost,
+                    )
                 yield from self.lb_hook(comm, cart, state, t)
                 if len(state.particles) > state.max_particles:
                     state.max_particles = len(state.particles)
@@ -449,6 +522,7 @@ class ParallelPICBase:
                     sampler.record(cart.rank, t, len(state.particles), comm.core())
                 if checkpointer is not None and checkpointer.due(t):
                     yield from self._checkpoint_step(comm, state, t, checkpointer)
+                t += 1
 
             return (yield from self._verify(comm, state))
 
@@ -461,16 +535,17 @@ class ParallelPICBase:
         """The run's :class:`~repro.resilience.StragglerWatch`, if any."""
         return self.resilience.watch if self.resilience is not None else None
 
-    def _lb_due(self, state: "_RankState", t: int, interval: int) -> bool:
+    def _lb_due(self, state: "_RankState", t: int) -> bool:
         """Is a load-balancing round due after step ``t``?
 
-        True on the regular ``interval`` schedule, and additionally when the
-        straggler watch flagged a rank since the last handled round.  Every
-        rank reaches the same verdict: flags at steps ``<= t`` are complete
-        and identical across ranks once step ``t``'s settlement allreduce
-        has run, and the ``lb_forced`` bookkeeping advances in lockstep.
+        True on the regular schedule (:meth:`lb_round_after`), and
+        additionally when the straggler watch flagged a rank since the last
+        handled round.  Every rank reaches the same verdict: flags at steps
+        ``<= t`` are complete and identical across ranks once step ``t``'s
+        settlement allreduce has run, and the ``lb_forced`` bookkeeping
+        advances in lockstep.
         """
-        due = (t + 1) % interval == 0
+        due = self.lb_round_after(t)
         watch = self._watch()
         if watch is None:
             return due

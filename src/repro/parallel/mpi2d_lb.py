@@ -101,10 +101,13 @@ class Mpi2dLbPIC(ParallelPICBase):
             min_width=self.min_width,
         )
 
+    def lb_round_after(self, t):
+        return (t + 1) % self.lb_interval == 0
+
     def lb_hook(self, comm, cart, state, t):
         # A straggler flag from the resilience watch forces an off-interval
         # diffusion round (see ParallelPICBase._lb_due).
-        if not self._lb_due(state, t, self.lb_interval):
+        if not self._lb_due(state, t):
             return
         state.extra["lb_step"] = t
         if "x" in self.axes and cart.px > 1:

@@ -317,9 +317,11 @@ def pause_engine(engine, checkpointer: Checkpointer, *, force: bool = False):
         status = engine.tick()
         if status == ENGINE_FINISHED:
             return None
-        engine.flush()
+        # Ranks write the cut while ticking; stop before the next flush,
+        # which may close a whole run of steps.
         if checkpointer.last_path is not None and checkpointer.last_path != before:
             return checkpointer.last_path
+        engine.flush()
 
 
 def load_for_resume(path: str, checkpoint_dir: str | None = None):

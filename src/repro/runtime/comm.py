@@ -4,9 +4,10 @@
 implementations use: blocking ``send``/``recv`` and ``sendrecv`` with an
 exact peer and tag; the collectives ``barrier``, ``allreduce``,
 ``allgather``, ``split``, ``create_cart`` and ``user_collective``; and
-``compute``/``step`` for compute time.  Every communication method *returns
-an operation object* that the rank program must ``yield``; the scheduler
-performs the operation and resumes the generator with the result::
+``compute``/``run_steps`` for compute time.  Every communication method
+*returns an operation object* that the rank program must ``yield``; the
+scheduler performs the operation and resumes the generator with the
+result::
 
     def program(comm: Comm):
         if comm.rank == 0:
@@ -201,18 +202,23 @@ class Comm:
         """
         return ops.ComputeOp(seconds, task)
 
-    def step(self, seconds: float, task) -> ops.ComputeOp:
-        """A PIC step's push, whose exchange settles on this communicator.
+    def run_steps(self, seconds: float, task, plan) -> ops.ComputeOp:
+        """A PIC step's push and the quiet steps after it: the run op.
 
         Charged and executed exactly like :meth:`compute` with ``task``.
         When every op of the batch is one of these on the world
-        communicator (and nothing else gates it), the task may come back
-        settled (``task.first``): the scheduler then finished the step's
-        whole particle exchange — the first round and the settlement
-        allreduce on this communicator — for every rank at once
-        (``Scheduler._close_step``).
+        communicator (and nothing else gates it), the scheduler may close
+        the step for every rank at once — its exchange settled by the
+        executor, its settlement allreduce on this communicator — and then
+        close the steps after it the same way until ``plan`` (one per
+        driver: ``ends(t)``, ``push_seconds(counts)``) says a rank needs
+        its program (``Scheduler._close_run``).  The rank then resumes
+        with ``(counts, open)``, its count after each closed step and
+        whether its last pushed step still needs its exchange; with None
+        when nothing was closed, so the pushed step's exchange is the
+        rank's.
         """
-        return ops.ComputeOp(seconds, task, self)
+        return ops.ComputeOp(seconds, task, self, plan)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

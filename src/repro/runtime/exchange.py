@@ -21,11 +21,14 @@ Two paths compute a round, with one range test (:func:`_outside`):
   element for element what the per-rank path would compute, which stays
   its oracle.  A settled round is its counts (:class:`SettledWave`): one
   integer table — per hop each member's forward and backward leavers,
-  arrivals and settlement count — plus each member's post-round columns.
-  No particle is packed for it.  The scheduler closes the step — the
-  round and its settlement allreduce — for every member in one op
-  (``Scheduler._close_step``), and each member's
-  :func:`exchange_particles` only adopts its columns and yields nothing.
+  arrivals and settlement count — plus where each post-round row comes
+  from.  No particle is packed for it, and a round that leaves a stray
+  stops at that hop.  The scheduler closes the step — the round and its
+  settlement allreduce — for every member in one op
+  (``Scheduler._close_step``), and the quiet steps after it too
+  (``Scheduler._close_run``), the executor keeping the members' rows in
+  one block between them; no member calls :func:`exchange_particles`
+  for a closed step.
 
 The order of particles within a rank is therefore implementation-defined
 (but deterministic).  None of this changes simulated time, message counts
@@ -154,7 +157,6 @@ def exchange_particles(
     mesh: Mesh,
     particles: ParticleArray,
     cost: CostModel,
-    first=None,
 ):
     """Route particles to their owning rank (generator; returns the new set).
 
@@ -169,18 +171,10 @@ def exchange_particles(
     compaction, the settlement count — touches only the particles that
     leave or arrive.
 
-    ``first`` is ``(wave, i)`` when the executor settled the first round
-    (:attr:`~repro.runtime.executor.PushTask.first`): the
-    :class:`SettledWave` and the rank's member index in it.  The scheduler
-    then closed the step for every rank at once (``Scheduler._close_step``,
-    which runs :func:`_route_axis`'s op template for the whole wave and
-    then the settlement allreduce): the rank adopts its post-round columns
-    and returns without yielding an op.
+    A step the scheduler closed for every rank at once
+    (``Scheduler._close_step``) does not call this: its rank gets its
+    post-round rows from the executor and only the count back.
     """
-    if first is not None:
-        wave, i = first
-        particles.adopt(wave.columns[i])
-        return particles
     my_px, my_py = cart.coords
     px, py = cart.px, cart.py
     x_range = partition.x_range(my_px)
@@ -399,9 +393,11 @@ def exchange_wave(stage, counts, ranks, routes, mesh, sources, bounds,
     ``extend_packed``.  Each member's row of the wave's table holds, per
     hop, the lengths of the two buffers :func:`hop_front_half` would pack
     for it, its arrivals and the count its ``_route_axis`` returns; the
-    settlement count reads the arrivals' coordinates from the stage.  The
-    post-round columns are the only particle data the round produces:
-    one gather of the stage into a fresh block, sliced per member.
+    settlement count reads the arrivals' coordinates from the stage.  No
+    particle moves: the wave holds the stage row of every post-round row
+    (:meth:`SettledWave.gather` makes the block).  A hop whose count shows
+    a stray ends the round there — its members run the round per rank —
+    so a stray wave's later hops read zeros.
     """
     m = len(routes)
     counts = np.asarray(counts, dtype=np.int64)
@@ -435,14 +431,10 @@ def exchange_wave(stage, counts, ranks, routes, mesh, sources, bounds,
         row[:, :2] = seglen.reshape(m, 2)
         row[:, 2] = arrivals
         row[:, 3] = np.bincount(recv[bad], minlength=m)
-    block = stage[:, :n].copy() if layout is None else np.take(stage, layout, axis=1)
-    x, y, vx, vy, q, pid = block
-    pid = pid.view(np.int64)
-    columns = []
-    for a, k in zip(st.tolist(), cnt.tolist()):
-        rows = slice(a, a + k)  # slicing 1-D rows is ~3x cheaper than 2-D
-        columns.append((x[rows], y[rows], vx[rows], vy[rows], q[rows], pid[rows]))
-    return SettledWave(ranks, sources, routes[0].bounds[3::4], columns, table)
+        if bad.any():
+            break
+    return SettledWave(ranks, sources, routes[0].bounds[3::4], table, n, cnt, st,
+                       layout)
 
 
 def wave_geometry(ranks, routes):
@@ -486,28 +478,60 @@ def wave_geometry(ranks, routes):
 
 class SettledWave:
     """A closed fused group's first exchange round as the executor settled
-    it (:func:`exchange_wave`): its counts, and each member's post-round
-    columns.
+    it (:func:`exchange_wave`): its counts, and where its rows go.
 
     ``ranks`` lists the members' world ranks in park order, ``sources``
     is :func:`wave_geometry`'s ``(M, 4)`` array and ``dims`` the
-    processor grid ``(px, py)``.  ``columns[i]`` are member ``i``'s six
-    post-round fields, slices of one fresh block that the rank adopts
-    (:meth:`~repro.core.particles.ParticleArray.adopt`).  ``table``
-    (``(M, 8)`` int64) holds per member, for the x hop then the y hop, its
-    forward leavers, backward leavers, arrivals and the count its
-    :func:`_route_axis` returns (stray x arrivals, misplaced y arrivals);
-    a hop that does not run or that nobody leaves reads zeros.  The
-    round's timing needs nothing else: the scheduler closes the step for
-    every member from the table (``Scheduler._close_step``) and each
-    member adopts its own columns (:func:`exchange_particles`).
+    processor grid ``(px, py)``.  ``table`` (``(M, 8)`` int64) holds per
+    member, for the x hop then the y hop, its forward leavers, backward
+    leavers, arrivals and the count its :func:`_route_axis` returns (stray
+    x arrivals, misplaced y arrivals); a hop that does not run, that
+    nobody leaves or that follows a stray reads zeros.  ``counts`` and
+    ``starts`` lay the ``n`` post-round rows out member by member, and
+    ``layout`` names the stage row of each (None: the stage's own order).
+    The round's timing needs nothing else: the scheduler closes the step
+    for every member from the table (``Scheduler._close_step``).
     """
 
-    __slots__ = ("ranks", "sources", "dims", "columns", "table")
+    __slots__ = ("ranks", "sources", "dims", "table", "n", "counts", "starts",
+                 "layout")
 
-    def __init__(self, ranks, sources, dims, columns, table) -> None:
+    def __init__(self, ranks, sources, dims, table, n, counts, starts,
+                 layout) -> None:
         self.ranks = ranks
         self.sources = sources
         self.dims = dims
-        self.columns = columns
         self.table = table
+        self.n = n
+        self.counts = counts
+        self.starts = starts
+        self.layout = layout
+
+    @property
+    def stray(self) -> bool:
+        """Whether an arrival landed off its block: the round needs a
+        second one, which the members run per rank."""
+        return bool(self.table[:, 3::4].any())
+
+    def gather(self, stage, out=None) -> np.ndarray:
+        """The post-round rows of ``stage`` (all six), as a fresh block or
+        into ``out`` (``(6, n)``, not ``stage``)."""
+        if self.layout is None:
+            if out is None:
+                return stage[:, : self.n].copy()
+            np.copyto(out, stage[:, : self.n])
+            return out
+        # "clip" leaves valid indices alone and lets take write into out
+        # without a temporary.
+        return np.take(stage, self.layout, axis=1, out=out, mode="clip")
+
+    def columns(self, block) -> list:
+        """Each member's six fields, slices of ``block`` laid out by
+        :attr:`counts` (the pid row viewed as int64)."""
+        x, y, vx, vy, q, pid = block
+        pid = pid.view(np.int64)
+        out = []
+        for a, k in zip(self.starts.tolist(), self.counts.tolist()):
+            rows = slice(a, a + k)  # slicing 1-D rows is ~3x cheaper than 2-D
+            out.append((x[rows], y[rows], vx[rows], vy[rows], q[rows], pid[rows]))
+        return out

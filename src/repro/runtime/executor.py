@@ -26,9 +26,11 @@ traces (``tests/parallel/test_executor_determinism.py``):
     *rank* — which is where many-small-rank configs (the strong-scaling
     and AMPI VP sweeps) spend their wall clock.  For a closed group of
     small ranks the executor also settles their whole first exchange
-    round in one pass (:func:`~repro.runtime.exchange.exchange_wave`), and
-    the scheduler closes that step for the whole group at once
-    (``Scheduler._close_step``); every other rank runs its exchange itself.
+    round in one pass (:func:`~repro.runtime.exchange.exchange_wave`) and
+    keeps their rows in one block (:class:`ResidentWave`); the scheduler
+    closes that step, and the quiet steps after it, for the whole group
+    at once (``Scheduler._close_run``), pushing and settling the block in
+    place between them.  Every other rank runs its exchange itself.
 
 ``process``
     A persistent ``multiprocessing`` worker pool operating on
@@ -109,7 +111,7 @@ class PushTask:
     serial reference semantics.
     """
 
-    __slots__ = ("mesh", "particles", "dt", "route", "first")
+    __slots__ = ("mesh", "particles", "dt", "route")
 
     def __init__(self, mesh: Mesh, particles, dt: float, route=None):
         self.mesh = mesh
@@ -120,11 +122,6 @@ class PushTask:
         #: fused group (:func:`~repro.runtime.exchange.exchange_wave`).  The
         #: scheduler clears it when the step could not close.
         self.route = route
-        #: ``(wave, i)`` when an executor settled that round and it left
-        #: no stray: the :class:`~repro.runtime.exchange.SettledWave` and
-        #: this rank's member index in it.  None means the exchange runs
-        #: the round.
-        self.first = None
 
     def run(self, workspace: KernelWorkspace | None = None) -> None:
         # Dynamic module-attribute call so the layered benchmark's tracer
@@ -192,6 +189,11 @@ class Executor:
     def run_batch(self, batch: list[tuple[int, Any]]) -> None:
         raise NotImplementedError
 
+    def take_wave(self) -> "ResidentWave | None":
+        """The wave the last batch settled without a stray, handed over
+        once; None when every task's exchange is its rank's."""
+        return None
+
     def start_batch(
         self, batch: list[tuple[int, Any]], tag: str | None = None
     ) -> BatchHandle:
@@ -255,8 +257,10 @@ class InProcessExecutor(Executor):
     A group that qualifies for a wave (:meth:`_settle`) is staged whole,
     pushed with one kernel call and its first exchange round settled for
     every member at once (:func:`exchange_wave`); unless the round left a
-    stray, its members skip the copy-back and adopt their post-round rows
-    in their exchange.  Any other group is packed, in park order, into
+    stray, its members skip the copy-back: their post-round rows stay in
+    one block for the scheduler (:meth:`take_wave`), which closes the run
+    of steps and hands each member its rows at its end.  Any other group
+    is packed, in park order, into
     chunks of at most :data:`KERNEL_BLOCK` particles; each chunk's field
     arrays are staged contiguously, advanced with a single kernel call and
     copied back per task, and its members run their whole exchange per
@@ -273,14 +277,16 @@ class InProcessExecutor(Executor):
         exec_tracer=None,
     ) -> None:
         self._init_kernel_backend(kernel_backend, exec_tracer)
-        #: Staging rows x, y, vx, vy, q and pid (as int64); allocated by the
-        #: first fused push so an executor that only sees large tasks never
-        #: holds one.  Its contents never outlive a batch.
-        self._stage = np.empty((STATE_FIELDS, 0), dtype=np.float64)
+        #: Staging memory for the rows x, y, vx, vy, q and pid (as int64);
+        #: allocated by the first fused push so an executor that only sees
+        #: large tasks never holds one.  Its contents never outlive a batch.
+        self._stage = np.empty(0, dtype=np.float64)
         self._epoch: float | None = None
         #: :meth:`_geometry`'s last group: ``(route ids, ranks, routes,
         #: geometry)``.
         self._kept_geometry = None
+        #: The last batch's settled wave until the scheduler takes it.
+        self._wave: ResidentWave | None = None
         self.batches = 0
         self.fused_tasks = 0
 
@@ -319,12 +325,11 @@ class InProcessExecutor(Executor):
                 self._run_chunk(chunk, total)
 
     def _staged(self, parts, total: int) -> np.ndarray:
-        """Copy ``parts``' x, y, vx, vy and q into the stage."""
-        if self._stage.shape[1] < total:
-            self._stage = np.empty(
-                (STATE_FIELDS, max(total, KERNEL_BLOCK)), dtype=np.float64
-            )
-        stage = self._stage
+        """Copy ``parts``' x, y, vx, vy and q into the stage, a contiguous
+        ``(6, total)`` view of the staging memory."""
+        if len(self._stage) < STATE_FIELDS * total:
+            self._stage = np.empty(STATE_FIELDS * max(total, KERNEL_BLOCK))
+        stage = self._stage[: STATE_FIELDS * total].reshape(STATE_FIELDS, total)
         np.concatenate([p.x for p in parts], out=stage[0, :total])
         np.concatenate([p.y for p in parts], out=stage[1, :total])
         np.concatenate([p.vx for p in parts], out=stage[2, :total])
@@ -342,7 +347,8 @@ class InProcessExecutor(Executor):
         y source neighbours are members, so the wave knows all its arrivals.
         A round that leaves an arrival off its block needs a second round:
         the pushed stage is copied back and every member runs its whole
-        exchange itself (no ``first``).
+        exchange itself.  Any other round's post-round rows are gathered
+        into one block, kept for the scheduler (:meth:`take_wave`).
         """
         m = len(members)
         total = sum(n for _, _, n in members)
@@ -361,12 +367,15 @@ class InProcessExecutor(Executor):
         self._push(members, total, stage)
         counts = [n for _, _, n in members]
         wave = exchange_wave(stage, counts, ranks, routes, tasks[0].mesh, *geometry)
-        if wave.table[:, 3::4].any():
+        if wave.stray:
             _unstage(parts, stage)
             return True
-        for i, t in enumerate(tasks):
-            t.first = (wave, i)
+        self._wave = ResidentWave(self, members, routes, geometry, wave, stage)
         return True
+
+    def take_wave(self) -> "ResidentWave | None":
+        wave, self._wave = self._wave, None
+        return wave
 
     def _geometry(self, ranks, routes):
         """A group's :func:`wave_geometry`, or None when it is not closed.
@@ -428,6 +437,67 @@ class InProcessExecutor(Executor):
 
     def stats(self) -> dict:
         return dict(batches=self.batches, fused_tasks=self.fused_tasks)
+
+
+class ResidentWave:
+    """A settled wave's particles, kept in one block between the steps of
+    a run (``Scheduler._close_run``).
+
+    ``wave`` is the last round settled without a stray and ``block`` its
+    post-round rows (:meth:`~repro.runtime.exchange.SettledWave.gather`,
+    six rows), which the next :meth:`advance` pushes in place: inside a
+    run no member is staged, sliced or adopted.  Rounds gather into two
+    buffers by turns, the executor's stage and one of the run's own.  The
+    members' own arrays are stale until :meth:`release` hands each its
+    rows, at the end of the flush that formed the wave, so nothing of it
+    outlives that flush.
+    """
+
+    __slots__ = ("executor", "members", "routes", "geometry", "wave", "block",
+                 "spare", "stage")
+
+    def __init__(self, executor, members, routes, geometry, wave, stage) -> None:
+        self.executor = executor
+        #: ``(rank, task, n)`` triples in park order, ``n`` their first
+        #: step's sizes.
+        self.members = members
+        self.routes = routes
+        self.geometry = geometry
+        self.wave = wave
+        self.block = wave.gather(stage)
+        #: The block before last, which the next round gathers into.
+        self.spare = self.stage = stage
+
+    def advance(self) -> bool:
+        """Push the block in place and settle the next round.
+
+        True when the round left no stray: :attr:`wave` and :attr:`block`
+        are then that round's.  False when it left one: the round stops at
+        the stray hop (:func:`exchange_wave`) and the block holds the pushed
+        rows in the last round's layout, for :meth:`release` to hand back
+        so the members run this round per rank.
+        """
+        wave, block = self.wave, self.block
+        self.executor._push(self.members, wave.n, block)
+        settled = exchange_wave(block, wave.counts, wave.ranks, self.routes,
+                                self.members[0][1].mesh, *self.geometry)
+        if settled.stray:
+            return False
+        self.wave, self.block = settled, settled.gather(block, self.spare)
+        self.spare = block
+        return True
+
+    def release(self) -> None:
+        """Hand every member its rows: slices of the block, which nothing
+        else keeps (:meth:`~repro.core.particles.ParticleArray.adopt`); a
+        block in the executor's stage is copied to the run's own first."""
+        block = self.block
+        if block is self.stage:
+            block = self.spare
+            np.copyto(block, self.stage)
+        for (_, task, _), columns in zip(self.members, self.wave.columns(block)):
+            task.particles.adopt(columns)
+        self.block = self.spare = self.stage = None
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ Rank programs never construct these directly — they call methods on
         data = yield comm.recv(src=left, tag=0)
         return total
 
-The five ops are :class:`ComputeOp` (``compute``/``step``),
+The five ops are :class:`ComputeOp` (``compute``/``run_steps``),
 :class:`SendrecvOp`, :class:`CollectiveOp` (barrier, allreduce, allgather,
 split, cart_create, user), :class:`SendOp` and :class:`RecvOp`.
 
@@ -71,20 +71,22 @@ class ComputeOp:
     batches all simultaneously-parked tasks to the active executor backend
     — which may fuse them or fan them out across worker processes.
 
-    ``settle`` is the communicator of the step's settlement allreduce when
-    the op is a PIC step's push (:meth:`repro.runtime.comm.Comm.step`):
-    the scheduler may then finish the step's whole exchange itself
-    (``Scheduler._close_step``).
+    ``settle`` and ``plan`` are set when the op is a PIC step's push
+    (:meth:`repro.runtime.comm.Comm.run_steps`): the communicator of the
+    step's settlement allreduce and the driver's plan of where a run of
+    steps ends.  The scheduler may then close the step's whole exchange,
+    and the quiet steps after it, itself (``Scheduler._close_run``).
     """
 
-    __slots__ = ("seconds", "task", "settle")
+    __slots__ = ("seconds", "task", "settle", "plan")
 
-    def __init__(self, seconds: float, task=None, settle=None):
+    def __init__(self, seconds: float, task=None, settle=None, plan=None):
         if seconds < 0:
             raise ValueError("compute time must be non-negative")
         self.seconds = seconds
         self.task = task
         self.settle = settle
+        self.plan = plan
 
 
 class CollectiveOp:

@@ -364,25 +364,24 @@ class Scheduler:
         hook (they record or perturb the interleaving); the batch is the
         whole world (nobody finished, so ``ready`` is empty); no rank has
         a pending message (a receive would match it first); every op is a
-        step op settling on the world communicator (:meth:`Comm.step`).
+        step op settling on the world communicator (:meth:`Comm.run_steps`).
         Failing any, the tasks' ``route`` is cleared and no wave forms.  A
-        task that comes back with ``first`` was settled as one wave
-        without a stray, and :meth:`_close_step` finishes the whole step —
-        exchange and settlement allreduce — for every rank before anyone
-        wakes.  Everything else is the per-op pump, the oracle the closed
-        step must equal bit for bit.
+        wave the executor settled without a stray comes back from
+        :meth:`~repro.runtime.executor.Executor.take_wave`, and
+        :meth:`_close_run` closes it and the quiet steps after it for every
+        rank before anyone wakes.  Everything else is the per-op pump, the
+        oracle the closed steps must equal bit for bit.
         """
         batch, self._pending_exec = self._pending_exec, []
         if not self._may_close(batch):
             for _r, task in batch:
                 if hasattr(task, "route"):
                     task.route = None
-        self._get_executor().start_batch(batch).finish()
-        # A wave is closed under both periodic shifts of the grid, so it is
-        # the whole world: the batch's first rank is in it or no wave is.
-        first = getattr(batch[0][1], "first", None)
-        if first is not None:
-            self._close_step(batch, first[0], ready)
+        executor = self._get_executor()
+        executor.start_batch(batch).finish()
+        resident = executor.take_wave()
+        if resident is not None:
+            self._close_run(batch, resident, ready)
             return
         states = self._states
         for r, _task in batch:
@@ -408,7 +407,69 @@ class Scheduler:
                 return False
         return True
 
-    def _close_step(self, batch, wave, ready: deque) -> None:
+    def _close_run(self, batch, resident, ready: deque) -> None:
+        """Close a settled wave's step and the quiet steps after it, for
+        every rank at once, then wake the ranks.
+
+        ``resident`` is the :class:`~repro.runtime.executor.ResidentWave`
+        of the whole batch, whose first round the executor settled without
+        a stray.  Each step closes by :meth:`_close_step`.  Then the run's
+        plan (the ops' ``plan``, one per driver) decides: if no rank
+        needs its program after this step — no LB round, event or
+        checkpoint, not the last step — the closer does what the ranks
+        would do up to their next push: every rank enters the next step
+        (:attr:`step`) and is charged that push, ``plan.push_seconds`` of
+        its count, in world-rank order, the order :meth:`_close_step`
+        wakes ranks in and so the pump dispatches the pushes in.  The
+        executor pushes its block and settles the next round
+        (:meth:`~repro.runtime.executor.ResidentWave.advance`) and the loop
+        closes it, its members served in world-rank order now, as the
+        pump's flush would wake them.  A round that leaves a stray ends the
+        run unclosed: its members run that step's exchange per rank.
+
+        At the end the members get their rows
+        (:meth:`~repro.runtime.executor.ResidentWave.release`) and each
+        rank resumes once, with ``(counts, open)``: its post-exchange count
+        after each closed step and whether its last pushed step still
+        needs its exchange.  Ranks wake in world-rank order.
+        """
+        n = self.n_ranks
+        states = self._states
+        plan = states[batch[0][0]].blocked_op.plan
+        t = self.step[batch[0][0]]
+        wave = resident.wave
+        ranks = wave.ranks
+        # The pump's service order of members: park order, then world order.
+        order, world_order = range(len(ranks)), np.argsort(ranks).tolist()
+        # Each closed step's counts, a row per step; rows are only touched
+        # as the run gets to them.
+        closed = np.empty((plan.steps - t, len(ranks)), dtype=np.int64)
+        k = 0
+        while True:
+            self._close_step(batch, wave, order)
+            closed[k] = wave.counts
+            k += 1
+            if plan.ends(t):
+                stray = False
+                break
+            t += 1
+            self.step[:] = [t] * n
+            seconds = np.empty(n)
+            seconds[ranks] = plan.push_seconds(wave.counts)
+            self._charge_pushes(seconds.tolist())
+            if not resident.advance():
+                stray = True
+                break
+            wave, order = resident.wave, world_order
+        resident.release()
+        for r, counts in zip(ranks, closed[:k].T):
+            state = states[r]
+            state.resume_value = (counts, stray)
+            state.status = _RUNNABLE
+            state.blocked_op = None
+        ready.extend(range(n))
+
+    def _close_step(self, batch, wave, order) -> None:
         """Finish a settled wave's step — its first exchange round and the
         settlement allreduce after it — for every rank at once.
 
@@ -422,16 +483,18 @@ class Scheduler:
         :meth:`_clock_own_cores`, whose result no interleaving can change;
         members that share cores (AMPI's virtual ranks) by
         :meth:`_replay_shared_cores`, which replays the pump's service
-        order.  Clocks, core clocks, busy seconds and the transport's
-        counters move by the IEEE operations :meth:`_occupy`,
-        :meth:`_do_send` and :meth:`_complete_recv` would use; the
-        exchange prices with the driver's cost model, which :attr:`cost`
-        equals in every rate.  The allreduce of each rank's zero misplaced
-        count is then what :meth:`_finish_collective` does for it — the
-        same price (:meth:`_collective_end`) on the same clocks, the
-        collective counted, every world sequence number advanced, every
-        rank woken in world-rank order (its order too: change both or
-        neither) — and each rank's exchange only adopts its columns.
+        order: ``order``, the member indices as the flush woke them.
+        Clocks, core clocks, busy seconds and the transport's counters
+        move by the IEEE operations :meth:`_occupy`, :meth:`_do_send` and
+        :meth:`_complete_recv` would use; the exchange prices with the
+        driver's cost model, which :attr:`cost` equals in every rate.  The
+        allreduce of each rank's zero misplaced count is then what
+        :meth:`_finish_collective` does for it — the same price
+        (:meth:`_collective_end`) on the same clocks, the collective
+        counted, every world sequence number advanced; the ranks then wake
+        in world-rank order (:meth:`_close_run`), the order
+        :meth:`_finish_collective` wakes them in (change both or
+        neither).
         """
         n = self.n_ranks
         ranks = wave.ranks
@@ -440,7 +503,7 @@ class Scheduler:
         if len(set(cores)) == n:
             self._clock_own_cores(ranks, cores, hops)
         else:
-            self._replay_shared_cores(ranks, cores, hops)
+            self._replay_shared_cores(ranks, cores, hops, order)
         messages = 2 * n * len(hops)
         transport = self.transport
         transport._seq += messages
@@ -455,10 +518,22 @@ class Scheduler:
         states = self._states
         for r, _task in batch:
             states[r].blocked_op.settle._coll_seq += 1
-        for state in states:
-            state.status = _RUNNABLE
-            state.blocked_op = None
-        ready.extend(range(n))
+
+    def _charge_pushes(self, seconds) -> None:
+        """:meth:`_occupy` each rank for ``seconds[rank]``, in world-rank
+        order: the pushes the ranks of a run would dispatch after a closed
+        step.  A charge of 0.0 is free."""
+        clock, rank_busy = self.clock, self.rank_busy
+        core_clock, core_busy = self.core_clock, self.core_busy
+        for r, (core, s) in enumerate(zip(self.rank_to_core, seconds)):
+            if s == 0.0:
+                continue
+            t = clock[r]
+            if core_clock[core] > t:
+                t = core_clock[core]
+            clock[r] = core_clock[core] = t + s
+            core_busy[core] += s
+            rank_busy[r] += s
 
     def _round_hops(self, wave, cores) -> list:
         """The prices of a settled round's hops, one tuple per hop that
@@ -552,7 +627,7 @@ class Scheduler:
             core_clock[c] = free
             core_busy[c] = busy
 
-    def _replay_shared_cores(self, ranks, cores, hops) -> None:
+    def _replay_shared_cores(self, ranks, cores, hops, order) -> None:
         """Clock a round whose members share cores by replaying the pump on
         member indices.
 
@@ -560,7 +635,8 @@ class Scheduler:
         them (DESIGN.md §2), and that order is not (member, op index): a
         member blocked on its forward neighbour's buffer rejoins the deque
         at its tail when the buffer arrives.  So this runs the pump's own
-        loop — a deque of members in park order, each popped member issuing
+        loop — a deque of members in ``order`` (the pump's wake order of
+        member indices), each popped member issuing
         its next op — with a float for a compute charge and an int for a
         ``sendrecv`` slot instead of generators, ops and messages.  A
         ``sendrecv`` does what :meth:`_dispatch` does: occupy the send
@@ -602,7 +678,7 @@ class Scheduler:
         # arrival time of each member's buffer not yet received.
         blocked = [-1] * m
         inbox = [[None] * m for _ in dst]
-        ready = deque(range(m))
+        ready = deque(order)
         pop, push = ready.popleft, ready.append
         # Every occupation below is _occupy inlined (the loop's cost is its
         # calls): a nonzero charge starts at max(clock, core free), ends
@@ -856,7 +932,7 @@ class Scheduler:
         else:
             results = self._builtin_collective(kind, pool, values, size)
 
-        # _close_step wakes a settled step's allreduce in this order too:
+        # _close_run wakes a closed run's ranks in this order too:
         # change both or neither.
         t_done = self._collective_end(t_arrive, kind, cores, nbytes)
         for i, w in enumerate(world_ranks):

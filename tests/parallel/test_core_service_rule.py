@@ -14,15 +14,17 @@ the collective count, every world communicator's collective sequence
 number, the result document and the final particle bytes.  ``mpi-2d`` and
 ``mpi-2d-LB`` (one rank per core, order-invariant) are the controls.
 
-The drives run the rule two ways.  On the in-process executors a step
+The drives run the rule three ways.  On the in-process executors a step
 whose wave is the whole world with nothing left to route is closed in
 one op by ``Scheduler._close_step``, which on shared cores replays the
-round-robin's service order; every AMPI example with at least
+round-robin's service order, and so are the quiet steps after it, in one
+run (``Scheduler._close_run``); every AMPI example with at least
 ``WAVE_MIN_MEMBERS`` virtual ranks settles waves, and with ``k = 0``
-closes steps.  With no wave at all (``no wave``: the in-process
-executor's ``_settle`` refused) and on the process executor, which
-settles none, every op goes through the pump: the oracle the closed step
-must equal.
+closes steps.  With runs of one step (``steps``: ``RunPlan.ends`` always
+true) every closed step is its own flush.  With no wave at all (``no
+wave``: the in-process executor's ``_settle`` refused) and on the process
+executor, which settles none, every op goes through the pump: the oracle
+the closed steps must equal.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from repro.config import RunSpec
 from repro.config.build import build_impl, parallel_result_doc
 from repro.config.runspec import LB_STRATEGY_NAMES
 from repro.core.kernel import WAVE_MIN_MEMBERS
-from repro.parallel.base import ParallelPICBase
+from repro.parallel.base import ParallelPICBase, RunPlan
 from repro.runtime import ENGINE_BLOCKED, ENGINE_FINISHED, Scheduler
 from repro.runtime import executor as executor_mod
 from repro.runtime.executor import InProcessExecutor, make_executor
@@ -87,8 +89,8 @@ class _Seen:
 
 @contextmanager
 def _observed(drive="closed"):
-    """Record the runs of the block; ``drive`` ``"no wave"`` lets no group
-    form a wave."""
+    """Record the runs of the block; ``drive`` ``"steps"`` ends every run
+    after one step, ``"no wave"`` lets no group form a wave."""
     seen = _Seen()
     make_world, verify = Scheduler.make_world, ParallelPICBase._verify
     close_step, settle = Scheduler._close_step, InProcessExecutor._settle
@@ -109,20 +111,24 @@ def _observed(drive="closed"):
         seen.strays.append(bool(wave.table[:, 3::4].any()))
         return wave
 
-    def closing(self, batch, wave, ready):
+    def closing(self, batch, wave, order):
         seen.closed += 1
-        close_step(self, batch, wave, ready)
+        close_step(self, batch, wave, order)
 
     def no_wave(self, members):
         return False
 
+    ends = RunPlan.ends
     if drive == "no wave":
         settle = no_wave
+    if drive == "steps":
+        ends = lambda self, t: True  # noqa: E731
     with mock.patch.object(Scheduler, "make_world", making), \
             mock.patch.object(ParallelPICBase, "_verify", verifying), \
             mock.patch.object(executor_mod, "exchange_wave", settling), \
             mock.patch.object(Scheduler, "_close_step", closing), \
-            mock.patch.object(InProcessExecutor, "_settle", settle):
+            mock.patch.object(InProcessExecutor, "_settle", settle), \
+            mock.patch.object(RunPlan, "ends", ends):
         yield seen
 
 
@@ -152,7 +158,7 @@ def runspecs(draw):
 @settings(max_examples=30, deadline=None)
 @given(
     rs=runspecs(),
-    kind=st.sampled_from(["serial", "batched", "process", "no wave"]),
+    kind=st.sampled_from(["serial", "batched", "process", "steps", "no wave"]),
     budget=st.integers(1, 40),
     order_seed=st.integers(0, 2**16),
 )
@@ -169,7 +175,7 @@ def test_every_drive_obeys_the_core_service_rule(executors, rs, kind, budget,
             assert seen.closed
     # Every wave without a stray closed its step.
     assert seen.closed == seen.strays.count(False)
-    drive = "no wave" if kind == "no wave" else "closed"
+    drive = kind if kind in ("steps", "no wave") else "closed"
     ex = executors.get(kind, executors["serial"])
 
     with _observed(drive) as seen:

@@ -13,8 +13,9 @@ per-rank path (:func:`repro.runtime.exchange.hop_front_half` plus
 * **Property** — the settled round equals the real per-rank round
   (``exchange_particles`` up to its settlement allreduce): each member's
   count-table row holds the per-rank round's buffer lengths, arrivals and
-  stray and misplaced counts, and its populations match byte for byte in
-  row order — over uneven and disagreeing splits, multi-hop moves, empty
+  stray and misplaced counts up to the hop that leaves a stray, and
+  without one its gathered populations match byte for byte in row order —
+  over uneven and disagreeing splits, multi-hop moves, empty
   members, members whose particles all leave or all stay, ``px``/``py``
   in {1, 2, odd}, ``h != 1`` and up to 288 cells.
 * **Where it runs** — on a 64-rank fused run settled hops make no
@@ -24,8 +25,9 @@ per-rank path (:func:`repro.runtime.exchange.hop_front_half` plus
   runs.
 * **Runs** — a 64-rank run settled and one without the wave agree on the
   final particle bytes (in-rank order included), clocks and traffic; so
-  does a multi-hop run, whose rounds leave strays: the executor copies
-  each pushed stage back and hands out no wave.
+  does a multi-hop run, whose rounds leave strays: each stops at its stray
+  hop and gathers no block, and the executor copies each pushed stage back
+  and hands out no wave.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from repro.runtime import exchange as exchange_mod
 from repro.runtime import executor as executor_mod
 from repro.runtime import ops, run_spmd
 from repro.runtime.costmodel import CostModel
-from repro.runtime.exchange import exchange_wave, wave_geometry
+from repro.runtime.exchange import SettledWave, exchange_wave, wave_geometry
 from repro.runtime.executor import InProcessExecutor, ProcessExecutor
 
 _FIELDS = ("x", "y", "vx", "vy", "q", "pid")
@@ -187,14 +189,23 @@ def test_settled_round_equals_per_rank_round(seed, px, py, h, cells, sizes,
     routes = [want[r][0] for r in ranks]
     geometry = wave_geometry(ranks, routes)
     assert geometry is not None
-    wave = exchange_wave(_stage(parts), [len(p) for p in parts], ranks, routes,
-                         mesh, *geometry)
+    stage = _stage(parts)
+    wave = exchange_wave(stage, [len(p) for p in parts], ranks, routes, mesh,
+                         *geometry)
     assert wave.table.shape == (n_ranks, 8) and wave.table.dtype == np.int64
+    # A round stops at the hop that leaves a stray: after it, zeros.
+    x_stray = any(hops.get((r, 0), [0] * 4)[3] for r in ranks)
     for r in ranks:
         # A hop that does not run (one rank along its axis) reads zeros.
         row = [hops.get((r, axis), [0] * 4) for axis in (0, 1)]
+        if x_stray:
+            row[1] = [0] * 4
         assert wave.table[r].tolist() == row[0] + row[1]
-        assert [c.tobytes() for c in wave.columns[r]] == _bytes(want[r][1])
+    assert wave.stray == any(row[3] for row in hops.values())
+    if not wave.stray:
+        columns = wave.columns(wave.gather(stage))
+        for r in ranks:
+            assert [c.tobytes() for c in columns[r]] == _bytes(want[r][1])
 
 
 def test_adopted_rows_never_reach_a_neighbour():
@@ -206,10 +217,11 @@ def test_adopted_rows_never_reach_a_neighbour():
     want, _ = _first_round(mesh, (4, 2), parts, [part] * 8)
     ranks = list(range(8))
     routes = [want[r][0] for r in ranks]
-    wave = exchange_wave(_stage(parts), [40] * 8, ranks, routes, mesh,
+    stage = _stage(parts)
+    wave = exchange_wave(stage, [40] * 8, ranks, routes, mesh,
                          *wave_geometry(ranks, routes))
     members = [ParticleArray.empty(0) for _ in range(8)]
-    for p, columns in zip(members, wave.columns):
+    for p, columns in zip(members, wave.columns(wave.gather(stage))):
         p.adopt(columns)
         assert p.capacity == len(p)
     before = [_bytes(p) for p in members]
@@ -394,25 +406,30 @@ def test_runs_with_and_without_the_wave_are_identical(monkeypatch, wave_calls, b
 
 def test_a_stray_wave_copies_its_push_back(monkeypatch, wave_calls):
     """k = 4 moves particles 9 cells a step over blocks 8 cells wide: every
-    settled round leaves x strays, so the executor copies each pushed stage
-    back, no task gets ``first`` and every rank runs its whole exchange;
-    final bytes, clocks and traffic equal the run without the wave."""
-    firsts = []
-    real_settle = InProcessExecutor._settle
+    settled round leaves x strays, so it stops after the x hop and gathers
+    nothing, the executor copies each pushed stage back, hands out no wave
+    and every rank runs its whole exchange; final bytes, clocks and traffic
+    equal the run without the wave."""
+    handed, gathers = [], []
+    real_take, real_gather = InProcessExecutor.take_wave, SettledWave.gather
 
-    def settle(self, members):
-        done = real_settle(self, members)
-        firsts.extend(t.first for _, t, _ in members)
-        return done
+    def take_wave(self):
+        handed.append(real_take(self))
+        return handed[-1]
 
-    monkeypatch.setattr(InProcessExecutor, "_settle", settle)
+    def gather(self, stage):
+        gathers.append(self)
+        return real_gather(self, stage)
+
+    monkeypatch.setattr(InProcessExecutor, "take_wave", take_wave)
+    monkeypatch.setattr(SettledWave, "gather", gather)
 
     def build():
         return Mpi2dPIC(_spec(4_000, 6, k=4), 64, executor=InProcessExecutor())
 
     strayed = _observe(monkeypatch, build)
     assert wave_calls == [64] * 6
-    assert len(firsts) == 6 * 64 and set(firsts) == {None}
+    assert handed == [None] * 6 and gathers == []
     monkeypatch.setattr(executor_mod, "WAVE_MAX_MEAN", 0)
     wave_calls.clear()
     assert _observe(monkeypatch, build) == strayed

@@ -19,7 +19,7 @@ from repro.core.kernel import (
     advance_reference,
 )
 from repro.core.mesh import Mesh
-from repro.core.particles import ParticleArray
+from repro.core.particles import STATE_FIELDS, ParticleArray
 from repro.runtime import ops
 from repro.runtime import executor as executor_mod
 from repro.runtime.errors import ExecutorWorkerLostError
@@ -605,7 +605,7 @@ def test_fusion_matches_per_task_reference(backend, sizes, many_tiny):
     assert type(make_executor("serial")) is type(make_executor("batched"))
     ex = make_executor("serial", kernel_backend=backend)
     ex.run_batch(batch)
-    assert ex._stage.shape[1] <= KERNEL_BLOCK
+    assert len(ex._stage) <= STATE_FIELDS * KERNEL_BLOCK
     for (_, task), oracle in zip(batch, oracles):
         advance_reference(mesh, oracle, 0.01)
         for f in ("x", "y", "vx", "vy"):

@@ -5,12 +5,14 @@ Every simulated op passes through ``Scheduler._advance_one`` ->
 rank-step's wall clock.  These tests pin what it costs (a call count, so
 it repeats exactly on any host) and that its shortcuts — message prices
 read from a per-core-pair table, ``sendrecv`` matching without a
-``RecvOp`` — give the answers the long way gave.  A settled step skips the
-per-op path altogether: the scheduler closes it, exchange round and
-settlement allreduce, in one op per rank (``Scheduler._close_step``).  The
-per-op budget is measured with no wave formed, and two more price a whole
-rank-step with every step closed: one rank per core, and AMPI's virtual
-ranks sharing cores.
+``RecvOp`` — give the answers the long way gave.  Settled steps skip the
+per-op path altogether: the scheduler closes a run of them, exchange
+rounds and settlement allreduces, in one op per rank
+(``Scheduler._close_run``).  The per-op budget is measured with no wave
+formed, and two more price a whole rank-step with every step closed: one
+rank per core, and AMPI's virtual ranks sharing cores.  A fourth counts
+generator resumes per VP-step of an ``ampi`` run whose runs end at its LB
+rounds.
 """
 
 from __future__ import annotations
@@ -41,11 +43,12 @@ from repro.runtime.machine import Tier
 CALLS_PER_OP_BUDGET = 40.0
 
 #: Python-level calls per rank-step (ranks x steps) of :data:`BUDGET_SPEC`
-#: as it runs: every settled step closed in one op per rank, 256 ops on the
-#: per-op path.  On Python 3.11.7 it reads 75.7 (12 117 calls over 160
-#: rank-steps), so 92 leaves ~20 % headroom.  A change that trips it added
-#: calls to every rank-step or sent settled steps back per op.
-CALLS_PER_RANK_STEP_BUDGET = 92.0
+#: as it runs: all ten steps closed in one run, 112 ops on the per-op path
+#: (setup and verification).  On Python 3.11.7 it reads 46.3 (7 409 calls
+#: over 160 rank-steps; 75.7 and 256 ops with one op per rank-step), so 56
+#: leaves ~20 % headroom.  A change that trips it added calls to every
+#: rank-step or sent settled steps back per op.
+CALLS_PER_RANK_STEP_BUDGET = 56.0
 
 BUDGET_SPEC = {
     "workload": {"cells": 32, "n_particles": 16 * 40, "steps": 10, "seed": 7},
@@ -55,16 +58,28 @@ BUDGET_SPEC = {
 #: Python-level calls per VP-step (virtual ranks x steps) of
 #: :data:`AMPI_BUDGET_SPEC`, :data:`BUDGET_SPEC`'s workload as ``ampi`` on 4
 #: cores with 4 virtual ranks each, as it runs: settled rounds on shared
-#: cores clocked by the replay and every settled step closed, 256 ops on
-#: the per-op path.  On Python 3.11.7 it reads 93.1 (14 899 calls over 160
-#: VP-steps; 227.8 and 1 374 ops with every round per op), so 113 leaves
-#: ~20 % headroom and a silent fallback to the pump fails it without a
-#: wall clock.
-CALLS_PER_VP_STEP_BUDGET = 113.0
+#: cores clocked by the replay and all ten steps closed in one run, 112 ops
+#: on the per-op path.  On Python 3.11.7 it reads 58.6 (9 375 calls over
+#: 160 VP-steps; 93.1 and 256 ops with one op per VP-step, 227.8 and 1 374
+#: ops with every round per op), so 70 leaves ~20 % headroom and a silent
+#: fallback to the pump fails it without a wall clock.
+CALLS_PER_VP_STEP_BUDGET = 70.0
 
 AMPI_BUDGET_SPEC = {
     "workload": BUDGET_SPEC["workload"],
     "impl": {"name": "ampi", "cores": 4, "overdecomposition": 4},
+}
+
+#: Generator resumes (scheduler ops) per VP-step of :data:`RESUME_SPEC`:
+#: 40 steps in four runs, each ended by an LB round.  A rank resumes once
+#: per run, once per ``migrate()`` and a few times to set up and verify:
+#: it reads 0.35 (224 resumes over 640 VP-steps; 1.25 with one op per
+#: VP-step), so 0.42 leaves ~20 % headroom.
+RESUMES_PER_VP_STEP_BUDGET = 0.42
+
+RESUME_SPEC = {
+    "workload": dict(BUDGET_SPEC["workload"], steps=40),
+    "impl": {"name": "ampi", "cores": 4, "overdecomposition": 4, "lb_interval": 10},
 }
 
 
@@ -113,7 +128,7 @@ class TestCallBudget:
         _calls_per_op(rs)  # warm
         calls, ops = _calls_per_op(rs)
         rank_steps = rs.impl.cores * rs.workload.steps
-        assert ops < 300  # settled steps closed in one op (1 374 without the wave)
+        assert ops < 150  # settled steps closed in one run (1 374 without the wave)
         assert calls / rank_steps <= CALLS_PER_RANK_STEP_BUDGET, (
             calls, rank_steps, calls / rank_steps)
 
@@ -123,9 +138,16 @@ class TestCallBudget:
         _calls_per_op(rs)  # warm
         calls, ops = _calls_per_op(rs)
         vp_steps = rs.impl.cores * rs.impl.overdecomposition * rs.workload.steps
-        assert ops < 300  # settled steps closed in one op (1 374 without the wave)
+        assert ops < 150  # settled steps closed in one run (1 374 without the wave)
         assert calls / vp_steps <= CALLS_PER_VP_STEP_BUDGET, (
             calls, vp_steps, calls / vp_steps)
+
+    def test_ampi_resumes_once_per_run(self):
+        """Each run of steps between two LB rounds costs a rank one resume."""
+        rs = RunSpec.from_dict(RESUME_SPEC)
+        _, ops = _calls_per_op(rs)
+        vp_steps = rs.impl.cores * rs.impl.overdecomposition * rs.workload.steps
+        assert ops / vp_steps <= RESUMES_PER_VP_STEP_BUDGET, (ops, vp_steps)
 
 
 #: Two nodes x two sockets x two cores: every tier appears among its pairs.
