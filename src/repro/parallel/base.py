@@ -11,12 +11,13 @@ and exposes two hooks that the load-balanced variants override:
 
 The per-step particle exchange lives in :mod:`repro.runtime.exchange`;
 the drivers call it through this module's ``exchange_particles`` attribute,
-so a harness that wraps it here sees every exchange a rank runs.  A step
-whose exchange the scheduler settled for every rank at once
-(``Scheduler._close_run``) does not call it: the rank yields one op
-(:meth:`~repro.runtime.comm.Comm.run_steps`) for its push and the quiet
-steps after it, the steps its :class:`RunPlan` lets the scheduler close,
-and gets back its count after each.
+so a harness that wraps it here sees every exchange a rank runs.  A rank
+yields one op (:meth:`~repro.runtime.comm.Comm.run_steps`) for its push
+and the quiet steps after it, the steps its :class:`RunPlan` lets the
+scheduler settle for every rank at once (``Scheduler._close_run``), and
+gets back its count after each; its one exchange call of the run then
+takes the rows the last closed step left it (``settled=``) instead of
+routing.
 """
 
 from __future__ import annotations
@@ -240,11 +241,6 @@ class ParallelPICBase:
     def lb_round_after(self, t: int) -> bool:
         """Whether a load-balancing round is scheduled after step ``t``."""
         return False
-
-    def quiet_steps(self, state: "_RankState", counts: np.ndarray) -> None:
-        """Bookkeeping of steps the scheduler closed inside a run, with the
-        rank's count after each (int64): steps after which :meth:`lb_hook`
-        would not balance (AMPI sums their loads)."""
 
     def per_step_overhead(self) -> float:
         """Extra per-rank seconds charged every step (AMPI VP scheduling)."""
@@ -493,28 +489,32 @@ class ParallelPICBase:
                 # this step, and the quiet steps after it, for every rank.
                 task = PushTask(mesh, state.particles, spec.dt, route=state.route(cart))
                 ran = yield comm.run_steps(plan.push_seconds(n_local), task, plan)
-                exchange = True
+                settled = None
                 if ran is not None:
-                    # Steps t, t + 1, ... closed; our rows are in place.
-                    # No step but the last closed one, when nothing is
-                    # left open, needs the rest of the loop body.
-                    counts, exchange = ran
-                    quiet = counts if exchange else counts[:-1]
+                    # Steps t, t + 1, ... closed.  Only the run's last step
+                    # needs the rest of the loop body: the last closed one,
+                    # whose rows come back settled, or, when none come
+                    # back, the one pushed after it, whose exchange is ours.
+                    counts, settled = ran
+                    quiet = counts if settled is None else counts[:-1]
                     if len(quiet):
                         state.pushes += n_local + int(quiet[:-1].sum())
                         n_local = int(quiet[-1])
                         state.max_particles = max(state.max_particles, int(quiet.max()))
-                        self.quiet_steps(state, quiet)
+                        if state.load is not None:
+                            state.load += int(quiet.sum())
                         if sampler is not None:
                             core = comm.core()
                             for s, count in enumerate(quiet.tolist(), t):
                                 sampler.record(cart.rank, s, count, core)
                         t += len(quiet)
                 state.pushes += n_local
-                if exchange:
-                    state.particles = yield from exchange_particles(
-                        comm, cart, state.partition, mesh, state.particles, cost,
-                    )
+                state.particles = yield from exchange_particles(
+                    comm, cart, state.partition, mesh, state.particles, cost,
+                    settled=settled,
+                )
+                if state.load is not None:
+                    state.load += len(state.particles)
                 yield from self.lb_hook(comm, cart, state, t)
                 if len(state.particles) > state.max_particles:
                     state.max_particles = len(state.particles)
@@ -559,17 +559,20 @@ class ParallelPICBase:
 
     def _pack_rank(self, state: "_RankState") -> bytes:
         """This rank's PUP blob: particles, RNG, partition, counters."""
+        # Numeric hook bookkeeping (LB accumulators, forced-round cursors);
+        # communicators are rebuilt on resume.
+        extra = {
+            k: v
+            for k, v in state.extra.items()
+            if isinstance(v, (int, float)) and not isinstance(v, bool)
+        }
+        if state.load is not None:
+            extra["load"] = state.load
         counters = {
             "removed_ids": state.removed_ids,
             "max_particles": state.max_particles,
             "pushes": state.pushes,
-            # Numeric hook bookkeeping (LB accumulators, forced-round
-            # cursors); communicators are rebuilt on resume.
-            "extra": {
-                k: v
-                for k, v in state.extra.items()
-                if isinstance(v, (int, float)) and not isinstance(v, bool)
-            },
+            "extra": extra,
         }
         return pup.pack_vp(
             state.particles,
@@ -595,7 +598,10 @@ class ParallelPICBase:
         state.removed_ids = int(vp.counters.get("removed_ids", 0))
         state.max_particles = int(vp.counters.get("max_particles", len(vp.particles)))
         state.pushes = int(vp.counters.get("pushes", 0))
-        state.extra.update(vp.counters.get("extra", {}))
+        extra = dict(vp.counters.get("extra", {}))
+        if "load" in extra:
+            state.load = extra.pop("load")
+        state.extra.update(extra)
         if vp.rng_state is not None:
             state.rng = pup.rng_from_state(vp.rng_state)
 
@@ -717,6 +723,10 @@ class _RankState:
     rng: Any = None
     #: Scratch slot for subclass hooks (sub-communicators, LB bookkeeping).
     extra: dict[str, Any] = field(default_factory=dict)
+    #: The rank's particle count after each step's exchange, summed by the
+    #: program since the driver's load balancer last reset it; None (not
+    #: summed, not checkpointed) unless the driver's setup sets it.
+    load: int | None = None
 
     #: :meth:`route`'s cache: the last route built and its partition.
     _route: Any = None

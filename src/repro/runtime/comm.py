@@ -213,10 +213,10 @@ class Comm:
         close the steps after it the same way until ``plan`` (one per
         driver: ``ends(t)``, ``push_seconds(counts)``) says a rank needs
         its program (``Scheduler._close_run``).  The rank then resumes
-        with ``(counts, open)``, its count after each closed step and
-        whether its last pushed step still needs its exchange; with None
-        when nothing was closed, so the pushed step's exchange is the
-        rank's.
+        with ``(counts, rows)``, its count after each closed step and its
+        rows after the last for its exchange to take, or None when its
+        last pushed step still needs its exchange; with None when nothing
+        was closed, so the pushed step's exchange is the rank's.
         """
         return ops.ComputeOp(seconds, task, self, plan)
 

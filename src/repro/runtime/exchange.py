@@ -27,8 +27,9 @@ Two paths compute a round, with one range test (:func:`_outside`):
   settlement allreduce — for every member in one op
   (``Scheduler._close_step``), and the quiet steps after it too
   (``Scheduler._close_run``), the executor keeping the members' rows in
-  one block between them; no member calls :func:`exchange_particles`
-  for a closed step.
+  one block between them; at the run's end each member takes its rows by
+  one :func:`exchange_particles` call (``settled=``), which yields
+  nothing.
 
 The order of particles within a rank is therefore implementation-defined
 (but deterministic).  None of this changes simulated time, message counts
@@ -157,6 +158,8 @@ def exchange_particles(
     mesh: Mesh,
     particles: ParticleArray,
     cost: CostModel,
+    *,
+    settled=None,
 ):
     """Route particles to their owning rank (generator; returns the new set).
 
@@ -171,10 +174,14 @@ def exchange_particles(
     compaction, the settlement count — touches only the particles that
     leave or arrive.
 
-    A step the scheduler closed for every rank at once
-    (``Scheduler._close_step``) does not call this: its rank gets its
-    post-round rows from the executor and only the count back.
+    ``settled`` is this rank's six post-round fields after a run the
+    scheduler closed for every rank at once (``Scheduler._close_run``),
+    the executor's slices of one block: the rank takes them for its
+    particles and routes nothing, and yields nothing.
     """
+    if settled is not None:
+        particles.adopt(settled)
+        return particles
     my_px, my_py = cart.coords
     px, py = cart.px, cart.py
     x_range = partition.x_range(my_px)

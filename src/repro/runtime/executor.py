@@ -449,8 +449,8 @@ class ResidentWave:
     run no member is staged, sliced or adopted.  Rounds gather into two
     buffers by turns, the executor's stage and one of the run's own.  The
     members' own arrays are stale until :meth:`release` hands each its
-    rows, at the end of the flush that formed the wave, so nothing of it
-    outlives that flush.
+    rows, at the end of the flush that formed the wave, so the executor
+    keeps nothing of it past that flush.
     """
 
     __slots__ = ("executor", "members", "routes", "geometry", "wave", "block",
@@ -487,17 +487,25 @@ class ResidentWave:
         self.spare = block
         return True
 
-    def release(self) -> None:
-        """Hand every member its rows: slices of the block, which nothing
-        else keeps (:meth:`~repro.core.particles.ParticleArray.adopt`); a
-        block in the executor's stage is copied to the run's own first."""
+    def release(self, stray: bool):
+        """Every member's rows, in park order: slices of the block, which
+        nothing else keeps; a block in the executor's stage is copied to
+        the run's own first.  After a ``stray`` round they are its pushed
+        rows: each member takes them here
+        (:meth:`~repro.core.particles.ParticleArray.adopt`), to run the
+        round per rank, and None is returned.  Otherwise each member's
+        exchange takes its own (``exchange_particles(settled=)``)."""
         block = self.block
         if block is self.stage:
             block = self.spare
             np.copyto(block, self.stage)
-        for (_, task, _), columns in zip(self.members, self.wave.columns(block)):
-            task.particles.adopt(columns)
         self.block = self.spare = self.stage = None
+        columns = self.wave.columns(block)
+        if not stray:
+            return columns
+        for (_, task, _), rows in zip(self.members, columns):
+            task.particles.adopt(rows)
+        return None
 
 
 # ----------------------------------------------------------------------

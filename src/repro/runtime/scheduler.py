@@ -427,11 +427,11 @@ class Scheduler:
         pump's flush would wake them.  A round that leaves a stray ends the
         run unclosed: its members run that step's exchange per rank.
 
-        At the end the members get their rows
-        (:meth:`~repro.runtime.executor.ResidentWave.release`) and each
-        rank resumes once, with ``(counts, open)``: its post-exchange count
-        after each closed step and whether its last pushed step still
-        needs its exchange.  Ranks wake in world-rank order.
+        At the end each rank resumes once, with ``(counts, rows)``: its
+        post-exchange count after each closed step, and its rows
+        (:meth:`~repro.runtime.executor.ResidentWave.release`) for its
+        exchange to take, or None when its last pushed step still needs
+        its exchange.  Ranks wake in world-rank order.
         """
         n = self.n_ranks
         states = self._states
@@ -441,30 +441,28 @@ class Scheduler:
         ranks = wave.ranks
         # The pump's service order of members: park order, then world order.
         order, world_order = range(len(ranks)), np.argsort(ranks).tolist()
-        # Each closed step's counts, a row per step; rows are only touched
-        # as the run gets to them.
-        closed = np.empty((plan.steps - t, len(ranks)), dtype=np.int64)
-        k = 0
+        closed = []  # each closed step's counts
+        stray = False
         while True:
             self._close_step(batch, wave, order)
-            closed[k] = wave.counts
-            k += 1
+            closed.append(wave.counts)
             if plan.ends(t):
-                stray = False
                 break
             t += 1
             self.step[:] = [t] * n
             seconds = np.empty(n)
             seconds[ranks] = plan.push_seconds(wave.counts)
-            self._charge_pushes(seconds.tolist())
+            self._charge_pushes(seconds)
             if not resident.advance():
                 stray = True
                 break
             wave, order = resident.wave, world_order
-        resident.release()
-        for r, counts in zip(ranks, closed[:k].T):
+        rows = resident.release(stray)
+        # A row of counts per member, sized to this run.
+        counts = np.stack(closed, axis=1)
+        for i, r in enumerate(ranks):
             state = states[r]
-            state.resume_value = (counts, stray)
+            state.resume_value = (counts[i], None if rows is None else rows[i])
             state.status = _RUNNABLE
             state.blocked_op = None
         ready.extend(range(n))
@@ -520,20 +518,18 @@ class Scheduler:
             states[r].blocked_op.settle._coll_seq += 1
 
     def _charge_pushes(self, seconds) -> None:
-        """:meth:`_occupy` each rank for ``seconds[rank]``, in world-rank
-        order: the pushes the ranks of a run would dispatch after a closed
-        step.  A charge of 0.0 is free."""
-        clock, rank_busy = self.clock, self.rank_busy
-        core_clock, core_busy = self.core_clock, self.core_busy
-        for r, (core, s) in enumerate(zip(self.rank_to_core, seconds)):
-            if s == 0.0:
-                continue
-            t = clock[r]
-            if core_clock[core] > t:
-                t = core_clock[core]
-            clock[r] = core_clock[core] = t + s
-            core_busy[core] += s
-            rank_busy[r] += s
+        """The pushes the ranks of a run dispatch after a closed step:
+        :meth:`_occupy` each rank for ``seconds[rank]`` (an array), in
+        world-rank order, the order the pump dispatches them in; ranks
+        with a core each all at once, as :meth:`_clock_own_cores` does."""
+        ranks, cores = range(self.n_ranks), self.rank_to_core
+        if len(set(cores)) == self.n_ranks:
+            st = self._member_state(ranks, cores)
+            _occupy_members(st, seconds)
+            self._store_member_state(ranks, cores, st)
+            return
+        for r, s in enumerate(seconds.tolist()):
+            self._occupy(r, s)
 
     def _round_hops(self, wave, cores) -> list:
         """The prices of a settled round's hops, one tuple per hop that
@@ -585,41 +581,31 @@ class Scheduler:
         its sources' send times, whatever order the pump would interleave
         them in.  Per-core state is indexed by core, so it has no order for
         the interleaving to decide either."""
-        clock, rank_busy = self.clock, self.rank_busy
-        core_clock, core_busy = self.core_clock, self.core_busy
-        # Rows: the members' clocks, core-free times, core busy and rank
-        # busy seconds.
-        st = np.array([
-            [clock[r] for r in ranks],
-            [core_clock[c] for c in cores],
-            [core_busy[c] for c in cores],
-            [rank_busy[r] for r in ranks],
-        ])
-
-        def occupy(seconds) -> None:
-            """:meth:`_occupy` for every member: one charge (a float) for
-            all or one per member (an array); a charge of 0.0 is free."""
-            if isinstance(seconds, float):
-                if seconds == 0.0:
-                    return
-                np.maximum(st[0], st[1], out=st[0])
-                st[0] += seconds
-                st[1] = st[0]
-                st[2:] += seconds
-                return
-            end = np.maximum(st[0], st[1])
-            end += seconds
-            np.copyto(st[:2], end, where=seconds != 0.0)
-            st[2:] += seconds  # busy seconds are >= 0: adding 0.0 keeps every bit
-
+        st = self._member_state(ranks, cores)
         send_s, recv_s = self._send_overhead_s, self._recv_overhead_s
         for _, pack_s, _, unpack_s, slots in hops:
-            occupy(pack_s)
+            _occupy_members(st, pack_s)
             for sender, _, transfer in slots:
-                occupy(send_s)
+                _occupy_members(st, send_s)
                 np.maximum(st[0], st[0][sender] + transfer, out=st[0])
-                occupy(recv_s)
-            occupy(unpack_s)
+                _occupy_members(st, recv_s)
+            _occupy_members(st, unpack_s)
+        self._store_member_state(ranks, cores, st)
+
+    def _member_state(self, ranks, cores) -> np.ndarray:
+        """Rows: the members' clocks, core-free times, core busy and rank
+        busy seconds (``cores`` a core per member)."""
+        return np.array([
+            [self.clock[r] for r in ranks],
+            [self.core_clock[c] for c in cores],
+            [self.core_busy[c] for c in cores],
+            [self.rank_busy[r] for r in ranks],
+        ])
+
+    def _store_member_state(self, ranks, cores, st) -> None:
+        """Write :meth:`_member_state`'s rows back."""
+        clock, rank_busy = self.clock, self.rank_busy
+        core_clock, core_busy = self.core_clock, self.core_busy
         for r, t, busy in zip(ranks, st[0].tolist(), st[3].tolist()):
             clock[r] = t
             rank_busy[r] = busy
@@ -1038,6 +1024,24 @@ class Scheduler:
         )
         err.blocked_ranks = blocked_ranks
         raise err
+
+
+def _occupy_members(st, seconds) -> None:
+    """:meth:`Scheduler._occupy` for members with a core each, on
+    :meth:`Scheduler._member_state`'s rows: one charge (a float) for all
+    or one per member (an array); a charge of 0.0 is free."""
+    if isinstance(seconds, float):
+        if seconds == 0.0:
+            return
+        np.maximum(st[0], st[1], out=st[0])
+        st[0] += seconds
+        st[1] = st[0]
+        st[2:] += seconds
+        return
+    end = np.maximum(st[0], st[1])
+    end += seconds
+    np.copyto(st[:2], end, where=seconds != 0.0)
+    st[2:] += seconds  # busy seconds are >= 0: adding 0.0 keeps every bit
 
 
 def _fold(op: ReduceOp, values: list):

@@ -32,8 +32,9 @@ forms no wave runs the per-rank exchange, the oracle:
   too.
 * **Where it runs** — a 64-rank ``mpi-2d`` run and a 32-core ``ampi`` run
   with two VPs per core, with no observer, close all six steps in one
-  flush: no ``exchange_particles`` call, no ``SendrecvOp`` and no step's
-  ``allreduce`` dispatched.  Each gate condition alone — a tracer, a
+  flush: one ``exchange_particles`` call per rank, which takes the settled
+  rows and routes nothing, no ``SendrecvOp`` and no step's ``allreduce``
+  dispatched.  Each gate condition alone — a tracer, a
   metrics registry, a resilience hook, a pending message, a plain compute
   op, a step settling on another communicator — forms no wave for its
   step, and the run equals the no-wave run bit for bit; so does a
@@ -167,7 +168,7 @@ def _against_oracles(build):
     return log
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
     seed=st.integers(0, 2**16),
     px=st.sampled_from([1, 2, 3, 5]),
@@ -205,7 +206,7 @@ def test_clocked_rounds_equal_the_per_op_pump(seed, px, py, cells, n_particles,
         assert any(strays for strays, _ in log)  # a wave settled
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**16),
     n_cores=st.integers(1, 6),
@@ -303,14 +304,16 @@ ONE_RUN, NO_WAVE = [((False,) * 6, 6)], [((), 0)] * 6
 
 @pytest.fixture
 def pump_calls(monkeypatch):
-    """``exchange_particles`` calls, ``_route_axis`` calls, and dispatched
+    """``exchange_particles`` calls that route and calls that take a closed
+    run's rows (``settled``), ``_route_axis`` calls, and dispatched
     ``SendrecvOp`` and ``allreduce`` ops."""
-    calls = {"exchange": 0, "route_axis": 0, "sendrecv": 0, "allreduce": 0}
+    calls = {"exchange": 0, "settled": 0, "route_axis": 0, "sendrecv": 0,
+             "allreduce": 0}
     real_exchange, real_route = base.exchange_particles, exchange_mod._route_axis
     real_dispatch = Scheduler._dispatch
 
     def exchange(*args, **kw):
-        calls["exchange"] += 1
+        calls["exchange" if kw.get("settled") is None else "settled"] += 1
         return (yield from real_exchange(*args, **kw))
 
     def route(*args, **kw):
@@ -332,8 +335,8 @@ def pump_calls(monkeypatch):
 
 def _closed_in_one_flush(pump_calls, n_ranks, log):
     assert log == ONE_RUN
-    assert pump_calls == {"exchange": 0, "route_axis": 0, "sendrecv": 0,
-                          "allreduce": VERIFY_ALLREDUCES * n_ranks}
+    assert pump_calls == {"exchange": 0, "settled": n_ranks, "route_axis": 0,
+                          "sendrecv": 0, "allreduce": VERIFY_ALLREDUCES * n_ranks}
 
 
 def _mpi2d(**kw):
@@ -371,7 +374,7 @@ def test_observed_runs_keep_the_pump(pump_calls, observed):
     seen, log = _run(lambda: _mpi2d(**observed())())
     assert log == NO_WAVE
     assert pump_calls["route_axis"] > 0 and pump_calls["sendrecv"] > 0
-    assert pump_calls["exchange"] == 6 * 64
+    assert pump_calls["exchange"] == 6 * 64 and pump_calls["settled"] == 64
     assert seen == _run(lambda: _mpi2d(**observed())(), "no wave")[0]
     for key in ("clock", "rank_busy", "traffic", "coll_seq", "result", "finals"):
         assert seen[key] == plain[key], key
@@ -388,6 +391,7 @@ def test_shared_core_rounds_are_clocked(pump_calls):
     shared, log = _run(build)
     assert log == [((False,) * 3, 3)] * 2
     assert pump_calls["exchange"] == pump_calls["sendrecv"] == 0
+    assert pump_calls["settled"] == 2 * 64
     for drive in DRIVES[1:]:
         assert shared == _run(build, drive)[0]
 
@@ -411,6 +415,7 @@ def test_a_multi_hop_step_keeps_its_allreduce(pump_calls):
 
     assert _against_oracles(build) == [((True,), 0)] * 6
     assert pump_calls["exchange"] == 3 * 6 * 64 and pump_calls["sendrecv"] > 0
+    assert pump_calls["settled"] == 0
     assert pump_calls["allreduce"] > 3 * VERIFY_ALLREDUCES * 64
 
 
@@ -662,10 +667,11 @@ def test_every_close_condition_leaves_the_allreduce_to_the_pump():
 
         def __init__(self):
             self.wave = _wave([2, 0, 3, 1], (1, 1))
-            self.released = False
+            self.released = None
 
-        def release(self):
-            self.released = True
+        def release(self, stray):
+            self.released = stray
+            return ["rows 2", "rows 0", "rows 3", "rows 1"]
 
     class Plan:
         steps = 1
@@ -678,11 +684,12 @@ def test_every_close_condition_leaves_the_allreduce_to_the_pump():
     sched.clock = list(before)
     ready, resident = deque(), Resident()
     sched._close_run(batch, resident, ready)
-    assert list(ready) == [0, 1, 2, 3] and resident.released
+    assert list(ready) == [0, 1, 2, 3] and resident.released is False
     assert [t.hex() for t in sched.clock] == [t.hex() for t in pump.clock]
     assert sched.collectives_completed == pump.collectives_completed == 1
     assert [c._coll_seq for c in worlds] == [1, 1, 1, 1]
-    assert [st.resume_value for st in sched._states] == [([0], False)] * 4
+    assert [st.resume_value for st in sched._states] == [
+        ([0], f"rows {r}") for r in range(4)]
 
 
 #: The source members of a 2 x 2 grid's four receives, per member: x bwd,

@@ -44,9 +44,9 @@ CALLS_PER_OP_BUDGET = 40.0
 
 #: Python-level calls per rank-step (ranks x steps) of :data:`BUDGET_SPEC`
 #: as it runs: all ten steps closed in one run, 112 ops on the per-op path
-#: (setup and verification).  On Python 3.11.7 it reads 46.3 (7 409 calls
+#: (setup and verification).  On Python 3.11.7 it reads 47.6 (7 608 calls
 #: over 160 rank-steps; 75.7 and 256 ops with one op per rank-step), so 56
-#: leaves ~20 % headroom.  A change that trips it added calls to every
+#: leaves ~18 % headroom.  A change that trips it added calls to every
 #: rank-step or sent settled steps back per op.
 CALLS_PER_RANK_STEP_BUDGET = 56.0
 
@@ -59,9 +59,9 @@ BUDGET_SPEC = {
 #: :data:`AMPI_BUDGET_SPEC`, :data:`BUDGET_SPEC`'s workload as ``ampi`` on 4
 #: cores with 4 virtual ranks each, as it runs: settled rounds on shared
 #: cores clocked by the replay and all ten steps closed in one run, 112 ops
-#: on the per-op path.  On Python 3.11.7 it reads 58.6 (9 375 calls over
+#: on the per-op path.  On Python 3.11.7 it reads 59.9 (9 581 calls over
 #: 160 VP-steps; 93.1 and 256 ops with one op per VP-step, 227.8 and 1 374
-#: ops with every round per op), so 70 leaves ~20 % headroom and a silent
+#: ops with every round per op), so 70 leaves ~17 % headroom and a silent
 #: fallback to the pump fails it without a wall clock.
 CALLS_PER_VP_STEP_BUDGET = 70.0
 
