@@ -51,6 +51,7 @@ from repro.runtime.exchange import (
     _count_misplaced,
     exchange_wave,
     hop_front_half,
+    member_rows,
     wave_geometry,
 )
 from repro.runtime.executor import InProcessExecutor
@@ -304,9 +305,9 @@ def _wave_report(reps: int = 20) -> None:
         def wave():
             parts = state["parts"]
             np.concatenate([p.pid for p in parts], out=stage[5].view(np.int64))
-            wave = exchange_wave(stage, counts, ranks, routes, mesh, *geometry)
-            for p, columns in zip(parts, wave.columns):
-                p.adopt(columns)
+            wave = exchange_wave(stage, counts, mesh, *geometry)
+            for p, rows in zip(parts, member_rows(wave.gather(stage), wave.counts)):
+                p.adopt(rows)
 
         slow = _best_call_us(per_rank, restore, reps)
         fast = _best_call_us(wave, restore, reps)

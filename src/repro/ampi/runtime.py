@@ -37,10 +37,6 @@ class MigrationReport:
     migrated: int
     moved_bytes: int
 
-    @property
-    def any_moved(self) -> bool:
-        return self.migrated > 0
-
 
 def migrate(
     comm: Comm,

@@ -57,11 +57,6 @@ class Mesh:
         """Domain edge length."""
         return self.cells * self.h
 
-    @property
-    def n_points(self) -> int:
-        """Number of distinct mesh points (periodic, so cells**2)."""
-        return self.cells * self.cells
-
     # ------------------------------------------------------------------
     # Charges
     # ------------------------------------------------------------------
@@ -82,14 +77,6 @@ class Mesh:
     # ------------------------------------------------------------------
     # Geometry helpers
     # ------------------------------------------------------------------
-    def wrap_position(self, pos):
-        """Map physical coordinates into ``[0, L)`` (periodic boundaries)."""
-        return np.mod(pos, self.L)
-
-    def wrap_cell(self, c):
-        """Map cell indices into ``[0, cells)`` (periodic boundaries)."""
-        return np.mod(c, self.cells)
-
     def cell_of(self, coord):
         """Discrete cell index of physical coordinate(s), wrapped periodically.
 
@@ -98,10 +85,6 @@ class Mesh:
         """
         idx = np.floor(np.asarray(coord) / self.h).astype(np.int64)
         return np.mod(idx, self.cells)
-
-    def cell_center_y(self, j):
-        """Ordinate of the horizontal axis of symmetry of cell row ``j``."""
-        return (np.asarray(j, dtype=np.float64) + 0.5) * self.h
 
     def stored_bytes_for_cells(self, n_cells: int, bytes_per_point: int = 8) -> int:
         """Bytes a materialized charge grid would use for ``n_cells`` cells.

@@ -10,10 +10,8 @@ injection/removal events.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Sequence
 
 from repro.constants import DEFAULT_DT, DEFAULT_H, DEFAULT_Q
 
@@ -216,15 +214,6 @@ class PICSpec:
         """Physical domain edge length ``L = cells * h``."""
         return self.cells * self.h
 
-    @property
-    def drift_cells_per_step(self) -> int:
-        """Horizontal cells crossed per time step, ``2k + 1``."""
-        return 2 * self.k + 1
-
-    def with_events(self, events: Sequence[InjectionEvent | RemovalEvent]) -> "PICSpec":
-        """Return a copy of this spec with the given event list."""
-        return replace(self, events=tuple(events))
-
     def scaled(self, particle_factor: float = 1.0, step_factor: float = 1.0) -> "PICSpec":
         """Return a down/up-scaled copy, used by the benchmark presets."""
         return replace(
@@ -310,14 +299,3 @@ def spec_from_dict(doc: dict) -> PICSpec:
         if doc.get(key) is not None:
             doc[key] = tuple(doc[key])
     return PICSpec(**doc)
-
-
-def validated_even_cells(cells: int) -> int:
-    """Round ``cells`` up to the next even number (helper for workload gen)."""
-    return cells if cells % 2 == 0 else cells + 1
-
-
-def paper_grid_for_cores(cells_per_core: int, cores: int) -> int:
-    """Choose an even per-side cell count with ~``cells_per_core * cores`` cells."""
-    side = int(math.sqrt(cells_per_core * cores))
-    return validated_even_cells(max(2, side))

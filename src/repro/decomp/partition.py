@@ -110,10 +110,6 @@ class BlockPartition:
         """Cell-column counts per processor column."""
         return np.diff(self.xsplits)
 
-    def heights(self) -> np.ndarray:
-        """Cell-row counts per processor row."""
-        return np.diff(self.ysplits)
-
     # ------------------------------------------------------------------
     # Boundary moves (load balancing)
     # ------------------------------------------------------------------

@@ -192,21 +192,19 @@ class Comm:
     # ------------------------------------------------------------------
     # Compute accounting
     # ------------------------------------------------------------------
-    def compute(self, seconds: float, task=None) -> ops.ComputeOp:
-        """Charge ``seconds`` of local computation to this rank's clock.
-
-        With ``task`` (a :class:`repro.runtime.executor.PushTask`) the real
-        work is handed to the scheduler's executor backend, which may batch
-        it with other ranks' simultaneously runnable compute phases; the
-        simulated charge is identical either way.
-        """
-        return ops.ComputeOp(seconds, task)
+    def compute(self, seconds: float) -> ops.ComputeOp:
+        """Charge ``seconds`` of local computation to this rank's clock."""
+        return ops.ComputeOp(seconds)
 
     def run_steps(self, seconds: float, task, plan) -> ops.ComputeOp:
-        """A PIC step's push and the quiet steps after it: the run op.
+        """A PIC step's push and the quiet steps after it: the run op, the
+        one op that parks a task.
 
-        Charged and executed exactly like :meth:`compute` with ``task``.
-        When every op of the batch is one of these on the world
+        Charged like :meth:`compute`; the real work, ``task`` (a
+        :class:`repro.runtime.executor.PushTask`), is handed to the
+        scheduler's executor backend, which may batch it with other ranks'
+        simultaneously parked pushes; the simulated charge is identical
+        either way.  When every op of the batch is one of these on the world
         communicator (and nothing else gates it), the scheduler may close
         the step for every rank at once — its exchange settled by the
         executor, its settlement allreduce on this communicator — and then

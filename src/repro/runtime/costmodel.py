@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.runtime.machine import MachineModel, Tier
 
 
@@ -91,10 +93,6 @@ class CostModel:
     def pack_time(self, n_particles: int) -> float:
         """Marshalling time for ``n_particles`` entering/leaving a message."""
         return n_particles * self.particle_pack_s
-
-    def subgrid_time(self, n_cells: int) -> float:
-        """Handling time for ``n_cells`` of mesh changing owner."""
-        return n_cells * self.cell_handling_s
 
     def subgrid_migration_time(self, n_cells: int) -> float:
         """Handling time for a migrated subgrid, in scaled (paper) cells."""
@@ -207,16 +205,20 @@ def payload_nbytes(value) -> int:
     a large particle buffer would distort the figures, so arrays must be
     exact.
     """
-    import numpy as np
-
+    kind = type(value)
+    if kind is int or kind is float:  # the common payload: a count or a load
+        return 8
     if value is None:
         return 0
     if isinstance(value, np.ndarray):
         return int(value.nbytes)
     if isinstance(value, (bytes, bytearray, memoryview)):
         return len(value)
-    if isinstance(value, (tuple, list)):
-        return sum(payload_nbytes(v) for v in value)
     if isinstance(value, dict):
-        return sum(payload_nbytes(v) for v in value.values())
-    return 8
+        value = value.values()
+    elif not isinstance(value, (tuple, list)):
+        return 8
+    total = 0
+    for v in value:
+        total += payload_nbytes(v)
+    return total

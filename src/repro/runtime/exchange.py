@@ -16,20 +16,20 @@ Two paths compute a round, with one range test (:func:`_outside`):
   population per axis, then work on the leavers and arrivals only —
   index-based packing into fresh wire arrays, tail-fill compaction, an
   arrival-only settlement count;
-* per wave — :func:`exchange_wave` settles the first round of a closed
-  fused group (:mod:`repro.runtime.executor`) for every member at once,
-  element for element what the per-rank path would compute, which stays
-  its oracle.  A settled round is its counts (:class:`SettledWave`): one
+* per wave — :func:`exchange_wave` settles one round of a closed fused
+  group for every member at once, element for element what the per-rank
+  path would compute, which stays its oracle.  Its one caller is
+  ``ResidentWave.advance`` (:mod:`repro.runtime.executor`), which pushes
+  the group's block and settles each round of a run of steps, the first
+  included.  A settled round is its counts (:class:`SettledWave`): one
   integer table — per hop each member's forward and backward leavers,
   arrivals and settlement count — plus where each post-round row comes
   from.  No particle is packed for it, and a round that leaves a stray
-  stops at that hop.  The scheduler closes the step — the round and its
+  stops at that hop.  The scheduler closes each step — the round and its
   settlement allreduce — for every member in one op
-  (``Scheduler._close_step``), and the quiet steps after it too
-  (``Scheduler._close_run``), the executor keeping the members' rows in
-  one block between them; at the run's end each member takes its rows by
-  one :func:`exchange_particles` call (``settled=``), which yields
-  nothing.
+  (``Scheduler._close_step``, in ``Scheduler._close_run``'s loop); at the
+  run's end each member takes its rows (:func:`member_rows`) by one
+  :func:`exchange_particles` call (``settled=``), which yields nothing.
 
 The order of particles within a rank is therefore implementation-defined
 (but deterministic).  None of this changes simulated time, message counts
@@ -385,15 +385,13 @@ def _settle_hop(v, counts, starts, lo, hi, index, n_index, owners,
     return perm, new_counts, new_starts, moved, seglen, arrivals, np.repeat(recv, seglen)
 
 
-def exchange_wave(stage, counts, ranks, routes, mesh, sources, bounds,
-                  owners) -> SettledWave:
-    """The first exchange round of a closed fused group, for every member
-    at once, as a :class:`SettledWave`.
+def exchange_wave(stage, counts, mesh, sources, bounds, owners) -> SettledWave:
+    """One exchange round of a closed fused group, for every member at
+    once, as a :class:`SettledWave`.
 
     ``stage`` holds the group's pushed x, y, vx, vy and q rows and, viewed
-    as int64, its pid row, members in order; ``counts`` gives their sizes,
-    ``ranks`` their world ranks, ``routes`` their :class:`RankRoute`, and
-    ``sources``, ``bounds`` and ``owners`` the group's
+    as int64, its pid row, members in order; ``counts`` gives their sizes
+    and ``sources``, ``bounds`` and ``owners`` are the group's
     :func:`wave_geometry`.  The whole round runs as the per-rank path
     would run it: the x hop, the y hop on the post-x populations, the
     tail-fill and arrival order of ``compact(drop=)`` and
@@ -406,7 +404,7 @@ def exchange_wave(stage, counts, ranks, routes, mesh, sources, bounds,
     a stray ends the round there — its members run the round per rank —
     so a stray wave's later hops read zeros.
     """
-    m = len(routes)
+    m = len(counts)
     counts = np.asarray(counts, dtype=np.int64)
     starts = np.cumsum(counts) - counts
     n = int(starts[-1] + counts[-1])
@@ -440,8 +438,7 @@ def exchange_wave(stage, counts, ranks, routes, mesh, sources, bounds,
         row[:, 3] = np.bincount(recv[bad], minlength=m)
         if bad.any():
             break
-    return SettledWave(ranks, sources, routes[0].bounds[3::4], table, n, cnt, st,
-                       layout)
+    return SettledWave(table, n, cnt, layout)
 
 
 def wave_geometry(ranks, routes):
@@ -484,34 +481,27 @@ def wave_geometry(ranks, routes):
 
 
 class SettledWave:
-    """A closed fused group's first exchange round as the executor settled
-    it (:func:`exchange_wave`): its counts, and where its rows go.
+    """One exchange round of a closed fused group as :func:`exchange_wave`
+    settled it: its counts, and where its rows go.
 
-    ``ranks`` lists the members' world ranks in park order, ``sources``
-    is :func:`wave_geometry`'s ``(M, 4)`` array and ``dims`` the
-    processor grid ``(px, py)``.  ``table`` (``(M, 8)`` int64) holds per
-    member, for the x hop then the y hop, its forward leavers, backward
-    leavers, arrivals and the count its :func:`_route_axis` returns (stray
-    x arrivals, misplaced y arrivals); a hop that does not run, that
-    nobody leaves or that follows a stray reads zeros.  ``counts`` and
-    ``starts`` lay the ``n`` post-round rows out member by member, and
-    ``layout`` names the stage row of each (None: the stage's own order).
-    The round's timing needs nothing else: the scheduler closes the step
-    for every member from the table (``Scheduler._close_step``).
+    ``table`` (``(M, 8)`` int64) holds per member, for the x hop then the
+    y hop, its forward leavers, backward leavers, arrivals and the count
+    its :func:`_route_axis` returns (stray x arrivals, misplaced y
+    arrivals); a hop that does not run, that nobody leaves or that follows
+    a stray reads zeros.  ``counts`` lays the ``n`` post-round rows out
+    member by member, and ``layout`` names the stage row of each (None:
+    the stage's own order).  The round's timing needs nothing else: the
+    scheduler closes the step for every member from the table and the
+    run's geometry (``Scheduler._close_step``, reading the
+    ``ResidentWave``).
     """
 
-    __slots__ = ("ranks", "sources", "dims", "table", "n", "counts", "starts",
-                 "layout")
+    __slots__ = ("table", "n", "counts", "layout")
 
-    def __init__(self, ranks, sources, dims, table, n, counts, starts,
-                 layout) -> None:
-        self.ranks = ranks
-        self.sources = sources
-        self.dims = dims
+    def __init__(self, table, n, counts, layout) -> None:
         self.table = table
         self.n = n
         self.counts = counts
-        self.starts = starts
         self.layout = layout
 
     @property
@@ -532,13 +522,16 @@ class SettledWave:
         # without a temporary.
         return np.take(stage, self.layout, axis=1, out=out, mode="clip")
 
-    def columns(self, block) -> list:
-        """Each member's six fields, slices of ``block`` laid out by
-        :attr:`counts` (the pid row viewed as int64)."""
-        x, y, vx, vy, q, pid = block
-        pid = pid.view(np.int64)
-        out = []
-        for a, k in zip(self.starts.tolist(), self.counts.tolist()):
-            rows = slice(a, a + k)  # slicing 1-D rows is ~3x cheaper than 2-D
-            out.append((x[rows], y[rows], vx[rows], vy[rows], q[rows], pid[rows]))
-        return out
+
+def member_rows(block, counts) -> list:
+    """Each member's six fields, slices of ``block`` laid out member by
+    member by ``counts`` (an int array; the pid row viewed as int64)."""
+    x, y, vx, vy, q, pid = block
+    pid = pid.view(np.int64)
+    out = []
+    a = 0
+    for k in counts.tolist():
+        rows = slice(a, a + k)  # slicing 1-D rows is ~3x cheaper than 2-D
+        out.append((x[rows], y[rows], vx[rows], vy[rows], q[rows], pid[rows]))
+        a += k
+    return out

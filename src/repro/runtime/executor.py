@@ -24,13 +24,13 @@ traces (``tests/parallel/test_executor_determinism.py``):
     boundaries but not a single result bit; what it does change is the
     number of numpy ufunc dispatches — 64 per *chunk* instead of 64 per
     *rank* — which is where many-small-rank configs (the strong-scaling
-    and AMPI VP sweeps) spend their wall clock.  For a closed group of
-    small ranks the executor also settles their whole first exchange
-    round in one pass (:func:`~repro.runtime.exchange.exchange_wave`) and
-    keeps their rows in one block (:class:`ResidentWave`); the scheduler
-    closes that step, and the quiet steps after it, for the whole group
-    at once (``Scheduler._close_run``), pushing and settling the block in
-    place between them.  Every other rank runs its exchange itself.
+    and AMPI VP sweeps) spend their wall clock.  A closed group of small
+    ranks is only staged, into one block (:class:`ResidentWave`): the
+    scheduler pushes it and settles its exchange round
+    (:func:`~repro.runtime.exchange.exchange_wave`) for the whole group
+    at once, then closes that step, and the quiet steps after it, the
+    same way (``Scheduler._close_run``).  Every other rank runs its
+    exchange itself.
 
 ``process``
     A persistent ``multiprocessing`` worker pool operating on
@@ -81,7 +81,7 @@ from repro.core.kernel_compiled import advance_arrays_compiled
 from repro.core.mesh import Mesh
 from repro.core.particles import STATE_FIELDS
 from repro.runtime.errors import ExecutorWorkerLostError, exit_cause
-from repro.runtime.exchange import exchange_wave, wave_geometry
+from repro.runtime.exchange import exchange_wave, member_rows, wave_geometry
 
 __all__ = [
     "PushTask",
@@ -118,9 +118,10 @@ class PushTask:
         self.particles = particles
         self.dt = dt
         #: The rank's :class:`~repro.runtime.exchange.RankRoute`, or None:
-        #: lets an executor settle the first exchange round for a whole
-        #: fused group (:func:`~repro.runtime.exchange.exchange_wave`).  The
-        #: scheduler clears it when the step could not close.
+        #: lets an executor stage a whole fused group as one wave
+        #: (:class:`ResidentWave`), whose rounds settle every member's
+        #: exchange at once.  The scheduler clears it when the step could
+        #: not close.
         self.route = route
 
     def run(self, workspace: KernelWorkspace | None = None) -> None:
@@ -162,7 +163,9 @@ class Executor:
 
     ``batch`` is a list of ``(world_rank, PushTask)`` in the scheduler's
     deterministic park order.  On return every task's particle arrays must
-    be bitwise identical to running ``task.run()`` serially in that order.
+    be bitwise identical to running ``task.run()`` serially in that order,
+    except those of a wave the batch staged (:meth:`take_wave`), which the
+    scheduler pushes.
 
     Every backend additionally honors one fleet-wide *kernel backend*
     selection, ``kernel_backend``: ``python`` (the numpy fused kernel) or
@@ -190,8 +193,8 @@ class Executor:
         raise NotImplementedError
 
     def take_wave(self) -> "ResidentWave | None":
-        """The wave the last batch settled without a stray, handed over
-        once; None when every task's exchange is its rank's."""
+        """The wave the last batch staged, unpushed, handed over once;
+        None when every task's push and exchange are done or its rank's."""
         return None
 
     def start_batch(
@@ -234,6 +237,10 @@ def _advance_fields(backend: str, mesh, x, y, vx, vy, q, dt, workspace=None) -> 
         advance_arrays_compiled(mesh, x, y, vx, vy, q, dt)
 
 
+#: A member's six fields while its rows are in a wave's block.
+_NO_ROWS = (*(np.empty(0) for _ in range(5)), np.empty(0, dtype=np.int64))
+
+
 def _unstage(parts, stage) -> None:
     """Copy the pushed x, y, vx and vy rows of ``stage`` back to ``parts``,
     staged in order (q is read-only in the kernel: not copied back)."""
@@ -254,13 +261,12 @@ class InProcessExecutor(Executor):
     A task with at least ``KERNEL_BLOCK // 2`` particles already amortises
     the 44-66 ufunc dispatches of a push and runs in place, in park order.
     Smaller tasks are grouped by ``(mesh, dt)`` (in practice one group).
-    A group that qualifies for a wave (:meth:`_settle`) is staged whole,
-    pushed with one kernel call and its first exchange round settled for
-    every member at once (:func:`exchange_wave`); unless the round left a
-    stray, its members skip the copy-back: their post-round rows stay in
-    one block for the scheduler (:meth:`take_wave`), which closes the run
-    of steps and hands each member its rows at its end.  Any other group
-    is packed, in park order, into
+    A group that qualifies for a wave (:meth:`_settle`) is only staged
+    whole, into one block, and handed to the scheduler unpushed
+    (:meth:`take_wave`): every round of its run, the first included, is
+    pushed and settled by :meth:`ResidentWave.advance`, and each member
+    takes its rows at the run's end.  Any other group is packed, in park
+    order, into
     chunks of at most :data:`KERNEL_BLOCK` particles; each chunk's field
     arrays are staged contiguously, advanced with a single kernel call and
     copied back per task, and its members run their whole exchange per
@@ -279,13 +285,10 @@ class InProcessExecutor(Executor):
         self._init_kernel_backend(kernel_backend, exec_tracer)
         #: Staging memory for the rows x, y, vx, vy, q and pid (as int64);
         #: allocated by the first fused push so an executor that only sees
-        #: large tasks never holds one.  Its contents never outlive a batch.
+        #: large tasks never holds one.  Its contents never outlive a flush.
         self._stage = np.empty(0, dtype=np.float64)
         self._epoch: float | None = None
-        #: :meth:`_geometry`'s last group: ``(route ids, ranks, routes,
-        #: geometry)``.
-        self._kept_geometry = None
-        #: The last batch's settled wave until the scheduler takes it.
+        #: The last batch's staged wave until the scheduler takes it.
         self._wave: ResidentWave | None = None
         self.batches = 0
         self.fused_tasks = 0
@@ -338,61 +341,38 @@ class InProcessExecutor(Executor):
         return stage
 
     def _settle(self, members) -> bool:
-        """Push a group of small tasks and settle its first exchange round
-        in one wave, if the group qualifies.
+        """Stage a group of small tasks as one wave, if the group qualifies.
 
         It needs at least ``WAVE_MIN_MEMBERS`` members (ranks without
         particles count, as empty members), no more than ``WAVE_MAX_MEAN``
         particles per member on average, and closure: every member's x and
-        y source neighbours are members, so the wave knows all its arrivals.
-        A round that leaves an arrival off its block needs a second round:
-        the pushed stage is copied back and every member runs its whole
-        exchange itself.  Any other round's post-round rows are gathered
-        into one block, kept for the scheduler (:meth:`take_wave`).
+        y source neighbours are members, so the wave knows all its arrivals
+        (:func:`wave_geometry`, once per wave).  The group's six rows, pid
+        included, are staged in park order and handed over unpushed, as a
+        :class:`ResidentWave` (:meth:`take_wave`); the members give up their
+        own rows, so the last run's block is freed before this run
+        allocates.
         """
         m = len(members)
         total = sum(n for _, _, n in members)
         if m < WAVE_MIN_MEMBERS or not total or total > WAVE_MAX_MEAN * m:
             return False
-        tasks = [t for _, t, _ in members]
-        routes = [t.route for t in tasks]
         ranks = [r for r, _, _ in members]
-        geometry = self._geometry(ranks, routes)
+        geometry = wave_geometry(ranks, [t.route for _, t, _ in members])
         if geometry is None:
             return False
         self.fused_tasks += m
-        parts = [t.particles for t in tasks]
+        parts = [t.particles for _, t, _ in members]
         stage = self._staged(parts, total)
         np.concatenate([p.pid for p in parts], out=stage[5, :total].view(np.int64))
-        self._push(members, total, stage)
-        counts = [n for _, _, n in members]
-        wave = exchange_wave(stage, counts, ranks, routes, tasks[0].mesh, *geometry)
-        if wave.stray:
-            _unstage(parts, stage)
-            return True
-        self._wave = ResidentWave(self, members, routes, geometry, wave, stage)
+        for p in parts:
+            p.adopt(_NO_ROWS)
+        self._wave = ResidentWave(self, members, ranks, geometry, stage)
         return True
 
     def take_wave(self) -> "ResidentWave | None":
         wave, self._wave = self._wave, None
         return wave
-
-    def _geometry(self, ranks, routes):
-        """A group's :func:`wave_geometry`, or None when it is not closed.
-
-        Kept for the last group seen, keyed by its ranks and its routes'
-        identities: ranks reuse a route until their partition changes
-        (:meth:`repro.parallel.base._RankState.route`), so a group's
-        geometry is rebuilt once per partition, not once per step.  The
-        entry holds the routes themselves, so no other object can take
-        one of their identities while it is kept.
-        """
-        key = tuple(map(id, routes))
-        kept = self._kept_geometry
-        if kept is None or kept[0] != key or kept[1] != ranks:
-            kept = self._kept_geometry = (key, ranks, routes,
-                                          wave_geometry(ranks, routes))
-        return kept[3]
 
     def _run_chunk(self, chunk, total) -> None:
         """Advance a chunk of ``(rank, task, n)`` triples, ``total`` particles,
@@ -440,58 +420,69 @@ class InProcessExecutor(Executor):
 
 
 class ResidentWave:
-    """A settled wave's particles, kept in one block between the steps of
-    a run (``Scheduler._close_run``).
+    """A closed fused group's particles in one block, kept between the
+    steps of a run (``Scheduler._close_run``).
 
-    ``wave`` is the last round settled without a stray and ``block`` its
-    post-round rows (:meth:`~repro.runtime.exchange.SettledWave.gather`,
-    six rows), which the next :meth:`advance` pushes in place: inside a
-    run no member is staged, sliced or adopted.  Rounds gather into two
-    buffers by turns, the executor's stage and one of the run's own.  The
-    members' own arrays are stale until :meth:`release` hands each its
-    rows, at the end of the flush that formed the wave, so the executor
-    keeps nothing of it past that flush.
+    :meth:`InProcessExecutor._settle` stages the block and hands the wave
+    over unpushed.  Every round, the first included, is :meth:`advance`:
+    push the block in place, settle the round, gather its post-round rows.
+    Inside a run no member is staged, sliced or adopted.  The per-run
+    geometry lives here: ``ranks`` (the members' world ranks in park
+    order), ``sources``, ``bounds`` and ``owners`` (:func:`wave_geometry`;
+    ``sources`` is ``(M, 4)``) and ``dims`` (the processor grid ``(px,
+    py)``).  ``wave`` is the last round settled without a stray and
+    ``counts`` lays the block out member by member.  Rounds gather into
+    two buffers by turns, the executor's stage and one of the run's own,
+    which the first round makes.  The members hold no rows until
+    :meth:`release` hands each its rows, at the end of the flush that
+    staged the wave, so the executor keeps nothing of it past that flush.
     """
 
-    __slots__ = ("executor", "members", "routes", "geometry", "wave", "block",
-                 "spare", "stage")
+    __slots__ = ("executor", "members", "ranks", "sources", "bounds", "owners",
+                 "dims", "counts", "wave", "block", "spare", "stage")
 
-    def __init__(self, executor, members, routes, geometry, wave, stage) -> None:
+    def __init__(self, executor, members, ranks, geometry, stage) -> None:
         self.executor = executor
         #: ``(rank, task, n)`` triples in park order, ``n`` their first
         #: step's sizes.
         self.members = members
-        self.routes = routes
-        self.geometry = geometry
-        self.wave = wave
-        self.block = wave.gather(stage)
+        self.ranks = ranks
+        self.sources, self.bounds, self.owners = geometry
+        self.dims = members[0][1].route.bounds[3::4]
+        self.counts = np.array([n for _, _, n in members], dtype=np.int64)
+        self.wave = None
+        self.block = self.stage = stage
         #: The block before last, which the next round gathers into.
-        self.spare = self.stage = stage
+        self.spare = None
 
     def advance(self) -> bool:
         """Push the block in place and settle the next round.
 
-        True when the round left no stray: :attr:`wave` and :attr:`block`
-        are then that round's.  False when it left one: the round stops at
-        the stray hop (:func:`exchange_wave`) and the block holds the pushed
-        rows in the last round's layout, for :meth:`release` to hand back
-        so the members run this round per rank.
+        True when the round left no stray: :attr:`wave`, :attr:`counts`
+        and :attr:`block` are then that round's.  False when it left one:
+        the round stops at the stray hop (:func:`exchange_wave`) and the
+        block holds the pushed rows in the last layout, for
+        :meth:`release` to hand back so the members run this round per
+        rank.
         """
-        wave, block = self.wave, self.block
-        self.executor._push(self.members, wave.n, block)
-        settled = exchange_wave(block, wave.counts, wave.ranks, self.routes,
-                                self.members[0][1].mesh, *self.geometry)
+        block = self.block
+        self.executor._push(self.members, block.shape[1], block)
+        settled = exchange_wave(block, self.counts, self.members[0][1].mesh,
+                                self.sources, self.bounds, self.owners)
+        if self.spare is None:  # the first round: the run's own buffer
+            self.spare = np.empty_like(block)
         if settled.stray:
             return False
-        self.wave, self.block = settled, settled.gather(block, self.spare)
-        self.spare = block
+        self.wave, self.counts = settled, settled.counts
+        self.block, self.spare = settled.gather(block, self.spare), block
         return True
 
     def release(self, stray: bool):
-        """Every member's rows, in park order: slices of the block, which
-        nothing else keeps; a block in the executor's stage is copied to
-        the run's own first.  After a ``stray`` round they are its pushed
-        rows: each member takes them here
+        """Every member's rows, in park order: slices of the block
+        (:func:`~repro.runtime.exchange.member_rows`), which nothing else
+        keeps; a block in the executor's stage is copied to the run's own
+        first.  After a ``stray`` round they are its pushed rows: each
+        member takes them here
         (:meth:`~repro.core.particles.ParticleArray.adopt`), to run the
         round per rank, and None is returned.  Otherwise each member's
         exchange takes its own (``exchange_particles(settled=)``)."""
@@ -500,11 +491,11 @@ class ResidentWave:
             block = self.spare
             np.copyto(block, self.stage)
         self.block = self.spare = self.stage = None
-        columns = self.wave.columns(block)
+        rows = member_rows(block, self.counts)
         if not stray:
-            return columns
-        for (_, task, _), rows in zip(self.members, columns):
-            task.particles.adopt(rows)
+            return rows
+        for (_, task, _), own in zip(self.members, rows):
+            task.particles.adopt(own)
         return None
 
 

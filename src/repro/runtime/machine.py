@@ -88,10 +88,6 @@ class MachineModel:
     def node_of(self, core: int) -> int:
         return core // self.cores_per_node
 
-    def nodes_for_cores(self, n_cores: int) -> int:
-        """Number of nodes a job of ``n_cores`` occupies (block allocation)."""
-        return -(-n_cores // self.cores_per_node)
-
     def tier_between(self, core_a: int, core_b: int) -> Tier:
         """Communication tier between two cores."""
         if core_a == core_b:
@@ -129,13 +125,3 @@ class MachineModel:
                 if worst is Tier.NETWORK:
                     break
         return worst
-
-
-def laptop_model() -> MachineModel:
-    """A small shared-memory machine (useful in examples and tests)."""
-    return MachineModel(cores_per_socket=4, sockets_per_node=2, name="laptop")
-
-
-def edison_model() -> MachineModel:
-    """The default Edison-like model (2 x 12 cores per node)."""
-    return MachineModel()

@@ -366,9 +366,9 @@ class Scheduler:
         a pending message (a receive would match it first); every op is a
         step op settling on the world communicator (:meth:`Comm.run_steps`).
         Failing any, the tasks' ``route`` is cleared and no wave forms.  A
-        wave the executor settled without a stray comes back from
+        wave the executor staged comes back, unpushed, from
         :meth:`~repro.runtime.executor.Executor.take_wave`, and
-        :meth:`_close_run` closes it and the quiet steps after it for every
+        :meth:`_close_run` pushes, settles and closes its rounds for every
         rank before anyone wakes.  Everything else is the per-op pump, the
         oracle the closed steps must equal bit for bit.
         """
@@ -380,8 +380,7 @@ class Scheduler:
         executor = self._get_executor()
         executor.start_batch(batch).finish()
         resident = executor.take_wave()
-        if resident is not None:
-            self._close_run(batch, resident, ready)
+        if resident is not None and self._close_run(batch, resident, ready):
             return
         states = self._states
         for r, _task in batch:
@@ -407,57 +406,60 @@ class Scheduler:
                 return False
         return True
 
-    def _close_run(self, batch, resident, ready: deque) -> None:
-        """Close a settled wave's step and the quiet steps after it, for
-        every rank at once, then wake the ranks.
+    def _close_run(self, batch, resident, ready: deque) -> bool:
+        """Push, settle and close a staged wave's rounds — the batch's step
+        and the quiet steps after it — for every rank at once, then wake
+        the ranks.
 
-        ``resident`` is the :class:`~repro.runtime.executor.ResidentWave`
-        of the whole batch, whose first round the executor settled without
-        a stray.  Each step closes by :meth:`_close_step`.  Then the run's
-        plan (the ops' ``plan``, one per driver) decides: if no rank
+        ``resident`` is the batch's unpushed
+        :class:`~repro.runtime.executor.ResidentWave`.  Each turn of the
+        loop is one round: :meth:`~repro.runtime.executor.ResidentWave.advance`
+        pushes the block and settles the round, :meth:`_close_step` closes
+        the step — members served in park order, the flush's wake order,
+        for the first step and in world-rank order after — and the run's
+        plan (the ops' ``plan``, one per driver) decides.  If no rank
         needs its program after this step — no LB round, event or
-        checkpoint, not the last step — the closer does what the ranks
-        would do up to their next push: every rank enters the next step
+        checkpoint, not the last step — every rank enters the next step
         (:attr:`step`) and is charged that push, ``plan.push_seconds`` of
-        its count, in world-rank order, the order :meth:`_close_step`
-        wakes ranks in and so the pump dispatches the pushes in.  The
-        executor pushes its block and settles the next round
-        (:meth:`~repro.runtime.executor.ResidentWave.advance`) and the loop
-        closes it, its members served in world-rank order now, as the
-        pump's flush would wake them.  A round that leaves a stray ends the
-        run unclosed: its members run that step's exchange per rank.
+        its count, in world-rank order, the order the pump would dispatch
+        it in.  A round that leaves a stray ends the run unclosed
+        (``release(stray=True)``): its members take its pushed rows and
+        exchange that step per rank.
 
-        At the end each rank resumes once, with ``(counts, rows)``: its
+        False when no step closed: the flush then wakes the batch as it
+        wakes one without a wave, in park order.  Otherwise each rank
+        resumes once, in world-rank order, with ``(counts, rows)``: its
         post-exchange count after each closed step, and its rows
         (:meth:`~repro.runtime.executor.ResidentWave.release`) for its
         exchange to take, or None when its last pushed step still needs
-        its exchange.  Ranks wake in world-rank order.
+        its exchange.
         """
         n = self.n_ranks
         states = self._states
         plan = states[batch[0][0]].blocked_op.plan
         t = self.step[batch[0][0]]
-        wave = resident.wave
-        ranks = wave.ranks
+        ranks = resident.ranks
         # The pump's service order of members: park order, then world order.
         order, world_order = range(len(ranks)), np.argsort(ranks).tolist()
         closed = []  # each closed step's counts
-        stray = False
         while True:
-            self._close_step(batch, wave, order)
-            closed.append(wave.counts)
+            stray = not resident.advance()
+            if stray:
+                break
+            self._close_step(batch, resident, order)
+            counts = resident.counts
+            closed.append(counts)
             if plan.ends(t):
                 break
             t += 1
             self.step[:] = [t] * n
             seconds = np.empty(n)
-            seconds[ranks] = plan.push_seconds(wave.counts)
+            seconds[ranks] = plan.push_seconds(counts)
             self._charge_pushes(seconds)
-            if not resident.advance():
-                stray = True
-                break
-            wave, order = resident.wave, world_order
+            order = world_order
         rows = resident.release(stray)
+        if not closed:
+            return False
         # A row of counts per member, sized to this run.
         counts = np.stack(closed, axis=1)
         for i, r in enumerate(ranks):
@@ -466,15 +468,18 @@ class Scheduler:
             state.status = _RUNNABLE
             state.blocked_op = None
         ready.extend(range(n))
+        return True
 
-    def _close_step(self, batch, wave, order) -> None:
-        """Finish a settled wave's step — its first exchange round and the
+    def _close_step(self, batch, resident, order) -> None:
+        """Finish a settled round's step — its exchange round and the
         settlement allreduce after it — for every rank at once.
 
-        ``wave`` is a :class:`~repro.runtime.exchange.SettledWave` of the
-        whole batch, which :meth:`_flush_compute` let form: no round of it
-        left an arrival off its block.  Each member runs the op template
-        of ``_route_axis``'s round from its row of the table: per hop — x
+        ``resident`` is the :class:`~repro.runtime.executor.ResidentWave`
+        of the whole batch, which :meth:`_flush_compute` let form; its
+        ``wave`` is the round just settled, which left no arrival off its
+        block.  Each member runs the op template
+        of ``_route_axis``'s round from its row of the round's table
+        and the run's ``ranks``, ``sources`` and ``dims``: per hop — x
         when ``px > 1``, then y when ``py > 1`` — pack compute of its
         leavers, ``sendrecv`` forward, ``sendrecv`` backward, unpack
         compute of its arrivals.  Members with a core each are clocked by
@@ -495,9 +500,9 @@ class Scheduler:
         neither).
         """
         n = self.n_ranks
-        ranks = wave.ranks
+        ranks = resident.ranks
         cores = tuple(map(self.rank_to_core.__getitem__, ranks))
-        hops = self._round_hops(wave, cores)
+        hops = self._round_hops(resident, cores)
         if len(set(cores)) == n:
             self._clock_own_cores(ranks, cores, hops)
         else:
@@ -531,7 +536,7 @@ class Scheduler:
         for r, s in enumerate(seconds.tolist()):
             self._occupy(r, s)
 
-    def _round_hops(self, wave, cores) -> list:
+    def _round_hops(self, resident, cores) -> list:
         """The prices of a settled round's hops, one tuple per hop that
         runs: ``(leavers, pack_s, arrivals, unpack_s, slots)``, each member's
         leaver count and pack charge and arrival count and unpack charge,
@@ -541,7 +546,7 @@ class Scheduler:
         receives.  Link prices are kept for the next wave of the same
         geometry.
         """
-        src, n = wave.sources, wave.table
+        src, n = resident.sources, resident.wave.table
         key = (cores, src.tobytes())
         if self._wave_links is None or self._wave_links[0] != key:
             # Latency and bandwidth, (M, 4) each, of the link every
@@ -559,7 +564,7 @@ class Scheduler:
         cost = self.cost
         hops = []
         for axis in (0, 1):
-            if wave.dims[axis] == 1:
+            if resident.dims[axis] == 1:
                 continue
             fwd, bwd, arrivals = n[:, 4 * axis : 4 * axis + 3].T
             slots = []

@@ -66,7 +66,7 @@ class TestMigrateCollective:
 
         res = run_spmd(2, prog, rank_to_core=[0, 0])
         report: MigrationReport = res.returns[0]
-        assert report.any_moved
+        assert report.migrated > 0
         assert report.moved_bytes == 5000 * report.migrated
 
     def test_compute_serializes_after_migration(self):

@@ -10,7 +10,6 @@ class TestMeshConstruction:
     def test_valid_mesh(self):
         m = Mesh(cells=8, h=1.0, q=1.0)
         assert m.L == 8.0
-        assert m.n_points == 64
 
     def test_odd_cells_rejected(self):
         with pytest.raises(ValueError, match="even"):
@@ -50,17 +49,6 @@ class TestCharges:
 
 
 class TestGeometry:
-    def test_wrap_position(self):
-        m = Mesh(cells=8)
-        np.testing.assert_allclose(
-            m.wrap_position(np.array([-0.5, 0.0, 8.0, 8.5])),
-            [7.5, 0.0, 0.0, 0.5],
-        )
-
-    def test_wrap_cell(self):
-        m = Mesh(cells=8)
-        assert m.wrap_cell(np.array([-1, 0, 7, 8])).tolist() == [7, 0, 7, 0]
-
     def test_cell_of_interior_points(self):
         m = Mesh(cells=8)
         x = np.array([0.1, 0.9, 1.0, 7.999])
@@ -73,10 +61,6 @@ class TestGeometry:
     def test_cell_of_wraps(self):
         m = Mesh(cells=8)
         assert m.cell_of(np.array([8.1, -0.1])).tolist() == [0, 7]
-
-    def test_cell_center_y(self):
-        m = Mesh(cells=8, h=2.0)
-        np.testing.assert_allclose(m.cell_center_y(np.array([0, 3])), [1.0, 7.0])
 
     def test_stored_bytes(self):
         m = Mesh(cells=8)

@@ -8,8 +8,6 @@ from repro.core.spec import (
     PICSpec,
     Region,
     RemovalEvent,
-    paper_grid_for_cores,
-    validated_even_cells,
 )
 
 
@@ -23,7 +21,6 @@ class TestSpecValidation:
     def test_basic_spec_is_valid(self):
         spec = make_spec()
         assert spec.L == 32.0
-        assert spec.drift_cells_per_step == 1
 
     def test_odd_cells_rejected(self):
         with pytest.raises(ValueError, match="even"):
@@ -44,9 +41,6 @@ class TestSpecValidation:
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
             make_spec(k=-1)
-
-    def test_drift_cells_per_step_follows_k(self):
-        assert make_spec(k=3).drift_cells_per_step == 7
 
     def test_patch_requires_region(self):
         with pytest.raises(ValueError, match="patch"):
@@ -117,13 +111,6 @@ class TestEvents:
 
 
 class TestHelpers:
-    def test_with_events_returns_copy(self):
-        spec = make_spec()
-        ev = InjectionEvent(step=1, region=Region(0, 2, 0, 2), count=5)
-        spec2 = spec.with_events([ev])
-        assert spec.events == ()
-        assert spec2.events == (ev,)
-
     def test_scaled_preserves_minimums(self):
         spec = make_spec(n_particles=10, steps=10)
         tiny = spec.scaled(particle_factor=0.0001, step_factor=0.0001)
@@ -135,15 +122,6 @@ class TestHelpers:
         half = spec.scaled(particle_factor=0.5)
         assert half.n_particles == 50
         assert half.steps == 10
-
-    def test_validated_even_cells(self):
-        assert validated_even_cells(10) == 10
-        assert validated_even_cells(11) == 12
-
-    def test_paper_grid_for_cores_even(self):
-        side = paper_grid_for_cores(cells_per_core=10000, cores=24)
-        assert side % 2 == 0
-        assert side > 0
 
     def test_describe_mentions_distribution(self):
         assert "geometric" in make_spec().describe()

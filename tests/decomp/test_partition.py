@@ -29,7 +29,7 @@ class TestPartitionValidation:
         p = BlockPartition.uniform(16, 4, 2)
         assert p.px == 4 and p.py == 2
         assert p.widths().tolist() == [4, 4, 4, 4]
-        assert p.heights().tolist() == [8, 8]
+        assert p.ysplits.tolist() == [0, 8, 16]
 
     def test_bad_endpoints_rejected(self):
         with pytest.raises(ValueError, match="start at 0"):

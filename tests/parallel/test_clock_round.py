@@ -39,7 +39,8 @@ forms no wave runs the per-rank exchange, the oracle:
   op, a step settling on another communicator — forms no wave for its
   step, and the run equals the no-wave run bit for bit; so does a
   multi-hop step (a stray arrival).  The process executor forms no wave.
-* **Fixed cases** — a stray inside a run, a forced pause (it cuts at the
+* **Fixed cases** — a stray inside a run, a stray first round (its batch
+  wakes in park order), a forced pause (it cuts at the
   step and writes the bytes the per-step closer did), a ``TraceCollector``
   (same samples, same ticks) and an ``EngineGroup`` over one executor.
 """
@@ -408,8 +409,9 @@ def test_a_wave_over_ranks_of_one_core_each_is_clocked():
 
 def test_a_multi_hop_step_keeps_its_allreduce(pump_calls):
     """k = 4 moves particles 9 cells a step over blocks 8 cells wide: x
-    arrivals are strays, so the executor hands out no wave and the ranks
-    run their whole exchange per op, the settlement allreduce included."""
+    arrivals are strays, so every wave's first round ends its run unclosed
+    and the ranks run their whole exchange per op, the settlement
+    allreduce included."""
     def build():
         return Mpi2dPIC(_spec(k=4), 64, executor=InProcessExecutor())
 
@@ -429,6 +431,23 @@ def test_a_stray_inside_a_run_ends_it():
 
     assert _against_oracles(build) == [((False,) * 5 + (True,), 5),
                                        ((True,), 0), ((True,), 0)]
+
+
+def test_a_stray_first_round_wakes_its_batch_in_park_order():
+    """AMPI's shared cores serve occupations in the order the pump
+    dispatches them, so a run whose first round strays closes no step and
+    wakes its batch as a flush without a wave does, in park order; woken in
+    world-rank order, this case's clocks moved."""
+    events = (RemovalEvent(step=1, region=Region(8, 24, 0, 32), fraction=0.5),)
+    spec = PICSpec(cells=32, n_particles=40, steps=8, k=4, m_vertical=1, seed=0,
+                   events=events)
+
+    def build():
+        return AmpiPIC(spec, 4, overdecomposition=4, lb_interval=1,
+                       executor=InProcessExecutor())
+
+    log = _against_oracles(build)
+    assert ((True,), 0) in log
 
 
 def test_the_process_executor_keeps_the_pump():
@@ -604,7 +623,7 @@ def test_every_gate_condition_hands_the_round_back():
     log = _against_oracles(lambda: Messaging(_spec(), 64, executor=InProcessExecutor()))
     assert log == CUT_NO_WAVE
 
-    wave = _wave([0, 1, 2, 3], (2, 2))
+    wave = _Resident([0, 1, 2, 3], (2, 2))
 
     def template(comm):
         r = comm.rank
@@ -662,17 +681,6 @@ def test_every_close_condition_leaves_the_allreduce_to_the_pump():
     pump = Scheduler(4, rank_to_core=shared, executor=InProcessExecutor())
     before = pump.run([pump_program] * 4).returns
 
-    class Resident:
-        """One settled round, then the plan ends the run."""
-
-        def __init__(self):
-            self.wave = _wave([2, 0, 3, 1], (1, 1))
-            self.released = None
-
-        def release(self, stray):
-            self.released = stray
-            return ["rows 2", "rows 0", "rows 3", "rows 1"]
-
     class Plan:
         steps = 1
 
@@ -682,9 +690,10 @@ def test_every_close_condition_leaves_the_allreduce_to_the_pump():
     sched = Scheduler(4, rank_to_core=shared, executor=InProcessExecutor())
     worlds, batch = _parked(sched, order=(2, 0, 3, 1), plan=Plan())
     sched.clock = list(before)
-    ready, resident = deque(), Resident()
+    ready, resident = deque(), _Resident([2, 0, 3, 1], (1, 1))
     sched._close_run(batch, resident, ready)
     assert list(ready) == [0, 1, 2, 3] and resident.released is False
+    assert resident.rounds == 1
     assert [t.hex() for t in sched.clock] == [t.hex() for t in pump.clock]
     assert sched.collectives_completed == pump.collectives_completed == 1
     assert [c._coll_seq for c in worlds] == [1, 1, 1, 1]
@@ -697,11 +706,25 @@ def test_every_close_condition_leaves_the_allreduce_to_the_pump():
 SOURCES = np.array([[1, 1, 2, 2], [0, 0, 3, 3], [3, 3, 0, 0], [2, 2, 1, 1]])
 
 
-def _wave(ranks, dims):
-    """A settled round over four empty members: nobody leaves."""
-    zeros = np.zeros(4, dtype=np.int64)
-    return SettledWave(ranks, SOURCES, dims, np.zeros((4, 8), dtype=np.int64), 0,
-                       zeros, zeros, None)
+class _Resident:
+    """A run's wave over four empty members whose rounds settle with
+    nobody leaving, as ``_close_run`` and ``_close_step`` read it."""
+
+    def __init__(self, ranks, dims):
+        self.ranks, self.sources, self.dims = ranks, SOURCES, dims
+        self.counts = np.zeros(4, dtype=np.int64)
+        self.wave = SettledWave(np.zeros((4, 8), dtype=np.int64), 0, self.counts,
+                                None)
+        self.rounds = 0
+        self.released = None
+
+    def advance(self):
+        self.rounds += 1
+        return True
+
+    def release(self, stray):
+        self.released = stray
+        return [f"rows {r}" for r in self.ranks]
 
 
 def _parked(sched, order=(0, 1, 2, 3), plan=None):

@@ -1,6 +1,7 @@
 """A closed fused group's first exchange round, settled once for every member.
 
-When ``InProcessExecutor`` has just pushed a group of small ranks, one pass
+When ``InProcessExecutor`` has staged a group of small ranks and
+``ResidentWave.advance`` has pushed it, one pass
 (:func:`repro.runtime.exchange.exchange_wave`) runs what each member's
 ``exchange_particles`` would do in round 1: the x hop, the y hop on the
 post-x populations, tail-fill, arrivals and the settlement counts — for a
@@ -26,8 +27,9 @@ per-rank path (:func:`repro.runtime.exchange.hop_front_half` plus
 * **Runs** — a 64-rank run settled and one without the wave agree on the
   final particle bytes (in-rank order included), clocks and traffic; so
   does a multi-hop run, whose rounds leave strays: each stops at its stray
-  hop and gathers no block, and the executor copies each pushed stage back
-  and hands out no wave.
+  hop, gathers no block and closes no step, and the members take their
+  pushed rows back.  A staged wave's members hold no rows until the run's
+  end.
 """
 
 from __future__ import annotations
@@ -46,7 +48,13 @@ from repro.runtime import exchange as exchange_mod
 from repro.runtime import executor as executor_mod
 from repro.runtime import ops, run_spmd
 from repro.runtime.costmodel import CostModel
-from repro.runtime.exchange import SettledWave, exchange_wave, wave_geometry
+from repro.runtime.exchange import (
+    SettledWave,
+    exchange_wave,
+    member_rows,
+    wave_geometry,
+)
+from repro.runtime.scheduler import Scheduler
 from repro.runtime.executor import InProcessExecutor, ProcessExecutor
 
 _FIELDS = ("x", "y", "vx", "vy", "q", "pid")
@@ -190,8 +198,7 @@ def test_settled_round_equals_per_rank_round(seed, px, py, h, cells, sizes,
     geometry = wave_geometry(ranks, routes)
     assert geometry is not None
     stage = _stage(parts)
-    wave = exchange_wave(stage, [len(p) for p in parts], ranks, routes, mesh,
-                         *geometry)
+    wave = exchange_wave(stage, [len(p) for p in parts], mesh, *geometry)
     assert wave.table.shape == (n_ranks, 8) and wave.table.dtype == np.int64
     # A round stops at the hop that leaves a stray: after it, zeros.
     x_stray = any(hops.get((r, 0), [0] * 4)[3] for r in ranks)
@@ -203,7 +210,7 @@ def test_settled_round_equals_per_rank_round(seed, px, py, h, cells, sizes,
         assert wave.table[r].tolist() == row[0] + row[1]
     assert wave.stray == any(row[3] for row in hops.values())
     if not wave.stray:
-        columns = wave.columns(wave.gather(stage))
+        columns = member_rows(wave.gather(stage), wave.counts)
         for r in ranks:
             assert [c.tobytes() for c in columns[r]] == _bytes(want[r][1])
 
@@ -218,10 +225,9 @@ def test_adopted_rows_never_reach_a_neighbour():
     ranks = list(range(8))
     routes = [want[r][0] for r in ranks]
     stage = _stage(parts)
-    wave = exchange_wave(stage, [40] * 8, ranks, routes, mesh,
-                         *wave_geometry(ranks, routes))
+    wave = exchange_wave(stage, [40] * 8, mesh, *wave_geometry(ranks, routes))
     members = [ParticleArray.empty(0) for _ in range(8)]
-    for p, columns in zip(members, wave.columns(wave.gather(stage))):
+    for p, columns in zip(members, member_rows(wave.gather(stage), wave.counts)):
         p.adopt(columns)
         assert p.capacity == len(p)
     before = [_bytes(p) for p in members]
@@ -246,9 +252,9 @@ def wave_calls(monkeypatch):
     calls = []
     real = executor_mod.exchange_wave
 
-    def counting(stage, counts, ranks, routes, mesh, *geometry):
-        calls.append(len(routes))
-        return real(stage, counts, ranks, routes, mesh, *geometry)
+    def counting(stage, counts, mesh, *geometry):
+        calls.append(len(counts))
+        return real(stage, counts, mesh, *geometry)
 
     monkeypatch.setattr(executor_mod, "exchange_wave", counting)
     return calls
@@ -404,36 +410,65 @@ def test_runs_with_and_without_the_wave_are_identical(monkeypatch, wave_calls, b
     assert wave_calls == []
 
 
+def test_staged_members_hold_no_rows(monkeypatch, wave_calls):
+    """Once staged, a wave's members hold no rows until the run's end, so
+    the last run's block (their adopted rows) is freed before the next run
+    allocates its own."""
+    held = []
+    real_take = InProcessExecutor.take_wave
+
+    def take_wave(self):
+        resident = real_take(self)
+        if resident is not None:
+            held.append(sum(len(t.particles) for _, t, _ in resident.members))
+        return resident
+
+    monkeypatch.setattr(InProcessExecutor, "take_wave", take_wave)
+    res = AmpiPIC(_spec(4_000, 6), 16, overdecomposition=4, lb_interval=3,
+                  executor=InProcessExecutor()).run()
+    assert res.verification.ok
+    assert wave_calls == [64] * 6 and held == [0, 0]
+
+
 def test_a_stray_wave_copies_its_push_back(monkeypatch, wave_calls):
     """k = 4 moves particles 9 cells a step over blocks 8 cells wide: every
-    settled round leaves x strays, so it stops after the x hop and gathers
-    nothing, the executor copies each pushed stage back, hands out no wave
-    and every rank runs its whole exchange; final bytes, clocks and traffic
-    equal the run without the wave."""
-    handed, gathers = [], []
+    wave's first round leaves x strays, so it stops after the x hop,
+    gathers nothing and closes no step; the members take the pushed rows
+    back and every rank runs its whole exchange; final bytes, clocks and
+    traffic equal the run without the wave."""
+    handed, gathers, closes = [], [], []
     real_take, real_gather = InProcessExecutor.take_wave, SettledWave.gather
+    real_close = Scheduler._close_step
 
     def take_wave(self):
         handed.append(real_take(self))
         return handed[-1]
 
-    def gather(self, stage):
+    def gather(self, stage, out=None):
         gathers.append(self)
-        return real_gather(self, stage)
+        return real_gather(self, stage, out)
+
+    def closing(self, batch, resident, order):
+        closes.append(resident)
+        return real_close(self, batch, resident, order)
 
     monkeypatch.setattr(InProcessExecutor, "take_wave", take_wave)
     monkeypatch.setattr(SettledWave, "gather", gather)
+    monkeypatch.setattr(Scheduler, "_close_step", closing)
 
     def build():
         return Mpi2dPIC(_spec(4_000, 6, k=4), 64, executor=InProcessExecutor())
 
     strayed = _observe(monkeypatch, build)
     assert wave_calls == [64] * 6
-    assert handed == [None] * 6 and gathers == []
+    assert len(handed) == 6 and None not in handed
+    assert all(resident.wave is None for resident in handed)
+    assert gathers == [] and closes == []
     monkeypatch.setattr(executor_mod, "WAVE_MAX_MEAN", 0)
     wave_calls.clear()
+    handed.clear()
     assert _observe(monkeypatch, build) == strayed
-    assert wave_calls == []
+    assert wave_calls == [] and handed == [None] * 6
 
 
 def test_groups_beside_in_place_ranks_are_not_closed(monkeypatch, wave_calls):

@@ -21,7 +21,8 @@ class TestComputeCosts:
     def test_pack_and_subgrid_linear(self):
         cm = CostModel()
         assert cm.pack_time(100) == pytest.approx(100 * cm.particle_pack_s)
-        assert cm.subgrid_time(100) == pytest.approx(100 * cm.cell_handling_s)
+        assert cm.subgrid_migration_time(100) == pytest.approx(
+            100 * cm.cell_byte_scale * cm.cell_handling_s)
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
@@ -89,6 +90,34 @@ class TestPayloadBytes:
     def test_scalar_default(self):
         assert payload_nbytes(3.14) == 8
         assert payload_nbytes(42) == 8
+
+    @pytest.mark.parametrize("value, nbytes", [
+        (None, 0),
+        (True, 8),
+        (False, 8),
+        (0, 8),
+        (-7, 8),
+        (2.5, 8),
+        (np.float64(1.0), 8),
+        (np.int64(3), 8),
+        (np.int32(3), 8),
+        (np.bool_(True), 8),
+        (np.zeros(3, dtype=np.int32), 12),
+        (np.zeros((2, 6)), 96),
+        (np.zeros(0), 0),
+        (b"abc", 3),
+        (bytearray(5), 5),
+        (memoryview(b"abcd"), 4),
+        ("a long string", 8),
+        ((), 0),
+        ({}, 0),
+        ((1, 2.0), 16),
+        ([None, b"xy"], 2),
+        ({"k": 1, "v": np.zeros(4)}, 40),
+        ((1, [2, (3, {"a": None, "b": [np.zeros(1), b"z"]})], {}), 33),
+    ])
+    def test_every_kind_keeps_its_size(self, value, nbytes):
+        assert payload_nbytes(value) == nbytes
 
 
 class TestPointPrediction:

@@ -17,6 +17,7 @@ import pytest
 
 from repro.core.spec import Distribution, PICSpec
 from repro.parallel import AmpiPIC, Mpi2dPIC
+from repro.parallel.base import RunPlan
 from repro.runtime import (
     ENGINE_BLOCKED,
     ENGINE_FINISHED,
@@ -27,7 +28,12 @@ from repro.runtime import (
     SimEngine,
     run_spmd,
 )
+from repro.runtime.costmodel import CostModel
 from repro.runtime.executor import make_executor
+
+
+#: A plan for run ops outside a driver; no wave forms, so nothing reads it.
+_PLAN = RunPlan(2, set(), lambda t: False, None, CostModel(), 0.0)
 
 
 class _FakeTask:
@@ -42,7 +48,7 @@ class _FakeTask:
 def _ring_program(comm):
     """A few steps of compute-and-shift around a ring (executor-parked)."""
     for step in range(4):
-        yield comm.compute(1e-4 * (comm.rank + 1), _FakeTask())
+        yield comm.run_steps(1e-4 * (comm.rank + 1), _FakeTask(), _PLAN)
         yield comm.send(("tok", step, comm.rank), dst=(comm.rank + 1) % comm.size)
         yield comm.recv(src=(comm.rank - 1) % comm.size)
         yield comm.barrier()
@@ -57,7 +63,7 @@ def _park_out_of_order(comm):
             yield comm.recv(src=comm.size - 1)
         elif comm.rank == comm.size - 1:
             yield comm.send(step, dst=0)
-        yield comm.compute(1e-4, _FakeTask())
+        yield comm.run_steps(1e-4, _FakeTask(), _PLAN)
         yield comm.compute(1e-5)
     return comm.rank
 
@@ -265,7 +271,7 @@ class TestExecutorLifecycle:
         import repro.runtime.executor as executor_module
 
         def prog(comm):
-            yield comm.compute(1e-5, _FakeTask())
+            yield comm.run_steps(1e-5, _FakeTask(), _PLAN)
             raise RuntimeError("rank exploded")
 
         pool = make_executor("process", workers=2)

@@ -20,8 +20,9 @@ from repro.core.kernel import (
 )
 from repro.core.mesh import Mesh
 from repro.core.particles import STATE_FIELDS, ParticleArray
-from repro.runtime import ops
+from repro.parallel.base import RunPlan
 from repro.runtime import executor as executor_mod
+from repro.runtime.costmodel import CostModel
 from repro.runtime.errors import ExecutorWorkerLostError
 from repro.runtime.executor import (
     InProcessExecutor,
@@ -33,7 +34,7 @@ from repro.runtime.executor import (
 )
 from repro.core.kernel_compiled import CompiledKernelUnavailable, resolve_backend
 from repro.instrument import ExecutorTrace
-from repro.runtime.scheduler import run_spmd
+from repro.runtime.scheduler import Scheduler, run_spmd
 from tests.core.backend_conformance import BACKENDS
 
 
@@ -472,6 +473,11 @@ def test_concurrent_prewarm_startup_is_flat():
     assert t_four < 2.5 * t_one, (t_one, t_four)
 
 
+#: A plan for run ops outside a driver; no wave forms in these batches,
+#: so nothing reads it.
+_PLAN = RunPlan(2, set(), lambda t: False, None, CostModel(), 0.0)
+
+
 class TestSchedulerBatching:
     def test_compute_tasks_flush_as_one_batch(self):
         """All ranks parked on the same step's push reach the executor together."""
@@ -486,7 +492,7 @@ class TestSchedulerBatching:
         def program(comm):
             p = _particles(20, mesh, seed=comm.rank)
             for _ in range(2):
-                yield comm.compute(1e-6, task=PushTask(mesh, p, 0.01))
+                yield comm.run_steps(1e-6, PushTask(mesh, p, 0.01), _PLAN)
                 yield comm.barrier()
             return len(p)
 
@@ -509,16 +515,17 @@ class TestSchedulerBatching:
         def program(comm):
             p = _particles(10, mesh, seed=5)
             before = p.x.copy()
-            yield comm.compute(1e-6, task=PushTask(mesh, p, 0.01))
+            yield comm.run_steps(1e-6, PushTask(mesh, p, 0.01), _PLAN)
             return bool(np.any(p.x != before))
 
         result = run_spmd(2, program, executor=make_executor("batched"))
         assert result.returns == [True, True]
 
     def test_compute_op_carries_task(self):
-        op = ops.ComputeOp(1.0, task="marker")
+        comm = Scheduler(1).make_world(0)
+        op = comm.run_steps(1.0, "marker", _PLAN)
         assert op.task == "marker"
-        assert ops.ComputeOp(1.0).task is None
+        assert comm.compute(1.0).task is None
 
 
 class TestKernelBackendPlumbing:

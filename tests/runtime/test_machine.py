@@ -7,8 +7,6 @@ from repro.runtime.machine import (
     MachineModel,
     Tier,
     TierCosts,
-    edison_model,
-    laptop_model,
 )
 
 
@@ -27,7 +25,7 @@ class TestTierCosts:
 
 class TestTopology:
     def test_edison_geometry(self):
-        m = edison_model()
+        m = MachineModel()
         assert m.cores_per_node == 24
 
     def test_socket_and_node_mapping(self):
@@ -43,24 +41,17 @@ class TestTopology:
         assert m.tier_between(0, 4) is Tier.NETWORK
 
     def test_tier_symmetry(self):
-        m = edison_model()
+        m = MachineModel()
         for a, b in [(0, 5), (0, 13), (3, 40)]:
             assert m.tier_between(a, b) is m.tier_between(b, a)
 
     def test_tier_ordering_costs_increase(self):
         """The cost hierarchy must be monotone: SELF < SOCKET < NODE < NETWORK."""
-        m = edison_model()
+        m = MachineModel()
         lat = [m.costs(t).latency for t in Tier]
         assert lat == sorted(lat)
         bw = [m.costs(t).bandwidth for t in Tier]
         assert bw == sorted(bw, reverse=True)
-
-    def test_nodes_for_cores(self):
-        m = edison_model()
-        assert m.nodes_for_cores(1) == 1
-        assert m.nodes_for_cores(24) == 1
-        assert m.nodes_for_cores(25) == 2
-        assert m.nodes_for_cores(384) == 16
 
     def test_worst_tier(self):
         m = MachineModel(cores_per_socket=2, sockets_per_node=2)
@@ -70,7 +61,7 @@ class TestTopology:
         assert m.worst_tier([0, 1, 2, 5]) is Tier.NETWORK
 
     def test_transfer_time_cheaper_within_socket(self):
-        m = edison_model()
+        m = MachineModel()
         n = 8192
         assert m.transfer_time(0, 1, n) < m.transfer_time(0, 13, n) < m.transfer_time(0, 25, n)
 
@@ -81,6 +72,3 @@ class TestTopology:
     def test_missing_tier_rejected(self):
         with pytest.raises(RuntimeConfigError):
             MachineModel(tier_costs={Tier.SELF: TierCosts(1e-9, 1e9)})
-
-    def test_laptop_model_small(self):
-        assert laptop_model().cores_per_node == 8

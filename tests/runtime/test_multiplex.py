@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.parallel.base import RunPlan
 from repro.runtime import (
     DeadlockError,
     RuntimeConfigError,
@@ -19,8 +20,13 @@ from repro.runtime import (
     SimEngine,
     run_spmd,
 )
+from repro.runtime.costmodel import CostModel
 from repro.runtime.executor import make_executor
 from repro.runtime.multiplex import EngineGroup
+
+
+#: A plan for run ops outside a driver; no wave forms, so nothing reads it.
+_PLAN = RunPlan(2, set(), lambda t: False, None, CostModel(), 0.0)
 
 
 class _FakeTask:
@@ -34,7 +40,7 @@ def _make_program(steps: int, weight: float):
     def program(comm):
         total = 0
         for step in range(steps):
-            yield comm.compute(weight * (comm.rank + 1), _FakeTask())
+            yield comm.run_steps(weight * (comm.rank + 1), _FakeTask(), _PLAN)
             yield comm.send(step, dst=(comm.rank + 1) % comm.size)
             total += yield comm.recv(src=(comm.rank - 1) % comm.size)
             yield comm.barrier()
