@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import time
 from collections import defaultdict
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,13 +32,7 @@ from repro.bench.kernel_passes import (
     time_block_passes,
 )
 from repro.core.initialization import initialize
-from repro.core.kernel import (
-    KERNEL_BLOCK,
-    WAVE_MAX_MEAN,
-    WAVE_MIN_MEMBERS,
-    advance,
-    advance_reference,
-)
+from repro.core.kernel import KERNEL_BLOCK, advance, advance_reference
 from repro.core.kernel_compiled import (
     CompiledKernelUnavailable,
     advance_arrays_compiled,
@@ -46,8 +41,10 @@ from repro.core.mesh import Mesh
 from repro.core.particles import STATE_FIELDS
 from repro.core.spec import Distribution, PICSpec
 from repro.parallel import Mpi2dPIC
-from repro.runtime import SUM, run_spmd
+from repro.runtime import SUM, Scheduler, run_spmd
 from repro.runtime.exchange import (
+    WAVE_MAX_MEAN,
+    WAVE_MIN_MEMBERS,
     _count_misplaced,
     exchange_wave,
     hop_front_half,
@@ -218,18 +215,20 @@ WAVE_SHAPES = (
 
 
 def _first_batch(cores: int, n: int):
-    """The pushed particles (copies), ranks and routes of the first executor
-    batch of a one-step mpi-2d run."""
+    """The pushed particles (copies), ranks and routes of the first batch
+    of a one-step mpi-2d run."""
     captured = []
+    real_flush = Scheduler._flush_compute
 
-    class Capture(InProcessExecutor):
-        def run_batch(self, batch):
-            if not captured:
-                captured.extend((r, t.route, t.particles.copy()) for r, t in batch)
-            super().run_batch(batch)
+    def flush(self, ready):
+        if not captured:
+            captured.extend((r, t.route, t.particles.copy())
+                            for r, t in self._pending_exec)
+        real_flush(self, ready)
 
     spec = PICSpec(cells=288, n_particles=n, steps=1)
-    Mpi2dPIC(spec, cores, executor=Capture()).run()
+    with mock.patch.object(Scheduler, "_flush_compute", flush):
+        Mpi2dPIC(spec, cores, executor=InProcessExecutor()).run()
     mesh = Mesh(spec.cells)
     for _, _, p in captured:
         advance(mesh, p, spec.dt)
@@ -305,8 +304,9 @@ def _wave_report(reps: int = 20) -> None:
         def wave():
             parts = state["parts"]
             np.concatenate([p.pid for p in parts], out=stage[5].view(np.int64))
-            wave = exchange_wave(stage, counts, mesh, *geometry)
-            for p, rows in zip(parts, member_rows(wave.gather(stage), wave.counts)):
+            _, settled, layout = exchange_wave(stage, counts, mesh, *geometry)
+            block = stage.copy() if layout is None else np.take(stage, layout, axis=1)
+            for p, rows in zip(parts, member_rows(block, settled)):
                 p.adopt(rows)
 
         slow = _best_call_us(per_rank, restore, reps)

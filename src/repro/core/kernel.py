@@ -123,28 +123,6 @@ def compute_acceleration(
 #: Chunking an elementwise computation does not change a single result bit.
 KERNEL_BLOCK = 16384
 
-#: Fewest members a closed fused group needs before the executor stages it
-#: as one wave, whose exchange rounds are settled for all of them at once
-#: (``exchange_wave`` in :mod:`repro.runtime.exchange`) instead of once per
-#: rank.  The round's
-#: array work alone favours the wave down to the smallest groups
-#: (``bench_kernel_micro.py``'s wave table, 2-vCPU host, best of 20): 4.5 vs
-#: 0.8 ms at 64 x 250 particles, 0.50 vs 0.19 ms at 8 x 250, 0.27 vs
-#: 0.19 ms at multiplex_32's 4 x 1000.  End to end the smallest groups do
-#: not pay: with no member cut, ``multiplex_32`` (4 members per group) read
-#: 3.62 -> 4.06 s (4 alternating pairs, 1 of 4 faster), so groups below 8
-#: members stay per rank.
-WAVE_MIN_MEMBERS = 8
-
-#: Most particles per member, on average, a fused group may hold for the
-#: executor to stage it as one wave, its exchange rounds settled at once.  The wave
-#: costs ~22 ns per particle, the per-rank round ~85 us per member plus
-#: ~8 ns per particle: 884 vs 1475 us at 16 x 2000, 1762 vs 1863 us at
-#: 16 x 5000, 2592 vs 1819 us at churn_ckpt's 16 x 7500.  The cut sits
-#: where the wave is still ~1.7x faster, well clear of the break-even near
-#: 5500, because a wave also allocates a fresh block of every member's rows.
-WAVE_MAX_MEAN = 2048
-
 
 class KernelWorkspace:
     """Reused scratch buffers for the fused particle push.

@@ -484,9 +484,9 @@ class ParallelPICBase:
                 # may fuse the kernel calls or fan them out across worker
                 # processes (bitwise-identical either way — see
                 # repro.runtime.executor).  The task also carries the rank's
-                # exchange route, so a fusing executor may settle the
-                # exchange for the whole group; the scheduler then closes
-                # this step, and the quiet steps after it, for every rank.
+                # exchange route, so the scheduler may stage the whole batch
+                # as one wave and close this step, and the quiet steps after
+                # it, for every rank.
                 task = PushTask(mesh, state.particles, spec.dt, route=state.route(cart))
                 ran = yield comm.run_steps(plan.push_seconds(n_local), task, plan)
                 settled = None

@@ -206,8 +206,9 @@ class Comm:
         simultaneously parked pushes; the simulated charge is identical
         either way.  When every op of the batch is one of these on the world
         communicator (and nothing else gates it), the scheduler may close
-        the step for every rank at once — its exchange settled by the
-        executor, its settlement allreduce on this communicator — and then
+        the step for every rank at once — its exchange settled as one wave
+        (:func:`repro.runtime.exchange.stage_wave`), its settlement
+        allreduce on this communicator — and then
         close the steps after it the same way until ``plan`` (one per
         driver: ``ends(t)``, ``push_seconds(counts)``) says a rank needs
         its program (``Scheduler._close_run``).  The rank then resumes

@@ -18,14 +18,18 @@ Two paths compute a round, with one range test (:func:`_outside`):
   arrival-only settlement count;
 * per wave — :func:`exchange_wave` settles one round of a closed fused
   group for every member at once, element for element what the per-rank
-  path would compute, which stays its oracle.  Its one caller is
-  ``ResidentWave.advance`` (:mod:`repro.runtime.executor`), which pushes
-  the group's block and settles each round of a run of steps, the first
-  included.  A settled round is its counts (:class:`SettledWave`): one
-  integer table — per hop each member's forward and backward leavers,
-  arrivals and settlement count — plus where each post-round row comes
-  from.  No particle is packed for it, and a round that leaves a stray
-  stops at that hop.  The scheduler closes each step — the round and its
+  path would compute, which stays its oracle.  This module owns the
+  wave: ``Scheduler._flush_compute`` asks :func:`stage_wave` whether a
+  batch that may close qualifies, and gets back a :class:`ResidentWave`,
+  the whole batch's particles in one block of its own, unpushed.  Each
+  round of a run of steps, the first included, is
+  :meth:`ResidentWave.advance`: the executor pushes the block
+  (``Executor.push_block``) and :func:`exchange_wave`, its one caller
+  here, settles the round.  A settled round is its counts: one integer
+  table — per hop each member's forward and backward leavers, arrivals
+  and settlement count — plus where each post-round row comes from.  No
+  particle is packed for it, and a round that leaves a stray stops at
+  that hop.  The scheduler closes each step — the round and its
   settlement allreduce — for every member in one op
   (``Scheduler._close_step``, in ``Scheduler._close_run``'s loop); at the
   run's end each member takes its rows (:func:`member_rows`) by one
@@ -44,6 +48,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.kernel import KERNEL_BLOCK
 from repro.core.particles import STATE_FIELDS, record_nbytes
 from repro.runtime.reduce_ops import SUM
 
@@ -66,10 +71,33 @@ EMPTY_WIRE = np.empty((0, STATE_FIELDS), dtype=np.float64)
 _NO_ROWS = np.empty(0, dtype=np.int64)
 #: The front half of a hop nobody leaves: no rows, nothing to send.
 NO_LEAVERS = (_NO_ROWS, EMPTY_WIRE, EMPTY_WIRE)
+#: A member's six fields while its rows are in a wave's block.
+_NO_FIELDS = (*(np.empty(0) for _ in range(5)), _NO_ROWS)
+
+#: Fewest members a closed batch needs before it is staged as one wave,
+#: whose exchange rounds are settled for all of them at once
+#: (:func:`exchange_wave`) instead of once per rank.  The round's
+#: array work alone favours the wave down to the smallest groups
+#: (``bench_kernel_micro.py``'s wave table, 2-vCPU host, best of 20): 4.5 vs
+#: 0.8 ms at 64 x 250 particles, 0.50 vs 0.19 ms at 8 x 250, 0.27 vs
+#: 0.19 ms at multiplex_32's 4 x 1000.  End to end the smallest groups do
+#: not pay: with no member cut, ``multiplex_32`` (4 members per group) read
+#: 3.62 -> 4.06 s (4 alternating pairs, 1 of 4 faster), so groups below 8
+#: members stay per rank.
+WAVE_MIN_MEMBERS = 8
+
+#: Most particles per member, on average, a closed batch may hold to be
+#: staged as one wave, its exchange rounds settled at once.  The wave
+#: costs ~22 ns per particle, the per-rank round ~85 us per member plus
+#: ~8 ns per particle: 884 vs 1475 us at 16 x 2000, 1762 vs 1863 us at
+#: 16 x 5000, 2592 vs 1819 us at churn_ckpt's 16 x 7500.  The cut sits
+#: where the wave is still ~1.7x faster, well clear of the break-even near
+#: 5500, because a wave also allocates a fresh block of every member's rows.
+WAVE_MAX_MEAN = 2048
 
 
 class RankRoute:
-    """One rank's exchange geometry, as a fusing executor reads it.
+    """One rank's exchange geometry, as :func:`stage_wave` reads it.
 
     ``bounds`` is ``(x lo, x hi, x index, px, y lo, y hi, y index, py)``:
     the rank's block ``[lo, hi)`` and its processor index and count along
@@ -176,7 +204,7 @@ def exchange_particles(
 
     ``settled`` is this rank's six post-round fields after a run the
     scheduler closed for every rank at once (``Scheduler._close_run``),
-    the executor's slices of one block: the rank takes them for its
+    the wave's slices of one block: the rank takes them for its
     particles and routes nothing, and yields nothing.
     """
     if settled is not None:
@@ -224,10 +252,10 @@ def hop_front_half(particles, mesh, *, splits, my_index, n_index, axis, rng):
     (``fwd_buf`` its head, ``bwd_buf`` its tail), so a buffer stays valid
     however long its message is in flight.  With :func:`_route_axis`'s back
     half this is the per-rank path and the oracle of :func:`exchange_wave`,
-    which settles a closed fused group's whole first round at once.  It
-    serves everything the wave does not: the process executor, in-place
-    tasks, groups that are too small, too big or not closed, rounds >= 2
-    and LB exchanges.
+    which settles a whole round of a closed batch at once.  It serves
+    everything the wave does not: batches that are too small, too big,
+    hold an in-place task or are not closed, steps that cannot close, the
+    round after a stray and LB exchanges.
     """
     if not len(particles):
         return NO_LEAVERS
@@ -385,9 +413,9 @@ def _settle_hop(v, counts, starts, lo, hi, index, n_index, owners,
     return perm, new_counts, new_starts, moved, seglen, arrivals, np.repeat(recv, seglen)
 
 
-def exchange_wave(stage, counts, mesh, sources, bounds, owners) -> SettledWave:
+def exchange_wave(stage, counts, mesh, sources, bounds, owners):
     """One exchange round of a closed fused group, for every member at
-    once, as a :class:`SettledWave`.
+    once: ``(table, counts, layout)``.
 
     ``stage`` holds the group's pushed x, y, vx, vy and q rows and, viewed
     as int64, its pid row, members in order; ``counts`` gives their sizes
@@ -395,14 +423,17 @@ def exchange_wave(stage, counts, mesh, sources, bounds, owners) -> SettledWave:
     :func:`wave_geometry`.  The whole round runs as the per-rank path
     would run it: the x hop, the y hop on the post-x populations, the
     tail-fill and arrival order of ``compact(drop=)`` and
-    ``extend_packed``.  Each member's row of the wave's table holds, per
-    hop, the lengths of the two buffers :func:`hop_front_half` would pack
-    for it, its arrivals and the count its ``_route_axis`` returns; the
-    settlement count reads the arrivals' coordinates from the stage.  No
-    particle moves: the wave holds the stage row of every post-round row
-    (:meth:`SettledWave.gather` makes the block).  A hop whose count shows
-    a stray ends the round there — its members run the round per rank —
-    so a stray wave's later hops read zeros.
+    ``extend_packed``.  ``table`` (``(M, 8)`` int64) holds per member, for
+    the x hop then the y hop, the lengths of the two buffers
+    :func:`hop_front_half` would pack for it, its arrivals and the count
+    its ``_route_axis`` returns (stray x arrivals, misplaced y arrivals);
+    the settlement count reads the arrivals' coordinates from the stage,
+    and a hop that does not run or that nobody leaves reads zeros.  No
+    particle moves: ``counts`` lays the post-round rows out member by
+    member and ``layout`` names the stage row of each (None: the stage's
+    own order).  A hop whose count shows a stray ends the round there —
+    its members run the round per rank — so a stray round's later hops
+    read zeros.
     """
     m = len(counts)
     counts = np.asarray(counts, dtype=np.int64)
@@ -438,7 +469,7 @@ def exchange_wave(stage, counts, mesh, sources, bounds, owners) -> SettledWave:
         row[:, 3] = np.bincount(recv[bad], minlength=m)
         if bad.any():
             break
-    return SettledWave(table, n, cnt, layout)
+    return table, cnt, layout
 
 
 def wave_geometry(ranks, routes):
@@ -480,47 +511,126 @@ def wave_geometry(ranks, routes):
     return src, np.array([r.bounds for r in routes], dtype=np.int64).T, owners
 
 
-class SettledWave:
-    """One exchange round of a closed fused group as :func:`exchange_wave`
-    settled it: its counts, and where its rows go.
+def stage_wave(batch) -> ResidentWave | None:
+    """Stage a batch of ``(world rank, PushTask)`` pairs, in park order, as
+    one wave, unpushed; None unless the batch qualifies.
 
-    ``table`` (``(M, 8)`` int64) holds per member, for the x hop then the
-    y hop, its forward leavers, backward leavers, arrivals and the count
-    its :func:`_route_axis` returns (stray x arrivals, misplaced y
-    arrivals); a hop that does not run, that nobody leaves or that follows
-    a stray reads zeros.  ``counts`` lays the ``n`` post-round rows out
-    member by member, and ``layout`` names the stage row of each (None:
-    the stage's own order).  The round's timing needs nothing else: the
-    scheduler closes the step for every member from the table and the
-    run's geometry (``Scheduler._close_step``, reading the
-    ``ResidentWave``).
+    It needs at least :data:`WAVE_MIN_MEMBERS` members (ranks without
+    particles count, as empty members), no more than
+    :data:`WAVE_MAX_MEAN` particles per member on average, no task of
+    ``KERNEL_BLOCK // 2`` particles or more (the executor pushes those in
+    place), one ``(mesh, dt)`` and closure: every member's x and y source
+    neighbours are members, so the wave knows all its arrivals
+    (:func:`wave_geometry`, once per wave).  The members' six rows, pid
+    included, are copied in park order into the wave's own block, and the
+    members adopt empty rows until the run's end, so the last run's block
+    is freed before this run makes its spare.
+    """
+    m = len(batch)
+    if m < WAVE_MIN_MEMBERS:
+        return None
+    first = batch[0][1]
+    mesh, dt = first.mesh, first.dt
+    parts, sizes = [], []
+    for _, task in batch:
+        if task.dt != dt or (task.mesh is not mesh and task.mesh != mesh):
+            return None
+        parts.append(task.particles)
+        sizes.append(len(task.particles))
+    total = sum(sizes)
+    if not total or total > WAVE_MAX_MEAN * m or max(sizes) >= KERNEL_BLOCK // 2:
+        return None
+    ranks = [r for r, _ in batch]
+    routes = [task.route for _, task in batch]
+    geometry = wave_geometry(ranks, routes)
+    if geometry is None:
+        return None
+    block = np.empty((STATE_FIELDS, total))
+    for row, name in enumerate(("x", "y", "vx", "vy", "q")):
+        np.concatenate([getattr(p, name) for p in parts], out=block[row])
+    np.concatenate([p.pid for p in parts], out=block[5].view(np.int64))
+    for p in parts:
+        p.adopt(_NO_FIELDS)
+    return ResidentWave(parts, ranks, mesh, dt, geometry, routes[0].bounds[3::4],
+                        block, np.array(sizes, dtype=np.int64))
+
+
+class ResidentWave:
+    """A closed batch's particles in one block of its own, kept between the
+    steps of a run (``Scheduler._close_run``).
+
+    :func:`stage_wave` forms it, unpushed.  Every round, the first
+    included, is :meth:`advance`: push the block in place, settle the
+    round, gather its post-round rows.  Inside a run no member is staged,
+    sliced or adopted.  The per-run geometry lives here: ``particles``
+    (the members' containers) and ``ranks`` (their world ranks), in park
+    order, ``mesh`` and ``dt``, ``sources``, ``bounds`` and ``owners``
+    (:func:`wave_geometry`; ``sources`` is ``(M, 4)``) and ``dims`` (the
+    processor grid ``(px, py)``).  ``table`` is the count table of the
+    last round settled without a stray (:func:`exchange_wave`) and
+    ``counts`` lays the block out member by member.  A round whose rows
+    moved gathers them into the spare, which the first such round makes,
+    and the two blocks swap.  The members hold no rows until
+    :meth:`release` hands each its rows.
     """
 
-    __slots__ = ("table", "n", "counts", "layout")
+    __slots__ = ("particles", "ranks", "mesh", "dt", "sources", "bounds",
+                 "owners", "dims", "table", "counts", "block", "spare")
 
-    def __init__(self, table, n, counts, layout) -> None:
-        self.table = table
-        self.n = n
+    def __init__(self, particles, ranks, mesh, dt, geometry, dims, block,
+                 counts) -> None:
+        self.particles = particles
+        self.ranks = ranks
+        self.mesh, self.dt = mesh, dt
+        self.sources, self.bounds, self.owners = geometry
+        self.dims = dims
+        self.table = None
         self.counts = counts
-        self.layout = layout
+        self.block = block
+        #: The block before last, which the next round gathers into.
+        self.spare = None
 
-    @property
-    def stray(self) -> bool:
-        """Whether an arrival landed off its block: the round needs a
-        second one, which the members run per rank."""
-        return bool(self.table[:, 3::4].any())
+    def advance(self, executor) -> bool:
+        """Have ``executor`` push the block in place
+        (:meth:`~repro.runtime.executor.Executor.push_block`) and settle
+        the next round.
 
-    def gather(self, stage, out=None) -> np.ndarray:
-        """The post-round rows of ``stage`` (all six), as a fresh block or
-        into ``out`` (``(6, n)``, not ``stage``)."""
-        if self.layout is None:
-            if out is None:
-                return stage[:, : self.n].copy()
-            np.copyto(out, stage[:, : self.n])
-            return out
-        # "clip" leaves valid indices alone and lets take write into out
-        # without a temporary.
-        return np.take(stage, self.layout, axis=1, out=out, mode="clip")
+        True when the round left no stray: :attr:`table`, :attr:`counts`
+        and :attr:`block` are then that round's.  False when it left one:
+        the round stops at the stray hop (:func:`exchange_wave`) and the
+        block holds the pushed rows in the last layout, for
+        :meth:`release` to hand back so the members run this round per
+        rank.
+        """
+        block = self.block
+        executor.push_block(self.mesh, self.dt, block)
+        table, counts, layout = exchange_wave(
+            block, self.counts, self.mesh, self.sources, self.bounds, self.owners)
+        if table[:, 3::4].any():
+            return False
+        self.table, self.counts = table, counts
+        if layout is not None:
+            if self.spare is None:
+                self.spare = np.empty_like(block)
+            # "clip" leaves valid indices alone and lets take write into
+            # the spare without a temporary.
+            self.block = np.take(block, layout, axis=1, out=self.spare, mode="clip")
+            self.spare = block
+        return True
+
+    def release(self, stray: bool):
+        """Every member's rows, in park order: slices of the block
+        (:func:`member_rows`), which nothing else keeps.  After a
+        ``stray`` round they are its pushed rows: each member takes them
+        here (:meth:`~repro.core.particles.ParticleArray.adopt`), to run
+        the round per rank, and None is returned.  Otherwise each member's
+        exchange takes its own (``exchange_particles(settled=)``)."""
+        rows = member_rows(self.block, self.counts)
+        if not stray:
+            return rows
+        for p, own in zip(self.particles, rows):
+            p.adopt(own)
+        return None
 
 
 def member_rows(block, counts) -> list:

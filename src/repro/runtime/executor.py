@@ -24,13 +24,7 @@ traces (``tests/parallel/test_executor_determinism.py``):
     boundaries but not a single result bit; what it does change is the
     number of numpy ufunc dispatches — 64 per *chunk* instead of 64 per
     *rank* — which is where many-small-rank configs (the strong-scaling
-    and AMPI VP sweeps) spend their wall clock.  A closed group of small
-    ranks is only staged, into one block (:class:`ResidentWave`): the
-    scheduler pushes it and settles its exchange round
-    (:func:`~repro.runtime.exchange.exchange_wave`) for the whole group
-    at once, then closes that step, and the quiet steps after it, the
-    same way (``Scheduler._close_run``).  Every other rank runs its
-    exchange itself.
+    and AMPI VP sweeps) spend their wall clock.
 
 ``process``
     A persistent ``multiprocessing`` worker pool operating on
@@ -44,6 +38,13 @@ traces (``tests/parallel/test_executor_determinism.py``):
     the completion barrier is deterministic, so the merge is too.
     Results are bitwise identical to serial because each worker runs the
     very same kernel on the very same bytes, and tasks never overlap.
+
+A batch whose steps the scheduler can close never reaches a backend's
+:meth:`~Executor.start_batch`: the scheduler stages it as one wave
+(:func:`repro.runtime.exchange.stage_wave`), whose block every backend
+pushes in this process with :meth:`Executor.push_block`, one kernel call
+per round, and the exchange layer settles each round
+(``Scheduler._close_run``).
 
 Determinism argument, in one place: the scheduler charges simulated clocks
 when the compute op is *dispatched* (unchanged from the inline days), tasks
@@ -70,18 +71,11 @@ from typing import Any
 import numpy as np
 
 from repro.core import kernel, kernel_compiled
-from repro.core.kernel import (
-    KERNEL_BLOCK,
-    WAVE_MAX_MEAN,
-    WAVE_MIN_MEMBERS,
-    KernelWorkspace,
-    advance_arrays,
-)
+from repro.core.kernel import KERNEL_BLOCK, KernelWorkspace, advance_arrays
 from repro.core.kernel_compiled import advance_arrays_compiled
 from repro.core.mesh import Mesh
 from repro.core.particles import STATE_FIELDS
 from repro.runtime.errors import ExecutorWorkerLostError, exit_cause
-from repro.runtime.exchange import exchange_wave, member_rows, wave_geometry
 
 __all__ = [
     "PushTask",
@@ -118,10 +112,9 @@ class PushTask:
         self.particles = particles
         self.dt = dt
         #: The rank's :class:`~repro.runtime.exchange.RankRoute`, or None:
-        #: lets an executor stage a whole fused group as one wave
-        #: (:class:`ResidentWave`), whose rounds settle every member's
-        #: exchange at once.  The scheduler clears it when the step could
-        #: not close.
+        #: lets the scheduler stage a closed batch as one wave
+        #: (:func:`~repro.runtime.exchange.stage_wave`), whose rounds
+        #: settle every member's exchange at once.  Executors ignore it.
         self.route = route
 
     def run(self, workspace: KernelWorkspace | None = None) -> None:
@@ -163,9 +156,8 @@ class Executor:
 
     ``batch`` is a list of ``(world_rank, PushTask)`` in the scheduler's
     deterministic park order.  On return every task's particle arrays must
-    be bitwise identical to running ``task.run()`` serially in that order,
-    except those of a wave the batch staged (:meth:`take_wave`), which the
-    scheduler pushes.
+    be bitwise identical to running ``task.run()`` serially in that order.
+    A wave's block is pushed through :meth:`push_block`.
 
     Every backend additionally honors one fleet-wide *kernel backend*
     selection, ``kernel_backend``: ``python`` (the numpy fused kernel) or
@@ -192,10 +184,12 @@ class Executor:
     def run_batch(self, batch: list[tuple[int, Any]]) -> None:
         raise NotImplementedError
 
-    def take_wave(self) -> "ResidentWave | None":
-        """The wave the last batch staged, unpushed, handed over once;
-        None when every task's push and exchange are done or its rank's."""
-        return None
+    def push_block(self, mesh: Mesh, dt: float, block: np.ndarray) -> None:
+        """Advance the particles of a block whose first five rows are their
+        x, y, vx, vy and q in place with one kernel call, in this process
+        (a wave's ``(6, N)`` block: its pid row is not read)."""
+        x, y, vx, vy, q = block[:5]
+        _advance_fields(self.kernel_backend, mesh, x, y, vx, vy, q, dt)
 
     def start_batch(
         self, batch: list[tuple[int, Any]], tag: str | None = None
@@ -237,10 +231,6 @@ def _advance_fields(backend: str, mesh, x, y, vx, vy, q, dt, workspace=None) -> 
         advance_arrays_compiled(mesh, x, y, vx, vy, q, dt)
 
 
-#: A member's six fields while its rows are in a wave's block.
-_NO_ROWS = (*(np.empty(0) for _ in range(5)), np.empty(0, dtype=np.int64))
-
-
 def _unstage(parts, stage) -> None:
     """Copy the pushed x, y, vx and vy rows of ``stage`` back to ``parts``,
     staged in order (q is read-only in the kernel: not copied back)."""
@@ -260,17 +250,11 @@ class InProcessExecutor(Executor):
 
     A task with at least ``KERNEL_BLOCK // 2`` particles already amortises
     the 44-66 ufunc dispatches of a push and runs in place, in park order.
-    Smaller tasks are grouped by ``(mesh, dt)`` (in practice one group).
-    A group that qualifies for a wave (:meth:`_settle`) is only staged
-    whole, into one block, and handed to the scheduler unpushed
-    (:meth:`take_wave`): every round of its run, the first included, is
-    pushed and settled by :meth:`ResidentWave.advance`, and each member
-    takes its rows at the run's end.  Any other group is packed, in park
-    order, into
-    chunks of at most :data:`KERNEL_BLOCK` particles; each chunk's field
-    arrays are staged contiguously, advanced with a single kernel call and
-    copied back per task, and its members run their whole exchange per
-    rank.  Elementwise kernels are chunk-boundary-agnostic, so the fusion
+    Smaller tasks are grouped by ``(mesh, dt)`` (in practice one group),
+    and each group is packed, in park order, into chunks of at most
+    :data:`KERNEL_BLOCK` particles; each chunk's field arrays are staged
+    contiguously, advanced with a single kernel call and copied back per
+    task.  Elementwise kernels are chunk-boundary-agnostic, so the fusion
     is bitwise exact.  Both ``executor.kind`` values ``serial`` and
     ``batched`` build this class.
     """
@@ -283,13 +267,12 @@ class InProcessExecutor(Executor):
         exec_tracer=None,
     ) -> None:
         self._init_kernel_backend(kernel_backend, exec_tracer)
-        #: Staging memory for the rows x, y, vx, vy, q and pid (as int64);
+        #: Staging memory, a ``(6, n)`` block whose first five rows take a
+        #: chunk's x, y, vx, vy and q (:meth:`push_block` reads those);
         #: allocated by the first fused push so an executor that only sees
         #: large tasks never holds one.  Its contents never outlive a flush.
         self._stage = np.empty(0, dtype=np.float64)
         self._epoch: float | None = None
-        #: The last batch's staged wave until the scheduler takes it.
-        self._wave: ResidentWave | None = None
         self.batches = 0
         self.fused_tasks = 0
 
@@ -299,8 +282,8 @@ class InProcessExecutor(Executor):
         mesh = dt = group = None
         for rank, task in batch:
             n = len(task.particles)
-            if not n and getattr(task, "route", None) is None:
-                continue  # nothing to push, and no wave to be an empty member of
+            if not n:
+                continue
             if n >= KERNEL_BLOCK // 2:
                 self._push([(rank, task, n)], n)
                 continue
@@ -312,13 +295,9 @@ class InProcessExecutor(Executor):
                 group = groups.setdefault((mesh, dt), [])
             group.append((rank, task, n))
         for members in groups.values():
-            if self._settle(members):
-                continue
             chunk: list = []
             total = 0
             for member in members:
-                if not member[2]:
-                    continue
                 if total + member[2] > KERNEL_BLOCK:
                     self._run_chunk(chunk, total)
                     chunk, total = [], 0
@@ -339,40 +318,6 @@ class InProcessExecutor(Executor):
         np.concatenate([p.vy for p in parts], out=stage[3, :total])
         np.concatenate([p.q for p in parts], out=stage[4, :total])
         return stage
-
-    def _settle(self, members) -> bool:
-        """Stage a group of small tasks as one wave, if the group qualifies.
-
-        It needs at least ``WAVE_MIN_MEMBERS`` members (ranks without
-        particles count, as empty members), no more than ``WAVE_MAX_MEAN``
-        particles per member on average, and closure: every member's x and
-        y source neighbours are members, so the wave knows all its arrivals
-        (:func:`wave_geometry`, once per wave).  The group's six rows, pid
-        included, are staged in park order and handed over unpushed, as a
-        :class:`ResidentWave` (:meth:`take_wave`); the members give up their
-        own rows, so the last run's block is freed before this run
-        allocates.
-        """
-        m = len(members)
-        total = sum(n for _, _, n in members)
-        if m < WAVE_MIN_MEMBERS or not total or total > WAVE_MAX_MEAN * m:
-            return False
-        ranks = [r for r, _, _ in members]
-        geometry = wave_geometry(ranks, [t.route for _, t, _ in members])
-        if geometry is None:
-            return False
-        self.fused_tasks += m
-        parts = [t.particles for _, t, _ in members]
-        stage = self._staged(parts, total)
-        np.concatenate([p.pid for p in parts], out=stage[5, :total].view(np.int64))
-        for p in parts:
-            p.adopt(_NO_ROWS)
-        self._wave = ResidentWave(self, members, ranks, geometry, stage)
-        return True
-
-    def take_wave(self) -> "ResidentWave | None":
-        wave, self._wave = self._wave, None
-        return wave
 
     def _run_chunk(self, chunk, total) -> None:
         """Advance a chunk of ``(rank, task, n)`` triples, ``total`` particles,
@@ -399,8 +344,7 @@ class InProcessExecutor(Executor):
                 self._epoch = time.perf_counter()
             t0 = time.perf_counter()
         if stage is not None:
-            x, y, vx, vy, q = stage[:5, :total]
-            _advance_fields(backend, mesh, x, y, vx, vy, q, dt)
+            self.push_block(mesh, dt, stage)
         elif backend == "python":
             # Through ``task.run()`` (a dynamic ``kernel.advance`` call)
             # so perf-harness monkeypatches keep applying.
@@ -417,86 +361,6 @@ class InProcessExecutor(Executor):
 
     def stats(self) -> dict:
         return dict(batches=self.batches, fused_tasks=self.fused_tasks)
-
-
-class ResidentWave:
-    """A closed fused group's particles in one block, kept between the
-    steps of a run (``Scheduler._close_run``).
-
-    :meth:`InProcessExecutor._settle` stages the block and hands the wave
-    over unpushed.  Every round, the first included, is :meth:`advance`:
-    push the block in place, settle the round, gather its post-round rows.
-    Inside a run no member is staged, sliced or adopted.  The per-run
-    geometry lives here: ``ranks`` (the members' world ranks in park
-    order), ``sources``, ``bounds`` and ``owners`` (:func:`wave_geometry`;
-    ``sources`` is ``(M, 4)``) and ``dims`` (the processor grid ``(px,
-    py)``).  ``wave`` is the last round settled without a stray and
-    ``counts`` lays the block out member by member.  Rounds gather into
-    two buffers by turns, the executor's stage and one of the run's own,
-    which the first round makes.  The members hold no rows until
-    :meth:`release` hands each its rows, at the end of the flush that
-    staged the wave, so the executor keeps nothing of it past that flush.
-    """
-
-    __slots__ = ("executor", "members", "ranks", "sources", "bounds", "owners",
-                 "dims", "counts", "wave", "block", "spare", "stage")
-
-    def __init__(self, executor, members, ranks, geometry, stage) -> None:
-        self.executor = executor
-        #: ``(rank, task, n)`` triples in park order, ``n`` their first
-        #: step's sizes.
-        self.members = members
-        self.ranks = ranks
-        self.sources, self.bounds, self.owners = geometry
-        self.dims = members[0][1].route.bounds[3::4]
-        self.counts = np.array([n for _, _, n in members], dtype=np.int64)
-        self.wave = None
-        self.block = self.stage = stage
-        #: The block before last, which the next round gathers into.
-        self.spare = None
-
-    def advance(self) -> bool:
-        """Push the block in place and settle the next round.
-
-        True when the round left no stray: :attr:`wave`, :attr:`counts`
-        and :attr:`block` are then that round's.  False when it left one:
-        the round stops at the stray hop (:func:`exchange_wave`) and the
-        block holds the pushed rows in the last layout, for
-        :meth:`release` to hand back so the members run this round per
-        rank.
-        """
-        block = self.block
-        self.executor._push(self.members, block.shape[1], block)
-        settled = exchange_wave(block, self.counts, self.members[0][1].mesh,
-                                self.sources, self.bounds, self.owners)
-        if self.spare is None:  # the first round: the run's own buffer
-            self.spare = np.empty_like(block)
-        if settled.stray:
-            return False
-        self.wave, self.counts = settled, settled.counts
-        self.block, self.spare = settled.gather(block, self.spare), block
-        return True
-
-    def release(self, stray: bool):
-        """Every member's rows, in park order: slices of the block
-        (:func:`~repro.runtime.exchange.member_rows`), which nothing else
-        keeps; a block in the executor's stage is copied to the run's own
-        first.  After a ``stray`` round they are its pushed rows: each
-        member takes them here
-        (:meth:`~repro.core.particles.ParticleArray.adopt`), to run the
-        round per rank, and None is returned.  Otherwise each member's
-        exchange takes its own (``exchange_particles(settled=)``)."""
-        block = self.block
-        if block is self.stage:
-            block = self.spare
-            np.copyto(block, self.stage)
-        self.block = self.spare = self.stage = None
-        rows = member_rows(block, self.counts)
-        if not stray:
-            return rows
-        for (_, task, _), own in zip(self.members, rows):
-            task.particles.adopt(own)
-        return None
 
 
 # ----------------------------------------------------------------------

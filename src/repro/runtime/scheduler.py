@@ -36,6 +36,7 @@ from repro.runtime.errors import (
     DeadlockError,
     RuntimeConfigError,
 )
+from repro.runtime.exchange import stage_wave
 from repro.runtime.machine import MachineModel, TierCosts
 from repro.runtime.message import Message
 from repro.runtime.reduce_ops import ReduceOp
@@ -185,8 +186,8 @@ class Scheduler:
         #: first use.  Keyed by cores, not ranks: an AMPI migration changes
         #: a rank's core, never the tier joining two cores.
         self._links: dict[tuple[int, int], TierCosts] = {}
-        #: The last settled round's link prices, keyed by its cores and
-        #: sources (:meth:`_close_step`).
+        #: The last closed run's link prices, keyed by its cores and
+        #: sources (:meth:`_link_prices`).
         self._wave_links = None
         #: The last collective's price, keyed by its kind, payload and
         #: cores (:meth:`_collective_end`).
@@ -360,27 +361,24 @@ class Scheduler:
         completion order can reach simulated time.
 
         A batch forms a wave only for a step that will close, so the gate
-        runs before the push: no tracer, metrics registry or resilience
-        hook (they record or perturb the interleaving); the batch is the
-        whole world (nobody finished, so ``ready`` is empty); no rank has
-        a pending message (a receive would match it first); every op is a
-        step op settling on the world communicator (:meth:`Comm.run_steps`).
-        Failing any, the tasks' ``route`` is cleared and no wave forms.  A
-        wave the executor staged comes back, unpushed, from
-        :meth:`~repro.runtime.executor.Executor.take_wave`, and
-        :meth:`_close_run` pushes, settles and closes its rounds for every
-        rank before anyone wakes.  Everything else is the per-op pump, the
-        oracle the closed steps must equal bit for bit.
+        (:meth:`_may_close`) runs before the push: no tracer, metrics
+        registry or resilience hook (they record or perturb the
+        interleaving); the batch is the whole world (nobody finished, so
+        ``ready`` is empty); no rank has a pending message (a receive would
+        match it first); every op is a step op settling on the world
+        communicator (:meth:`Comm.run_steps`).  A batch that passes is
+        offered to :func:`~repro.runtime.exchange.stage_wave`, whatever
+        the executor; a wave it stages goes, unpushed, to
+        :meth:`_close_run`, which pushes, settles and closes its rounds
+        for every rank before anyone wakes.  Any other batch goes to the
+        executor and then the per-op pump, the oracle the closed steps
+        must equal bit for bit.
         """
         batch, self._pending_exec = self._pending_exec, []
-        if not self._may_close(batch):
-            for _r, task in batch:
-                if hasattr(task, "route"):
-                    task.route = None
-        executor = self._get_executor()
-        executor.start_batch(batch).finish()
-        resident = executor.take_wave()
-        if resident is not None and self._close_run(batch, resident, ready):
+        resident = stage_wave(batch) if self._may_close(batch) else None
+        if resident is None:
+            self._get_executor().start_batch(batch).finish()
+        elif self._close_run(batch, resident, ready):
             return
         states = self._states
         for r, _task in batch:
@@ -412,12 +410,16 @@ class Scheduler:
         the ranks.
 
         ``resident`` is the batch's unpushed
-        :class:`~repro.runtime.executor.ResidentWave`.  Each turn of the
-        loop is one round: :meth:`~repro.runtime.executor.ResidentWave.advance`
-        pushes the block and settles the round, :meth:`_close_step` closes
-        the step — members served in park order, the flush's wake order,
-        for the first step and in world-rank order after — and the run's
-        plan (the ops' ``plan``, one per driver) decides.  If no rank
+        :class:`~repro.runtime.exchange.ResidentWave`.  What no step of
+        the run can change is read once: the members' cores, whether each
+        has its own, and their links' prices (:meth:`_link_prices`); no
+        rank changes core inside a run, because migrations happen only in
+        LB rounds, which end it.  Each turn of the loop is one round:
+        :meth:`~repro.runtime.exchange.ResidentWave.advance` has the
+        executor push the block and settles the round, :meth:`_close_step`
+        closes the step — members served in park order, the flush's wake
+        order, for the first step and in world-rank order after — and the
+        run's plan (the ops' ``plan``, one per driver) decides.  If no rank
         needs its program after this step — no LB round, event or
         checkpoint, not the last step — every rank enters the next step
         (:attr:`step`) and is charged that push, ``plan.push_seconds`` of
@@ -430,7 +432,7 @@ class Scheduler:
         wakes one without a wave, in park order.  Otherwise each rank
         resumes once, in world-rank order, with ``(counts, rows)``: its
         post-exchange count after each closed step, and its rows
-        (:meth:`~repro.runtime.executor.ResidentWave.release`) for its
+        (:meth:`~repro.runtime.exchange.ResidentWave.release`) for its
         exchange to take, or None when its last pushed step still needs
         its exchange.
         """
@@ -439,14 +441,21 @@ class Scheduler:
         plan = states[batch[0][0]].blocked_op.plan
         t = self.step[batch[0][0]]
         ranks = resident.ranks
-        # The pump's service order of members: park order, then world order.
-        order, world_order = range(len(ranks)), np.argsort(ranks).tolist()
+        cores = tuple(map(self.rank_to_core.__getitem__, ranks))
+        own = len(set(cores)) == n
+        links = self._link_prices(resident.sources, cores)
+        # The pump's service order of members: park order, then world
+        # order (None: members with a core each need none).
+        order = world_order = None
+        if not own:
+            order, world_order = range(len(ranks)), np.argsort(ranks).tolist()
+        executor = self._get_executor()
         closed = []  # each closed step's counts
         while True:
-            stray = not resident.advance()
+            stray = not resident.advance(executor)
             if stray:
                 break
-            self._close_step(batch, resident, order)
+            self._close_step(batch, resident, cores, links, order)
             counts = resident.counts
             closed.append(counts)
             if plan.ends(t):
@@ -455,7 +464,7 @@ class Scheduler:
             self.step[:] = [t] * n
             seconds = np.empty(n)
             seconds[ranks] = plan.push_seconds(counts)
-            self._charge_pushes(seconds)
+            self._charge_pushes(seconds, own)
             order = world_order
         rows = resident.release(stray)
         if not closed:
@@ -470,23 +479,25 @@ class Scheduler:
         ready.extend(range(n))
         return True
 
-    def _close_step(self, batch, resident, order) -> None:
+    def _close_step(self, batch, resident, cores, links, order) -> None:
         """Finish a settled round's step — its exchange round and the
         settlement allreduce after it — for every rank at once.
 
-        ``resident`` is the :class:`~repro.runtime.executor.ResidentWave`
+        ``resident`` is the :class:`~repro.runtime.exchange.ResidentWave`
         of the whole batch, which :meth:`_flush_compute` let form; its
-        ``wave`` is the round just settled, which left no arrival off its
-        block.  Each member runs the op template
+        ``table`` is the round just settled, which left no arrival off its
+        block.  ``cores`` (a core per member) and ``links`` are the run's
+        (:meth:`_close_run`).  Each member runs the op template
         of ``_route_axis``'s round from its row of the round's table
         and the run's ``ranks``, ``sources`` and ``dims``: per hop — x
         when ``px > 1``, then y when ``py > 1`` — pack compute of its
         leavers, ``sendrecv`` forward, ``sendrecv`` backward, unpack
-        compute of its arrivals.  Members with a core each are clocked by
-        :meth:`_clock_own_cores`, whose result no interleaving can change;
-        members that share cores (AMPI's virtual ranks) by
-        :meth:`_replay_shared_cores`, which replays the pump's service
-        order: ``order``, the member indices as the flush woke them.
+        compute of its arrivals.  Members with a core each (``order`` is
+        None) are clocked by :meth:`_clock_own_cores`, whose result no
+        interleaving can change; members that share cores (AMPI's virtual
+        ranks) by :meth:`_replay_shared_cores`, which replays the pump's
+        service order: ``order``, the member indices as the flush woke
+        them.
         Clocks, core clocks, busy seconds and the transport's counters
         move by the IEEE operations :meth:`_occupy`, :meth:`_do_send` and
         :meth:`_complete_recv` would use; the exchange prices with the
@@ -501,9 +512,8 @@ class Scheduler:
         """
         n = self.n_ranks
         ranks = resident.ranks
-        cores = tuple(map(self.rank_to_core.__getitem__, ranks))
-        hops = self._round_hops(resident, cores)
-        if len(set(cores)) == n:
+        hops = self._round_hops(resident, links)
+        if order is None:
             self._clock_own_cores(ranks, cores, hops)
         else:
             self._replay_shared_cores(ranks, cores, hops, order)
@@ -522,13 +532,14 @@ class Scheduler:
         for r, _task in batch:
             states[r].blocked_op.settle._coll_seq += 1
 
-    def _charge_pushes(self, seconds) -> None:
+    def _charge_pushes(self, seconds, own) -> None:
         """The pushes the ranks of a run dispatch after a closed step:
         :meth:`_occupy` each rank for ``seconds[rank]`` (an array), in
         world-rank order, the order the pump dispatches them in; ranks
-        with a core each all at once, as :meth:`_clock_own_cores` does."""
-        ranks, cores = range(self.n_ranks), self.rank_to_core
-        if len(set(cores)) == self.n_ranks:
+        with a core each (``own``) all at once, as
+        :meth:`_clock_own_cores` does."""
+        if own:
+            ranks, cores = range(self.n_ranks), self.rank_to_core
             st = self._member_state(ranks, cores)
             _occupy_members(st, seconds)
             self._store_member_state(ranks, cores, st)
@@ -536,21 +547,12 @@ class Scheduler:
         for r, s in enumerate(seconds.tolist()):
             self._occupy(r, s)
 
-    def _round_hops(self, resident, cores) -> list:
-        """The prices of a settled round's hops, one tuple per hop that
-        runs: ``(leavers, pack_s, arrivals, unpack_s, slots)``, each member's
-        leaver count and pack charge and arrival count and unpack charge,
-        and per ``sendrecv`` (forward, backward) ``(sender, wire,
-        transfer)``: the member each member receives from, the wire bytes
-        each member sends and the transfer time of the message each member
-        receives.  Link prices are kept for the next wave of the same
-        geometry.
-        """
-        src, n = resident.sources, resident.wave.table
+    def _link_prices(self, src, cores):
+        """Latency and bandwidth, ``(M, 4)`` each, of the link every
+        member's four receives arrive over (``src``, a wave's
+        ``sources``); kept for the next run of the same geometry."""
         key = (cores, src.tobytes())
         if self._wave_links is None or self._wave_links[0] != key:
-            # Latency and bandwidth, (M, 4) each, of the link every
-            # member's four receives arrive over.
             lat, bw = np.empty(src.shape), np.empty(src.shape)
             for i, row in enumerate(src.tolist()):
                 for j, s in enumerate(row):
@@ -560,7 +562,19 @@ class Scheduler:
                         link = self._links[pair] = self.machine.link(*pair)
                     lat[i, j], bw[i, j] = link.latency, link.bandwidth
             self._wave_links = (key, (lat, bw))
-        lat, bw = self._wave_links[1]
+        return self._wave_links[1]
+
+    def _round_hops(self, resident, links) -> list:
+        """The prices of a settled round's hops, one tuple per hop that
+        runs: ``(leavers, pack_s, arrivals, unpack_s, slots)``, each member's
+        leaver count and pack charge and arrival count and unpack charge,
+        and per ``sendrecv`` (forward, backward) ``(sender, wire,
+        transfer)``: the member each member receives from, the wire bytes
+        each member sends and the transfer time of the message each member
+        receives, over ``links`` (:meth:`_link_prices`).
+        """
+        src, n = resident.sources, resident.table
+        lat, bw = links
         cost = self.cost
         hops = []
         for axis in (0, 1):

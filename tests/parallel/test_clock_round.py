@@ -1,13 +1,14 @@
 """Settled steps, closed in runs.
 
-When ``InProcessExecutor`` settled a closed group holding every rank
-(``exchange_wave``) without a stray, ``Scheduler._close_run`` closes the
+When a closed batch holding every rank, staged as one wave
+(``stage_wave``), settled its round (``exchange_wave``) without a stray,
+``Scheduler._close_run`` closes the
 step for every member — ``Scheduler._close_step`` advances all members
 through the round's op template (members with a core each with numpy,
 members that share cores, AMPI's virtual ranks, by a replay of the pump's
 round-robin on member indices) and prices the settlement allreduce in
-closed form — and then the quiet steps after it, the executor keeping the
-wave's particles in one block, until the driver's ``RunPlan`` says a rank
+closed form — and then the quiet steps after it, the wave keeping its
+particles in one block, until the driver's ``RunPlan`` says a rank
 needs its program.  Each rank resumes once per run.  A wave forms only
 for a step that will close: the scheduler checks its gate before the
 push, and a round that leaves a stray ends the run unclosed.  A group that
@@ -15,13 +16,13 @@ forms no wave runs the per-rank exchange, the oracle:
 
 * **Properties** — a run closed where it can equals two oracles bit for
   bit: runs of length 1 (``RunPlan.ends`` always true: every step closes
-  in its own flush) and no wave at all (``InProcessExecutor._settle``
-  refused: the chunked push and the per-rank exchange).  Compared: every
+  in its own flush) and no wave at all (``stage_wave`` refused: the
+  chunked push and the per-rank exchange).  Compared: every
   rank clock, core clock, core and rank busy second, the transport's
   counters, the collective count, every world communicator's collective
   sequence number, the result document, the final particle bytes and the
-  checkpoint files; and every round the executor settles without a stray
-  is closed.  One core per rank: over ``px``/``py`` in {1, 2, 3, 5}, empty
+  checkpoint files; and every round a wave settles without a stray is
+  closed.  One core per rank: over ``px``/``py`` in {1, 2, 3, 5}, empty
   members, y leavers and multi-hop moves, ``h != 1``, a machine whose
   messages cross every link tier and free messages with a fractional byte
   scale.  Shared cores: AMPI over ``d`` in 2..8 and 1-6 cores, VP grids
@@ -38,7 +39,8 @@ forms no wave runs the per-rank exchange, the oracle:
   metrics registry, a resilience hook, a pending message, a plain compute
   op, a step settling on another communicator — forms no wave for its
   step, and the run equals the no-wave run bit for bit; so does a
-  multi-hop step (a stray arrival).  The process executor forms no wave.
+  multi-hop step (a stray arrival).  Under the process executor the same
+  batches form waves, pushed in this process, and close the same runs.
 * **Fixed cases** — a stray inside a run, a stray first round (its batch
   wakes in park order), a forced pause (it cuts at the
   step and writes the bytes the per-step closer did), a ``TraceCollector``
@@ -58,7 +60,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.config.build import parallel_result_doc
-from repro.core.kernel import WAVE_MIN_MEMBERS
 from repro.core.spec import InjectionEvent, PICSpec, Region, RemovalEvent
 from repro.instrument import MetricsRegistry, TraceCollector, Tracer
 from repro.parallel import AmpiPIC, Mpi2dLbPIC, Mpi2dPIC, base
@@ -66,8 +67,8 @@ from repro.resilience import Checkpointer, FaultPlan, ResilienceConfig
 from repro.runtime import CostModel, MachineModel, ops
 from repro.runtime.comm import Comm
 from repro.runtime import exchange as exchange_mod
-from repro.runtime import executor as executor_mod
-from repro.runtime.exchange import SettledWave
+from repro.runtime import scheduler as scheduler_mod
+from repro.runtime.exchange import WAVE_MIN_MEMBERS
 from repro.runtime.executor import InProcessExecutor, make_executor
 from repro.runtime.multiplex import EngineGroup
 from repro.runtime.scheduler import Scheduler
@@ -83,13 +84,13 @@ DRIVES = ("runs", "steps", "no wave")
 
 def _run(build, drive="runs"):
     """Everything a run leaves behind, and its log: per flush the stray
-    flag of each round the executor settled, in order, and how many steps
+    flag of each round a wave settled, in order, and how many steps
     ``_close_step`` closed.  ``build`` returns the driver, or ``(driver,
     checkpoint directory)``."""
     finals, worlds = {}, {}
     log, rounds, closes = [], [], [0]
     real_flush, real_close = Scheduler._flush_compute, Scheduler._close_step
-    real_wave = executor_mod.exchange_wave
+    real_wave = exchange_mod.exchange_wave
 
     def verify(self, comm, state):
         finals[comm.world_rank] = state.particles.pack().tobytes()
@@ -103,22 +104,22 @@ def _run(build, drive="runs"):
         log.append((tuple(rounds), closes[0]))
 
     def settling(*args):
-        wave = real_wave(*args)
-        rounds.append(wave.stray)
-        return wave
+        settled = real_wave(*args)
+        rounds.append(bool(settled[0][:, 3::4].any()))
+        return settled
 
-    def closing(self, batch, wave, order):
+    def closing(self, *args):
         closes[0] += 1
-        return real_close(self, batch, wave, order)
+        return real_close(self, *args)
 
-    settle = InProcessExecutor._settle if drive != "no wave" else (
-        lambda self, members: False)
+    stage = scheduler_mod.stage_wave if drive != "no wave" else (
+        lambda batch: None)
     ends = base.RunPlan.ends if drive == "runs" else (lambda self, t: True)
     with mock.patch.object(base.ParallelPICBase, "_verify", verify), \
             mock.patch.object(Scheduler, "_flush_compute", flush), \
-            mock.patch.object(executor_mod, "exchange_wave", settling), \
+            mock.patch.object(exchange_mod, "exchange_wave", settling), \
             mock.patch.object(Scheduler, "_close_step", closing), \
-            mock.patch.object(InProcessExecutor, "_settle", settle), \
+            mock.patch.object(scheduler_mod, "stage_wave", stage), \
             mock.patch.object(base.RunPlan, "ends", ends):
         built = build()
         impl, directory = built if isinstance(built, tuple) else (built, None)
@@ -201,7 +202,7 @@ def test_clocked_rounds_equal_the_per_op_pump(seed, px, py, cells, n_particles,
         return Mpi2dPIC(spec, px * py, machine=machine, cost=cost, dims=(px, py),
                         executor=InProcessExecutor())
 
-    with mock.patch.object(executor_mod, "WAVE_MIN_MEMBERS",
+    with mock.patch.object(exchange_mod, "WAVE_MIN_MEMBERS",
                            min(WAVE_MIN_MEMBERS, px * py)):
         log = _against_oracles(build)
         assert any(strays for strays, _ in log)  # a wave settled
@@ -240,7 +241,7 @@ def test_shared_core_rounds_equal_the_per_op_pump(seed, n_cores, d, grid,
                        machine=machine, cost=cost, dims=dims,
                        executor=InProcessExecutor())
 
-    with mock.patch.object(executor_mod, "WAVE_MIN_MEMBERS",
+    with mock.patch.object(exchange_mod, "WAVE_MIN_MEMBERS",
                            min(WAVE_MIN_MEMBERS, n)):
         log = _against_oracles(build)
         assert any(strays for strays, _ in log)  # a wave settled
@@ -346,15 +347,17 @@ def _mpi2d(**kw):
 
 def test_settled_steps_skip_the_per_op_pump(pump_calls):
     """64 ranks of ``mpi-2d``: all six steps are one op per rank, and the
-    executor stages the ranks' particles once."""
+    ranks' particles are staged once."""
     staged = []
-    real = InProcessExecutor._staged
+    real = scheduler_mod.stage_wave
 
-    def staging(self, parts, total):
-        staged.append(len(parts))
-        return real(self, parts, total)
+    def staging(batch):
+        resident = real(batch)
+        if resident is not None:
+            staged.append(len(resident.ranks))
+        return resident
 
-    with mock.patch.object(InProcessExecutor, "_staged", staging):
+    with mock.patch.object(scheduler_mod, "stage_wave", staging):
         _, log = _run(_mpi2d())
     _closed_in_one_flush(pump_calls, 64, log)
     assert staged == [64]
@@ -450,9 +453,11 @@ def test_a_stray_first_round_wakes_its_batch_in_park_order():
     assert ((True,), 0) in log
 
 
-def test_the_process_executor_keeps_the_pump():
-    """The process executor settles no wave: nothing is closed, and the
-    numbers are the closed steps'."""
+def test_the_process_executor_closes_runs():
+    """Whether a step closes depends on the batch, not on the executor:
+    under the process executor 64 small ranks close all six steps in one
+    run, as the in-process executor does, and equal the run with no wave
+    bit for bit."""
     def build(executor):
         return lambda: Mpi2dPIC(_spec(), 64, executor=executor)
 
@@ -460,8 +465,10 @@ def test_the_process_executor_keeps_the_pump():
     assert log == ONE_RUN
     with make_executor("process", workers=1) as pool:
         seen, log = _run(build(pool))
-    assert log == NO_WAVE
-    assert seen == plain
+        assert log == ONE_RUN
+        oracle, log = _run(build(pool), "no wave")
+        assert log == NO_WAVE
+    assert seen == plain == oracle
 
 
 # ----------------------------------------------------------------------
@@ -523,7 +530,7 @@ def test_a_forced_pause_cuts_at_the_next_step(tmp_path, impl):
     want_files, want_doc = PAUSED[impl]
     assert files == want_files
     assert hashlib.sha256(doc.encode()).hexdigest() == want_doc
-    with mock.patch.object(InProcessExecutor, "_settle", lambda *a: False):
+    with mock.patch.object(scheduler_mod, "stage_wave", lambda batch: None):
         assert _pause_twice(build, str(tmp_path / "no-wave")) == (cuts, files, doc)
 
 
@@ -582,7 +589,6 @@ def test_an_engine_group_over_one_executor_stays_identical():
             group.run_all()
             for tag in builds:
                 assert seen(group.engine(tag)) == alone[tag], tag
-    assert shared.take_wave() is None
 
 
 # ----------------------------------------------------------------------
@@ -637,7 +643,9 @@ def test_every_gate_condition_hands_the_round_back():
     for cores in ([0, 1, 2, 3], [0, 1, 2, 0]):
         sched = Scheduler(4, rank_to_core=cores, executor=InProcessExecutor())
         _, batch = _parked(sched)
-        sched._close_step(batch, wave, range(4))
+        links = sched._link_prices(SOURCES, tuple(cores))
+        order = None if len(set(cores)) == 4 else range(4)
+        sched._close_step(batch, wave, tuple(cores), links, order)
         # Two hops, two empty messages per member each.
         assert sched.transport.messages_sent == 16
         pump = Scheduler(4, rank_to_core=cores, executor=InProcessExecutor())
@@ -713,12 +721,11 @@ class _Resident:
     def __init__(self, ranks, dims):
         self.ranks, self.sources, self.dims = ranks, SOURCES, dims
         self.counts = np.zeros(4, dtype=np.int64)
-        self.wave = SettledWave(np.zeros((4, 8), dtype=np.int64), 0, self.counts,
-                                None)
+        self.table = np.zeros((4, 8), dtype=np.int64)
         self.rounds = 0
         self.released = None
 
-    def advance(self):
+    def advance(self, executor):
         self.rounds += 1
         return True
 

@@ -1,7 +1,8 @@
 """A closed fused group's first exchange round, settled once for every member.
 
-When ``InProcessExecutor`` has staged a group of small ranks and
-``ResidentWave.advance`` has pushed it, one pass
+When the scheduler has staged a closed batch of small ranks as one wave
+(:func:`repro.runtime.exchange.stage_wave`) and ``ResidentWave.advance``
+has had the executor push it, one pass
 (:func:`repro.runtime.exchange.exchange_wave`) runs what each member's
 ``exchange_particles`` would do in round 1: the x hop, the y hop on the
 post-x populations, tail-fill, arrivals and the settlement counts — for a
@@ -21,15 +22,15 @@ per-rank path (:func:`repro.runtime.exchange.hop_front_half` plus
   in {1, 2, odd}, ``h != 1`` and up to 288 cells.
 * **Where it runs** — on a 64-rank fused run settled hops make no
   ``compact``/``extend_packed``/``hop_front_half`` call, and the calls
-  reappear without the settle; below the cut-over, for in-place tasks,
-  for groups that are not closed and under the process executor no wave
-  runs.
+  reappear without the settle; the process executor forms the same
+  waves; below the cut-over, for in-place tasks and for batches that hold
+  one, no wave runs.
 * **Runs** — a 64-rank run settled and one without the wave agree on the
   final particle bytes (in-rank order included), clocks and traffic; so
   does a multi-hop run, whose rounds leave strays: each stops at its stray
   hop, gathers no block and closes no step, and the members take their
-  pushed rows back.  A staged wave's members hold no rows until the run's
-  end.
+  pushed rows back as slices of the staged block.  A staged wave's members
+  hold no rows until the run's end.
 """
 
 from __future__ import annotations
@@ -38,23 +39,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.kernel import KERNEL_BLOCK, WAVE_MIN_MEMBERS
+from repro.core.kernel import KERNEL_BLOCK
 from repro.core.mesh import Mesh
 from repro.core.particles import ParticleArray, STATE_FIELDS
 from repro.core.spec import PICSpec
 from repro.decomp.partition import BlockPartition
 from repro.parallel import AmpiPIC, Mpi2dLbPIC, Mpi2dPIC, base
 from repro.runtime import exchange as exchange_mod
-from repro.runtime import executor as executor_mod
 from repro.runtime import ops, run_spmd
+from repro.runtime import scheduler as scheduler_mod
 from repro.runtime.costmodel import CostModel
 from repro.runtime.exchange import (
-    SettledWave,
+    WAVE_MIN_MEMBERS,
+    ResidentWave,
     exchange_wave,
     member_rows,
     wave_geometry,
 )
-from repro.runtime.scheduler import Scheduler
 from repro.runtime.executor import InProcessExecutor, ProcessExecutor
 
 _FIELDS = ("x", "y", "vx", "vy", "q", "pid")
@@ -72,6 +73,11 @@ def _stage(parts):
         stage[row] = np.concatenate([getattr(p, name) for p in parts])
     stage[5].view(np.int64)[:] = np.concatenate([p.pid for p in parts])
     return stage
+
+
+def _gathered(stage, layout):
+    """The post-round block of a settled round's ``layout``."""
+    return stage if layout is None else stage[:, layout]
 
 
 # ----------------------------------------------------------------------
@@ -198,8 +204,9 @@ def test_settled_round_equals_per_rank_round(seed, px, py, h, cells, sizes,
     geometry = wave_geometry(ranks, routes)
     assert geometry is not None
     stage = _stage(parts)
-    wave = exchange_wave(stage, [len(p) for p in parts], mesh, *geometry)
-    assert wave.table.shape == (n_ranks, 8) and wave.table.dtype == np.int64
+    table, counts, layout = exchange_wave(stage, [len(p) for p in parts], mesh,
+                                          *geometry)
+    assert table.shape == (n_ranks, 8) and table.dtype == np.int64
     # A round stops at the hop that leaves a stray: after it, zeros.
     x_stray = any(hops.get((r, 0), [0] * 4)[3] for r in ranks)
     for r in ranks:
@@ -207,10 +214,11 @@ def test_settled_round_equals_per_rank_round(seed, px, py, h, cells, sizes,
         row = [hops.get((r, axis), [0] * 4) for axis in (0, 1)]
         if x_stray:
             row[1] = [0] * 4
-        assert wave.table[r].tolist() == row[0] + row[1]
-    assert wave.stray == any(row[3] for row in hops.values())
-    if not wave.stray:
-        columns = member_rows(wave.gather(stage), wave.counts)
+        assert table[r].tolist() == row[0] + row[1]
+    stray = table[:, 3::4].any()
+    assert stray == any(row[3] for row in hops.values())
+    if not stray:
+        columns = member_rows(_gathered(stage, layout), counts)
         for r in ranks:
             assert [c.tobytes() for c in columns[r]] == _bytes(want[r][1])
 
@@ -225,9 +233,10 @@ def test_adopted_rows_never_reach_a_neighbour():
     ranks = list(range(8))
     routes = [want[r][0] for r in ranks]
     stage = _stage(parts)
-    wave = exchange_wave(stage, [40] * 8, mesh, *wave_geometry(ranks, routes))
+    _, counts, layout = exchange_wave(stage, [40] * 8, mesh,
+                                      *wave_geometry(ranks, routes))
     members = [ParticleArray.empty(0) for _ in range(8)]
-    for p, columns in zip(members, member_rows(wave.gather(stage), wave.counts)):
+    for p, columns in zip(members, member_rows(_gathered(stage, layout), counts)):
         p.adopt(columns)
         assert p.capacity == len(p)
     before = [_bytes(p) for p in members]
@@ -250,13 +259,13 @@ def _spec(n_particles, steps=2, **kw):
 def wave_calls(monkeypatch):
     """The member count of every ``exchange_wave`` call."""
     calls = []
-    real = executor_mod.exchange_wave
+    real = exchange_mod.exchange_wave
 
     def counting(stage, counts, mesh, *geometry):
         calls.append(len(counts))
         return real(stage, counts, mesh, *geometry)
 
-    monkeypatch.setattr(executor_mod, "exchange_wave", counting)
+    monkeypatch.setattr(exchange_mod, "exchange_wave", counting)
     return calls
 
 
@@ -310,7 +319,7 @@ def per_rank_calls(monkeypatch):
 
 
 def test_without_the_wave_x_hops_pack_per_rank(monkeypatch, wave_calls, x_hop_packs):
-    monkeypatch.setattr(executor_mod, "WAVE_MIN_MEMBERS", 65)
+    monkeypatch.setattr(exchange_mod, "WAVE_MIN_MEMBERS", 65)
     Mpi2dPIC(_spec(4_000), 64, executor=InProcessExecutor()).run()
     assert wave_calls == []
     assert x_hop_packs[0] > 0
@@ -325,7 +334,7 @@ def test_settled_hops_make_no_per_rank_array_calls(monkeypatch, wave_calls,
     assert x_hop_packs == {0: 0, 1: 0}
     # The same run without the settle: no wave, every hop does its own
     # array work.
-    monkeypatch.setattr(executor_mod, "WAVE_MAX_MEAN", 0)
+    monkeypatch.setattr(exchange_mod, "WAVE_MAX_MEAN", 0)
     wave_calls.clear()
     Mpi2dPIC(_spec(4_000), 64, executor=InProcessExecutor()).run()
     assert wave_calls == []
@@ -355,18 +364,20 @@ def test_no_wave_below_the_cut_over(wave_calls):
 
 def test_no_wave_for_in_place_tasks(monkeypatch, wave_calls):
     # Even at the lowest cut-over, tasks pushed in place never form a wave.
-    monkeypatch.setattr(executor_mod, "WAVE_MIN_MEMBERS", 2)
+    monkeypatch.setattr(exchange_mod, "WAVE_MIN_MEMBERS", 2)
     res = Mpi2dPIC(_spec(4 * KERNEL_BLOCK, steps=1), 4,
                    executor=InProcessExecutor()).run()
     assert res.verification.ok
     assert wave_calls == []
 
 
-def test_no_wave_under_the_process_executor(wave_calls, x_hop_packs):
+def test_waves_form_under_the_process_executor(wave_calls, x_hop_packs):
+    # Whether a batch forms a wave does not depend on the executor.
     with ProcessExecutor(workers=1) as ex:
-        Mpi2dPIC(_spec(4_000), 64, executor=ex).run()
-    assert wave_calls == []
-    assert x_hop_packs[0] > 0
+        res = Mpi2dPIC(_spec(4_000), 64, executor=ex).run()
+    assert res.verification.ok
+    assert wave_calls == [64, 64]
+    assert x_hop_packs == {0: 0, 1: 0}
 
 
 # ----------------------------------------------------------------------
@@ -404,7 +415,7 @@ def _observe(monkeypatch, build):
 def test_runs_with_and_without_the_wave_are_identical(monkeypatch, wave_calls, build):
     settled = _observe(monkeypatch, build)
     assert wave_calls
-    monkeypatch.setattr(executor_mod, "WAVE_MAX_MEAN", 0)
+    monkeypatch.setattr(exchange_mod, "WAVE_MAX_MEAN", 0)
     wave_calls.clear()
     assert _observe(monkeypatch, build) == settled
     assert wave_calls == []
@@ -415,15 +426,15 @@ def test_staged_members_hold_no_rows(monkeypatch, wave_calls):
     the last run's block (their adopted rows) is freed before the next run
     allocates its own."""
     held = []
-    real_take = InProcessExecutor.take_wave
+    real_stage = scheduler_mod.stage_wave
 
-    def take_wave(self):
-        resident = real_take(self)
+    def staging(batch):
+        resident = real_stage(batch)
         if resident is not None:
-            held.append(sum(len(t.particles) for _, t, _ in resident.members))
+            held.append(sum(len(p) for p in resident.particles))
         return resident
 
-    monkeypatch.setattr(InProcessExecutor, "take_wave", take_wave)
+    monkeypatch.setattr(scheduler_mod, "stage_wave", staging)
     res = AmpiPIC(_spec(4_000, 6), 16, overdecomposition=4, lb_interval=3,
                   executor=InProcessExecutor()).run()
     assert res.verification.ok
@@ -434,27 +445,35 @@ def test_a_stray_wave_copies_its_push_back(monkeypatch, wave_calls):
     """k = 4 moves particles 9 cells a step over blocks 8 cells wide: every
     wave's first round leaves x strays, so it stops after the x hop,
     gathers nothing and closes no step; the members take the pushed rows
-    back and every rank runs its whole exchange; final bytes, clocks and
-    traffic equal the run without the wave."""
-    handed, gathers, closes = [], [], []
-    real_take, real_gather = InProcessExecutor.take_wave, SettledWave.gather
-    real_close = Scheduler._close_step
+    back, slices of the staged block (no spare block, no copy), and every
+    rank runs its whole exchange; final bytes, clocks and traffic equal
+    the run without the wave."""
+    handed, staged, released, closes = [], {}, [], []
+    real_stage, real_release = scheduler_mod.stage_wave, ResidentWave.release
+    real_close = scheduler_mod.Scheduler._close_step
 
-    def take_wave(self):
-        handed.append(real_take(self))
-        return handed[-1]
+    def staging(batch):
+        resident = real_stage(batch)
+        handed.append(resident)
+        if resident is not None:
+            staged[id(resident)] = resident.block
+        return resident
 
-    def gather(self, stage, out=None):
-        gathers.append(self)
-        return real_gather(self, stage, out)
+    def release(self, stray):
+        block, spare = self.block, self.spare
+        rows = real_release(self, stray)
+        adopted = all(p.x.base is block and p.pid.base is block
+                      for p in self.particles)
+        released.append((stray, block is staged[id(self)], spare, adopted))
+        return rows
 
-    def closing(self, batch, resident, order):
-        closes.append(resident)
-        return real_close(self, batch, resident, order)
+    def closing(self, *args):
+        closes.append(args)
+        return real_close(self, *args)
 
-    monkeypatch.setattr(InProcessExecutor, "take_wave", take_wave)
-    monkeypatch.setattr(SettledWave, "gather", gather)
-    monkeypatch.setattr(Scheduler, "_close_step", closing)
+    monkeypatch.setattr(scheduler_mod, "stage_wave", staging)
+    monkeypatch.setattr(ResidentWave, "release", release)
+    monkeypatch.setattr(scheduler_mod.Scheduler, "_close_step", closing)
 
     def build():
         return Mpi2dPIC(_spec(4_000, 6, k=4), 64, executor=InProcessExecutor())
@@ -462,40 +481,47 @@ def test_a_stray_wave_copies_its_push_back(monkeypatch, wave_calls):
     strayed = _observe(monkeypatch, build)
     assert wave_calls == [64] * 6
     assert len(handed) == 6 and None not in handed
-    assert all(resident.wave is None for resident in handed)
-    assert gathers == [] and closes == []
-    monkeypatch.setattr(executor_mod, "WAVE_MAX_MEAN", 0)
+    assert all(resident.table is None for resident in handed)
+    assert released == [(True, True, None, True)] * 6
+    assert closes == []
+    monkeypatch.setattr(exchange_mod, "WAVE_MAX_MEAN", 0)
     wave_calls.clear()
     handed.clear()
+    released.clear()
     assert _observe(monkeypatch, build) == strayed
-    assert wave_calls == [] and handed == [None] * 6
+    assert wave_calls == [] and handed == [None] * 6 and released == []
 
 
 def test_groups_beside_in_place_ranks_are_not_closed(monkeypatch, wave_calls):
     # r = 0.9 piles 52-57 % of the particles on the first block column
     # over both steps: its 8 ranks (>= 10 000 each, >= KERNEL_BLOCK // 2)
-    # run in place, so the 56 small ranks fused beside them (~1 200 each)
-    # form a group whose x sources include in-place ranks: not closed, and
-    # no wave runs.
-    closures = []
-    real = executor_mod.wave_geometry
+    # run in place, so the batch of them and the 56 small ranks beside
+    # them (~1 200 each) is not staged, even with no mean cut: no closure
+    # test, and no wave runs.
+    offered, closures = [], []
+    real_stage, real_geometry = scheduler_mod.stage_wave, exchange_mod.wave_geometry
+
+    def staging(batch):
+        biggest = max(len(task.particles) for _, task in batch)
+        resident = real_stage(batch)
+        offered.append((len(batch), biggest, resident))
+        return resident
 
     def closed(ranks, routes):
-        got = real(ranks, routes)
-        closures.append((len(ranks), got is None))
-        return got
+        closures.append(len(ranks))
+        return real_geometry(ranks, routes)
 
-    monkeypatch.setattr(executor_mod, "wave_geometry", closed)
+    monkeypatch.setattr(scheduler_mod, "stage_wave", staging)
+    monkeypatch.setattr(exchange_mod, "wave_geometry", closed)
+    monkeypatch.setattr(exchange_mod, "WAVE_MAX_MEAN", 10**9)
     spec = PICSpec(cells=64, n_particles=160_000, steps=2, r=0.9, m_vertical=1)
 
     def build():
         return Mpi2dPIC(spec, 64, executor=InProcessExecutor())
 
     split = _observe(monkeypatch, build)
-    assert closures and all(WAVE_MIN_MEMBERS <= m < 64 for m, _ in closures)
-    assert all(none for _, none in closures)
-    assert wave_calls == []
-    monkeypatch.setattr(executor_mod, "WAVE_MAX_MEAN", 0)
-    closures.clear()
+    assert offered and all(m == 64 and biggest >= KERNEL_BLOCK // 2 and resident is None
+                           for m, biggest, resident in offered)
+    assert closures == [] and wave_calls == []
+    monkeypatch.setattr(exchange_mod, "WAVE_MAX_MEAN", 0)
     assert split == _observe(monkeypatch, build)
-    assert closures == []
